@@ -73,26 +73,10 @@ fn main() {
     }
 }
 
-/// One pass per engine mode: the incremental engine with mega-batch
-/// dispatch (the default), the same engine dispatching per candidate,
-/// and the full-reschedule fallback — so the JSON carries both the
-/// mega-batch speedup and the overall incremental speedup as
-/// apples-to-apples ratios. All passes follow bit-identical search
-/// trajectories (pinned by fact-core's equivalence tests), so evals/sec
-/// is the only thing that differs.
+/// One measured pass of the default configuration over the suite.
 fn measure(budget: usize) -> Vec<fact_bench::search_perf::SearchPerf> {
-    let incremental = standard_config(budget);
-    let mut per_candidate = standard_config(budget);
-    per_candidate.mega_batch = false;
-    let mut full = standard_config(budget);
-    full.incremental = false;
     // Unmeasured warmup: the first pass of a fresh process otherwise
-    // absorbs one-time costs (page faults, frequency ramp) and skews
-    // the mode-vs-mode comparison by measurement order.
+    // absorbs one-time costs (page faults, frequency ramp).
     let _ = run_with("warmup", &standard_config(budget.min(50)));
-    vec![
-        run_with("incremental", &incremental),
-        run_with("per_candidate", &per_candidate),
-        run_with("full", &full),
-    ]
+    vec![run_with("default", &standard_config(budget))]
 }

@@ -46,7 +46,7 @@ pub struct SuitePerf {
 /// One full measurement pass: every Table 2 benchmark, fresh cache each.
 #[derive(Clone, Debug)]
 pub struct SearchPerf {
-    /// Label for the engine configuration measured (e.g. `incremental`).
+    /// Label for the configuration measured (e.g. `default`).
     pub mode: String,
     /// Evaluation budget per benchmark (`SearchConfig::max_evaluations`).
     pub budget: usize,

@@ -68,8 +68,7 @@ pub use pipeline::{
 };
 pub use report::{geomean_ratio, render_table2, DesignReport, Table2Row};
 pub use search::{
-    apply_transforms, apply_transforms_batched, apply_transforms_parallel, apply_transforms_pareto,
-    apply_transforms_pareto_batched, MegaCandidate, MegaEval, ParetoCandidate, ParetoSearchResult,
-    SearchConfig, SearchResult,
+    apply_transforms, apply_transforms_pareto, MegaCandidate, MegaEval, ParetoCandidate,
+    ParetoSearchResult, SearchConfig, SearchResult,
 };
 pub use suite::{suite, Benchmark};

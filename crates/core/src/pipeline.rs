@@ -13,21 +13,17 @@ use crate::objective::Objective;
 use crate::pareto::{nondominated, sweep_vdd, ParetoArchive, ParetoPoint};
 use crate::partition::{partition, region_of_block, PartitionConfig};
 use crate::search::{
-    apply_transforms_batched, apply_transforms_parallel, apply_transforms_pareto,
-    apply_transforms_pareto_batched, MegaCandidate, ParetoCandidate, SearchConfig, SearchResult,
+    apply_transforms, apply_transforms_pareto, MegaCandidate, SearchConfig, SearchResult,
 };
-use fact_estim::{
-    evaluate_power_mode_with_memo, evaluate_with_memo, markov_of, Estimate, MarkovMemo,
-};
+use fact_estim::{evaluate_power_mode_with_memo, evaluate_with_memo, Estimate, MarkovMemo};
 use fact_ir::Function;
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    check_equivalence_with, measure_divergence, profile, profile_compiled_reusing,
-    profile_compiled_with, BranchProfile, CompiledFn, EquivReference, ExecConfig, SimCounters,
-    SimEngine, SimScratch, TraceSet,
+    measure_divergence, profile, profile_compiled_reusing, BranchProfile, CompiledFn,
+    EquivReference, ExecConfig, SimCounters, SimEngine, SimScratch, TraceSet,
 };
 use fact_xform::{Region, TransformLibrary};
 use std::collections::HashMap;
@@ -46,40 +42,12 @@ pub struct FactConfig {
     pub search: SearchConfig,
     /// Partitioning knobs.
     pub partition: PartitionConfig,
-    /// Validate every accepted improvement against the original behavior
-    /// by randomized equivalence checking (defense in depth; the
+    /// Validate every candidate against the original behavior by
+    /// randomized equivalence checking (defense in depth; the
     /// transformations are individually verified too).
     pub check_equivalence: bool,
     /// Optimize at most this many STG blocks (hottest first).
     pub max_blocks: usize,
-    /// Evaluate candidates incrementally: splice memoized per-block
-    /// schedule fragments, memoize Markov solves per STG structure,
-    /// profile through the compiled simulator, and check equivalence
-    /// against a reference captured once instead of re-running the
-    /// original per candidate. Bit-identical to full evaluation (the
-    /// incremental-equivalence tests hold the two paths together);
-    /// `false` keeps the straight-line path as fallback and oracle.
-    pub incremental: bool,
-    /// Simulate candidates with the batched lockstep engine
-    /// (`fact_sim::SimEngine::Batched`): all trace vectors run as
-    /// structure-of-arrays lanes through one pass per batch, with
-    /// duplicate vectors deduplicated where sound. Verdicts, profiles,
-    /// and scores are bit-identical to the scalar engine (fact-sim's
-    /// property tests pin this); `false` keeps the one-vector-at-a-time
-    /// scalar path as fallback and oracle.
-    pub sim_batch: bool,
-    /// Evaluate each search move's surviving candidates as one
-    /// mega-batch (effective only with `incremental`): the whole
-    /// neighborhood reaches the evaluator as a slice, every candidate
-    /// compiles once and reuses a per-worker [`SimScratch`] across the
-    /// dispatch, and the engine selector's divergence probe is folded
-    /// into the verification pass itself. Results — best, score, applied
-    /// path, evaluation count, cache hits — are bit-identical to
-    /// per-candidate dispatch for any thread count (the mega-batch
-    /// property tests pin this); only wall-clock and the sim work
-    /// counters change. `false` keeps per-candidate dispatch as fallback
-    /// and oracle.
-    pub mega_batch: bool,
     /// Frontier knobs for [`Objective::Pareto`] runs (ignored by the
     /// single-objective drivers).
     pub pareto: ParetoConfig,
@@ -94,9 +62,6 @@ impl Default for FactConfig {
             partition: PartitionConfig::default(),
             check_equivalence: true,
             max_blocks: 3,
-            incremental: true,
-            sim_batch: true,
-            mega_batch: true,
             pareto: ParetoConfig::default(),
         }
     }
@@ -145,33 +110,34 @@ pub struct FactResult {
     /// (0 when the run was not given a cache).
     pub cache_hits: usize,
     /// Schedules computed entirely from scratch — no memoized block
-    /// fragment was spliced in (in non-incremental mode, every schedule).
+    /// fragment was spliced in.
     pub full_reschedules: usize,
     /// Schedules that spliced at least one memoized per-block fragment
-    /// instead of re-running list scheduling (0 in non-incremental mode).
+    /// instead of re-running list scheduling.
     pub block_spliced: usize,
     /// Trace vectors simulated during candidate evaluation (equivalence
     /// checks and compiled profiling passes; logical vectors, so a
     /// deduplicated lane of multiplicity *k* counts *k*).
     pub sim_vectors: u64,
-    /// Batched simulation passes executed (0 with `sim_batch` off).
+    /// Batched simulation passes executed.
     pub sim_batches: u64,
     /// Candidate evaluations the engine selector routed to the scalar
-    /// interpreter (all of them with `sim_batch` off).
+    /// interpreter.
     pub sim_engine_scalar: u64,
     /// Candidate evaluations the engine selector routed to the batched
     /// engine.
     pub sim_engine_batched: u64,
     /// Lane-compaction passes performed inside batched simulation.
     pub lane_compactions: u64,
-    /// Whole-neighborhood mega-batch dispatches evaluated (0 with
-    /// `mega_batch` off or in non-incremental runs).
+    /// Whole-neighborhood dispatches evaluated (one per search move,
+    /// plus one per scored search input).
     pub neighborhood_batches: u64,
-    /// Simulation lanes dispatched by the mega-batch path: candidates ×
-    /// deduplicated trace lanes, counting only candidates that actually
-    /// simulated (cache hits short-circuit their lanes out of the batch).
+    /// Simulation lanes of neighborhood verification passes: candidates
+    /// × trace lanes, counting only candidates verified against the
+    /// reference (cache hits short-circuit their lanes out of the batch;
+    /// runs without equivalence checking count none).
     pub mega_lanes: u64,
-    /// Candidates handed to mega-batch dispatches (cache hits included).
+    /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
@@ -233,26 +199,22 @@ impl fmt::Display for FactError {
 impl std::error::Error for FactError {}
 
 /// Per-run incremental-evaluation machinery, shared by every candidate
-/// evaluation of one [`optimize_with`] call (including across the
-/// parallel search's worker threads — all members are `Sync`).
-///
-/// The memo/reference members are populated only in incremental mode;
-/// the reuse counters are kept either way so [`FactResult`] (and the
-/// daemon's STATS line) can report the breakdown honestly in both modes.
+/// evaluation of one run (including across worker threads — all members
+/// are `Sync`): memoized schedule fragments and Markov solves, the
+/// captured equivalence reference, the engine selector's divergence
+/// rates, and the work counters [`FactResult`] reports.
 struct IncrementalCtx<'a> {
-    /// Captured original-side equivalence data (incremental mode with
-    /// equivalence checking on).
+    /// Captured original-side equivalence data (`None` with equivalence
+    /// checking off).
     equiv: Option<EquivReference>,
     /// Per-block list-schedule fragments keyed by structural hash.
-    sched: Option<ScheduleMemo>,
+    sched: ScheduleMemo,
     /// Markov solves keyed by STG structure.
-    markov: Option<MarkovMemo>,
+    markov: MarkovMemo,
     /// Schedules computed with no memoized fragment spliced in.
     full_reschedules: AtomicUsize,
     /// Schedules that reused at least one memoized block fragment.
     block_spliced: AtomicUsize,
-    /// How candidate simulation picks its execution engine.
-    policy: EnginePolicy,
     /// Shared score cache, doubling as the cross-job store for measured
     /// divergence rates (under a salted key domain of its own).
     cache: Option<&'a EvalCache>,
@@ -266,11 +228,11 @@ struct IncrementalCtx<'a> {
     sim: SimCounters,
     /// Phase wall-time sinks from [`OptimizeHooks::timers`].
     timers: Option<&'a PhaseTimers>,
-    /// Mega-batch dispatch accounting (stays zero off the mega path).
+    /// Neighborhood dispatch accounting.
     mega: MegaCounters,
 }
 
-/// Counters of the mega-batch dispatch path (see
+/// Counters of neighborhood dispatch (see
 /// [`FactResult::neighborhood_batches`] and friends).
 #[derive(Default)]
 struct MegaCounters {
@@ -307,20 +269,6 @@ fn engine_of_rate(rate: f64) -> SimEngine {
     }
 }
 
-/// How [`IncrementalCtx`] resolves the simulation engine per candidate.
-#[derive(Clone, Copy, Debug)]
-enum EnginePolicy {
-    /// One engine for every candidate, no measurement. `sim_batch: false`
-    /// pins `Scalar` (and keeps those runs probe-free); non-incremental
-    /// runs pin the default batched engine since they have no compiled
-    /// form to probe.
-    Fixed(SimEngine),
-    /// Measure each function's divergence rate on its first batch and
-    /// pick `Scalar` above [`SCALAR_DIVERGENCE_THRESHOLD`], the batched
-    /// engine below. Rates are cached per structural hash.
-    Auto,
-}
-
 /// Divergence rate (slow lane-steps / total lane-steps, see
 /// [`SimCounters::divergence`]) above which lockstep batching is
 /// predicted to lose to the scalar interpreter. Calibrated against
@@ -336,13 +284,6 @@ impl<'a> IncrementalCtx<'a> {
         config: &FactConfig,
         hooks: OptimizeHooks<'a>,
     ) -> IncrementalCtx<'a> {
-        let policy = if !config.sim_batch {
-            EnginePolicy::Fixed(SimEngine::Scalar)
-        } else if config.incremental {
-            EnginePolicy::Auto
-        } else {
-            EnginePolicy::Fixed(SimEngine::default())
-        };
         // Only the traces feed the salt: the divergence of a candidate
         // depends on its control flow and the stimulus, not on the
         // allocation/objective half of `evaluation_context_key`.
@@ -359,13 +300,13 @@ impl<'a> IncrementalCtx<'a> {
             h.finish()
         };
         IncrementalCtx {
-            equiv: (config.incremental && config.check_equivalence)
+            equiv: config
+                .check_equivalence
                 .then(|| EquivReference::capture(f, traces, 0xC0FFEE)),
-            sched: config.incremental.then(ScheduleMemo::default),
-            markov: config.incremental.then(MarkovMemo::default),
+            sched: ScheduleMemo::default(),
+            markov: MarkovMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
-            policy,
             cache: hooks.cache,
             div_salt,
             div_rates: Mutex::new(HashMap::new()),
@@ -400,41 +341,22 @@ impl<'a> IncrementalCtx<'a> {
         }
     }
 
-    /// The engine a `Fixed` policy pins, or the engine `Auto` falls back
-    /// to wherever no compiled form is available to probe.
-    fn base_engine(&self) -> SimEngine {
-        match self.policy {
-            EnginePolicy::Fixed(e) => e,
-            EnginePolicy::Auto => SimEngine::default(),
-        }
-    }
-
-    /// Picks the simulation engine for one candidate. Under `Auto` this
-    /// consults the divergence-rate cache keyed by the candidate's
-    /// structural hash (salted with the trace-set context) and, on a
-    /// miss, measures the rate on a single probe batch — whose vectors
-    /// are counted into `self.sim` like any other simulation work.
+    /// Picks the simulation engine for a candidate that has no
+    /// verification pass to measure divergence on: consults the
+    /// divergence-rate cache keyed by the candidate's structural `hash`
+    /// (salted with the trace-set context) and, on a miss, measures the
+    /// rate on a single probe batch — whose vectors are counted into
+    /// `self.sim` like any other simulation work.
     ///
     /// Both engines are bit-identical, so a racy double-measure (or a
     /// cross-run cache hit) can only change wall-clock, never results.
-    fn engine_for(&self, g: &Function, cf: &CompiledFn, traces: &TraceSet) -> SimEngine {
-        let base = match self.policy {
-            EnginePolicy::Fixed(e) => {
-                self.sim.note_engine(e);
-                return e;
-            }
-            EnginePolicy::Auto => SimEngine::default(),
-        };
-        let key = self.div_key(structural_hash(g));
+    fn engine_for(&self, hash: u64, cf: &CompiledFn, traces: &TraceSet) -> SimEngine {
+        let key = self.div_key(hash);
         let rate = self.cached_div_rate(key).unwrap_or_else(|| {
-            let probe_cfg = ExecConfig {
-                engine: base,
-                ..ExecConfig::default()
-            };
             let rate = timed(
                 self.timers,
                 |t| &t.simulate_ns,
-                || measure_divergence(cf, traces, &probe_cfg, Some(&self.sim)),
+                || measure_divergence(cf, traces, &ExecConfig::default(), Some(&self.sim)),
             );
             self.store_div_rate(key, rate);
             rate
@@ -454,367 +376,399 @@ impl<'a> IncrementalCtx<'a> {
     }
 }
 
-/// Schedules + estimates one candidate; `None` when the candidate cannot
-/// be realized under the allocation (e.g. a strength-reduced shift with no
-/// shifter). `cf` is the candidate pre-compiled for simulation — passed in
-/// incremental mode so one compilation serves both the equivalence check
-/// and profiling.
-#[allow(clippy::too_many_arguments)]
-fn eval_candidate(
-    g: &Function,
-    library: &FuLibrary,
-    rules: &SelectionRules,
-    alloc: &Allocation,
-    traces: &TraceSet,
-    config: &FactConfig,
-    base_cycles: f64,
-    ctx: &IncrementalCtx,
-    engine: SimEngine,
-    cf: Option<&CompiledFn>,
-    prof: Option<BranchProfile>,
-) -> Option<(ScheduleResult, Estimate)> {
-    let prof: BranchProfile = match (prof, cf) {
-        (Some(p), _) => p,
-        (None, Some(cf)) => timed(
-            ctx.timers,
-            |t| &t.simulate_ns,
-            || {
-                let cfg = ExecConfig {
-                    engine,
-                    ..ExecConfig::default()
-                };
-                profile_compiled_with(cf, traces, &cfg, Some(&ctx.sim))
-            },
-        ),
-        (None, None) => timed(ctx.timers, |t| &t.simulate_ns, || profile(g, traces)),
-    };
-    if prof.runs_ok == 0 {
-        return None;
-    }
-    timed(
-        ctx.timers,
-        |t| &t.estimate_ns,
-        || {
-            let sr = schedule_with_memo(
-                g,
-                library,
-                rules,
-                alloc,
-                &prof,
-                &config.sched,
-                ctx.sched.as_ref(),
-            )
-            .ok()?;
-            ctx.note_schedule(&sr.report);
-            let memo = ctx.markov.as_ref();
-            let est = match config.objective {
-                // Pareto mode estimates at the reference voltage too: the archive
-                // lives in (energy_vdd2, latency) space and voltage becomes a
-                // knob only when the frontier is expanded ([`sweep_vdd`]).
-                Objective::Throughput | Objective::Pareto => {
-                    evaluate_with_memo(&sr, library, config.sched.clock_ns, memo).ok()?
-                }
-                Objective::Power => {
-                    let est = evaluate_power_mode_with_memo(
-                        &sr,
-                        library,
-                        config.sched.clock_ns,
-                        base_cycles,
-                        memo,
-                    )
-                    .ok()?;
-                    // The paper's power mode holds performance at the baseline
-                    // ("our aim is to keep the performance … the same while
-                    // reducing power"): slower candidates are not admissible, or
-                    // the energy/time quotient would reward mere slowdown.
-                    if est.average_schedule_length > base_cycles * 1.001 {
-                        return None;
-                    }
-                    est
-                }
-            };
-            Some((sr, est))
-        },
-    )
+/// A score the shared [`EvalCache`] can hold under a candidate's key: one
+/// slot for a scalar objective, two salted slots for an (energy,
+/// latency) pair (the cache stores one `f64` per key).
+trait Cacheable: Sized {
+    /// The cached score under `key`, or `eval`'s result, stored. The
+    /// flag is `true` on a cache hit.
+    fn cached(
+        cache: &EvalCache,
+        key: u64,
+        eval: impl FnOnce() -> Option<Self>,
+    ) -> (Option<Self>, bool);
 }
 
-/// The full per-candidate evaluation both search drivers share:
-/// compile the candidate once (incremental mode), verify behavioral
-/// equivalence against the original, then schedule + estimate via
-/// [`eval_candidate`]. `None` marks an invalid candidate (not
-/// equivalent, unschedulable under the allocation, or — in power mode —
-/// slower than the baseline).
-#[allow(clippy::too_many_arguments)]
-fn checked_estimate(
-    f: &Function,
-    g: &Function,
-    library: &FuLibrary,
-    rules: &SelectionRules,
-    alloc: &Allocation,
-    traces: &TraceSet,
-    config: &FactConfig,
-    base_cycles: f64,
-    ctx: &IncrementalCtx,
-) -> Option<Estimate> {
-    // Incremental mode compiles the candidate once; the compiled form
-    // serves the equivalence check and the profiling pass (verdicts and
-    // profiles are identical to the interpreter's — fact-sim's tests pin
-    // this).
-    let cf = config
-        .incremental
-        .then(|| timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(g)));
-    // The engine selector runs per candidate: under the `Auto` policy it
-    // measures (or recalls) this function's divergence rate and picks
-    // whichever engine the model predicts is faster. Engines are
-    // bit-identical, so the choice never changes verdicts or profiles.
-    let engine = match &cf {
-        Some(cf) => ctx.engine_for(g, cf, traces),
-        None => {
-            let e = ctx.base_engine();
-            ctx.sim.note_engine(e);
-            e
-        }
-    };
-    let mut merged_prof = None;
-    if config.check_equivalence {
-        let verdict_ok = timed(
-            ctx.timers,
-            |t| &t.simulate_ns,
-            || {
-                match (&ctx.equiv, &cf) {
-                    // Memory-free behaviors: the equivalence pass executes the
-                    // exact machine profiling would, so one simulation pass
-                    // serves both.
-                    (Some(reference), Some(cf)) if g.memories().count() == 0 => {
-                        match reference.check_profiled_with(cf, traces, engine, Some(&ctx.sim)) {
-                            Ok((_, prof)) => {
-                                merged_prof = Some(prof);
-                                true
-                            }
-                            Err(_) => false,
-                        }
-                    }
-                    (Some(reference), Some(cf)) => reference
-                        .check_with(cf, traces, engine, Some(&ctx.sim))
-                        .is_ok(),
-                    _ => {
-                        let cfg = ExecConfig {
-                            engine,
-                            ..ExecConfig::default()
-                        };
-                        check_equivalence_with(f, g, traces, 0xC0FFEE, &cfg, Some(&ctx.sim)).is_ok()
-                    }
-                }
-            },
-        );
-        if !verdict_ok {
-            return None;
-        }
+impl Cacheable for f64 {
+    fn cached(
+        cache: &EvalCache,
+        key: u64,
+        eval: impl FnOnce() -> Option<f64>,
+    ) -> (Option<f64>, bool) {
+        cache.get_or_eval(key, eval)
     }
-    let (_, est) = eval_candidate(
-        g,
-        library,
-        rules,
-        alloc,
-        traces,
-        config,
-        base_cycles,
-        ctx,
-        engine,
-        cf.as_ref(),
-        merged_prof,
-    )?;
-    Some(est)
 }
 
-/// [`checked_estimate`] specialized to mega-batch dispatch: the candidate
-/// arrives with its stage-1 structural hash (no re-hashing), compiles
-/// once, and is verified against the captured reference in a single
-/// allocation-free pass over the neighborhood-shared `scratch`. The
-/// engine selector's divergence probe is folded into that pass: a cached
-/// rate routes the engine immediately; a miss runs this evaluation
-/// batched and banks the rate measured over the *whole* verification —
-/// a better sample than the old one-batch probe, obtained for free.
-///
-/// Returns exactly what the per-candidate path would: both engines and
-/// both verify paths are bit-identical (fact-sim's property tests pin
-/// this), so only wall-clock and the sim work counters can differ.
-#[allow(clippy::too_many_arguments)]
-fn checked_estimate_mega(
-    f: &Function,
-    cand: &MegaCandidate<'_>,
-    library: &FuLibrary,
-    rules: &SelectionRules,
-    alloc: &Allocation,
-    traces: &TraceSet,
-    config: &FactConfig,
+impl Cacheable for (f64, f64) {
+    /// Energy under salt 1, latency under salt 2.
+    fn cached(
+        cache: &EvalCache,
+        key: u64,
+        eval: impl FnOnce() -> Option<(f64, f64)>,
+    ) -> (Option<(f64, f64)>, bool) {
+        let ke = ContextHasher::new(key).write_u64(1).finish();
+        let kl = ContextHasher::new(key).write_u64(2).finish();
+        if let (Some(e), Some(l)) = (cache.lookup(ke), cache.lookup(kl)) {
+            return (e.zip(l), true);
+        }
+        let pair = eval();
+        cache.insert(ke, pair.map(|(e, _)| e));
+        cache.insert(kl, pair.map(|(_, l)| l));
+        (pair, false)
+    }
+}
+
+/// One run of either driver: its inputs, the incremental machinery, the
+/// input's baseline, and the regions the search visits. `Sync`, so
+/// neighborhood workers score candidates through a shared `&Run`.
+struct Run<'a> {
+    library: &'a FuLibrary,
+    rules: &'a SelectionRules,
+    alloc: &'a Allocation,
+    traces: &'a TraceSet,
+    config: &'a FactConfig,
+    hooks: OptimizeHooks<'a>,
+    ctx: IncrementalCtx<'a>,
+    /// The input's average schedule length (power mode's time bound).
     base_cycles: f64,
-    ctx: &IncrementalCtx,
-    scratch: &mut SimScratch,
-) -> Option<Estimate> {
-    let g = cand.function;
-    debug_assert_eq!(cand.hash, structural_hash(g));
-    // The folded verify+profile pass needs the captured reference; with
-    // equivalence checking off there is no verification pass to fold the
-    // probe into, so the plain per-candidate evaluation serves.
-    let Some(reference) = &ctx.equiv else {
-        return checked_estimate(
+    /// The input's estimate.
+    baseline: Estimate,
+    /// Search regions, hottest STG block first.
+    regions: Vec<Region>,
+    /// Context half of every candidate's [`EvalCache`] key.
+    context_key: u64,
+    cache_hits: AtomicUsize,
+    /// Per-worker reusable simulation buffers, recycled across every
+    /// neighborhood of the run (workers check one out per dispatch).
+    scratch_pool: Mutex<Vec<SimScratch>>,
+}
+
+impl<'a> Run<'a> {
+    /// Steps 1-2 of Figure 5: schedule and estimate the input (through
+    /// the memo, so the baseline's block fragments are already warm for
+    /// candidates that leave blocks untouched), then partition its STG
+    /// into search regions, hottest first.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        f: &'a Function,
+        library: &'a FuLibrary,
+        rules: &'a SelectionRules,
+        alloc: &'a Allocation,
+        traces: &'a TraceSet,
+        config: &'a FactConfig,
+        hooks: OptimizeHooks<'a>,
+    ) -> Result<Run<'a>, FactError> {
+        let ctx = IncrementalCtx::new(f, traces, config, hooks);
+        let prof = profile(f, traces);
+        let sr0 = schedule_with_memo(
             f,
-            g,
+            library,
+            rules,
+            alloc,
+            &prof,
+            &config.sched,
+            Some(&ctx.sched),
+        )
+        .map_err(FactError::Schedule)?;
+        ctx.note_schedule(&sr0.report);
+        let markov0 = ctx
+            .markov
+            .analyze_memoized(&sr0.stg)
+            .map_err(FactError::Analysis)?;
+        let baseline = evaluate_with_memo(&sr0, library, config.sched.clock_ns, Some(&ctx.markov))
+            .map_err(FactError::Analysis)?;
+        let blocks = partition(&sr0.stg, &markov0, &config.partition);
+        let regions = if blocks.is_empty() {
+            vec![Region::whole()]
+        } else {
+            blocks
+                .iter()
+                .take(config.max_blocks)
+                .map(|b| region_of_block(f, &sr0, b))
+                .collect()
+        };
+        Ok(Run {
             library,
             rules,
             alloc,
             traces,
             config,
-            base_cycles,
+            hooks,
             ctx,
-        );
-    };
-    let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(g));
-    let (engine, measure_key) = match ctx.policy {
-        EnginePolicy::Fixed(e) => (e, None),
-        EnginePolicy::Auto => {
-            let key = ctx.div_key(cand.hash);
-            match ctx.cached_div_rate(key) {
-                Some(rate) => (engine_of_rate(rate), None),
-                None => (SimEngine::default(), Some(key)),
-            }
-        }
-    };
-    ctx.sim.note_engine(engine);
-    let memory_free = g.memories().count() == 0;
-    let lanes = if memory_free {
-        traces.dedup_lanes().len()
-    } else {
-        traces.len()
-    };
-    ctx.mega.lanes.fetch_add(lanes as u64, Ordering::Relaxed);
-    let mut merged_prof = None;
-    let measured = timed(
-        ctx.timers,
-        |t| &t.simulate_ns,
-        || {
-            if memory_free {
-                // One simulation pass serves equivalence, profiling, and the
-                // divergence measurement.
-                let (verdict, rate) =
-                    reference.check_profiled_reusing(&cf, traces, engine, Some(&ctx.sim), scratch);
-                match verdict {
-                    Ok((_, prof)) => {
-                        merged_prof = Some(prof);
-                        Some(rate)
-                    }
-                    Err(_) => None,
-                }
-            } else {
-                let (verdict, rate) =
-                    reference.check_reusing(&cf, traces, engine, Some(&ctx.sim), scratch);
-                verdict.ok()?;
-                // Memory-bearing candidates still need the separate
-                // zero-initialized profiling pass; route it through the same
-                // neighborhood scratch instead of fresh per-call buffers.
-                let cfg = ExecConfig {
-                    engine,
-                    ..ExecConfig::default()
-                };
-                merged_prof = Some(profile_compiled_reusing(
-                    &cf,
-                    traces,
-                    &cfg,
-                    Some(&ctx.sim),
-                    scratch,
-                ));
-                Some(rate)
-            }
-        },
-    );
-    let rate = measured?;
-    if let Some(key) = measure_key {
-        ctx.store_div_rate(key, rate);
+            base_cycles: markov0.average_schedule_length,
+            baseline,
+            regions,
+            context_key: evaluation_context_key(f, alloc, traces, config),
+            cache_hits: AtomicUsize::new(0),
+            scratch_pool: Mutex::new(Vec::new()),
+        })
     }
-    let (_, est) = eval_candidate(
-        g,
-        library,
-        rules,
-        alloc,
-        traces,
-        config,
-        base_cycles,
-        ctx,
-        engine,
-        Some(&cf),
-        merged_prof,
-    )?;
-    Some(est)
-}
 
-/// Evaluates one search neighborhood (the whole deduplicated candidate
-/// frontier of a move) as a single dispatch. Candidates are scored in
-/// slice order by `threads` workers, each holding one [`SimScratch`]
-/// drawn from `pool` for the duration of the batch, and results land in
-/// their candidate's slot — so the returned vector, and therefore the
-/// search trajectory, is identical for any thread count.
-fn evaluate_neighborhood<S: Send>(
-    batch: &[MegaCandidate<'_>],
-    threads: usize,
-    stop: Option<&AtomicBool>,
-    pool: &Mutex<Vec<SimScratch>>,
-    ctx: &IncrementalCtx,
-    eval_one: &(dyn Fn(&MegaCandidate<'_>, &mut SimScratch) -> Option<S> + Sync),
-) -> Vec<Option<S>> {
-    ctx.mega.batches.fetch_add(1, Ordering::Relaxed);
-    ctx.mega
-        .candidates
-        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    let take_scratch = || pool.lock().unwrap().pop().unwrap_or_default();
-    let workers = threads.max(1).min(batch.len());
-    if workers <= 1 {
-        let mut scratch = take_scratch();
-        let mut out = Vec::with_capacity(batch.len());
-        for cand in batch {
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                out.push(None);
-                continue;
-            }
-            out.push(eval_one(cand, &mut scratch));
+    /// Whether the run has been asked to wind down.
+    fn stopped(&self) -> bool {
+        self.hooks.stop.is_some_and(|s| s.load(Ordering::Relaxed))
+    }
+
+    /// Schedules + estimates `g` under `prof`; `None` when `g` cannot be
+    /// realized under the allocation (e.g. a strength-reduced shift with
+    /// no shifter), or — in power mode — is slower than the baseline.
+    fn estimate(&self, g: &Function, prof: BranchProfile) -> Option<(ScheduleResult, Estimate)> {
+        if prof.runs_ok == 0 {
+            return None;
         }
-        pool.lock().unwrap().push(scratch);
-        return out;
-    }
-    // Work-stealing over candidate indices, mirroring the parallel
-    // dispatcher's scheme: assignment order never affects which slot a
-    // result lands in.
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<S>> = Vec::with_capacity(batch.len());
-    slots.resize_with(batch.len(), || None);
-    let chunks: Vec<Vec<(usize, Option<S>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = take_scratch();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= batch.len() {
-                            break;
-                        }
-                        if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                            local.push((i, None));
-                            continue;
-                        }
-                        local.push((i, eval_one(&batch[i], &mut scratch)));
+        let (ctx, config, library) = (&self.ctx, self.config, self.library);
+        timed(
+            ctx.timers,
+            |t| &t.estimate_ns,
+            || {
+                let sr = schedule_with_memo(
+                    g,
+                    library,
+                    self.rules,
+                    self.alloc,
+                    &prof,
+                    &config.sched,
+                    Some(&ctx.sched),
+                )
+                .ok()?;
+                ctx.note_schedule(&sr.report);
+                let memo = Some(&ctx.markov);
+                let est = match config.objective {
+                    // Pareto mode estimates at the reference voltage too: the archive
+                    // lives in (energy_vdd2, latency) space and voltage becomes a
+                    // knob only when the frontier is expanded ([`sweep_vdd`]).
+                    Objective::Throughput | Objective::Pareto => {
+                        evaluate_with_memo(&sr, library, config.sched.clock_ns, memo).ok()?
                     }
-                    pool.lock().unwrap().push(scratch);
-                    local
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for (i, s) in chunks.into_iter().flatten() {
-        slots[i] = s;
+                    Objective::Power => {
+                        let est = evaluate_power_mode_with_memo(
+                            &sr,
+                            library,
+                            config.sched.clock_ns,
+                            self.base_cycles,
+                            memo,
+                        )
+                        .ok()?;
+                        // The paper's power mode holds performance at the baseline
+                        // ("our aim is to keep the performance … the same while
+                        // reducing power"): slower candidates are not admissible, or
+                        // the energy/time quotient would reward mere slowdown.
+                        if est.average_schedule_length > self.base_cycles * 1.001 {
+                            return None;
+                        }
+                        est
+                    }
+                };
+                Some((sr, est))
+            },
+        )
     }
-    slots
+
+    /// The candidate evaluation: compile `cand` once, verify it against
+    /// the captured reference and profile it in one pass over the
+    /// neighborhood-shared `scratch`, then schedule + estimate. `None`
+    /// marks an invalid candidate (not equivalent, unschedulable under
+    /// the allocation, or — in power mode — slower than the baseline).
+    ///
+    /// The engine selector's divergence measurement rides on that pass: a
+    /// cached rate routes the engine immediately; a miss runs this
+    /// evaluation batched and banks the rate measured over the whole
+    /// verification. With equivalence checking off there is no
+    /// verification pass, so a one-batch probe
+    /// ([`IncrementalCtx::engine_for`]) picks the engine for the
+    /// profiling pass instead. Engines are bit-identical, so the choice
+    /// only moves wall-clock and the sim work counters.
+    fn checked_estimate(
+        &self,
+        cand: &MegaCandidate<'_>,
+        scratch: &mut SimScratch,
+    ) -> Option<Estimate> {
+        let (ctx, traces) = (&self.ctx, self.traces);
+        let g = cand.function;
+        debug_assert_eq!(cand.hash, structural_hash(g));
+        let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(g));
+        let exec = |engine| ExecConfig {
+            engine,
+            ..ExecConfig::default()
+        };
+        let prof = match &ctx.equiv {
+            Some(reference) => {
+                let key = ctx.div_key(cand.hash);
+                let known_rate = ctx.cached_div_rate(key);
+                let engine = known_rate.map_or_else(SimEngine::default, engine_of_rate);
+                ctx.sim.note_engine(engine);
+                let memory_free = g.memories().count() == 0;
+                let lanes = if memory_free {
+                    traces.dedup_lanes().len()
+                } else {
+                    traces.len()
+                };
+                ctx.mega.lanes.fetch_add(lanes as u64, Ordering::Relaxed);
+                let (prof, rate) = timed(
+                    ctx.timers,
+                    |t| &t.simulate_ns,
+                    || {
+                        if memory_free {
+                            // One simulation pass serves equivalence,
+                            // profiling, and the divergence measurement.
+                            let (verdict, rate) = reference.check_profiled_reusing(
+                                &cf,
+                                traces,
+                                engine,
+                                Some(&ctx.sim),
+                                scratch,
+                            );
+                            verdict.ok().map(|(_, prof)| (prof, rate))
+                        } else {
+                            let (verdict, rate) = reference.check_reusing(
+                                &cf,
+                                traces,
+                                engine,
+                                Some(&ctx.sim),
+                                scratch,
+                            );
+                            verdict.ok()?;
+                            // Memory-bearing candidates still need the separate
+                            // zero-initialized profiling pass, through the same
+                            // neighborhood scratch.
+                            let prof = profile_compiled_reusing(
+                                &cf,
+                                traces,
+                                &exec(engine),
+                                Some(&ctx.sim),
+                                scratch,
+                            );
+                            Some((prof, rate))
+                        }
+                    },
+                )?;
+                if known_rate.is_none() {
+                    ctx.store_div_rate(key, rate);
+                }
+                prof
+            }
+            None => {
+                let engine = ctx.engine_for(cand.hash, &cf, traces);
+                timed(
+                    ctx.timers,
+                    |t| &t.simulate_ns,
+                    || {
+                        profile_compiled_reusing(
+                            &cf,
+                            traces,
+                            &exec(engine),
+                            Some(&ctx.sim),
+                            scratch,
+                        )
+                    },
+                )
+            }
+        };
+        self.estimate(g, prof).map(|(_, est)| est)
+    }
+
+    /// Evaluates one search neighborhood (the whole deduplicated
+    /// candidate frontier of a move) as a single dispatch. Candidates are
+    /// scored by `config.search.threads` workers (one is the sequential
+    /// case), each holding one [`SimScratch`] from the pool for the
+    /// duration of the batch, and results land in their candidate's slot
+    /// — so the returned vector, and therefore the search trajectory, is
+    /// identical for any thread count.
+    fn evaluate_neighborhood<S: Send>(
+        &self,
+        batch: &[MegaCandidate<'_>],
+        eval_one: &(dyn Fn(&MegaCandidate<'_>, &mut SimScratch) -> Option<S> + Sync),
+    ) -> Vec<Option<S>> {
+        let mega = &self.ctx.mega;
+        mega.batches.fetch_add(1, Ordering::Relaxed);
+        mega.candidates
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        let pool = &self.scratch_pool;
+        let lock = || {
+            pool.lock()
+                .expect("no worker panics while holding the pool")
+        };
+        let take_scratch = || lock().pop().unwrap_or_default();
+        let workers = self.config.search.threads.max(1).min(batch.len());
+        if workers <= 1 {
+            let mut scratch = take_scratch();
+            let mut out = Vec::with_capacity(batch.len());
+            for cand in batch {
+                if self.stopped() {
+                    out.push(None);
+                    continue;
+                }
+                out.push(eval_one(cand, &mut scratch));
+            }
+            lock().push(scratch);
+            return out;
+        }
+        // Work-stealing over candidate indices: assignment order never
+        // affects which slot a result lands in.
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<Option<S>> = Vec::with_capacity(batch.len());
+        slots.resize_with(batch.len(), || None);
+        let chunks: Vec<Vec<(usize, Option<S>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut scratch = take_scratch();
+                        let mut local = Vec::new();
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= batch.len() {
+                                break;
+                            }
+                            if self.stopped() {
+                                local.push((i, None));
+                                continue;
+                            }
+                            local.push((i, eval_one(&batch[i], &mut scratch)));
+                        }
+                        lock().push(scratch);
+                        local
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("neighborhood worker panicked"))
+                .collect()
+        });
+        for (i, s) in chunks.into_iter().flatten() {
+            slots[i] = s;
+        }
+        slots
+    }
+
+    /// The search's neighborhood evaluator: every candidate's estimate,
+    /// mapped to a score by `project`, answered from the shared
+    /// [`EvalCache`] when one is wired in.
+    fn score_neighborhood<S: Cacheable + Send>(
+        &self,
+        batch: &[MegaCandidate<'_>],
+        project: &(dyn Fn(&Estimate) -> S + Sync),
+    ) -> Vec<Option<S>> {
+        let eval_one = |cand: &MegaCandidate<'_>, scratch: &mut SimScratch| -> Option<S> {
+            let mut score_of = || Some(project(&self.checked_estimate(cand, scratch)?));
+            match self.hooks.cache {
+                Some(cache) => {
+                    // The hash rode in from stage-1 dedup instead of
+                    // being recomputed here.
+                    let key = ContextHasher::new(self.context_key)
+                        .write_u64(cand.hash)
+                        .finish();
+                    let (score, hit) = S::cached(cache, key, score_of);
+                    if hit {
+                        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    score
+                }
+                None => score_of(),
+            }
+        };
+        self.evaluate_neighborhood(batch, &eval_one)
+    }
 }
 
 /// A 64-bit key covering everything a candidate's score depends on
@@ -909,34 +863,10 @@ pub fn optimize_with(
     config: &FactConfig,
     hooks: OptimizeHooks<'_>,
 ) -> Result<FactResult, FactError> {
-    let ctx = IncrementalCtx::new(f, traces, config, hooks);
-
-    // Step 1: schedule the input behavior (through the memo, so the
-    // baseline's block fragments are already warm for candidates that
-    // leave blocks untouched).
-    let prof = profile(f, traces);
-    let sr0 = schedule_with_memo(
-        f,
-        library,
-        rules,
-        alloc,
-        &prof,
-        &config.sched,
-        ctx.sched.as_ref(),
-    )
-    .map_err(FactError::Schedule)?;
-    ctx.note_schedule(&sr0.report);
-    let markov0 = match ctx.markov.as_ref() {
-        Some(m) => m.analyze_memoized(&sr0.stg),
-        None => markov_of(&sr0),
-    }
-    .map_err(FactError::Analysis)?;
-    let base_cycles = markov0.average_schedule_length;
-    let baseline = evaluate_with_memo(&sr0, library, config.sched.clock_ns, ctx.markov.as_ref())
-        .map_err(FactError::Analysis)?;
-
-    // Step 2: partition the STG into blocks, hottest first.
-    let blocks = partition(&sr0.stg, &markov0, &config.partition);
+    let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let score = |batch: &[MegaCandidate<'_>]| {
+        run.score_neighborhood(batch, &|est: &Estimate| config.objective.score(est))
+    };
 
     // Steps 3-7: optimize each block by search; blocks share the evolving
     // incumbent so improvements compound.
@@ -944,107 +874,12 @@ pub fn optimize_with(
     let mut applied: Vec<String> = Vec::new();
     let mut evaluated = 0usize;
     let mut blocks_optimized = 0usize;
-
-    let regions: Vec<Region> = if blocks.is_empty() {
-        vec![Region::whole()]
-    } else {
-        blocks
-            .iter()
-            .take(config.max_blocks)
-            .map(|b| region_of_block(f, &sr0, b))
-            .collect()
-    };
-
-    let context_key = evaluation_context_key(f, alloc, traces, config);
-    let cache_hits = AtomicUsize::new(0);
-    let use_mega = config.mega_batch && config.incremental;
-    // Per-worker reusable simulation buffers, recycled across every
-    // mega-batch of the run (workers check one out per dispatch).
-    let scratch_pool: Mutex<Vec<SimScratch>> = Mutex::new(Vec::new());
     let mut stopped = false;
-
-    for region in &regions {
-        if hooks.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+    for region in &run.regions {
+        if run.stopped() {
             stopped = true;
             break;
         }
-        let result = if use_mega {
-            let eval_one = |cand: &MegaCandidate<'_>, scratch: &mut SimScratch| -> Option<f64> {
-                let score_of = |scratch: &mut SimScratch| -> Option<f64> {
-                    let est = checked_estimate_mega(
-                        f,
-                        cand,
-                        library,
-                        rules,
-                        alloc,
-                        traces,
-                        config,
-                        base_cycles,
-                        &ctx,
-                        scratch,
-                    )?;
-                    Some(config.objective.score(&est))
-                };
-                match hooks.cache {
-                    Some(cache) => {
-                        // Same key the per-candidate path computes — the
-                        // hash rode in from stage-1 dedup instead of being
-                        // recomputed here.
-                        let key = ContextHasher::new(context_key)
-                            .write_u64(cand.hash)
-                            .finish();
-                        let (score, hit) = cache.get_or_eval(key, || score_of(scratch));
-                        if hit {
-                            cache_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        score
-                    }
-                    None => score_of(scratch),
-                }
-            };
-            let mega = |batch: &[MegaCandidate<'_>]| -> Vec<Option<f64>> {
-                evaluate_neighborhood(
-                    batch,
-                    config.search.threads,
-                    hooks.stop,
-                    &scratch_pool,
-                    &ctx,
-                    &eval_one,
-                )
-            };
-            apply_transforms_batched(&current, region, tlib, &config.search, &mega, hooks.stop)
-        } else {
-            let eval = |g: &Function| -> Option<f64> {
-                let score_of = || -> Option<f64> {
-                    let est = checked_estimate(
-                        f,
-                        g,
-                        library,
-                        rules,
-                        alloc,
-                        traces,
-                        config,
-                        base_cycles,
-                        &ctx,
-                    )?;
-                    Some(config.objective.score(&est))
-                };
-                match hooks.cache {
-                    Some(cache) => {
-                        let key = ContextHasher::new(context_key)
-                            .write_u64(structural_hash(g))
-                            .finish();
-                        let (score, hit) = cache.get_or_eval(key, score_of);
-                        if hit {
-                            cache_hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        score
-                    }
-                    None => score_of(),
-                }
-            };
-            apply_transforms_parallel(&current, region, tlib, &config.search, &eval, hooks.stop)
-        };
         let SearchResult {
             best,
             best_score,
@@ -1052,7 +887,7 @@ pub fn optimize_with(
             applied: path,
             stopped: search_stopped,
             ..
-        } = result;
+        } = apply_transforms(&current, region, tlib, &config.search, &score, hooks.stop);
         evaluated += n;
         stopped |= search_stopped;
         if best_score > f64::NEG_INFINITY && !path.is_empty() {
@@ -1065,32 +900,23 @@ pub fn optimize_with(
     }
 
     // Final schedule + estimate of the winner.
-    let (schedule_result, estimate) = eval_candidate(
-        &current,
-        library,
-        rules,
-        alloc,
-        traces,
-        config,
-        base_cycles,
-        &ctx,
-        ctx.base_engine(),
-        None,
-        None,
-    )
-    .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
+    let ctx = &run.ctx;
+    let prof = timed(ctx.timers, |t| &t.simulate_ns, || profile(&current, traces));
+    let (schedule_result, estimate) = run
+        .estimate(&current, prof)
+        .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
 
     Ok(FactResult {
         best: current,
         schedule: schedule_result,
         estimate,
-        baseline,
+        baseline: run.baseline.clone(),
         applied,
         evaluated,
         blocks_optimized,
-        cache_hits: cache_hits.into_inner(),
-        full_reschedules: ctx.full_reschedules.into_inner(),
-        block_spliced: ctx.block_spliced.into_inner(),
+        cache_hits: run.cache_hits.load(Ordering::Relaxed),
+        full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
+        block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
         sim_vectors: ctx.sim.vectors(),
         sim_batches: ctx.sim.batches(),
         sim_engine_scalar: ctx.sim.engine_scalar(),
@@ -1157,11 +983,11 @@ pub struct ParetoFactResult {
     pub sim_engine_batched: u64,
     /// Lane-compaction passes performed inside batched simulation.
     pub lane_compactions: u64,
-    /// Whole-neighborhood mega-batch dispatches evaluated.
+    /// Whole-neighborhood dispatches evaluated.
     pub neighborhood_batches: u64,
-    /// Simulation lanes dispatched by the mega-batch path.
+    /// Simulation lanes of neighborhood verification passes.
     pub mega_lanes: u64,
-    /// Candidates handed to mega-batch dispatches (cache hits included).
+    /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
@@ -1203,11 +1029,10 @@ pub fn optimize_pareto(
 ///
 /// `config.objective` is forced to [`Objective::Pareto`] internally;
 /// `config.pareto` holds the archive capacity and Vdd sweep resolution.
-/// Candidates flow through the same incremental evaluation machinery as
-/// [`optimize_with`] (schedule splicing, Markov memoization, compiled
-/// simulation, cached scores), and the returned frontier is bit-identical
-/// for a fixed `config.search.seed` regardless of
-/// `config.search.threads`.
+/// Candidates flow through the same evaluation as [`optimize_with`]
+/// (schedule splicing, Markov memoization, compiled simulation, cached
+/// scores), and the returned frontier is bit-identical for a fixed
+/// `config.search.seed` regardless of `config.search.threads`.
 ///
 /// # Errors
 /// Fails only if the *original* behavior cannot be scheduled or analyzed;
@@ -1228,166 +1053,35 @@ pub fn optimize_pareto_with(
         ..config.clone()
     };
     let config = &config;
-    let ctx = IncrementalCtx::new(f, traces, config, hooks);
-
-    // Step 1: schedule + estimate the input behavior.
-    let prof = profile(f, traces);
-    let sr0 = schedule_with_memo(
-        f,
-        library,
-        rules,
-        alloc,
-        &prof,
-        &config.sched,
-        ctx.sched.as_ref(),
-    )
-    .map_err(FactError::Schedule)?;
-    ctx.note_schedule(&sr0.report);
-    let markov0 = match ctx.markov.as_ref() {
-        Some(m) => m.analyze_memoized(&sr0.stg),
-        None => markov_of(&sr0),
-    }
-    .map_err(FactError::Analysis)?;
-    let base_cycles = markov0.average_schedule_length;
-    let baseline = evaluate_with_memo(&sr0, library, config.sched.clock_ns, ctx.markov.as_ref())
-        .map_err(FactError::Analysis)?;
-
-    // Step 2: partition the STG into blocks, hottest first.
-    let blocks = partition(&sr0.stg, &markov0, &config.partition);
-    let regions: Vec<Region> = if blocks.is_empty() {
-        vec![Region::whole()]
-    } else {
-        blocks
-            .iter()
-            .take(config.max_blocks)
-            .map(|b| region_of_block(f, &sr0, b))
-            .collect()
+    let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let score = |batch: &[MegaCandidate<'_>]| {
+        run.score_neighborhood(batch, &|est: &Estimate| {
+            (est.energy_vdd2, est.average_schedule_length)
+        })
     };
 
     // Steps 3-7, Pareto flavor: every region's search feeds one shared
     // nondominated archive, so a frontier point found in one block seeds
     // exploration of the next (the compounding the scalar driver gets
     // from its evolving incumbent).
-    let mut archive: ParetoArchive<ParetoCandidate> =
-        ParetoArchive::new(config.pareto.archive_capacity);
-    let context_key = evaluation_context_key(f, alloc, traces, config);
-    let cache_hits = AtomicUsize::new(0);
-    let use_mega = config.mega_batch && config.incremental;
-    let scratch_pool: Mutex<Vec<SimScratch>> = Mutex::new(Vec::new());
+    let mut archive = ParetoArchive::new(config.pareto.archive_capacity);
     let mut evaluated = 0usize;
     let mut blocks_optimized = 0usize;
     let mut stopped = false;
-
-    for region in &regions {
-        if hooks.stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+    for region in &run.regions {
+        if run.stopped() {
             stopped = true;
             break;
         }
-        let r = if use_mega {
-            let eval_one =
-                |cand: &MegaCandidate<'_>, scratch: &mut SimScratch| -> Option<(f64, f64)> {
-                    let pair_of = |scratch: &mut SimScratch| -> Option<(f64, f64)> {
-                        let est = checked_estimate_mega(
-                            f,
-                            cand,
-                            library,
-                            rules,
-                            alloc,
-                            traces,
-                            config,
-                            base_cycles,
-                            &ctx,
-                            scratch,
-                        )?;
-                        Some((est.energy_vdd2, est.average_schedule_length))
-                    };
-                    match hooks.cache {
-                        Some(cache) => {
-                            // Two salted slots per candidate, exactly as the
-                            // per-candidate path below.
-                            let base = ContextHasher::new(context_key)
-                                .write_u64(cand.hash)
-                                .finish();
-                            let ke = ContextHasher::new(base).write_u64(1).finish();
-                            let kl = ContextHasher::new(base).write_u64(2).finish();
-                            if let (Some(e), Some(l)) = (cache.lookup(ke), cache.lookup(kl)) {
-                                cache_hits.fetch_add(1, Ordering::Relaxed);
-                                return e.zip(l);
-                            }
-                            let pair = pair_of(scratch);
-                            cache.insert(ke, pair.map(|(e, _)| e));
-                            cache.insert(kl, pair.map(|(_, l)| l));
-                            pair
-                        }
-                        None => pair_of(scratch),
-                    }
-                };
-            let mega = |batch: &[MegaCandidate<'_>]| -> Vec<Option<(f64, f64)>> {
-                evaluate_neighborhood(
-                    batch,
-                    config.search.threads,
-                    hooks.stop,
-                    &scratch_pool,
-                    &ctx,
-                    &eval_one,
-                )
-            };
-            apply_transforms_pareto_batched(
-                f,
-                region,
-                tlib,
-                &config.search,
-                &mut archive,
-                &mega,
-                hooks.stop,
-            )
-        } else {
-            let eval = |g: &Function| -> Option<(f64, f64)> {
-                let pair_of = || -> Option<(f64, f64)> {
-                    let est = checked_estimate(
-                        f,
-                        g,
-                        library,
-                        rules,
-                        alloc,
-                        traces,
-                        config,
-                        base_cycles,
-                        &ctx,
-                    )?;
-                    Some((est.energy_vdd2, est.average_schedule_length))
-                };
-                match hooks.cache {
-                    Some(cache) => {
-                        // Two salted slots per candidate (the cache stores one
-                        // f64 per key): energy under salt 1, latency under 2.
-                        let base = ContextHasher::new(context_key)
-                            .write_u64(structural_hash(g))
-                            .finish();
-                        let ke = ContextHasher::new(base).write_u64(1).finish();
-                        let kl = ContextHasher::new(base).write_u64(2).finish();
-                        if let (Some(e), Some(l)) = (cache.lookup(ke), cache.lookup(kl)) {
-                            cache_hits.fetch_add(1, Ordering::Relaxed);
-                            return e.zip(l);
-                        }
-                        let pair = pair_of();
-                        cache.insert(ke, pair.map(|(e, _)| e));
-                        cache.insert(kl, pair.map(|(_, l)| l));
-                        pair
-                    }
-                    None => pair_of(),
-                }
-            };
-            apply_transforms_pareto(
-                f,
-                region,
-                tlib,
-                &config.search,
-                &mut archive,
-                &eval,
-                hooks.stop,
-            )
-        };
+        let r = apply_transforms_pareto(
+            f,
+            region,
+            tlib,
+            &config.search,
+            &mut archive,
+            &score,
+            hooks.stop,
+        );
         evaluated += r.evaluated;
         stopped |= r.stopped;
         blocks_optimized += 1;
@@ -1405,7 +1099,7 @@ pub fn optimize_pareto_with(
         for s in sweep_vdd(
             point.energy,
             point.latency,
-            base_cycles,
+            run.base_cycles,
             config.pareto.vdd_steps,
         ) {
             samples.push(ParetoDesignPoint {
@@ -1431,15 +1125,16 @@ pub fn optimize_pareto_with(
         .map(|i| samples[i].clone())
         .collect();
 
+    let ctx = &run.ctx;
     Ok(ParetoFactResult {
         frontier,
         archive_len: archive.len(),
-        baseline,
+        baseline: run.baseline.clone(),
         evaluated,
         blocks_optimized,
-        cache_hits: cache_hits.into_inner(),
-        full_reschedules: ctx.full_reschedules.into_inner(),
-        block_spliced: ctx.block_spliced.into_inner(),
+        cache_hits: run.cache_hits.load(Ordering::Relaxed),
+        full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
+        block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
         sim_vectors: ctx.sim.vectors(),
         sim_batches: ctx.sim.batches(),
         sim_engine_scalar: ctx.sim.engine_scalar(),
@@ -1749,35 +1444,6 @@ mod tests {
                 "expected >1.5x on >=4 cores, got {speedup:.2}x"
             );
         }
-    }
-
-    #[test]
-    fn incremental_evaluation_is_bit_identical_to_full() {
-        let (f, lib, rules, alloc, traces) = cache_fixture();
-        let tlib = TransformLibrary::full();
-        let inc_cfg = quick_config(Objective::Throughput);
-        assert!(inc_cfg.incremental, "incremental is the default");
-        let mut full_cfg = inc_cfg.clone();
-        full_cfg.incremental = false;
-        let inc = optimize(&f, &lib, &rules, &alloc, &traces, &tlib, &inc_cfg).unwrap();
-        let full = optimize(&f, &lib, &rules, &alloc, &traces, &tlib, &full_cfg).unwrap();
-        assert_eq!(inc.applied, full.applied);
-        assert_eq!(inc.evaluated, full.evaluated);
-        assert_eq!(
-            inc.estimate.average_schedule_length,
-            full.estimate.average_schedule_length
-        );
-        assert_eq!(inc.estimate.power, full.estimate.power);
-        assert_eq!(structural_hash(&inc.best), structural_hash(&full.best));
-        // Identical trajectory, so the schedule counts agree; only the
-        // spliced/from-scratch split differs, and the incremental run
-        // must actually have spliced (candidates share most blocks).
-        assert!(inc.block_spliced > 0, "no block schedule was ever reused");
-        assert_eq!(full.block_spliced, 0);
-        assert_eq!(
-            full.full_reschedules,
-            inc.full_reschedules + inc.block_spliced
-        );
     }
 
     #[test]

@@ -1,0 +1,488 @@
+//! Production evaluation vs. the from-scratch oracle.
+//!
+//! `optimize` scores candidates one way: compiled simulation against a
+//! captured equivalence reference, per-block schedule splicing, Markov
+//! memoization, the measured engine selector, and whole-neighborhood
+//! dispatch across worker threads. This suite holds that path to a
+//! deliberately simple oracle built here from public functions only: the
+//! IR interpreter (`profile`, scalar `check_equivalence_with`), the
+//! memo-free `schedule`, and `evaluate`/`evaluate_power_mode`. The two
+//! must be *bit-identical*, not approximately equal:
+//!
+//! 1. seed-driven random walks through the transformation space of the
+//!    example1 (TEST1) and Table 2 graphs, comparing every candidate's
+//!    verdict, profile, schedule, and estimates between the two paths;
+//! 2. whole `optimize` runs over the suite, both objectives, and 1, 2,
+//!    and 8 worker threads against [`oracle_optimize`] — same trajectory
+//!    (applied path, evaluation count), same winner, same estimate bits,
+//!    and the same cache ledger for every thread count;
+//! 3. the same with equivalence checking off (the path that probes the
+//!    engine selector's divergence on a separate batch);
+//! 4. Pareto frontiers, bit-identical for any thread count.
+//!
+//! Deliberately std-only and seed-driven (no proptest): a failure
+//! reproduces exactly.
+
+use fact_core::{
+    apply_transforms, optimize_pareto_with, optimize_with, partition, region_of_block,
+    structural_hash, suite, Benchmark, EvalCache, FactConfig, FactResult, MegaCandidate, Objective,
+    OptimizeHooks, ParetoFactResult, TransformLibrary,
+};
+use fact_estim::{
+    evaluate, evaluate_power_mode, evaluate_with_memo, markov_of, section5_library, table1_library,
+    Estimate, MarkovMemo,
+};
+use fact_ir::Function;
+use fact_lang::compile;
+use fact_prng::rngs::StdRng;
+use fact_prng::{Rng, SeedableRng};
+use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
+use fact_sim::{
+    check_equivalence, check_equivalence_with, generate, profile, profile_compiled, CompiledFn,
+    EquivReference, ExecConfig, InputSpec, SimEngine, TraceSet,
+};
+use fact_xform::Region;
+
+/// The §2 walkthrough fixture (same setup as the example1 binary).
+fn example1() -> (
+    Function,
+    fact_sched::FuLibrary,
+    fact_sched::SelectionRules,
+    Allocation,
+    TraceSet,
+) {
+    let f = compile(suite::TEST1_SRC).expect("TEST1 compiles");
+    let (lib, rules) = table1_library();
+    let mut alloc = Allocation::new();
+    for (name, n) in [("comp1", 2), ("cla1", 2), ("incr1", 1), ("w_mult1", 1)] {
+        alloc.set(lib.by_name(name).unwrap(), n);
+    }
+    let traces = generate(
+        &[
+            ("c1".to_string(), InputSpec::Constant(18)),
+            ("c2".to_string(), InputSpec::Constant(49)),
+        ],
+        4,
+        7,
+    );
+    (f, lib, rules, alloc, traces)
+}
+
+/// Evaluates `g` the full way and the incremental way and asserts the
+/// results are bit-identical. Returns whether the candidate survived
+/// (equivalent and schedulable), judged identically by both paths.
+#[allow(clippy::too_many_arguments)]
+fn assert_paths_agree(
+    original: &Function,
+    g: &Function,
+    lib: &fact_sched::FuLibrary,
+    rules: &fact_sched::SelectionRules,
+    alloc: &Allocation,
+    traces: &TraceSet,
+    reference: &EquivReference,
+    sched_memo: &ScheduleMemo,
+    markov_memo: &MarkovMemo,
+    ctx: &str,
+) -> bool {
+    let opts = SchedOptions::default();
+
+    // Full path: interpret the source IR, schedule from scratch.
+    let full_verdict = check_equivalence(original, g, traces, 0xC0FFEE).is_ok();
+    // Incremental path: one compiled artifact feeds the reference check
+    // and the profile; memory-free functions merge them into one pass.
+    let cf = CompiledFn::compile(g);
+    let (inc_verdict, inc_prof) = if g.memories().count() == 0 {
+        match reference.check_profiled(&cf, traces) {
+            Ok((_, prof)) => (true, Some(prof)),
+            Err(_) => (false, None),
+        }
+    } else {
+        (reference.check(&cf, traces).is_ok(), None)
+    };
+    assert_eq!(
+        full_verdict, inc_verdict,
+        "equivalence verdict differs ({ctx})"
+    );
+    if !full_verdict {
+        return false;
+    }
+
+    let full_prof = profile(g, traces);
+    let inc_prof = inc_prof.unwrap_or_else(|| profile_compiled(&cf, traces));
+    assert_eq!(full_prof, inc_prof, "branch profile differs ({ctx})");
+
+    let full_sr = schedule(g, lib, rules, alloc, &full_prof, &opts);
+    let inc_sr = schedule_with_memo(g, lib, rules, alloc, &inc_prof, &opts, Some(sched_memo));
+    let (full_sr, inc_sr) = match (full_sr, inc_sr) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(_), Err(_)) => return false,
+        (a, b) => panic!(
+            "schedulability differs ({ctx}): full={} incremental={}",
+            a.is_ok(),
+            b.is_ok()
+        ),
+    };
+    assert_eq!(
+        structural_hash(&full_sr.function),
+        structural_hash(&inc_sr.function),
+        "scheduled function structural hash differs ({ctx})"
+    );
+
+    let full_est = evaluate(&full_sr, lib, opts.clock_ns).expect("full estimate");
+    let inc_est =
+        evaluate_with_memo(&inc_sr, lib, opts.clock_ns, Some(markov_memo)).expect("inc estimate");
+    assert_eq!(
+        full_est.average_schedule_length.to_bits(),
+        inc_est.average_schedule_length.to_bits(),
+        "schedule length differs ({ctx})"
+    );
+    assert_eq!(
+        full_est.power.to_bits(),
+        inc_est.power.to_bits(),
+        "power estimate differs ({ctx})"
+    );
+    true
+}
+
+/// Walks `depth` random transformation steps from `f`, comparing every
+/// visited candidate between the two evaluation paths.
+#[allow(clippy::too_many_arguments)]
+fn random_walk(
+    name: &str,
+    f: &Function,
+    lib: &fact_sched::FuLibrary,
+    rules: &fact_sched::SelectionRules,
+    alloc: &Allocation,
+    traces: &TraceSet,
+    seed: u64,
+    depth: usize,
+) -> usize {
+    let tlib = TransformLibrary::full();
+    let mut rng = StdRng::seed_from_u64(seed);
+    // The memos persist across the whole walk: late steps hit fragments
+    // cached by early steps, exactly as in a real search.
+    let sched_memo = ScheduleMemo::default();
+    let markov_memo = MarkovMemo::default();
+    let reference = EquivReference::capture(f, traces, 0xC0FFEE);
+
+    let mut compared = 0;
+    let mut current = f.clone();
+    for step in 0..depth {
+        let cands = tlib.all_candidates(&current, &Region::whole());
+        if cands.is_empty() {
+            break;
+        }
+        // Compare a bounded random sample of the frontier, then step to a
+        // random surviving candidate.
+        let mut next = None;
+        for _ in 0..cands.len().min(6) {
+            let c = &cands[rng.gen_range(0..cands.len())];
+            let ctx = format!("{name} seed={seed} step={step} cand={}", c.description);
+            if assert_paths_agree(
+                f,
+                &c.function,
+                lib,
+                rules,
+                alloc,
+                traces,
+                &reference,
+                &sched_memo,
+                &markov_memo,
+                &ctx,
+            ) {
+                next = Some(c.function.clone());
+            }
+            compared += 1;
+        }
+        match next {
+            Some(g) => current = g,
+            None => break,
+        }
+    }
+    compared
+}
+
+#[test]
+fn random_walks_example1_paths_agree() {
+    let (f, lib, rules, alloc, traces) = example1();
+    let mut compared = 0;
+    for seed in [1, 2, 3] {
+        compared += random_walk("example1", &f, &lib, &rules, &alloc, &traces, seed, 3);
+    }
+    assert!(compared >= 10, "walks compared only {compared} candidates");
+}
+
+#[test]
+fn random_walks_table2_paths_agree() {
+    let (lib, rules) = section5_library();
+    let mut compared = 0;
+    for b in suite(&lib) {
+        // Two seeds per benchmark, short walks: enough to mix cold and
+        // warm memo states without dominating test time.
+        for seed in [11, 29] {
+            compared += random_walk(
+                b.name,
+                &b.function,
+                &lib,
+                &rules,
+                &b.allocation,
+                &b.traces,
+                seed,
+                2,
+            );
+        }
+    }
+    assert!(compared >= 30, "walks compared only {compared} candidates");
+}
+
+/// What a whole search must reproduce.
+struct OracleRun {
+    best: Function,
+    applied: Vec<String>,
+    evaluated: usize,
+    estimate: Estimate,
+}
+
+/// The Figure 5 flow from scratch: every candidate is checked on the
+/// scalar interpreter, profiled on the IR interpreter, scheduled without
+/// a memo, and estimated without a Markov memo, one at a time.
+fn oracle_optimize(b: &Benchmark, config: &FactConfig) -> OracleRun {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    let (f, alloc, traces) = (&b.function, &b.allocation, &b.traces);
+
+    let sr0 = schedule(f, &lib, &rules, alloc, &profile(f, traces), &config.sched)
+        .expect("baseline schedules");
+    let markov0 = markov_of(&sr0).expect("baseline analyzes");
+    let base_cycles = markov0.average_schedule_length;
+    let blocks = partition(&sr0.stg, &markov0, &config.partition);
+    let regions: Vec<Region> = if blocks.is_empty() {
+        vec![Region::whole()]
+    } else {
+        blocks
+            .iter()
+            .take(config.max_blocks)
+            .map(|blk| region_of_block(f, &sr0, blk))
+            .collect()
+    };
+
+    let clock_ns = config.sched.clock_ns;
+    let estimate = |g: &Function| -> Option<Estimate> {
+        let prof = profile(g, traces);
+        if prof.runs_ok == 0 {
+            return None;
+        }
+        let sr = schedule(g, &lib, &rules, alloc, &prof, &config.sched).ok()?;
+        match config.objective {
+            Objective::Power => {
+                let est = evaluate_power_mode(&sr, &lib, clock_ns, base_cycles).ok()?;
+                if est.average_schedule_length > base_cycles * 1.001 {
+                    return None;
+                }
+                Some(est)
+            }
+            Objective::Throughput | Objective::Pareto => evaluate(&sr, &lib, clock_ns).ok(),
+        }
+    };
+    let scalar = ExecConfig {
+        engine: SimEngine::Scalar,
+        ..ExecConfig::default()
+    };
+    let score_one = |g: &Function| -> Option<f64> {
+        if config.check_equivalence
+            && check_equivalence_with(f, g, traces, 0xC0FFEE, &scalar, None).is_err()
+        {
+            return None;
+        }
+        Some(config.objective.score(&estimate(g)?))
+    };
+    let score = |batch: &[MegaCandidate<'_>]| -> Vec<Option<f64>> {
+        batch.iter().map(|c| score_one(c.function)).collect()
+    };
+
+    let mut best = f.clone();
+    let mut applied = Vec::new();
+    let mut evaluated = 0;
+    for region in &regions {
+        let r = apply_transforms(&best, region, &tlib, &config.search, &score, None);
+        evaluated += r.evaluated;
+        if r.best_score > f64::NEG_INFINITY && !r.applied.is_empty() {
+            best = r.best;
+            applied.extend(r.applied);
+        }
+    }
+    let estimate = estimate(&best).expect("the winner estimates");
+    OracleRun {
+        best,
+        applied,
+        evaluated,
+        estimate,
+    }
+}
+
+fn quick_config(objective: Objective, seed: u64, threads: usize) -> FactConfig {
+    let mut config = FactConfig {
+        objective,
+        ..FactConfig::default()
+    };
+    config.search.seed = seed;
+    config.search.threads = threads;
+    config.search.max_moves = 3;
+    config.search.in_set_size = 2;
+    config.search.max_rounds = 2;
+    config.search.max_evaluations = 60;
+    config
+}
+
+/// The production run, with a fresh shared cache.
+fn run(b: &Benchmark, config: &FactConfig) -> (FactResult, EvalCache) {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    let cache = EvalCache::default();
+    let hooks = OptimizeHooks {
+        cache: Some(&cache),
+        stop: None,
+        timers: None,
+    };
+    let r = optimize_with(
+        &b.function,
+        &lib,
+        &rules,
+        &b.allocation,
+        &b.traces,
+        &tlib,
+        config,
+        hooks,
+    )
+    .expect("optimize run");
+    (r, cache)
+}
+
+fn assert_matches_oracle(r: &FactResult, oracle: &OracleRun, ctx: &str) {
+    assert_eq!(r.applied, oracle.applied, "applied path differs ({ctx})");
+    assert_eq!(r.evaluated, oracle.evaluated, "eval count differs ({ctx})");
+    assert_eq!(
+        structural_hash(&r.best),
+        structural_hash(&oracle.best),
+        "winner structural hash differs ({ctx})"
+    );
+    assert_eq!(
+        r.estimate.average_schedule_length.to_bits(),
+        oracle.estimate.average_schedule_length.to_bits(),
+        "schedule length differs ({ctx})"
+    );
+    assert_eq!(
+        r.estimate.power.to_bits(),
+        oracle.estimate.power.to_bits(),
+        "power differs ({ctx})"
+    );
+}
+
+/// For fixed seeds, `optimize` must reproduce the oracle exactly, for
+/// any worker thread count — and leave the same cache ledger behind.
+#[test]
+fn optimize_suite_matches_oracle() {
+    let (lib, _) = section5_library();
+    for b in suite(&lib) {
+        for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
+            let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1));
+            let mut ledger = None;
+            for threads in [1usize, 2, 8] {
+                let (r, cache) = run(&b, &quick_config(objective, seed, threads));
+                let ctx = format!("{} {objective:?} seed={seed} threads={threads}", b.name);
+                assert_matches_oracle(&r, &oracle, &ctx);
+                assert!(r.sim_batches > 0, "batched engine never ran ({ctx})");
+                assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
+                assert_eq!(
+                    r.mega_candidates, r.evaluated as u64,
+                    "dispatched candidates != evaluations ({ctx})"
+                );
+                // Same keys resolved, same hit/miss split, as the
+                // single-threaded run.
+                let s = cache.stats();
+                let ledger = *ledger.get_or_insert((s.entries, s.misses));
+                assert_eq!(
+                    ledger,
+                    (s.entries, s.misses),
+                    "cache ledger differs ({ctx})"
+                );
+            }
+        }
+    }
+}
+
+/// With equivalence checking off, candidates skip verification and the
+/// engine selector probes divergence on a separate batch; the search must
+/// still match the oracle run with the same setting.
+#[test]
+fn optimize_suite_without_equivalence_checks_matches_oracle() {
+    let (lib, _) = section5_library();
+    for b in suite(&lib) {
+        for (objective, seed) in [(Objective::Throughput, 5), (Objective::Power, 23)] {
+            let mut config = quick_config(objective, seed, 1);
+            config.check_equivalence = false;
+            let oracle = oracle_optimize(&b, &config);
+            let (r, _) = run(&b, &config);
+            let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
+            assert_matches_oracle(&r, &oracle, &ctx);
+            // Every candidate the cache did not answer was routed.
+            assert_eq!(
+                r.sim_engine_scalar + r.sim_engine_batched + r.cache_hits as u64,
+                r.evaluated as u64,
+                "engine selector skipped a candidate ({ctx})"
+            );
+        }
+    }
+}
+
+/// The Pareto driver's frontier is a function of the seed alone: same
+/// points (bit for bit), same archive, same trajectory for any thread
+/// count.
+#[test]
+fn optimize_pareto_is_thread_invariant() {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    for b in suite(&lib).into_iter().take(3) {
+        let run_pareto = |threads: usize| -> ParetoFactResult {
+            let cache = EvalCache::default();
+            let hooks = OptimizeHooks {
+                cache: Some(&cache),
+                stop: None,
+                timers: None,
+            };
+            optimize_pareto_with(
+                &b.function,
+                &lib,
+                &rules,
+                &b.allocation,
+                &b.traces,
+                &tlib,
+                &quick_config(Objective::Pareto, 5, threads),
+                hooks,
+            )
+            .expect("pareto run")
+        };
+        let sequential = run_pareto(1);
+        assert!(sequential.archive_len > 0, "empty archive ({})", b.name);
+        for threads in [2usize, 8] {
+            let r = run_pareto(threads);
+            let ctx = format!("{} pareto threads={threads}", b.name);
+            assert_eq!(r.evaluated, sequential.evaluated, "eval count ({ctx})");
+            assert_eq!(r.cache_hits, sequential.cache_hits, "cache hits ({ctx})");
+            assert_eq!(r.archive_len, sequential.archive_len, "archive ({ctx})");
+            let bits = |p: &ParetoFactResult| -> Vec<(u64, u64, Vec<String>)> {
+                p.frontier
+                    .iter()
+                    .map(|x| {
+                        (
+                            x.energy.to_bits(),
+                            x.latency_cycles.to_bits(),
+                            x.applied.clone(),
+                        )
+                    })
+                    .collect()
+            };
+            assert_eq!(bits(&r), bits(&sequential), "frontier differs ({ctx})");
+        }
+    }
+}

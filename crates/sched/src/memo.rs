@@ -30,7 +30,7 @@
 //! remapped to the caller's real `OpId`s on a hit, which is what makes one
 //! entry serve structurally identical blocks of different candidates.
 //! Results are bit-identical to a fresh [`schedule_block`] call; the
-//! equivalence tests below and the incremental-vs-full property tests in
+//! equivalence tests below and the production-vs-oracle property tests in
 //! `fact-core` enforce this.
 
 use crate::listsched::{schedule_block, BlockSchedule, OpPlacement, SchedError};

@@ -169,11 +169,6 @@ fn decode_optimize(v: &Value, pareto: bool) -> Result<OptimizeRequest, ProtocolE
             .as_bool()
             .ok_or_else(|| bad("`check_equivalence` must be a boolean"))?;
     }
-    if let Some(sb) = v.get("sim_batch") {
-        config.sim_batch = sb
-            .as_bool()
-            .ok_or_else(|| bad("`sim_batch` must be a boolean"))?;
-    }
     if let Some(mb) = v.get("max_blocks") {
         config.max_blocks = usize_member(mb, "max_blocks")?;
     }
@@ -368,7 +363,6 @@ mod tests {
         assert!(matches!(req.config.objective, Objective::Power));
         assert_eq!(req.config.sched.clock_ns, 20.0);
         assert!(!req.config.check_equivalence);
-        assert!(!req.config.sim_batch);
         assert_eq!(req.config.max_blocks, 2);
         assert_eq!(req.config.search.seed, 7);
         assert_eq!(req.config.search.threads, 2);
@@ -395,7 +389,6 @@ mod tests {
         assert_eq!(req.id, "");
         assert!(matches!(req.config.objective, Objective::Throughput));
         assert!(req.config.check_equivalence);
-        assert!(req.config.sim_batch);
         assert_eq!(req.timeout_ms, None);
         assert_eq!(req.priority, 0);
         assert_eq!(req.traces.seed, 1);

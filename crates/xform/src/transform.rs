@@ -56,7 +56,7 @@ impl fmt::Display for TransformKind {
 /// every block *not* in the dirty region is structurally unchanged. A
 /// conservative transform may report [`DirtyRegion::whole`] — correctness
 /// never depends on the region being tight, only on it being a superset
-/// of the changed blocks (the incremental-vs-full equivalence tests in
+/// of the changed blocks (the production-vs-oracle equivalence tests in
 /// `fact-core` enforce the end-to-end contract).
 ///
 /// Note that block-*count* changes (unrolling, distribution) implicitly

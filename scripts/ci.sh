@@ -17,19 +17,30 @@ cargo build --release
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 
-echo "== incremental-vs-full equivalence property tests"
-cargo test -q -p fact-core --release --test incremental_equiv
+echo "== production-vs-oracle evaluation property tests"
+cargo test -q -p fact-core --release --test oracle_equiv
 
 echo "== batched-vs-scalar simulation property tests"
 cargo test -q -p fact-sim --release --test batched_equiv
-cargo test -q -p fact-core --release --test batched_sim
 
 echo "== factd chaos smoke (fault injection, overload, crash-safe cache)"
 cargo test -q --release --test serve_chaos
 
 echo "== bench smoke runs (JSON well-formedness)"
-scripts/bench.sh search --smoke \
-    | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["bench"] == "search", d'
+scripts/bench.sh search --smoke > /tmp/search_smoke.json
+python3 - <<'EOF'
+import json
+# Structure only: throughput is a property of the machine, so no floor.
+with open("/tmp/search_smoke.json") as f:
+    d = json.load(f)
+assert d["bench"] == "search", d
+assert len(d["passes"]) == 1, f"expected one pass: {[p['mode'] for p in d['passes']]}"
+suites = d["passes"][0]["suites"]
+assert len(suites) == 6, f"expected six suites: {[s['name'] for s in suites]}"
+idle = [s["name"] for s in suites if s["evaluated"] <= 0]
+assert not idle, f"suites evaluated nothing: {idle}"
+print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
+EOF
 scripts/bench.sh sim --smoke \
     | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["bench"] == "sim", d'
 scripts/bench.sh pareto --smoke > /dev/null
@@ -100,44 +111,6 @@ bad = [(s["name"], s["speedup"]) for s in d["suites"] if s["speedup"] < 1.0]
 assert not bad, f"selector lost on: {bad}"
 line = " ".join(f"{s['name']}:{s['speedup']}x({s['chosen']})" for s in d["suites"])
 print(f"BENCH_sim.json ok: {line}")
-EOF
-
-echo "== search never-regress gate (BENCH_search.json)"
-python3 - <<'EOF'
-import json
-# Floor calibrated on the current CI container (see DESIGN.md §10.4);
-# regenerate BENCH_search.json on comparable hardware before bumping.
-FLOOR = 9000.0
-with open("crates/bench/BENCH_search.json") as f:
-    d = json.load(f)
-assert d["bench"] == "search", d
-passes = {p["mode"]: p for p in d["passes"]}
-inc = passes["incremental"]["total_evals_per_sec"]
-per = passes["per_candidate"]["total_evals_per_sec"]
-assert inc >= FLOOR, f"incremental throughput regressed: {inc} < floor {FLOOR}"
-assert inc >= per, f"mega-batch dispatch lost to per-candidate: {inc} < {per}"
-print(f"BENCH_search.json ok: incremental {inc} >= floor {FLOOR}, x{inc/per:.2f} vs per-candidate")
-EOF
-
-echo "== mega-batch vs per-candidate smoke gate (Test2, best of 3)"
-for i in 1 2 3; do
-    scripts/bench.sh search --smoke --budget 400 > "/tmp/search_smoke_$i.json"
-done
-python3 - <<'EOF'
-import json
-# Best-of-3 fresh runs: the mega-batch dispatch must beat per-candidate
-# dispatch on Test2, the memory-bearing worst case (two simulation
-# passes per candidate). Best-of suppresses scheduler/timing noise.
-best = {}
-for i in (1, 2, 3):
-    with open(f"/tmp/search_smoke_{i}.json") as f:
-        d = json.load(f)
-    for p in d["passes"]:
-        t2 = next(s for s in p["suites"] if s["name"] == "Test2")
-        best[p["mode"]] = max(best.get(p["mode"], 0.0), t2["evals_per_sec"])
-inc, per = best["incremental"], best["per_candidate"]
-assert inc >= per, f"mega-batch lost to per-candidate on Test2: {inc} < {per}"
-print(f"Test2 smoke ok: mega {inc:.0f} evals/s vs per-candidate {per:.0f} (x{inc/per:.2f})")
 EOF
 
 echo "ci.sh: all gates passed"
