@@ -41,6 +41,9 @@ pub struct SuitePerf {
     /// Wall time spent scheduling and estimating, seconds
     /// ([`PhaseTimers::estimate_ns`]).
     pub estimate_s: f64,
+    /// The list-scheduling share of `estimate_s`, seconds
+    /// ([`PhaseTimers::schedule_ns`]).
+    pub schedule_s: f64,
 }
 
 /// One full measurement pass: every Table 2 benchmark, fresh cache each.
@@ -125,6 +128,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
             simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
         });
     }
     SearchPerf {
@@ -156,7 +160,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
-                 \"compile_s\": {:.4}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}}}{}\n",
+                 \"compile_s\": {:.4}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
+                 \"schedule_s\": {:.4}}}{}\n",
                 s.name,
                 s.evaluated,
                 s.cache_hits,
@@ -166,6 +171,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.compile_s,
                 s.simulate_s,
                 s.estimate_s,
+                s.schedule_s,
                 if i + 1 < p.suites.len() { "," } else { "" }
             ));
         }
@@ -192,6 +198,13 @@ mod tests {
         assert_eq!(p.suites.len(), 6);
         assert!(p.total_evaluated() > 0);
         assert!(p.total_wall_s() > 0.0);
+        for s in &p.suites {
+            assert!(
+                s.schedule_s <= s.estimate_s,
+                "{}: scheduling is a subset of estimation",
+                s.name
+            );
+        }
         let json = to_json(&[p]);
         assert!(json.contains("\"bench\": \"search\""));
         assert!(json.contains("\"mode\": \"smoke\""));

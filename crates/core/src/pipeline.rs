@@ -159,6 +159,10 @@ pub struct PhaseTimers {
     /// Time scheduling and estimating (list scheduling, Markov solves,
     /// power/latency evaluation).
     pub estimate_ns: AtomicU64,
+    /// The scheduling share of `estimate_ns`: time inside
+    /// [`schedule_with_memo`] during candidate and final estimation.
+    /// `estimate_ns - schedule_ns` is the Markov and power time.
+    pub schedule_ns: AtomicU64,
 }
 
 /// Optional cross-cutting machinery for a FACT run: the shared
@@ -521,14 +525,20 @@ impl<'a> Run<'a> {
             ctx.timers,
             |t| &t.estimate_ns,
             || {
-                let sr = schedule_with_memo(
-                    g,
-                    library,
-                    self.rules,
-                    self.alloc,
-                    &prof,
-                    &config.sched,
-                    Some(&ctx.sched),
+                let sr = timed(
+                    ctx.timers,
+                    |t| &t.schedule_ns,
+                    || {
+                        schedule_with_memo(
+                            g,
+                            library,
+                            self.rules,
+                            self.alloc,
+                            &prof,
+                            &config.sched,
+                            Some(&ctx.sched),
+                        )
+                    },
                 )
                 .ok()?;
                 ctx.note_schedule(&sr.report);

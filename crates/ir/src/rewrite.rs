@@ -6,20 +6,22 @@ use crate::cfg::reachable;
 use crate::func::{Function, Terminator};
 use crate::ids::OpId;
 use crate::op::OpKind;
-use std::collections::HashSet;
 
 /// Replaces every use of `from` with `to`, in operand lists and branch
 /// conditions. Does not touch the definition of `from` itself.
+///
+/// Only a block whose branch condition changes is un-shared
+/// (copy-on-write); operands live in the op arena, not in blocks.
 pub fn replace_all_uses(f: &mut Function, from: OpId, to: OpId) {
     for b in f.block_ids().collect::<Vec<_>>() {
-        let ops = f.block(b).ops.clone();
-        for op in ops {
+        for i in 0..f.block(b).ops.len() {
+            let op = f.block(b).ops[i];
             f.op_mut(op)
                 .kind
                 .map_operands(|v| if v == from { to } else { v });
         }
-        if let Terminator::Branch { cond, .. } = &mut f.block_mut(b).term {
-            if *cond == from {
+        if f.block(b).term.condition() == Some(from) {
+            if let Terminator::Branch { cond, .. } = &mut f.block_mut(b).term {
                 *cond = to;
             }
         }
@@ -32,10 +34,11 @@ pub fn replace_all_uses(f: &mut Function, from: OpId, to: OpId) {
 ///
 /// Dead phis (including mutually-recursive dead phi cycles) are removed
 /// because liveness is seeded only from side-effecting ops, terminators,
-/// and return values.
+/// and return values. Only blocks that lose ops are un-shared
+/// (copy-on-write).
 pub fn eliminate_dead_code(f: &mut Function) -> usize {
     let reach = reachable(f);
-    let mut live: HashSet<OpId> = HashSet::new();
+    let mut live = vec![false; f.num_ops()];
     let mut work: Vec<OpId> = Vec::new();
 
     for b in f.block_ids() {
@@ -56,7 +59,8 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
 
     let mut buf = Vec::new();
     while let Some(op) = work.pop() {
-        if live.insert(op) {
+        if !live[op.index()] {
+            live[op.index()] = true;
             buf.clear();
             f.op(op).kind.operands_into(&mut buf);
             work.extend(buf.iter().copied());
@@ -65,15 +69,17 @@ pub fn eliminate_dead_code(f: &mut Function) -> usize {
 
     let mut removed = 0;
     for b in f.block_ids().collect::<Vec<_>>() {
-        let block = f.block_mut(b);
-        if !reach[b.index()] {
-            removed += block.ops.len();
-            block.ops.clear();
-            continue;
+        let dead = if reach[b.index()] {
+            f.block(b).ops.iter().filter(|op| !live[op.index()]).count()
+        } else {
+            f.block(b).ops.len()
+        };
+        if dead > 0 {
+            f.block_mut(b)
+                .ops
+                .retain(|op| reach[b.index()] && live[op.index()]);
+            removed += dead;
         }
-        let before = block.ops.len();
-        block.ops.retain(|op| live.contains(op));
-        removed += before - block.ops.len();
     }
     removed
 }
@@ -86,39 +92,37 @@ pub fn simplify_phis(f: &mut Function) -> usize {
     loop {
         let mut replaced = false;
         for b in f.block_ids().collect::<Vec<_>>() {
-            let ops = f.block(b).ops.clone();
-            for op in ops {
-                let unique = match &f.op(op).kind {
-                    OpKind::Phi(incoming) => {
-                        let mut unique: Option<OpId> = None;
-                        let mut trivial = true;
-                        for &(_, v) in incoming {
-                            if v == op {
-                                continue;
-                            }
-                            match unique {
-                                None => unique = Some(v),
-                                Some(u) if u == v => {}
-                                Some(_) => {
-                                    trivial = false;
-                                    break;
-                                }
-                            }
-                        }
-                        if trivial {
-                            unique
-                        } else {
-                            None
+            // Walks the op list in place: no copy, and only a block that
+            // loses a phi is un-shared (copy-on-write).
+            let mut i = 0;
+            while let Some(&op) = f.block(b).ops.get(i) {
+                let OpKind::Phi(incoming) = &f.op(op).kind else {
+                    i += 1;
+                    continue;
+                };
+                let mut unique: Option<OpId> = None;
+                let mut trivial = true;
+                for &(_, v) in incoming {
+                    if v == op {
+                        continue;
+                    }
+                    match unique {
+                        None => unique = Some(v),
+                        Some(u) if u == v => {}
+                        Some(_) => {
+                            trivial = false;
+                            break;
                         }
                     }
-                    _ => None,
-                };
-                if let Some(v) = unique {
-                    replace_all_uses(f, op, v);
-                    let block = f.block_mut(b);
-                    block.ops.retain(|&o| o != op);
-                    total += 1;
-                    replaced = true;
+                }
+                match unique.filter(|_| trivial) {
+                    Some(v) => {
+                        replace_all_uses(f, op, v);
+                        f.block_mut(b).ops.remove(i);
+                        total += 1;
+                        replaced = true;
+                    }
+                    None => i += 1,
                 }
             }
         }
@@ -216,6 +220,50 @@ mod tests {
         assert!(!f.block(e).ops.contains(&dead2));
         assert!(f.block(e).ops.contains(&live));
         verify(&f).unwrap();
+    }
+
+    #[test]
+    fn rewrites_leave_untouched_blocks_shared() {
+        let mut f = Function::new("f");
+        let e = f.entry();
+        let t = f.add_block("t");
+        let c = f.emit_input(e, "c");
+        let x = f.emit_input(e, "x");
+        let y = f.emit_input(e, "y");
+        f.set_terminator(
+            e,
+            Terminator::Branch {
+                cond: c,
+                on_true: t,
+                on_false: t,
+            },
+        );
+        let dead = f.emit_bin(t, BinOp::Mul, x, x);
+        let live = f.emit_bin(t, BinOp::Add, x, y);
+        f.emit_output(t, "y", live);
+        f.set_terminator(t, Terminator::Return(None));
+
+        // DCE removes one op of `t`: only `t` is un-shared.
+        let mut g = f.clone();
+        assert_eq!(eliminate_dead_code(&mut g), 1);
+        assert!(!g.block(t).ops.contains(&dead));
+        assert!(
+            g.shares_block_storage(&f, e),
+            "DCE copied an untouched block"
+        );
+        assert!(!g.shares_block_storage(&f, t));
+
+        // Rewriting operands touches the op arena only; a branch condition
+        // rewrite un-shares just the branching block.
+        let mut h = f.clone();
+        replace_all_uses(&mut h, y, x);
+        assert_eq!(h.op(live).kind, OpKind::Bin(BinOp::Add, x, x));
+        assert!(h.shares_block_storage(&f, e) && h.shares_block_storage(&f, t));
+        replace_all_uses(&mut h, c, x);
+        assert!(!h.shares_block_storage(&f, e));
+        assert!(h.shares_block_storage(&f, t));
+        assert_eq!(simplify_phis(&mut h), 0);
+        assert!(h.shares_block_storage(&f, t), "phi-free block copied");
     }
 
     #[test]

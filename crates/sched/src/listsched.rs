@@ -9,22 +9,25 @@
 //! state). Operations slower than the clock occupy multiple consecutive
 //! states on their functional unit.
 
-use crate::resources::{Allocation, FuLibrary, FuSelection};
-use fact_ir::{BlockId, Function, MemId, OpId, OpKind};
-use std::collections::HashMap;
+use crate::resources::{Allocation, FuId, FuLibrary, FuSelection};
+use fact_ir::{BlockId, Function, OpId, OpKind};
 
-/// The schedule of one basic block.
-#[derive(Clone, Debug, Default)]
+/// The schedule of one basic block, with ops named by their position in
+/// the block's op list (`f.block(b).ops`). Position naming makes one
+/// schedule serve every structurally identical block, so the memo
+/// ([`crate::memo`]) stores and returns it unchanged.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockSchedule {
-    /// Operations *starting* in each state, in issue order.
-    pub states: Vec<Vec<OpId>>,
-    /// For each scheduled datapath op: `(start_state, start_ns, end_state,
-    /// finish_ns_within_end_state)`.
-    pub placement: HashMap<OpId, OpPlacement>,
+    /// Block positions of the operations *starting* in each state, in
+    /// issue order.
+    pub states: Vec<Vec<u32>>,
+    /// Where each op landed, by block position (free ops included, so
+    /// `placement.len()` is the block's op count).
+    pub placement: Vec<OpPlacement>,
 }
 
 /// Where one operation landed in the block schedule.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct OpPlacement {
     /// State in which the op starts.
     pub start_state: usize,
@@ -67,6 +70,23 @@ pub enum SchedError {
     },
 }
 
+impl SchedError {
+    /// The op the error names.
+    pub(crate) fn op(&self) -> OpId {
+        match self {
+            SchedError::NoInstances { op, .. } | SchedError::ClockTooShort { op } => *op,
+        }
+    }
+
+    /// The same error naming `op` instead.
+    pub(crate) fn renamed(self, op: OpId) -> SchedError {
+        match self {
+            SchedError::NoInstances { fu_name, .. } => SchedError::NoInstances { op, fu_name },
+            SchedError::ClockTooShort { .. } => SchedError::ClockTooShort { op },
+        }
+    }
+}
+
 impl std::fmt::Display for SchedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -82,82 +102,179 @@ impl std::fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
+/// Block positions by `OpId`, over the window of ids the block spans.
+/// Block ops are usually allocated close together, so the window is
+/// small; it replaces a per-block hash map.
+pub(crate) struct PosMap {
+    base: usize,
+    slots: Vec<u32>,
+}
+
+impl PosMap {
+    const ABSENT: u32 = u32::MAX;
+
+    pub(crate) fn new(ops: &[OpId]) -> Self {
+        let lo = ops.iter().map(|o| o.index()).min().unwrap_or(0);
+        let hi = ops.iter().map(|o| o.index()).max().unwrap_or(0);
+        let mut slots = vec![Self::ABSENT; if ops.is_empty() { 0 } else { hi - lo + 1 }];
+        for (i, o) in ops.iter().enumerate() {
+            slots[o.index() - lo] = i as u32;
+        }
+        PosMap { base: lo, slots }
+    }
+
+    /// The block position of `op`, if it is in the block.
+    pub(crate) fn get(&self, op: OpId) -> Option<u32> {
+        let p = *self.slots.get(op.index().wrapping_sub(self.base))?;
+        (p != Self::ABSENT).then_some(p)
+    }
+
+    /// Block positions in ascending `OpId` order.
+    pub(crate) fn by_id(&self) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().copied().filter(|&p| p != Self::ABSENT)
+    }
+}
+
+/// Intra-block dependencies as a compact adjacency list over block
+/// positions: `of(i)` lists the positions op `i` must follow.
+pub struct BlockDeps {
+    start: Vec<u32>,
+    edges: Vec<u32>,
+}
+
+impl BlockDeps {
+    /// The positions op `i` depends on (all earlier than `i`).
+    pub fn of(&self, i: usize) -> &[u32] {
+        &self.edges[self.start[i] as usize..self.start[i + 1] as usize]
+    }
+
+    /// Number of ops covered.
+    pub fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Whether the block has no ops.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The reverse lists: for each position, the positions depending on it.
+    fn succs(&self) -> BlockDeps {
+        let n = self.len();
+        let mut start = vec![0u32; n + 1];
+        for &d in &self.edges {
+            start[d as usize + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut edges = vec![0u32; self.edges.len()];
+        for i in 0..n {
+            for &d in self.of(i) {
+                edges[fill[d as usize] as usize] = i as u32;
+                fill[d as usize] += 1;
+            }
+        }
+        BlockDeps { start, edges }
+    }
+}
+
 /// Returns the intra-block dependency lists: for each op in the block, the
-/// ops (also in the block) it must follow.
+/// positions of the ops (also in the block) it must follow.
 ///
 /// Includes data dependencies and memory/output ordering: a store depends
 /// on every earlier access to the same memory; a load depends on the
 /// latest earlier store to the same memory; outputs stay in program order
 /// relative to each other (the output stream is observable).
-pub fn block_dependencies(f: &Function, block: BlockId) -> HashMap<OpId, Vec<OpId>> {
+pub fn block_dependencies(f: &Function, block: BlockId) -> BlockDeps {
     let ops = &f.block(block).ops;
-    let in_block: HashMap<OpId, usize> = ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
-    let mut deps: HashMap<OpId, Vec<OpId>> = HashMap::new();
-    let mut last_store: HashMap<MemId, OpId> = HashMap::new();
-    let mut accesses_since_store: HashMap<MemId, Vec<OpId>> = HashMap::new();
-    let mut last_output: Option<OpId> = None;
+    dependencies(f, ops, &PosMap::new(ops))
+}
 
-    for &op in ops {
-        let mut d: Vec<OpId> = f
-            .op(op)
-            .kind
-            .operands()
-            .into_iter()
-            .filter(|v| in_block.contains_key(v) && in_block[v] < in_block[&op])
-            .collect();
-        match &f.op(op).kind {
-            OpKind::Load { mem, .. } => {
-                if let Some(&s) = last_store.get(mem) {
-                    d.push(s);
+fn dependencies(f: &Function, ops: &[OpId], pos: &PosMap) -> BlockDeps {
+    let mut start = Vec::with_capacity(ops.len() + 1);
+    let mut edges: Vec<u32> = Vec::new();
+    let mut last_store: Vec<Option<u32>> = Vec::new();
+    let mut accesses_since_store: Vec<Vec<u32>> = Vec::new();
+    let mut last_output: Option<u32> = None;
+    let mut operands = Vec::new();
+    let mut d: Vec<u32> = Vec::new();
+    start.push(0);
+    for (i, &op) in ops.iter().enumerate() {
+        let kind = &f.op(op).kind;
+        operands.clear();
+        kind.operands_into(&mut operands);
+        d.clear();
+        d.extend(
+            operands
+                .iter()
+                .filter_map(|&v| pos.get(v))
+                .filter(|&p| (p as usize) < i),
+        );
+        match kind {
+            OpKind::Load { mem, .. } | OpKind::Store { mem, .. } => {
+                let m = mem.index();
+                if m >= last_store.len() {
+                    last_store.resize(m + 1, None);
+                    accesses_since_store.resize(m + 1, Vec::new());
                 }
-                accesses_since_store.entry(*mem).or_default().push(op);
-            }
-            OpKind::Store { mem, .. } => {
-                if let Some(&s) = last_store.get(mem) {
-                    d.push(s);
+                d.extend(last_store[m]);
+                if matches!(kind, OpKind::Store { .. }) {
+                    d.append(&mut accesses_since_store[m]);
+                    last_store[m] = Some(i as u32);
+                } else {
+                    accesses_since_store[m].push(i as u32);
                 }
-                for &a in accesses_since_store.entry(*mem).or_default().iter() {
-                    d.push(a);
-                }
-                accesses_since_store.insert(*mem, Vec::new());
-                last_store.insert(*mem, op);
             }
             OpKind::Output(..) => {
-                if let Some(prev) = last_output {
-                    d.push(prev);
-                }
-                last_output = Some(op);
+                d.extend(last_output);
+                last_output = Some(i as u32);
             }
             _ => {}
         }
-        d.sort();
+        d.sort_unstable();
         d.dedup();
-        deps.insert(op, d);
+        edges.extend_from_slice(&d);
+        start.push(edges.len() as u32);
     }
-    deps
+    BlockDeps { start, edges }
 }
 
-/// The scheduling context shared across a block.
-struct Ctx<'a> {
-    f: &'a Function,
-    library: &'a FuLibrary,
-    selection: &'a FuSelection,
-    alloc: &'a Allocation,
+/// How an op occupies the datapath.
+#[derive(Clone, Copy)]
+enum Res {
+    /// Steering logic, phis, constants and IO: completes instantly.
+    Free,
+    /// A functional unit with `cap` allocated instances.
+    Fu { fu: usize, cap: u32 },
+    /// A memory port (one access per state).
+    Mem(usize),
 }
 
-impl Ctx<'_> {
-    /// Delay in ns of a datapath op; `None` for free ops.
-    fn delay(&self, op: OpId) -> Option<f64> {
-        match &self.f.op(op).kind {
-            OpKind::Bin(..) | OpKind::Un(..) => self
-                .selection
-                .fu_of(op)
-                .map(|fu| self.library.spec(fu).delay_ns),
-            OpKind::Load { .. } | OpKind::Store { .. } => Some(self.library.memory_delay_ns),
-            // Muxes are steering logic: modeled as free (their cost is in
-            // the interconnect overhead), like phis/constants/IO.
-            _ => None,
+/// Per-state occupancy of functional units and memory ports, as flat
+/// `states × units` arrays.
+struct Occupancy {
+    fus: usize,
+    mems: usize,
+    fu_busy: Vec<u32>,
+    mem_busy: Vec<u32>,
+}
+
+impl Occupancy {
+    fn count(&mut self, res: Res, state: usize) -> &mut u32 {
+        match res {
+            Res::Fu { fu, .. } => &mut self.fu_busy[state * self.fus + fu],
+            Res::Mem(m) => &mut self.mem_busy[state * self.mems + m],
+            Res::Free => unreachable!("free ops occupy nothing"),
         }
+    }
+
+    fn idle(&self, state: usize) -> bool {
+        self.fu_busy[state * self.fus..(state + 1) * self.fus]
+            .iter()
+            .chain(&self.mem_busy[state * self.mems..(state + 1) * self.mems])
+            .all(|&c| c == 0)
     }
 }
 
@@ -176,304 +293,224 @@ pub fn schedule_block(
     alloc: &Allocation,
     clk: f64,
 ) -> Result<BlockSchedule, SchedError> {
-    let ops: Vec<OpId> = f.block(block).ops.clone();
-    schedule_ops(
-        f,
-        &ops,
-        &block_dependencies(f, block),
-        library,
-        selection,
-        alloc,
-        clk,
-    )
+    let ops = &f.block(block).ops;
+    schedule_indexed(f, ops, &PosMap::new(ops), library, selection, alloc, clk)
 }
 
-/// Schedules an explicit op list with explicit dependencies. Used both for
-/// whole blocks and for fused regions (if-converted loop bodies, rotation
-/// candidates).
-///
-/// # Errors
-/// See [`schedule_block`].
-pub fn schedule_ops(
+/// [`schedule_block`] over the block's op list and its position map.
+pub(crate) fn schedule_indexed(
     f: &Function,
     ops: &[OpId],
-    deps: &HashMap<OpId, Vec<OpId>>,
+    pos: &PosMap,
     library: &FuLibrary,
     selection: &FuSelection,
     alloc: &Allocation,
     clk: f64,
 ) -> Result<BlockSchedule, SchedError> {
-    let cx = Ctx {
-        f,
-        library,
-        selection,
-        alloc,
-    };
+    let n = ops.len();
+    let deps = dependencies(f, ops, pos);
+    let succs = deps.succs();
+
+    // Each op's resource and delay (0 for free ops). A datapath op with
+    // no selected unit is free, like muxes (steering logic, costed in the
+    // interconnect overhead), phis, constants and IO.
+    let mut mems = 0;
+    let (res, delay): (Vec<Res>, Vec<f64>) = ops
+        .iter()
+        .map(|&op| match &f.op(op).kind {
+            OpKind::Bin(..) | OpKind::Un(..) => match selection.fu_of(op) {
+                Some(fu) => (
+                    Res::Fu {
+                        fu: fu.0 as usize,
+                        cap: alloc.count(fu),
+                    },
+                    library.spec(fu).delay_ns,
+                ),
+                None => (Res::Free, 0.0),
+            },
+            OpKind::Load { mem, .. } | OpKind::Store { mem, .. } => {
+                mems = mems.max(mem.index() + 1);
+                (Res::Mem(mem.index()), library.memory_delay_ns)
+            }
+            _ => (Res::Free, 0.0),
+        })
+        .unzip();
 
     // Priority: longest downstream chain in ns (critical-path first).
-    let mut succs: HashMap<OpId, Vec<OpId>> = HashMap::new();
-    for (&op, ds) in deps {
-        for &d in ds {
-            succs.entry(d).or_default().push(op);
-        }
-    }
-    let mut priority: HashMap<OpId, f64> = HashMap::new();
-    // Process in reverse topological (program) order: deps point backward,
-    // so reverse program order works.
-    for &op in ops.iter().rev() {
-        let own = cx.delay(op).unwrap_or(0.0);
+    // Dependencies point backward, so reverse program order is a reverse
+    // topological order.
+    let mut priority = vec![0.0f64; n];
+    for i in (0..n).rev() {
         let down = succs
-            .get(&op)
-            .map(|ss| {
-                ss.iter()
-                    .map(|s| priority.get(s).copied().unwrap_or(0.0))
-                    .fold(0.0, f64::max)
-            })
-            .unwrap_or(0.0);
-        priority.insert(op, own + down);
+            .of(i)
+            .iter()
+            .map(|&s| priority[s as usize])
+            .fold(0.0, f64::max);
+        priority[i] = delay[i] + down;
     }
 
-    let mut remaining_deps: HashMap<OpId, usize> = ops
-        .iter()
-        .map(|&o| (o, deps.get(&o).map_or(0, Vec::len)))
+    let mut remaining: Vec<u32> = (0..n).map(|i| deps.of(i).len() as u32).collect();
+    let mut ready: Vec<u32> = (0..n as u32)
+        .filter(|&i| remaining[i as usize] == 0)
         .collect();
-    let mut ready: Vec<OpId> = ops
-        .iter()
-        .copied()
-        .filter(|o| remaining_deps[o] == 0)
-        .collect();
-    let mut placement: HashMap<OpId, OpPlacement> = HashMap::new();
-    let mut states: Vec<Vec<OpId>> = Vec::new();
-    // Per-state resource usage: FU counts and memory-port usage.
-    let mut fu_busy: Vec<HashMap<crate::resources::FuId, u32>> = Vec::new();
-    let mut mem_busy: Vec<HashMap<MemId, u32>> = Vec::new();
+    let mut next: Vec<u32> = Vec::new();
+    let mut placement = vec![OpPlacement::default(); n];
+    let mut states: Vec<Vec<u32>> = Vec::new();
+    let mut busy = Occupancy {
+        fus: library.len(),
+        mems,
+        fu_busy: Vec::new(),
+        mem_busy: Vec::new(),
+    };
+    let ensure_state = |states: &mut Vec<Vec<u32>>, busy: &mut Occupancy, s: usize| {
+        if states.len() <= s {
+            states.resize_with(s + 1, Vec::new);
+            busy.fu_busy.resize((s + 1) * busy.fus, 0);
+            busy.mem_busy.resize((s + 1) * busy.mems, 0);
+        }
+    };
     let mut scheduled = 0usize;
     let mut cur_state = 0usize;
 
-    let ensure_state = |states: &mut Vec<Vec<OpId>>,
-                        fu_busy: &mut Vec<HashMap<crate::resources::FuId, u32>>,
-                        mem_busy: &mut Vec<HashMap<MemId, u32>>,
-                        s: usize| {
-        while states.len() <= s {
-            states.push(Vec::new());
-            fu_busy.push(HashMap::new());
-            mem_busy.push(HashMap::new());
-        }
-    };
-
-    while scheduled < ops.len() {
-        // Sort ready ops by priority (desc), then id for determinism.
-        ready.sort_by(|a, b| {
-            priority[b]
-                .partial_cmp(&priority[a])
+    // Rounds: every ready op is either placed or carried to the next
+    // round, so `next` never holds an op twice.
+    while scheduled < n {
+        // Sort ready ops by priority (desc), then raw id for determinism.
+        ready.sort_by(|&a, &b| {
+            priority[b as usize]
+                .partial_cmp(&priority[a as usize])
                 .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
+                .then(ops[a as usize].cmp(&ops[b as usize]))
         });
 
         let mut placed_any = false;
-        let mut next_ready: Vec<OpId> = Vec::new();
-
-        for &op in &ready {
-            // Earliest data-ready point considering placed deps.
+        next.clear();
+        for &i in &ready {
+            let iu = i as usize;
+            // Earliest data-ready point; every dependency is placed, or
+            // the op would not be ready.
             let mut ready_state = cur_state;
             let mut ready_ns: f64 = 0.0;
-            let mut deps_placed = true;
-            for &d in deps.get(&op).into_iter().flatten() {
-                match placement.get(&d) {
-                    Some(p) => {
-                        let (ds, dn) = (p.end_state, p.ready_ns);
-                        if ds > ready_state {
-                            ready_state = ds;
-                            ready_ns = dn;
-                        } else if ds == ready_state {
-                            ready_ns = ready_ns.max(dn);
-                        }
-                    }
-                    None => {
-                        deps_placed = false;
-                        break;
-                    }
+            for &d in deps.of(iu) {
+                let p = &placement[d as usize];
+                if p.end_state > ready_state {
+                    ready_state = p.end_state;
+                    ready_ns = p.ready_ns;
+                } else if p.end_state == ready_state {
+                    ready_ns = ready_ns.max(p.ready_ns);
                 }
             }
-            if !deps_placed {
-                // Dep scheduled later in this same pass round; retry later.
-                next_ready.push(op);
-                continue;
-            }
-            if ready_state < cur_state {
-                ready_state = cur_state;
-                ready_ns = 0.0;
-            } else if ready_state == cur_state {
-                // keep ready_ns
-            } else {
+            if ready_state > cur_state {
                 // Not ready until a future state; defer.
-                next_ready.push(op);
+                next.push(i);
                 continue;
             }
 
-            match cx.delay(op) {
-                None => {
-                    // Free op: completes instantly at its ready point.
-                    placement.insert(
-                        op,
-                        OpPlacement {
-                            start_state: ready_state,
-                            start_ns: ready_ns,
-                            end_state: ready_state,
-                            ready_ns,
-                        },
-                    );
-                    // Free ops are recorded in the state they resolve in,
-                    // if any states exist; they never create states.
-                    scheduled += 1;
-                    placed_any = true;
-                    for s in succs.get(&op).into_iter().flatten() {
-                        let r = remaining_deps.get_mut(s).unwrap();
-                        *r -= 1;
-                        if *r == 0 {
-                            next_ready.push(*s);
-                        }
+            if let Res::Free = res[iu] {
+                // Free op: completes instantly at its ready point and
+                // never creates states.
+                placement[iu] = OpPlacement {
+                    start_state: ready_state,
+                    start_ns: ready_ns,
+                    end_state: ready_state,
+                    ready_ns,
+                };
+            } else {
+                let delay = delay[iu];
+                match res[iu] {
+                    Res::Fu { fu, cap: 0 } => {
+                        return Err(SchedError::NoInstances {
+                            op: ops[iu],
+                            fu_name: library.spec(FuId(fu as u32)).name.clone(),
+                        });
                     }
+                    Res::Mem(_) if delay > clk => {
+                        return Err(SchedError::ClockTooShort { op: ops[iu] });
+                    }
+                    _ => {}
+                }
+
+                // Multi-cycle span when the op alone exceeds the clock.
+                let span = (delay / clk).ceil().max(1.0) as usize;
+                let chainable = span == 1;
+
+                // Candidate start: the ready point, but multi-cycle ops and
+                // ops that no longer fit by chaining move to the next state
+                // boundary.
+                let (start_state, start_ns) = if chainable && ready_ns + delay <= clk + 1e-9 {
+                    (ready_state, ready_ns)
+                } else {
+                    (
+                        if ready_ns > 1e-12 {
+                            ready_state + 1
+                        } else {
+                            ready_state
+                        },
+                        0.0,
+                    )
+                };
+                if start_state > cur_state {
+                    next.push(i);
                     continue;
                 }
-                Some(delay) => {
-                    // Resource lookup.
-                    enum Res {
-                        Fu(crate::resources::FuId),
-                        Mem(MemId),
-                    }
-                    let res = match &cx.f.op(op).kind {
-                        OpKind::Load { mem, .. } | OpKind::Store { mem, .. } => Res::Mem(*mem),
-                        _ => {
-                            let fu = cx.selection.fu_of(op).expect("datapath op has unit");
-                            if cx.alloc.count(fu) == 0 {
-                                return Err(SchedError::NoInstances {
-                                    op,
-                                    fu_name: cx.library.spec(fu).name.clone(),
-                                });
-                            }
-                            Res::Fu(fu)
-                        }
-                    };
-                    if matches!(res, Res::Mem(_)) && delay > clk {
-                        return Err(SchedError::ClockTooShort { op });
-                    }
 
-                    // Multi-cycle span when the op alone exceeds the clock.
-                    let span = (delay / clk).ceil().max(1.0) as usize;
-                    let chainable = span == 1;
-
-                    // Candidate start: the ready point, but multi-cycle ops
-                    // and ops that no longer fit by chaining move to the
-                    // next state boundary.
-                    let (start_state, start_ns) = if chainable && ready_ns + delay <= clk + 1e-9 {
-                        (ready_state, ready_ns)
-                    } else {
-                        (
-                            if ready_ns > 1e-12 {
-                                ready_state + 1
-                            } else {
-                                ready_state
-                            },
-                            0.0,
-                        )
-                    };
-                    if start_state > cur_state {
-                        next_ready.push(op);
-                        continue;
-                    }
-
-                    // Resource availability over [start_state, +span).
-                    ensure_state(
-                        &mut states,
-                        &mut fu_busy,
-                        &mut mem_busy,
-                        start_state + span - 1,
-                    );
-                    let available = (0..span).all(|k| match &res {
-                        Res::Fu(fu) => {
-                            fu_busy[start_state + k].get(fu).copied().unwrap_or(0)
-                                < cx.alloc.count(*fu)
-                        }
-                        Res::Mem(m) => mem_busy[start_state + k].get(m).copied().unwrap_or(0) < 1,
-                    });
-                    if !available {
-                        next_ready.push(op);
-                        continue;
-                    }
-                    for k in 0..span {
-                        match &res {
-                            Res::Fu(fu) => *fu_busy[start_state + k].entry(*fu).or_insert(0) += 1,
-                            Res::Mem(m) => *mem_busy[start_state + k].entry(*m).or_insert(0) += 1,
-                        }
-                    }
-                    let (end_state, end_ns) = if span == 1 {
-                        (start_state, start_ns + delay)
-                    } else {
-                        // Result usable from the start of the state after
-                        // the span (no chaining out of multi-cycle ops).
-                        (start_state + span - 1, clk)
-                    };
-                    states[start_state].push(op);
-                    placement.insert(
-                        op,
-                        OpPlacement {
-                            start_state,
-                            start_ns,
-                            end_state,
-                            ready_ns: if end_ns >= clk - 1e-9 { 0.0 } else { end_ns },
-                        },
-                    );
-                    // Results landing exactly at the clock edge are
-                    // consumed from a register at the start of the next
-                    // state.
-                    if end_ns >= clk - 1e-9 {
-                        let p = placement.get_mut(&op).unwrap();
-                        p.end_state += 1;
-                        p.ready_ns = 0.0;
-                    }
-                    scheduled += 1;
-                    placed_any = true;
-                    for s in succs.get(&op).into_iter().flatten() {
-                        let r = remaining_deps.get_mut(s).unwrap();
-                        *r -= 1;
-                        if *r == 0 {
-                            next_ready.push(*s);
-                        }
-                    }
+                // Resource availability over [start_state, +span).
+                ensure_state(&mut states, &mut busy, start_state + span - 1);
+                let cap = match res[iu] {
+                    Res::Fu { cap, .. } => cap,
+                    _ => 1,
+                };
+                if (0..span).any(|k| *busy.count(res[iu], start_state + k) >= cap) {
+                    next.push(i);
+                    continue;
+                }
+                for k in 0..span {
+                    *busy.count(res[iu], start_state + k) += 1;
+                }
+                // Multi-cycle results are usable from the start of the state
+                // after the span (no chaining out of multi-cycle ops).
+                let (end_state, end_ns) = if span == 1 {
+                    (start_state, start_ns + delay)
+                } else {
+                    (start_state + span - 1, clk)
+                };
+                states[start_state].push(i);
+                // Results landing exactly at the clock edge are consumed
+                // from a register at the start of the next state.
+                let edge = end_ns >= clk - 1e-9;
+                placement[iu] = OpPlacement {
+                    start_state,
+                    start_ns,
+                    end_state: end_state + usize::from(edge),
+                    ready_ns: if edge { 0.0 } else { end_ns },
+                };
+            }
+            scheduled += 1;
+            placed_any = true;
+            for &s in succs.of(iu) {
+                let r = &mut remaining[s as usize];
+                *r -= 1;
+                if *r == 0 {
+                    next.push(s);
                 }
             }
         }
-
-        // Collect still-unplaced ready ops.
-        for &op in &ready {
-            if !placement.contains_key(&op) && !next_ready.contains(&op) {
-                next_ready.push(op);
-            }
-        }
-        ready = next_ready;
-        ready.retain(|o| !placement.contains_key(o));
+        std::mem::swap(&mut ready, &mut next);
 
         if !placed_any {
             // Nothing placed this round: advance the cycle.
             cur_state += 1;
-            ensure_state(&mut states, &mut fu_busy, &mut mem_busy, cur_state);
+            ensure_state(&mut states, &mut busy, cur_state);
         }
     }
 
     // Trim trailing states with neither issued ops nor live resource
     // reservations (multi-cycle spans keep their tail states).
-    while !states.is_empty() {
-        let last = states.len() - 1;
-        let busy = !states[last].is_empty()
-            || fu_busy[last].values().any(|&c| c > 0)
-            || mem_busy[last].values().any(|&c| c > 0);
-        if busy {
+    while let Some(last) = states.len().checked_sub(1) {
+        if !states[last].is_empty() || !busy.idle(last) {
             break;
         }
         states.pop();
-        fu_busy.pop();
-        mem_busy.pop();
     }
 
     Ok(BlockSchedule { states, placement })
@@ -589,13 +626,13 @@ mod tests {
         let a = alloc(&lib, &[("mt1", 1)]);
         let s = schedule_block(&f, f.entry(), &lib, &sel, &a, 15.0).unwrap();
         assert_eq!(s.len(), 2);
-        let mul = *s
-            .placement
+        let mul = f
+            .block(f.entry())
+            .ops
             .iter()
-            .find(|(op, _)| matches!(f.op(**op).kind, OpKind::Bin(fact_ir::BinOp::Mul, ..)))
-            .unwrap()
-            .0;
-        let p = s.placement[&mul];
+            .position(|&op| matches!(f.op(op).kind, OpKind::Bin(fact_ir::BinOp::Mul, ..)))
+            .unwrap();
+        let p = s.placement[mul];
         assert_eq!(p.start_state, 0);
         assert_eq!(p.end_state, 2); // ready at start of state 2 (post-span)
     }
@@ -643,21 +680,16 @@ mod tests {
         let (f, lib, sel) = setup("proc f(i, v) { array x[8]; x[i] = v; out y = x[i]; }");
         let a = alloc(&lib, &[]);
         let s = schedule_block(&f, f.entry(), &lib, &sel, &a, 25.0).unwrap();
-        let (store, load) = {
-            let mut st = None;
-            let mut ld = None;
-            for b in f.block_ids() {
-                for &op in &f.block(b).ops {
-                    match f.op(op).kind {
-                        OpKind::Store { .. } => st = Some(op),
-                        OpKind::Load { .. } => ld = Some(op),
-                        _ => {}
-                    }
-                }
-            }
-            (st.unwrap(), ld.unwrap())
-        };
-        assert!(s.placement[&store].start_state < s.placement[&load].start_state);
+        let ops = &f.block(f.entry()).ops;
+        let store = ops
+            .iter()
+            .position(|&op| matches!(f.op(op).kind, OpKind::Store { .. }))
+            .unwrap();
+        let load = ops
+            .iter()
+            .position(|&op| matches!(f.op(op).kind, OpKind::Load { .. }))
+            .unwrap();
+        assert!(s.placement[store].start_state < s.placement[load].start_state);
     }
 
     #[test]
@@ -680,14 +712,15 @@ mod tests {
     fn dependencies_include_memory_ordering() {
         let f = compile("proc f(i, v) { array x[8]; x[i] = v; x[i] = v + 1; }").unwrap();
         let deps = block_dependencies(&f, f.entry());
-        let stores: Vec<OpId> = f
-            .block(f.entry())
-            .ops
-            .iter()
-            .copied()
-            .filter(|&o| matches!(f.op(o).kind, OpKind::Store { .. }))
+        let stores: Vec<u32> = (0..deps.len() as u32)
+            .filter(|&i| {
+                matches!(
+                    f.op(f.block(f.entry()).ops[i as usize]).kind,
+                    OpKind::Store { .. }
+                )
+            })
             .collect();
         assert_eq!(stores.len(), 2);
-        assert!(deps[&stores[1]].contains(&stores[0]));
+        assert!(deps.of(stores[1] as usize).contains(&stores[0]));
     }
 }

@@ -26,41 +26,33 @@
 //!   rank permutation is part of the scheduling input even though the
 //!   absolute ids are not.
 //!
-//! Cached schedules are stored in *dense* form (in-block positions) and
-//! remapped to the caller's real `OpId`s on a hit, which is what makes one
-//! entry serve structurally identical blocks of different candidates.
-//! Results are bit-identical to a fresh [`schedule_block`] call; the
-//! equivalence tests below and the production-vs-oracle property tests in
-//! `fact-core` enforce this.
+//! Block schedules name ops by in-block position ([`BlockSchedule`]), so
+//! a cached schedule is returned unchanged — shared, not copied — for
+//! every structurally identical block of every candidate. Only a cached
+//! error is renamed onto the caller's `OpId`. Results are bit-identical
+//! to a fresh [`schedule_block`] call; the equivalence tests below and
+//! the production-vs-oracle suites (`crates/sched/tests/listsched_oracle.rs`,
+//! `crates/core/tests/oracle_equiv.rs`) enforce this.
+//!
+//! [`schedule_block`]: crate::listsched::schedule_block
+//! [`block_dependencies`]: crate::listsched::block_dependencies
+//! [`MemId`]: fact_ir::MemId
 
-use crate::listsched::{schedule_block, BlockSchedule, OpPlacement, SchedError};
+use crate::listsched::{schedule_indexed, BlockSchedule, PosMap, SchedError};
 use crate::resources::{Allocation, FuLibrary, FuSelection};
 use fact_ir::{BlockId, Function, OpId, OpKind};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-/// A block schedule with ops named by in-block position.
-#[derive(Clone, Debug)]
-struct DenseSchedule {
-    states: Vec<Vec<u32>>,
-    placement: Vec<Option<OpPlacement>>,
-}
-
-/// A scheduling error with the offending op named by in-block position.
-#[derive(Clone, Debug)]
-enum DenseError {
-    NoInstances { pos: u32, fu_name: String },
-    ClockTooShort { pos: u32 },
-}
-
-type DenseOutcome = Result<DenseSchedule, DenseError>;
+/// A cached outcome; an error keeps the block position of the op it names.
+type Outcome = Result<Arc<BlockSchedule>, (u32, SchedError)>;
 
 /// A shared, thread-safe cache of per-block schedules.
 ///
 /// Sharded like `fact-core`'s evaluation cache so concurrent candidate
 /// evaluations (the parallel search) do not serialize on one lock.
 pub struct ScheduleMemo {
-    shards: Vec<Mutex<HashMap<u64, DenseOutcome>>>,
+    shards: Vec<Mutex<HashMap<u64, Outcome>>>,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
 }
@@ -108,6 +100,8 @@ impl ScheduleMemo {
     ///
     /// # Errors
     /// See [`schedule_block`].
+    ///
+    /// [`schedule_block`]: crate::listsched::schedule_block
     pub fn schedule_block_memoized(
         &self,
         f: &Function,
@@ -116,72 +110,28 @@ impl ScheduleMemo {
         selection: &FuSelection,
         alloc: &Allocation,
         clk: f64,
-    ) -> (Result<BlockSchedule, SchedError>, bool) {
+    ) -> (Result<Arc<BlockSchedule>, SchedError>, bool) {
         let ops = &f.block(block).ops;
-        let key = block_key(f, block, library, selection, alloc, clk);
+        let pos = PosMap::new(ops);
+        let key = block_key(f, ops, &pos, library, selection, alloc, clk);
         let shard = &self.shards[(key as usize) % self.shards.len()];
         let cached = shard.lock().ok().and_then(|g| g.get(&key).cloned());
         if let Some(outcome) = cached {
             self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            return (undense(outcome, ops), true);
+            let outcome = outcome.map_err(|(p, e)| e.renamed(ops[p as usize]));
+            return (outcome, true);
         }
         self.misses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let fresh = schedule_block(f, block, library, selection, alloc, clk);
+        let fresh = schedule_indexed(f, ops, &pos, library, selection, alloc, clk).map(Arc::new);
         if let Ok(mut guard) = shard.lock() {
-            guard.insert(key, dense(&fresh, ops));
+            let entry = fresh.clone().map_err(|e| {
+                let p = pos.get(e.op()).expect("the error names a block op");
+                (p, e)
+            });
+            guard.insert(key, entry);
         }
         (fresh, false)
-    }
-}
-
-/// Converts a scheduling outcome to position-indexed form.
-fn dense(outcome: &Result<BlockSchedule, SchedError>, ops: &[OpId]) -> DenseOutcome {
-    let pos: HashMap<OpId, u32> = ops
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect();
-    match outcome {
-        Ok(bs) => Ok(DenseSchedule {
-            states: bs
-                .states
-                .iter()
-                .map(|s| s.iter().map(|o| pos[o]).collect())
-                .collect(),
-            placement: ops.iter().map(|o| bs.placement.get(o).copied()).collect(),
-        }),
-        Err(SchedError::NoInstances { op, fu_name }) => Err(DenseError::NoInstances {
-            pos: pos[op],
-            fu_name: fu_name.clone(),
-        }),
-        Err(SchedError::ClockTooShort { op }) => Err(DenseError::ClockTooShort { pos: pos[op] }),
-    }
-}
-
-/// Rebuilds a real-`OpId` outcome from position-indexed form.
-fn undense(outcome: DenseOutcome, ops: &[OpId]) -> Result<BlockSchedule, SchedError> {
-    match outcome {
-        Ok(d) => Ok(BlockSchedule {
-            states: d
-                .states
-                .iter()
-                .map(|s| s.iter().map(|&p| ops[p as usize]).collect())
-                .collect(),
-            placement: d
-                .placement
-                .iter()
-                .enumerate()
-                .filter_map(|(i, p)| p.map(|p| (ops[i], p)))
-                .collect(),
-        }),
-        Err(DenseError::NoInstances { pos, fu_name }) => Err(SchedError::NoInstances {
-            op: ops[pos as usize],
-            fu_name,
-        }),
-        Err(DenseError::ClockTooShort { pos }) => Err(SchedError::ClockTooShort {
-            op: ops[pos as usize],
-        }),
     }
 }
 
@@ -214,18 +164,13 @@ impl Hasher {
 /// Hashes everything `schedule_block` depends on (see module docs).
 fn block_key(
     f: &Function,
-    block: BlockId,
+    ops: &[OpId],
+    pos: &PosMap,
     library: &FuLibrary,
     selection: &FuSelection,
     alloc: &Allocation,
     clk: f64,
 ) -> u64 {
-    let ops = &f.block(block).ops;
-    let pos: HashMap<OpId, u32> = ops
-        .iter()
-        .enumerate()
-        .map(|(i, &o)| (o, i as u32))
-        .collect();
     let mut h = Hasher::new(0x5CED_B10C);
     h.write(clk.to_bits())
         .write(library.memory_delay_ns.to_bits())
@@ -235,8 +180,8 @@ fn block_key(
     // defs reachable only through phis — as one marker, because the list
     // scheduler treats them all as ready at state start.
     let operand = |h: &mut Hasher, i: usize, v: OpId| {
-        match pos.get(&v) {
-            Some(&p) if (p as usize) < i => h.write(2 + p as u64),
+        match pos.get(v) {
+            Some(p) if (p as usize) < i => h.write(2 + p as u64),
             _ => h.write(1),
         };
     };
@@ -283,15 +228,12 @@ fn block_key(
     // The block's OpId rank permutation: the ready-list sort breaks
     // priority ties by raw OpId, so relative id order is a scheduling
     // input even though absolute ids are not.
-    let mut sorted: Vec<OpId> = ops.clone();
-    sorted.sort_unstable();
-    let rank: HashMap<OpId, u32> = sorted
-        .iter()
-        .enumerate()
-        .map(|(r, &o)| (o, r as u32))
-        .collect();
-    for &op in ops {
-        h.write(rank[&op] as u64);
+    let mut rank = vec![0u32; ops.len()];
+    for (r, p) in pos.by_id().enumerate() {
+        rank[p as usize] = r as u32;
+    }
+    for r in rank {
+        h.write(r as u64);
     }
     h.write(0x5CED_B10C);
     h.0
@@ -300,6 +242,7 @@ fn block_key(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::listsched::schedule_block;
     use crate::resources::{FuSpec, SelectionRules};
     use fact_ir::BinOp;
     use fact_lang::compile;
@@ -341,18 +284,20 @@ mod tests {
         (f, lib, sel, a)
     }
 
-    fn assert_same(a: &Result<BlockSchedule, SchedError>, b: &Result<BlockSchedule, SchedError>) {
+    fn assert_same(
+        a: &Result<BlockSchedule, SchedError>,
+        b: &Result<Arc<BlockSchedule>, SchedError>,
+    ) {
         match (a, b) {
-            (Ok(x), Ok(y)) => {
-                assert_eq!(x.states, y.states);
-                assert_eq!(x.placement.len(), y.placement.len());
-                for (op, p) in &x.placement {
-                    assert_eq!(y.placement.get(op), Some(p), "placement differs for {op}");
-                }
-            }
+            (Ok(x), Ok(y)) => assert_eq!(x, &**y),
             (Err(x), Err(y)) => assert_eq!(x, y),
             _ => panic!("outcomes diverge: {a:?} vs {b:?}"),
         }
+    }
+
+    fn key(f: &Function, lib: &FuLibrary, sel: &FuSelection, alloc: &Allocation, clk: f64) -> u64 {
+        let ops = &f.block(f.entry()).ops;
+        block_key(f, ops, &PosMap::new(ops), lib, sel, alloc, clk)
     }
 
     #[test]
@@ -430,8 +375,8 @@ mod tests {
         // external either way, so both hash equal — and schedule equal.
         let (f1, lib, sel1, alloc) = setup("proc f(a, b, c) { out y = a * b + c; }");
         let (f2, _, sel2, _) = setup("proc f(p, q, r) { out y = p * q + r; }");
-        let k1 = block_key(&f1, f1.entry(), &lib, &sel1, &alloc, 25.0);
-        let k2 = block_key(&f2, f2.entry(), &lib, &sel2, &alloc, 25.0);
+        let k1 = key(&f1, &lib, &sel1, &alloc, 25.0);
+        let k2 = key(&f2, &lib, &sel2, &alloc, 25.0);
         assert_eq!(k1, k2);
         let s1 = schedule_block(&f1, f1.entry(), &lib, &sel1, &alloc, 25.0).unwrap();
         let s2 = schedule_block(&f2, f2.entry(), &lib, &sel2, &alloc, 25.0).unwrap();
@@ -507,8 +452,8 @@ mod tests {
         let sel2 = FuSelection::from_rules(&f2, &rules).unwrap();
         let mut alloc = Allocation::new();
         alloc.set(add, 1);
-        let k1 = block_key(&f1, e1, &lib, &sel1, &alloc, 25.0);
-        let k2 = block_key(&f2, e2, &lib, &sel2, &alloc, 25.0);
+        let k1 = key(&f1, &lib, &sel1, &alloc, 25.0);
+        let k2 = key(&f2, &lib, &sel2, &alloc, 25.0);
         // f1: adds at block positions 2,3 have ranks in id order; f2's
         // second block-position add has the *smaller* raw id.
         assert_ne!(k1, k2, "rank permutation must feed the key");

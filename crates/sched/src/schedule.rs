@@ -17,6 +17,7 @@ use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, OpId, OpKind,
 use fact_sim::BranchProfile;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Scheduler configuration.
 #[derive(Clone, Debug)]
@@ -291,7 +292,7 @@ pub fn schedule_with_memo(
     let rpo_index: HashMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
 
     // Per-block schedules, spliced from the memo where available.
-    let mut chains_sched: HashMap<BlockId, BlockSchedule> = HashMap::new();
+    let mut chains_sched: HashMap<BlockId, Arc<BlockSchedule>> = HashMap::new();
     for &b in &rpo {
         let bs = match memo {
             Some(m) => {
@@ -306,7 +307,8 @@ pub fn schedule_with_memo(
             }
             None => {
                 report.memo_misses += 1;
-                schedule_block(&work, b, library, &selection, alloc, opts.clock_ns)?
+                let bs = schedule_block(&work, b, library, &selection, alloc, opts.clock_ns)?;
+                Arc::new(bs)
             }
         };
         chains_sched.insert(b, bs);
@@ -330,7 +332,7 @@ pub fn schedule_with_memo(
             .iter()
             .map(|b| {
                 freq.get(b).copied().unwrap_or(0.0)
-                    * chains_sched.get(b).map_or(0, BlockSchedule::len) as f64
+                    * chains_sched.get(b).map_or(0, |bs| bs.len()) as f64
             })
             .sum::<f64>()
             .max(1.0)
@@ -472,11 +474,14 @@ pub fn schedule_with_memo(
             continue;
         }
         let name = work.block(b).name.clone().unwrap_or_else(|| format!("{b}"));
+        let ops = &work.block(b).ops;
         let mut ids = Vec::new();
-        for (i, ops) in bs.states.iter().enumerate() {
+        for (i, issued) in bs.states.iter().enumerate() {
             let s = stg.add_state(format!("{name}.{i}"));
-            for &op in ops {
-                stg.state_mut(s).ops.push(ScheduledOp::once(op));
+            for &p in issued {
+                stg.state_mut(s)
+                    .ops
+                    .push(ScheduledOp::once(ops[p as usize]));
             }
             stg.state_mut(s).expected_visits = prof.block_visits(b);
             ids.push(s);
@@ -836,6 +841,9 @@ fn try_rotation(
     clk: f64,
 ) -> Option<Vec<OpId>> {
     let last = latch_sched.len() - 1;
+    let latch_ops = &f.block(latch).ops;
+    let latch_pos: HashMap<OpId, usize> =
+        latch_ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
 
     // Header datapath ops, in block order.
     let header_ops: Vec<OpId> = f
@@ -871,7 +879,7 @@ fn try_rotation(
         if let Some(&t) = rotated.get(&v) {
             return Some(t);
         }
-        match latch_sched.placement.get(&v) {
+        match latch_pos.get(&v).map(|&i| &latch_sched.placement[i]) {
             Some(p) => {
                 if p.end_state == last {
                     Some(p.ready_ns)
@@ -889,7 +897,8 @@ fn try_rotation(
 
     // Resource slack in the final state.
     let mut used: HashMap<ResKey, u32> = HashMap::new();
-    for &op in &latch_sched.states[last] {
+    for &p in &latch_sched.states[last] {
+        let op = latch_ops[p as usize];
         match &f.op(op).kind {
             OpKind::Load { mem, .. } | OpKind::Store { mem, .. } => {
                 *used.entry(ResKey::Mem(*mem)).or_insert(0) += 1;

@@ -7,7 +7,7 @@
 //! `(y1-y3)+(y2-y4)` is better depends entirely on which units the
 //! surrounding schedule leaves idle.
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use crate::util::{as_bin, placed_ops, use_counts};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
 
@@ -42,7 +42,6 @@ impl Transform for Commutativity {
                 out.push(Candidate {
                     kind: TransformKind::Commutativity,
                     description: format!("swap operands of {op} ({bin})"),
-                    dirty: DirtyRegion::diff(f, &g),
                     function: g,
                 });
             }
@@ -90,6 +89,7 @@ impl Transform for Associativity {
 
     fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
         let uses = use_counts(f);
+        let users = f.uses();
         let mut out = Vec::new();
         for (b, op) in placed_ops(f) {
             if !region.covers(b) {
@@ -104,7 +104,7 @@ impl Transform for Associativity {
             // Skip non-root ops of a chain (their root will handle them).
             let is_chain_elem =
                 |v: OpId| as_bin(f, v).is_some_and(|(b2, ..)| b2 == bin) && uses[v.index()] == 1;
-            let used_by_same = f.uses()[op.index()]
+            let used_by_same = users[op.index()]
                 .iter()
                 .any(|&u| as_bin(f, u).is_some_and(|(b2, ..)| b2 == bin))
                 && uses[op.index()] == 1;
@@ -253,7 +253,6 @@ fn rebuild_tree(
                 TreeShape::LeftChain => "chain",
             }
         ),
-        dirty: DirtyRegion::diff(f, &g),
         function: g,
     }
 }
@@ -304,7 +303,6 @@ impl Transform for Distributivity {
                             out.push(Candidate {
                                 kind: TransformKind::Distributivity,
                                 description: format!("factor {k} out of {op}"),
-                                dirty: DirtyRegion::diff(f, &g),
                                 function: g,
                             });
                             break;
@@ -330,7 +328,6 @@ impl Transform for Distributivity {
                         out.push(Candidate {
                             kind: TransformKind::Distributivity,
                             description: format!("sum-of-differences rewrite at {op}"),
-                            dirty: DirtyRegion::diff(f, &g),
                             function: g,
                         });
                     }
@@ -358,7 +355,6 @@ impl Transform for Distributivity {
                         out.push(Candidate {
                             kind: TransformKind::Distributivity,
                             description: format!("expand {op} over {inner_bin}"),
-                            dirty: DirtyRegion::diff(f, &g),
                             function: g,
                         });
                         break;

@@ -7,7 +7,7 @@
 //! paper's transformation list, and the enabling transformation for the
 //! power reductions on loop-heavy benchmarks.
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use fact_ir::{BlockId, DomTree, Function, LoopForest, OpId, OpKind, Terminator};
 use std::collections::HashSet;
 
@@ -116,7 +116,6 @@ impl Transform for CodeMotion {
                     invariant.len(),
                     l.header
                 ),
-                dirty: DirtyRegion::diff(f, &g),
                 function: g,
             });
         }

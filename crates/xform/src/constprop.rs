@@ -6,7 +6,7 @@
 //! enabled rewrite at once (iterated to a fixed point) — matching how
 //! compilers treat it \[2\] — rather than one candidate per site.
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use crate::util::placed_ops;
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses, try_fold};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
@@ -108,7 +108,6 @@ impl Transform for ConstantPropagation {
         vec![Candidate {
             kind: TransformKind::ConstantPropagation,
             description: format!("constant propagation ({total} sites)"),
-            dirty: DirtyRegion::diff(f, &g),
             function: g,
         }]
     }

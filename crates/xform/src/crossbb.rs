@@ -19,7 +19,7 @@
 //! per-thread copies expose *intra-thread* algebraic rewrites — e.g. the
 //! distributivity of Example 3 — to the rest of the library.
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use fact_ir::{DomTree, Function, Op, OpKind};
 
 /// The phi-sinking transformation.
@@ -132,7 +132,6 @@ impl Transform for PhiSink {
                 out.push(Candidate {
                     kind: TransformKind::PhiSink,
                     description: format!("sink {u} through joins of {m}"),
-                    dirty: DirtyRegion::diff(f, &g),
                     function: g,
                 });
             }

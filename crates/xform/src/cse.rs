@@ -11,7 +11,7 @@
 //! in [`TransformLibrary::full`](crate::TransformLibrary::full), so the
 //! paper-faithful experiments keep the paper's exact suite.
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses};
 use fact_ir::{DomTree, Function, OpId, OpKind};
 use std::collections::HashMap;
@@ -121,7 +121,6 @@ impl Transform for CommonSubexpression {
         vec![Candidate {
             kind: TransformKind::ConstantPropagation,
             description: format!("common-subexpression elimination ({replaced} sites)"),
-            dirty: DirtyRegion::diff(f, &g),
             function: g,
         }]
     }

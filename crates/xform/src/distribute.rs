@@ -25,7 +25,7 @@
 //!   cross-group effects; disjoint memories make store reordering
 //!   unobservable, output streams would not be).
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator};
 use std::collections::{HashMap, HashSet};
 
@@ -57,7 +57,6 @@ impl Transform for LoopDistribution {
                 out.push(Candidate {
                     kind: TransformKind::LoopUnroll,
                     description: format!("distribute loop at {}", l.header),
-                    dirty: DirtyRegion::diff(f, &g),
                     function: g,
                 });
             }

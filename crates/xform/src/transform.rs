@@ -49,105 +49,6 @@ impl fmt::Display for TransformKind {
     }
 }
 
-/// The blocks a candidate actually rewrote, relative to its parent.
-///
-/// Transformations report this so the evaluator knows which per-block
-/// schedule (and estimate) fragments of the parent are provably reusable:
-/// every block *not* in the dirty region is structurally unchanged. A
-/// conservative transform may report [`DirtyRegion::whole`] — correctness
-/// never depends on the region being tight, only on it being a superset
-/// of the changed blocks (the production-vs-oracle equivalence tests in
-/// `fact-core` enforce the end-to-end contract).
-///
-/// Note that block-*count* changes (unrolling, distribution) implicitly
-/// dirty every new block; such transforms report `whole` or enumerate the
-/// new ids explicitly.
-#[derive(Clone, Debug, Default)]
-pub struct DirtyRegion {
-    blocks: Option<HashSet<BlockId>>,
-}
-
-impl DirtyRegion {
-    /// Everything may have changed (the conservative answer).
-    pub fn whole() -> Self {
-        DirtyRegion { blocks: None }
-    }
-
-    /// Exactly these blocks changed.
-    pub fn of_blocks(blocks: impl IntoIterator<Item = BlockId>) -> Self {
-        DirtyRegion {
-            blocks: Some(blocks.into_iter().collect()),
-        }
-    }
-
-    /// Whether `b` may have changed.
-    pub fn contains(&self, b: BlockId) -> bool {
-        match &self.blocks {
-            None => true,
-            Some(set) => set.contains(&b),
-        }
-    }
-
-    /// Whether the whole function is considered dirty.
-    pub fn is_whole(&self) -> bool {
-        self.blocks.is_none()
-    }
-
-    /// Number of dirtied blocks, or `None` for a whole-function region.
-    pub fn len(&self) -> Option<usize> {
-        self.blocks.as_ref().map(HashSet::len)
-    }
-
-    /// Whether the region is a known-empty set of blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.as_ref().is_some_and(HashSet::is_empty)
-    }
-
-    /// Iterates the dirtied blocks of a bounded region (empty for
-    /// [`DirtyRegion::whole`] — check [`DirtyRegion::is_whole`] first).
-    pub fn iter(&self) -> impl Iterator<Item = BlockId> + '_ {
-        self.blocks.iter().flat_map(|s| s.iter().copied())
-    }
-
-    /// Absorbs another region (whole-function absorbs everything).
-    pub fn union(&mut self, other: &DirtyRegion) {
-        match (&mut self.blocks, &other.blocks) {
-            (Some(a), Some(b)) => a.extend(b.iter().copied()),
-            _ => self.blocks = None,
-        }
-    }
-
-    /// Computes the exact dirty region of `child` relative to `parent`:
-    /// the blocks whose op list, op kinds, or terminator differ. Returns
-    /// [`DirtyRegion::whole`] when the block count changed (the rewrite
-    /// introduced or removed blocks).
-    ///
-    /// Transformations that rewrite a clone in place (including follow-up
-    /// dead-code elimination, which can delete ops far from the rewrite
-    /// site) use this instead of hand-tracking touched blocks.
-    pub fn diff(parent: &Function, child: &Function) -> DirtyRegion {
-        if parent.num_blocks() != child.num_blocks() {
-            return DirtyRegion::whole();
-        }
-        let mut dirty = HashSet::new();
-        for b in child.block_ids() {
-            let (pb, cb) = (parent.block(b), child.block(b));
-            if pb.term != cb.term
-                || pb.ops != cb.ops
-                || cb
-                    .ops
-                    .iter()
-                    .any(|&o| parent.op(o).kind != child.op(o).kind)
-            {
-                dirty.insert(b);
-            }
-        }
-        DirtyRegion {
-            blocks: Some(dirty),
-        }
-    }
-}
-
 /// A transformed CDFG proposed for evaluation.
 #[derive(Clone, Debug)]
 pub struct Candidate {
@@ -157,8 +58,6 @@ pub struct Candidate {
     pub description: String,
     /// The transformed function (the original is never mutated).
     pub function: Function,
-    /// Blocks rewritten relative to the parent function.
-    pub dirty: DirtyRegion,
 }
 
 /// The region a transformation may touch: a set of IR blocks, or the whole
@@ -313,72 +212,5 @@ mod tests {
     fn kinds_display() {
         assert_eq!(TransformKind::Distributivity.to_string(), "distributivity");
         assert_eq!(TransformKind::PhiSink.to_string(), "phi-sink");
-    }
-
-    #[test]
-    fn dirty_diff_is_exact_for_in_place_rewrites() {
-        use fact_ir::{BinOp, OpKind};
-        let f = fact_lang::compile(
-            "proc f(a, n) { var i = 0; var s = 0; \
-             while (i < n) { s = s + a; i = i + 1; } out s = s; }",
-        )
-        .unwrap();
-        let same = DirtyRegion::diff(&f, &f.clone());
-        assert!(same.is_empty(), "identical clone must be clean");
-
-        // Swap the operands of one commutative op; only its block is dirty.
-        let mut g = f.clone();
-        let (b, op) = f
-            .block_ids()
-            .flat_map(|b| f.block(b).ops.iter().map(move |&o| (b, o)))
-            .find(|&(_, o)| matches!(f.op(o).kind, OpKind::Bin(BinOp::Add, x, y) if x != y))
-            .unwrap();
-        if let OpKind::Bin(bin, x, y) = f.op(op).kind.clone() {
-            g.op_mut(op).kind = OpKind::Bin(bin, y, x);
-        }
-        let dirty = DirtyRegion::diff(&f, &g);
-        assert_eq!(dirty.len(), Some(1));
-        assert!(dirty.contains(b));
-        let clean: Vec<BlockId> = f.block_ids().filter(|&c| !dirty.contains(c)).collect();
-        assert!(!clean.is_empty());
-    }
-
-    #[test]
-    fn dirty_diff_goes_whole_on_block_count_change() {
-        let f = fact_lang::compile("proc f(a) { out y = a; }").unwrap();
-        let g = fact_lang::compile("proc f(a) { var y = 0; if (a < 1) { y = a; } out y = y; }")
-            .unwrap();
-        assert!(DirtyRegion::diff(&f, &g).is_whole());
-    }
-
-    #[test]
-    fn dirty_union_absorbs() {
-        let mut d = DirtyRegion::of_blocks([BlockId(1)]);
-        d.union(&DirtyRegion::of_blocks([BlockId(2)]));
-        assert_eq!(d.len(), Some(2));
-        assert!(d.contains(BlockId(1)) && d.contains(BlockId(2)));
-        let mut ids: Vec<usize> = d.iter().map(|b| b.index()).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2]);
-        d.union(&DirtyRegion::whole());
-        assert!(d.is_whole());
-        assert!(!d.is_empty());
-    }
-
-    #[test]
-    fn library_candidates_report_bounded_dirt_for_local_rewrites() {
-        // Commutativity rewrites exactly one op in place: every candidate
-        // must report a bounded (non-whole) dirty region.
-        let f = fact_lang::compile(
-            "proc f(a, b, n) { var i = 0; var s = 0; \
-             while (i < n) { s = s + a * b; i = i + 1; } out s = s; }",
-        )
-        .unwrap();
-        let cands = crate::algebraic::Commutativity.candidates(&f, &Region::whole());
-        assert!(!cands.is_empty());
-        for c in &cands {
-            assert!(!c.dirty.is_whole(), "in-place swap dirt must be bounded");
-            assert!(c.dirty.len().unwrap() >= 1);
-        }
     }
 }

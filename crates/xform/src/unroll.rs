@@ -9,7 +9,7 @@
 //! the scheduler also performs *implicit* unrolling; this is the explicit
 //! library transformation).
 
-use crate::transform::{Candidate, DirtyRegion, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Region, Transform, TransformKind};
 use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator};
 use std::collections::HashMap;
 
@@ -54,7 +54,6 @@ impl Transform for LoopUnroll {
                 out.push(Candidate {
                     kind: TransformKind::LoopUnroll,
                     description: format!("unroll loop at {} by {}", l.header, self.factor),
-                    dirty: DirtyRegion::diff(f, &g),
                     function: g,
                 });
             }

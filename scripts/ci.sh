@@ -20,6 +20,9 @@ cargo test --workspace -q
 echo "== production-vs-oracle evaluation property tests"
 cargo test -q -p fact-core --release --test oracle_equiv
 
+echo "== list-scheduler invariant and production-vs-oracle tests"
+cargo test -q -p fact-sched --release --test schedule_properties --test listsched_oracle
+
 echo "== batched-vs-scalar simulation property tests"
 cargo test -q -p fact-sim --release --test batched_equiv
 
@@ -39,6 +42,9 @@ suites = d["passes"][0]["suites"]
 assert len(suites) == 6, f"expected six suites: {[s['name'] for s in suites]}"
 idle = [s["name"] for s in suites if s["evaluated"] <= 0]
 assert not idle, f"suites evaluated nothing: {idle}"
+# Scheduling time is reported as a subset of estimation time.
+split = [s["name"] for s in suites if not 0 <= s["schedule_s"] <= s["estimate_s"]]
+assert not split, f"schedule_s missing from or above estimate_s: {split}"
 print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
 EOF
 scripts/bench.sh sim --smoke \
