@@ -44,6 +44,9 @@ pub struct SuitePerf {
     /// The list-scheduling share of `estimate_s`, seconds
     /// ([`PhaseTimers::schedule_ns`]).
     pub schedule_s: f64,
+    /// Search time outside candidate evaluation — expansion, hashing,
+    /// dedup and selection — seconds ([`PhaseTimers::expand_ns`]).
+    pub expand_s: f64,
 }
 
 /// One full measurement pass: every Table 2 benchmark, fresh cache each.
@@ -129,6 +132,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            expand_s: timers.expand_ns.load(Ordering::Relaxed) as f64 / 1e9,
         });
     }
     SearchPerf {
@@ -161,7 +165,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
                  \"compile_s\": {:.4}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
-                 \"schedule_s\": {:.4}}}{}\n",
+                 \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
                 s.name,
                 s.evaluated,
                 s.cache_hits,
@@ -172,6 +176,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
+                s.expand_s,
                 if i + 1 < p.suites.len() { "," } else { "" }
             ));
         }
@@ -202,6 +207,11 @@ mod tests {
             assert!(
                 s.schedule_s <= s.estimate_s,
                 "{}: scheduling is a subset of estimation",
+                s.name
+            );
+            assert!(
+                0.0 <= s.expand_s && s.expand_s <= s.wall_s,
+                "{}: expansion is a share of the run",
                 s.name
             );
         }

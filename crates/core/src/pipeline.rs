@@ -144,11 +144,12 @@ pub struct FactResult {
     pub stopped: bool,
 }
 
-/// Wall-clock phase accounting of candidate evaluation, accumulated in
+/// Wall-clock phase accounting of the search, accumulated in
 /// nanoseconds across all worker threads (so a phase's total can exceed
 /// the run's wall time when `search.threads > 1`). Wired in through
 /// [`OptimizeHooks::timers`]; the benchmark harness uses it to attribute
-/// search throughput to compilation, simulation, and estimation.
+/// search throughput to expansion, compilation, simulation, and
+/// estimation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
     /// Time compiling candidates ([`CompiledFn::compile`]).
@@ -163,6 +164,59 @@ pub struct PhaseTimers {
     /// [`schedule_with_memo`] during candidate and final estimation.
     /// `estimate_ns - schedule_ns` is the Markov and power time.
     pub schedule_ns: AtomicU64,
+    /// Search time outside the neighborhood evaluator: the wall time of
+    /// every [`apply_transforms`]/[`apply_transforms_pareto`] call minus
+    /// the time spent inside its evaluator. That is stage 1 (enumerate
+    /// and apply transformations, structural hash, dedup) plus stage 3
+    /// (select).
+    pub expand_ns: AtomicU64,
+}
+
+/// Charges search-call wall time minus evaluator time to
+/// [`PhaseTimers::expand_ns`]. Does nothing without timers.
+struct ExpandClock<'a> {
+    timers: Option<&'a PhaseTimers>,
+    /// Evaluator time of the search call in progress.
+    eval_ns: AtomicU64,
+}
+
+impl<'a> ExpandClock<'a> {
+    fn new(timers: Option<&'a PhaseTimers>) -> Self {
+        ExpandClock {
+            timers,
+            eval_ns: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs one neighborhood evaluation.
+    fn evaluate<T>(&self, f: impl FnOnce() -> T) -> T {
+        match self.timers {
+            Some(_) => {
+                let start = std::time::Instant::now();
+                let out = f();
+                self.eval_ns
+                    .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                out
+            }
+            None => f(),
+        }
+    }
+
+    /// Runs one search call.
+    fn search<T>(&self, f: impl FnOnce() -> T) -> T {
+        match self.timers {
+            Some(t) => {
+                let start = std::time::Instant::now();
+                let out = f();
+                let wall = start.elapsed().as_nanos() as u64;
+                let eval = self.eval_ns.swap(0, Ordering::Relaxed);
+                t.expand_ns
+                    .fetch_add(wall.saturating_sub(eval), Ordering::Relaxed);
+                out
+            }
+            None => f(),
+        }
+    }
 }
 
 /// Optional cross-cutting machinery for a FACT run: the shared
@@ -177,8 +231,8 @@ pub struct OptimizeHooks<'a> {
     /// Set to `true` (by a timeout watchdog or a client disconnect) to
     /// make the run wind down at the next evaluation boundary.
     pub stop: Option<&'a AtomicBool>,
-    /// When present, receives the compile/simulate/estimate wall-time
-    /// breakdown of candidate evaluation. `None` skips all timing calls.
+    /// When present, receives the expand/compile/simulate/estimate
+    /// wall-time breakdown of the search. `None` skips all timing calls.
     pub timers: Option<&'a PhaseTimers>,
 }
 
@@ -874,8 +928,11 @@ pub fn optimize_with(
     hooks: OptimizeHooks<'_>,
 ) -> Result<FactResult, FactError> {
     let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let clock = ExpandClock::new(hooks.timers);
     let score = |batch: &[MegaCandidate<'_>]| {
-        run.score_neighborhood(batch, &|est: &Estimate| config.objective.score(est))
+        clock.evaluate(|| {
+            run.score_neighborhood(batch, &|est: &Estimate| config.objective.score(est))
+        })
     };
 
     // Steps 3-7: optimize each block by search; blocks share the evolving
@@ -897,7 +954,9 @@ pub fn optimize_with(
             applied: path,
             stopped: search_stopped,
             ..
-        } = apply_transforms(&current, region, tlib, &config.search, &score, hooks.stop);
+        } = clock.search(|| {
+            apply_transforms(&current, region, tlib, &config.search, &score, hooks.stop)
+        });
         evaluated += n;
         stopped |= search_stopped;
         if best_score > f64::NEG_INFINITY && !path.is_empty() {
@@ -1064,9 +1123,12 @@ pub fn optimize_pareto_with(
     };
     let config = &config;
     let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let clock = ExpandClock::new(hooks.timers);
     let score = |batch: &[MegaCandidate<'_>]| {
-        run.score_neighborhood(batch, &|est: &Estimate| {
-            (est.energy_vdd2, est.average_schedule_length)
+        clock.evaluate(|| {
+            run.score_neighborhood(batch, &|est: &Estimate| {
+                (est.energy_vdd2, est.average_schedule_length)
+            })
         })
     };
 
@@ -1083,15 +1145,17 @@ pub fn optimize_pareto_with(
             stopped = true;
             break;
         }
-        let r = apply_transforms_pareto(
-            f,
-            region,
-            tlib,
-            &config.search,
-            &mut archive,
-            &score,
-            hooks.stop,
-        );
+        let r = clock.search(|| {
+            apply_transforms_pareto(
+                f,
+                region,
+                tlib,
+                &config.search,
+                &mut archive,
+                &score,
+                hooks.stop,
+            )
+        });
         evaluated += r.evaluated;
         stopped |= r.stopped;
         blocks_optimized += 1;

@@ -35,16 +35,42 @@ pub enum Terminator {
     Return(Option<OpId>),
 }
 
+/// The successors of a [`Terminator`], in branch order: at most two,
+/// held inline (no allocation). Derefs to `&[BlockId]`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Successors {
+    blocks: [BlockId; 2],
+    len: u8,
+}
+
+impl std::ops::Deref for Successors {
+    type Target = [BlockId];
+
+    fn deref(&self) -> &[BlockId] {
+        &self.blocks[..self.len as usize]
+    }
+}
+
+impl IntoIterator for Successors {
+    type Item = BlockId;
+    type IntoIter = std::iter::Take<std::array::IntoIter<BlockId, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.blocks.into_iter().take(self.len as usize)
+    }
+}
+
 impl Terminator {
     /// The successor blocks of this terminator, in branch order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+    pub fn successors(&self) -> Successors {
+        let (blocks, len) = match *self {
+            Terminator::Jump(b) => ([b, b], 1),
             Terminator::Branch {
                 on_true, on_false, ..
-            } => vec![*on_true, *on_false],
-            Terminator::Return(_) => vec![],
-        }
+            } => ([on_true, on_false], 2),
+            Terminator::Return(_) => ([BlockId(0); 2], 0),
+        };
+        Successors { blocks, len }
     }
 
     /// The condition value, if this is a conditional branch.
@@ -122,15 +148,16 @@ impl BasicBlock {
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub struct Function {
-    name: String,
-    // Blocks are individually Arc-backed so cloning a function — which the
-    // transformation search does once per candidate — shares every block
-    // until it is actually mutated ([`Arc::make_mut`] in the mutating
-    // accessors). Untouched blocks therefore stay pointer-identical across
-    // a parent and its candidates, which keeps candidate cloning cheap.
+    // Blocks and ops are individually Arc-backed so cloning a function —
+    // which the transformation search does once per candidate — shares
+    // every block and op until it is actually mutated ([`Arc::make_mut`]
+    // in the mutating accessors). Untouched blocks and ops therefore stay
+    // pointer-identical across a parent and its candidates, which keeps
+    // candidate cloning to one reference-count bump per arena slot.
+    name: Arc<str>,
     blocks: Vec<Arc<BasicBlock>>,
-    ops: Vec<Op>,
-    mems: Vec<Memory>,
+    ops: Vec<Arc<Op>>,
+    mems: Arc<Vec<Memory>>,
     entry: BlockId,
 }
 
@@ -138,10 +165,10 @@ impl Function {
     /// Creates a function with a single empty entry block.
     pub fn new(name: impl Into<String>) -> Self {
         Function {
-            name: name.into(),
+            name: Arc::from(name.into()),
             blocks: vec![Arc::new(BasicBlock::new())],
             ops: Vec::new(),
-            mems: Vec::new(),
+            mems: Arc::new(Vec::new()),
             entry: BlockId(0),
         }
     }
@@ -207,12 +234,24 @@ impl Function {
         &self.ops[id.index()]
     }
 
-    /// Mutably accesses an operation.
+    /// Mutably accesses an operation, un-sharing it first if its storage
+    /// is shared with clones of this function (copy-on-write). Call it
+    /// only on ops that really change: every call un-shares one op.
     ///
     /// # Panics
     /// Panics if `id` is out of range.
     pub fn op_mut(&mut self, id: OpId) -> &mut Op {
-        &mut self.ops[id.index()]
+        Arc::make_mut(&mut self.ops[id.index()])
+    }
+
+    /// Whether `self` and `other` share the physical storage of op `id`
+    /// (true only for never-mutated ops of clones). The op counterpart
+    /// of [`Function::shares_block_storage`].
+    pub fn shares_op_storage(&self, other: &Function, id: OpId) -> bool {
+        match (self.ops.get(id.index()), other.ops.get(id.index())) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Accesses a memory.
@@ -234,7 +273,7 @@ impl Function {
     /// Declares a memory and returns its id.
     pub fn add_memory(&mut self, name: impl Into<String>, size: u32) -> MemId {
         let id = MemId::new(self.mems.len());
-        self.mems.push(Memory {
+        Arc::make_mut(&mut self.mems).push(Memory {
             name: name.into(),
             size,
         });
@@ -270,7 +309,7 @@ impl Function {
     pub fn emit(&mut self, block: BlockId, op: Op) -> OpId {
         let is_phi = matches!(op.kind, OpKind::Phi(_));
         let id = OpId::new(self.ops.len());
-        self.ops.push(op);
+        self.ops.push(Arc::new(op));
         let phi_pos = if is_phi {
             let b = &self.blocks[block.index()];
             Some(
@@ -297,7 +336,7 @@ impl Function {
     /// by transformations that control placement precisely.
     pub fn emit_detached(&mut self, op: Op) -> OpId {
         let id = OpId::new(self.ops.len());
-        self.ops.push(op);
+        self.ops.push(Arc::new(op));
         id
     }
 
@@ -309,7 +348,7 @@ impl Function {
     /// Panics if `index > block.ops.len()`.
     pub fn insert(&mut self, block: BlockId, index: usize, op: Op) -> OpId {
         let id = OpId::new(self.ops.len());
-        self.ops.push(op);
+        self.ops.push(Arc::new(op));
         Arc::make_mut(&mut self.blocks[block.index()])
             .ops
             .insert(index, id);
@@ -569,7 +608,7 @@ mod tests {
             on_false: BlockId(2),
         };
         t.retarget(BlockId(2), BlockId(5));
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(5)]);
+        assert_eq!(*t.successors(), [BlockId(1), BlockId(5)]);
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub mod rewrite;
 pub mod verify;
 
 pub use dom::DomTree;
-pub use func::{BasicBlock, Function, Memory, Terminator};
+pub use func::{BasicBlock, Function, Memory, Successors, Terminator};
 pub use ids::{BlockId, MemId, OpId};
 pub use loops::{LoopForest, NaturalLoop};
 pub use op::{BinOp, Op, OpKind, UnOp};

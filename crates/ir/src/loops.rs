@@ -47,7 +47,6 @@ impl LoopForest {
     /// source. Multiple back edges to one header are merged into a single
     /// loop (shared header ⇒ same loop).
     pub fn compute(f: &Function, dom: &DomTree) -> Self {
-        let reach = crate::cfg::reachable(f);
         let preds = f.predecessors();
         let mut headers: Vec<BlockId> = Vec::new();
         let mut latches_of: Vec<Vec<BlockId>> = Vec::new();
@@ -73,7 +72,7 @@ impl LoopForest {
             body.insert(header);
             let mut stack: Vec<BlockId> = latches.clone();
             while let Some(b) = stack.pop() {
-                if !reach[b.index()] {
+                if dom.rpo_index(b) == usize::MAX {
                     continue; // unreachable preds are not part of the loop
                 }
                 if body.insert(b) {

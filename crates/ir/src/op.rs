@@ -301,6 +301,24 @@ impl OpKind {
         }
     }
 
+    /// Whether `v` is one of this operation's value operands (phi
+    /// operands included). Allocation-free; lets rewrites skip ops they
+    /// would not change.
+    pub fn uses(&self, v: OpId) -> bool {
+        match self {
+            OpKind::Const(_) | OpKind::Input(_) => false,
+            OpKind::Bin(_, a, b) => *a == v || *b == v,
+            OpKind::Un(_, a) | OpKind::Load { addr: a, .. } | OpKind::Output(_, a) => *a == v,
+            OpKind::Mux {
+                cond,
+                on_true,
+                on_false,
+            } => *cond == v || *on_true == v || *on_false == v,
+            OpKind::Phi(incoming) => incoming.iter().any(|&(_, x)| x == v),
+            OpKind::Store { addr, value, .. } => *addr == v || *value == v,
+        }
+    }
+
     /// Returns the value operands of this operation as a fresh vector.
     pub fn operands(&self) -> Vec<OpId> {
         let mut out = Vec::new();
@@ -477,6 +495,38 @@ mod tests {
             vec![a, b]
         );
         assert_eq!(OpKind::Output("o".into(), c).operands(), vec![c]);
+    }
+
+    #[test]
+    fn uses_agrees_with_operands() {
+        let kinds = [
+            OpKind::Const(3),
+            OpKind::Input("x".into()),
+            OpKind::Bin(BinOp::Add, OpId(0), OpId(1)),
+            OpKind::Un(UnOp::Neg, OpId(2)),
+            OpKind::Mux {
+                cond: OpId(0),
+                on_true: OpId(1),
+                on_false: OpId(2),
+            },
+            OpKind::Phi(vec![(BlockId(0), OpId(1)), (BlockId(1), OpId(2))]),
+            OpKind::Load {
+                mem: MemId(0),
+                addr: OpId(2),
+            },
+            OpKind::Store {
+                mem: MemId(0),
+                addr: OpId(0),
+                value: OpId(1),
+            },
+            OpKind::Output("o".into(), OpId(1)),
+        ];
+        for kind in &kinds {
+            for v in 0..4 {
+                let v = OpId(v);
+                assert_eq!(kind.uses(v), kind.operands().contains(&v), "{kind:?} {v}");
+            }
+        }
     }
 
     #[test]

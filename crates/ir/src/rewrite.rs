@@ -4,21 +4,24 @@
 
 use crate::cfg::reachable;
 use crate::func::{Function, Terminator};
-use crate::ids::OpId;
+use crate::ids::{BlockId, OpId};
 use crate::op::OpKind;
 
 /// Replaces every use of `from` with `to`, in operand lists and branch
 /// conditions. Does not touch the definition of `from` itself.
 ///
-/// Only a block whose branch condition changes is un-shared
-/// (copy-on-write); operands live in the op arena, not in blocks.
+/// Only the ops that use `from`, and a block whose branch condition
+/// changes, are un-shared (copy-on-write).
 pub fn replace_all_uses(f: &mut Function, from: OpId, to: OpId) {
-    for b in f.block_ids().collect::<Vec<_>>() {
+    for b in 0..f.num_blocks() {
+        let b = BlockId::new(b);
         for i in 0..f.block(b).ops.len() {
             let op = f.block(b).ops[i];
-            f.op_mut(op)
-                .kind
-                .map_operands(|v| if v == from { to } else { v });
+            if f.op(op).kind.uses(from) {
+                f.op_mut(op)
+                    .kind
+                    .map_operands(|v| if v == from { to } else { v });
+            }
         }
         if f.block(b).term.condition() == Some(from) {
             if let Terminator::Branch { cond, .. } = &mut f.block_mut(b).term {
@@ -252,13 +255,21 @@ mod tests {
             "DCE copied an untouched block"
         );
         assert!(!g.shares_block_storage(&f, t));
+        // DCE only detaches ops: the arena stays shared.
+        for i in 0..f.num_ops() {
+            assert!(g.shares_op_storage(&f, OpId::new(i)), "DCE copied op {i}");
+        }
 
-        // Rewriting operands touches the op arena only; a branch condition
-        // rewrite un-shares just the branching block.
+        // Rewriting operands un-shares only the ops that used the value;
+        // a branch condition rewrite un-shares just the branching block.
         let mut h = f.clone();
         replace_all_uses(&mut h, y, x);
         assert_eq!(h.op(live).kind, OpKind::Bin(BinOp::Add, x, x));
         assert!(h.shares_block_storage(&f, e) && h.shares_block_storage(&f, t));
+        for i in 0..f.num_ops() {
+            let op = OpId::new(i);
+            assert_eq!(h.shares_op_storage(&f, op), op != live, "op {op}");
+        }
         replace_all_uses(&mut h, c, x);
         assert!(!h.shares_block_storage(&f, e));
         assert!(h.shares_block_storage(&f, t));

@@ -4,12 +4,10 @@
 //! `verify` call in tests, catching malformed phis, dominance violations,
 //! and dangling references early.
 
-use crate::cfg::reachable;
 use crate::dom::DomTree;
 use crate::func::{Function, Terminator};
 use crate::ids::{BlockId, OpId};
 use crate::op::OpKind;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -52,23 +50,30 @@ fn err(message: impl Into<String>) -> VerifyError {
 pub fn verify(f: &Function) -> Result<(), VerifyError> {
     let n_ops = f.num_ops();
     let n_blocks = f.num_blocks();
+    let n_mems = f.memories().count();
 
-    // Reference ranges and uniqueness of placement.
+    // Reference ranges and uniqueness of placement. `home` doubles as
+    // the duplicate detector: an op already homed in `b` appears twice.
     let mut home: Vec<Option<BlockId>> = vec![None; n_ops];
+    // Position of each op within its block, for same-block ordering checks.
+    let mut pos: Vec<usize> = vec![usize::MAX; n_ops];
     for b in f.block_ids() {
         let mut seen_non_phi = false;
-        let mut in_block: HashSet<OpId> = HashSet::new();
-        for &op in &f.block(b).ops {
+        for (i, &op) in f.block(b).ops.iter().enumerate() {
             if op.index() >= n_ops {
                 return Err(err(format!("block {b} references out-of-range op {op}")));
             }
-            if !in_block.insert(op) {
-                return Err(err(format!("op {op} appears twice in block {b}")));
-            }
-            if let Some(other) = home[op.index()] {
-                return Err(err(format!("op {op} placed in both {other} and {b}")));
+            match home[op.index()] {
+                Some(other) if other == b => {
+                    return Err(err(format!("op {op} appears twice in block {b}")));
+                }
+                Some(other) => {
+                    return Err(err(format!("op {op} placed in both {other} and {b}")));
+                }
+                None => {}
             }
             home[op.index()] = Some(b);
+            pos[op.index()] = i;
             let is_phi = matches!(f.op(op).kind, OpKind::Phi(_));
             if is_phi && seen_non_phi {
                 return Err(err(format!("phi {op} after non-phi ops in block {b}")));
@@ -77,7 +82,7 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
                 seen_non_phi = true;
             }
             if let Some(mem) = f.op(op).kind.memory() {
-                if mem.index() >= f.memories().count() {
+                if mem.index() >= n_mems {
                     return Err(err(format!("op {op} references unknown memory {mem}")));
                 }
             }
@@ -89,16 +94,14 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
         }
     }
 
-    let reach = reachable(f);
+    // Reachable blocks are exactly those the dominator tree orders.
     let dom = DomTree::compute(f);
-    let preds = f.predecessors();
-
-    // Position of each op within its block, for same-block ordering checks.
-    let mut pos: Vec<usize> = vec![usize::MAX; n_ops];
-    for b in f.block_ids() {
-        for (i, &op) in f.block(b).ops.iter().enumerate() {
-            pos[op.index()] = i;
-        }
+    let reach = |b: BlockId| dom.rpo_index(b) != usize::MAX;
+    // Each block's distinct predecessors, sorted: what its phis must cover.
+    let mut preds = f.predecessors();
+    for p in &mut preds {
+        p.sort();
+        p.dedup();
     }
 
     let defined_before =
@@ -119,30 +122,29 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
             Ok(())
         };
 
+    let mut got: Vec<BlockId> = Vec::new();
+    let mut operands: Vec<OpId> = Vec::new();
     for b in f.block_ids() {
-        if !reach[b.index()] {
+        if !reach(b) {
             continue;
         }
         for (i, &op) in f.block(b).ops.iter().enumerate() {
             match &f.op(op).kind {
                 OpKind::Phi(incoming) => {
-                    let mut expected: Vec<BlockId> = preds[b.index()].clone();
-                    expected.sort();
-                    expected.dedup();
-                    let mut got: Vec<BlockId> = incoming.iter().map(|(p, _)| *p).collect();
+                    let expected = &preds[b.index()];
+                    got.clear();
+                    got.extend(incoming.iter().map(|(p, _)| *p));
                     got.sort();
-                    let mut got_dedup = got.clone();
-                    got_dedup.dedup();
-                    if got_dedup.len() != got.len() {
+                    if got.windows(2).any(|w| w[0] == w[1]) {
                         return Err(err(format!("phi {op} has duplicate predecessor entries")));
                     }
-                    if got_dedup != expected {
+                    if got != *expected {
                         return Err(err(format!(
-                            "phi {op} in {b} has entries {got_dedup:?} but predecessors are {expected:?}"
+                            "phi {op} in {b} has entries {got:?} but predecessors are {expected:?}"
                         )));
                     }
                     for (pred, value) in incoming {
-                        if !reach[pred.index()] {
+                        if !reach(*pred) {
                             continue;
                         }
                         let def_block = home[value.index()]
@@ -155,7 +157,9 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
                     }
                 }
                 kind => {
-                    for v in kind.operands() {
+                    operands.clear();
+                    kind.operands_into(&mut operands);
+                    for &v in &operands {
                         defined_before(v, b, i)?;
                     }
                 }

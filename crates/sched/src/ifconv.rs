@@ -189,9 +189,17 @@ fn convert_one(f: &mut Function, report: &mut IfConvReport) -> bool {
         f.set_terminator(merge, Terminator::Return(None));
 
         // Phis in merge's successors referenced `merge` as pred; now `d`.
+        // Only phis with an edge from `merge` change (copy-on-write).
         for succ in f.block(d).term.successors() {
-            let ops = f.block(succ).ops.clone();
-            for op in ops {
+            for i in 0..f.block(succ).ops.len() {
+                let op = f.block(succ).ops[i];
+                let from_merge = match &f.op(op).kind {
+                    OpKind::Phi(incoming) => incoming.iter().any(|(p, _)| *p == merge),
+                    _ => false,
+                };
+                if !from_merge {
+                    continue;
+                }
                 if let OpKind::Phi(incoming) = &mut f.op_mut(op).kind {
                     for (p, _) in incoming.iter_mut() {
                         if *p == merge {

@@ -7,8 +7,8 @@
 //! `(y1-y3)+(y2-y4)` is better depends entirely on which units the
 //! surrounding schedule leaves idle.
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
-use crate::util::{as_bin, placed_ops, use_counts};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::util::{as_bin, placed_ops};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
 
 /// Operand swap of commutative operations (and mirrored comparisons).
@@ -19,7 +19,8 @@ impl Transform for Commutativity {
         TransformKind::Commutativity
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
         let mut out = Vec::new();
         for (b, op) in placed_ops(f) {
             if !region.covers(b) {
@@ -87,9 +88,20 @@ impl Transform for Associativity {
         TransformKind::Associativity
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let uses = use_counts(f);
-        let users = f.uses();
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
+        let uses = parent.use_counts();
+        // Values some placed op of their own operator consumes.
+        let mut fed_to_same = vec![false; f.num_ops()];
+        for (_, u) in placed_ops(f) {
+            if let Some((b2, x, y)) = as_bin(f, u) {
+                for v in [x, y] {
+                    if as_bin(f, v).is_some_and(|(b1, ..)| b1 == b2) {
+                        fed_to_same[v.index()] = true;
+                    }
+                }
+            }
+        }
         let mut out = Vec::new();
         for (b, op) in placed_ops(f) {
             if !region.covers(b) {
@@ -104,10 +116,7 @@ impl Transform for Associativity {
             // Skip non-root ops of a chain (their root will handle them).
             let is_chain_elem =
                 |v: OpId| as_bin(f, v).is_some_and(|(b2, ..)| b2 == bin) && uses[v.index()] == 1;
-            let used_by_same = users[op.index()]
-                .iter()
-                .any(|&u| as_bin(f, u).is_some_and(|(b2, ..)| b2 == bin))
-                && uses[op.index()] == 1;
+            let used_by_same = fed_to_same[op.index()] && uses[op.index()] == 1;
             if used_by_same {
                 continue;
             }
@@ -115,7 +124,7 @@ impl Transform for Associativity {
                 continue;
             }
 
-            let leaves = Self::leaves(f, op, bin, &uses);
+            let leaves = Self::leaves(f, op, bin, uses);
             if leaves.len() < 3 {
                 continue;
             }
@@ -266,8 +275,9 @@ impl Transform for Distributivity {
         TransformKind::Distributivity
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let uses = use_counts(f);
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
+        let uses = parent.use_counts();
         let mut out = Vec::new();
         for (b, op) in placed_ops(f) {
             if !region.covers(b) {

@@ -7,16 +7,20 @@
 //! paper's transformation list, and the enabling transformation for the
 //! power reductions on loop-heavy benchmarks.
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
-use fact_ir::{BlockId, DomTree, Function, LoopForest, OpId, OpKind, Terminator};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use fact_ir::{BlockId, Function, OpId, OpKind, Terminator};
 use std::collections::HashSet;
 
 /// The loop-invariant code-motion transformation.
 pub struct CodeMotion;
 
 /// The unique out-of-loop predecessor of the loop header, if any.
-fn preheader(f: &Function, header: BlockId, body: &HashSet<BlockId>) -> Option<BlockId> {
-    let preds = f.predecessors();
+fn preheader(
+    f: &Function,
+    preds: &[Vec<BlockId>],
+    header: BlockId,
+    body: &HashSet<BlockId>,
+) -> Option<BlockId> {
     let outside: Vec<BlockId> = preds[header.index()]
         .iter()
         .copied()
@@ -42,14 +46,13 @@ impl Transform for CodeMotion {
         TransformKind::CodeMotion
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let dom = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dom);
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
         let mut out = Vec::new();
 
-        for l in forest.loops() {
+        for l in parent.loops().loops() {
             let body: HashSet<BlockId> = l.body.iter().copied().collect();
-            let Some(ph) = preheader(f, l.header, &body) else {
+            let Some(ph) = preheader(f, parent.preds(), l.header, &body) else {
                 continue;
             };
             // Ops defined inside the loop.
@@ -127,6 +130,7 @@ impl Transform for CodeMotion {
 mod tests {
     use super::*;
     use fact_ir::verify::verify;
+    use fact_ir::{DomTree, LoopForest};
     use fact_lang::compile;
     use fact_sim::{check_equivalence, generate, InputSpec};
 

@@ -6,7 +6,7 @@
 //! enabled rewrite at once (iterated to a fixed point) — matching how
 //! compilers treat it \[2\] — rather than one candidate per site.
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
 use crate::util::placed_ops;
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses, try_fold};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
@@ -91,8 +91,8 @@ impl Transform for ConstantPropagation {
         TransformKind::ConstantPropagation
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let mut g = f.clone();
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let mut g = parent.function().clone();
         let mut total = 0;
         loop {
             let n = apply_once(&mut g, region);

@@ -19,8 +19,8 @@
 //! per-thread copies expose *intra-thread* algebraic rewrites — e.g. the
 //! distributivity of Example 3 — to the rest of the library.
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
-use fact_ir::{DomTree, Function, Op, OpKind};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use fact_ir::{Op, OpKind};
 
 /// The phi-sinking transformation.
 pub struct PhiSink;
@@ -30,17 +30,15 @@ impl Transform for PhiSink {
         TransformKind::PhiSink
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let dom = DomTree::compute(f);
-        let preds = f.predecessors();
-        let op_blocks = f.op_blocks();
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
         let mut out = Vec::new();
 
         for m in f.block_ids() {
             if !region.covers(m) {
                 continue;
             }
-            let pred_list = &preds[m.index()];
+            let pred_list = &parent.preds()[m.index()];
             if pred_list.len() < 2 {
                 continue;
             }
@@ -74,11 +72,11 @@ impl Transform for PhiSink {
                     if phis.contains(&v) {
                         continue;
                     }
-                    let Some(def_b) = op_blocks[v.index()] else {
+                    let Some(def_b) = parent.op_blocks()[v.index()] else {
                         continue 'ops;
                     };
                     for &p in pred_list {
-                        if !dom.dominates(def_b, p) || def_b == m {
+                        if !parent.dom().dominates(def_b, p) || def_b == m {
                             continue 'ops;
                         }
                     }
@@ -144,6 +142,7 @@ impl Transform for PhiSink {
 mod tests {
     use super::*;
     use fact_ir::verify::verify;
+    use fact_ir::Function;
     use fact_lang::compile;
     use fact_sim::{check_equivalence, generate, InputSpec};
 

@@ -11,9 +11,9 @@
 //! in [`TransformLibrary::full`](crate::TransformLibrary::full), so the
 //! paper-faithful experiments keep the paper's exact suite.
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses};
-use fact_ir::{DomTree, Function, OpId, OpKind};
+use fact_ir::{Function, OpId, OpKind};
 use std::collections::HashMap;
 
 /// The common-subexpression-elimination transformation.
@@ -52,10 +52,10 @@ impl Transform for CommonSubexpression {
         TransformKind::ConstantPropagation // same family: always-profitable cleanup
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let dom = DomTree::compute(f);
-        let op_blocks = f.op_blocks();
-        let mut g = f.clone();
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let dom = parent.dom();
+        let op_blocks = parent.op_blocks();
+        let mut g = parent.function().clone();
         let mut replaced = 0usize;
 
         // Iterate to a fixed point: unifying one pair can expose another.

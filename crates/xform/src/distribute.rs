@@ -25,8 +25,8 @@
 //!   cross-group effects; disjoint memories make store reordering
 //!   unobservable, output streams would not be).
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
-use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use fact_ir::{BlockId, Function, NaturalLoop, Op, OpId, OpKind, Terminator};
 use std::collections::{HashMap, HashSet};
 
 /// The loop-distribution transformation.
@@ -37,9 +37,9 @@ impl Transform for LoopDistribution {
         TransformKind::LoopUnroll // loop-restructuring family
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let dom = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dom);
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let f = parent.function();
+        let forest = parent.loops();
         let mut out = Vec::new();
         for l in forest.loops() {
             if !region.covers(l.header) {
@@ -493,11 +493,13 @@ fn build_cloned_loop(
             if b == s.header || b == s.body || b == header2 || b == body2 {
                 continue;
             }
-            let ops = g.block(b).ops.clone();
-            for u in ops {
-                g.op_mut(u)
-                    .kind
-                    .map_operands(|v| if v == op { new } else { v });
+            for i in 0..g.block(b).ops.len() {
+                let u = g.block(b).ops[i];
+                if g.op(u).kind.uses(op) {
+                    g.op_mut(u)
+                        .kind
+                        .map_operands(|v| if v == op { new } else { v });
+                }
             }
             if let Terminator::Branch { cond, .. } = &mut g.block_mut(b).term {
                 if *cond == op {
@@ -517,6 +519,7 @@ fn build_cloned_loop(
 mod tests {
     use super::*;
     use fact_ir::verify::verify;
+    use fact_ir::{DomTree, LoopForest};
     use fact_lang::compile;
     use fact_sim::{check_equivalence, generate, InputSpec};
 

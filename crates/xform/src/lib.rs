@@ -25,4 +25,4 @@ pub mod transform;
 pub mod unroll;
 pub mod util;
 
-pub use transform::{Candidate, Region, Transform, TransformKind, TransformLibrary};
+pub use transform::{Candidate, Parent, Region, Transform, TransformKind, TransformLibrary};

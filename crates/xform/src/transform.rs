@@ -8,7 +8,8 @@
 //! is how the algorithm "directs its focus on the critical sections of
 //! the behavior".
 
-use fact_ir::{BlockId, Function};
+use fact_ir::{BlockId, DomTree, Function, LoopForest};
+use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
 
@@ -94,16 +95,81 @@ impl Region {
     }
 }
 
+/// The function being expanded, with the analyses its transformations
+/// read. Each analysis is computed on first use and then shared, so one
+/// pass of [`TransformLibrary::all_candidates`] computes the parent's
+/// dominators, loops and predecessors at most once.
+pub struct Parent<'a> {
+    f: &'a Function,
+    dom: OnceCell<DomTree>,
+    loops: OnceCell<LoopForest>,
+    preds: OnceCell<Vec<Vec<BlockId>>>,
+    op_blocks: OnceCell<Vec<Option<BlockId>>>,
+    use_counts: OnceCell<Vec<usize>>,
+}
+
+impl<'a> Parent<'a> {
+    /// Wraps `f`; nothing is computed yet.
+    pub fn new(f: &'a Function) -> Self {
+        Parent {
+            f,
+            dom: OnceCell::new(),
+            loops: OnceCell::new(),
+            preds: OnceCell::new(),
+            op_blocks: OnceCell::new(),
+            use_counts: OnceCell::new(),
+        }
+    }
+
+    /// The function itself.
+    pub fn function(&self) -> &'a Function {
+        self.f
+    }
+
+    /// Its dominator tree.
+    pub fn dom(&self) -> &DomTree {
+        self.dom.get_or_init(|| DomTree::compute(self.f))
+    }
+
+    /// Its natural loops.
+    pub fn loops(&self) -> &LoopForest {
+        self.loops
+            .get_or_init(|| LoopForest::compute(self.f, self.dom()))
+    }
+
+    /// Its predecessor lists ([`Function::predecessors`]).
+    pub fn preds(&self) -> &[Vec<BlockId>] {
+        self.preds.get_or_init(|| self.f.predecessors())
+    }
+
+    /// The block holding each op ([`Function::op_blocks`]).
+    pub fn op_blocks(&self) -> &[Option<BlockId>] {
+        self.op_blocks.get_or_init(|| self.f.op_blocks())
+    }
+
+    /// Use counts including branch conditions ([`crate::util::use_counts`]).
+    pub fn use_counts(&self) -> &[usize] {
+        self.use_counts
+            .get_or_init(|| crate::util::use_counts(self.f))
+    }
+}
+
 /// A transformation that can enumerate candidates.
 pub trait Transform {
     /// The transformation's class.
     fn kind(&self) -> TransformKind;
 
-    /// Proposes transformed copies of `f`, touching only `region`.
+    /// Proposes transformed copies of `parent`'s function, touching only
+    /// `region`.
     ///
     /// Implementations must return *functionally equivalent* candidates;
     /// the test suites enforce this with randomized equivalence checking.
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate>;
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate>;
+
+    /// [`Transform::expand`] on a function with no analyses computed yet.
+    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
+        self.expand(&Parent::new(f), region)
+    }
 }
 
 /// A collection of transformations (the paper's `T.lib` in Figure 6).
@@ -161,10 +227,13 @@ impl TransformLibrary {
 
     /// Enumerates candidates from every transformation (Figure 6,
     /// `Identify_and_apply_candidate_transformations`).
+    /// Every transformation sees the same [`Parent`], so the analyses
+    /// they share are computed once per call.
     pub fn all_candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
+        let parent = Parent::new(f);
         let mut out = Vec::new();
         for t in &self.transforms {
-            out.extend(t.candidates(f, region));
+            out.extend(t.expand(&parent, region));
         }
         out
     }

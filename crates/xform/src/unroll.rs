@@ -9,7 +9,7 @@
 //! the scheduler also performs *implicit* unrolling; this is the explicit
 //! library transformation).
 
-use crate::transform::{Candidate, Region, Transform, TransformKind};
+use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator};
 use std::collections::HashMap;
 
@@ -34,9 +34,8 @@ impl Transform for LoopUnroll {
         TransformKind::LoopUnroll
     }
 
-    fn candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
-        let dom = DomTree::compute(f);
-        let forest = LoopForest::compute(f, &dom);
+    fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
+        let forest = parent.loops();
         let mut out = Vec::new();
         for l in forest.loops() {
             if !region.covers(l.header) {
@@ -50,7 +49,7 @@ impl Transform for LoopUnroll {
             {
                 continue;
             }
-            if let Some(g) = unroll_once_times(f, l, self.factor) {
+            if let Some(g) = unroll_once_times(parent, l, self.factor) {
                 out.push(Candidate {
                     kind: TransformKind::LoopUnroll,
                     description: format!("unroll loop at {} by {}", l.header, self.factor),
@@ -65,20 +64,22 @@ impl Transform for LoopUnroll {
 /// Unrolls `l` by `factor` (chaining `factor - 1` body copies). Returns
 /// `None` if the loop shape is unsupported: the loop must have a single
 /// latch and a single exit edge leaving from the header.
-fn unroll_once_times(f: &Function, l: &NaturalLoop, factor: u32) -> Option<Function> {
-    let mut g = f.clone();
-    let mut copies = 0;
-    for _ in 1..factor {
-        match unroll_one_copy(&g, l.header) {
-            Some(next) => {
-                g = next;
-                copies += 1;
-            }
-            // Re-unrolling introduces multiple exits, which the copier
-            // does not support; keep what we have (factor degrades).
-            None if copies > 0 => break,
-            None => return None,
-        }
+fn unroll_once_times(parent: &Parent<'_>, l: &NaturalLoop, factor: u32) -> Option<Function> {
+    // The first copy reads the parent's own analyses.
+    let mut g = unroll_one_copy(parent.function(), parent.dom(), l)?;
+    for _ in 2..factor {
+        // Later copies re-detect the loop, since prior copies changed
+        // block ids. Re-unrolling introduces multiple exits, which the
+        // copier does not support; keep what we have (factor degrades).
+        let dom = DomTree::compute(&g);
+        let forest = LoopForest::compute(&g, &dom);
+        let Some(next) = forest
+            .loop_with_header(l.header)
+            .and_then(|l| unroll_one_copy(&g, &dom, l))
+        else {
+            break;
+        };
+        g = next;
     }
     fact_ir::rewrite::simplify_phis(&mut g);
     fact_ir::rewrite::eliminate_dead_code(&mut g);
@@ -86,12 +87,9 @@ fn unroll_once_times(f: &Function, l: &NaturalLoop, factor: u32) -> Option<Funct
     Some(g)
 }
 
-/// Adds one more body copy to the loop headed at `header` (re-detecting
-/// the loop in `f`, since prior copies changed block ids).
-fn unroll_one_copy(f: &Function, header: BlockId) -> Option<Function> {
-    let dom = DomTree::compute(f);
-    let forest = LoopForest::compute(f, &dom);
-    let l = forest.loop_with_header(header)?.clone();
+/// Adds one more body copy to the loop `l` of `f` (`dom` is `f`'s
+/// dominator tree).
+fn unroll_one_copy(f: &Function, dom: &DomTree, l: &NaturalLoop) -> Option<Function> {
     if l.latches.len() != 1 || l.exits.len() != 1 || l.exits[0].0 != l.header {
         return None;
     }
@@ -201,10 +199,11 @@ fn unroll_one_copy(f: &Function, header: BlockId) -> Option<Function> {
     g.block_mut(new_latch).term.retarget(new_header, l.header);
 
     // The copied latch loops back to the original header: update header
-    // phis' latch entries to the copied iteration's values.
+    // phis' latch entries to the copied iteration's values. A latch value
+    // that is itself a header phi (`a = b` in the body) maps to that
+    // phi's own latch value, like any other use in the copy.
     for &phi in &header_phis {
-        let latch_v = phi_latch[&phi];
-        let second_v = op_copy.get(&latch_v).copied().unwrap_or(latch_v);
+        let second_v = map_val(phi_latch[&phi], &op_copy);
         if let OpKind::Phi(incoming) = &mut g.op_mut(phi).kind {
             for (p, v) in incoming.iter_mut() {
                 if *p == latch {
@@ -225,7 +224,15 @@ fn unroll_one_copy(f: &Function, header: BlockId) -> Option<Function> {
         .collect();
 
     // Existing phis in the exit block referencing the header.
-    for &op in &g.block(exit_block).ops.clone() {
+    for i in 0..g.block(exit_block).ops.len() {
+        let op = g.block(exit_block).ops[i];
+        let from_header = match &g.op(op).kind {
+            OpKind::Phi(incoming) => incoming.iter().any(|(p, _)| *p == l.header),
+            _ => false,
+        };
+        if !from_header {
+            continue;
+        }
         if let OpKind::Phi(incoming) = &mut g.op_mut(op).kind {
             let extra: Vec<(BlockId, OpId)> = incoming
                 .iter()
@@ -253,17 +260,17 @@ fn unroll_one_copy(f: &Function, header: BlockId) -> Option<Function> {
                 continue;
             }
             for &u in &g.block(b).ops {
-                if g.op(u).kind.operands().contains(&v) {
+                if g.op(u).kind.uses(v) {
                     outside_users.push((b, u));
                 }
             }
         }
         // Uses in the exit block itself (non-phi).
-        for &u in &g.block(exit_block).ops.clone() {
+        for &u in &g.block(exit_block).ops {
             if matches!(g.op(u).kind, OpKind::Phi(_)) {
                 continue;
             }
-            if g.op(u).kind.operands().contains(&v) {
+            if g.op(u).kind.uses(v) {
                 outside_users.push((exit_block, u));
             }
         }
@@ -340,6 +347,31 @@ mod tests {
         let forest = LoopForest::compute(g, &dom);
         assert_eq!(forest.loops().len(), 1);
         assert!(forest.loops()[0].body.len() > 2);
+    }
+
+    #[test]
+    fn rotated_loop_values_unroll_and_match() {
+        // `p` takes the previous iteration's `q`: its header phi's latch
+        // value is another header phi. The copied iteration must send
+        // `q`'s first-iteration update back to `p`, not `q` itself.
+        let f = compile(
+            r#"
+            proc f(n, a, b) {
+                var p = a; var q = b; var i = 0;
+                while (i < n) { p = q; q = q * 3 + i; i = i + 1; }
+                out p = p; out q = q;
+            }
+            "#,
+        )
+        .unwrap();
+        let cands = unroll2(&f);
+        assert_eq!(cands.len(), 1);
+        verify(&cands[0].function).unwrap();
+        let specs: Vec<_> = [("n", 0, 7), ("a", -9, 9), ("b", -9, 9)]
+            .iter()
+            .map(|&(v, lo, hi)| (v.to_string(), InputSpec::Uniform { lo, hi }))
+            .collect();
+        check_equivalence(&f, &cands[0].function, &generate(&specs, 60, 5), 3).unwrap();
     }
 
     #[test]

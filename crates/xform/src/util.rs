@@ -6,9 +6,12 @@ use fact_ir::{BlockId, Function, OpId, OpKind, Terminator};
 /// [`Function::uses`] excludes).
 pub fn use_counts(f: &Function) -> Vec<usize> {
     let mut counts = vec![0usize; f.num_ops()];
+    let mut buf = Vec::new();
     for b in f.block_ids() {
         for &op in &f.block(b).ops {
-            for v in f.op(op).kind.operands() {
+            buf.clear();
+            f.op(op).kind.operands_into(&mut buf);
+            for v in &buf {
                 counts[v.index()] += 1;
             }
         }

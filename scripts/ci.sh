@@ -23,6 +23,11 @@ cargo test -q -p fact-core --release --test oracle_equiv
 echo "== list-scheduler invariant and production-vs-oracle tests"
 cargo test -q -p fact-sched --release --test schedule_properties --test listsched_oracle
 
+echo "== CFG/copy-on-write properties, transform soundness, neighbourhood digests"
+cargo test -q -p fact-ir --release --test graph_properties
+cargo test -q --release --test property
+cargo test -q -p fact-core --release --test neighbourhood_digest
+
 echo "== batched-vs-scalar simulation property tests"
 cargo test -q -p fact-sim --release --test batched_equiv
 
@@ -45,6 +50,9 @@ assert not idle, f"suites evaluated nothing: {idle}"
 # Scheduling time is reported as a subset of estimation time.
 split = [s["name"] for s in suites if not 0 <= s["schedule_s"] <= s["estimate_s"]]
 assert not split, f"schedule_s missing from or above estimate_s: {split}"
+# Expansion (search time outside candidate evaluation) is reported too.
+unexpanded = [s["name"] for s in suites if not s["expand_s"] >= 0]
+assert not unexpanded, f"expand_s missing or negative: {unexpanded}"
 print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
 EOF
 scripts/bench.sh sim --smoke \
