@@ -45,12 +45,16 @@ fn main() {
     // Human summary on stderr so `--smoke`'s stdout is pure JSON.
     for s in &p.suites {
         eprintln!(
-            "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  batched {:10.0} v/s  {:5.1}x",
+            "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  batched {:10.0} v/s  \
+             {:5.1}x = dedup {:6.1}x * lockstep {:5.2}x  chosen {:5.1}x",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
             s.scalar.vectors_per_sec,
             s.batched.vectors_per_sec,
+            s.batched_speedup,
+            s.dedup_factor,
+            s.lockstep_speedup,
             s.speedup
         );
     }

@@ -12,10 +12,18 @@
 //! wall-clock differs. The `sim_perf` bench target writes the result as
 //! `BENCH_sim.json`.
 //!
+//! Each pass is one production [`simulate`] call with no reference (the
+//! profile pass), and the engine the production policy picks
+//! ([`SimEngine::for_divergence`], fed the rate a batched pass measured)
+//! is reported next to both measurements.
+//!
 //! Vectors are counted *logically* (through [`SimCounters`]): a
-//! deduplicated lane of multiplicity `k` counts `k`, so constant-heavy
-//! trace sets (Test2, SINTRAN) show the dedup win while the all-distinct
-//! PPS set isolates the raw lockstep-lane win.
+//! deduplicated lane of multiplicity `k` counts `k`. The raw
+//! `batched_speedup` therefore multiplies two wins, and the report splits
+//! them: `dedup_factor` (trace vectors per distinct lane — FIR, Test2
+//! and SINTRAN collapse to one lane) and `lockstep_speedup` (batched
+//! throughput per distinct lane over scalar throughput per vector, the
+//! lockstep-execution win alone).
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
@@ -25,8 +33,7 @@ use fact_estim::section5_library;
 use fact_ir::Function;
 use fact_lang::compile;
 use fact_sim::{
-    generate, measure_divergence, profile_compiled_with, CompiledFn, ExecConfig, InputSpec,
-    SimCounters, SimEngine, TraceSet,
+    generate, simulate, CompiledFn, InputSpec, SimCounters, SimEngine, SimScratch, TraceSet,
 };
 use std::time::Instant;
 
@@ -35,7 +42,7 @@ use std::time::Instant;
 /// identically in every lane — low-bit LCG weakness), so no two lanes
 /// agree on a branch pattern and the lockstep engine's fast path starves. The §5 suite has
 /// nothing this hostile (GCD is the closest), which is exactly why the
-/// engine selector needs a measured rate rather than a structural guess.
+/// engine policy needs a measured rate rather than a structural guess.
 const RANDWALK_SRC: &str = r#"
 proc randwalk(s, n) {
     var acc = 0;
@@ -48,11 +55,6 @@ proc randwalk(s, n) {
     out r = acc;
 }
 "#;
-
-/// Divergence rate above which the selector picks the scalar engine —
-/// kept in lockstep with `SCALAR_DIVERGENCE_THRESHOLD` in
-/// `fact-core::pipeline`, which this bench exists to calibrate.
-const SCALAR_DIVERGENCE_THRESHOLD: f64 = 0.1;
 
 /// Throughput of one engine on one benchmark.
 #[derive(Clone, Debug)]
@@ -81,22 +83,29 @@ pub struct SimSuitePerf {
     /// Distinct vectors after [`TraceSet::dedup_lanes`] (the batched
     /// engine's actual per-pass workload).
     pub distinct_lanes: usize,
-    /// Measured divergence rate (slow lane-steps / total lane-steps) from
-    /// a single probe batch — the quantity the engine selector keys on.
+    /// Divergence rate (slow lane-steps / total lane-steps) measured over
+    /// one whole batched pass — the quantity the engine policy keys on.
     pub divergence_rate: f64,
-    /// Engine the selector picks for this behavior under these traces
-    /// (`"scalar"` or `"batched"`).
+    /// Engine [`SimEngine::for_divergence`] picks for this behavior under
+    /// these traces (`"scalar"` or `"batched"`).
     pub chosen: &'static str,
     /// Scalar-engine measurement.
     pub scalar: EnginePerf,
     /// Batched-engine measurement.
     pub batched: EnginePerf,
     /// Raw `batched.vectors_per_sec / scalar.vectors_per_sec`, engine
-    /// selector ignored.
+    /// policy ignored: `dedup_factor × lockstep_speedup`.
     pub batched_speedup: f64,
+    /// `trace_vectors / distinct_lanes`: the share of `batched_speedup`
+    /// that comes from running identical vectors once.
+    pub dedup_factor: f64,
+    /// Batched throughput per distinct lane over scalar throughput per
+    /// vector: the share of `batched_speedup` that comes from lockstep
+    /// execution.
+    pub lockstep_speedup: f64,
     /// Chosen-engine throughput over scalar throughput: the raw ratio
-    /// when the selector picks batched, exactly 1.0 when it picks scalar
-    /// (the selector is what makes the batched path never lose).
+    /// when the policy picks batched, exactly 1.0 when it picks scalar
+    /// (the policy is what makes the batched path never lose).
     pub speedup: f64,
 }
 
@@ -120,15 +129,19 @@ fn measure_engine(
     min_passes: usize,
     min_wall_s: f64,
 ) -> EnginePerf {
-    let config = ExecConfig {
-        engine,
-        ..ExecConfig::default()
-    };
     let counters = SimCounters::default();
+    let mut scratch = SimScratch::default();
     let mut passes = 0usize;
     let t0 = Instant::now();
     loop {
-        std::hint::black_box(profile_compiled_with(cf, traces, &config, Some(&counters)));
+        std::hint::black_box(simulate(
+            cf,
+            traces,
+            None,
+            engine,
+            Some(&counters),
+            &mut scratch,
+        ));
         passes += 1;
         if passes >= min_passes && (t0.elapsed().as_secs_f64() >= min_wall_s || passes >= 20_000) {
             break;
@@ -181,18 +194,20 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
         let traces = generate(&specs, vectors, 0x51AB5);
         let cf = CompiledFn::compile(&function);
         let distinct_lanes = traces.dedup_lanes().len();
-        // Bit-identity guard before timing anything.
-        let scalar_prof = profile_compiled_with(&cf, &traces, &scalar_config(), None);
-        let batched_prof = profile_compiled_with(&cf, &traces, &ExecConfig::default(), None);
+        // Bit-identity guard before timing anything; the batched pass
+        // also measures the rate the engine policy keys on.
+        let run_once =
+            |engine| simulate(&cf, &traces, None, engine, None, &mut SimScratch::default());
+        let batched_sim = run_once(SimEngine::default());
         assert_eq!(
-            scalar_prof, batched_prof,
+            run_once(SimEngine::Scalar).profile,
+            batched_sim.profile,
             "{name}: engines disagree on the profile"
         );
-        let divergence_rate = measure_divergence(&cf, &traces, &ExecConfig::default(), None);
-        let chosen = if divergence_rate > SCALAR_DIVERGENCE_THRESHOLD {
-            "scalar"
-        } else {
-            "batched"
+        let divergence_rate = batched_sim.divergence;
+        let chosen = match SimEngine::for_divergence(divergence_rate) {
+            SimEngine::Scalar => "scalar",
+            SimEngine::Batched { .. } => "batched",
         };
         let scalar = measure_engine(
             "scalar",
@@ -215,6 +230,7 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
         } else {
             0.0
         };
+        let dedup_factor = traces.len() as f64 / distinct_lanes as f64;
         let speedup = if chosen == "scalar" {
             1.0
         } else {
@@ -229,17 +245,12 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
             scalar,
             batched,
             batched_speedup,
+            dedup_factor,
+            lockstep_speedup: batched_speedup / dedup_factor,
             speedup,
         });
     }
     SimPerf { vectors, suites }
-}
-
-fn scalar_config() -> ExecConfig {
-    ExecConfig {
-        engine: SimEngine::Scalar,
-        ..ExecConfig::default()
-    }
 }
 
 fn engine_json(e: &EnginePerf) -> String {
@@ -261,7 +272,8 @@ pub fn to_json(p: &SimPerf) -> String {
             "    {{\"name\": \"{}\", \"trace_vectors\": {}, \"distinct_lanes\": {},\n     \
              \"divergence_rate\": {:.4}, \"chosen\": \"{}\",\n     \
              \"scalar\": {},\n     \"batched\": {},\n     \
-             \"batched_speedup\": {:.2}, \"speedup\": {:.2}}}{}\n",
+             \"batched_speedup\": {:.2}, \"dedup_factor\": {:.2}, \
+             \"lockstep_speedup\": {:.2}, \"speedup\": {:.2}}}{}\n",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
@@ -270,6 +282,8 @@ pub fn to_json(p: &SimPerf) -> String {
             engine_json(&s.scalar),
             engine_json(&s.batched),
             s.batched_speedup,
+            s.dedup_factor,
+            s.lockstep_speedup,
             s.speedup,
             if i + 1 < p.suites.len() { "," } else { "" }
         ));
@@ -298,6 +312,18 @@ mod tests {
                 "{}: divergence out of range",
                 s.name
             );
+            assert_eq!(
+                s.dedup_factor,
+                s.trace_vectors as f64 / s.distinct_lanes as f64,
+                "{}",
+                s.name
+            );
+            let product = s.dedup_factor * s.lockstep_speedup;
+            assert!(
+                (product - s.batched_speedup).abs() <= 1e-9 * s.batched_speedup.max(1.0),
+                "{}: dedup_factor × lockstep_speedup != batched_speedup",
+                s.name
+            );
             if s.chosen == "scalar" {
                 assert_eq!(s.speedup, 1.0, "{}: scalar choice must report 1.0", s.name);
             } else {
@@ -305,9 +331,11 @@ mod tests {
                 assert_eq!(s.speedup, s.batched_speedup, "{}", s.name);
             }
         }
-        // Constant-trace benchmarks collapse to one lane.
+        // Constant-trace benchmarks collapse to one lane: their whole
+        // trace set is the dedup factor.
         let test2 = p.suites.iter().find(|s| s.name == "Test2").unwrap();
         assert_eq!(test2.distinct_lanes, 1);
+        assert_eq!(test2.dedup_factor, 32.0);
         // The synthetic random-branch behavior is the divergence extreme
         // of the set: distinct per-lane branch patterns every iteration.
         let rw = p.suites.iter().find(|s| s.name == "RANDWALK").unwrap();
@@ -325,6 +353,8 @@ mod tests {
         assert!(json.contains("\"bench\": \"sim\""));
         assert!(json.contains("\"divergence_rate\""));
         assert!(json.contains("\"chosen\""));
+        assert!(json.contains("\"dedup_factor\""));
+        assert!(json.contains("\"lockstep_speedup\""));
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

@@ -15,15 +15,15 @@ use crate::partition::{partition, region_of_block, PartitionConfig};
 use crate::search::{
     apply_transforms, apply_transforms_pareto, MegaCandidate, SearchConfig, SearchResult,
 };
-use fact_estim::{evaluate_power_mode_with_memo, evaluate_with_memo, Estimate, MarkovMemo};
+use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
 use fact_ir::Function;
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    measure_divergence, profile, profile_compiled_reusing, BranchProfile, CompiledFn,
-    EquivReference, ExecConfig, SimCounters, SimEngine, SimScratch, TraceSet,
+    simulate, BranchProfile, CompiledFn, EquivReference, SimCounters, SimEngine, SimScratch,
+    TraceSet,
 };
 use fact_xform::{Region, TransformLibrary};
 use std::collections::HashMap;
@@ -115,9 +115,10 @@ pub struct FactResult {
     /// Schedules that spliced at least one memoized per-block fragment
     /// instead of re-running list scheduling.
     pub block_spliced: usize,
-    /// Trace vectors simulated during candidate evaluation (equivalence
-    /// checks and compiled profiling passes; logical vectors, so a
-    /// deduplicated lane of multiplicity *k* counts *k*).
+    /// Trace vectors simulated during candidate evaluation (every pass of
+    /// every [`simulate`] call; logical vectors, so a deduplicated lane
+    /// of multiplicity *k* counts *k*). The baseline and final profiles
+    /// are not counted.
     pub sim_vectors: u64,
     /// Batched simulation passes executed.
     pub sim_batches: u64,
@@ -132,10 +133,9 @@ pub struct FactResult {
     /// Whole-neighborhood dispatches evaluated (one per search move,
     /// plus one per scored search input).
     pub neighborhood_batches: u64,
-    /// Simulation lanes of neighborhood verification passes: candidates
-    /// × trace lanes, counting only candidates verified against the
-    /// reference (cache hits short-circuit their lanes out of the batch;
-    /// runs without equivalence checking count none).
+    /// Simulation lanes of candidate evaluations: the first-pass lanes
+    /// of every simulated candidate ([`fact_sim::Simulation::lanes`];
+    /// cache hits short-circuit theirs out of the batch).
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
@@ -154,8 +154,8 @@ pub struct FactResult {
 pub struct PhaseTimers {
     /// Time compiling candidates ([`CompiledFn::compile`]).
     pub compile_ns: AtomicU64,
-    /// Time simulating: equivalence verification, divergence probes, and
-    /// branch profiling.
+    /// Time inside [`simulate`]: equivalence verification, branch
+    /// profiling and the divergence measurement.
     pub simulate_ns: AtomicU64,
     /// Time scheduling and estimating (list scheduling, Markov solves,
     /// power/latency evaluation).
@@ -258,17 +258,15 @@ impl std::error::Error for FactError {}
 
 /// Per-run incremental-evaluation machinery, shared by every candidate
 /// evaluation of one run (including across worker threads — all members
-/// are `Sync`): memoized schedule fragments and Markov solves, the
-/// captured equivalence reference, the engine selector's divergence
-/// rates, and the work counters [`FactResult`] reports.
+/// are `Sync`): memoized schedule fragments, the captured equivalence
+/// reference, the engine selector's divergence rates, and the work
+/// counters [`FactResult`] reports.
 struct IncrementalCtx<'a> {
     /// Captured original-side equivalence data (`None` with equivalence
     /// checking off).
     equiv: Option<EquivReference>,
     /// Per-block list-schedule fragments keyed by structural hash.
     sched: ScheduleMemo,
-    /// Markov solves keyed by STG structure.
-    markov: MarkovMemo,
     /// Schedules computed with no memoized fragment spliced in.
     full_reschedules: AtomicUsize,
     /// Schedules that reused at least one memoized block fragment.
@@ -278,7 +276,7 @@ struct IncrementalCtx<'a> {
     cache: Option<&'a EvalCache>,
     /// Context half of the divergence-rate cache key: ties a measured
     /// rate to this run's trace set, so structurally identical functions
-    /// probed under different traces never share a rate.
+    /// simulated under different traces never share a rate.
     div_salt: u64,
     /// Run-local divergence rates, used when no [`EvalCache`] is wired in.
     div_rates: Mutex<HashMap<u64, f64>>,
@@ -318,22 +316,22 @@ fn timed<T>(
     }
 }
 
-/// The engine the divergence model picks for a measured rate.
-fn engine_of_rate(rate: f64) -> SimEngine {
-    if rate > SCALAR_DIVERGENCE_THRESHOLD {
-        SimEngine::Scalar
-    } else {
-        SimEngine::default()
-    }
+/// The branch profile of `g` over `traces`: one compiled [`simulate`]
+/// pass on the default engine, outside the run's work counters (the
+/// baseline and the winner's final re-estimate).
+fn profile_of(g: &Function, traces: &TraceSet) -> BranchProfile {
+    let cf = CompiledFn::compile(g);
+    simulate(
+        &cf,
+        traces,
+        None,
+        SimEngine::default(),
+        None,
+        &mut SimScratch::default(),
+    )
+    .profile
+    .expect("a pass without a reference always profiles")
 }
-
-/// Divergence rate (slow lane-steps / total lane-steps, see
-/// [`SimCounters::divergence`]) above which lockstep batching is
-/// predicted to lose to the scalar interpreter. Calibrated against
-/// `fact-bench::sim_perf`: convergent suites sit at 0.00, while a
-/// data-dependent random walk measures ~0.17 and already runs below
-/// parity batched, so the cutover sits well under that point.
-const SCALAR_DIVERGENCE_THRESHOLD: f64 = 0.1;
 
 impl<'a> IncrementalCtx<'a> {
     fn new(
@@ -362,7 +360,6 @@ impl<'a> IncrementalCtx<'a> {
                 .check_equivalence
                 .then(|| EquivReference::capture(f, traces, 0xC0FFEE)),
             sched: ScheduleMemo::default(),
-            markov: MarkovMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
             cache: hooks.cache,
@@ -397,31 +394,6 @@ impl<'a> IncrementalCtx<'a> {
                 self.div_rates.lock().unwrap().insert(key, rate);
             }
         }
-    }
-
-    /// Picks the simulation engine for a candidate that has no
-    /// verification pass to measure divergence on: consults the
-    /// divergence-rate cache keyed by the candidate's structural `hash`
-    /// (salted with the trace-set context) and, on a miss, measures the
-    /// rate on a single probe batch — whose vectors are counted into
-    /// `self.sim` like any other simulation work.
-    ///
-    /// Both engines are bit-identical, so a racy double-measure (or a
-    /// cross-run cache hit) can only change wall-clock, never results.
-    fn engine_for(&self, hash: u64, cf: &CompiledFn, traces: &TraceSet) -> SimEngine {
-        let key = self.div_key(hash);
-        let rate = self.cached_div_rate(key).unwrap_or_else(|| {
-            let rate = timed(
-                self.timers,
-                |t| &t.simulate_ns,
-                || measure_divergence(cf, traces, &ExecConfig::default(), Some(&self.sim)),
-            );
-            self.store_div_rate(key, rate);
-            rate
-        });
-        let engine = engine_of_rate(rate);
-        self.sim.note_engine(engine);
-        engine
     }
 
     /// Classifies one completed schedule as spliced or from-scratch.
@@ -517,7 +489,7 @@ impl<'a> Run<'a> {
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
         let ctx = IncrementalCtx::new(f, traces, config, hooks);
-        let prof = profile(f, traces);
+        let prof = profile_of(f, traces);
         let sr0 = schedule_with_memo(
             f,
             library,
@@ -529,12 +501,8 @@ impl<'a> Run<'a> {
         )
         .map_err(FactError::Schedule)?;
         ctx.note_schedule(&sr0.report);
-        let markov0 = ctx
-            .markov
-            .analyze_memoized(&sr0.stg)
-            .map_err(FactError::Analysis)?;
-        let baseline = evaluate_with_memo(&sr0, library, config.sched.clock_ns, Some(&ctx.markov))
-            .map_err(FactError::Analysis)?;
+        let markov0 = markov_of(&sr0).map_err(FactError::Analysis)?;
+        let baseline = evaluate_analyzed(&sr0, &markov0, library, config.sched.clock_ns);
         let blocks = partition(&sr0.stg, &markov0, &config.partition);
         let regions = if blocks.is_empty() {
             vec![Region::whole()]
@@ -596,21 +564,19 @@ impl<'a> Run<'a> {
                 )
                 .ok()?;
                 ctx.note_schedule(&sr.report);
-                let memo = Some(&ctx.markov);
                 let est = match config.objective {
                     // Pareto mode estimates at the reference voltage too: the archive
                     // lives in (energy_vdd2, latency) space and voltage becomes a
                     // knob only when the frontier is expanded ([`sweep_vdd`]).
                     Objective::Throughput | Objective::Pareto => {
-                        evaluate_with_memo(&sr, library, config.sched.clock_ns, memo).ok()?
+                        evaluate(&sr, library, config.sched.clock_ns).ok()?
                     }
                     Objective::Power => {
-                        let est = evaluate_power_mode_with_memo(
+                        let est = evaluate_power_mode(
                             &sr,
                             library,
                             config.sched.clock_ns,
                             self.base_cycles,
-                            memo,
                         )
                         .ok()?;
                         // The paper's power mode holds performance at the baseline
@@ -628,20 +594,19 @@ impl<'a> Run<'a> {
         )
     }
 
-    /// The candidate evaluation: compile `cand` once, verify it against
-    /// the captured reference and profile it in one pass over the
-    /// neighborhood-shared `scratch`, then schedule + estimate. `None`
-    /// marks an invalid candidate (not equivalent, unschedulable under
-    /// the allocation, or — in power mode — slower than the baseline).
+    /// The candidate evaluation: compile `cand` once, [`simulate`] it
+    /// over the neighborhood-shared `scratch` (verification against the
+    /// captured reference when equivalence checking is on, the branch
+    /// profile, and the divergence measurement, in one call), then
+    /// schedule + estimate. `None` marks an invalid candidate (not
+    /// equivalent, unschedulable under the allocation, or — in power
+    /// mode — slower than the baseline).
     ///
-    /// The engine selector's divergence measurement rides on that pass: a
-    /// cached rate routes the engine immediately; a miss runs this
-    /// evaluation batched and banks the rate measured over the whole
-    /// verification. With equivalence checking off there is no
-    /// verification pass, so a one-batch probe
-    /// ([`IncrementalCtx::engine_for`]) picks the engine for the
-    /// profiling pass instead. Engines are bit-identical, so the choice
-    /// only moves wall-clock and the sim work counters.
+    /// The engine comes from the divergence rate cached for the
+    /// candidate's structure ([`SimEngine::for_divergence`]); on a miss
+    /// the candidate runs batched and banks the rate its call measured.
+    /// Engines are bit-identical, so the choice only moves wall-clock and
+    /// the sim work counters.
     fn checked_estimate(
         &self,
         cand: &MegaCandidate<'_>,
@@ -651,83 +616,33 @@ impl<'a> Run<'a> {
         let g = cand.function;
         debug_assert_eq!(cand.hash, structural_hash(g));
         let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(g));
-        let exec = |engine| ExecConfig {
-            engine,
-            ..ExecConfig::default()
-        };
-        let prof = match &ctx.equiv {
-            Some(reference) => {
-                let key = ctx.div_key(cand.hash);
-                let known_rate = ctx.cached_div_rate(key);
-                let engine = known_rate.map_or_else(SimEngine::default, engine_of_rate);
-                ctx.sim.note_engine(engine);
-                let memory_free = g.memories().count() == 0;
-                let lanes = if memory_free {
-                    traces.dedup_lanes().len()
-                } else {
-                    traces.len()
-                };
-                ctx.mega.lanes.fetch_add(lanes as u64, Ordering::Relaxed);
-                let (prof, rate) = timed(
-                    ctx.timers,
-                    |t| &t.simulate_ns,
-                    || {
-                        if memory_free {
-                            // One simulation pass serves equivalence,
-                            // profiling, and the divergence measurement.
-                            let (verdict, rate) = reference.check_profiled_reusing(
-                                &cf,
-                                traces,
-                                engine,
-                                Some(&ctx.sim),
-                                scratch,
-                            );
-                            verdict.ok().map(|(_, prof)| (prof, rate))
-                        } else {
-                            let (verdict, rate) = reference.check_reusing(
-                                &cf,
-                                traces,
-                                engine,
-                                Some(&ctx.sim),
-                                scratch,
-                            );
-                            verdict.ok()?;
-                            // Memory-bearing candidates still need the separate
-                            // zero-initialized profiling pass, through the same
-                            // neighborhood scratch.
-                            let prof = profile_compiled_reusing(
-                                &cf,
-                                traces,
-                                &exec(engine),
-                                Some(&ctx.sim),
-                                scratch,
-                            );
-                            Some((prof, rate))
-                        }
-                    },
-                )?;
-                if known_rate.is_none() {
-                    ctx.store_div_rate(key, rate);
-                }
-                prof
-            }
-            None => {
-                let engine = ctx.engine_for(cand.hash, &cf, traces);
-                timed(
-                    ctx.timers,
-                    |t| &t.simulate_ns,
-                    || {
-                        profile_compiled_reusing(
-                            &cf,
-                            traces,
-                            &exec(engine),
-                            Some(&ctx.sim),
-                            scratch,
-                        )
-                    },
+        let key = ctx.div_key(cand.hash);
+        let known_rate = ctx.cached_div_rate(key);
+        let engine = known_rate.map_or_else(SimEngine::default, SimEngine::for_divergence);
+        ctx.sim.note_engine(engine);
+        let sim = timed(
+            ctx.timers,
+            |t| &t.simulate_ns,
+            || {
+                simulate(
+                    &cf,
+                    traces,
+                    ctx.equiv.as_ref(),
+                    engine,
+                    Some(&ctx.sim),
+                    scratch,
                 )
-            }
-        };
+            },
+        );
+        ctx.mega
+            .lanes
+            .fetch_add(sim.lanes as u64, Ordering::Relaxed);
+        // A rejected candidate's call stops at its first failing batch,
+        // so only a full pass banks its rate.
+        let prof = sim.profile?;
+        if known_rate.is_none() {
+            ctx.store_div_rate(key, sim.divergence);
+        }
         self.estimate(g, prof).map(|(_, est)| est)
     }
 
@@ -970,7 +885,11 @@ pub fn optimize_with(
 
     // Final schedule + estimate of the winner.
     let ctx = &run.ctx;
-    let prof = timed(ctx.timers, |t| &t.simulate_ns, || profile(&current, traces));
+    let prof = timed(
+        ctx.timers,
+        |t| &t.simulate_ns,
+        || profile_of(&current, traces),
+    );
     let (schedule_result, estimate) = run
         .estimate(&current, prof)
         .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
@@ -1054,7 +973,8 @@ pub struct ParetoFactResult {
     pub lane_compactions: u64,
     /// Whole-neighborhood dispatches evaluated.
     pub neighborhood_batches: u64,
-    /// Simulation lanes of neighborhood verification passes.
+    /// Simulation lanes of candidate evaluations (see
+    /// [`FactResult::mega_lanes`]).
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
@@ -1099,8 +1019,7 @@ pub fn optimize_pareto(
 /// `config.objective` is forced to [`Objective::Pareto`] internally;
 /// `config.pareto` holds the archive capacity and Vdd sweep resolution.
 /// Candidates flow through the same evaluation as [`optimize_with`]
-/// (schedule splicing, Markov memoization, compiled simulation, cached
-/// scores), and the returned frontier is bit-identical for a fixed
+/// (schedule splicing, one compiled simulation call, cached scores), and the returned frontier is bit-identical for a fixed
 /// `config.search.seed` regardless of `config.search.threads`.
 ///
 /// # Errors

@@ -1,13 +1,14 @@
 //! Production evaluation vs. the from-scratch oracle.
 //!
-//! `optimize` scores candidates one way: compiled simulation against a
-//! captured equivalence reference, per-block schedule splicing, Markov
-//! memoization, the measured engine selector, and whole-neighborhood
-//! dispatch across worker threads. This suite holds that path to a
-//! deliberately simple oracle built here from public functions only: the
-//! IR interpreter (`profile`, scalar `check_equivalence_with`), the
-//! memo-free `schedule`, and `evaluate`/`evaluate_power_mode`. The two
-//! must be *bit-identical*, not approximately equal:
+//! `optimize` scores candidates one way: one `simulate` call per
+//! candidate (compiled simulation against a captured equivalence
+//! reference, profiling, divergence measurement), per-block schedule
+//! splicing, the measured engine policy, and whole-neighborhood dispatch
+//! across worker threads. This suite holds that path to a deliberately
+//! simple oracle built here from public functions only: the IR
+//! interpreter (`profile`, `check_equivalence`), the memo-free
+//! `schedule`, and `evaluate`/`evaluate_power_mode`. The two must be
+//! *bit-identical*, not approximately equal:
 //!
 //! 1. seed-driven random walks through the transformation space of the
 //!    example1 (TEST1) and Table 2 graphs, comparing every candidate's
@@ -16,9 +17,11 @@
 //!    and 8 worker threads against [`oracle_optimize`] — same trajectory
 //!    (applied path, evaluation count), same winner, same estimate bits,
 //!    and the same cache ledger for every thread count;
-//! 3. the same with equivalence checking off (the path that probes the
-//!    engine selector's divergence on a separate batch);
-//! 4. Pareto frontiers, bit-identical for any thread count.
+//! 3. the same with equivalence checking off (each candidate's call is
+//!    then the profile pass alone);
+//! 4. Pareto frontiers, bit-identical for any thread count;
+//! 5. the simulation ledger: every uncached candidate costs exactly its
+//!    passes' worth of trace vectors, nothing more.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly.
@@ -29,8 +32,7 @@ use fact_core::{
     OptimizeHooks, ParetoFactResult, TransformLibrary,
 };
 use fact_estim::{
-    evaluate, evaluate_power_mode, evaluate_with_memo, markov_of, section5_library, table1_library,
-    Estimate, MarkovMemo,
+    evaluate, evaluate_power_mode, markov_of, section5_library, table1_library, Estimate,
 };
 use fact_ir::Function;
 use fact_lang::compile;
@@ -38,8 +40,8 @@ use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
 use fact_sim::{
-    check_equivalence, check_equivalence_with, generate, profile, profile_compiled, CompiledFn,
-    EquivReference, ExecConfig, InputSpec, SimEngine, TraceSet,
+    check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec,
+    SimEngine, SimScratch, TraceSet,
 };
 use fact_xform::Region;
 
@@ -68,7 +70,7 @@ fn example1() -> (
     (f, lib, rules, alloc, traces)
 }
 
-/// Evaluates `g` the full way and the incremental way and asserts the
+/// Evaluates `g` the oracle way and the production way and asserts the
 /// results are bit-identical. Returns whether the candidate survived
 /// (equivalent and schedulable), judged identically by both paths.
 #[allow(clippy::too_many_arguments)]
@@ -81,34 +83,32 @@ fn assert_paths_agree(
     traces: &TraceSet,
     reference: &EquivReference,
     sched_memo: &ScheduleMemo,
-    markov_memo: &MarkovMemo,
     ctx: &str,
 ) -> bool {
     let opts = SchedOptions::default();
 
     // Full path: interpret the source IR, schedule from scratch.
     let full_verdict = check_equivalence(original, g, traces, 0xC0FFEE).is_ok();
-    // Incremental path: one compiled artifact feeds the reference check
-    // and the profile; memory-free functions merge them into one pass.
-    let cf = CompiledFn::compile(g);
-    let (inc_verdict, inc_prof) = if g.memories().count() == 0 {
-        match reference.check_profiled(&cf, traces) {
-            Ok((_, prof)) => (true, Some(prof)),
-            Err(_) => (false, None),
-        }
-    } else {
-        (reference.check(&cf, traces).is_ok(), None)
-    };
+    // Production path: one simulate call verifies and profiles the
+    // compiled candidate.
+    let sim = simulate(
+        &CompiledFn::compile(g),
+        traces,
+        Some(reference),
+        SimEngine::default(),
+        None,
+        &mut SimScratch::default(),
+    );
     assert_eq!(
-        full_verdict, inc_verdict,
+        full_verdict,
+        sim.profile.is_some(),
         "equivalence verdict differs ({ctx})"
     );
-    if !full_verdict {
+    let Some(inc_prof) = sim.profile else {
         return false;
-    }
+    };
 
     let full_prof = profile(g, traces);
-    let inc_prof = inc_prof.unwrap_or_else(|| profile_compiled(&cf, traces));
     assert_eq!(full_prof, inc_prof, "branch profile differs ({ctx})");
 
     let full_sr = schedule(g, lib, rules, alloc, &full_prof, &opts);
@@ -129,8 +129,7 @@ fn assert_paths_agree(
     );
 
     let full_est = evaluate(&full_sr, lib, opts.clock_ns).expect("full estimate");
-    let inc_est =
-        evaluate_with_memo(&inc_sr, lib, opts.clock_ns, Some(markov_memo)).expect("inc estimate");
+    let inc_est = evaluate(&inc_sr, lib, opts.clock_ns).expect("inc estimate");
     assert_eq!(
         full_est.average_schedule_length.to_bits(),
         inc_est.average_schedule_length.to_bits(),
@@ -159,10 +158,9 @@ fn random_walk(
 ) -> usize {
     let tlib = TransformLibrary::full();
     let mut rng = StdRng::seed_from_u64(seed);
-    // The memos persist across the whole walk: late steps hit fragments
+    // The memo persists across the whole walk: late steps hit fragments
     // cached by early steps, exactly as in a real search.
     let sched_memo = ScheduleMemo::default();
-    let markov_memo = MarkovMemo::default();
     let reference = EquivReference::capture(f, traces, 0xC0FFEE);
 
     let mut compared = 0;
@@ -187,7 +185,6 @@ fn random_walk(
                 traces,
                 &reference,
                 &sched_memo,
-                &markov_memo,
                 &ctx,
             ) {
                 next = Some(c.function.clone());
@@ -243,9 +240,9 @@ struct OracleRun {
     estimate: Estimate,
 }
 
-/// The Figure 5 flow from scratch: every candidate is checked on the
-/// scalar interpreter, profiled on the IR interpreter, scheduled without
-/// a memo, and estimated without a Markov memo, one at a time.
+/// The Figure 5 flow from scratch: every candidate is checked and
+/// profiled on the IR interpreter, scheduled without a memo, and
+/// estimated, one at a time.
 fn oracle_optimize(b: &Benchmark, config: &FactConfig) -> OracleRun {
     let (lib, rules) = section5_library();
     let tlib = TransformLibrary::full();
@@ -284,14 +281,8 @@ fn oracle_optimize(b: &Benchmark, config: &FactConfig) -> OracleRun {
             Objective::Throughput | Objective::Pareto => evaluate(&sr, &lib, clock_ns).ok(),
         }
     };
-    let scalar = ExecConfig {
-        engine: SimEngine::Scalar,
-        ..ExecConfig::default()
-    };
     let score_one = |g: &Function| -> Option<f64> {
-        if config.check_equivalence
-            && check_equivalence_with(f, g, traces, 0xC0FFEE, &scalar, None).is_err()
-        {
+        if config.check_equivalence && check_equivalence(f, g, traces, 0xC0FFEE).is_err() {
             return None;
         }
         Some(config.objective.score(&estimate(g)?))
@@ -411,9 +402,9 @@ fn optimize_suite_matches_oracle() {
     }
 }
 
-/// With equivalence checking off, candidates skip verification and the
-/// engine selector probes divergence on a separate batch; the search must
-/// still match the oracle run with the same setting.
+/// With equivalence checking off, each candidate's simulate call is the
+/// profile pass alone; the search must still match the oracle run with
+/// the same setting.
 #[test]
 fn optimize_suite_without_equivalence_checks_matches_oracle() {
     let (lib, _) = section5_library();
@@ -429,7 +420,7 @@ fn optimize_suite_without_equivalence_checks_matches_oracle() {
             assert_eq!(
                 r.sim_engine_scalar + r.sim_engine_batched + r.cache_hits as u64,
                 r.evaluated as u64,
-                "engine selector skipped a candidate ({ctx})"
+                "engine policy skipped a candidate ({ctx})"
             );
         }
     }
@@ -483,6 +474,38 @@ fn optimize_pareto_is_thread_invariant() {
                     .collect()
             };
             assert_eq!(bits(&r), bits(&sequential), "frontier differs ({ctx})");
+        }
+    }
+}
+
+/// The simulation ledger of whole runs: every candidate the cache did not
+/// answer costs `k` passes over the traces — `k = 1` for memory-free
+/// behaviors (verification and profiling share one pass) and for runs
+/// without equivalence checking (the profile pass alone), `k = 2` for
+/// memory-bearing behaviors under equivalence checking (a verify pass,
+/// then a zero-memory profile pass). The baseline and final profiles are
+/// not counted.
+#[test]
+fn sim_vectors_count_one_pass_per_simulated_candidate() {
+    let (lib, _) = section5_library();
+    for b in suite(&lib) {
+        let memory_free = b.function.memories().count() == 0;
+        for check_equivalence in [true, false] {
+            let mut config = quick_config(Objective::Throughput, 7, 1);
+            config.check_equivalence = check_equivalence;
+            let (r, _) = run(&b, &config);
+            let k = if check_equivalence && !memory_free {
+                2
+            } else {
+                1
+            };
+            let ctx = format!("{} check_equivalence={check_equivalence}", b.name);
+            assert!(r.evaluated > r.cache_hits, "nothing simulated ({ctx})");
+            assert_eq!(
+                r.sim_vectors,
+                ((r.evaluated - r.cache_hits) * k * b.traces.len()) as u64,
+                "simulated vectors ({ctx})"
+            );
         }
     }
 }

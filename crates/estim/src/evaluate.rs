@@ -3,18 +3,9 @@
 //! inner loop of the transformation search (paper Figure 5, step 6).
 
 use crate::markov::{analyze_preferring_empirical, MarkovAnalysis};
-use crate::memo::MarkovMemo;
 use crate::power::{estimate, Estimate};
 use crate::vdd::{scale_voltage, VDD_REF};
 use fact_sched::{FuLibrary, ScheduleResult};
-
-/// Runs the Markov analysis through an optional memo.
-fn markov_via(sr: &ScheduleResult, memo: Option<&MarkovMemo>) -> Result<MarkovAnalysis, String> {
-    match memo {
-        Some(m) => m.analyze_memoized(&sr.stg),
-        None => analyze_preferring_empirical(&sr.stg),
-    }
-}
 
 /// Evaluates a schedule at the reference voltage.
 ///
@@ -45,31 +36,26 @@ pub fn evaluate(
     library: &FuLibrary,
     clock_ns: f64,
 ) -> Result<Estimate, String> {
-    evaluate_with_memo(sr, library, clock_ns, None)
+    Ok(evaluate_analyzed(sr, &markov_of(sr)?, library, clock_ns))
 }
 
-/// [`evaluate`] with an optional Markov-analysis cache. Results are
-/// bit-identical to [`evaluate`]; the memo only caches a pure function of
-/// the STG structure (see [`crate::memo`]).
-///
-/// # Errors
-/// Same as [`evaluate`].
-pub fn evaluate_with_memo(
+/// [`evaluate`] over an already-computed Markov analysis of `sr` (from
+/// [`markov_of`]), for callers that also need the analysis itself.
+pub fn evaluate_analyzed(
     sr: &ScheduleResult,
+    markov: &MarkovAnalysis,
     library: &FuLibrary,
     clock_ns: f64,
-    memo: Option<&MarkovMemo>,
-) -> Result<Estimate, String> {
-    let markov = markov_via(sr, memo)?;
-    Ok(estimate(
+) -> Estimate {
+    estimate(
         &sr.stg,
-        &markov,
+        markov,
         &sr.function,
         &sr.selection,
         library,
         clock_ns,
         VDD_REF,
-    ))
+    )
 }
 
 /// Evaluates a schedule in power-optimization mode: if the schedule beats
@@ -86,21 +72,7 @@ pub fn evaluate_power_mode(
     clock_ns: f64,
     base_cycles: f64,
 ) -> Result<Estimate, String> {
-    evaluate_power_mode_with_memo(sr, library, clock_ns, base_cycles, None)
-}
-
-/// [`evaluate_power_mode`] with an optional Markov-analysis cache.
-///
-/// # Errors
-/// Same as [`evaluate_power_mode`].
-pub fn evaluate_power_mode_with_memo(
-    sr: &ScheduleResult,
-    library: &FuLibrary,
-    clock_ns: f64,
-    base_cycles: f64,
-    memo: Option<&MarkovMemo>,
-) -> Result<Estimate, String> {
-    let markov = markov_via(sr, memo)?;
+    let markov = markov_of(sr)?;
     let vdd = scale_voltage(base_cycles, markov.average_schedule_length);
     let mut est = estimate(
         &sr.stg,

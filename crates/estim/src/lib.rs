@@ -20,18 +20,12 @@ pub mod area;
 pub mod evaluate;
 pub mod library;
 pub mod markov;
-pub mod memo;
-pub mod montecarlo;
 pub mod power;
 pub mod vdd;
 
 pub use area::{estimate_area, AreaReport};
-pub use evaluate::{
-    evaluate, evaluate_power_mode, evaluate_power_mode_with_memo, evaluate_with_memo, markov_of,
-};
+pub use evaluate::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of};
 pub use library::{section5_library, table1_library};
 pub use markov::{analyze, analyze_preferring_empirical, MarkovAnalysis};
-pub use memo::MarkovMemo;
-pub use montecarlo::{simulate as simulate_stg, MonteCarloResult};
 pub use power::{energy_per_execution, estimate, EnergyBreakdown, Estimate};
 pub use vdd::{delay_factor, scale_voltage, scaled_power, VDD_REF, VT};

@@ -1,8 +1,7 @@
 //! Batched lockstep execution: every trace vector in one SIMT-style pass.
 //!
 //! Candidate evaluation in the search runs the *same* [`CompiledFn`] over
-//! every vector of a trace set — once for equivalence checking and once
-//! for profiling. The scalar path pays the full interpreter dispatch
+//! every vector of a trace set ([`crate::simulate`]). The scalar path pays the full interpreter dispatch
 //! (match on the decoded instruction, bounds checks, block walking) per
 //! vector. The batch engine amortizes it: a structure-of-arrays
 //! [`BatchState`] holds one *lane* per vector, lanes are bucketed by the
@@ -32,9 +31,9 @@
 //!   amortize the move, all live lanes are re-packed into dense slots and
 //!   every bucket becomes a contiguous range again.
 //!
-//! Both are pure internal-layout permutations — an external-index map
-//! routes every retirement back to the caller's lane order — so they are
-//! invisible in the results.
+//! Both are always on. They are pure internal-layout permutations — an
+//! external-index map routes every retirement back to the caller's lane
+//! order — so they are invisible in the results.
 //!
 //! The contract is the crate's usual one, per lane: [`CompiledFn::run_batch`]
 //! returns results **bit-identical** to [`CompiledFn::execute_seeded`] on
@@ -44,8 +43,7 @@
 //! are counted but never trip the limit, every non-phi operation checks
 //! after executing). Lanes are fully independent; an erroring lane
 //! retires without disturbing the others. `crates/sim/tests/batched_equiv.rs`
-//! holds the two engines together over randomized programs and traces,
-//! across every clustering/compaction combination.
+//! holds the two engines together over randomized programs and traces.
 
 use crate::compiled::{CTerm, CompiledFn, Inst};
 use crate::interp::{BranchStats, ExecError, ExecResult};
@@ -123,44 +121,51 @@ fn mux_row(c: &[i64], t: &[i64], f: &[i64], out: &mut [i64]) {
     }
 }
 
-/// Which execution engine a multi-vector simulation pass uses.
+/// Which execution engine a [`crate::simulate`] call uses.
 ///
 /// Both engines are bit-identical in everything they report; the choice
-/// affects wall-clock time only. `Scalar` is retained as the fallback and
-/// as the oracle the batched property tests compare against.
+/// affects wall-clock time only. [`SimEngine::for_divergence`] is the
+/// production policy that picks between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEngine {
     /// One [`CompiledFn::execute_seeded`] call per vector.
     Scalar,
-    /// Lockstep lanes via [`CompiledFn::run_batch`], at most `max_lanes`
-    /// vectors per batch.
+    /// Lockstep lanes via the batch engine, at most `max_lanes` lanes per
+    /// batch.
     Batched {
         /// Upper bound on lanes per batch (memory/working-set knob).
         max_lanes: usize,
-        /// Cluster lanes by branch-signature prefix probe before
-        /// execution, so lanes about to diverge the same way sit in
-        /// adjacent slots. Results are bit-identical either way.
-        cluster: bool,
-        /// Re-pack live lanes into dense slots at fragmented regroup
-        /// points. Results are bit-identical either way.
-        compact: bool,
     },
 }
 
+/// Divergence rate (slow lane-steps / total lane-steps, see
+/// [`SimCounters::divergence`]) above which lockstep batching is
+/// predicted to lose to the scalar engine. Calibrated by `fact-bench`'s
+/// `sim_perf`: convergent suites sit at 0.00, while a data-dependent
+/// random walk measures ~0.17 and already runs below parity batched, so
+/// the cutover sits well under that point.
+pub(crate) const SCALAR_DIVERGENCE_THRESHOLD: f64 = 0.1;
+
 impl SimEngine {
-    /// The default batched engine ([`DEFAULT_MAX_LANES`] lanes per batch,
-    /// clustering and compaction on).
+    /// The default batched engine ([`DEFAULT_MAX_LANES`] lanes per batch).
     pub fn batched() -> SimEngine {
         SimEngine::batched_with(DEFAULT_MAX_LANES)
     }
 
-    /// A batched engine with an explicit lane cap (clustering and
-    /// compaction on).
+    /// A batched engine with an explicit lane cap.
     pub fn batched_with(max_lanes: usize) -> SimEngine {
-        SimEngine::Batched {
-            max_lanes,
-            cluster: true,
-            compact: true,
+        SimEngine::Batched { max_lanes }
+    }
+
+    /// The engine to run a function on, given the divergence rate a
+    /// previous [`crate::simulate`] call measured for it: scalar above
+    /// 0.1 (`SCALAR_DIVERGENCE_THRESHOLD`, calibrated by `fact-bench`'s
+    /// `sim_perf`), the default batched engine otherwise.
+    pub fn for_divergence(rate: f64) -> SimEngine {
+        if rate > SCALAR_DIVERGENCE_THRESHOLD {
+            SimEngine::Scalar
+        } else {
+            SimEngine::default()
         }
     }
 }
@@ -168,26 +173,6 @@ impl SimEngine {
 impl Default for SimEngine {
     fn default() -> Self {
         SimEngine::batched()
-    }
-}
-
-/// Divergence-mitigation switches of one batched run, extracted from
-/// [`SimEngine::Batched`]. Pure wall-clock knobs: results are
-/// bit-identical for every combination.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BatchTuning {
-    /// Branch-signature lane clustering.
-    pub cluster: bool,
-    /// Lane compaction at fragmented regroup points.
-    pub compact: bool,
-}
-
-impl Default for BatchTuning {
-    fn default() -> Self {
-        BatchTuning {
-            cluster: true,
-            compact: true,
-        }
     }
 }
 
@@ -233,7 +218,7 @@ impl SimCounters {
     }
 
     /// Folds another counter set into this one (used to surface the
-    /// tallies of a locally-measured probe batch).
+    /// tallies of a locally-measured simulation call).
     pub fn merge(&self, other: &SimCounters) {
         self.vectors
             .fetch_add(other.vectors.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -408,19 +393,17 @@ impl RetireSink for FullSink {
 
 /// Sink judging each lane against its captured expectation *as it
 /// retires*, optionally folding branch/visit counters into a
-/// [`ProfileAccum`] at the same time. This is the merged
-/// verify-and-profile pass of `EquivReference` without the per-lane
-/// [`ExecResult`] materialization of [`FullSink`]: no `BranchStats` map,
-/// no output-name `String` clones, no visit-vector copies. Only a
-/// *verdict* comes out — `mismatch` is a sticky flag, not a located
-/// [`crate::Mismatch`](crate::Mismatch) — so callers that need the first
-/// mismatch's details re-run through the materializing path (mismatches
-/// are the rare case; clean candidates pay nothing for locatability).
+/// [`ProfileAccum`] at the same time — the verify pass of
+/// [`crate::simulate`], without the per-lane [`ExecResult`]
+/// materialization of [`FullSink`]: no `BranchStats` map, no output-name
+/// `String` clones, no visit-vector copies. Only a verdict comes out:
+/// `mismatch` is a sticky flag (the located [`crate::Mismatch`] report is
+/// the interpreter oracle's business, [`crate::check_equivalence`]).
 ///
 /// Equality semantics match `judge` in `crate::equiv` exactly: outputs
 /// compared element-wise in emission order, then the return value, then
-/// memory images; a lane where both sides failed is skipped (not a
-/// mismatch, not counted in `checked`).
+/// memory images; a lane where both sides failed agrees (the rewrite
+/// preserved the failure).
 pub(crate) struct VerifySink<'a> {
     /// Captured original-side outcome per *external* lane index.
     pub(crate) expected: &'a [crate::equiv::Expected<'a>],
@@ -429,8 +412,6 @@ pub(crate) struct VerifySink<'a> {
     /// When present, receives the same weighted statistics
     /// [`ProfileSink`] would record.
     pub(crate) accum: Option<&'a mut ProfileAccum>,
-    /// Weighted count of vectors where both sides succeeded and agreed.
-    pub(crate) checked: usize,
     /// Sticky: any lane disagreed with its expectation.
     pub(crate) mismatch: bool,
 }
@@ -481,9 +462,7 @@ impl RetireSink for VerifySink<'_> {
                     .iter()
                     .zip(&st.memories[li])
                     .all(|(ma, mb)| ma.iter().zip(mb).all(|(x, y)| x == y));
-                if outputs_eq && returned_eq && memories_eq {
-                    self.checked += w;
-                } else {
+                if !(outputs_eq && returned_eq && memories_eq) {
                     self.mismatch = true;
                 }
             }
@@ -596,18 +575,12 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// One sized per-lane memory image list per lane, reusing the outer
+    /// One per-lane memory image list per lane, reusing the outer
     /// vector's allocation and every inner per-memory vector it still
-    /// holds from the previous batch.
-    pub(crate) fn take_memories(&mut self, sized: &[Vec<i64>], n: usize) -> Vec<Vec<Vec<i64>>> {
-        self.take_memories_with(n, |_, lane| copy_memories(lane, sized))
-    }
-
-    /// [`take_memories`](Self::take_memories) with a per-lane builder:
-    /// `fill` receives lane `k`'s recycled buffers (stale contents,
-    /// retained capacity) and must leave them exactly as a fresh build
-    /// would.
-    pub(crate) fn take_memories_with(
+    /// holds from the previous batch: `fill` receives lane `k`'s recycled
+    /// buffers (stale contents, retained capacity) and must leave them
+    /// exactly as a fresh build would.
+    pub(crate) fn take_memories(
         &mut self,
         n: usize,
         mut fill: impl FnMut(usize, &mut Vec<Vec<i64>>),
@@ -626,24 +599,9 @@ impl BatchScratch {
     }
 }
 
-/// Overwrites `dst` to equal `src` element for element, reusing the
-/// allocations `dst` already holds.
-pub(crate) fn copy_memories(dst: &mut Vec<Vec<i64>>, src: &[Vec<i64>]) {
-    dst.truncate(src.len());
-    for (d, s) in dst.iter_mut().zip(src) {
-        d.clear();
-        d.extend_from_slice(s);
-    }
-    for s in &src[dst.len()..] {
-        dst.push(s.clone());
-    }
-}
-
-/// Reusable buffers for the batched verification entry points of
-/// [`EquivReference`](crate::EquivReference) (see
-/// `check_profiled_reusing` / `check_reusing`). A search loop evaluates
+/// Reusable buffers for [`crate::simulate`]. A search loop evaluates
 /// thousands of candidates back to back; threading one `SimScratch`
-/// through all of them turns every per-candidate batch allocation into a
+/// through all of them turns every per-batch allocation into a
 /// `clear`+`resize` of an already-sized buffer. Purely an optimization:
 /// the scratch only donates capacity, and results never depend on its
 /// contents.
@@ -814,10 +772,9 @@ pub(crate) fn resolve_lanes(
     )
 }
 
-/// Resizes the shared/per-lane initial images to the function's declared
-/// memory sizes, exactly as [`CompiledFn::execute_seeded`] does: memory `i`
-/// starts as `init[i]` resized to its declared size, missing entries
-/// zero-filled.
+/// Resizes initial images to the function's declared memory sizes, for
+/// both engines: memory `i` starts as `init[i]` resized to its declared
+/// size, missing entries zero-filled.
 pub(crate) fn sized_memories(cf: &CompiledFn, init: &[Vec<i64>]) -> Vec<Vec<i64>> {
     cf.mem_sizes
         .iter()
@@ -1171,38 +1128,16 @@ impl CompiledFn {
             return Vec::new();
         }
         let (resolved, memories) = resolve_lanes(self, lanes);
-        self.run_batch_prepared(resolved, memories, step_limit, BatchTuning::default(), None)
-    }
-
-    /// [`CompiledFn::run_batch`] over already-resolved inputs and
-    /// already-sized memory images (one entry per lane; see
-    /// [`sized_memories`]). `resolved` is name-major: input `i` of lane `l`
-    /// is at `resolved[i * lanes + l]`, `None` meaning the lane lacks the
-    /// input. The columnar trace paths use this to skip the per-(name,
-    /// lane) hash-map probes of the `Lane`-based entry point. `counters`,
-    /// when given, receives the compaction/divergence tallies (never
-    /// vectors/batches — those are the caller's bookkeeping).
-    pub(crate) fn run_batch_prepared(
-        &self,
-        resolved: ResolvedInputs,
-        memories: Vec<Vec<Vec<i64>>>,
-        step_limit: u64,
-        tuning: BatchTuning,
-        counters: Option<&SimCounters>,
-    ) -> Vec<Result<ExecResult, ExecError>> {
-        let n = memories.len();
         let mut sink = FullSink {
-            results: vec![None; n],
+            results: vec![None; lanes.len()],
         };
-        let mut scratch = BatchScratch::default();
         self.run_batch_core(
             resolved,
             memories,
             step_limit,
-            tuning,
-            counters,
+            None,
             &mut sink,
-            &mut scratch,
+            &mut BatchScratch::default(),
             None,
         );
         sink.results
@@ -1214,8 +1149,8 @@ impl CompiledFn {
     /// Profile-only batched run: folds every lane's branch/visit counters
     /// straight into `accum` (weighted by `weights`, or 1 per lane when
     /// `None`) without materializing per-lane results. The accumulated
-    /// statistics are bit-identical to running
-    /// [`CompiledFn::run_batch_prepared`] and recording each result.
+    /// statistics are bit-identical to running [`CompiledFn::run_batch`]
+    /// and recording each result.
     /// `scratch` donates and receives back the per-batch buffers, so a
     /// caller looping over batches allocates only on the first one.
     #[allow(clippy::too_many_arguments)]
@@ -1224,7 +1159,6 @@ impl CompiledFn {
         resolved: ResolvedInputs,
         memories: Vec<Vec<Vec<i64>>>,
         step_limit: u64,
-        tuning: BatchTuning,
         counters: Option<&SimCounters>,
         weights: Option<&[usize]>,
         accum: &mut ProfileAccum,
@@ -1233,7 +1167,7 @@ impl CompiledFn {
     ) {
         let mut sink = ProfileSink { accum, weights };
         self.run_batch_core(
-            resolved, memories, step_limit, tuning, counters, &mut sink, scratch, prefill,
+            resolved, memories, step_limit, counters, &mut sink, scratch, prefill,
         );
     }
 
@@ -1247,14 +1181,13 @@ impl CompiledFn {
         resolved: ResolvedInputs,
         memories: Vec<Vec<Vec<i64>>>,
         step_limit: u64,
-        tuning: BatchTuning,
         counters: Option<&SimCounters>,
         sink: &mut VerifySink<'_>,
         scratch: &mut BatchScratch,
         prefill: Option<InputPrefill<'_>>,
     ) {
         self.run_batch_core(
-            resolved, memories, step_limit, tuning, counters, sink, scratch, prefill,
+            resolved, memories, step_limit, counters, sink, scratch, prefill,
         );
     }
 
@@ -1266,7 +1199,6 @@ impl CompiledFn {
         resolved: ResolvedInputs,
         memories: Vec<Vec<Vec<i64>>>,
         step_limit: u64,
-        tuning: BatchTuning,
         counters: Option<&SimCounters>,
         sink: &mut S,
         scratch: &mut BatchScratch,
@@ -1285,12 +1217,9 @@ impl CompiledFn {
         };
         // Branch-signature clustering: permute lanes so same-signature
         // vectors occupy adjacent internal slots. `ext` maps back.
-        let (resolved, memories, ext) = match tuning.cluster {
-            true => match cluster_order(self, &resolved, orig_n) {
-                Some(order) => permute_batch(self, resolved, memories, order),
-                None => (resolved, memories, identity_ext(scratch)),
-            },
-            false => (resolved, memories, identity_ext(scratch)),
+        let (resolved, memories, ext) = match cluster_order(self, &resolved, orig_n) {
+            Some(order) => permute_batch(self, resolved, memories, order),
+            None => (resolved, memories, identity_ext(scratch)),
         };
         let mut n = orig_n;
         let mut st = BatchState::from_parts(self, resolved, memories, ext, scratch);
@@ -1353,8 +1282,7 @@ impl CompiledFn {
             // enough slow-path work has accrued to amortize the move,
             // re-pack every live lane into dense slots. Internal
             // renumbering only — `ext` keeps results in caller order.
-            if tuning.compact
-                && group.len() >= MIN_REORDER_LANES
+            if group.len() >= MIN_REORDER_LANES
                 && group[group.len() - 1] as usize - group[0] as usize + 1 != group.len()
                 && frag_debt >= compact_threshold(n)
             {
@@ -1821,39 +1749,21 @@ mod tests {
         let f = compile(src).unwrap();
         let cf = CompiledFn::compile(&f);
         let lanes: Vec<Lane<'_>> = vecs.iter().map(|v| Lane { inputs: v, init }).collect();
-        for (cluster, compact) in [(false, false), (true, false), (false, true), (true, true)] {
-            let (resolved, memories) = resolve_lanes(&cf, &lanes);
-            let batched = cf.run_batch_prepared(
-                resolved,
-                memories,
-                limit,
-                BatchTuning { cluster, compact },
-                None,
-            );
-            assert_eq!(batched.len(), vecs.len());
-            for (i, v) in vecs.iter().enumerate() {
-                let scalar = cf.execute_seeded(v, init, limit);
-                match (&scalar, &batched[i]) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.outputs, b.outputs, "lane {i} ({cluster},{compact})");
-                        assert_eq!(a.memories, b.memories, "lane {i} ({cluster},{compact})");
-                        assert_eq!(a.returned, b.returned, "lane {i} ({cluster},{compact})");
-                        assert_eq!(
-                            a.ops_executed, b.ops_executed,
-                            "lane {i} ({cluster},{compact})"
-                        );
-                        assert_eq!(
-                            a.block_visits, b.block_visits,
-                            "lane {i} ({cluster},{compact})"
-                        );
-                        assert_eq!(
-                            a.branches.counts, b.branches.counts,
-                            "lane {i} ({cluster},{compact})"
-                        );
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a, b, "lane {i} ({cluster},{compact})"),
-                    (a, b) => panic!("lane {i} diverges: scalar {a:?} vs batched {b:?}"),
+        let batched = cf.run_batch(&lanes, limit);
+        assert_eq!(batched.len(), vecs.len());
+        for (i, v) in vecs.iter().enumerate() {
+            let scalar = cf.execute_seeded(v, init, limit);
+            match (&scalar, &batched[i]) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.outputs, b.outputs, "lane {i}");
+                    assert_eq!(a.memories, b.memories, "lane {i}");
+                    assert_eq!(a.returned, b.returned, "lane {i}");
+                    assert_eq!(a.ops_executed, b.ops_executed, "lane {i}");
+                    assert_eq!(a.block_visits, b.block_visits, "lane {i}");
+                    assert_eq!(a.branches.counts, b.branches.counts, "lane {i}");
                 }
+                (Err(a), Err(b)) => assert_eq!(a, b, "lane {i}"),
+                (a, b) => panic!("lane {i} diverges: scalar {a:?} vs batched {b:?}"),
             }
         }
     }

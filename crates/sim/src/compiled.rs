@@ -17,7 +17,7 @@
 //! The incremental evaluation engine in `fact-core` relies on this to keep
 //! incremental scores equal to full-pipeline scores.
 
-use crate::interp::{BranchStats, ExecConfig, ExecError, ExecResult};
+use crate::interp::{BranchStats, ExecError, ExecResult};
 use fact_ir::{Function, MemId, OpKind, Terminator};
 use std::collections::HashMap;
 
@@ -93,8 +93,8 @@ pub(crate) struct CBlock {
 /// A function decoded for repeated execution.
 ///
 /// Build once with [`CompiledFn::compile`], then call
-/// [`CompiledFn::execute`] (or [`CompiledFn::execute_seeded`]) as many
-/// times as needed; results are bit-identical to [`crate::execute_with`].
+/// [`CompiledFn::execute_seeded`] as many times as needed; results are
+/// bit-identical to [`crate::execute_with`].
 pub struct CompiledFn {
     pub(crate) blocks: Vec<CBlock>,
     pub(crate) entry: usize,
@@ -285,41 +285,11 @@ impl CompiledFn {
             .map(|(i, _)| i)
     }
 
-    /// Runs the compiled function; bit-identical to
-    /// [`crate::execute_with`] on the source function.
-    ///
-    /// # Errors
-    /// See [`ExecError`].
-    pub fn execute(
-        &self,
-        inputs: &HashMap<String, i64>,
-        config: &ExecConfig,
-    ) -> Result<ExecResult, ExecError> {
-        let memories: Vec<Vec<i64>> = self
-            .mem_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &sz)| {
-                config
-                    .initial_memories
-                    .get(&i)
-                    .cloned()
-                    .map(|mut v| {
-                        v.resize(sz, 0);
-                        v
-                    })
-                    .unwrap_or_else(|| vec![0; sz])
-            })
-            .collect();
-        self.run(inputs, memories, config.step_limit)
-    }
-
     /// Runs with initial memory images given positionally (memory index
     /// `i` starts as a copy of `init[i]`, resized to the declared size;
-    /// missing entries are zero-filled). Equivalent to [`Self::execute`]
-    /// with `initial_memories` built from the same data — this form just
-    /// skips the map, which matters when the same images are replayed for
-    /// every candidate of a search.
+    /// missing entries are zero-filled). Bit-identical to
+    /// [`crate::execute_with`] on the source function with
+    /// `initial_memories` built from the same data.
     ///
     /// # Errors
     /// See [`ExecError`].
@@ -329,20 +299,7 @@ impl CompiledFn {
         init: &[Vec<i64>],
         step_limit: u64,
     ) -> Result<ExecResult, ExecError> {
-        let memories: Vec<Vec<i64>> = self
-            .mem_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &sz)| {
-                init.get(i)
-                    .cloned()
-                    .map(|mut v| {
-                        v.resize(sz, 0);
-                        v
-                    })
-                    .unwrap_or_else(|| vec![0; sz])
-            })
-            .collect();
+        let memories = crate::batch::sized_memories(self, init);
         self.run(inputs, memories, step_limit)
     }
 
@@ -515,7 +472,7 @@ fn intern(table: &mut Vec<String>, name: &str) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::execute_with;
+    use crate::interp::{execute_with, ExecConfig};
     use fact_lang::compile;
 
     /// Asserts compiled execution is bit-identical to the interpreter for
@@ -525,7 +482,10 @@ mod tests {
         let env: HashMap<String, i64> = inputs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let cf = CompiledFn::compile(&f);
         let reference = execute_with(&f, &env, config);
-        let fast = cf.execute(&env, config);
+        let init: Vec<Vec<i64>> = (0..cf.num_memories())
+            .map(|i| config.initial_memories.get(&i).cloned().unwrap_or_default())
+            .collect();
+        let fast = cf.execute_seeded(&env, &init, config.step_limit);
         match (reference, fast) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.outputs, b.outputs);
@@ -644,7 +604,7 @@ mod tests {
             initial_memories: HashMap::from([(0, init[0].clone())]),
             ..Default::default()
         };
-        let a = cf.execute(&env, &cfg).unwrap();
+        let a = execute_with(&f, &env, &cfg).unwrap();
         let b = cf.execute_seeded(&env, &init, cfg.step_limit).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.memories, b.memories);

@@ -7,23 +7,15 @@
 //! memory contents) and comparing the full observable behavior: output
 //! streams, final memory images, and return values.
 //!
-//! Every entry point here runs on either execution engine
-//! ([`SimEngine`]): the scalar one-vector-at-a-time path is the reference,
-//! the batched lockstep path (default) runs all vectors through
-//! [`CompiledFn::run_batch`] in structure-of-arrays lanes. Verdicts —
-//! checked counts, the first [`Mismatch`] and its vector index, and the
-//! merged branch profile of [`EquivReference::check_profiled`] — are
-//! bit-identical between the two.
+//! [`check_equivalence`] is the oracle: the tree-walking interpreter runs
+//! both behaviors one vector at a time and reports the first located
+//! [`Mismatch`]. Production captures the original side once
+//! ([`EquivReference::capture`]) and judges compiled candidates against
+//! it inside [`crate::simulate`], with the same verdicts.
 
-use crate::batch::{
-    resolve_columns, resolve_columns_range, resolve_presence_only, sized_memories,
-    sized_memories_into, BatchTuning, InputPrefill, Lane, SimCounters, SimEngine, SimScratch,
-    VerifySink,
-};
 use crate::compiled::CompiledFn;
-use crate::interp::{execute_with, ExecConfig, ExecError, ExecResult};
-use crate::profile::{BranchProfile, ProfileAccum};
-use crate::trace::{DedupLanes, TraceSet};
+use crate::interp::{execute_with, ExecConfig, ExecError, ExecResult, DEFAULT_STEP_LIMIT};
+use crate::trace::TraceSet;
 use fact_ir::Function;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
@@ -103,109 +95,67 @@ pub(crate) type Expected<'a> =
     Result<(&'a [(String, i64)], &'a [Vec<i64>], Option<i64>), &'a ExecError>;
 
 /// Judges one vector: compares the transformed side's result against the
-/// original's, in the fixed order outputs → return value → memories.
-/// Vectors where both sides fail are skipped (the transformation preserved
-/// the undefined behavior); both-Ok vectors add `weight` to `checked`.
-fn judge(
+/// original's, in the fixed order outputs → return value → memories, and
+/// returns the first difference. Vectors where both sides fail agree: the
+/// transformation preserved the (undefined) behavior.
+pub(crate) fn judge(
     vector: usize,
     expected: Expected<'_>,
     actual: &Result<ExecResult, ExecError>,
-    weight: usize,
-    checked: &mut usize,
-) -> Result<(), Box<Mismatch>> {
+) -> Option<Mismatch> {
     match (expected, actual) {
         (Ok((outputs, memories, returned)), Ok(b)) => {
             if outputs != b.outputs.as_slice() {
-                return Err(Box::new(Mismatch::Outputs {
+                return Some(Mismatch::Outputs {
                     vector,
                     expected: outputs.to_vec(),
                     actual: b.outputs.clone(),
-                }));
+                });
             }
             if returned != b.returned {
-                return Err(Box::new(Mismatch::Returned {
+                return Some(Mismatch::Returned {
                     vector,
                     expected: returned,
                     actual: b.returned,
-                }));
+                });
             }
-            for (mi, (ma, mb)) in memories.iter().zip(&b.memories).enumerate() {
-                if let Some(addr) = ma.iter().zip(mb).position(|(x, y)| x != y) {
-                    return Err(Box::new(Mismatch::Memory {
-                        vector,
-                        mem: mi,
-                        addr,
-                    }));
-                }
-            }
-            *checked += weight;
-            Ok(())
+            memories
+                .iter()
+                .zip(&b.memories)
+                .enumerate()
+                .find_map(|(mem, (ma, mb))| {
+                    let addr = ma.iter().zip(mb).position(|(x, y)| x != y)?;
+                    Some(Mismatch::Memory { vector, mem, addr })
+                })
         }
-        (Err(_), Err(_)) => Ok(()),
-        (Err(e), Ok(_)) => Err(Box::new(Mismatch::Execution {
+        (Err(_), Err(_)) => None,
+        (Err(e), Ok(_)) => Some(Mismatch::Execution {
             vector,
             error: e.clone(),
             original_failed: true,
-        })),
-        (Ok(_), Err(e)) => Err(Box::new(Mismatch::Execution {
+        }),
+        (Ok(_), Err(e)) => Some(Mismatch::Execution {
             vector,
             error: e.clone(),
             original_failed: false,
-        })),
+        }),
     }
 }
 
-fn expected_of(r: &Result<ExecResult, ExecError>) -> Expected<'_> {
-    match r {
-        Ok(a) => Ok((&a.outputs, &a.memories, a.returned)),
-        Err(e) => Err(e),
-    }
-}
-
-/// Runs one batch of trace vectors (`idxs`, with per-vector initial
-/// memories from `init_of`) through `cf`, taking the columnar
-/// input-resolution fast path when the trace set supports it. Results are
-/// bit-identical to building [`Lane`]s and calling
-/// [`CompiledFn::run_batch`].
-fn run_chunk<'i>(
-    cf: &CompiledFn,
-    traces: &TraceSet,
-    idxs: &[usize],
-    init_of: &dyn Fn(usize) -> &'i [Vec<i64>],
-    step_limit: u64,
-    tuning: BatchTuning,
-    counters: Option<&SimCounters>,
-) -> Vec<Result<ExecResult, ExecError>> {
-    match traces.columns() {
-        Some(cols) => {
-            let resolved = resolve_columns(
-                cf,
-                cols,
-                idxs.iter().map(|&i| cols.row_of(i)),
-                &mut Default::default(),
-            );
-            let memories = idxs
-                .iter()
-                .map(|&i| sized_memories(cf, init_of(i)))
-                .collect();
-            cf.run_batch_prepared(resolved, memories, step_limit, tuning, counters)
-        }
-        None => {
-            let lanes: Vec<Lane<'_>> = idxs
-                .iter()
-                .map(|&i| Lane {
-                    inputs: &traces.vectors[i],
-                    init: init_of(i),
-                })
-                .collect();
-            let (resolved, memories) = crate::batch::resolve_lanes(cf, &lanes);
-            cf.run_batch_prepared(resolved, memories, step_limit, tuning, counters)
-        }
-    }
+/// Draws one vector's shared random initial memory images, sized to
+/// `f`'s memories. The stream is positional in the rng: the oracle and
+/// [`EquivReference::capture`] draw identical images for the same seed.
+fn random_images(f: &Function, rng: &mut StdRng) -> Vec<Vec<i64>> {
+    f.memories()
+        .map(|(_, m)| (0..m.size).map(|_| rng.gen_range(-100i64..100)).collect())
+        .collect()
 }
 
 /// Checks observable equivalence of `original` and `transformed` over the
 /// given traces, with `seed` controlling shared random initial memories.
+/// This is the oracle: both behaviors run on the tree-walking interpreter,
+/// one vector at a time. Vectors are never deduplicated: each gets its own
+/// random memory images, so duplicates are observable.
 ///
 /// Vectors on which *both* behaviors fail identically (e.g. both hit an
 /// out-of-bounds address) are skipped: the transformation preserved the
@@ -240,113 +190,30 @@ pub fn check_equivalence(
     traces: &TraceSet,
     seed: u64,
 ) -> Result<usize, Box<Mismatch>> {
-    check_equivalence_with(
-        original,
-        transformed,
-        traces,
-        seed,
-        &ExecConfig::default(),
-        None,
-    )
-}
-
-/// [`check_equivalence`] with an explicit configuration and optional work
-/// counters.
-///
-/// `config` supplies the step limit and the execution engine
-/// (`config.initial_memories` is ignored — the checker always draws its
-/// own shared random images from `seed`). The scalar engine runs the
-/// reference interpreter one vector at a time; the batched engine runs
-/// both behaviors through [`CompiledFn::run_batch`]. Verdicts are
-/// bit-identical either way. Vectors are never deduplicated here: each
-/// vector gets its own random memory images, so duplicates are observable.
-///
-/// # Errors
-/// Returns [`Mismatch`] describing the first observable difference.
-pub fn check_equivalence_with(
-    original: &Function,
-    transformed: &Function,
-    traces: &TraceSet,
-    seed: u64,
-    config: &ExecConfig,
-    counters: Option<&SimCounters>,
-) -> Result<usize, Box<Mismatch>> {
-    // Shared random initial memory images, one set per vector, sized to
-    // the original's memories (the transformed function declares the same
-    // arrays). The stream is positional in `seed` and identical for both
-    // engines.
     let mut rng = StdRng::seed_from_u64(seed);
-    let inits: Vec<Vec<Vec<i64>>> = traces
-        .vectors
-        .iter()
-        .map(|_| {
-            original
-                .memories()
-                .map(|(_, m)| (0..m.size).map(|_| rng.gen_range(-100i64..100)).collect())
-                .collect()
-        })
-        .collect();
-
-    let mut vectors_run = 0u64;
-    let mut batches = 0u64;
-    let mut checked = 0usize;
-    let result = (|| -> Result<(), Box<Mismatch>> {
-        match config.engine {
-            SimEngine::Scalar => {
-                for (i, v) in traces.vectors.iter().enumerate() {
-                    let cfg = ExecConfig {
-                        initial_memories: inits[i].iter().cloned().enumerate().collect(),
-                        ..config.clone()
-                    };
-                    let r1 = execute_with(original, v, &cfg);
-                    let r2 = execute_with(transformed, v, &cfg);
-                    vectors_run += 2;
-                    judge(i, expected_of(&r1), &r2, 1, &mut checked)?;
-                }
-            }
-            SimEngine::Batched {
-                max_lanes,
-                cluster,
-                compact,
-            } => {
-                let tuning = BatchTuning { cluster, compact };
-                let cf1 = CompiledFn::compile(original);
-                let cf2 = CompiledFn::compile(transformed);
-                let indices: Vec<usize> = (0..traces.vectors.len()).collect();
-                let init_of = |i: usize| inits[i].as_slice();
-                for chunk in indices.chunks(max_lanes.max(1)) {
-                    let r1 = run_chunk(
-                        &cf1,
-                        traces,
-                        chunk,
-                        &init_of,
-                        config.step_limit,
-                        tuning,
-                        counters,
-                    );
-                    let r2 = run_chunk(
-                        &cf2,
-                        traces,
-                        chunk,
-                        &init_of,
-                        config.step_limit,
-                        tuning,
-                        counters,
-                    );
-                    vectors_run += 2 * chunk.len() as u64;
-                    batches += 2;
-                    for (k, &i) in chunk.iter().enumerate() {
-                        judge(i, expected_of(&r1[k]), &r2[k], 1, &mut checked)?;
-                    }
-                }
-            }
+    let mut checked = 0;
+    for (i, v) in traces.vectors.iter().enumerate() {
+        // Sized to the original's memories (the transformed function
+        // declares the same arrays).
+        let cfg = ExecConfig {
+            initial_memories: random_images(original, &mut rng)
+                .into_iter()
+                .enumerate()
+                .collect(),
+            ..ExecConfig::default()
+        };
+        let r1 = execute_with(original, v, &cfg);
+        let r2 = execute_with(transformed, v, &cfg);
+        let expected = match &r1 {
+            Ok(a) => Ok((a.outputs.as_slice(), a.memories.as_slice(), a.returned)),
+            Err(e) => Err(e),
+        };
+        if let Some(m) = judge(i, expected, &r2) {
+            return Err(Box::new(m));
         }
-        Ok(())
-    })();
-    if let Some(c) = counters {
-        c.add(vectors_run, batches);
+        checked += usize::from(r2.is_ok());
     }
-    result.map(|()| checked)
+    Ok(checked)
 }
 
 /// The original behavior's observable results on success.
@@ -366,19 +233,15 @@ struct RefVector {
 /// The reference side of equivalence checking, captured once and reused
 /// across many transformed candidates.
 ///
-/// [`check_equivalence`] re-executes the *original* behavior — and
-/// regenerates the shared random initial memories — for every candidate,
-/// even though that side never changes within a search. `EquivReference`
-/// hoists it: [`EquivReference::capture`] runs the original over all trace
-/// vectors once (recording memory images and results), and
-/// [`EquivReference::check`] then verifies each candidate by executing
-/// only the transformed side. Verdicts are identical to
-/// [`check_equivalence`] with the same traces and seed, including the
-/// skip-when-both-fail rule; the equivalence property tests in `fact-core`
-/// hold the two paths together.
+/// The original behavior — and the shared random initial memories — never
+/// change within a search. [`EquivReference::capture`] runs the original
+/// over all trace vectors once (recording memory images and results), and
+/// [`crate::simulate`] then verifies each candidate by executing only the
+/// transformed side. Verdicts are identical to [`check_equivalence`] with
+/// the same traces and seed, including the skip-when-both-fail rule; the
+/// `oracle_equiv` suite in `fact-core` holds the two paths together.
 pub struct EquivReference {
     vectors: Vec<RefVector>,
-    step_limit: u64,
 }
 
 impl EquivReference {
@@ -387,526 +250,43 @@ impl EquivReference {
     /// same `seed`), recording everything a candidate must match.
     pub fn capture(original: &Function, traces: &TraceSet, seed: u64) -> EquivReference {
         let cf = CompiledFn::compile(original);
-        let step_limit = ExecConfig::default().step_limit;
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut vectors = Vec::with_capacity(traces.vectors.len());
-        for v in &traces.vectors {
-            let init: Vec<Vec<i64>> = original
-                .memories()
-                .map(|(_, m)| (0..m.size).map(|_| rng.gen_range(-100i64..100)).collect())
-                .collect();
-            let outcome = cf.execute_seeded(v, &init, step_limit).map(|r| RefOk {
-                outputs: r.outputs,
-                memories: r.memories,
-                returned: r.returned,
-            });
-            vectors.push(RefVector { init, outcome });
-        }
-        EquivReference {
-            vectors,
-            step_limit,
-        }
+        let vectors = traces
+            .vectors
+            .iter()
+            .map(|v| {
+                let init = random_images(original, &mut rng);
+                let outcome = cf
+                    .execute_seeded(v, &init, DEFAULT_STEP_LIMIT)
+                    .map(|r| RefOk {
+                        outputs: r.outputs,
+                        memories: r.memories,
+                        returned: r.returned,
+                    });
+                RefVector { init, outcome }
+            })
+            .collect();
+        EquivReference { vectors }
     }
 
-    /// Whether the captured original declared no memories (every lane's
+    /// Number of captured vectors.
+    pub(crate) fn len(&self) -> usize {
+        self.vectors.len()
+    }
+
+    /// Whether the captured original declared no memories (every vector's
     /// initial memory image is empty).
-    fn memory_free(&self) -> bool {
+    pub(crate) fn memory_free(&self) -> bool {
         self.vectors.first().is_none_or(|rv| rv.init.is_empty())
     }
 
-    /// Checks `transformed` against the captured reference. `traces` must
-    /// be the set given to [`EquivReference::capture`].
-    ///
-    /// Returns `Ok(checked)` — the number of vectors actually compared —
-    /// or the first [`Mismatch`], exactly as [`check_equivalence`] would.
-    ///
-    /// # Errors
-    /// Returns [`Mismatch`] describing the first observable difference.
-    ///
-    /// # Panics
-    /// Panics if `traces` has a different vector count than the captured
-    /// set.
-    pub fn check(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-    ) -> Result<usize, Box<Mismatch>> {
-        self.check_with(transformed, traces, SimEngine::default(), None)
-    }
-
-    /// [`EquivReference::check`] with an explicit engine and optional work
-    /// counters. Vectors are never deduplicated: each carries its own
-    /// captured random memory images.
-    ///
-    /// # Errors
-    /// Returns [`Mismatch`] describing the first observable difference.
-    ///
-    /// # Panics
-    /// Panics if `traces` has a different vector count than the captured
-    /// set.
-    pub fn check_with(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-        engine: SimEngine,
-        counters: Option<&SimCounters>,
-    ) -> Result<usize, Box<Mismatch>> {
-        assert_eq!(
-            traces.vectors.len(),
-            self.vectors.len(),
-            "EquivReference::check needs the traces it was captured with"
-        );
-        let mut vectors_run = 0u64;
-        let mut batches = 0u64;
-        let mut checked = 0usize;
-        let result = (|| -> Result<(), Box<Mismatch>> {
-            match engine {
-                SimEngine::Scalar => {
-                    for (i, v) in traces.vectors.iter().enumerate() {
-                        let rv = &self.vectors[i];
-                        let r2 = transformed.execute_seeded(v, &rv.init, self.step_limit);
-                        vectors_run += 1;
-                        judge(i, self.expected(i), &r2, 1, &mut checked)?;
-                    }
-                }
-                SimEngine::Batched {
-                    max_lanes,
-                    cluster,
-                    compact,
-                } => {
-                    let tuning = BatchTuning { cluster, compact };
-                    let indices: Vec<usize> = (0..traces.vectors.len()).collect();
-                    let init_of = |i: usize| self.vectors[i].init.as_slice();
-                    for chunk in indices.chunks(max_lanes.max(1)) {
-                        let r2 = run_chunk(
-                            transformed,
-                            traces,
-                            chunk,
-                            &init_of,
-                            self.step_limit,
-                            tuning,
-                            counters,
-                        );
-                        vectors_run += chunk.len() as u64;
-                        batches += 1;
-                        for (k, &i) in chunk.iter().enumerate() {
-                            judge(i, self.expected(i), &r2[k], 1, &mut checked)?;
-                        }
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Some(c) = counters {
-            c.add(vectors_run, batches);
-        }
-        result.map(|()| checked)
-    }
-
-    /// [`EquivReference::check`] that also returns the branch profile
-    /// observed during the very same executions, saving a second
-    /// simulation pass per candidate.
-    ///
-    /// Only valid for memory-free functions: equivalence checking runs
-    /// with seeded random initial memories while profiling runs with
-    /// zeroed ones, so with no memories to initialize the two
-    /// configurations execute identically and the returned profile is
-    /// bit-identical to [`crate::profile_compiled`] (same step limit,
-    /// same vectors, same accounting).
-    ///
-    /// # Errors
-    /// Returns the first [`Mismatch`], exactly as
-    /// [`EquivReference::check`] would.
-    ///
-    /// # Panics
-    /// Panics if `transformed` declares memories, or if `traces` has a
-    /// different vector count than the captured set.
-    pub fn check_profiled(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-    ) -> Result<(usize, BranchProfile), Box<Mismatch>> {
-        self.check_profiled_with(transformed, traces, SimEngine::default(), None)
-    }
-
-    /// [`EquivReference::check_profiled`] with an explicit engine and
-    /// optional work counters.
-    ///
-    /// When the *captured original* is also memory-free (no per-vector
-    /// random images anywhere), the batched engine deduplicates the trace
-    /// set and weights each lane's profile statistics by its multiplicity;
-    /// verdicts, mismatch indices, checked counts, and the profile remain
-    /// bit-identical to the scalar engine.
-    ///
-    /// # Errors
-    /// Returns the first [`Mismatch`], exactly as
-    /// [`EquivReference::check`] would.
-    ///
-    /// # Panics
-    /// Panics if `transformed` declares memories, or if `traces` has a
-    /// different vector count than the captured set.
-    pub fn check_profiled_with(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-        engine: SimEngine,
-        counters: Option<&SimCounters>,
-    ) -> Result<(usize, BranchProfile), Box<Mismatch>> {
-        assert_eq!(
-            transformed.num_memories(),
-            0,
-            "check_profiled requires a memory-free function: profiles \
-             would otherwise depend on the memory initialization, which \
-             differs between equivalence checking and profiling"
-        );
-        assert_eq!(
-            traces.vectors.len(),
-            self.vectors.len(),
-            "EquivReference::check needs the traces it was captured with"
-        );
-        let mut accum = ProfileAccum::new(transformed.num_blocks());
-        let mut vectors_run = 0u64;
-        let mut batches = 0u64;
-        let mut checked = 0usize;
-        let result = (|| -> Result<(), Box<Mismatch>> {
-            match engine {
-                SimEngine::Scalar => {
-                    for (i, v) in traces.vectors.iter().enumerate() {
-                        let rv = &self.vectors[i];
-                        let r2 = transformed.execute_seeded(v, &rv.init, self.step_limit);
-                        vectors_run += 1;
-                        accum.record(&r2, 1);
-                        judge(i, self.expected(i), &r2, 1, &mut checked)?;
-                    }
-                }
-                SimEngine::Batched {
-                    max_lanes,
-                    cluster,
-                    compact,
-                } => {
-                    let tuning = BatchTuning { cluster, compact };
-                    // Dedup is only sound when no vector carries private
-                    // random memory images — i.e. the original was
-                    // memory-free too. Otherwise each vector keeps its own
-                    // lane (the transformed side ignores the images, but
-                    // the captured reference outcomes may differ).
-                    let dl = if self.memory_free() {
-                        traces.dedup_lanes()
-                    } else {
-                        DedupLanes::Identity(traces.vectors.len())
-                    };
-                    let init_of = |i: usize| self.vectors[i].init.as_slice();
-                    let distinct = dl.len();
-                    let cap = max_lanes.max(1);
-                    let mut start = 0usize;
-                    while start < distinct {
-                        let end = (start + cap).min(distinct);
-                        let idxs: Vec<usize> = (start..end).map(|k| dl.index(k)).collect();
-                        let r2 = run_chunk(
-                            transformed,
-                            traces,
-                            &idxs,
-                            &init_of,
-                            self.step_limit,
-                            tuning,
-                            counters,
-                        );
-                        batches += 1;
-                        for (k, &i) in idxs.iter().enumerate() {
-                            let m = dl.get(start + k).1;
-                            vectors_run += m as u64;
-                            accum.record(&r2[k], m);
-                            judge(i, self.expected(i), &r2[k], m, &mut checked)?;
-                        }
-                        start = end;
-                    }
-                }
-            }
-            Ok(())
-        })();
-        if let Some(c) = counters {
-            c.add(vectors_run, batches);
-        }
-        result.map(|()| (checked, accum.finish(transformed.branch_blocks())))
-    }
-
-    /// [`EquivReference::check_profiled_with`] with caller-provided
-    /// reusable scratch buffers and built-in divergence measurement.
-    ///
-    /// The returned `f64` is the fraction of lane-steps the verification
-    /// spent off the contiguous-group fast path (see
-    /// [`SimCounters::divergence`]), measured over the *whole* pass — the
-    /// signal [`crate::measure_divergence`] samples with a separate probe
-    /// batch, obtained here for free (0.0 on the scalar engine). Lanes
-    /// are judged during retirement without materializing per-lane
-    /// results, so a clean candidate pays one allocation-free pass; on a
-    /// mismatch the whole check re-runs through
-    /// [`EquivReference::check_profiled_with`] so the returned
-    /// [`Mismatch`] (vector index and payload) — and therefore the
-    /// verdict — stays bit-identical to that path.
-    ///
-    /// # Panics
-    /// Panics if `transformed` declares memories, or if `traces` has a
-    /// different vector count than the captured set.
-    pub fn check_profiled_reusing(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-        engine: SimEngine,
-        counters: Option<&SimCounters>,
-        scratch: &mut SimScratch,
-    ) -> (Result<(usize, BranchProfile), Box<Mismatch>>, f64) {
-        let SimEngine::Batched {
-            max_lanes,
-            cluster,
-            compact,
-        } = engine
-        else {
-            return (
-                self.check_profiled_with(transformed, traces, engine, counters),
-                0.0,
-            );
-        };
-        assert_eq!(
-            transformed.num_memories(),
-            0,
-            "check_profiled requires a memory-free function: profiles \
-             would otherwise depend on the memory initialization, which \
-             differs between equivalence checking and profiling"
-        );
-        assert_eq!(
-            traces.vectors.len(),
-            self.vectors.len(),
-            "EquivReference::check needs the traces it was captured with"
-        );
-        let tuning = BatchTuning { cluster, compact };
-        // Dedup exactly as check_profiled_with: sound only when the
-        // captured original was memory-free too.
-        let dl = if self.memory_free() {
-            traces.dedup_lanes()
-        } else {
-            DedupLanes::Identity(traces.vectors.len())
-        };
-        let cols = traces.columns();
-        let distinct = dl.len();
-        let cap = max_lanes.max(1);
-        // Straight-line fusion, exactly as in batched profiling (see
-        // `profile_compiled_with`): sound here because dedup row `k` is
-        // trace-column row `k`.
-        let fuse = self.memory_free()
-            && transformed.fusable_straightline(self.step_limit)
-            && cols.is_some_and(|c| transformed.input_names.iter().all(|n| c.col(n).is_some()));
-        let mut accum = ProfileAccum::new(transformed.num_blocks());
-        let local = SimCounters::default();
-        let mut vectors_run = 0u64;
-        let mut batches = 0u64;
-        let mut checked = 0usize;
-        let mut mismatch = false;
-        let mut start = 0usize;
-        while start < distinct && !mismatch {
-            let end = (start + cap).min(distinct);
-            let n = end - start;
-            let weights: Option<Vec<usize>> = match dl {
-                DedupLanes::Identity(_) => None,
-                DedupLanes::Lanes(l) => Some(l[start..end].iter().map(|&(_, m)| m).collect()),
-            };
-            let expected: Vec<Expected<'_>> =
-                (start..end).map(|k| self.expected(dl.index(k))).collect();
-            let (resolved, memories) = match cols {
-                Some(_) if fuse => (
-                    resolve_presence_only(transformed, n, &mut scratch.batch),
-                    scratch.batch.take_memories(&[], n),
-                ),
-                // Columnar fast path: with a memory-free reference,
-                // dedup row k *is* column row k, so the chunk is one
-                // contiguous row range (a memcpy per input name).
-                Some(cols) if self.memory_free() => {
-                    debug_assert!((start..end).all(|k| cols.row_of(dl.index(k)) == k));
-                    (
-                        resolve_columns_range(transformed, cols, start..end, &mut scratch.batch),
-                        scratch.batch.take_memories(&[], n),
-                    )
-                }
-                Some(cols) => (
-                    resolve_columns(
-                        transformed,
-                        cols,
-                        (start..end).map(|k| cols.row_of(dl.index(k))),
-                        &mut scratch.batch,
-                    ),
-                    scratch.batch.take_memories(&[], n),
-                ),
-                None => {
-                    let batch: Vec<Lane<'_>> = (start..end)
-                        .map(|k| Lane {
-                            inputs: &traces.vectors[dl.index(k)],
-                            init: &[],
-                        })
-                        .collect();
-                    crate::batch::resolve_lanes(transformed, &batch)
-                }
-            };
-            let prefill = match cols {
-                Some(cols) if fuse => Some(InputPrefill {
-                    cols,
-                    rows: start..end,
-                }),
-                _ => None,
-            };
-            let mut sink = VerifySink {
-                expected: &expected,
-                weights: weights.as_deref(),
-                accum: Some(&mut accum),
-                checked: 0,
-                mismatch: false,
-            };
-            transformed.run_batch_verified(
-                resolved,
-                memories,
-                self.step_limit,
-                tuning,
-                Some(&local),
-                &mut sink,
-                &mut scratch.batch,
-                prefill,
-            );
-            checked += sink.checked;
-            mismatch = sink.mismatch;
-            vectors_run += match dl {
-                DedupLanes::Identity(_) => n as u64,
-                DedupLanes::Lanes(l) => l[start..end].iter().map(|&(_, m)| m as u64).sum(),
-            };
-            batches += 1;
-            start = end;
-        }
-        if let Some(c) = counters {
-            c.merge(&local);
-            c.add(vectors_run, batches);
-        }
-        let divergence = local.divergence();
-        if mismatch {
-            // Re-run through the materializing path to locate the first
-            // mismatch bit-identically. Failing candidates pay twice;
-            // clean candidates (the common case) never take this branch.
-            return (
-                self.check_profiled_with(transformed, traces, engine, counters),
-                divergence,
-            );
-        }
-        (
-            Ok((checked, accum.finish(transformed.branch_blocks()))),
-            divergence,
-        )
-    }
-
-    /// [`EquivReference::check_with`] with caller-provided reusable
-    /// scratch buffers and built-in divergence measurement — the
-    /// memory-bearing counterpart of
-    /// [`EquivReference::check_profiled_reusing`] (same verdict
-    /// guarantees, same divergence semantics, no merged profile: profiles
-    /// of functions with memories need a separate zero-initialized pass).
-    ///
-    /// # Panics
-    /// Panics if `traces` has a different vector count than the captured
-    /// set.
-    pub fn check_reusing(
-        &self,
-        transformed: &CompiledFn,
-        traces: &TraceSet,
-        engine: SimEngine,
-        counters: Option<&SimCounters>,
-        scratch: &mut SimScratch,
-    ) -> (Result<usize, Box<Mismatch>>, f64) {
-        let SimEngine::Batched {
-            max_lanes,
-            cluster,
-            compact,
-        } = engine
-        else {
-            return (self.check_with(transformed, traces, engine, counters), 0.0);
-        };
-        assert_eq!(
-            traces.vectors.len(),
-            self.vectors.len(),
-            "EquivReference::check needs the traces it was captured with"
-        );
-        let tuning = BatchTuning { cluster, compact };
-        let cols = traces.columns();
-        let total = traces.vectors.len();
-        let cap = max_lanes.max(1);
-        let local = SimCounters::default();
-        let mut vectors_run = 0u64;
-        let mut batches = 0u64;
-        let mut checked = 0usize;
-        let mut mismatch = false;
-        let mut start = 0usize;
-        while start < total && !mismatch {
-            let end = (start + cap).min(total);
-            let n = end - start;
-            let expected: Vec<Expected<'_>> = (start..end).map(|i| self.expected(i)).collect();
-            let (resolved, memories) = match cols {
-                Some(cols) => (
-                    resolve_columns(
-                        transformed,
-                        cols,
-                        (start..end).map(|i| cols.row_of(i)),
-                        &mut scratch.batch,
-                    ),
-                    // Per-lane init images rebuilt into the recycled
-                    // buffers of the previous chunk (and candidate).
-                    scratch.batch.take_memories_with(n, |k, lane| {
-                        sized_memories_into(transformed, &self.vectors[start + k].init, lane)
-                    }),
-                ),
-                None => {
-                    let batch: Vec<Lane<'_>> = (start..end)
-                        .map(|i| Lane {
-                            inputs: &traces.vectors[i],
-                            init: &self.vectors[i].init,
-                        })
-                        .collect();
-                    crate::batch::resolve_lanes(transformed, &batch)
-                }
-            };
-            let mut sink = VerifySink {
-                expected: &expected,
-                weights: None,
-                accum: None,
-                checked: 0,
-                mismatch: false,
-            };
-            transformed.run_batch_verified(
-                resolved,
-                memories,
-                self.step_limit,
-                tuning,
-                Some(&local),
-                &mut sink,
-                &mut scratch.batch,
-                None,
-            );
-            checked += sink.checked;
-            mismatch = sink.mismatch;
-            vectors_run += n as u64;
-            batches += 1;
-            start = end;
-        }
-        if let Some(c) = counters {
-            c.merge(&local);
-            c.add(vectors_run, batches);
-        }
-        let divergence = local.divergence();
-        if mismatch {
-            return (
-                self.check_with(transformed, traces, engine, counters),
-                divergence,
-            );
-        }
-        (Ok(checked), divergence)
+    /// Vector `i`'s shared random initial memory images.
+    pub(crate) fn init(&self, i: usize) -> &[Vec<i64>] {
+        &self.vectors[i].init
     }
 
     /// The captured original-side view of vector `i` for [`judge`].
-    fn expected(&self, i: usize) -> Expected<'_> {
+    pub(crate) fn expected(&self, i: usize) -> Expected<'_> {
         match &self.vectors[i].outcome {
             Ok(a) => Ok((&a.outputs, &a.memories, a.returned)),
             Err(e) => Err(e),
@@ -918,6 +298,7 @@ impl EquivReference {
 mod tests {
     use super::*;
     use crate::trace::{generate, InputSpec};
+    use crate::{simulate, SimEngine};
     use fact_lang::compile;
 
     fn traces_ab(n: usize) -> TraceSet {
@@ -929,46 +310,6 @@ mod tests {
             n,
             77,
         )
-    }
-
-    fn scalar_cfg() -> ExecConfig {
-        ExecConfig {
-            engine: SimEngine::Scalar,
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn check_profiled_matches_separate_passes() {
-        use crate::profile::profile_compiled;
-        let f = compile(
-            "proc f(a, b) { var y = 0; if (a > b) { y = a - b; } else { y = b - a; } out r = y; }",
-        )
-        .unwrap();
-        let g = compile(
-            "proc f(a, b) { var y = 0; if (a > b) { y = a - b; } else { y = 0 - (a - b); } out r = y; }",
-        )
-        .unwrap();
-        let traces = traces_ab(40);
-        let reference = EquivReference::capture(&f, &traces, 9);
-        let cg = CompiledFn::compile(&g);
-        let (checked, prof) = reference.check_profiled(&cg, &traces).unwrap();
-        assert_eq!(checked, reference.check(&cg, &traces).unwrap());
-        assert_eq!(prof, profile_compiled(&cg, &traces));
-        // A non-equivalent candidate still gets the same verdict.
-        let bad = compile("proc f(a, b) { out r = a; }").unwrap();
-        let cbad = CompiledFn::compile(&bad);
-        assert!(reference.check_profiled(&cbad, &traces).is_err());
-        assert!(reference.check(&cbad, &traces).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "memory-free")]
-    fn check_profiled_rejects_functions_with_memories() {
-        let f = compile("proc f(a) { array m[4]; m[0] = a; out y = m[0]; }").unwrap();
-        let traces = traces_ab(4);
-        let reference = EquivReference::capture(&f, &traces, 9);
-        let _ = reference.check_profiled(&CompiledFn::compile(&f), &traces);
     }
 
     #[test]
@@ -1013,22 +354,26 @@ mod tests {
         assert!(matches!(*m, Mismatch::Outputs { .. }));
     }
 
-    /// All equivalence paths — interpreted scalar, batched, and the
-    /// captured-reference form on both engines — must return the same
-    /// verdict.
+    /// The captured reference, judged through `simulate` on both engines,
+    /// must reach the oracle's verdict.
     fn verdicts_agree(f1: &fact_ir::Function, f2: &fact_ir::Function, t: &TraceSet, seed: u64) {
-        let slow = check_equivalence_with(f1, f2, t, seed, &scalar_cfg(), None);
-        let batched = check_equivalence_with(f1, f2, t, seed, &ExecConfig::default(), None);
+        let oracle = check_equivalence(f1, f2, t, seed).is_ok();
         let reference = EquivReference::capture(f1, t, seed);
         let cf2 = CompiledFn::compile(f2);
-        let fast = reference.check_with(&cf2, t, SimEngine::Scalar, None);
-        let fast_batched = reference.check_with(&cf2, t, SimEngine::batched_with(3), None);
-        for other in [&batched, &fast, &fast_batched] {
-            match (&slow, other) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "checked counts differ"),
-                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                (a, b) => panic!("verdicts diverge: {a:?} vs {b:?}"),
-            }
+        for engine in [SimEngine::Scalar, SimEngine::batched_with(3)] {
+            let sim = simulate(
+                &cf2,
+                t,
+                Some(&reference),
+                engine,
+                None,
+                &mut Default::default(),
+            );
+            assert_eq!(
+                sim.profile.is_some(),
+                oracle,
+                "verdicts diverge ({engine:?})"
+            );
         }
     }
 
@@ -1053,137 +398,6 @@ mod tests {
         let t = generate(&[("a".to_string(), InputSpec::Constant(0))], 10, 6);
         verdicts_agree(&f1, &f2, &t, 5);
         verdicts_agree(&f1, &f1.clone(), &t, 5);
-    }
-
-    #[test]
-    fn batched_check_profiled_matches_scalar_on_duplicate_traces() {
-        let f = compile(
-            "proc f(a, n) { var i = 0; var s = 0; \
-             while (i < n) { if (a < i) { s = s + i; } else { s = s - 1; } i = i + 1; } \
-             out s = s; }",
-        )
-        .unwrap();
-        // Tiny ranges: the 50 vectors collapse to at most 12 lanes.
-        let t = generate(
-            &[
-                ("a".to_string(), InputSpec::Uniform { lo: 0, hi: 2 }),
-                ("n".to_string(), InputSpec::Uniform { lo: 0, hi: 3 }),
-            ],
-            50,
-            21,
-        );
-        let reference = EquivReference::capture(&f, &t, 7);
-        let cf = CompiledFn::compile(&f);
-        let counters = SimCounters::default();
-        let (c1, p1) = reference
-            .check_profiled_with(&cf, &t, SimEngine::Scalar, None)
-            .unwrap();
-        let (c2, p2) = reference
-            .check_profiled_with(&cf, &t, SimEngine::batched_with(5), Some(&counters))
-            .unwrap();
-        assert_eq!(c1, c2);
-        assert_eq!(p1, p2);
-        assert_eq!(counters.vectors(), 50, "weights must cover every vector");
-        assert!(counters.batches() >= 1);
-    }
-
-    #[test]
-    fn batched_mismatch_index_matches_scalar_under_dedup() {
-        // The transformed side misbehaves only for a = 2; duplicated
-        // vectors must still report the scalar path's first failing index.
-        let f1 = compile("proc f(a) { var y = a + 1; out y = y; }").unwrap();
-        let f2 = compile("proc f(a) { var y = a + 1; if (a == 2) { y = 0; } out y = y; }").unwrap();
-        let t = generate(
-            &[("a".to_string(), InputSpec::Uniform { lo: 0, hi: 3 })],
-            40,
-            3,
-        );
-        let reference = EquivReference::capture(&f1, &t, 11);
-        let cf2 = CompiledFn::compile(&f2);
-        let slow = reference
-            .check_profiled_with(&cf2, &t, SimEngine::Scalar, None)
-            .unwrap_err();
-        let fast = reference
-            .check_profiled_with(&cf2, &t, SimEngine::batched_with(2), None)
-            .unwrap_err();
-        assert_eq!(slow.to_string(), fast.to_string());
-    }
-
-    #[test]
-    fn reusing_check_profiled_matches_plain() {
-        // One scratch threaded across clean, looping, and mismatching
-        // candidates: verdicts, checked counts, profiles, mismatch
-        // payloads, and work counters must all match the materializing
-        // path exactly.
-        let f = compile(
-            "proc f(a, n) { var i = 0; var s = 0; \
-             while (i < n) { if (a < i) { s = s + i; } else { s = s - 1; } i = i + 1; } \
-             out s = s; }",
-        )
-        .unwrap();
-        let bad = compile("proc f(a, n) { out s = a + n; }").unwrap();
-        // Tiny ranges: heavy duplication exercises the dedup-weighted path.
-        let t = generate(
-            &[
-                ("a".to_string(), InputSpec::Uniform { lo: 0, hi: 2 }),
-                ("n".to_string(), InputSpec::Uniform { lo: 0, hi: 3 }),
-            ],
-            50,
-            21,
-        );
-        let reference = EquivReference::capture(&f, &t, 7);
-        let mut scratch = SimScratch::default();
-        for engine in [SimEngine::batched_with(5), SimEngine::Scalar] {
-            for g in [&f, &bad] {
-                let cg = CompiledFn::compile(g);
-                let plain_counters = SimCounters::default();
-                let reuse_counters = SimCounters::default();
-                let plain = reference.check_profiled_with(&cg, &t, engine, Some(&plain_counters));
-                let (reused, div) = reference.check_profiled_reusing(
-                    &cg,
-                    &t,
-                    engine,
-                    Some(&reuse_counters),
-                    &mut scratch,
-                );
-                assert!((0.0..=1.0).contains(&div));
-                match (plain, reused) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a, b);
-                        assert_eq!(plain_counters.vectors(), reuse_counters.vectors());
-                        assert_eq!(plain_counters.batches(), reuse_counters.batches());
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("verdicts diverge: {a:?} vs {b:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reusing_check_matches_plain_with_memories() {
-        // The memory-bearing path: per-vector random initial images, final
-        // memory comparison inside the sink.
-        let f1 = compile("proc f(a) { array x[4]; x[0] = a; out y = x[0]; }").unwrap();
-        let f2 = compile("proc f(a) { array x[4]; x[0] = a; out y = a; }").unwrap();
-        let f3 = compile("proc f(a) { array x[4]; x[1] = a; out y = a; }").unwrap();
-        let f4 = compile("proc f(a) { array x[4]; out y = x[0]; x[0] = a; }").unwrap();
-        let t = generate(&[("a".to_string(), InputSpec::Constant(5))], 12, 4);
-        let reference = EquivReference::capture(&f1, &t, 11);
-        let mut scratch = SimScratch::default();
-        for engine in [SimEngine::batched_with(4), SimEngine::Scalar] {
-            for g in [&f1, &f2, &f3, &f4] {
-                let cg = CompiledFn::compile(g);
-                let plain = reference.check_with(&cg, &t, engine, None);
-                let (reused, div) = reference.check_reusing(&cg, &t, engine, None, &mut scratch);
-                assert!((0.0..=1.0).contains(&div));
-                match (plain, reused) {
-                    (Ok(a), Ok(b)) => assert_eq!(a, b),
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("verdicts diverge: {a:?} vs {b:?}"),
-                }
-            }
-        }
     }
 
     #[test]

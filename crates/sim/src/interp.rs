@@ -107,20 +107,17 @@ pub struct ExecConfig {
     /// Initial contents for each memory (by id); missing memories are
     /// zero-filled.
     pub initial_memories: HashMap<usize, Vec<i64>>,
-    /// Engine used by the multi-vector entry points
-    /// ([`crate::check_equivalence_with`], [`crate::profile_compiled_with`]).
-    /// Single-run execution ([`execute_with`]) and the pure-interpreter
-    /// profile ([`crate::profile_with`]) are the reference semantics and
-    /// always run scalar, regardless of this setting.
-    pub engine: crate::batch::SimEngine,
 }
+
+/// The default [`ExecConfig::step_limit`], also the limit every
+/// [`crate::simulate`] pass runs under.
+pub(crate) const DEFAULT_STEP_LIMIT: u64 = 2_000_000;
 
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            step_limit: 2_000_000,
+            step_limit: DEFAULT_STEP_LIMIT,
             initial_memories: HashMap::new(),
-            engine: crate::batch::SimEngine::default(),
         }
     }
 }

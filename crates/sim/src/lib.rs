@@ -1,14 +1,18 @@
 //! # fact-sim — CDFG simulation, profiling, traces, and equivalence
 //!
-//! Four services built on one interpreter:
+//! Services built on one compiled form of the IR:
 //!
-//! * [`execute`] / [`execute_with`] — reference execution of an IR
-//!   function on named inputs;
+//! * [`simulate`] — the production pass: verifies a candidate against a
+//!   captured [`EquivReference`] (§3), profiles its branch probabilities
+//!   from the typical traces (§4.1), and measures its control-flow
+//!   divergence, on the engine [`SimEngine::for_divergence`] picks;
 //! * [`trace`] — reproducible input-trace generation, including the
 //!   paper's temporally-correlated Gaussian source (§5);
-//! * [`profile()`] — branch probabilities from typical traces (§4.1);
-//! * [`equiv`] — randomized functional-equivalence checking used to
-//!   validate every transformation (§3).
+//! * the oracles the production pass is tested against:
+//!   [`execute`]/[`execute_with`] (reference interpreter),
+//!   [`profile()`]/[`profile_with`], [`check_equivalence`], and the
+//!   compiled single-run and lockstep entry points
+//!   [`CompiledFn::execute_seeded`] and [`CompiledFn::run_batch`].
 
 #![warn(missing_docs)]
 
@@ -17,14 +21,13 @@ pub mod compiled;
 pub mod equiv;
 mod interp;
 pub mod profile;
+mod simulate;
 pub mod trace;
 
 pub use batch::{Lane, SimCounters, SimEngine, SimScratch, DEFAULT_MAX_LANES};
 pub use compiled::CompiledFn;
-pub use equiv::{check_equivalence, check_equivalence_with, EquivReference, Mismatch};
+pub use equiv::{check_equivalence, EquivReference, Mismatch};
 pub use interp::{execute, execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
-pub use profile::{
-    measure_divergence, profile, profile_compiled, profile_compiled_reusing, profile_compiled_with,
-    profile_with, BranchProfile,
-};
+pub use profile::{profile, profile_with, BranchProfile};
+pub use simulate::{simulate, Simulation};
 pub use trace::{generate, DedupLanes, InputSpec, TraceColumns, TraceSet};

@@ -6,13 +6,8 @@
 //! [`BranchProfile`] is consumed by the scheduler (edge probabilities on
 //! the STG) and by the estimator (Markov analysis).
 
-use crate::batch::{
-    resolve_columns_range, resolve_lanes, resolve_presence_only, sized_memories, BatchScratch,
-    BatchTuning, InputPrefill, Lane, SimCounters, SimEngine, SimScratch,
-};
-use crate::compiled::CompiledFn;
 use crate::interp::{execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
-use crate::trace::{DedupLanes, TraceSet};
+use crate::trace::TraceSet;
 use fact_ir::{BlockId, Function, Terminator};
 use std::collections::HashMap;
 
@@ -93,9 +88,9 @@ pub fn profile(f: &Function, traces: &TraceSet) -> BranchProfile {
 
 /// [`profile`] with an explicit interpreter configuration.
 ///
-/// This is the *reference* profiling path: it always runs the tree-walking
-/// interpreter one vector at a time (regardless of `config.engine`) and is
-/// what the batched paths are property-tested against.
+/// This is the *reference* profiling path: it runs the tree-walking
+/// interpreter one vector at a time and is what the profile of
+/// [`crate::simulate`] is property-tested against.
 pub fn profile_with(f: &Function, traces: &TraceSet, config: &ExecConfig) -> BranchProfile {
     let mut accum = ProfileAccum::new(f.num_blocks());
     for v in &traces.vectors {
@@ -108,214 +103,12 @@ pub fn profile_with(f: &Function, traces: &TraceSet, config: &ExecConfig) -> Bra
     )
 }
 
-/// [`profile`] over an already-compiled function (default interpreter
-/// configuration: zeroed memories). Profiles produced here are identical
-/// to [`profile`] on the source function; the candidate-evaluation fast
-/// path in `fact-core` uses this to share one [`CompiledFn`] between the
-/// equivalence check and the profile.
-pub fn profile_compiled(cf: &CompiledFn, traces: &TraceSet) -> BranchProfile {
-    profile_compiled_with(cf, traces, &ExecConfig::default(), None)
-}
-
-/// [`profile_compiled`] with an explicit configuration and optional work
-/// counters.
-///
-/// `config.engine` selects the execution engine. The batched engine first
-/// deduplicates `traces` — every vector of a profiling pass runs against
-/// the same initial memory state (`config.initial_memories`, shared), so
-/// identical vectors are indistinguishable — and weights each lane's
-/// statistics by its multiplicity. The result is bit-identical to the
-/// scalar engine either way.
-///
-/// `counters`, when given, receives the number of logical vectors covered
-/// (pre-dedup) and the number of batches executed.
-pub fn profile_compiled_with(
-    cf: &CompiledFn,
-    traces: &TraceSet,
-    config: &ExecConfig,
-    counters: Option<&SimCounters>,
-) -> BranchProfile {
-    profile_compiled_reusing(cf, traces, config, counters, &mut SimScratch::default())
-}
-
-/// [`profile_compiled_with`] with caller-provided reusable scratch
-/// buffers: identical profile, but the per-batch allocations recycle
-/// through `scratch` across calls. The mega-batch candidate loop in
-/// `fact-core` threads one [`SimScratch`] through every profiling pass of
-/// a neighborhood, so steady-state profiling allocates nothing here.
-pub fn profile_compiled_reusing(
-    cf: &CompiledFn,
-    traces: &TraceSet,
-    config: &ExecConfig,
-    counters: Option<&SimCounters>,
-    scratch: &mut SimScratch,
-) -> BranchProfile {
-    let mut accum = ProfileAccum::new(cf.num_blocks());
-    let mut batches = 0u64;
-    match config.engine {
-        SimEngine::Scalar => {
-            for v in &traces.vectors {
-                accum.record(&cf.execute(v, config), 1);
-            }
-        }
-        SimEngine::Batched {
-            max_lanes,
-            cluster,
-            compact,
-        } => {
-            let tuning = BatchTuning { cluster, compact };
-            let init: Vec<Vec<i64>> = (0..cf.num_memories())
-                .map(|i| config.initial_memories.get(&i).cloned().unwrap_or_default())
-                .collect();
-            let sized = sized_memories(cf, &init);
-            let dl = traces.dedup_lanes();
-            let cols = traces.columns();
-            let distinct = dl.len();
-            let cap = max_lanes.max(1);
-            // Straight-line fusion: when no batch of this function can
-            // fail or diverge and every input has a trace column, input
-            // rows are filled directly from the columns inside the run
-            // (`InputPrefill`), skipping the resolved-plane round trip.
-            let fuse = cf.fusable_straightline(config.step_limit)
-                && cols.is_some_and(|c| cf.input_names.iter().all(|n| c.col(n).is_some()));
-            let scratch = &mut scratch.batch;
-            let mut start = 0usize;
-            while start < distinct {
-                let end = (start + cap).min(distinct);
-                // Per-lane dedup multiplicities; `None` = all 1 (the
-                // all-distinct identity case allocates nothing).
-                let weights: Option<Vec<usize>> = match dl {
-                    DedupLanes::Identity(_) => None,
-                    DedupLanes::Lanes(l) => Some(l[start..end].iter().map(|&(_, m)| m).collect()),
-                };
-                let (resolved, memories) = match cols {
-                    Some(_) if fuse => (
-                        resolve_presence_only(cf, end - start, scratch),
-                        scratch.take_memories(&sized, end - start),
-                    ),
-                    // Columnar fast path: inputs come straight out of the
-                    // dedup rows, no per-(name, lane) hash-map probes.
-                    Some(cols) => (
-                        resolve_columns_range(cf, cols, start..end, scratch),
-                        scratch.take_memories(&sized, end - start),
-                    ),
-                    None => {
-                        let batch: Vec<Lane<'_>> = (start..end)
-                            .map(|k| Lane {
-                                inputs: &traces.vectors[dl.index(k)],
-                                init: &init,
-                            })
-                            .collect();
-                        resolve_lanes(cf, &batch)
-                    }
-                };
-                let prefill = match cols {
-                    Some(cols) if fuse => Some(InputPrefill {
-                        cols,
-                        rows: start..end,
-                    }),
-                    _ => None,
-                };
-                // Profile-only lean path: branch/visit counters fold
-                // straight into the accumulator; no per-lane ExecResult
-                // is ever materialized.
-                cf.run_batch_profiled(
-                    resolved,
-                    memories,
-                    config.step_limit,
-                    tuning,
-                    counters,
-                    weights.as_deref(),
-                    &mut accum,
-                    scratch,
-                    prefill,
-                );
-                start = end;
-                batches += 1;
-            }
-        }
-    }
-    if let Some(c) = counters {
-        c.add(traces.len() as u64, batches);
-    }
-    accum.finish(cf.branch_blocks())
-}
-
-/// Samples `cf`'s control-flow divergence rate by running *one* batch — the
-/// first `max_lanes` distinct trace lanes — and reporting the fraction of
-/// per-lane instruction executions that fell off the contiguous-group fast
-/// path (see [`SimCounters::divergence`]). This is the measured input to
-/// the per-function engine selector in `fact-core`: functions whose lanes
-/// diverge heavily simulate faster on the scalar engine.
-///
-/// The probe does real work (it is simply the first batch of a profiling
-/// pass, discarded); its vectors and batch are tallied into `counters`.
-/// Returns 0.0 for [`SimEngine::Scalar`] configs and empty trace sets.
-pub fn measure_divergence(
-    cf: &CompiledFn,
-    traces: &TraceSet,
-    config: &ExecConfig,
-    counters: Option<&SimCounters>,
-) -> f64 {
-    let SimEngine::Batched {
-        max_lanes,
-        cluster,
-        compact,
-    } = config.engine
-    else {
-        return 0.0;
-    };
-    let dl = traces.dedup_lanes();
-    let n = dl.len().min(max_lanes.max(1));
-    if n == 0 {
-        return 0.0;
-    }
-    let tuning = BatchTuning { cluster, compact };
-    let init: Vec<Vec<i64>> = (0..cf.num_memories())
-        .map(|i| config.initial_memories.get(&i).cloned().unwrap_or_default())
-        .collect();
-    let local = SimCounters::default();
-    let mut accum = ProfileAccum::new(cf.num_blocks());
-    let mut scratch = BatchScratch::default();
-    let (resolved, memories) = match traces.columns() {
-        Some(cols) => (
-            resolve_columns_range(cf, cols, 0..n, &mut scratch),
-            vec![sized_memories(cf, &init); n],
-        ),
-        None => {
-            let batch: Vec<Lane<'_>> = (0..n)
-                .map(|k| Lane {
-                    inputs: &traces.vectors[dl.index(k)],
-                    init: &init,
-                })
-                .collect();
-            resolve_lanes(cf, &batch)
-        }
-    };
-    cf.run_batch_profiled(
-        resolved,
-        memories,
-        config.step_limit,
-        tuning,
-        Some(&local),
-        None,
-        &mut accum,
-        &mut scratch,
-        None,
-    );
-    if let Some(c) = counters {
-        c.merge(&local);
-        c.add(n as u64, 1);
-    }
-    local.divergence()
-}
-
 /// Weighted accumulator of per-run statistics into a [`BranchProfile`] —
-/// the single implementation behind every profiling path (interpreted,
-/// compiled-scalar, compiled-batched, and the merged equivalence+profile
-/// pass in [`crate::equiv`]). A run recorded with weight `w` contributes
-/// exactly as `w` identical scalar runs would, so deduplicated batched
-/// profiles stay bit-identical to vector-at-a-time ones.
+/// the single implementation behind every profiling path (the
+/// interpreter oracle and both engines of [`crate::simulate`]). A run
+/// recorded with weight `w` contributes exactly as `w` identical scalar
+/// runs would, so deduplicated batched profiles stay bit-identical to
+/// vector-at-a-time ones.
 pub(crate) struct ProfileAccum {
     stats: BranchStats,
     visit_totals: Vec<u64>,
@@ -481,122 +274,6 @@ mod tests {
         let mut p = BranchProfile::uniform();
         p.set_prob(BlockId(1), 1.7);
         assert_eq!(p.prob_true(BlockId(1)), 1.0);
-    }
-
-    #[test]
-    fn compiled_profile_matches_interpreted() {
-        let f = compile(
-            "proc f(a, n) { var i = 0; var s = 0; \
-             while (i < n) { if (a < i) { s = s + i; } else { s = s - 1; } i = i + 1; } \
-             out s = s; }",
-        )
-        .unwrap();
-        let traces = generate(
-            &[
-                ("a".to_string(), InputSpec::Uniform { lo: 0, hi: 20 }),
-                ("n".to_string(), InputSpec::Uniform { lo: 0, hi: 15 }),
-            ],
-            40,
-            13,
-        );
-        let slow = profile(&f, &traces);
-        let fast = profile_compiled(&CompiledFn::compile(&f), &traces);
-        assert_eq!(slow.runs_ok, fast.runs_ok);
-        assert_eq!(slow.runs_failed, fast.runs_failed);
-        assert_eq!(slow.probs, fast.probs);
-        assert_eq!(slow.visits, fast.visits);
-    }
-
-    #[test]
-    fn batched_profile_matches_scalar_with_dedup_and_failures() {
-        // Uniform over {-1, 0, 1}: heavy duplication, and n = -1 vectors
-        // never terminate — failures must be weighted correctly too.
-        let f =
-            compile("proc f(n) { var i = 1; while (i > 0) { i = i + n; } out i = i; }").unwrap();
-        let traces = generate(
-            &[("n".to_string(), InputSpec::Uniform { lo: -1, hi: 1 })],
-            30,
-            9,
-        );
-        let cf = CompiledFn::compile(&f);
-        let scalar_cfg = ExecConfig {
-            step_limit: 10_000,
-            engine: SimEngine::Scalar,
-            ..Default::default()
-        };
-        let batched_cfg = ExecConfig {
-            step_limit: 10_000,
-            engine: SimEngine::batched_with(2),
-            ..Default::default()
-        };
-        let counters = SimCounters::default();
-        let slow = profile_compiled_with(&cf, &traces, &scalar_cfg, Some(&counters));
-        assert_eq!(counters.vectors(), 30);
-        assert_eq!(counters.batches(), 0);
-        let fast = profile_compiled_with(&cf, &traces, &batched_cfg, Some(&counters));
-        assert_eq!(counters.vectors(), 60);
-        // Three distinct vectors at two lanes per batch: two batches.
-        assert_eq!(counters.batches(), 2);
-        assert_eq!(slow.runs_ok, fast.runs_ok);
-        assert_eq!(slow.runs_failed, fast.runs_failed);
-        assert_eq!(slow.probs, fast.probs);
-        assert_eq!(slow.visits, fast.visits);
-        assert_eq!(slow.runs_ok + slow.runs_failed, 30);
-    }
-
-    #[test]
-    fn batched_profile_honors_shared_initial_memories() {
-        let f = compile(
-            "proc f(i) { array x[4]; var v = x[i]; var y = 0; \
-             if (v > 10) { y = v; } else { y = 0 - v; } out y = y; }",
-        )
-        .unwrap();
-        let cf = CompiledFn::compile(&f);
-        let traces = generate(
-            &[("i".to_string(), InputSpec::Uniform { lo: 0, hi: 3 })],
-            20,
-            5,
-        );
-        let mems = HashMap::from([(0, vec![3, 40, -7, 12])]);
-        let scalar_cfg = ExecConfig {
-            initial_memories: mems.clone(),
-            engine: SimEngine::Scalar,
-            ..Default::default()
-        };
-        let batched_cfg = ExecConfig {
-            initial_memories: mems,
-            ..Default::default()
-        };
-        let slow = profile_compiled_with(&cf, &traces, &scalar_cfg, None);
-        let fast = profile_compiled_with(&cf, &traces, &batched_cfg, None);
-        assert_eq!(slow, fast);
-    }
-
-    #[test]
-    fn measured_divergence_separates_convergent_from_divergent() {
-        let src = "proc f(n) { var i = 0; var s = 0; \
-                   while (i < n) { s = s + i; i = i + 1; } out s = s; }";
-        let cf = CompiledFn::compile(&compile(src).unwrap());
-        let cfg = ExecConfig::default();
-        let convergent = generate(&[("n".to_string(), InputSpec::Constant(25))], 64, 1);
-        let c = SimCounters::default();
-        let d0 = measure_divergence(&cf, &convergent, &cfg, Some(&c));
-        assert_eq!(d0, 0.0, "identical lanes never leave the fast path");
-        // The probe's work is tallied: one batch, one distinct lane.
-        assert_eq!(c.vectors(), 1);
-        assert_eq!(c.batches(), 1);
-        let divergent = generate(
-            &[("n".to_string(), InputSpec::Uniform { lo: 0, hi: 400 })],
-            64,
-            2,
-        );
-        let d1 = measure_divergence(&cf, &divergent, &cfg, None);
-        assert!(d1 > d0, "spread trip counts must measure as divergence");
-        let scalar = ExecConfig {
-            engine: SimEngine::Scalar,
-            ..Default::default()
-        };
-        assert_eq!(measure_divergence(&cf, &divergent, &scalar, None), 0.0);
     }
 
     #[test]

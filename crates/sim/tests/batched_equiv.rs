@@ -1,9 +1,10 @@
 //! Batched-vs-scalar bit-identity property tests.
 //!
-//! `CompiledFn::run_batch` and every multi-vector entry point built on it
-//! claim *bit-identity* with the scalar reference paths — same verdicts,
-//! same `BranchProfile`s, same mismatch reports, in the same order. These
-//! tests hold that claim against randomly generated behaviors:
+//! `CompiledFn::run_batch` claims per-lane *bit-identity* with
+//! `CompiledFn::execute_seeded`, and `simulate` claims the verdicts and
+//! `BranchProfile`s of the interpreter oracles (`check_equivalence`,
+//! `profile`) on both engines. These tests hold those claims against
+//! randomly generated behaviors:
 //!
 //! 1. a seed-driven generator emits random fact-lang programs (nested
 //!    ifs, data-bounded loops, arrays, and occasional input-triggered
@@ -13,6 +14,12 @@
 //!    (duplicate-heavy by construction, exercising dedup weighting) and
 //!    the results are compared exactly.
 //!
+//! Step-limit boundaries are held at lane level (`run_batch` vs
+//! `execute_seeded`, which take a step limit), in caller order and under
+//! shuffled lane orders; `simulate` runs under the default limit, so its
+//! programs here are trap-free (its step-limit lanes are covered by
+//! `simulate::tests::failed_runs_are_weighted_like_the_oracle`).
+//!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly from the printed seed and source.
 
@@ -20,9 +27,8 @@ use fact_lang::compile;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
-    check_equivalence_with, generate, profile_compiled_with, profile_with, CompiledFn,
-    EquivReference, ExecConfig, ExecError, ExecResult, InputSpec, Lane, SimCounters, SimEngine,
-    TraceSet,
+    check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, ExecError,
+    ExecResult, InputSpec, Lane, SimCounters, SimEngine, SimScratch, TraceSet,
 };
 
 /// How the generator renders the one program a seed describes.
@@ -253,29 +259,12 @@ fn traces_for(seed: u64, n_max: usize) -> TraceSet {
     generate(&specs, n, seed.wrapping_mul(31).wrapping_add(5))
 }
 
-/// A low step limit so trap lanes fail fast; both engines get the same
-/// limit, so bit-identity is unaffected.
-fn cfg(engine: SimEngine) -> ExecConfig {
-    ExecConfig {
-        step_limit: 20_000,
-        engine,
-        ..ExecConfig::default()
-    }
-}
-
 const LANE_CAPS: [usize; 4] = [1, 3, 8, 256];
 const SEEDS: u64 = 40;
 
-/// Every clustering/compaction combination. All are pure wall-clock knobs;
-/// the tests below hold each one to bit-identity.
-const TUNINGS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
-
-fn engine_with(max_lanes: usize, (cluster, compact): (bool, bool)) -> SimEngine {
-    SimEngine::Batched {
-        max_lanes,
-        cluster,
-        compact,
-    }
+/// The scalar engine and the batched engine at every lane cap.
+fn engines() -> impl Iterator<Item = SimEngine> {
+    std::iter::once(SimEngine::Scalar).chain(LANE_CAPS.map(SimEngine::batched_with))
 }
 
 /// Canonical text form of an execution outcome (branch counts sorted, so
@@ -334,193 +323,94 @@ fn run_batch_results_identical_to_scalar_execution() {
 }
 
 #[test]
-fn batched_profiles_bit_identical_to_scalar() {
+fn simulated_profiles_bit_identical_to_the_oracle() {
+    let mut scratch = SimScratch::default();
     for seed in 0..SEEDS {
-        let src = gen_program(seed, Variant::Plain, true, true);
+        let src = gen_program(seed, Variant::Plain, true, false);
         let f = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         let cf = CompiledFn::compile(&f);
         let traces = traces_for(seed, 40);
-        let reference = profile_with(&f, &traces, &cfg(SimEngine::Scalar));
-        let scalar = profile_compiled_with(&cf, &traces, &cfg(SimEngine::Scalar), None);
-        assert_eq!(
-            reference, scalar,
-            "compiled scalar profile differs (seed {seed})\n{src}"
-        );
+        let oracle = profile(&f, &traces);
         let lanes = traces.dedup_lanes().len() as u64;
-        for max_lanes in LANE_CAPS {
+        for engine in engines() {
             let counters = SimCounters::default();
-            let batched = profile_compiled_with(
-                &cf,
-                &traces,
-                &cfg(SimEngine::batched_with(max_lanes)),
-                Some(&counters),
-            );
+            let sim = simulate(&cf, &traces, None, engine, Some(&counters), &mut scratch);
             assert_eq!(
-                reference, batched,
-                "batched profile differs (seed {seed}, max_lanes {max_lanes})\n{src}"
+                sim.profile.as_ref(),
+                Some(&oracle),
+                "profile differs (seed {seed}, {engine:?})\n{src}"
             );
             assert_eq!(counters.vectors(), traces.len() as u64);
-            assert_eq!(counters.batches(), lanes.div_ceil(max_lanes as u64));
+            let batches = match engine {
+                SimEngine::Scalar => 0,
+                SimEngine::Batched { max_lanes } => lanes.div_ceil(max_lanes as u64),
+            };
+            assert_eq!(counters.batches(), batches, "({engine:?})");
         }
     }
 }
 
 #[test]
-fn equivalence_verdicts_bit_identical_across_engines() {
+fn simulated_verdicts_bit_identical_to_the_oracle() {
+    let mut scratch = SimScratch::default();
     let mut mismatched = 0usize;
     for seed in 0..SEEDS {
-        let plain = gen_program(seed, Variant::Plain, true, true);
+        let plain = gen_program(seed, Variant::Plain, true, false);
         let f = compile(&plain).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{plain}"));
         let traces = traces_for(seed, 40);
+        let reference = EquivReference::capture(&f, &traces, seed ^ 0xC0FFEE);
         for (variant, must_hold) in [(Variant::Rewritten, true), (Variant::Mutated, false)] {
-            let src = gen_program(seed, variant, true, true);
+            let src = gen_program(seed, variant, true, false);
             let g = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-            let scalar = check_equivalence_with(
-                &f,
-                &g,
-                &traces,
-                seed ^ 0xC0FFEE,
-                &cfg(SimEngine::Scalar),
-                None,
-            );
+            let cg = CompiledFn::compile(&g);
+            let oracle = check_equivalence(&f, &g, &traces, seed ^ 0xC0FFEE);
             if must_hold {
-                if let Err(e) = &scalar {
+                if let Err(e) = &oracle {
                     panic!("rewrite not equivalent (seed {seed}): {e}\n{plain}\n{src}");
                 }
             }
-            for max_lanes in LANE_CAPS {
-                let batched = check_equivalence_with(
-                    &f,
-                    &g,
-                    &traces,
-                    seed ^ 0xC0FFEE,
-                    &cfg(SimEngine::batched_with(max_lanes)),
-                    None,
+            let oracle_profile = oracle.is_ok().then(|| profile(&g, &traces));
+            for engine in engines() {
+                let sim = simulate(&cg, &traces, Some(&reference), engine, None, &mut scratch);
+                assert_eq!(
+                    sim.profile, oracle_profile,
+                    "verdict or profile differs (seed {seed}, {engine:?})\n{src}"
                 );
-                match (&scalar, &batched) {
-                    (Ok(a), Ok(b)) => assert_eq!(
-                        a, b,
-                        "checked counts differ (seed {seed}, max_lanes {max_lanes})\n{src}"
-                    ),
-                    (Err(a), Err(b)) => assert_eq!(
-                        a.to_string(),
-                        b.to_string(),
-                        "mismatch reports differ (seed {seed}, max_lanes {max_lanes})\n{src}"
-                    ),
-                    _ => panic!(
-                        "verdicts differ (seed {seed}, max_lanes {max_lanes}): \
-                         scalar ok={}, batched ok={}\n{src}",
-                        scalar.is_ok(),
-                        batched.is_ok()
-                    ),
-                }
             }
-            if scalar.is_err() {
+            if oracle.is_err() {
                 mismatched += 1;
             }
         }
     }
     // Even seeds' mutations are unconditionally observable, so at least
-    // half the mutated candidates must have produced a mismatch report.
+    // half the mutated candidates must have been rejected.
     assert!(
         mismatched >= 15,
         "only {mismatched} mismatching candidates — generator too tame"
     );
 }
 
-#[test]
-fn reference_check_paths_bit_identical() {
-    for seed in 0..SEEDS {
-        // Memory-free (check_profiled requires it) and trap-free: the
-        // reference replays captures at the default large step limit, so
-        // trap lanes would dominate runtime without adding coverage here.
-        let plain = gen_program(seed, Variant::Plain, false, false);
-        let f = compile(&plain).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{plain}"));
-        let traces = traces_for(seed, 30);
-        let reference = EquivReference::capture(&f, &traces, seed ^ 0xBEEF);
-        for variant in [Variant::Rewritten, Variant::Mutated] {
-            let src = gen_program(seed, variant, false, false);
-            let g = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-            let cg = CompiledFn::compile(&g);
-            let scalar = reference.check_with(&cg, &traces, SimEngine::Scalar, None);
-            let scalar_p = reference.check_profiled_with(&cg, &traces, SimEngine::Scalar, None);
-            for max_lanes in LANE_CAPS {
-                let counters = SimCounters::default();
-                let batched = reference.check_with(
-                    &cg,
-                    &traces,
-                    SimEngine::batched_with(max_lanes),
-                    Some(&counters),
-                );
-                match (&scalar, &batched) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(
-                            a, b,
-                            "checked counts differ (seed {seed}, max_lanes {max_lanes})\n{src}"
-                        );
-                        // check_with never dedups, so a clean pass covers
-                        // every vector exactly once.
-                        assert_eq!(counters.vectors(), traces.len() as u64);
-                    }
-                    (Err(a), Err(b)) => assert_eq!(
-                        a.to_string(),
-                        b.to_string(),
-                        "mismatch reports differ (seed {seed}, max_lanes {max_lanes})\n{src}"
-                    ),
-                    _ => panic!(
-                        "check verdicts differ (seed {seed}, max_lanes {max_lanes}): \
-                         scalar ok={}, batched ok={}\n{src}",
-                        scalar.is_ok(),
-                        batched.is_ok()
-                    ),
-                }
-                let batched_p = reference.check_profiled_with(
-                    &cg,
-                    &traces,
-                    SimEngine::batched_with(max_lanes),
-                    None,
-                );
-                match (&scalar_p, &batched_p) {
-                    (Ok((n1, p1)), Ok((n2, p2))) => {
-                        assert_eq!(
-                            n1, n2,
-                            "merged-pass counts differ (seed {seed}, max_lanes {max_lanes})"
-                        );
-                        assert_eq!(
-                            p1, p2,
-                            "merged-pass profile differs (seed {seed}, max_lanes {max_lanes})\n{src}"
-                        );
-                    }
-                    (Err(a), Err(b)) => assert_eq!(
-                        a.to_string(),
-                        b.to_string(),
-                        "merged-pass mismatches differ (seed {seed}, max_lanes {max_lanes})\n{src}"
-                    ),
-                    _ => panic!(
-                        "merged-pass verdicts differ (seed {seed}, max_lanes {max_lanes}): \
-                         scalar ok={}, batched ok={}\n{src}",
-                        scalar_p.is_ok(),
-                        batched_p.is_ok()
-                    ),
-                }
-            }
-        }
-    }
-}
-
 /// Clustering permutation invariance: feeding the *same* vectors in any
 /// lane order — which changes how clustering and compaction permute the
 /// internal layout — must leave per-lane results bit-identical to scalar
 /// execution in the caller's order, and profiles bit-identical to the
-/// scalar reference, for every tuning combination.
+/// oracle's.
 #[test]
 fn clustering_is_lane_order_invariant() {
-    for seed in 0..12u64 {
-        let src = gen_program(seed, Variant::Plain, false, true);
+    let mut scratch = SimScratch::default();
+    let mut trapped = 0usize;
+    for seed in 0..SEEDS {
+        // `simulate` runs under the default step limit, so its half uses
+        // the trap-free program; the lane-order half keeps the traps.
+        let src = gen_program(seed, Variant::Plain, false, false);
         let f = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
         let cf = CompiledFn::compile(&f);
+        let trap_src = gen_program(seed, Variant::Plain, false, true);
+        let trap_cf = CompiledFn::compile(
+            &compile(&trap_src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{trap_src}")),
+        );
         let traces = traces_for(seed, 40);
-        let reference = profile_with(&f, &traces, &cfg(SimEngine::Scalar));
+        let oracle = profile(&f, &traces);
         // A seeded Fisher–Yates shuffle of the vector order.
         let mut perm: Vec<usize> = (0..traces.len()).collect();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5071);
@@ -533,110 +423,51 @@ fn clustering_is_lane_order_invariant() {
                 .map(|&i| traces.vectors[i].clone())
                 .collect::<Vec<_>>(),
         );
-        for tuning in TUNINGS {
-            for max_lanes in [3usize, 256] {
-                let p = profile_compiled_with(
-                    &cf,
-                    &shuffled,
-                    &cfg(engine_with(max_lanes, tuning)),
-                    None,
-                );
-                assert_eq!(
-                    reference, p,
-                    "profile depends on lane order (seed {seed}, {tuning:?}, \
-                     max_lanes {max_lanes})\n{src}"
-                );
-            }
+        for max_lanes in [3usize, 256] {
+            let engine = SimEngine::batched_with(max_lanes);
+            let sim = simulate(&cf, &shuffled, None, engine, None, &mut scratch);
+            assert_eq!(
+                sim.profile.as_ref(),
+                Some(&oracle),
+                "profile depends on lane order (seed {seed}, max_lanes {max_lanes})\n{src}"
+            );
         }
-        // And per-lane results come back in the shuffled caller order.
-        let lanes: Vec<Lane<'_>> = shuffled
-            .vectors
+        // And per-lane results, step-limit traps included, come back in
+        // the shuffled caller order: one lane per value of `a` in the
+        // trap's trigger range (`b`, `c` from the shuffled vectors), in
+        // shuffled order, so a trapping program traps at a random lane.
+        let mut vectors: Vec<_> = (-30i64..=30)
+            .zip(shuffled.vectors.iter().cycle())
+            .map(|(a, v)| {
+                let mut v = v.clone();
+                v.insert("a".into(), a);
+                v
+            })
+            .collect();
+        for i in (1..vectors.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            vectors.swap(i, j);
+        }
+        let lanes: Vec<Lane<'_>> = vectors
             .iter()
             .map(|v| Lane {
                 inputs: v,
                 init: &[],
             })
             .collect();
-        let batch = cf.run_batch(&lanes, 20_000);
-        for (i, v) in shuffled.vectors.iter().enumerate() {
-            let scalar = cf.execute_seeded(v, &[], 20_000);
+        let batch = trap_cf.run_batch(&lanes, 20_000);
+        trapped += batch
+            .iter()
+            .filter(|r| matches!(r, Err(ExecError::StepLimitExceeded { .. })))
+            .count();
+        for (i, v) in vectors.iter().enumerate() {
+            let scalar = trap_cf.execute_seeded(v, &[], 20_000);
             assert_eq!(
                 canon(&batch[i]),
                 canon(&scalar),
-                "shuffled lane {i} differs (seed {seed})\n{src}"
+                "shuffled lane {i} differs (seed {seed})\n{trap_src}"
             );
         }
     }
-}
-
-/// Compaction/clustering toggles: equivalence verdicts (including the
-/// exact mismatch report and index) and merged check+profile passes are
-/// bit-identical to scalar for every combination of the two switches.
-#[test]
-fn tuning_toggles_preserve_verdicts_and_profiles() {
-    for seed in 0..12u64 {
-        let plain = gen_program(seed, Variant::Plain, false, true);
-        let f = compile(&plain).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{plain}"));
-        let traces = traces_for(seed, 40);
-        let reference = EquivReference::capture(&f, &traces, seed ^ 0xBEEF);
-        for variant in [Variant::Rewritten, Variant::Mutated] {
-            let src = gen_program(seed, variant, false, true);
-            let g = compile(&src).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-            let cg = CompiledFn::compile(&g);
-            let scalar = check_equivalence_with(
-                &f,
-                &g,
-                &traces,
-                seed ^ 0xC0FFEE,
-                &cfg(SimEngine::Scalar),
-                None,
-            );
-            let scalar_p = reference.check_profiled_with(&cg, &traces, SimEngine::Scalar, None);
-            for tuning in TUNINGS {
-                for max_lanes in [3usize, 256] {
-                    let e = engine_with(max_lanes, tuning);
-                    let batched =
-                        check_equivalence_with(&f, &g, &traces, seed ^ 0xC0FFEE, &cfg(e), None);
-                    match (&scalar, &batched) {
-                        (Ok(a), Ok(b)) => assert_eq!(
-                            a, b,
-                            "checked counts differ (seed {seed}, {tuning:?})\n{src}"
-                        ),
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.to_string(),
-                            b.to_string(),
-                            "mismatch reports differ (seed {seed}, {tuning:?})\n{src}"
-                        ),
-                        _ => panic!(
-                            "verdicts differ (seed {seed}, {tuning:?}, max_lanes \
-                             {max_lanes}): scalar ok={}, batched ok={}\n{src}",
-                            scalar.is_ok(),
-                            batched.is_ok()
-                        ),
-                    }
-                    let batched_p = reference.check_profiled_with(&cg, &traces, e, None);
-                    match (&scalar_p, &batched_p) {
-                        (Ok((n1, p1)), Ok((n2, p2))) => {
-                            assert_eq!(n1, n2, "merged counts differ (seed {seed}, {tuning:?})");
-                            assert_eq!(
-                                p1, p2,
-                                "merged profile differs (seed {seed}, {tuning:?})\n{src}"
-                            );
-                        }
-                        (Err(a), Err(b)) => assert_eq!(
-                            a.to_string(),
-                            b.to_string(),
-                            "merged mismatches differ (seed {seed}, {tuning:?})\n{src}"
-                        ),
-                        _ => panic!(
-                            "merged verdicts differ (seed {seed}, {tuning:?}, max_lanes \
-                             {max_lanes}): scalar ok={}, batched ok={}\n{src}",
-                            scalar_p.is_ok(),
-                            batched_p.is_ok()
-                        ),
-                    }
-                }
-            }
-        }
-    }
+    assert!(trapped > 0, "no shuffled lane hit the step limit");
 }

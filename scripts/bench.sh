@@ -2,8 +2,7 @@
 # Perf-trajectory benchmarks. Two harnesses:
 #
 #   search — search throughput (evals/sec over the §5 suite); writes
-#            crates/bench/BENCH_search.json beside the committed
-#            BENCH_search.baseline.json reference numbers.
+#            crates/bench/BENCH_search.json.
 #   sim    — simulation throughput (trace vectors/sec, scalar vs
 #            batched engine); writes crates/bench/BENCH_sim.json.
 #   pareto — Pareto-frontier quality/throughput (frontier size,
