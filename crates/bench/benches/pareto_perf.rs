@@ -4,8 +4,9 @@
 //! Flags (after `--`):
 //!   --out PATH    output file (default BENCH_pareto.json)
 //!   --budget N    evaluation budget per benchmark (default 600)
-//!   --smoke       Test2 only; still writes the file (the CI gate
-//!                 checks it exists, parses, and reports a full curve)
+//!   --smoke       Test2 and IGF only; still writes the file (the CI
+//!                 gate checks it parses, that Test2 reports a full
+//!                 curve, and that IGF archives more than one design)
 
 use fact_bench::pareto_perf::{run_with, standard_config, to_json};
 
@@ -30,7 +31,7 @@ fn main() {
     }
 
     let t0 = std::time::Instant::now();
-    let only = if smoke { Some("Test2") } else { None };
+    let only: Option<&[&str]> = if smoke { Some(&["Test2", "IGF"]) } else { None };
     let pass = run_with(
         if smoke { "smoke" } else { "standard" },
         &standard_config(budget),

@@ -5,6 +5,10 @@
 //!   --out PATH     output file (default BENCH_sim.json)
 //!   --vectors N    trace vectors per benchmark (default 1024)
 //!   --smoke        tiny trace set, single pass, stdout only (CI check)
+//!
+//! The stderr summary ends with the crossover sweep: batched/scalar
+//! throughput per lane count, tagged with the engine the policy picks
+//! (`s`calar or `b`atched).
 
 use fact_bench::sim_perf::{run_with, to_json};
 
@@ -46,7 +50,7 @@ fn main() {
     for s in &p.suites {
         eprintln!(
             "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  batched {:10.0} v/s  \
-             {:5.1}x = dedup {:6.1}x * lockstep {:5.2}x  chosen {:5.1}x",
+             batched {:5.2}x (dedup {:6.1}x in both)  chosen {} {:5.2}x",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
@@ -54,9 +58,18 @@ fn main() {
             s.batched.vectors_per_sec,
             s.batched_speedup,
             s.dedup_factor,
-            s.lockstep_speedup,
+            s.chosen,
             s.speedup
         );
+    }
+    for name in p.suites.iter().map(|s| s.name) {
+        let cells: Vec<String> = p
+            .crossover
+            .iter()
+            .filter(|c| c.name == name)
+            .map(|c| format!("{}:{:.2}{}", c.lanes, c.batched_speedup, &c.chosen[..1]))
+            .collect();
+        eprintln!("  {name:8} batched/scalar by lanes  {}", cells.join(" "));
     }
     if smoke {
         // CI path: print the JSON for the caller to validate, write nothing.

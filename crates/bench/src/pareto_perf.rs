@@ -76,17 +76,17 @@ impl ParetoPerf {
 }
 
 /// Runs the Pareto measurement, labeled `mode` in the report. With
-/// `only = Some(name)` the suite is restricted to that benchmark (the
-/// smoke gate runs Test2 alone).
+/// `only = Some(names)` the suite is restricted to those benchmarks (the
+/// smoke gate runs Test2 and IGF).
 ///
 /// Each benchmark gets a fresh [`EvalCache`] so numbers do not depend
 /// on measurement order.
-pub fn run_with(mode: &str, config: &FactConfig, only: Option<&str>) -> ParetoPerf {
+pub fn run_with(mode: &str, config: &FactConfig, only: Option<&[&str]>) -> ParetoPerf {
     let (lib, rules) = section5_library();
     let tlib = TransformLibrary::full();
     let mut suites = Vec::new();
     for b in suite(&lib) {
-        if only.is_some_and(|name| name != b.name) {
+        if only.is_some_and(|names| !names.contains(&b.name)) {
             continue;
         }
         let cache = EvalCache::default();
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn smoke_run_produces_sane_numbers() {
-        let p = run_with("smoke", &standard_config(60), Some("Test2"));
+        let p = run_with("smoke", &standard_config(60), Some(&["Test2"]));
         assert_eq!(p.suites.len(), 1);
         let s = &p.suites[0];
         assert_eq!(s.name, "Test2");

@@ -35,6 +35,9 @@ pub struct SuitePerf {
     /// Wall time spent compiling candidates, seconds
     /// ([`PhaseTimers::compile_ns`]).
     pub compile_s: f64,
+    /// Wall time spent proving candidates equivalent to their parents,
+    /// proved or not, seconds ([`PhaseTimers::prove_ns`]).
+    pub prove_s: f64,
     /// Wall time spent simulating (verification, profiling, divergence
     /// probes), seconds ([`PhaseTimers::simulate_ns`]).
     pub simulate_s: f64,
@@ -129,6 +132,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             },
             cache_hit_rate: cs.hit_rate(),
             compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
             simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -164,7 +168,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
-                 \"compile_s\": {:.4}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
+                 \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"simulate_s\": {:.4}, \
+                 \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
                 s.name,
                 s.evaluated,
@@ -173,6 +178,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.evals_per_sec,
                 s.cache_hit_rate,
                 s.compile_s,
+                s.prove_s,
                 s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
@@ -212,6 +218,11 @@ mod tests {
             assert!(
                 0.0 <= s.expand_s && s.expand_s <= s.wall_s,
                 "{}: expansion is a share of the run",
+                s.name
+            );
+            assert!(
+                0.0 <= s.prove_s && s.prove_s <= s.wall_s,
+                "{}: proving is a share of the run",
                 s.name
             );
         }

@@ -14,16 +14,20 @@
 //!
 //! Each pass is one production [`simulate`] call with no reference (the
 //! profile pass), and the engine the production policy picks
-//! ([`SimEngine::for_divergence`], fed the rate a batched pass measured)
-//! is reported next to both measurements.
+//! ([`SimEngine::for_call`], fed the rate a batched pass measured) is
+//! reported next to both measurements.
+//!
+//! A crossover sweep ([`SimPerf::crossover`]) repeats the comparison for
+//! every behavior at [`SWEEP_LANES`] distinct lanes, made distinct by an
+//! input the behavior never reads: the data the policy's loop rule and
+//! lane floor ([`fact_sim::MIN_BATCHED_LANES`]) are read from.
 //!
 //! Vectors are counted *logically* (through [`SimCounters`]): a
-//! deduplicated lane of multiplicity `k` counts `k`. The raw
-//! `batched_speedup` therefore multiplies two wins, and the report splits
-//! them: `dedup_factor` (trace vectors per distinct lane — FIR, Test2
-//! and SINTRAN collapse to one lane) and `lockstep_speedup` (batched
-//! throughput per distinct lane over scalar throughput per vector, the
-//! lockstep-execution win alone).
+//! deduplicated lane of multiplicity `k` counts `k`. Both engines run
+//! each distinct lane once, so `dedup_factor` (trace vectors per
+//! distinct lane — FIR, Test2 and SINTRAN collapse to one lane) raises
+//! both throughputs alike, and `batched_speedup` is the lockstep-execution
+//! win alone.
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
@@ -40,9 +44,8 @@ use std::time::Instant;
 /// Synthetic high-divergence behavior: every loop iteration branches on
 /// a mod-97 test of a per-lane LCG state (the low bit would alternate
 /// identically in every lane — low-bit LCG weakness), so no two lanes
-/// agree on a branch pattern and the lockstep engine's fast path starves. The §5 suite has
-/// nothing this hostile (GCD is the closest), which is exactly why the
-/// engine policy needs a measured rate rather than a structural guess.
+/// agree on a branch pattern and the lockstep engine's fast path starves.
+/// The §5 suite has nothing this hostile (GCD is the closest).
 const RANDWALK_SRC: &str = r#"
 proc randwalk(s, n) {
     var acc = 0;
@@ -86,26 +89,42 @@ pub struct SimSuitePerf {
     /// Divergence rate (slow lane-steps / total lane-steps) measured over
     /// one whole batched pass — the quantity the engine policy keys on.
     pub divergence_rate: f64,
-    /// Engine [`SimEngine::for_divergence`] picks for this behavior under
-    /// these traces (`"scalar"` or `"batched"`).
+    /// Engine [`SimEngine::for_call`] picks for this behavior under these
+    /// traces (`"scalar"` or `"batched"`).
     pub chosen: &'static str,
     /// Scalar-engine measurement.
     pub scalar: EnginePerf,
     /// Batched-engine measurement.
     pub batched: EnginePerf,
     /// Raw `batched.vectors_per_sec / scalar.vectors_per_sec`, engine
-    /// policy ignored: `dedup_factor × lockstep_speedup`.
+    /// policy ignored: the lockstep-execution win.
     pub batched_speedup: f64,
-    /// `trace_vectors / distinct_lanes`: the share of `batched_speedup`
-    /// that comes from running identical vectors once.
+    /// `trace_vectors / distinct_lanes`: how much running identical
+    /// vectors once raises both engines' logical throughput.
     pub dedup_factor: f64,
-    /// Batched throughput per distinct lane over scalar throughput per
-    /// vector: the share of `batched_speedup` that comes from lockstep
-    /// execution.
-    pub lockstep_speedup: f64,
     /// Chosen-engine throughput over scalar throughput: the raw ratio
     /// when the policy picks batched, exactly 1.0 when it picks scalar
     /// (the policy is what makes the batched path never lose).
+    pub speedup: f64,
+}
+
+/// Distinct-lane counts of the crossover sweep (those up to the run's
+/// `vectors`).
+pub const SWEEP_LANES: [usize; 8] = [1, 2, 4, 8, 16, 64, 256, 1024];
+
+/// Scalar-vs-batched throughput of one behavior at one distinct-lane
+/// count.
+#[derive(Clone, Debug)]
+pub struct Crossover {
+    /// Benchmark name.
+    pub name: &'static str,
+    /// Distinct lanes (= trace vectors) per pass.
+    pub lanes: usize,
+    /// Engine [`SimEngine::for_call`] picks (`"scalar"` or `"batched"`).
+    pub chosen: &'static str,
+    /// `batched / scalar` throughput.
+    pub batched_speedup: f64,
+    /// Chosen-engine throughput over scalar throughput.
     pub speedup: f64,
 }
 
@@ -116,6 +135,77 @@ pub struct SimPerf {
     pub vectors: usize,
     /// Per-benchmark measurements.
     pub suites: Vec<SimSuitePerf>,
+    /// The crossover sweep, by behavior then lane count.
+    pub crossover: Vec<Crossover>,
+}
+
+/// Both engines on one `(cf, traces)` profile pass, and the policy's
+/// choice between them.
+struct Comparison {
+    divergence_rate: f64,
+    chosen: &'static str,
+    scalar: EnginePerf,
+    batched: EnginePerf,
+    batched_speedup: f64,
+    speedup: f64,
+}
+
+/// Measures both engines on `(cf, traces)` after checking that their
+/// profiles agree; a batched pass also measures the rate the engine
+/// policy keys on.
+fn compare(
+    name: &str,
+    cf: &CompiledFn,
+    traces: &TraceSet,
+    min_passes: usize,
+    min_wall_s: f64,
+) -> Comparison {
+    let run_once = |engine| simulate(cf, traces, None, engine, None, &mut SimScratch::default());
+    let batched_sim = run_once(SimEngine::default());
+    assert_eq!(
+        run_once(SimEngine::Scalar).profile,
+        batched_sim.profile,
+        "{name}: engines disagree on the profile"
+    );
+    let divergence_rate = batched_sim.divergence;
+    let chosen = match SimEngine::for_call(cf, Some(divergence_rate), traces, None) {
+        SimEngine::Scalar => "scalar",
+        SimEngine::Batched { .. } => "batched",
+    };
+    let scalar = measure_engine(
+        "scalar",
+        cf,
+        traces,
+        SimEngine::Scalar,
+        min_passes,
+        min_wall_s,
+    );
+    let batched = measure_engine(
+        "batched",
+        cf,
+        traces,
+        SimEngine::default(),
+        min_passes,
+        min_wall_s,
+    );
+    let batched_speedup = if scalar.vectors_per_sec > 0.0 {
+        batched.vectors_per_sec / scalar.vectors_per_sec
+    } else {
+        0.0
+    };
+    let speedup = if chosen == "scalar" {
+        1.0
+    } else {
+        batched_speedup
+    };
+    Comparison {
+        divergence_rate,
+        chosen,
+        scalar,
+        batched,
+        batched_speedup,
+        speedup,
+    }
 }
 
 /// Runs one engine repeatedly over `(cf, traces)` until both `min_passes`
@@ -190,67 +280,47 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
         ],
     ));
     let mut suites = Vec::new();
-    for (name, function, specs) in cases {
-        let traces = generate(&specs, vectors, 0x51AB5);
-        let cf = CompiledFn::compile(&function);
+    let mut crossover = Vec::new();
+    for (name, function, specs) in &cases {
+        let traces = generate(specs, vectors, 0x51AB5);
+        let cf = CompiledFn::compile(function);
         let distinct_lanes = traces.dedup_lanes().len();
-        // Bit-identity guard before timing anything; the batched pass
-        // also measures the rate the engine policy keys on.
-        let run_once =
-            |engine| simulate(&cf, &traces, None, engine, None, &mut SimScratch::default());
-        let batched_sim = run_once(SimEngine::default());
-        assert_eq!(
-            run_once(SimEngine::Scalar).profile,
-            batched_sim.profile,
-            "{name}: engines disagree on the profile"
-        );
-        let divergence_rate = batched_sim.divergence;
-        let chosen = match SimEngine::for_divergence(divergence_rate) {
-            SimEngine::Scalar => "scalar",
-            SimEngine::Batched { .. } => "batched",
-        };
-        let scalar = measure_engine(
-            "scalar",
-            &cf,
-            &traces,
-            SimEngine::Scalar,
-            min_passes,
-            min_wall_s,
-        );
-        let batched = measure_engine(
-            "batched",
-            &cf,
-            &traces,
-            SimEngine::default(),
-            min_passes,
-            min_wall_s,
-        );
-        let batched_speedup = if scalar.vectors_per_sec > 0.0 {
-            batched.vectors_per_sec / scalar.vectors_per_sec
-        } else {
-            0.0
-        };
-        let dedup_factor = traces.len() as f64 / distinct_lanes as f64;
-        let speedup = if chosen == "scalar" {
-            1.0
-        } else {
-            batched_speedup
-        };
+        let c = compare(name, &cf, &traces, min_passes, min_wall_s);
         suites.push(SimSuitePerf {
             name,
             trace_vectors: traces.len(),
             distinct_lanes,
-            divergence_rate,
-            chosen,
-            scalar,
-            batched,
-            batched_speedup,
-            dedup_factor,
-            lockstep_speedup: batched_speedup / dedup_factor,
-            speedup,
+            divergence_rate: c.divergence_rate,
+            chosen: c.chosen,
+            scalar: c.scalar,
+            batched: c.batched,
+            batched_speedup: c.batched_speedup,
+            dedup_factor: traces.len() as f64 / distinct_lanes as f64,
+            speedup: c.speedup,
         });
+        let mut salted = specs.clone();
+        salted.push((
+            "sweep.salt".to_string(),
+            InputSpec::Uniform { lo: 0, hi: 1 << 40 },
+        ));
+        for lanes in SWEEP_LANES.into_iter().filter(|&l| l <= vectors) {
+            let traces = generate(&salted, lanes, 0x5EE9);
+            assert_eq!(traces.dedup_lanes().len(), lanes, "{name}: salt collided");
+            let c = compare(name, &cf, &traces, min_passes, min_wall_s);
+            crossover.push(Crossover {
+                name,
+                lanes,
+                chosen: c.chosen,
+                batched_speedup: c.batched_speedup,
+                speedup: c.speedup,
+            });
+        }
     }
-    SimPerf { vectors, suites }
+    SimPerf {
+        vectors,
+        suites,
+        crossover,
+    }
 }
 
 fn engine_json(e: &EnginePerf) -> String {
@@ -273,7 +343,7 @@ pub fn to_json(p: &SimPerf) -> String {
              \"divergence_rate\": {:.4}, \"chosen\": \"{}\",\n     \
              \"scalar\": {},\n     \"batched\": {},\n     \
              \"batched_speedup\": {:.2}, \"dedup_factor\": {:.2}, \
-             \"lockstep_speedup\": {:.2}, \"speedup\": {:.2}}}{}\n",
+             \"speedup\": {:.2}}}{}\n",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
@@ -283,9 +353,21 @@ pub fn to_json(p: &SimPerf) -> String {
             engine_json(&s.batched),
             s.batched_speedup,
             s.dedup_factor,
-            s.lockstep_speedup,
             s.speedup,
             if i + 1 < p.suites.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n  \"crossover\": [\n");
+    for (i, c) in p.crossover.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"name\": \"{}\", \"lanes\": {}, \"chosen\": \"{}\", \
+             \"batched_speedup\": {:.2}, \"speedup\": {:.2}}}{}\n",
+            c.name,
+            c.lanes,
+            c.chosen,
+            c.batched_speedup,
+            c.speedup,
+            if i + 1 < p.crossover.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -318,12 +400,6 @@ mod tests {
                 "{}",
                 s.name
             );
-            let product = s.dedup_factor * s.lockstep_speedup;
-            assert!(
-                (product - s.batched_speedup).abs() <= 1e-9 * s.batched_speedup.max(1.0),
-                "{}: dedup_factor × lockstep_speedup != batched_speedup",
-                s.name
-            );
             if s.chosen == "scalar" {
                 assert_eq!(s.speedup, 1.0, "{}: scalar choice must report 1.0", s.name);
             } else {
@@ -349,12 +425,22 @@ mod tests {
                     .fold(0.0, f64::max),
             "RANDWALK should out-diverge every structured benchmark"
         );
+        // The sweep covers every behavior at every lane count up to the
+        // run's vectors; only the loop-free PPS ever runs batched, and
+        // only from the lane floor on.
+        assert_eq!(p.crossover.len(), 7 * 5);
+        for c in &p.crossover {
+            let batches = c.name == "PPS" && c.lanes >= fact_sim::MIN_BATCHED_LANES;
+            assert_eq!(c.chosen == "batched", batches, "{} @{}", c.name, c.lanes);
+            let expected = if batches { c.batched_speedup } else { 1.0 };
+            assert_eq!(c.speedup, expected, "{} @{}", c.name, c.lanes);
+        }
         let json = to_json(&p);
+        assert!(json.contains("\"crossover\""));
         assert!(json.contains("\"bench\": \"sim\""));
         assert!(json.contains("\"divergence_rate\""));
         assert!(json.contains("\"chosen\""));
         assert!(json.contains("\"dedup_factor\""));
-        assert!(json.contains("\"lockstep_speedup\""));
         assert_eq!(
             json.matches('{').count(),
             json.matches('}').count(),

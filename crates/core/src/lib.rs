@@ -63,12 +63,12 @@ pub use pareto::{
 pub use partition::{partition, region_of_block, PartitionConfig, StgBlock};
 pub use pipeline::{
     evaluation_context_key, optimize, optimize_pareto, optimize_pareto_with, optimize_with,
-    FactConfig, FactError, FactResult, OptimizeHooks, ParetoConfig, ParetoDesignPoint,
-    ParetoFactResult, PhaseTimers,
+    CandidateCounts, FactConfig, FactError, FactResult, OptimizeHooks, ParetoConfig,
+    ParetoDesignPoint, ParetoFactResult, PhaseTimers,
 };
 pub use report::{geomean_ratio, render_table2, DesignReport, Table2Row};
 pub use search::{
-    apply_transforms, apply_transforms_pareto, MegaCandidate, MegaEval, ParetoCandidate,
+    apply_transforms, apply_transforms_pareto, MegaCandidate, MegaEval, Origin, ParetoCandidate,
     ParetoSearchResult, SearchConfig, SearchResult,
 };
 pub use suite::{suite, Benchmark};

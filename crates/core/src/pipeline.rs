@@ -16,20 +16,20 @@ use crate::search::{
     apply_transforms, apply_transforms_pareto, MegaCandidate, SearchConfig, SearchResult,
 };
 use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
-use fact_ir::Function;
+use fact_ir::{prove_equivalent, Function};
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
     simulate, BranchProfile, CompiledFn, EquivReference, SimCounters, SimEngine, SimScratch,
-    TraceSet,
+    StepBound, TraceSet,
 };
-use fact_xform::{Region, TransformLibrary};
+use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a FACT run.
 #[derive(Clone, Debug)]
@@ -117,15 +117,15 @@ pub struct FactResult {
     pub block_spliced: usize,
     /// Trace vectors simulated during candidate evaluation (every pass of
     /// every [`simulate`] call; logical vectors, so a deduplicated lane
-    /// of multiplicity *k* counts *k*). The baseline and final profiles
-    /// are not counted.
+    /// of multiplicity *k* counts *k*). Proved candidates, and the
+    /// baseline and final profiles, are not counted.
     pub sim_vectors: u64,
     /// Batched simulation passes executed.
     pub sim_batches: u64,
-    /// Candidate evaluations the engine selector routed to the scalar
+    /// Simulated candidates the engine selector routed to the scalar
     /// interpreter.
     pub sim_engine_scalar: u64,
-    /// Candidate evaluations the engine selector routed to the batched
+    /// Simulated candidates the engine selector routed to the batched
     /// engine.
     pub sim_engine_batched: u64,
     /// Lane-compaction passes performed inside batched simulation.
@@ -139,9 +139,41 @@ pub struct FactResult {
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
+    /// How the candidates the cache did not answer got their branch
+    /// profiles: proved equivalent to their parent, or simulated.
+    pub candidates: CandidateCounts,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
     pub stopped: bool,
+}
+
+/// Candidate evaluations by where their branch profile came from, per
+/// [`TransformKind`] (indexed by [`TransformKind::index`]).
+///
+/// A candidate [`fact_ir::prove_equivalent`] shows equivalent to an
+/// already-evaluated parent takes the parent's path on every vector, so
+/// it reuses the parent's profile and is neither compiled nor simulated.
+/// Every other candidate is simulated.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CandidateCounts {
+    /// Candidates proved equivalent to their parent, per kind.
+    pub proved: [u64; TransformKind::ALL.len()],
+    /// Candidates simulated, per kind.
+    pub simulated: [u64; TransformKind::ALL.len()],
+    /// Search inputs simulated (no transformation produced them).
+    pub simulated_inputs: u64,
+}
+
+impl CandidateCounts {
+    /// Candidates proved, over every kind.
+    pub fn proved_total(&self) -> u64 {
+        self.proved.iter().sum()
+    }
+
+    /// Candidates simulated, search inputs included.
+    pub fn simulated_total(&self) -> u64 {
+        self.simulated.iter().sum::<u64>() + self.simulated_inputs
+    }
 }
 
 /// Wall-clock phase accounting of the search, accumulated in
@@ -154,6 +186,9 @@ pub struct FactResult {
 pub struct PhaseTimers {
     /// Time compiling candidates ([`CompiledFn::compile`]).
     pub compile_ns: AtomicU64,
+    /// Time proving candidates equivalent to their parents
+    /// ([`fact_ir::prove_equivalent`]), proved or not.
+    pub prove_ns: AtomicU64,
     /// Time inside [`simulate`]: equivalence verification, branch
     /// profiling and the divergence measurement.
     pub simulate_ns: AtomicU64,
@@ -317,15 +352,15 @@ fn timed<T>(
 }
 
 /// The branch profile of `g` over `traces`: one compiled [`simulate`]
-/// pass on the default engine, outside the run's work counters (the
-/// baseline and the winner's final re-estimate).
+/// pass on the engine [`SimEngine::for_call`] picks, outside the run's
+/// work counters (the baseline and the winner's final re-estimate).
 fn profile_of(g: &Function, traces: &TraceSet) -> BranchProfile {
     let cf = CompiledFn::compile(g);
     simulate(
         &cf,
         traces,
         None,
-        SimEngine::default(),
+        SimEngine::for_call(&cf, None, traces, None),
         None,
         &mut SimScratch::default(),
     )
@@ -471,6 +506,12 @@ struct Run<'a> {
     /// Per-worker reusable simulation buffers, recycled across every
     /// neighborhood of the run (workers check one out per dispatch).
     scratch_pool: Mutex<Vec<SimScratch>>,
+    /// The branch profile and step bound of every function this run
+    /// simulated or proved, by structural hash: what a child proved
+    /// equivalent to it reuses.
+    profiles: Mutex<HashMap<u64, (Arc<BranchProfile>, StepBound)>>,
+    /// Proved and simulated candidates.
+    candidates: Mutex<CandidateCounts>,
 }
 
 impl<'a> Run<'a> {
@@ -527,6 +568,8 @@ impl<'a> Run<'a> {
             context_key: evaluation_context_key(f, alloc, traces, config),
             cache_hits: AtomicUsize::new(0),
             scratch_pool: Mutex::new(Vec::new()),
+            profiles: Mutex::new(HashMap::new()),
+            candidates: Mutex::new(CandidateCounts::default()),
         })
     }
 
@@ -538,7 +581,7 @@ impl<'a> Run<'a> {
     /// Schedules + estimates `g` under `prof`; `None` when `g` cannot be
     /// realized under the allocation (e.g. a strength-reduced shift with
     /// no shifter), or — in power mode — is slower than the baseline.
-    fn estimate(&self, g: &Function, prof: BranchProfile) -> Option<(ScheduleResult, Estimate)> {
+    fn estimate(&self, g: &Function, prof: &BranchProfile) -> Option<(ScheduleResult, Estimate)> {
         if prof.runs_ok == 0 {
             return None;
         }
@@ -556,7 +599,7 @@ impl<'a> Run<'a> {
                             library,
                             self.rules,
                             self.alloc,
-                            &prof,
+                            prof,
                             &config.sched,
                             Some(&ctx.sched),
                         )
@@ -594,31 +637,94 @@ impl<'a> Run<'a> {
         )
     }
 
-    /// The candidate evaluation: compile `cand` once, [`simulate`] it
-    /// over the neighborhood-shared `scratch` (verification against the
-    /// captured reference when equivalence checking is on, the branch
-    /// profile, and the divergence measurement, in one call), then
+    /// The candidate evaluation: the candidate's branch profile, then
     /// schedule + estimate. `None` marks an invalid candidate (not
     /// equivalent, unschedulable under the allocation, or — in power
     /// mode — slower than the baseline).
     ///
-    /// The engine comes from the divergence rate cached for the
-    /// candidate's structure ([`SimEngine::for_divergence`]); on a miss
-    /// the candidate runs batched and banks the rate its call measured.
-    /// Engines are bit-identical, so the choice only moves wall-clock and
-    /// the sim work counters.
+    /// The profile is the parent's when [`Run::proved_profile`] proves
+    /// the candidate equivalent to it; otherwise [`Run::simulated_profile`]
+    /// compiles and simulates the candidate.
     fn checked_estimate(
         &self,
         cand: &MegaCandidate<'_>,
         scratch: &mut SimScratch,
     ) -> Option<Estimate> {
+        debug_assert_eq!(cand.hash, structural_hash(cand.function));
+        let prof = match self.proved_profile(cand) {
+            Some(prof) => prof,
+            None => self.simulated_profile(cand, scratch)?,
+        };
+        self.estimate(cand.function, &prof).map(|(_, est)| est)
+    }
+
+    /// The parent's profile, when the candidate is provably equivalent to
+    /// a parent this run evaluated and cannot run into the step limit on
+    /// a lane where the parent did not. A proved candidate takes the
+    /// parent's branch on every vector, so its profile — and, with
+    /// equivalence checking on, its verdict — is the parent's. A parent
+    /// the shared cache answered was never simulated here, so its
+    /// children are simulated.
+    fn proved_profile(&self, cand: &MegaCandidate<'_>) -> Option<Arc<BranchProfile>> {
+        let origin = cand.origin?;
+        let (prof, steps) = self
+            .profiles
+            .lock()
+            .expect("no evaluation panics while holding the profile map")
+            .get(&origin.parent_hash)
+            .cloned()?;
+        let proof = timed(
+            self.ctx.timers,
+            |t| &t.prove_ns,
+            || prove_equivalent(origin.parent, cand.function),
+        )?;
+        let steps = steps.grown(proof.block_growth)?;
+        self.profiles
+            .lock()
+            .expect("no evaluation panics while holding the profile map")
+            .insert(cand.hash, (prof.clone(), steps));
+        self.candidates
+            .lock()
+            .expect("no evaluation panics while holding the counts")
+            .proved[origin.kind.index()] += 1;
+        Some(prof)
+    }
+
+    /// Compiles `cand` and [`simulate`]s it over the neighborhood-shared
+    /// `scratch`: verification against the captured reference when
+    /// equivalence checking is on, the branch profile, and the divergence
+    /// measurement, in one call. `None` when it is not equivalent.
+    ///
+    /// The engine comes from [`SimEngine::for_call`]: scalar for a
+    /// function with a loop or a call of few lanes, else by the
+    /// divergence rate cached for the candidate's structure; on a miss
+    /// the candidate runs batched and banks the rate its call measured.
+    /// Engines are bit-identical, so the choice only moves wall-clock and
+    /// the sim work counters.
+    fn simulated_profile(
+        &self,
+        cand: &MegaCandidate<'_>,
+        scratch: &mut SimScratch,
+    ) -> Option<Arc<BranchProfile>> {
         let (ctx, traces) = (&self.ctx, self.traces);
-        let g = cand.function;
-        debug_assert_eq!(cand.hash, structural_hash(g));
-        let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(g));
+        {
+            let mut counts = self
+                .candidates
+                .lock()
+                .expect("no evaluation panics while holding the counts");
+            match cand.origin {
+                Some(o) => counts.simulated[o.kind.index()] += 1,
+                None => counts.simulated_inputs += 1,
+            }
+        }
+        let cf = timed(
+            ctx.timers,
+            |t| &t.compile_ns,
+            || CompiledFn::compile(cand.function),
+        );
         let key = ctx.div_key(cand.hash);
         let known_rate = ctx.cached_div_rate(key);
-        let engine = known_rate.map_or_else(SimEngine::default, SimEngine::for_divergence);
+        let engine = SimEngine::for_call(&cf, known_rate, traces, ctx.equiv.as_ref());
         ctx.sim.note_engine(engine);
         let sim = timed(
             ctx.timers,
@@ -638,12 +744,19 @@ impl<'a> Run<'a> {
             .lanes
             .fetch_add(sim.lanes as u64, Ordering::Relaxed);
         // A rejected candidate's call stops at its first failing batch,
-        // so only a full pass banks its rate.
-        let prof = sim.profile?;
-        if known_rate.is_none() {
+        // so only a full pass banks its rate, and only the batched engine
+        // measures one.
+        let prof = Arc::new(sim.profile?);
+        if known_rate.is_none() && engine != SimEngine::Scalar {
             ctx.store_div_rate(key, sim.divergence);
         }
-        self.estimate(g, prof).map(|(_, est)| est)
+        if let Some(steps) = sim.steps {
+            self.profiles
+                .lock()
+                .expect("no evaluation panics while holding the profile map")
+                .insert(cand.hash, (prof.clone(), steps));
+        }
+        Some(prof)
     }
 
     /// Evaluates one search neighborhood (the whole deduplicated
@@ -891,9 +1004,10 @@ pub fn optimize_with(
         || profile_of(&current, traces),
     );
     let (schedule_result, estimate) = run
-        .estimate(&current, prof)
+        .estimate(&current, &prof)
         .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
 
+    let candidates = *run.candidates.lock().expect("the search has finished");
     Ok(FactResult {
         best: current,
         schedule: schedule_result,
@@ -913,6 +1027,7 @@ pub fn optimize_with(
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
+        candidates,
         stopped,
     })
 }
@@ -965,9 +1080,9 @@ pub struct ParetoFactResult {
     pub sim_vectors: u64,
     /// Batched simulation passes executed.
     pub sim_batches: u64,
-    /// Candidate evaluations routed to the scalar interpreter.
+    /// Simulated candidates routed to the scalar interpreter.
     pub sim_engine_scalar: u64,
-    /// Candidate evaluations routed to the batched engine.
+    /// Simulated candidates routed to the batched engine.
     pub sim_engine_batched: u64,
     /// Lane-compaction passes performed inside batched simulation.
     pub lane_compactions: u64,
@@ -978,6 +1093,8 @@ pub struct ParetoFactResult {
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
+    /// Proved and simulated candidates (see [`FactResult::candidates`]).
+    pub candidates: CandidateCounts,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
 }
@@ -1119,6 +1236,7 @@ pub fn optimize_pareto_with(
         .collect();
 
     let ctx = &run.ctx;
+    let candidates = *run.candidates.lock().expect("the search has finished");
     Ok(ParetoFactResult {
         frontier,
         archive_len: archive.len(),
@@ -1136,6 +1254,7 @@ pub fn optimize_pareto_with(
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
+        candidates,
         stopped,
     })
 }

@@ -40,7 +40,7 @@ use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
 use fact_ir::Function;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
-use fact_xform::{Region, TransformLibrary};
+use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -131,6 +131,8 @@ fn materialize_path(tip: &Option<Arc<PathNode>>) -> Vec<String> {
 #[derive(Clone)]
 struct Scored<S> {
     f: Arc<Function>,
+    /// `structural_hash(&f)`.
+    hash: u64,
     path: Option<Arc<PathNode>>,
     score: S,
 }
@@ -146,6 +148,21 @@ pub struct MegaCandidate<'a> {
     pub function: &'a Function,
     /// `structural_hash(self.function)`, computed during stage-1 dedup.
     pub hash: u64,
+    /// Where the candidate came from; `None` for a search input.
+    pub origin: Option<Origin<'a>>,
+}
+
+/// The frontier element a candidate was expanded from, and the
+/// transformation that produced it. Lets an evaluator prove a candidate
+/// equivalent to an already-evaluated parent instead of simulating it.
+#[derive(Clone, Copy)]
+pub struct Origin<'a> {
+    /// The parent CDFG.
+    pub parent: &'a Function,
+    /// `structural_hash(self.parent)`.
+    pub parent_hash: u64,
+    /// The transformation that rewrote the parent into the candidate.
+    pub kind: TransformKind,
 }
 
 /// A whole-neighborhood evaluator: scores one candidate slice in a
@@ -173,6 +190,7 @@ struct Candidate {
     /// Structural hash computed by stage-1 dedup (see [`MegaCandidate`]).
     hash: u64,
     parent: usize,
+    kind: TransformKind,
     description: String,
 }
 
@@ -236,6 +254,7 @@ fn run_search<R: Ranking>(
             &[MegaCandidate {
                 function: g0,
                 hash: h0,
+                origin: None,
             }],
         )
         .remove(0);
@@ -243,6 +262,7 @@ fn run_search<R: Ranking>(
         if let Some(score) = base {
             ranking.admit(&Scored {
                 f: Arc::new(g0.clone()),
+                hash: h0,
                 path: None,
                 score,
             });
@@ -288,6 +308,7 @@ fn run_search<R: Ranking>(
                         f: cand.function,
                         hash,
                         parent,
+                        kind: cand.kind,
                         description: cand.description,
                     });
                 }
@@ -302,6 +323,11 @@ fn run_search<R: Ranking>(
                 .map(|c| MegaCandidate {
                     function: &c.f,
                     hash: c.hash,
+                    origin: Some(Origin {
+                        parent: &in_set[c.parent].f,
+                        parent_hash: in_set[c.parent].hash,
+                        kind: c.kind,
+                    }),
                 })
                 .collect();
             let scores = score_batch(evaluate, &batch);
@@ -322,6 +348,7 @@ fn run_search<R: Ranking>(
                 let Some(score) = score else { continue };
                 let scored = Scored {
                     f: Arc::new(cand.f),
+                    hash: cand.hash,
                     path: Some(Arc::new(PathNode {
                         step: cand.description,
                         parent: in_set[cand.parent].path.clone(),
@@ -535,6 +562,8 @@ pub fn apply_transforms(
 #[derive(Clone)]
 pub struct ParetoCandidate {
     f: Arc<Function>,
+    /// `structural_hash(&f)`.
+    hash: u64,
     path: Option<Arc<PathNode>>,
 }
 
@@ -583,11 +612,7 @@ impl Ranking for Frontier<'_> {
 
     /// Archived survivors of earlier regions are already evaluated.
     fn known(&self) -> Vec<u64> {
-        self.archive
-            .entries()
-            .iter()
-            .map(|(_, c)| structural_hash(&c.f))
-            .collect()
+        self.archive.entries().iter().map(|(_, c)| c.hash).collect()
     }
 
     fn admit(&mut self, s: &Scored<(f64, f64)>) -> bool {
@@ -599,6 +624,7 @@ impl Ranking for Frontier<'_> {
             point,
             ParetoCandidate {
                 f: s.f.clone(),
+                hash: s.hash,
                 path: s.path.clone(),
             },
         );
@@ -634,6 +660,7 @@ impl Ranking for Frontier<'_> {
             let (p, c) = &entries[i];
             Scored {
                 f: c.f.clone(),
+                hash: c.hash,
                 path: c.path.clone(),
                 score: (p.energy, p.latency),
             }

@@ -13,15 +13,20 @@
 //! 1. seed-driven random walks through the transformation space of the
 //!    example1 (TEST1) and Table 2 graphs, comparing every candidate's
 //!    verdict, profile, schedule, and estimates between the two paths;
-//! 2. whole `optimize` runs over the suite, both objectives, and 1, 2,
-//!    and 8 worker threads against [`oracle_optimize`] — same trajectory
+//! 2. whole `optimize` runs over the suite (plus two benchmarks under
+//!    traces wide enough to run batched), both objectives, and 1, 2, and
+//!    8 worker threads against [`oracle_optimize`] — same trajectory
 //!    (applied path, evaluation count), same winner, same estimate bits,
 //!    and the same cache ledger for every thread count;
 //! 3. the same with equivalence checking off (each candidate's call is
 //!    then the profile pass alone);
 //! 4. Pareto frontiers, bit-identical for any thread count;
-//! 5. the simulation ledger: every uncached candidate costs exactly its
-//!    passes' worth of trace vectors, nothing more.
+//! 5. the simulation ledger: every uncached candidate is either proved
+//!    equivalent to its parent (no simulation) or costs exactly its
+//!    passes' worth of trace vectors, nothing more;
+//! 6. the prover: every candidate `prove_equivalent` proves equivalent
+//!    to its parent is equivalent under `check_equivalence` and has the
+//!    parent's profile.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly.
@@ -34,14 +39,14 @@ use fact_core::{
 use fact_estim::{
     evaluate, evaluate_power_mode, markov_of, section5_library, table1_library, Estimate,
 };
-use fact_ir::Function;
+use fact_ir::{prove_equivalent, Function};
 use fact_lang::compile;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
 use fact_sim::{
     check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec,
-    SimEngine, SimScratch, TraceSet,
+    SimEngine, SimScratch, TraceSet, MIN_BATCHED_LANES,
 };
 use fact_xform::Region;
 
@@ -70,12 +75,14 @@ fn example1() -> (
     (f, lib, rules, alloc, traces)
 }
 
-/// Evaluates `g` the oracle way and the production way and asserts the
-/// results are bit-identical. Returns whether the candidate survived
-/// (equivalent and schedulable), judged identically by both paths.
+/// Evaluates `g` (a rewrite of `parent`) the oracle way and the
+/// production way and asserts the results are bit-identical. Returns
+/// whether the candidate survived (equivalent and schedulable), judged
+/// identically by both paths.
 #[allow(clippy::too_many_arguments)]
 fn assert_paths_agree(
     original: &Function,
+    parent: &Function,
     g: &Function,
     lib: &fact_sched::FuLibrary,
     rules: &fact_sched::SelectionRules,
@@ -110,6 +117,17 @@ fn assert_paths_agree(
 
     let full_prof = profile(g, traces);
     assert_eq!(full_prof, inc_prof, "branch profile differs ({ctx})");
+    // What production would do instead of simulating: a proved candidate
+    // must be equivalent to its parent and reuse the parent's profile.
+    if prove_equivalent(parent, g).is_some() {
+        check_equivalence(parent, g, traces, 0xC0FFEE)
+            .unwrap_or_else(|m| panic!("proved but not equivalent ({ctx}): {m}"));
+        assert_eq!(
+            profile(parent, traces),
+            full_prof,
+            "proved candidate's profile differs from its parent's ({ctx})"
+        );
+    }
 
     let full_sr = schedule(g, lib, rules, alloc, &full_prof, &opts);
     let inc_sr = schedule_with_memo(g, lib, rules, alloc, &inc_prof, &opts, Some(sched_memo));
@@ -178,6 +196,7 @@ fn random_walk(
             let ctx = format!("{name} seed={seed} step={step} cand={}", c.description);
             if assert_paths_agree(
                 f,
+                &current,
                 &c.function,
                 lib,
                 rules,
@@ -369,20 +388,62 @@ fn assert_matches_oracle(r: &FactResult, oracle: &OracleRun, ctx: &str) {
     );
 }
 
+/// A loop-free behavior with a memory: two stored entries and two never
+/// written, so every verify lane reads its own private random image.
+const MEMORY_SUM_SRC: &str = "proc memsum(a, b, c, d) { array t[4]; \
+     t[0] = a + b; t[1] = c + d; out s = t[0] + t[1] + t[2] + t[3] + a; }";
+
+/// The suite, plus GCD, PPS and a loop-free memory-bearing behavior
+/// under 32-vector traces. The engine policy runs the loop-free ones
+/// batched (PPS already on its suite traces: 10 lanes, at least
+/// [`MIN_BATCHED_LANES`]), the memory-bearing one against private random
+/// images per lane; every other behavior has a loop and runs scalar.
+fn suite_and_wide_traces() -> Vec<Benchmark> {
+    let (lib, _) = section5_library();
+    let mut out = suite(&lib);
+    for name in ["GCD", "PPS"] {
+        let mut b = suite(&lib).into_iter().find(|b| b.name == name).unwrap();
+        b.traces = generate(&suite::input_specs(name).unwrap(), 32, 91);
+        assert!(b.traces.dedup_lanes().len() >= MIN_BATCHED_LANES, "{name}");
+        out.push(b);
+    }
+    let inputs: Vec<(String, InputSpec)> = ["a", "b", "c", "d"]
+        .iter()
+        .map(|n| (n.to_string(), InputSpec::Uniform { lo: -50, hi: 50 }))
+        .collect();
+    out.push(Benchmark {
+        name: "MEMSUM",
+        function: compile(MEMORY_SUM_SRC).expect("MEMSUM compiles"),
+        allocation: suite::pps(&lib).allocation,
+        traces: generate(&inputs, 32, 93),
+    });
+    out
+}
+
 /// For fixed seeds, `optimize` must reproduce the oracle exactly, for
 /// any worker thread count — and leave the same cache ledger behind.
 #[test]
 fn optimize_suite_matches_oracle() {
-    let (lib, _) = section5_library();
-    for b in suite(&lib) {
+    for b in suite_and_wide_traces() {
+        // Functions with a loop, and calls of fewer lanes than the
+        // batching floor, run scalar.
+        let reference = EquivReference::capture(&b.function, &b.traces, 0xC0FFEE);
+        let cf = CompiledFn::compile(&b.function);
+        let batched =
+            SimEngine::for_call(&cf, None, &b.traces, Some(&reference)) != SimEngine::Scalar;
+        assert_eq!(batched, matches!(b.name, "PPS" | "MEMSUM"), "{}", b.name);
         for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
             let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1));
             let mut ledger = None;
             for threads in [1usize, 2, 8] {
                 let (r, cache) = run(&b, &quick_config(objective, seed, threads));
-                let ctx = format!("{} {objective:?} seed={seed} threads={threads}", b.name);
+                let ctx = format!(
+                    "{} ({} vectors) {objective:?} seed={seed} threads={threads}",
+                    b.name,
+                    b.traces.len()
+                );
                 assert_matches_oracle(&r, &oracle, &ctx);
-                assert!(r.sim_batches > 0, "batched engine never ran ({ctx})");
+                assert_eq!(r.sim_batches > 0, batched, "engine policy ({ctx})");
                 assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
                 assert_eq!(
                     r.mega_candidates, r.evaluated as u64,
@@ -416,9 +477,13 @@ fn optimize_suite_without_equivalence_checks_matches_oracle() {
             let (r, _) = run(&b, &config);
             let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
             assert_matches_oracle(&r, &oracle, &ctx);
-            // Every candidate the cache did not answer was routed.
+            // Every candidate the cache did not answer was proved or
+            // routed to an engine.
             assert_eq!(
-                r.sim_engine_scalar + r.sim_engine_batched + r.cache_hits as u64,
+                r.sim_engine_scalar
+                    + r.sim_engine_batched
+                    + r.candidates.proved_total()
+                    + r.cache_hits as u64,
                 r.evaluated as u64,
                 "engine policy skipped a candidate ({ctx})"
             );
@@ -479,15 +544,17 @@ fn optimize_pareto_is_thread_invariant() {
 }
 
 /// The simulation ledger of whole runs: every candidate the cache did not
-/// answer costs `k` passes over the traces — `k = 1` for memory-free
-/// behaviors (verification and profiling share one pass) and for runs
-/// without equivalence checking (the profile pass alone), `k = 2` for
-/// memory-bearing behaviors under equivalence checking (a verify pass,
-/// then a zero-memory profile pass). The baseline and final profiles are
-/// not counted.
+/// answer was either proved equivalent to its parent (and simulated not
+/// at all) or simulated, and each simulated candidate costs `k` passes
+/// over the traces — `k = 1` for memory-free behaviors (verification and
+/// profiling share one pass) and for runs without equivalence checking
+/// (the profile pass alone), `k = 2` for memory-bearing behaviors under
+/// equivalence checking (a verify pass, then a zero-memory profile
+/// pass). The baseline and final profiles are not counted.
 #[test]
 fn sim_vectors_count_one_pass_per_simulated_candidate() {
     let (lib, _) = section5_library();
+    let mut proved = 0;
     for b in suite(&lib) {
         let memory_free = b.function.memories().count() == 0;
         for check_equivalence in [true, false] {
@@ -500,12 +567,20 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
                 1
             };
             let ctx = format!("{} check_equivalence={check_equivalence}", b.name);
-            assert!(r.evaluated > r.cache_hits, "nothing simulated ({ctx})");
+            let simulated = r.candidates.simulated_total();
+            assert!(simulated > 0, "nothing simulated ({ctx})");
+            assert_eq!(
+                (r.evaluated - r.cache_hits) as u64,
+                r.candidates.proved_total() + simulated,
+                "every uncached candidate is proved or simulated ({ctx})"
+            );
             assert_eq!(
                 r.sim_vectors,
-                ((r.evaluated - r.cache_hits) * k * b.traces.len()) as u64,
+                simulated * (k * b.traces.len()) as u64,
                 "simulated vectors ({ctx})"
             );
+            proved += r.candidates.proved_total();
         }
     }
+    assert!(proved > 0, "the prover never short-circuited a simulation");
 }

@@ -14,7 +14,9 @@
 //!
 //! Alongside the data structures, the crate provides the graph analyses
 //! ([`DomTree`], [`LoopForest`], [`mod@cfg`]), a verifier ([`verify::verify`]),
-//! rewriting utilities ([`rewrite`]), and text/Graphviz printers.
+//! rewriting utilities ([`rewrite`]), an equivalence prover for rewrites
+//! that keep the control-flow graph ([`prove_equivalent`]), and
+//! text/Graphviz printers.
 //!
 //! # Examples
 //!
@@ -46,6 +48,7 @@ mod ids;
 pub mod loops;
 mod op;
 pub mod pretty;
+pub mod prove;
 pub mod rewrite;
 pub mod verify;
 
@@ -54,3 +57,4 @@ pub use func::{BasicBlock, Function, Memory, Successors, Terminator};
 pub use ids::{BlockId, MemId, OpId};
 pub use loops::{LoopForest, NaturalLoop};
 pub use op::{BinOp, Op, OpKind, UnOp};
+pub use prove::{prove_equivalent, Equivalence};

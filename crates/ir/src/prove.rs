@@ -1,0 +1,1400 @@
+//! Translation validation of control-flow-preserving rewrites.
+//!
+//! FACT accepts a rewrite only if it preserves functionality on every
+//! thread of execution (paper §3). Most rewrites of the library —
+//! commutativity, associativity, distributivity, phi sinking, code
+//! motion — leave the control-flow graph exactly as it was. For those,
+//! [`prove_equivalent`] decides equivalence symbolically instead of by
+//! sampling: it is *sound* (a proof means the two functions behave
+//! identically on every input and every initial memory) but *incomplete*
+//! (`None` means "not proved", never "different").
+//!
+//! # The model
+//!
+//! Every value of both functions becomes a hash-consed term:
+//!
+//! - `+`, `−`, `×`, negation, bitwise not and constants normalize to
+//!   polynomials over Z/2^64, wrapping exactly like [`BinOp::eval`]; a
+//!   shift left by a constant is a multiplication by a power of two;
+//! - comparisons are canonicalized through [`BinOp::mirrored`]
+//!   (`a > b` is `b < a`; `==`/`!=` sort their operands), and `!x` is
+//!   `x == 0`;
+//! - `&`, `|` and `^` are flattened and sorted (associative and
+//!   commutative);
+//! - every other operation (division, remainder, shifts by a variable,
+//!   `Mux`) is an uninterpreted function of its normalized arguments;
+//!   constant arguments fold through the operator's own `eval`;
+//! - the leaves are inputs (by name), loop-header phis (by [`OpId`],
+//!   matched between the two functions and checked coinductively), and
+//!   loads. A load's term names the memory state it reads — its block
+//!   plus the number of stores before it there — so the same address
+//!   read across a store is never merged;
+//! - a phi of a join block that is not a loop header (every predecessor
+//!   comes before it in reverse postorder) is a *gated* term: its value
+//!   is the incoming term of whichever edge entered the block last.
+//!   Terms that differ only in gated terms are compared once per
+//!   incoming edge of the join, with each gated term replaced by its
+//!   value on that edge. That is what proves phi sinking.
+//!
+//! # What is compared
+//!
+//! Both functions must have the same blocks, the same terminator shapes
+//! and successors, and the same memories. Then, per reachable block:
+//! the branch condition, the in-order store sequence `(mem, addr,
+//! value)`, the in-order output sequence `(name, value)`, the multiset of
+//! loads, the set of input names read there, and the returned value; and
+//! per loop-header phi, the incoming value of every edge. By induction
+//! over an execution, equal terms at every block mean both functions take
+//! the same path, store the same words, and emit the same outputs.
+//!
+//! Failures stay exact too. Division and remainder are total, so the
+//! only run-time failures are out-of-bounds loads and stores (the same
+//! accesses happen in the same block visits), a missing input (the same
+//! names are read in the same blocks), and the step limit. Steps are ops
+//! executed, which a rewrite may change; [`Equivalence::block_growth`]
+//! reports the largest per-block increase so a caller can bound them.
+
+use crate::cfg::reverse_postorder;
+use crate::func::{Function, Terminator};
+use crate::ids::{BlockId, OpId};
+use crate::op::{BinOp, OpKind, UnOp};
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A successful proof of [`prove_equivalent`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Equivalence {
+    /// The largest increase in op count of any reachable block,
+    /// candidate over parent (0 when no block grew). Every block entry
+    /// of the candidate executes at most this many more ops than the
+    /// parent's entry of the same block, so a run of the parent that
+    /// executed `ops` ops over `entries` block entries runs at most
+    /// `ops + entries × block_growth` ops in the candidate.
+    pub block_growth: u64,
+}
+
+/// Tries to prove `candidate` observably equivalent to `parent`, for
+/// every input vector and every initial memory image: the same path
+/// through the (shared) control-flow graph, the same outputs, stores and
+/// return value, and the same failures (see the [module docs](self)).
+///
+/// Sound but incomplete: `None` means "not proved", and is also the
+/// answer whenever the two functions' control-flow graphs differ or a
+/// term grows past a fixed budget.
+///
+/// # Examples
+///
+/// ```
+/// use fact_ir::{prove_equivalent, BinOp, Function};
+///
+/// let build = |op, swap: bool| {
+///     let mut f = Function::new("f");
+///     let e = f.entry();
+///     let a = f.emit_input(e, "a");
+///     let b = f.emit_input(e, "b");
+///     let (x, y) = if swap { (b, a) } else { (a, b) };
+///     let v = f.emit_bin(e, op, x, y);
+///     f.emit_output(e, "y", v);
+///     f
+/// };
+/// let parent = build(BinOp::Add, false);
+/// assert!(prove_equivalent(&parent, &build(BinOp::Add, true)).is_some());
+/// assert!(prove_equivalent(&build(BinOp::Sub, false), &build(BinOp::Sub, true)).is_none());
+/// ```
+pub fn prove_equivalent(parent: &Function, candidate: &Function) -> Option<Equivalence> {
+    let cfg = Cfg::shared(parent, candidate)?;
+    let mut terms = ARENA.with(|a| a.take());
+    terms.clear();
+    let proof = prove_on(parent, candidate, &cfg, &mut terms);
+    ARENA.with(|a| a.replace(terms));
+    proof
+}
+
+/// [`prove_equivalent`] over the shared graph `cfg`, in `terms`.
+fn prove_on(
+    parent: &Function,
+    candidate: &Function,
+    cfg: &Cfg,
+    terms: &mut Terms,
+) -> Option<Equivalence> {
+    let mut pair = Pair::new(parent, candidate, cfg, terms)?;
+    let mut block_growth = 0u64;
+    for &b in &cfg.rpo {
+        if !pair.block_unchanged(b) {
+            pair.observations_agree(b)?;
+        }
+        if cfg.is_header[b.index()] {
+            pair.header_phis_agree(b)?;
+        }
+        let (np, nc) = (
+            parent.block(b).ops.len() as u64,
+            candidate.block(b).ops.len() as u64,
+        );
+        block_growth = block_growth.max(nc.saturating_sub(np));
+    }
+    Some(Equivalence { block_growth })
+}
+
+/// The control-flow graph both functions share.
+struct Cfg {
+    /// Reachable blocks in reverse postorder.
+    rpo: Vec<BlockId>,
+    /// Reachable predecessors of each block, in terminator order.
+    preds: Vec<Vec<BlockId>>,
+    /// Whether each block's phis are leaves checked coinductively (some
+    /// predecessor does not precede it in reverse postorder) rather than
+    /// gated terms.
+    is_header: Vec<bool>,
+}
+
+impl Cfg {
+    /// The shared graph, or `None` when the blocks, terminator shapes,
+    /// successors or memories differ.
+    fn shared(parent: &Function, candidate: &Function) -> Option<Cfg> {
+        if parent.num_blocks() != candidate.num_blocks()
+            || parent.entry() != candidate.entry()
+            || !parent
+                .memories()
+                .map(|(_, m)| m)
+                .eq(candidate.memories().map(|(_, m)| m))
+        {
+            return None;
+        }
+        for b in parent.block_ids() {
+            let same = match (&parent.block(b).term, &candidate.block(b).term) {
+                (Terminator::Jump(x), Terminator::Jump(y)) => x == y,
+                (
+                    Terminator::Branch {
+                        on_true: t1,
+                        on_false: f1,
+                        ..
+                    },
+                    Terminator::Branch {
+                        on_true: t2,
+                        on_false: f2,
+                        ..
+                    },
+                ) => t1 == t2 && f1 == f2,
+                (Terminator::Return(x), Terminator::Return(y)) => x.is_some() == y.is_some(),
+                _ => false,
+            };
+            if !same {
+                return None;
+            }
+        }
+        let rpo = reverse_postorder(parent);
+        let n = parent.num_blocks();
+        let mut order = vec![usize::MAX; n];
+        for (i, b) in rpo.iter().enumerate() {
+            order[b.index()] = i;
+        }
+        let mut preds = vec![Vec::new(); n];
+        for &b in &rpo {
+            for s in parent.block(b).term.successors() {
+                preds[s.index()].push(b);
+            }
+        }
+        let is_header = (0..n)
+            .map(|b| preds[b].iter().any(|p| order[p.index()] >= order[b]))
+            .collect();
+        Some(Cfg {
+            rpo,
+            preds,
+            is_header,
+        })
+    }
+}
+
+/// What one block of one function does, as terms.
+#[derive(Default)]
+struct Observed<'f> {
+    /// Input names read, sorted.
+    inputs: Vec<&'f str>,
+    /// Stores in program order: `(memory, address, value)`.
+    stores: Vec<(u32, Term, Term)>,
+    /// Outputs in program order.
+    outputs: Vec<(&'f str, Term)>,
+    /// Load terms (each naming its memory state), sorted.
+    loads: Vec<Term>,
+    /// The branch condition or the returned value.
+    exit: Option<Term>,
+}
+
+/// Marks a term not computed yet.
+const UNKNOWN: Term = u32::MAX;
+/// Marks a term being computed (a cycle means malformed SSA).
+const BUSY: Term = u32::MAX - 1;
+
+/// One function of the pair, with its terms built on demand.
+struct Side<'f> {
+    f: &'f Function,
+    /// Per op placed in a reachable block: the block, and the number of
+    /// stores before the op there (a load's memory state).
+    loc: Vec<Option<(BlockId, u32)>>,
+    /// Per op: its term, [`UNKNOWN`] or [`BUSY`].
+    vals: Vec<Term>,
+}
+
+impl<'f> Side<'f> {
+    fn locate(f: &'f Function, cfg: &Cfg) -> Side<'f> {
+        let mut loc = vec![None; f.num_ops()];
+        for &b in &cfg.rpo {
+            let mut stores = 0;
+            for &op in &f.block(b).ops {
+                loc[op.index()] = Some((b, stores));
+                if matches!(f.op(op).kind, OpKind::Store { .. }) {
+                    stores += 1;
+                }
+            }
+        }
+        Side {
+            f,
+            vals: vec![UNKNOWN; f.num_ops()],
+            loc,
+        }
+    }
+
+    /// The value `phi` receives along the edge from `pred`.
+    fn incoming(&self, phi: OpId, pred: BlockId) -> Option<OpId> {
+        let OpKind::Phi(incoming) = &self.f.op(phi).kind else {
+            return None;
+        };
+        incoming.iter().find(|(p, _)| *p == pred).map(|&(_, v)| v)
+    }
+}
+
+/// The parent and the candidate, sharing one term arena.
+///
+/// Most of a candidate is its parent's ops, unchanged. `same` marks the
+/// candidate ops whose term is the parent's term of the same op, without
+/// building either: a pure op the candidate still shares with the parent
+/// ([`Function::shares_op_storage`]) whose operands are all `same`; an
+/// effect, load or input shared and in the same place; or a rewritten op
+/// whose term turned out equal to the parent's. Terms are built only for
+/// what differs, and for the parent ops that feeds on.
+struct Pair<'a> {
+    cfg: &'a Cfg,
+    parent: Side<'a>,
+    candidate: Side<'a>,
+    same: Vec<bool>,
+    terms: &'a mut Terms,
+}
+
+impl<'a> Pair<'a> {
+    fn new(
+        parent: &'a Function,
+        candidate: &'a Function,
+        cfg: &'a Cfg,
+        terms: &'a mut Terms,
+    ) -> Option<Pair<'a>> {
+        let mut pair = Pair {
+            cfg,
+            parent: Side::locate(parent, cfg),
+            candidate: Side::locate(candidate, cfg),
+            same: vec![false; candidate.num_ops()],
+            terms,
+        };
+        let mut operands = Vec::new();
+        for &b in &cfg.rpo {
+            for &op in &candidate.block(b).ops {
+                let i = op.index();
+                let Some(&Some(pl)) = pair.parent.loc.get(i) else {
+                    continue; // a new op, or not placed in the parent
+                };
+                let cl = pair.candidate.loc[i].expect("placed in a reachable block");
+                let kind = &candidate.op(op).kind;
+                operands.clear();
+                kind.operands_into(&mut operands);
+                let inherited = candidate.shares_op_storage(parent, op)
+                    && operands.iter().all(|v| pair.same[v.index()]);
+                let same = match kind {
+                    OpKind::Const(_) | OpKind::Bin(..) | OpKind::Un(..) | OpKind::Mux { .. } => {
+                        inherited
+                    }
+                    // A loop-header phi is a leaf, or stands for the
+                    // parent's op it replaced (checked by
+                    // `header_phis_agree`).
+                    OpKind::Phi(_) if cfg.is_header[b.index()] => pl.0 == b,
+                    OpKind::Phi(_) => inherited && pl.0 == b,
+                    OpKind::Input(_)
+                    | OpKind::Load { .. }
+                    | OpKind::Store { .. }
+                    | OpKind::Output(..) => inherited && pl == cl,
+                };
+                pair.same[i] = same
+                    || match kind {
+                        // Cut-off: a rewritten value equal to the
+                        // parent's makes its users `same` again.
+                        OpKind::Bin(..) | OpKind::Un(..) | OpKind::Mux { .. } | OpKind::Phi(_) => {
+                            let c = pair.term(true, op)?;
+                            match pair.term(false, op) {
+                                Some(p) => pair.terms.equal(p, c, cfg)?,
+                                None => false,
+                            }
+                        }
+                        _ => false,
+                    };
+            }
+        }
+        Some(pair)
+    }
+
+    /// The term of `op` in the candidate (`cand`) or the parent, built on
+    /// first use. `None` when `op` is not placed in a reachable block,
+    /// the SSA is malformed, or the term budget ran out.
+    fn term(&mut self, cand: bool, op: OpId) -> Option<Term> {
+        if cand && self.same[op.index()] {
+            return self.term(false, op);
+        }
+        let side = if cand {
+            &mut self.candidate
+        } else {
+            &mut self.parent
+        };
+        match side.vals[op.index()] {
+            UNKNOWN => side.vals[op.index()] = BUSY,
+            BUSY => return None,
+            t => return Some(t),
+        }
+        let f = side.f;
+        let (b, stores) = side.loc[op.index()]?;
+        let t = match &f.op(op).kind {
+            OpKind::Const(c) => self.terms.konst(*c)?,
+            OpKind::Input(name) => self.terms.mk(Node::Input(name.clone()))?,
+            OpKind::Bin(o, x, y) => {
+                let (x, y) = (self.term(cand, *x)?, self.term(cand, *y)?);
+                self.terms.bin(*o, x, y)?
+            }
+            OpKind::Un(o, x) => {
+                let x = self.term(cand, *x)?;
+                self.terms.un(*o, x)?
+            }
+            OpKind::Mux {
+                cond,
+                on_true,
+                on_false,
+            } => {
+                let c = self.term(cand, *cond)?;
+                let t = self.term(cand, *on_true)?;
+                let e = self.term(cand, *on_false)?;
+                self.terms.mux(c, t, e)?
+            }
+            OpKind::Phi(_) if self.cfg.is_header[b.index()] => self.terms.mk(Node::Phi(op.0))?,
+            OpKind::Phi(incoming) => {
+                let preds = &self.cfg.preds[b.index()];
+                let mut gated = Vec::with_capacity(preds.len());
+                for p in preds {
+                    let &(_, v) = incoming.iter().find(|(q, _)| q == p)?;
+                    gated.push(self.term(cand, v)?);
+                }
+                self.terms.join(b.0, gated)?
+            }
+            OpKind::Load { mem, addr } => {
+                let addr = self.term(cand, *addr)?;
+                self.terms.mk(Node::Load {
+                    block: b.0,
+                    stores,
+                    mem: mem.0,
+                    addr,
+                })?
+            }
+            OpKind::Store { .. } | OpKind::Output(..) => self.terms.konst(0)?,
+        };
+        let side = if cand {
+            &mut self.candidate
+        } else {
+            &mut self.parent
+        };
+        side.vals[op.index()] = t;
+        Some(t)
+    }
+
+    /// Whether block `b` is provably unchanged: the candidate still
+    /// shares its storage (same ops, same terminator) and every op and
+    /// the exit value are `same`.
+    fn block_unchanged(&self, b: BlockId) -> bool {
+        let (parent, candidate) = (self.parent.f, self.candidate.f);
+        candidate.shares_block_storage(parent, b)
+            && candidate
+                .block(b)
+                .ops
+                .iter()
+                .all(|op| self.same[op.index()])
+            && exit_value(candidate, b).is_none_or(|v| self.same[v.index()])
+    }
+
+    /// What block `b` does in the candidate or the parent.
+    fn observe(&mut self, cand: bool, b: BlockId) -> Option<Observed<'a>> {
+        let f = if cand {
+            self.candidate.f
+        } else {
+            self.parent.f
+        };
+        let mut o = Observed::default();
+        for &op in &f.block(b).ops {
+            match &f.op(op).kind {
+                OpKind::Input(name) => o.inputs.push(name),
+                OpKind::Load { .. } => o.loads.push(self.term(cand, op)?),
+                OpKind::Store { mem, addr, value } => {
+                    let (a, v) = (self.term(cand, *addr)?, self.term(cand, *value)?);
+                    o.stores.push((mem.0, a, v));
+                }
+                OpKind::Output(name, v) => o.outputs.push((name, self.term(cand, *v)?)),
+                _ => {}
+            }
+        }
+        o.exit = match exit_value(f, b) {
+            Some(v) => Some(self.term(cand, v)?),
+            None => None,
+        };
+        o.inputs.sort_unstable();
+        o.loads.sort_unstable();
+        Some(o)
+    }
+
+    /// Compares block `b`'s observables: input names, stores and outputs
+    /// in order, loads as a multiset, and the exit value.
+    fn observations_agree(&mut self, b: BlockId) -> Option<()> {
+        let po = self.observe(false, b)?;
+        let co = self.observe(true, b)?;
+        let cfg = self.cfg;
+        let terms = &mut *self.terms;
+        let agree = po.inputs == co.inputs
+            && po.stores.len() == co.stores.len()
+            && po.outputs.len() == co.outputs.len()
+            && po.loads.len() == co.loads.len()
+            && po.exit.is_some() == co.exit.is_some();
+        if !agree {
+            return None;
+        }
+        for (x, y) in po.stores.iter().zip(&co.stores) {
+            if x.0 != y.0 || !terms.equal(x.1, y.1, cfg)? || !terms.equal(x.2, y.2, cfg)? {
+                return None;
+            }
+        }
+        for (x, y) in po.outputs.iter().zip(&co.outputs) {
+            if x.0 != y.0 || !terms.equal(x.1, y.1, cfg)? {
+                return None;
+            }
+        }
+        if !terms.same_multiset(&po.loads, &co.loads, cfg)? {
+            return None;
+        }
+        if let (Some(x), Some(y)) = (po.exit, co.exit) {
+            if !terms.equal(x, y, cfg)? {
+                return None;
+            }
+        }
+        Some(())
+    }
+
+    /// Checks the phis of loop header `b` coinductively: assuming every
+    /// phi of the two functions agrees on entry to `b`, it agrees again
+    /// after each incoming edge. Every parent phi must stay a phi. A
+    /// candidate phi the parent computes as an op of `b` instead (phi
+    /// sinking into a loop header) stands for the parent's term of that
+    /// op: on each edge its incoming value must equal that term with the
+    /// parent's phis replaced by their incoming values on the edge.
+    fn header_phis_agree(&mut self, b: BlockId) -> Option<()> {
+        let (parent, candidate) = (self.parent.f, self.candidate.f);
+        let is_phi = |f: &Function, op: OpId| {
+            op.index() < f.num_ops() && matches!(f.op(op).kind, OpKind::Phi(_))
+        };
+        let phis: Vec<OpId> = parent
+            .block(b)
+            .ops
+            .iter()
+            .copied()
+            .filter(|&op| is_phi(parent, op))
+            .collect();
+        for &phi in &phis {
+            if !is_phi(candidate, phi) || self.candidate.loc[phi.index()]?.0 != b {
+                return None;
+            }
+        }
+        let mut sunk = Vec::new();
+        for &x in &candidate.block(b).ops {
+            if !is_phi(candidate, x) || phis.contains(&x) {
+                continue;
+            }
+            if self.parent.loc.get(x.index()).copied().flatten()?.0 != b {
+                return None;
+            }
+            // The op's term must be fixed on entry to `b`: no load of
+            // `b` itself (its memory state comes later in the visit).
+            let t = self.term(false, x)?;
+            if self.terms.loads_in(t, b.0) {
+                return None;
+            }
+            sunk.push((x, t));
+        }
+        let cfg = self.cfg;
+        for &pred in &cfg.preds[b.index()] {
+            let mut on_edge = FxMap::default();
+            for &phi in &phis {
+                let vp = self.parent.incoming(phi, pred)?;
+                let vc = self.candidate.incoming(phi, pred)?;
+                if vp == vc && self.same[vc.index()] && sunk.is_empty() {
+                    continue;
+                }
+                let (x, y) = (self.term(false, vp)?, self.term(true, vc)?);
+                if !self.terms.equal(x, y, cfg)? {
+                    return None;
+                }
+                on_edge.insert(phi.0, x);
+            }
+            let mut memo = FxMap::default();
+            for &(x, t) in &sunk {
+                let expected = self.terms.substitute(t, Subst::Phis(&on_edge), &mut memo)?;
+                let v = self.candidate.incoming(x, pred)?;
+                let actual = self.term(true, v)?;
+                if !self.terms.equal(expected, actual, cfg)? {
+                    return None;
+                }
+            }
+        }
+        Some(())
+    }
+}
+
+/// The value block `b`'s terminator reads: its branch condition or
+/// returned value.
+fn exit_value(f: &Function, b: BlockId) -> Option<OpId> {
+    match f.block(b).term {
+        Terminator::Branch { cond: v, .. } | Terminator::Return(Some(v)) => Some(v),
+        Terminator::Jump(_) | Terminator::Return(None) => None,
+    }
+}
+
+/// A hash-consed term: equal ids are equal terms.
+type Term = u32;
+
+/// An interned monomial: a sorted list of non-polynomial terms (id 0 is
+/// the empty monomial, the constant 1).
+type Mono = u32;
+
+/// A polynomial: `(monomial, coefficient)` pairs, sorted by monomial and
+/// distinct, coefficients non-zero (wrapping arithmetic on the bits).
+type Poly = Vec<(Mono, u64)>;
+
+/// The nodes of the term graph. Canonical by construction (see the
+/// smart constructors of [`Terms`]), so structural equality is semantic
+/// equality up to what the normal form captures.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Node {
+    /// A sum of monomials over non-polynomial terms. Never a single
+    /// term with coefficient 1 (that is the term itself).
+    Poly(Poly),
+    /// An input value, by name.
+    Input(String),
+    /// A loop-header phi, by op id (the same op in both functions).
+    Phi(u32),
+    /// A load from `mem` at `addr`, reading the memory state after the
+    /// first `stores` stores of the current visit to `block`.
+    Load {
+        block: u32,
+        stores: u32,
+        mem: u32,
+        addr: Term,
+    },
+    /// An uninterpreted binary operation (canonical comparisons,
+    /// division, remainder, shifts).
+    Bin(BinOp, Term, Term),
+    /// `&`, `|` or `^` over its flattened, sorted operands.
+    Ac(BinOp, Vec<Term>),
+    /// The paper's select.
+    Mux(Term, Term, Term),
+    /// The phi of a non-header join block: the incoming term of the edge
+    /// (by predecessor position) that entered the block last.
+    Join(u32, Vec<Term>),
+}
+
+/// A substitution of leaves (see [`Terms::substitute`]).
+#[derive(Clone, Copy)]
+enum Subst<'a> {
+    /// Every gated term of join `block` by its value on incoming edge
+    /// `edge` (by predecessor position).
+    Edge { block: u32, edge: u32 },
+    /// Loop-header phis (by op id) by the given terms.
+    Phis(&'a FxMap<u32, Term>),
+}
+
+/// A multiply-rotate hasher (the `FxHash` scheme): the keys here are
+/// short runs of small integers, for which SipHash's setup dominates.
+#[derive(Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+thread_local! {
+    /// Each thread's term arena, cleared and reused by every proof so
+    /// its tables keep their capacity.
+    static ARENA: RefCell<Terms> = RefCell::new(Terms::default());
+}
+
+/// Term-graph size limits: past them a proof gives up.
+const MAX_NODES: usize = 1 << 16;
+const MAX_POLY_TERMS: usize = 256;
+const MAX_DEGREE: usize = 16;
+const MAX_SPLITS: usize = 4096;
+
+/// The term arena shared by both sides of one proof.
+#[derive(Default)]
+struct Terms {
+    nodes: Vec<Node>,
+    /// Per node: 1 + the highest block index of a gated join inside it,
+    /// 0 when it contains none.
+    max_join: Vec<u32>,
+    index: FxMap<Node, Term>,
+    /// Interned monomials, with their `max_join`.
+    monos: Vec<(Vec<Term>, u32)>,
+    mono_index: FxMap<Vec<Term>, Mono>,
+    /// Per `(join block, edge)`: term -> term with that join resolved.
+    resolved: FxMap<(u32, u32), FxMap<Term, Term>>,
+    /// Per-edge comparisons performed so far.
+    splits: usize,
+}
+
+impl Terms {
+    /// Empties the arena for the next proof, keeping its capacity.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.max_join.clear();
+        self.index.clear();
+        self.monos.clear();
+        self.mono_index.clear();
+        self.resolved.clear();
+        self.splits = 0;
+        self.monos.push((Vec::new(), 0));
+        self.mono_index.insert(Vec::new(), 0);
+    }
+
+    /// Interns the monomial of the sorted `atoms`.
+    fn mono(&mut self, atoms: &[Term]) -> Mono {
+        if let Some(&m) = self.mono_index.get(atoms) {
+            return m;
+        }
+        let m = self.monos.len() as Mono;
+        let mj = atoms
+            .iter()
+            .map(|&t| self.max_join[t as usize])
+            .max()
+            .unwrap_or(0);
+        self.monos.push((atoms.to_vec(), mj));
+        self.mono_index.insert(atoms.to_vec(), m);
+        m
+    }
+
+    /// Interns `node`.
+    fn mk(&mut self, node: Node) -> Option<Term> {
+        if let Some(&t) = self.index.get(&node) {
+            return Some(t);
+        }
+        if self.nodes.len() >= MAX_NODES {
+            return None;
+        }
+        let mj = |t: &Term| self.max_join[*t as usize];
+        let max_join = match &node {
+            Node::Poly(p) => p
+                .iter()
+                .map(|&(m, _)| self.monos[m as usize].1)
+                .max()
+                .unwrap_or(0),
+            Node::Input(_) | Node::Phi(_) => 0,
+            Node::Load { addr, .. } => mj(addr),
+            Node::Bin(_, a, b) => mj(a).max(mj(b)),
+            Node::Ac(_, xs) => xs.iter().map(mj).max().unwrap_or(0),
+            Node::Mux(c, a, b) => mj(c).max(mj(a)).max(mj(b)),
+            Node::Join(b, xs) => xs.iter().map(mj).max().unwrap_or(0).max(b + 1),
+        };
+        let t = self.nodes.len() as Term;
+        self.nodes.push(node.clone());
+        self.max_join.push(max_join);
+        self.index.insert(node, t);
+        Some(t)
+    }
+
+    fn konst(&mut self, c: i64) -> Option<Term> {
+        self.poly(vec![(0, c as u64)])
+    }
+
+    fn as_const(&self, t: Term) -> Option<i64> {
+        match &self.nodes[t as usize] {
+            Node::Poly(p) if p.is_empty() => Some(0),
+            Node::Poly(p) if p.len() == 1 && p[0].0 == 0 => Some(p[0].1 as i64),
+            _ => None,
+        }
+    }
+
+    /// `t` as a polynomial.
+    fn poly_of(&mut self, t: Term) -> Poly {
+        match &self.nodes[t as usize] {
+            Node::Poly(p) => p.clone(),
+            _ => vec![(self.mono(&[t]), 1)],
+        }
+    }
+
+    /// Canonicalizes and interns a sum of monomials.
+    fn poly(&mut self, mut p: Poly) -> Option<Term> {
+        p.sort_unstable_by_key(|&(m, _)| m);
+        p.dedup_by(|next, kept| {
+            let merged = next.0 == kept.0;
+            if merged {
+                kept.1 = kept.1.wrapping_add(next.1);
+            }
+            merged
+        });
+        p.retain(|&(_, c)| c != 0);
+        if p.len() > MAX_POLY_TERMS {
+            return None;
+        }
+        if let [(m, 1)] = p[..] {
+            if let [t] = self.monos[m as usize].0[..] {
+                return Some(t);
+            }
+        }
+        self.mk(Node::Poly(p))
+    }
+
+    fn add(&mut self, a: Term, b: Term) -> Option<Term> {
+        let mut p = self.poly_of(a);
+        p.extend(self.poly_of(b));
+        self.poly(p)
+    }
+
+    fn scale(&mut self, a: Term, k: u64) -> Option<Term> {
+        let p = self
+            .poly_of(a)
+            .into_iter()
+            .map(|(m, c)| (m, c.wrapping_mul(k)))
+            .collect();
+        self.poly(p)
+    }
+
+    fn mul(&mut self, a: Term, b: Term) -> Option<Term> {
+        let (pa, pb) = (self.poly_of(a), self.poly_of(b));
+        if pa.len() * pb.len() > MAX_POLY_TERMS {
+            return None;
+        }
+        let mut p = Vec::with_capacity(pa.len() * pb.len());
+        let mut atoms = Vec::new();
+        for &(ma, ca) in &pa {
+            for &(mb, cb) in &pb {
+                atoms.clear();
+                atoms.extend_from_slice(&self.monos[ma as usize].0);
+                atoms.extend_from_slice(&self.monos[mb as usize].0);
+                if atoms.len() > MAX_DEGREE {
+                    return None;
+                }
+                atoms.sort_unstable();
+                p.push((self.mono(&atoms), ca.wrapping_mul(cb)));
+            }
+        }
+        self.poly(p)
+    }
+
+    fn bin(&mut self, op: BinOp, a: Term, b: Term) -> Option<Term> {
+        if let (Some(x), Some(y)) = (self.as_const(a), self.as_const(b)) {
+            return self.konst(op.eval(x, y));
+        }
+        match op {
+            BinOp::Add => self.add(a, b),
+            BinOp::Sub => {
+                let nb = self.scale(b, u64::MAX)?;
+                self.add(a, nb)
+            }
+            BinOp::Mul => self.mul(a, b),
+            // `wrapping_shl` by `s` is multiplication by 2^s mod 2^64.
+            BinOp::Shl if self.as_const(b).is_some() => {
+                let s = self.as_const(b)? & 63;
+                self.scale(a, 1u64 << s)
+            }
+            BinOp::Gt | BinOp::Ge => self.bin(op.mirrored()?, b, a),
+            BinOp::Lt | BinOp::Le | BinOp::Eq | BinOp::Ne => {
+                if a == b {
+                    return self.konst(op.eval(0, 0));
+                }
+                let (a, b) = if op.is_commutative() && b < a {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                self.mk(Node::Bin(op, a, b))
+            }
+            BinOp::And | BinOp::Or | BinOp::Xor => {
+                let mut args = Vec::new();
+                let mut k: Option<i64> = None;
+                for t in [a, b] {
+                    let flat = match &self.nodes[t as usize] {
+                        Node::Ac(o, xs) if *o == op => xs.clone(),
+                        _ => vec![t],
+                    };
+                    for x in flat {
+                        match self.as_const(x) {
+                            Some(c) => k = Some(k.map_or(c, |k| op.eval(k, c))),
+                            None => args.push(x),
+                        }
+                    }
+                }
+                if let Some(c) = k {
+                    args.push(self.konst(c)?);
+                }
+                args.sort_unstable();
+                self.mk(Node::Ac(op, args))
+            }
+            BinOp::Div | BinOp::Rem | BinOp::Shl | BinOp::Shr => self.mk(Node::Bin(op, a, b)),
+        }
+    }
+
+    fn un(&mut self, op: UnOp, a: Term) -> Option<Term> {
+        match op {
+            UnOp::Neg => self.scale(a, u64::MAX),
+            // Two's complement: !x == -x - 1.
+            UnOp::Not => {
+                let neg = self.scale(a, u64::MAX)?;
+                let one = self.konst(-1)?;
+                self.add(neg, one)
+            }
+            UnOp::LNot => {
+                let zero = self.konst(0)?;
+                self.bin(BinOp::Eq, a, zero)
+            }
+        }
+    }
+
+    fn mux(&mut self, c: Term, t: Term, f: Term) -> Option<Term> {
+        match self.as_const(c) {
+            Some(0) => Some(f),
+            Some(_) => Some(t),
+            None if t == f => Some(t),
+            None => self.mk(Node::Mux(c, t, f)),
+        }
+    }
+
+    fn join(&mut self, block: u32, gated: Vec<Term>) -> Option<Term> {
+        match gated.first() {
+            Some(&t) if gated.iter().all(|&x| x == t) => Some(t),
+            _ => self.mk(Node::Join(block, gated)),
+        }
+    }
+
+    /// `t` with every gated term of join `block` replaced by its value on
+    /// incoming edge `edge`. Only called with `block` the highest join
+    /// inside `t` (or absent), so the descent stops at join-free terms.
+    fn resolve(&mut self, t: Term, block: u32, edge: u32) -> Option<Term> {
+        let mut memo = self.resolved.remove(&(block, edge)).unwrap_or_default();
+        let r = self.substitute(t, Subst::Edge { block, edge }, &mut memo);
+        self.resolved.insert((block, edge), memo);
+        r
+    }
+
+    /// `t` rebuilt bottom-up under `s`, through the smart constructors
+    /// (so the result is canonical again). `memo` caches results under
+    /// one substitution.
+    fn substitute(&mut self, t: Term, s: Subst<'_>, memo: &mut FxMap<Term, Term>) -> Option<Term> {
+        if let Subst::Edge { block, .. } = s {
+            if self.max_join[t as usize] != block + 1 {
+                return Some(t);
+            }
+        }
+        if let Some(&r) = memo.get(&t) {
+            return Some(r);
+        }
+        let r = match self.nodes[t as usize].clone() {
+            Node::Join(b, xs) => match s {
+                Subst::Edge { block, edge } if b == block => xs[edge as usize],
+                _ => {
+                    let xs = self.substitute_all(&xs, s, memo)?;
+                    self.join(b, xs)?
+                }
+            },
+            Node::Phi(op) => match s {
+                Subst::Phis(map) => map.get(&op).copied().unwrap_or(t),
+                Subst::Edge { .. } => t,
+            },
+            Node::Input(_) => t,
+            Node::Poly(p) => {
+                let mut sum = self.konst(0)?;
+                for (m, c) in p {
+                    let mut prod = self.konst(c as i64)?;
+                    for x in self.monos[m as usize].0.clone() {
+                        let x = self.substitute(x, s, memo)?;
+                        prod = self.mul(prod, x)?;
+                    }
+                    sum = self.add(sum, prod)?;
+                }
+                sum
+            }
+            Node::Load {
+                block,
+                stores,
+                mem,
+                addr,
+            } => {
+                let addr = self.substitute(addr, s, memo)?;
+                self.mk(Node::Load {
+                    block,
+                    stores,
+                    mem,
+                    addr,
+                })?
+            }
+            Node::Bin(op, a, b) => {
+                let a = self.substitute(a, s, memo)?;
+                let b = self.substitute(b, s, memo)?;
+                self.bin(op, a, b)?
+            }
+            Node::Ac(op, xs) => {
+                let xs = self.substitute_all(&xs, s, memo)?;
+                let mut acc = xs[0];
+                for &x in &xs[1..] {
+                    acc = self.bin(op, acc, x)?;
+                }
+                acc
+            }
+            Node::Mux(c, a, b) => {
+                let c = self.substitute(c, s, memo)?;
+                let a = self.substitute(a, s, memo)?;
+                let b = self.substitute(b, s, memo)?;
+                self.mux(c, a, b)?
+            }
+        };
+        memo.insert(t, r);
+        Some(r)
+    }
+
+    fn substitute_all(
+        &mut self,
+        xs: &[Term],
+        s: Subst<'_>,
+        memo: &mut FxMap<Term, Term>,
+    ) -> Option<Vec<Term>> {
+        xs.iter().map(|&x| self.substitute(x, s, memo)).collect()
+    }
+
+    /// Whether `t` contains a load in `block`.
+    fn loads_in(&self, t: Term, block: u32) -> bool {
+        let mut stack = vec![t];
+        let mut seen = std::collections::HashSet::new();
+        while let Some(t) = stack.pop() {
+            if !seen.insert(t) {
+                continue;
+            }
+            match &self.nodes[t as usize] {
+                Node::Load { block: b, .. } if *b == block => return true,
+                Node::Load { addr, .. } => stack.push(*addr),
+                Node::Poly(p) => {
+                    for &(m, _) in p {
+                        stack.extend(&self.monos[m as usize].0);
+                    }
+                }
+                Node::Bin(_, a, b) => stack.extend([*a, *b]),
+                Node::Ac(_, xs) | Node::Join(_, xs) => stack.extend(xs),
+                Node::Mux(c, a, b) => stack.extend([*c, *a, *b]),
+                Node::Input(_) | Node::Phi(_) => {}
+            }
+        }
+        false
+    }
+
+    /// Whether `a` and `b` are provably equal: identical terms, or equal
+    /// on every incoming edge of the highest join either contains.
+    /// `None` when the comparison exhausted the budget.
+    fn equal(&mut self, a: Term, b: Term, cfg: &Cfg) -> Option<bool> {
+        if a == b {
+            return Some(true);
+        }
+        let top = self.max_join[a as usize].max(self.max_join[b as usize]);
+        if top == 0 {
+            return Some(false);
+        }
+        let block = top - 1;
+        for edge in 0..cfg.preds[block as usize].len() as u32 {
+            self.splits += 1;
+            if self.splits > MAX_SPLITS {
+                return None;
+            }
+            let (x, y) = (self.resolve(a, block, edge)?, self.resolve(b, block, edge)?);
+            if !self.equal(x, y, cfg)? {
+                return Some(false);
+            }
+        }
+        Some(true)
+    }
+
+    /// Whether two sorted term lists are equal as multisets under
+    /// [`Terms::equal`] (a greedy matching: sound, not complete).
+    fn same_multiset(&mut self, xs: &[Term], ys: &[Term], cfg: &Cfg) -> Option<bool> {
+        if xs == ys {
+            return Some(true);
+        }
+        let mut unmatched: Vec<Term> = ys.to_vec();
+        for &x in xs {
+            let mut hit = None;
+            for (i, &y) in unmatched.iter().enumerate() {
+                if self.equal(x, y, cfg)? {
+                    hit = Some(i);
+                    break;
+                }
+            }
+            match hit {
+                Some(i) => {
+                    unmatched.swap_remove(i);
+                }
+                None => return Some(false),
+            }
+        }
+        Some(true)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::func::Terminator;
+
+    /// `proc f(a, b) { out y = op(a, b) }` with the operands optionally
+    /// swapped.
+    fn straight(op: BinOp, swap: bool) -> Function {
+        let mut f = Function::new("f");
+        let e = f.entry();
+        let a = f.emit_input(e, "a");
+        let b = f.emit_input(e, "b");
+        let (x, y) = if swap { (b, a) } else { (a, b) };
+        let v = f.emit_bin(e, op, x, y);
+        f.emit_output(e, "y", v);
+        f
+    }
+
+    fn proves(p: &Function, c: &Function) -> bool {
+        prove_equivalent(p, c).is_some()
+    }
+
+    #[test]
+    fn commutative_swaps_and_mirrored_comparisons_prove() {
+        for op in [BinOp::Add, BinOp::Mul, BinOp::And, BinOp::Xor, BinOp::Eq] {
+            assert!(proves(&straight(op, false), &straight(op, true)), "{op}");
+        }
+        assert!(proves(
+            &straight(BinOp::Lt, false),
+            &straight(BinOp::Gt, true)
+        ));
+        assert!(proves(
+            &straight(BinOp::Ge, false),
+            &straight(BinOp::Le, true)
+        ));
+        let f = straight(BinOp::Add, false);
+        assert_eq!(
+            prove_equivalent(&f, &f.clone()),
+            Some(Equivalence { block_growth: 0 })
+        );
+    }
+
+    /// `a*b + a*c` against `a*(b + c)`, and `(a + b) + c` against
+    /// `a + (b + c)`, wrapping included.
+    #[test]
+    fn ring_identities_prove() {
+        let build = |factored: bool| {
+            let mut f = Function::new("f");
+            let e = f.entry();
+            let [a, b, c] = ["a", "b", "c"].map(|n| f.emit_input(e, n));
+            let v = if factored {
+                let s = f.emit_bin(e, BinOp::Add, b, c);
+                f.emit_bin(e, BinOp::Mul, a, s)
+            } else {
+                let x = f.emit_bin(e, BinOp::Mul, a, b);
+                let y = f.emit_bin(e, BinOp::Mul, a, c);
+                f.emit_bin(e, BinOp::Add, x, y)
+            };
+            f.emit_output(e, "y", v);
+            f
+        };
+        assert!(proves(&build(false), &build(true)));
+        let assoc = |left: bool| {
+            let mut f = Function::new("f");
+            let e = f.entry();
+            let [a, b, c] = ["a", "b", "c"].map(|n| f.emit_input(e, n));
+            let v = if left {
+                let s = f.emit_bin(e, BinOp::Or, a, b);
+                f.emit_bin(e, BinOp::Or, s, c)
+            } else {
+                let s = f.emit_bin(e, BinOp::Or, c, b);
+                f.emit_bin(e, BinOp::Or, a, s)
+            };
+            f.emit_output(e, "y", v);
+            f
+        };
+        assert!(proves(&assoc(true), &assoc(false)));
+    }
+
+    /// A diamond joining `x1*x2 | x4` and `x1*x3 | x5` into a
+    /// subtraction (Figure 4): the subtraction sunk into both arms is
+    /// proved edge by edge.
+    fn figure4(sunk: bool, wrong_edge: bool) -> Function {
+        let mut f = Function::new("fig4");
+        let e = f.entry();
+        let t = f.add_block("then");
+        let el = f.add_block("else");
+        let m = f.add_block("merge");
+        let [x1, x2, x3, x4, x5, c] =
+            ["x1", "x2", "x3", "x4", "x5", "c"].map(|n| f.emit_input(e, n));
+        f.set_terminator(
+            e,
+            Terminator::Branch {
+                cond: c,
+                on_true: t,
+                on_false: el,
+            },
+        );
+        let j1t = f.emit_bin(t, BinOp::Mul, x1, x2);
+        let j2t = f.emit_bin(t, BinOp::Mul, x1, x3);
+        f.set_terminator(t, Terminator::Jump(m));
+        f.set_terminator(el, Terminator::Jump(m));
+        f.set_terminator(m, Terminator::Return(None));
+        let r = if sunk {
+            let dt = f.emit_bin(t, BinOp::Sub, j1t, j2t);
+            let (a, b) = if wrong_edge { (x5, x4) } else { (x4, x5) };
+            let de = f.emit_bin(el, BinOp::Sub, a, b);
+            f.emit_phi(m, vec![(t, dt), (el, de)])
+        } else {
+            let j1 = f.emit_phi(m, vec![(t, j1t), (el, x4)]);
+            let j2 = f.emit_phi(m, vec![(t, j2t), (el, x5)]);
+            f.emit_bin(m, BinOp::Sub, j1, j2)
+        };
+        f.emit_output(m, "r", r);
+        crate::verify::verify(&f).unwrap();
+        f
+    }
+
+    #[test]
+    fn phi_sinking_proves_per_edge() {
+        let p = figure4(false, false);
+        let proof = prove_equivalent(&p, &figure4(true, false)).expect("proved");
+        assert_eq!(proof.block_growth, 1, "each arm gains the sunk op");
+        assert!(!proves(&p, &figure4(true, true)));
+    }
+
+    /// `s = 0; i = 0; while (i < n) { s = s + i; i = i + 1 } out s` with
+    /// the accumulation written `body(s, i)`.
+    fn counting_loop(body: impl Fn(&mut Function, BlockId, OpId, OpId) -> OpId) -> Function {
+        let mut f = Function::new("loop");
+        let e = f.entry();
+        let h = f.add_block("header");
+        let l = f.add_block("body");
+        let x = f.add_block("exit");
+        let n = f.emit_input(e, "n");
+        let zero = f.emit_const(e, 0);
+        f.set_terminator(e, Terminator::Jump(h));
+        let s = f.emit_phi(h, vec![]);
+        let i = f.emit_phi(h, vec![]);
+        let c = f.emit_bin(h, BinOp::Lt, i, n);
+        f.set_terminator(
+            h,
+            Terminator::Branch {
+                cond: c,
+                on_true: l,
+                on_false: x,
+            },
+        );
+        let s2 = body(&mut f, l, s, i);
+        let one = f.emit_const(l, 1);
+        let i2 = f.emit_bin(l, BinOp::Add, i, one);
+        f.set_terminator(l, Terminator::Jump(h));
+        f.op_mut(s).kind = OpKind::Phi(vec![(e, zero), (l, s2)]);
+        f.op_mut(i).kind = OpKind::Phi(vec![(e, zero), (l, i2)]);
+        f.emit_output(x, "s", s);
+        f.set_terminator(x, Terminator::Return(None));
+        crate::verify::verify(&f).unwrap();
+        f
+    }
+
+    #[test]
+    fn loop_header_phis_check_coinductively() {
+        let p = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, s, i));
+        let swapped = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, i, s));
+        assert!(proves(&p, &swapped));
+        let wrong = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Sub, s, i));
+        assert!(!proves(&p, &wrong));
+    }
+
+    /// `array x[4]; x[a] = v1; x[a] = v2; out y = x[b]` and variants.
+    fn memory(order_swapped: bool, drop_load: bool) -> Function {
+        let mut f = Function::new("mem");
+        let e = f.entry();
+        let x = f.add_memory("x", 4);
+        let [a, b, v] = ["a", "b", "v"].map(|n| f.emit_input(e, n));
+        let one = f.emit_const(e, 1);
+        let v2 = f.emit_bin(e, BinOp::Add, v, one);
+        let (first, second) = if order_swapped { (v2, v) } else { (v, v2) };
+        f.emit_store(e, x, a, first);
+        f.emit_store(e, x, a, second);
+        if !drop_load {
+            // A load whose value is unused still fails out of bounds.
+            f.emit_load(e, x, b);
+        }
+        let y = f.emit_load(e, x, a);
+        f.emit_output(e, "y", y);
+        f
+    }
+
+    #[test]
+    fn memory_mutations_never_prove() {
+        let p = memory(false, false);
+        assert!(proves(&p, &memory(false, false)));
+        assert!(!proves(&p, &memory(true, false)), "stores swapped");
+        assert!(!proves(&p, &memory(false, true)), "load dropped");
+        let mut smaller = p.clone();
+        smaller.add_memory("z", 1);
+        assert!(!proves(&p, &smaller), "memories differ");
+        // The final load, still shared with the parent, moved above both
+        // stores: it now reads the memory they overwrite.
+        let mut hoisted = p.clone();
+        let e = hoisted.entry();
+        let ops = &mut hoisted.block_mut(e).ops;
+        let y = ops.remove(ops.len() - 2);
+        let first_store = ops.len() - 4;
+        ops.insert(first_store, y);
+        crate::verify::verify(&hoisted).unwrap();
+        assert!(hoisted.shares_op_storage(&p, y));
+        assert!(!proves(&p, &hoisted), "load moved across stores");
+    }
+
+    #[test]
+    fn arithmetic_mutations_never_prove() {
+        assert!(!proves(
+            &straight(BinOp::Sub, false),
+            &straight(BinOp::Sub, true)
+        ));
+        assert!(!proves(
+            &straight(BinOp::Lt, false),
+            &straight(BinOp::Le, false)
+        ));
+        assert!(!proves(
+            &straight(BinOp::Div, false),
+            &straight(BinOp::Div, true)
+        ));
+        // (a * 2) / 2 is not a under wrapping.
+        let halved = |simplified: bool| {
+            let mut f = Function::new("f");
+            let e = f.entry();
+            let a = f.emit_input(e, "a");
+            let v = if simplified {
+                a
+            } else {
+                let two = f.emit_const(e, 2);
+                let d = f.emit_bin(e, BinOp::Mul, a, two);
+                f.emit_bin(e, BinOp::Div, d, two)
+            };
+            f.emit_output(e, "y", v);
+            f
+        };
+        assert!(!proves(&halved(false), &halved(true)));
+    }
+
+    #[test]
+    fn phi_incoming_mutations_never_prove() {
+        // A loop phi's entry value changed.
+        let p = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, s, i));
+        let mut c = p.clone();
+        let e = c.entry();
+        let phi = c.block(BlockId(1)).ops[0];
+        let seven = c.emit_const(e, 7);
+        let OpKind::Phi(inc) = &mut c.op_mut(phi).kind else {
+            unreachable!()
+        };
+        inc[0].1 = seven;
+        assert!(!proves(&p, &c));
+        // A join phi's incoming swapped to the other arm's value.
+        let p = figure4(false, false);
+        let mut c = p.clone();
+        let j1 = c.block(BlockId(3)).ops[0];
+        let x5 = c.block(BlockId(0)).ops[4];
+        let OpKind::Phi(inc) = &mut c.op_mut(j1).kind else {
+            unreachable!()
+        };
+        inc[1].1 = x5;
+        assert!(!proves(&p, &c));
+    }
+
+    #[test]
+    fn unrelated_functions_never_prove() {
+        let loop_fn = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, s, i));
+        let diamond = figure4(false, false);
+        let small = straight(BinOp::Add, false);
+        for (p, c) in [(&loop_fn, &diamond), (&diamond, &small), (&small, &loop_fn)] {
+            assert!(!proves(p, c));
+            assert!(!proves(c, p));
+        }
+        // Same graph, different op arenas: the loop's phis and ops sit at
+        // other ids.
+        let mut shifted = Function::new("loop");
+        shifted.emit_const(shifted.entry(), 0);
+        let other = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, i, s));
+        assert!(!proves(&shifted, &other));
+    }
+
+    #[test]
+    fn control_flow_changes_never_prove() {
+        let p = figure4(false, false);
+        let mut c = p.clone();
+        c.set_terminator(BlockId(1), Terminator::Return(None));
+        assert!(!proves(&p, &c));
+        let mut c = p.clone();
+        c.add_block("extra");
+        assert!(!proves(&p, &c));
+    }
+
+    #[test]
+    fn constants_fold_through_eval_and_shifts_scale() {
+        let build = |shift: bool| {
+            let mut f = Function::new("f");
+            let e = f.entry();
+            let a = f.emit_input(e, "a");
+            let k = f.emit_const(e, if shift { 3 } else { 8 });
+            let v = f.emit_bin(e, if shift { BinOp::Shl } else { BinOp::Mul }, a, k);
+            let z = f.emit_const(e, 0);
+            let q = f.emit_bin(e, BinOp::Div, k, z);
+            let w = f.emit_bin(e, BinOp::Add, v, q);
+            f.emit_output(e, "y", w);
+            f
+        };
+        assert!(proves(&build(false), &build(true)));
+    }
+}

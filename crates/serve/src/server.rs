@@ -234,6 +234,7 @@ struct JobCounters {
     full_reschedules: u64,
     block_spliced: u64,
     sim_vectors: u64,
+    candidates_proved: u64,
     sim_batches: u64,
     sim_engine_scalar: u64,
     sim_engine_batched: u64,
@@ -608,6 +609,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     full_reschedules: r.full_reschedules as u64,
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
+                    candidates_proved: r.candidates.proved_total(),
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
@@ -629,6 +631,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     full_reschedules: r.full_reschedules as u64,
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
+                    candidates_proved: r.candidates.proved_total(),
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
@@ -652,6 +655,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
     s.block_spliced
         .fetch_add(c.block_spliced, Ordering::Relaxed);
     s.sim_vectors.fetch_add(c.sim_vectors, Ordering::Relaxed);
+    s.candidates_proved
+        .fetch_add(c.candidates_proved, Ordering::Relaxed);
     s.sim_batches.fetch_add(c.sim_batches, Ordering::Relaxed);
     s.sim_engine_scalar
         .fetch_add(c.sim_engine_scalar, Ordering::Relaxed);

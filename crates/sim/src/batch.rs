@@ -48,6 +48,7 @@
 use crate::compiled::{CTerm, CompiledFn, Inst};
 use crate::interp::{BranchStats, ExecError, ExecResult};
 use crate::profile::ProfileAccum;
+use crate::simulate::LaneSteps;
 use crate::trace::{InputVector, TraceColumns};
 use fact_ir::MemId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,7 +125,7 @@ fn mux_row(c: &[i64], t: &[i64], f: &[i64], out: &mut [i64]) {
 /// Which execution engine a [`crate::simulate`] call uses.
 ///
 /// Both engines are bit-identical in everything they report; the choice
-/// affects wall-clock time only. [`SimEngine::for_divergence`] is the
+/// affects wall-clock time only. [`SimEngine::for_call`] is the
 /// production policy that picks between them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimEngine {
@@ -161,7 +162,7 @@ impl SimEngine {
     /// previous [`crate::simulate`] call measured for it: scalar above
     /// 0.1 (`SCALAR_DIVERGENCE_THRESHOLD`, calibrated by `fact-bench`'s
     /// `sim_perf`), the default batched engine otherwise.
-    pub fn for_divergence(rate: f64) -> SimEngine {
+    pub(crate) fn for_divergence(rate: f64) -> SimEngine {
         if rate > SCALAR_DIVERGENCE_THRESHOLD {
             SimEngine::Scalar
         } else {
@@ -414,6 +415,8 @@ pub(crate) struct VerifySink<'a> {
     pub(crate) accum: Option<&'a mut ProfileAccum>,
     /// Sticky: any lane disagreed with its expectation.
     pub(crate) mismatch: bool,
+    /// Work of the lanes retired so far.
+    pub(crate) steps: LaneSteps,
 }
 
 impl VerifySink<'_> {
@@ -425,9 +428,10 @@ impl VerifySink<'_> {
 impl RetireSink for VerifySink<'_> {
     const LEAN: bool = false;
 
-    fn fail(&mut self, st: &mut BatchState, li: usize, _e: ExecError) {
+    fn fail(&mut self, st: &mut BatchState, li: usize, e: ExecError) {
         let ext = st.ext[li] as usize;
         let w = self.weight(ext);
+        self.steps.failed(&e);
         if let Some(a) = self.accum.as_mut() {
             a.record_failed(w);
         }
@@ -442,6 +446,8 @@ impl RetireSink for VerifySink<'_> {
         let nb = cf.blocks.len();
         let ext = st.ext[li] as usize;
         let w = self.weight(ext);
+        let visits = &st.block_visits[li * nb..(li + 1) * nb];
+        self.steps.ok(st.ops[li], visits.iter().sum());
         if let Some(a) = self.accum.as_mut() {
             a.record_run(
                 &st.branch_counts[li * nb..(li + 1) * nb],
@@ -480,6 +486,8 @@ struct ProfileSink<'a> {
     accum: &'a mut ProfileAccum,
     /// Per-external-lane multiplicities; `None` means all 1.
     weights: Option<&'a [usize]>,
+    /// Work of the lanes retired so far.
+    steps: LaneSteps,
 }
 
 impl ProfileSink<'_> {
@@ -491,8 +499,9 @@ impl ProfileSink<'_> {
 impl RetireSink for ProfileSink<'_> {
     const LEAN: bool = true;
 
-    fn fail(&mut self, st: &mut BatchState, li: usize, _e: ExecError) {
+    fn fail(&mut self, st: &mut BatchState, li: usize, e: ExecError) {
         let w = self.weight(st.ext[li] as usize);
+        self.steps.failed(&e);
         self.accum.record_failed(w);
     }
 
@@ -505,11 +514,10 @@ impl RetireSink for ProfileSink<'_> {
     ) {
         let nb = cf.blocks.len();
         let w = self.weight(st.ext[li] as usize);
-        self.accum.record_run(
-            &st.branch_counts[li * nb..(li + 1) * nb],
-            &st.block_visits[li * nb..(li + 1) * nb],
-            w,
-        );
+        let visits = &st.block_visits[li * nb..(li + 1) * nb];
+        self.steps.ok(st.ops[li], visits.iter().sum());
+        self.accum
+            .record_run(&st.branch_counts[li * nb..(li + 1) * nb], visits, w);
     }
 
     /// Column-wise fold: one accumulator update per block instead of one
@@ -536,10 +544,13 @@ impl RetireSink for ProfileSink<'_> {
             }
             self.accum.record_block_totals(b, t, f, vis);
         }
-        let total: usize = group
-            .iter()
-            .map(|&l| self.weight(st.ext[l as usize] as usize))
-            .sum();
+        let mut total = 0;
+        for &l in group {
+            let li = l as usize;
+            total += self.weight(st.ext[li] as usize);
+            let visits = &st.block_visits[li * nb..(li + 1) * nb];
+            self.steps.ok(st.ops[li], visits.iter().sum());
+        }
         self.accum.record_ok_runs(total);
     }
 }
@@ -1153,6 +1164,7 @@ impl CompiledFn {
     /// and recording each result.
     /// `scratch` donates and receives back the per-batch buffers, so a
     /// caller looping over batches allocates only on the first one.
+    /// Returns the batch's step tally.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_batch_profiled(
         &self,
@@ -1164,11 +1176,16 @@ impl CompiledFn {
         accum: &mut ProfileAccum,
         scratch: &mut BatchScratch,
         prefill: Option<InputPrefill<'_>>,
-    ) {
-        let mut sink = ProfileSink { accum, weights };
+    ) -> LaneSteps {
+        let mut sink = ProfileSink {
+            accum,
+            weights,
+            steps: LaneSteps::default(),
+        };
         self.run_batch_core(
             resolved, memories, step_limit, counters, &mut sink, scratch, prefill,
         );
+        sink.steps
     }
 
     /// Verify-(and optionally profile-)only batched run: every lane is

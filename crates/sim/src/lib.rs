@@ -5,7 +5,7 @@
 //! * [`simulate`] — the production pass: verifies a candidate against a
 //!   captured [`EquivReference`] (§3), profiles its branch probabilities
 //!   from the typical traces (§4.1), and measures its control-flow
-//!   divergence, on the engine [`SimEngine::for_divergence`] picks;
+//!   divergence, on the engine [`SimEngine::for_call`] picks;
 //! * [`trace`] — reproducible input-trace generation, including the
 //!   paper's temporally-correlated Gaussian source (§5);
 //! * the oracles the production pass is tested against:
@@ -29,5 +29,5 @@ pub use compiled::CompiledFn;
 pub use equiv::{check_equivalence, EquivReference, Mismatch};
 pub use interp::{execute, execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
 pub use profile::{profile, profile_with, BranchProfile};
-pub use simulate::{simulate, Simulation};
+pub use simulate::{simulate, Simulation, StepBound, MIN_BATCHED_LANES};
 pub use trace::{generate, DedupLanes, InputSpec, TraceColumns, TraceSet};

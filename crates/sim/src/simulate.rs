@@ -5,7 +5,7 @@
 //! (§4.1), so evaluating a candidate is one simulation job: [`simulate`]
 //! verifies a compiled function against a captured [`EquivReference`],
 //! profiles it, and measures its control-flow divergence, on the engine
-//! the caller picked ([`SimEngine::for_divergence`]). Both engines report
+//! the caller picked ([`SimEngine::for_call`]). Both engines report
 //! bit-identical verdicts and profiles — identical to the interpreter
 //! oracles [`crate::check_equivalence`] and [`crate::profile`] — and
 //! differ only in wall-clock time and work counters.
@@ -16,7 +16,7 @@ use crate::batch::{
 };
 use crate::compiled::CompiledFn;
 use crate::equiv::{judge, EquivReference, Expected};
-use crate::interp::DEFAULT_STEP_LIMIT;
+use crate::interp::{ExecError, ExecResult, DEFAULT_STEP_LIMIT};
 use crate::profile::{BranchProfile, ProfileAccum};
 use crate::trace::{DedupLanes, TraceSet};
 
@@ -29,12 +29,130 @@ pub struct Simulation {
     pub profile: Option<BranchProfile>,
     /// Fraction of batched lane-steps that ran off the contiguous-group
     /// fast path, over the whole call (see [`SimCounters::divergence`]);
-    /// 0.0 on the scalar engine. [`SimEngine::for_divergence`] turns it
-    /// into the engine for the function's next call.
+    /// 0.0 on the scalar engine. [`SimEngine::for_call`] turns a batched
+    /// call's rate into the engine for the function's next call.
     pub divergence: f64,
     /// Lanes of the first pass: the distinct trace vectors when every
     /// vector starts from zeroed memories, one per vector otherwise.
     pub lanes: usize,
+    /// The most work one successful lane did, over every pass of the
+    /// call; `None` when some lane ran into the step limit. Complete
+    /// only when `profile` is `Some` (a rejected call stops early).
+    pub steps: Option<StepBound>,
+}
+
+/// The most work any one successful lane of a [`simulate`] call did.
+///
+/// A rewrite that provably follows the same paths as its function (see
+/// `fact_ir::prove_equivalent`) but runs up to `growth` more ops per
+/// block entry is bounded by [`StepBound::grown`]: when that stays within
+/// the step limit every pass runs under, the rewrite fails on exactly the
+/// lanes its function failed on.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepBound {
+    /// Most ops one lane executed.
+    pub ops: u64,
+    /// Most block entries one lane made.
+    pub entries: u64,
+}
+
+impl StepBound {
+    /// The bound of a function that takes the same paths with at most
+    /// `growth` more ops per block entry: `ops + entries × growth`.
+    /// `None` when that could exceed the step limit.
+    pub fn grown(self, growth: u64) -> Option<StepBound> {
+        let ops = self.entries.checked_mul(growth)?.checked_add(self.ops)?;
+        (ops <= DEFAULT_STEP_LIMIT).then_some(StepBound {
+            ops,
+            entries: self.entries,
+        })
+    }
+}
+
+/// Lanes from which a loop-free function runs batched.
+///
+/// Both engines run each distinct lane once, weighted, so the batched
+/// engine's only win is lockstep execution. `fact-bench`'s `sim_perf`
+/// crossover sweep (`BENCH_sim.json`) measures it per suite behavior and
+/// distinct-lane count. The loop-free PPS loses on 1 and 2 lanes, breaks
+/// even near 4 and wins from 8 on (1.6× at 8, 10× at 1024). Of the
+/// behaviors with a loop, GCD, Test2, IGF and RANDWALK lose at every
+/// count from 1 to 1024 and SINTRAN at best breaks even; only FIR wins
+/// (1.2–1.8× from 16 lanes). Neither lane count nor ops per block entry
+/// separates FIR from IGF, so every function with a loop runs scalar.
+pub const MIN_BATCHED_LANES: usize = 8;
+
+impl SimEngine {
+    /// The production engine policy for one [`simulate`] call of `cf`
+    /// over `traces` against `reference`: scalar when `cf` has a loop
+    /// ([`CompiledFn::has_loop`]) or the call's first pass has fewer than
+    /// [`MIN_BATCHED_LANES`] lanes; otherwise scalar when the divergence
+    /// `rate` an earlier call measured for the function exceeds 0.1, and
+    /// the default batched engine when it does not or none was measured.
+    pub fn for_call(
+        cf: &CompiledFn,
+        rate: Option<f64>,
+        traces: &TraceSet,
+        reference: Option<&EquivReference>,
+    ) -> SimEngine {
+        if cf.has_loop() {
+            return SimEngine::Scalar;
+        }
+        let lanes = if zeroed(reference) {
+            traces.dedup_lanes().len()
+        } else {
+            traces.len()
+        };
+        if lanes < MIN_BATCHED_LANES {
+            SimEngine::Scalar
+        } else {
+            rate.map_or_else(SimEngine::default, SimEngine::for_divergence)
+        }
+    }
+}
+
+/// Whether every vector of a pass against `reference` starts from zeroed
+/// memories: then identical vectors are indistinguishable and run as one
+/// weighted lane. Vectors carry private random images only when the
+/// reference's function has memories.
+fn zeroed(reference: Option<&EquivReference>) -> bool {
+    reference.is_none_or(EquivReference::memory_free)
+}
+
+/// Running [`StepBound`] of a pass, plus whether a lane hit the limit.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct LaneSteps {
+    bound: StepBound,
+    limited: bool,
+}
+
+impl LaneSteps {
+    /// A lane returned after `ops` ops over `entries` block entries.
+    pub(crate) fn ok(&mut self, ops: u64, entries: u64) {
+        self.bound.ops = self.bound.ops.max(ops);
+        self.bound.entries = self.bound.entries.max(entries);
+    }
+
+    /// A lane failed with `e`.
+    pub(crate) fn failed(&mut self, e: &ExecError) {
+        self.limited |= matches!(e, ExecError::StepLimitExceeded { .. });
+    }
+
+    fn record(&mut self, r: &Result<ExecResult, ExecError>) {
+        match r {
+            Ok(r) => self.ok(r.ops_executed, r.block_visits.iter().sum()),
+            Err(e) => self.failed(e),
+        }
+    }
+
+    fn merge(&mut self, other: LaneSteps) {
+        self.ok(other.bound.ops, other.bound.entries);
+        self.limited |= other.limited;
+    }
+
+    fn finish(self) -> Option<StepBound> {
+        (!self.limited).then_some(self.bound)
+    }
 }
 
 /// Simulates `cf` over `traces` once, as candidate evaluation needs it.
@@ -106,13 +224,13 @@ pub fn simulate(
         engine,
         counters: &local,
     };
-    let (equivalent, lanes) = first.run(first_profiles.then_some(&mut accum), scratch);
+    let (equivalent, lanes, mut steps) = first.run(first_profiles.then_some(&mut accum), scratch);
     if equivalent && !first_profiles {
         let profile = Pass {
             reference: None,
             ..first
         };
-        profile.run(Some(&mut accum), scratch);
+        steps.merge(profile.run(Some(&mut accum), scratch).2);
     }
     if let Some(c) = counters {
         c.merge(&local);
@@ -121,6 +239,7 @@ pub fn simulate(
         profile: equivalent.then(|| accum.finish(cf.branch_blocks())),
         divergence: local.divergence(),
         lanes,
+        steps: steps.finish(),
     }
 }
 
@@ -139,8 +258,13 @@ struct Pass<'a> {
 impl Pass<'_> {
     /// Runs the pass, folding profile statistics into `accum` when given
     /// (a pass without a reference always profiles). Returns whether
-    /// every vector agreed with the reference, and the pass's lane count.
-    fn run(&self, mut accum: Option<&mut ProfileAccum>, scratch: &mut SimScratch) -> (bool, usize) {
+    /// every vector agreed with the reference, the pass's lane count, and
+    /// its lanes' step tally.
+    fn run(
+        &self,
+        mut accum: Option<&mut ProfileAccum>,
+        scratch: &mut SimScratch,
+    ) -> (bool, usize, LaneSteps) {
         let Pass {
             cf,
             traces,
@@ -149,23 +273,24 @@ impl Pass<'_> {
             ..
         } = *self;
         let init = |i: usize| reference.map_or(&[][..], |r| r.init(i));
-        // Identical vectors are indistinguishable — and run as one
-        // weighted lane — unless they carry private random images.
-        let zeroed = reference.is_none_or(EquivReference::memory_free);
+        let zeroed = zeroed(reference);
         let dl = if zeroed {
             traces.dedup_lanes()
         } else {
             DedupLanes::Identity(traces.len())
         };
+        let mut steps = LaneSteps::default();
         let max_lanes = match self.engine {
             SimEngine::Scalar => {
                 let mut vectors = 0;
                 let mut agreed = true;
-                for (i, v) in traces.vectors.iter().enumerate() {
-                    let r = cf.execute_seeded(v, init(i), DEFAULT_STEP_LIMIT);
-                    vectors += 1;
+                for k in 0..dl.len() {
+                    let (i, weight) = dl.get(k);
+                    let r = cf.execute_seeded(&traces.vectors[i], init(i), DEFAULT_STEP_LIMIT);
+                    vectors += weight as u64;
+                    steps.record(&r);
                     if let Some(a) = accum.as_deref_mut() {
-                        a.record(&r, 1);
+                        a.record(&r, weight);
                     }
                     if reference.is_some_and(|rf| judge(i, rf.expected(i), &r).is_some()) {
                         agreed = false;
@@ -173,7 +298,7 @@ impl Pass<'_> {
                     }
                 }
                 counters.add(vectors, 0);
-                return (agreed, dl.len());
+                return (agreed, dl.len(), steps);
             }
             SimEngine::Batched { max_lanes } => max_lanes.max(1),
         };
@@ -241,6 +366,7 @@ impl Pass<'_> {
                         weights: weights.as_deref(),
                         accum: accum.as_deref_mut(),
                         mismatch: false,
+                        steps: LaneSteps::default(),
                     };
                     cf.run_batch_verified(
                         resolved,
@@ -252,18 +378,21 @@ impl Pass<'_> {
                         prefill,
                     );
                     agreed = !sink.mismatch;
+                    steps.merge(sink.steps);
                 }
-                None => cf.run_batch_profiled(
-                    resolved,
-                    memories,
-                    DEFAULT_STEP_LIMIT,
-                    Some(counters),
-                    weights.as_deref(),
-                    accum
-                        .as_deref_mut()
-                        .expect("a pass without a reference profiles"),
-                    batch,
-                    prefill,
+                None => steps.merge(
+                    cf.run_batch_profiled(
+                        resolved,
+                        memories,
+                        DEFAULT_STEP_LIMIT,
+                        Some(counters),
+                        weights.as_deref(),
+                        accum
+                            .as_deref_mut()
+                            .expect("a pass without a reference profiles"),
+                        batch,
+                        prefill,
+                    ),
                 ),
             }
             vectors += weights.map_or(n, |w| w.iter().sum()) as u64;
@@ -271,7 +400,7 @@ impl Pass<'_> {
             start = end;
         }
         counters.add(vectors, batches);
-        (agreed, dl.len())
+        (agreed, dl.len(), steps)
     }
 }
 
@@ -325,9 +454,45 @@ mod tests {
             assert!((0.0..=1.0).contains(&sim.divergence));
             let unchecked = simulate(&cg, traces, None, engine, None, &mut scratch);
             assert_eq!(unchecked.profile.as_ref(), Some(&oracle), "({engine:?})");
+            // The profile pass's step bound is the interpreter's, lane
+            // by lane.
+            assert_eq!(unchecked.steps, oracle_steps(g, traces), "({engine:?})");
             out.push(sim);
         }
         out
+    }
+
+    /// The interpreter's [`StepBound`] over `traces` from zeroed
+    /// memories.
+    fn oracle_steps(g: &Function, traces: &TraceSet) -> Option<StepBound> {
+        let mut steps = LaneSteps::default();
+        for v in &traces.vectors {
+            steps.record(&crate::interp::execute(g, v));
+        }
+        steps.finish()
+    }
+
+    #[test]
+    fn step_bounds_grow_within_the_limit_only() {
+        let b = StepBound {
+            ops: 1_000,
+            entries: 10,
+        };
+        assert_eq!(b.grown(0), Some(b));
+        assert_eq!(
+            b.grown(3),
+            Some(StepBound {
+                ops: 1_030,
+                entries: 10
+            })
+        );
+        let near = StepBound {
+            ops: DEFAULT_STEP_LIMIT - 5,
+            entries: 5,
+        };
+        assert!(near.grown(1).is_some());
+        assert_eq!(near.grown(2), None);
+        assert_eq!(b.grown(u64::MAX), None, "overflow is not a bound");
     }
 
     #[test]
@@ -416,6 +581,7 @@ mod tests {
                 let c = SimCounters::default();
                 let sim = simulate(&cf, &t, r, engine, Some(&c), &mut scratch);
                 assert_eq!(sim.profile.as_ref(), Some(&oracle), "({engine:?})");
+                assert_eq!(sim.steps, None, "a lane hit the limit ({engine:?})");
                 assert_eq!((c.vectors(), c.batches()), (6, batches), "({engine:?})");
             }
         }
@@ -459,7 +625,7 @@ mod tests {
         assert_eq!(c.vectors(), 100);
         assert_eq!(c.batches(), 10 + lanes.div_ceil(5) as u64);
         // No reference: the profile pass alone; the scalar engine runs
-        // every vector and no batch.
+        // each distinct vector once, weighted, and no batch.
         let c = SimCounters::default();
         simulate(&cf, &t, None, SimEngine::Scalar, Some(&c), &mut scratch);
         assert_eq!((c.vectors(), c.batches()), (50, 0));
@@ -499,6 +665,48 @@ mod tests {
             SimEngine::default()
         );
         assert_eq!(SimEngine::for_divergence(0.5), SimEngine::Scalar);
+    }
+
+    #[test]
+    fn engine_policy_batches_loop_free_functions_of_enough_lanes() {
+        let lanes = |hi: i64| {
+            generate(
+                &[
+                    ("a".to_string(), InputSpec::Uniform { lo: 0, hi }),
+                    ("n".to_string(), InputSpec::Constant(3)),
+                ],
+                50,
+                5,
+            )
+        };
+        let (few, many) = (lanes(1), lanes(1000));
+        assert!(few.dedup_lanes().len() < MIN_BATCHED_LANES);
+        assert!(many.dedup_lanes().len() >= MIN_BATCHED_LANES);
+        let straight =
+            CompiledFn::compile(&compile("proc f(a, n) { out s = a * n + 1; }").unwrap());
+        let looping = CompiledFn::compile(&compile(LOOP_SRC).unwrap());
+        let branching = CompiledFn::compile(
+            &compile("proc f(a, n) { var s = n; if (a < 3) { s = s + 1; } out s = s; }").unwrap(),
+        );
+        assert!(!straight.has_loop() && !branching.has_loop() && looping.has_loop());
+        for rate in [None, Some(0.0)] {
+            let call = |cf, traces| SimEngine::for_call(cf, rate, traces, None);
+            assert_eq!(call(&straight, &few), SimEngine::Scalar);
+            assert_eq!(call(&straight, &many), SimEngine::default());
+            assert_eq!(call(&looping, &many), SimEngine::Scalar);
+        }
+        assert_eq!(
+            SimEngine::for_call(&straight, Some(0.5), &many, None),
+            SimEngine::Scalar
+        );
+        // Against a memory-bearing reference every vector is its own
+        // lane (private random images): 50 lanes batch.
+        let f = compile("proc f(a, n) { array x[2]; x[0] = a; out s = x[0] + n; }").unwrap();
+        let reference = EquivReference::capture(&f, &few, 1);
+        assert_eq!(
+            SimEngine::for_call(&CompiledFn::compile(&f), None, &few, Some(&reference)),
+            SimEngine::default()
+        );
     }
 
     #[test]

@@ -35,6 +35,25 @@ pub enum TransformKind {
     PhiSink,
 }
 
+impl TransformKind {
+    /// Every kind, in declaration order ([`TransformKind::index`] order).
+    pub const ALL: [TransformKind; 7] = [
+        TransformKind::Commutativity,
+        TransformKind::Associativity,
+        TransformKind::Distributivity,
+        TransformKind::ConstantPropagation,
+        TransformKind::CodeMotion,
+        TransformKind::LoopUnroll,
+        TransformKind::PhiSink,
+    ];
+
+    /// This kind's position in [`TransformKind::ALL`], for per-kind
+    /// tallies.
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 impl fmt::Display for TransformKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -263,6 +282,13 @@ mod tests {
         assert!(r.covers(BlockId(1)));
         assert!(!r.covers(BlockId(2)));
         assert!(!r.is_whole());
+    }
+
+    #[test]
+    fn kinds_index_their_slot_in_all() {
+        for (i, k) in TransformKind::ALL.iter().enumerate() {
+            assert_eq!(k.index(), i);
+        }
     }
 
     #[test]

@@ -31,6 +31,10 @@ cargo test -q -p fact-core --release --test neighbourhood_digest
 echo "== batched-vs-scalar simulation property tests"
 cargo test -q -p fact-sim --release --test batched_equiv
 
+echo "== print/parse round trip and Markov-analysis property tests"
+cargo test -q -p fact-lang --release --test roundtrip
+cargo test -q -p fact-estim --release --test markov_properties
+
 echo "== factd chaos smoke (fault injection, overload, crash-safe cache)"
 cargo test -q --release --test serve_chaos
 
@@ -53,6 +57,9 @@ assert not split, f"schedule_s missing from or above estimate_s: {split}"
 # Expansion (search time outside candidate evaluation) is reported too.
 unexpanded = [s["name"] for s in suites if not s["expand_s"] >= 0]
 assert not unexpanded, f"expand_s missing or negative: {unexpanded}"
+# So is proving candidates equivalent to their parents.
+unproved = [s["name"] for s in suites if not s["prove_s"] >= 0]
+assert not unproved, f"prove_s missing or negative: {unproved}"
 print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
 EOF
 scripts/bench.sh sim --smoke \
@@ -74,7 +81,18 @@ what = (
     f"of archive_len={t2['archive_len']} design(s)"
 )
 assert t2["frontier"] >= 8, f"frontier too small (need >= 8 Vdd samples): {what}"
-print(f"BENCH_pareto.json ok: {what}, hv={t2['hypervolume']}")
+# A real tradeoff needs two nondominated structural designs. IGF is the
+# suite program whose search finds them at this budget (every other one
+# archives a single design), so it is the one that can show the Pareto
+# search exploring rather than re-sweeping one design's voltage.
+igf = suites["IGF"]
+assert igf["archive_len"] >= 2, (
+    f"IGF archived {igf['archive_len']} structural design(s), need >= 2: {igf}"
+)
+print(
+    f"BENCH_pareto.json ok: {what}, hv={t2['hypervolume']}; "
+    f"IGF archive_len={igf['archive_len']} frontier={igf['frontier']}"
+)
 EOF
 
 echo "== serve front-end smoke gate (fresh run + committed BENCH_serve.json)"
@@ -126,12 +144,15 @@ import json
 with open("crates/bench/BENCH_sim.json") as f:
     d = json.load(f)
 assert d["bench"] == "sim", d
-# The divergence-aware selector must never lose to the scalar baseline:
-# every suite's chosen-engine speedup stays at parity or better.
+# The engine policy must never lose to the scalar baseline: every
+# suite's and every crossover-sweep cell's chosen-engine speedup stays at
+# parity or better.
 bad = [(s["name"], s["speedup"]) for s in d["suites"] if s["speedup"] < 1.0]
+bad += [(f"{c['name']}@{c['lanes']}", c["speedup"]) for c in d["crossover"] if c["speedup"] < 1.0]
 assert not bad, f"selector lost on: {bad}"
 line = " ".join(f"{s['name']}:{s['speedup']}x({s['chosen']})" for s in d["suites"])
-print(f"BENCH_sim.json ok: {line}")
+batched = sum(c["chosen"] == "batched" for c in d["crossover"])
+print(f"BENCH_sim.json ok: {line}; crossover {batched}/{len(d['crossover'])} cells batched")
 EOF
 
 echo "ci.sh: all gates passed"

@@ -9,7 +9,10 @@
 //!         --input n=40 --input a=0..9 --optimize --objective throughput
 //! ```
 
-use fact_core::{optimize, optimize_pareto, DesignReport, FactConfig, Objective, TransformLibrary};
+use fact_core::{
+    optimize, optimize_pareto, CandidateCounts, DesignReport, FactConfig, Objective,
+    TransformLibrary,
+};
 use fact_estim::{evaluate, markov_of, section5_library};
 use fact_sched::{schedule, Allocation, SchedOptions};
 use fact_sim::{generate, profile, InputSpec};
@@ -261,6 +264,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.archive_len,
             result.evaluated
         );
+        eprint_candidates(&result.candidates);
         println!(
             "  {:>6} {:>10} {:>12} {:>8}  transforms",
             "Vdd", "cycles", "energy", "power"
@@ -306,6 +310,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.estimate.average_schedule_length, result.estimate.power, result.estimate.vdd
         );
         println!("  candidates evaluated: {}", result.evaluated);
+        eprint_candidates(&result.candidates);
         if result.applied.is_empty() {
             println!("  no transformation improved the objective");
         } else {
@@ -325,6 +330,29 @@ fn run(args: &Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Prints how the search's candidates got their branch profiles to
+/// stderr: proved equivalent to their parent, or simulated, with the
+/// proved count per transformation kind.
+fn eprint_candidates(c: &CandidateCounts) {
+    let per_kind: Vec<String> = fact_xform::TransformKind::ALL
+        .iter()
+        .filter(|k| c.proved[k.index()] + c.simulated[k.index()] > 0)
+        .map(|k| {
+            format!(
+                "{k} {}/{}",
+                c.proved[k.index()],
+                c.proved[k.index()] + c.simulated[k.index()]
+            )
+        })
+        .collect();
+    eprintln!(
+        "candidates: {} proved, {} simulated (proved/total per kind: {})",
+        c.proved_total(),
+        c.simulated_total(),
+        per_kind.join(", ")
+    );
 }
 
 /// Runs the factd daemon in-process (`--serve ADDR`); blocks until a

@@ -8,7 +8,12 @@
 //!   equivalent to its source (the paper's correctness requirement,
 //!   checked on random inputs for every thread of execution);
 //! * every generated behavior schedules into a valid STG with a finite
-//!   average schedule length and positive energy.
+//!   average schedule length and positive energy;
+//! * the equivalence prover is sound: every candidate of
+//!   [`TransformLibrary::full`] it proves equivalent to its source, and
+//!   every random mutation of a program it proves equivalent to the
+//!   original, is equivalent under simulation and has the source's
+//!   branch profile.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
@@ -16,7 +21,7 @@
 //! distributivity), and repeated subexpressions (for CSE). Seed-driven
 //! and std-only: a failure prints the seed and the program.
 
-use fact_ir::{BinOp, Function, UnOp};
+use fact_ir::{prove_equivalent, BinOp, Function, OpKind, UnOp};
 use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
@@ -224,12 +229,31 @@ fn program(seed: u64) -> Proc {
     }
 }
 
+/// `n` random vectors, then the boundary vectors: every input at
+/// `i64::MIN`, `i64::MAX`, 0 and −1, and those values rotated across the
+/// inputs, so wrapping arithmetic is exercised.
 fn traces(n: usize, seed: u64) -> TraceSet {
     let specs: Vec<(String, InputSpec)> = INPUTS
         .iter()
         .map(|i| (i.to_string(), InputSpec::Uniform { lo: -15, hi: 15 }))
         .collect();
-    generate(&specs, n, seed)
+    let mut vectors = generate(&specs, n, seed).vectors;
+    let boundary = [i64::MIN, i64::MAX, 0, -1];
+    for shift in [0, 1] {
+        for k in 0..boundary.len() {
+            vectors.push(
+                INPUTS
+                    .iter()
+                    .enumerate()
+                    .map(|(i, name)| {
+                        let v = boundary[(k + shift * i) % boundary.len()];
+                        (name.to_string(), v)
+                    })
+                    .collect(),
+            );
+        }
+    }
+    TraceSet::new(vectors)
 }
 
 /// Lowers the program `seed` describes; the error names the program.
@@ -353,6 +377,111 @@ fn check_candidates(
         *checked.entry(family.to_string()).or_default() += 1;
     }
     Ok(())
+}
+
+/// What a proof promises, checked by simulation: `g` is equivalent to
+/// `f` and has its branch profile.
+fn assert_proof_holds(f: &Function, g: &Function, t: &TraceSet, what: &str) -> Result<(), String> {
+    check_equivalence(f, g, t, 5).map_err(|m| {
+        format!("{what}: proved but not equivalent: {m}\n== original\n{f}\n== proved\n{g}")
+    })?;
+    if fact_sim::profile(f, t) != fact_sim::profile(g, t) {
+        return Err(format!(
+            "{what}: proved but its profile differs\n== original\n{f}\n== proved\n{g}"
+        ));
+    }
+    Ok(())
+}
+
+#[test]
+fn proved_candidates_agree_with_simulation() {
+    let full = TransformLibrary::full();
+    let t = traces(24, 6);
+    let (mut proved, mut total) = (0usize, 0usize);
+    for_seeds(|seed| {
+        let (_, f) = lowered(seed)?;
+        for cand in full.all_candidates(&f, &Region::whole()) {
+            total += 1;
+            if prove_equivalent(&f, &cand.function).is_some() {
+                proved += 1;
+                assert_proof_holds(&f, &cand.function, &t, &cand.description)?;
+            }
+        }
+        Ok(())
+    });
+    // Most rewrites keep the control-flow graph; the prover must carry
+    // its weight on them.
+    assert!(
+        proved * 2 > total,
+        "proved only {proved} of {total} candidates"
+    );
+}
+
+/// One random single-op mutation of `f`: swapped operands, a changed
+/// operator, a nudged constant, or a phi incoming redirected to another
+/// value of the same block. `None` when the draw hits nothing mutable or
+/// the result does not verify.
+fn mutate(f: &Function, rng: &mut StdRng) -> Option<Function> {
+    let placed: Vec<_> = f
+        .block_ids()
+        .flat_map(|b| f.block(b).ops.iter().copied())
+        .collect();
+    let op = placed[rng.gen_range(0..placed.len())];
+    let mut g = f.clone();
+    let kind = g.op(op).kind.clone();
+    g.op_mut(op).kind = match kind {
+        OpKind::Bin(o, x, y) if rng.gen_bool(0.5) => OpKind::Bin(o, y, x),
+        OpKind::Bin(o, x, y) => {
+            let other = match o {
+                BinOp::Add => BinOp::Sub,
+                BinOp::Sub => BinOp::Add,
+                BinOp::Lt => BinOp::Le,
+                BinOp::Le => BinOp::Lt,
+                BinOp::Eq => BinOp::Ne,
+                BinOp::Mul => BinOp::Add,
+                BinOp::And => BinOp::Or,
+                BinOp::Xor => BinOp::Or,
+                _ => return None,
+            };
+            OpKind::Bin(other, x, y)
+        }
+        OpKind::Const(c) => OpKind::Const(c.wrapping_add(1)),
+        OpKind::Phi(mut incoming) => {
+            let others: Vec<_> = incoming.iter().map(|&(_, v)| v).collect();
+            let i = rng.gen_range(0..incoming.len());
+            incoming[i].1 = others[rng.gen_range(0..others.len())];
+            OpKind::Phi(incoming)
+        }
+        _ => return None,
+    };
+    fact_ir::verify::verify(&g).ok()?;
+    Some(g)
+}
+
+#[test]
+fn mutations_are_proved_only_when_equivalent() {
+    let t = traces(24, 8);
+    let (mut proved, mut tried) = (0usize, 0usize);
+    for_seeds(|seed| {
+        let (_, f) = lowered(seed)?;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
+        for _ in 0..8 {
+            let Some(g) = mutate(&f, &mut rng) else {
+                continue;
+            };
+            tried += 1;
+            if prove_equivalent(&f, &g).is_some() {
+                proved += 1;
+                assert_proof_holds(&f, &g, &t, "mutant")?;
+            }
+        }
+        Ok(())
+    });
+    assert!(tried > 500, "only {tried} mutants verified");
+    // Only mutants that happen to be equivalent (a swap of a commutative
+    // operator, a redirected phi incoming that carried the same value,
+    // a dead op) may be proved.
+    assert!(proved < tried, "every mutant proved: {proved} of {tried}");
 }
 
 #[test]
