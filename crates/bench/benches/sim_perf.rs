@@ -6,9 +6,9 @@
 //!   --vectors N    trace vectors per benchmark (default 1024)
 //!   --smoke        tiny trace set, single pass, stdout only (CI check)
 //!
-//! The stderr summary ends with the crossover sweep: batched/scalar
-//! throughput per lane count, tagged with the engine the policy picks
-//! (`s`calar or `b`atched).
+//! The stderr summary ends with the crossover sweep of the behaviors the
+//! batched engine runs: batched/scalar throughput per lane count, tagged
+//! with the engine the policy picks (`s`calar or `b`atched).
 
 use fact_bench::sim_perf::{run_with, to_json};
 
@@ -48,21 +48,28 @@ fn main() {
     let json = to_json(&p);
     // Human summary on stderr so `--smoke`'s stdout is pure JSON.
     for s in &p.suites {
+        let batched = match (&s.batched, s.batched_speedup) {
+            (Some(b), Some(x)) => format!("batched {:10.0} v/s {x:5.2}x", b.vectors_per_sec),
+            _ => "batched (not straight-line)".to_string(),
+        };
         eprintln!(
-            "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  batched {:10.0} v/s  \
-             batched {:5.2}x (dedup {:6.1}x in both)  chosen {} {:5.2}x",
+            "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  {batched}  \
+             (dedup {:6.1}x)  chosen {} {:5.2}x",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
             s.scalar.vectors_per_sec,
-            s.batched.vectors_per_sec,
-            s.batched_speedup,
             s.dedup_factor,
             s.chosen,
             s.speedup
         );
     }
-    for name in p.suites.iter().map(|s| s.name) {
+    for name in p
+        .suites
+        .iter()
+        .filter(|s| s.batched.is_some())
+        .map(|s| s.name)
+    {
         let cells: Vec<String> = p
             .crossover
             .iter()

@@ -38,8 +38,8 @@ pub struct SuitePerf {
     /// Wall time spent proving candidates equivalent to their parents,
     /// proved or not, seconds ([`PhaseTimers::prove_ns`]).
     pub prove_s: f64,
-    /// Wall time spent simulating (verification, profiling, divergence
-    /// probes), seconds ([`PhaseTimers::simulate_ns`]).
+    /// Wall time spent simulating (verification and profiling), seconds
+    /// ([`PhaseTimers::simulate_ns`]).
     pub simulate_s: f64,
     /// Wall time spent scheduling and estimating, seconds
     /// ([`PhaseTimers::estimate_ns`]).

@@ -14,50 +14,33 @@
 //!
 //! Each pass is one production [`simulate`] call with no reference (the
 //! profile pass), and the engine the production policy picks
-//! ([`SimEngine::for_call`], fed the rate a batched pass measured) is
-//! reported next to both measurements.
+//! ([`SimEngine::for_call`]) is reported next to the measurements. The
+//! batched engine runs straight-line calls only
+//! ([`SimEngine::batchable`]), so a behavior it cannot run reports the
+//! scalar measurement alone.
 //!
 //! A crossover sweep ([`SimPerf::crossover`]) repeats the comparison for
-//! every behavior at [`SWEEP_LANES`] distinct lanes, made distinct by an
-//! input the behavior never reads: the data the policy's loop rule and
-//! lane floor ([`fact_sim::MIN_BATCHED_LANES`]) are read from.
+//! every behavior the batched engine runs (PPS) at [`SWEEP_LANES`]
+//! distinct lanes, made distinct by an input the behavior never reads:
+//! the data the policy's lane floor ([`fact_sim::MIN_BATCHED_LANES`]) is
+//! read from.
 //!
 //! Vectors are counted *logically* (through [`SimCounters`]): a
 //! deduplicated lane of multiplicity `k` counts `k`. Both engines run
 //! each distinct lane once, so `dedup_factor` (trace vectors per
 //! distinct lane — FIR, Test2 and SINTRAN collapse to one lane) raises
-//! both throughputs alike, and `batched_speedup` is the lockstep-execution
-//! win alone.
+//! both throughputs alike, and `batched_speedup` is the fused-kernel win
+//! alone.
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
 
 use fact_core::suite::{input_specs, suite};
 use fact_estim::section5_library;
-use fact_ir::Function;
-use fact_lang::compile;
 use fact_sim::{
     generate, simulate, CompiledFn, InputSpec, SimCounters, SimEngine, SimScratch, TraceSet,
 };
 use std::time::Instant;
-
-/// Synthetic high-divergence behavior: every loop iteration branches on
-/// a mod-97 test of a per-lane LCG state (the low bit would alternate
-/// identically in every lane — low-bit LCG weakness), so no two lanes
-/// agree on a branch pattern and the lockstep engine's fast path starves.
-/// The §5 suite has nothing this hostile (GCD is the closest).
-const RANDWALK_SRC: &str = r#"
-proc randwalk(s, n) {
-    var acc = 0;
-    var i = 0;
-    while (i < n) {
-        s = (s * 1103515245 + 12345) % 2147483648;
-        if (s % 97 < 49) { acc = acc + (s % 97); } else { acc = acc - (s % 89); }
-        i = i + 1;
-    }
-    out r = acc;
-}
-"#;
 
 /// Throughput of one engine on one benchmark.
 #[derive(Clone, Debug)]
@@ -68,7 +51,7 @@ pub struct EnginePerf {
     pub passes: usize,
     /// Logical trace vectors simulated (dedup multiplicities included).
     pub vectors: u64,
-    /// `run_batch` invocations (0 for the scalar engine).
+    /// Batches run (0 for the scalar engine).
     pub batches: u64,
     /// Wall-clock time of the measurement window, seconds.
     pub wall_s: f64,
@@ -83,28 +66,25 @@ pub struct SimSuitePerf {
     pub name: &'static str,
     /// Trace vectors per profiling pass.
     pub trace_vectors: usize,
-    /// Distinct vectors after [`TraceSet::dedup_lanes`] (the batched
-    /// engine's actual per-pass workload).
+    /// Distinct vectors after [`TraceSet::dedup_lanes`] (each engine's
+    /// actual per-pass workload).
     pub distinct_lanes: usize,
-    /// Divergence rate (slow lane-steps / total lane-steps) measured over
-    /// one whole batched pass — the quantity the engine policy keys on.
-    pub divergence_rate: f64,
     /// Engine [`SimEngine::for_call`] picks for this behavior under these
     /// traces (`"scalar"` or `"batched"`).
     pub chosen: &'static str,
     /// Scalar-engine measurement.
     pub scalar: EnginePerf,
-    /// Batched-engine measurement.
-    pub batched: EnginePerf,
+    /// Batched-engine measurement; `None` when the batched engine cannot
+    /// run the call ([`SimEngine::batchable`]).
+    pub batched: Option<EnginePerf>,
     /// Raw `batched.vectors_per_sec / scalar.vectors_per_sec`, engine
-    /// policy ignored: the lockstep-execution win.
-    pub batched_speedup: f64,
+    /// policy ignored: the fused-kernel win (`None` with `batched`).
+    pub batched_speedup: Option<f64>,
     /// `trace_vectors / distinct_lanes`: how much running identical
     /// vectors once raises both engines' logical throughput.
     pub dedup_factor: f64,
     /// Chosen-engine throughput over scalar throughput: the raw ratio
-    /// when the policy picks batched, exactly 1.0 when it picks scalar
-    /// (the policy is what makes the batched path never lose).
+    /// when the policy picks batched, exactly 1.0 when it picks scalar.
     pub speedup: f64,
 }
 
@@ -128,31 +108,32 @@ pub struct Crossover {
     pub speedup: f64,
 }
 
-/// One full measurement: every Table 2 benchmark, both engines.
+/// One full measurement: every Table 2 benchmark, on each engine that
+/// can run it.
 #[derive(Clone, Debug)]
 pub struct SimPerf {
     /// Trace vectors generated per benchmark.
     pub vectors: usize,
     /// Per-benchmark measurements.
     pub suites: Vec<SimSuitePerf>,
-    /// The crossover sweep, by behavior then lane count.
+    /// The crossover sweep over the batchable behaviors, by behavior then
+    /// lane count.
     pub crossover: Vec<Crossover>,
 }
 
 /// Both engines on one `(cf, traces)` profile pass, and the policy's
 /// choice between them.
 struct Comparison {
-    divergence_rate: f64,
     chosen: &'static str,
     scalar: EnginePerf,
-    batched: EnginePerf,
-    batched_speedup: f64,
+    batched: Option<EnginePerf>,
+    batched_speedup: Option<f64>,
     speedup: f64,
 }
 
-/// Measures both engines on `(cf, traces)` after checking that their
-/// profiles agree; a batched pass also measures the rate the engine
-/// policy keys on.
+/// Measures the scalar engine on `(cf, traces)` and, when the batched
+/// engine can run the call, the batched one too, after checking that
+/// their profiles agree.
 fn compare(
     name: &str,
     cf: &CompiledFn,
@@ -160,46 +141,34 @@ fn compare(
     min_passes: usize,
     min_wall_s: f64,
 ) -> Comparison {
-    let run_once = |engine| simulate(cf, traces, None, engine, None, &mut SimScratch::default());
-    let batched_sim = run_once(SimEngine::default());
-    assert_eq!(
-        run_once(SimEngine::Scalar).profile,
-        batched_sim.profile,
-        "{name}: engines disagree on the profile"
-    );
-    let divergence_rate = batched_sim.divergence;
-    let chosen = match SimEngine::for_call(cf, Some(divergence_rate), traces, None) {
+    let chosen = match SimEngine::for_call(cf, traces, None) {
         SimEngine::Scalar => "scalar",
         SimEngine::Batched { .. } => "batched",
     };
-    let scalar = measure_engine(
-        "scalar",
-        cf,
-        traces,
-        SimEngine::Scalar,
-        min_passes,
-        min_wall_s,
-    );
-    let batched = measure_engine(
-        "batched",
-        cf,
-        traces,
-        SimEngine::default(),
-        min_passes,
-        min_wall_s,
-    );
-    let batched_speedup = if scalar.vectors_per_sec > 0.0 {
-        batched.vectors_per_sec / scalar.vectors_per_sec
-    } else {
-        0.0
-    };
-    let speedup = if chosen == "scalar" {
-        1.0
-    } else {
-        batched_speedup
+    let measure = |label, engine| measure_engine(label, cf, traces, engine, min_passes, min_wall_s);
+    let scalar = measure("scalar", SimEngine::Scalar);
+    let batched = SimEngine::batchable(cf, traces, None).then(|| {
+        let run_once =
+            |engine| simulate(cf, traces, None, engine, None, &mut SimScratch::default());
+        assert_eq!(
+            run_once(SimEngine::Scalar).profile,
+            run_once(SimEngine::default()).profile,
+            "{name}: engines disagree on the profile"
+        );
+        measure("batched", SimEngine::default())
+    });
+    let batched_speedup = batched.as_ref().map(|b| {
+        if scalar.vectors_per_sec > 0.0 {
+            b.vectors_per_sec / scalar.vectors_per_sec
+        } else {
+            0.0
+        }
+    });
+    let speedup = match (chosen, batched_speedup) {
+        ("batched", Some(s)) => s,
+        _ => 1.0,
     };
     Comparison {
-        divergence_rate,
         chosen,
         scalar,
         batched,
@@ -262,35 +231,19 @@ fn measure_engine(
 /// contract this bench rides on, so a disagreement is a bug worth
 /// aborting the measurement for.
 pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
-    type Case = (&'static str, Function, Vec<(String, InputSpec)>);
     let (lib, _) = section5_library();
-    let mut cases: Vec<Case> = suite(&lib)
-        .into_iter()
-        .map(|b| {
-            let specs = input_specs(b.name).expect("suite benchmark has input specs");
-            (b.name, b.function, specs)
-        })
-        .collect();
-    cases.push((
-        "RANDWALK",
-        compile(RANDWALK_SRC).expect("RANDWALK_SRC compiles"),
-        vec![
-            ("s".to_string(), InputSpec::Uniform { lo: 1, hi: 1 << 30 }),
-            ("n".to_string(), InputSpec::Constant(64)),
-        ],
-    ));
     let mut suites = Vec::new();
     let mut crossover = Vec::new();
-    for (name, function, specs) in &cases {
-        let traces = generate(specs, vectors, 0x51AB5);
-        let cf = CompiledFn::compile(function);
+    for b in suite(&lib) {
+        let specs = input_specs(b.name).expect("suite benchmark has input specs");
+        let traces = generate(&specs, vectors, 0x51AB5);
+        let cf = CompiledFn::compile(&b.function);
         let distinct_lanes = traces.dedup_lanes().len();
-        let c = compare(name, &cf, &traces, min_passes, min_wall_s);
+        let c = compare(b.name, &cf, &traces, min_passes, min_wall_s);
         suites.push(SimSuitePerf {
-            name,
+            name: b.name,
             trace_vectors: traces.len(),
             distinct_lanes,
-            divergence_rate: c.divergence_rate,
             chosen: c.chosen,
             scalar: c.scalar,
             batched: c.batched,
@@ -298,6 +251,9 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
             dedup_factor: traces.len() as f64 / distinct_lanes as f64,
             speedup: c.speedup,
         });
+        if !SimEngine::batchable(&cf, &traces, None) {
+            continue;
+        }
         let mut salted = specs.clone();
         salted.push((
             "sweep.salt".to_string(),
@@ -305,13 +261,20 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
         ));
         for lanes in SWEEP_LANES.into_iter().filter(|&l| l <= vectors) {
             let traces = generate(&salted, lanes, 0x5EE9);
-            assert_eq!(traces.dedup_lanes().len(), lanes, "{name}: salt collided");
-            let c = compare(name, &cf, &traces, min_passes, min_wall_s);
+            assert_eq!(
+                traces.dedup_lanes().len(),
+                lanes,
+                "{}: salt collided",
+                b.name
+            );
+            let c = compare(b.name, &cf, &traces, min_passes, min_wall_s);
             crossover.push(Crossover {
-                name,
+                name: b.name,
                 lanes,
                 chosen: c.chosen,
-                batched_speedup: c.batched_speedup,
+                batched_speedup: c
+                    .batched_speedup
+                    .expect("a batchable call measures batched"),
                 speedup: c.speedup,
             });
         }
@@ -323,12 +286,15 @@ pub fn run_with(vectors: usize, min_passes: usize, min_wall_s: f64) -> SimPerf {
     }
 }
 
-fn engine_json(e: &EnginePerf) -> String {
-    format!(
-        "{{\"passes\": {}, \"vectors\": {}, \"batches\": {}, \
-         \"wall_s\": {:.4}, \"vectors_per_sec\": {:.1}}}",
-        e.passes, e.vectors, e.batches, e.wall_s, e.vectors_per_sec
-    )
+fn engine_json(e: Option<&EnginePerf>) -> String {
+    match e {
+        Some(e) => format!(
+            "{{\"passes\": {}, \"vectors\": {}, \"batches\": {}, \
+             \"wall_s\": {:.4}, \"vectors_per_sec\": {:.1}}}",
+            e.passes, e.vectors, e.batches, e.wall_s, e.vectors_per_sec
+        ),
+        None => "null".to_string(),
+    }
 }
 
 /// Renders a measurement as a JSON document.
@@ -340,18 +306,18 @@ pub fn to_json(p: &SimPerf) -> String {
     for (i, s) in p.suites.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"trace_vectors\": {}, \"distinct_lanes\": {},\n     \
-             \"divergence_rate\": {:.4}, \"chosen\": \"{}\",\n     \
+             \"chosen\": \"{}\",\n     \
              \"scalar\": {},\n     \"batched\": {},\n     \
-             \"batched_speedup\": {:.2}, \"dedup_factor\": {:.2}, \
+             \"batched_speedup\": {}, \"dedup_factor\": {:.2}, \
              \"speedup\": {:.2}}}{}\n",
             s.name,
             s.trace_vectors,
             s.distinct_lanes,
-            s.divergence_rate,
             s.chosen,
-            engine_json(&s.scalar),
-            engine_json(&s.batched),
-            s.batched_speedup,
+            engine_json(Some(&s.scalar)),
+            engine_json(s.batched.as_ref()),
+            s.batched_speedup
+                .map_or_else(|| "null".to_string(), |x| format!("{x:.2}")),
             s.dedup_factor,
             s.speedup,
             if i + 1 < p.suites.len() { "," } else { "" }
@@ -381,19 +347,20 @@ mod tests {
     #[test]
     fn smoke_run_produces_sane_numbers() {
         let p = run_with(32, 1, 0.0);
-        assert_eq!(p.suites.len(), 7);
+        assert_eq!(p.suites.len(), 6);
         for s in &p.suites {
             assert_eq!(s.trace_vectors, 32);
             assert!(s.distinct_lanes >= 1 && s.distinct_lanes <= 32);
             assert_eq!(s.scalar.batches, 0, "{}: scalar engine batched", s.name);
-            assert!(s.batched.batches > 0, "{}: batched engine did not", s.name);
             assert!(s.scalar.vectors >= 32);
-            assert!(s.batched.vectors >= 32);
-            assert!(
-                (0.0..=1.0).contains(&s.divergence_rate),
-                "{}: divergence out of range",
-                s.name
-            );
+            // Only the straight-line PPS runs batched at all.
+            match &s.batched {
+                Some(b) => {
+                    assert_eq!(s.name, "PPS");
+                    assert!(b.batches > 0 && b.vectors >= 32, "{}", s.name);
+                }
+                None => assert!(s.batched_speedup.is_none(), "{}", s.name),
+            }
             assert_eq!(
                 s.dedup_factor,
                 s.trace_vectors as f64 / s.distinct_lanes as f64,
@@ -404,33 +371,23 @@ mod tests {
                 assert_eq!(s.speedup, 1.0, "{}: scalar choice must report 1.0", s.name);
             } else {
                 assert_eq!(s.chosen, "batched");
-                assert_eq!(s.speedup, s.batched_speedup, "{}", s.name);
+                assert_eq!(Some(s.speedup), s.batched_speedup, "{}", s.name);
             }
         }
+        let pps = p.suites.iter().find(|s| s.name == "PPS").unwrap();
+        assert_eq!(pps.chosen, "batched");
         // Constant-trace benchmarks collapse to one lane: their whole
         // trace set is the dedup factor.
         let test2 = p.suites.iter().find(|s| s.name == "Test2").unwrap();
         assert_eq!(test2.distinct_lanes, 1);
         assert_eq!(test2.dedup_factor, 32.0);
-        // The synthetic random-branch behavior is the divergence extreme
-        // of the set: distinct per-lane branch patterns every iteration.
-        let rw = p.suites.iter().find(|s| s.name == "RANDWALK").unwrap();
-        assert_eq!(rw.distinct_lanes, 32);
-        assert!(
-            rw.divergence_rate
-                > p.suites
-                    .iter()
-                    .filter(|s| s.name != "RANDWALK" && s.name != "GCD")
-                    .map(|s| s.divergence_rate)
-                    .fold(0.0, f64::max),
-            "RANDWALK should out-diverge every structured benchmark"
-        );
-        // The sweep covers every behavior at every lane count up to the
-        // run's vectors; only the loop-free PPS ever runs batched, and
-        // only from the lane floor on.
-        assert_eq!(p.crossover.len(), 7 * 5);
+        // The sweep covers PPS, the one batchable behavior, at every lane
+        // count up to the run's vectors; it runs batched from the lane
+        // floor on.
+        assert_eq!(p.crossover.len(), 5);
         for c in &p.crossover {
-            let batches = c.name == "PPS" && c.lanes >= fact_sim::MIN_BATCHED_LANES;
+            assert_eq!(c.name, "PPS");
+            let batches = c.lanes >= fact_sim::MIN_BATCHED_LANES;
             assert_eq!(c.chosen == "batched", batches, "{} @{}", c.name, c.lanes);
             let expected = if batches { c.batched_speedup } else { 1.0 };
             assert_eq!(c.speedup, expected, "{} @{}", c.name, c.lanes);
@@ -438,7 +395,7 @@ mod tests {
         let json = to_json(&p);
         assert!(json.contains("\"crossover\""));
         assert!(json.contains("\"bench\": \"sim\""));
-        assert!(json.contains("\"divergence_rate\""));
+        assert!(json.contains("\"batched\": null"));
         assert!(json.contains("\"chosen\""));
         assert!(json.contains("\"dedup_factor\""));
         assert_eq!(

@@ -128,8 +128,6 @@ pub struct FactResult {
     /// Simulated candidates the engine selector routed to the batched
     /// engine.
     pub sim_engine_batched: u64,
-    /// Lane-compaction passes performed inside batched simulation.
-    pub lane_compactions: u64,
     /// Whole-neighborhood dispatches evaluated (one per search move,
     /// plus one per scored search input).
     pub neighborhood_batches: u64,
@@ -189,8 +187,8 @@ pub struct PhaseTimers {
     /// Time proving candidates equivalent to their parents
     /// ([`fact_ir::prove_equivalent`]), proved or not.
     pub prove_ns: AtomicU64,
-    /// Time inside [`simulate`]: equivalence verification, branch
-    /// profiling and the divergence measurement.
+    /// Time inside [`simulate`]: equivalence verification and branch
+    /// profiling.
     pub simulate_ns: AtomicU64,
     /// Time scheduling and estimating (list scheduling, Markov solves,
     /// power/latency evaluation).
@@ -294,8 +292,7 @@ impl std::error::Error for FactError {}
 /// Per-run incremental-evaluation machinery, shared by every candidate
 /// evaluation of one run (including across worker threads — all members
 /// are `Sync`): memoized schedule fragments, the captured equivalence
-/// reference, the engine selector's divergence rates, and the work
-/// counters [`FactResult`] reports.
+/// reference, and the work counters [`FactResult`] reports.
 struct IncrementalCtx<'a> {
     /// Captured original-side equivalence data (`None` with equivalence
     /// checking off).
@@ -306,15 +303,6 @@ struct IncrementalCtx<'a> {
     full_reschedules: AtomicUsize,
     /// Schedules that reused at least one memoized block fragment.
     block_spliced: AtomicUsize,
-    /// Shared score cache, doubling as the cross-job store for measured
-    /// divergence rates (under a salted key domain of its own).
-    cache: Option<&'a EvalCache>,
-    /// Context half of the divergence-rate cache key: ties a measured
-    /// rate to this run's trace set, so structurally identical functions
-    /// simulated under different traces never share a rate.
-    div_salt: u64,
-    /// Run-local divergence rates, used when no [`EvalCache`] is wired in.
-    div_rates: Mutex<HashMap<u64, f64>>,
     /// Vectors/batches simulated so far (shared across worker threads).
     sim: SimCounters,
     /// Phase wall-time sinks from [`OptimizeHooks::timers`].
@@ -360,7 +348,7 @@ fn profile_of(g: &Function, traces: &TraceSet) -> BranchProfile {
         &cf,
         traces,
         None,
-        SimEngine::for_call(&cf, None, traces, None),
+        SimEngine::for_call(&cf, traces, None),
         None,
         &mut SimScratch::default(),
     )
@@ -373,23 +361,8 @@ impl<'a> IncrementalCtx<'a> {
         f: &Function,
         traces: &TraceSet,
         config: &FactConfig,
-        hooks: OptimizeHooks<'a>,
+        timers: Option<&'a PhaseTimers>,
     ) -> IncrementalCtx<'a> {
-        // Only the traces feed the salt: the divergence of a candidate
-        // depends on its control flow and the stimulus, not on the
-        // allocation/objective half of `evaluation_context_key`.
-        let div_salt = {
-            let mut h = ContextHasher::new(0xFAC7_D117);
-            h.write_u64(traces.vectors.len() as u64);
-            for v in &traces.vectors {
-                let mut kvs: Vec<(&str, i64)> = v.iter().map(|(k, x)| (k.as_str(), *x)).collect();
-                kvs.sort_unstable();
-                for (k, x) in kvs {
-                    h.write_bytes(k.as_bytes()).write_i64(x);
-                }
-            }
-            h.finish()
-        };
         IncrementalCtx {
             equiv: config
                 .check_equivalence
@@ -397,37 +370,9 @@ impl<'a> IncrementalCtx<'a> {
             sched: ScheduleMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
-            cache: hooks.cache,
-            div_salt,
-            div_rates: Mutex::new(HashMap::new()),
             sim: SimCounters::default(),
-            timers: hooks.timers,
+            timers,
             mega: MegaCounters::default(),
-        }
-    }
-
-    /// The divergence-rate cache key of a candidate with structural hash
-    /// `hash` under this run's trace set.
-    fn div_key(&self, hash: u64) -> u64 {
-        ContextHasher::new(self.div_salt).write_u64(hash).finish()
-    }
-
-    /// Recalls a measured divergence rate, from the shared [`EvalCache`]
-    /// when one is wired in, from the run-local map otherwise.
-    fn cached_div_rate(&self, key: u64) -> Option<f64> {
-        match self.cache {
-            Some(c) => c.lookup(key).flatten(),
-            None => self.div_rates.lock().unwrap().get(&key).copied(),
-        }
-    }
-
-    /// Stores a measured divergence rate under `key`.
-    fn store_div_rate(&self, key: u64, rate: f64) {
-        match self.cache {
-            Some(c) => c.insert(key, Some(rate)),
-            None => {
-                self.div_rates.lock().unwrap().insert(key, rate);
-            }
         }
     }
 
@@ -529,7 +474,7 @@ impl<'a> Run<'a> {
         config: &'a FactConfig,
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
-        let ctx = IncrementalCtx::new(f, traces, config, hooks);
+        let ctx = IncrementalCtx::new(f, traces, config, hooks.timers);
         let prof = profile_of(f, traces);
         let sr0 = schedule_with_memo(
             f,
@@ -692,15 +637,13 @@ impl<'a> Run<'a> {
 
     /// Compiles `cand` and [`simulate`]s it over the neighborhood-shared
     /// `scratch`: verification against the captured reference when
-    /// equivalence checking is on, the branch profile, and the divergence
-    /// measurement, in one call. `None` when it is not equivalent.
+    /// equivalence checking is on and the branch profile, in one call.
+    /// `None` when it is not equivalent.
     ///
-    /// The engine comes from [`SimEngine::for_call`]: scalar for a
-    /// function with a loop or a call of few lanes, else by the
-    /// divergence rate cached for the candidate's structure; on a miss
-    /// the candidate runs batched and banks the rate its call measured.
-    /// Engines are bit-identical, so the choice only moves wall-clock and
-    /// the sim work counters.
+    /// The engine comes from [`SimEngine::for_call`]: batched for a
+    /// straight-line call of enough lanes, scalar otherwise. Engines are
+    /// bit-identical, so the choice only moves wall-clock and the sim
+    /// work counters.
     fn simulated_profile(
         &self,
         cand: &MegaCandidate<'_>,
@@ -722,9 +665,7 @@ impl<'a> Run<'a> {
             |t| &t.compile_ns,
             || CompiledFn::compile(cand.function),
         );
-        let key = ctx.div_key(cand.hash);
-        let known_rate = ctx.cached_div_rate(key);
-        let engine = SimEngine::for_call(&cf, known_rate, traces, ctx.equiv.as_ref());
+        let engine = SimEngine::for_call(&cf, traces, ctx.equiv.as_ref());
         ctx.sim.note_engine(engine);
         let sim = timed(
             ctx.timers,
@@ -743,13 +684,7 @@ impl<'a> Run<'a> {
         ctx.mega
             .lanes
             .fetch_add(sim.lanes as u64, Ordering::Relaxed);
-        // A rejected candidate's call stops at its first failing batch,
-        // so only a full pass banks its rate, and only the batched engine
-        // measures one.
         let prof = Arc::new(sim.profile?);
-        if known_rate.is_none() && engine != SimEngine::Scalar {
-            ctx.store_div_rate(key, sim.divergence);
-        }
         if let Some(steps) = sim.steps {
             self.profiles
                 .lock()
@@ -1023,7 +958,6 @@ pub fn optimize_with(
         sim_batches: ctx.sim.batches(),
         sim_engine_scalar: ctx.sim.engine_scalar(),
         sim_engine_batched: ctx.sim.engine_batched(),
-        lane_compactions: ctx.sim.compactions(),
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
@@ -1084,8 +1018,6 @@ pub struct ParetoFactResult {
     pub sim_engine_scalar: u64,
     /// Simulated candidates routed to the batched engine.
     pub sim_engine_batched: u64,
-    /// Lane-compaction passes performed inside batched simulation.
-    pub lane_compactions: u64,
     /// Whole-neighborhood dispatches evaluated.
     pub neighborhood_batches: u64,
     /// Simulation lanes of candidate evaluations (see
@@ -1250,7 +1182,6 @@ pub fn optimize_pareto_with(
         sim_batches: ctx.sim.batches(),
         sim_engine_scalar: ctx.sim.engine_scalar(),
         sim_engine_batched: ctx.sim.engine_batched(),
-        lane_compactions: ctx.sim.compactions(),
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),

@@ -2,8 +2,8 @@
 //!
 //! `optimize` scores candidates one way: one `simulate` call per
 //! candidate (compiled simulation against a captured equivalence
-//! reference, profiling, divergence measurement), per-block schedule
-//! splicing, the measured engine policy, and whole-neighborhood dispatch
+//! reference and profiling), per-block schedule splicing, the engine
+//! policy, and whole-neighborhood dispatch
 //! across worker threads. This suite holds that path to a deliberately
 //! simple oracle built here from public functions only: the IR
 //! interpreter (`profile`, `check_equivalence`), the memo-free
@@ -17,7 +17,8 @@
 //!    traces wide enough to run batched), both objectives, and 1, 2, and
 //!    8 worker threads against [`oracle_optimize`] — same trajectory
 //!    (applied path, evaluation count), same winner, same estimate bits,
-//!    and the same cache ledger for every thread count;
+//!    and the same cache ledger for every thread count — a ledger that
+//!    holds candidate scores and nothing else;
 //! 3. the same with equivalence checking off (each candidate's call is
 //!    then the profile pass alone);
 //! 4. Pareto frontiers, bit-identical for any thread count;
@@ -97,12 +98,13 @@ fn assert_paths_agree(
     // Full path: interpret the source IR, schedule from scratch.
     let full_verdict = check_equivalence(original, g, traces, 0xC0FFEE).is_ok();
     // Production path: one simulate call verifies and profiles the
-    // compiled candidate.
+    // compiled candidate, on the engine the production policy picks.
+    let cg = CompiledFn::compile(g);
     let sim = simulate(
-        &CompiledFn::compile(g),
+        &cg,
         traces,
         Some(reference),
-        SimEngine::default(),
+        SimEngine::for_call(&cg, traces, Some(reference)),
         None,
         &mut SimScratch::default(),
     );
@@ -394,10 +396,11 @@ const MEMORY_SUM_SRC: &str = "proc memsum(a, b, c, d) { array t[4]; \
      t[0] = a + b; t[1] = c + d; out s = t[0] + t[1] + t[2] + t[3] + a; }";
 
 /// The suite, plus GCD, PPS and a loop-free memory-bearing behavior
-/// under 32-vector traces. The engine policy runs the loop-free ones
-/// batched (PPS already on its suite traces: 10 lanes, at least
-/// [`MIN_BATCHED_LANES`]), the memory-bearing one against private random
-/// images per lane; every other behavior has a loop and runs scalar.
+/// under 32-vector traces. The engine policy runs the straight-line PPS
+/// batched (already on its suite traces: 10 lanes, at least
+/// [`MIN_BATCHED_LANES`]); every other behavior has a loop or a memory
+/// and runs scalar, the memory-bearing one against private random images
+/// per lane.
 fn suite_and_wide_traces() -> Vec<Benchmark> {
     let (lib, _) = section5_library();
     let mut out = suite(&lib);
@@ -425,13 +428,12 @@ fn suite_and_wide_traces() -> Vec<Benchmark> {
 #[test]
 fn optimize_suite_matches_oracle() {
     for b in suite_and_wide_traces() {
-        // Functions with a loop, and calls of fewer lanes than the
-        // batching floor, run scalar.
+        // Only straight-line calls of at least the batching floor's
+        // lanes run batched.
         let reference = EquivReference::capture(&b.function, &b.traces, 0xC0FFEE);
         let cf = CompiledFn::compile(&b.function);
-        let batched =
-            SimEngine::for_call(&cf, None, &b.traces, Some(&reference)) != SimEngine::Scalar;
-        assert_eq!(batched, matches!(b.name, "PPS" | "MEMSUM"), "{}", b.name);
+        let batched = SimEngine::for_call(&cf, &b.traces, Some(&reference)) != SimEngine::Scalar;
+        assert_eq!(batched, b.name == "PPS", "{}", b.name);
         for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
             let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1));
             let mut ledger = None;
@@ -583,4 +585,23 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
         }
     }
     assert!(proved > 0, "the prover never short-circuited a simulation");
+}
+
+/// The shared cache's ledger holds candidate scores and nothing else: a
+/// fresh cache, after one run, was asked once per evaluation the run did
+/// not answer from it, and stored one entry for each.
+#[test]
+fn the_shared_cache_holds_one_score_per_uncached_evaluation() {
+    let (lib, _) = section5_library();
+    for b in suite(&lib) {
+        for (objective, seed) in [(Objective::Throughput, 11), (Objective::Power, 29)] {
+            let (r, cache) = run(&b, &quick_config(objective, seed, 1));
+            let ctx = format!("{} {objective:?} seed={seed}", b.name);
+            let uncached = (r.evaluated - r.cache_hits) as u64;
+            let s = cache.stats();
+            assert_eq!(s.hits, r.cache_hits as u64, "cache hits ({ctx})");
+            assert_eq!(s.misses, uncached, "cache misses ({ctx})");
+            assert_eq!(s.entries, uncached, "cache entries ({ctx})");
+        }
+    }
 }

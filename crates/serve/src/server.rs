@@ -238,7 +238,6 @@ struct JobCounters {
     sim_batches: u64,
     sim_engine_scalar: u64,
     sim_engine_batched: u64,
-    lane_compactions: u64,
     neighborhood_batches: u64,
     mega_lanes: u64,
     mega_candidates: u64,
@@ -613,7 +612,6 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
-                    lane_compactions: r.lane_compactions,
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -635,7 +633,6 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
-                    lane_compactions: r.lane_compactions,
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -662,8 +659,6 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.sim_engine_scalar, Ordering::Relaxed);
     s.sim_engine_batched
         .fetch_add(c.sim_engine_batched, Ordering::Relaxed);
-    s.lane_compactions
-        .fetch_add(c.lane_compactions, Ordering::Relaxed);
     s.neighborhood_batches
         .fetch_add(c.neighborhood_batches, Ordering::Relaxed);
     s.mega_lanes.fetch_add(c.mega_lanes, Ordering::Relaxed);

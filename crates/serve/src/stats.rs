@@ -77,15 +77,12 @@ pub struct ServerStats {
     /// Batched simulation passes across all jobs
     /// (`FactResult::sim_batches`).
     pub sim_batches: AtomicU64,
-    /// Candidate evaluations the divergence-aware selector routed to the
-    /// scalar interpreter (`FactResult::sim_engine_scalar`).
+    /// Candidate evaluations the engine policy routed to the scalar
+    /// interpreter (`FactResult::sim_engine_scalar`).
     pub sim_engine_scalar: AtomicU64,
-    /// Candidate evaluations the selector routed to the batched engine
-    /// (`FactResult::sim_engine_batched`).
+    /// Candidate evaluations the engine policy routed to the batched
+    /// straight-line engine (`FactResult::sim_engine_batched`).
     pub sim_engine_batched: AtomicU64,
-    /// Regroup-point lane compactions performed by the batched engine
-    /// across all jobs (`FactResult::lane_compactions`).
-    pub lane_compactions: AtomicU64,
     /// Whole-neighborhood mega-batch dispatches across all jobs
     /// (`FactResult::neighborhood_batches`).
     pub neighborhood_batches: AtomicU64,
@@ -139,7 +136,6 @@ impl ServerStats {
             sim_batches: AtomicU64::new(0),
             sim_engine_scalar: AtomicU64::new(0),
             sim_engine_batched: AtomicU64::new(0),
-            lane_compactions: AtomicU64::new(0),
             neighborhood_batches: AtomicU64::new(0),
             mega_lanes: AtomicU64::new(0),
             mega_candidates: AtomicU64::new(0),
@@ -266,7 +262,6 @@ impl ServerStats {
             ("sim_batches", counter(&self.sim_batches)),
             ("sim_engine_scalar", counter(&self.sim_engine_scalar)),
             ("sim_engine_batched", counter(&self.sim_engine_batched)),
-            ("lane_compactions", counter(&self.lane_compactions)),
             ("neighborhood_batches", counter(&self.neighborhood_batches)),
             ("mega_lanes", counter(&self.mega_lanes)),
             (
@@ -302,7 +297,7 @@ impl ServerStats {
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
              evals={} proved={} resched full={} spliced={} sim={}v/{}b ({:.0} v/s) \
-             engine=scalar:{}/batched:{} compactions={} \
+             engine=scalar:{}/batched:{} \
              mega={}x{:.1} ({} lanes) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
@@ -334,7 +329,6 @@ impl ServerStats {
             self.sim_vectors_per_sec(),
             self.sim_engine_scalar.load(Ordering::Relaxed),
             self.sim_engine_batched.load(Ordering::Relaxed),
-            self.lane_compactions.load(Ordering::Relaxed),
             self.neighborhood_batches.load(Ordering::Relaxed),
             self.candidates_per_batch(),
             self.mega_lanes.load(Ordering::Relaxed),
@@ -400,7 +394,6 @@ mod tests {
         s.sim_batches.fetch_add(16, Ordering::Relaxed);
         s.sim_engine_scalar.fetch_add(4, Ordering::Relaxed);
         s.sim_engine_batched.fetch_add(12, Ordering::Relaxed);
-        s.lane_compactions.fetch_add(9, Ordering::Relaxed);
         s.neighborhood_batches.fetch_add(4, Ordering::Relaxed);
         s.mega_lanes.fetch_add(512, Ordering::Relaxed);
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
@@ -421,7 +414,7 @@ mod tests {
         assert_eq!(v.get("sim_batches").unwrap().as_i64(), Some(16));
         assert_eq!(v.get("sim_engine_scalar").unwrap().as_i64(), Some(4));
         assert_eq!(v.get("sim_engine_batched").unwrap().as_i64(), Some(12));
-        assert_eq!(v.get("lane_compactions").unwrap().as_i64(), Some(9));
+        assert!(v.get("lane_compactions").is_none());
         assert_eq!(v.get("neighborhood_batches").unwrap().as_i64(), Some(4));
         assert_eq!(v.get("mega_lanes").unwrap().as_i64(), Some(512));
         assert_eq!(v.get("candidates_per_batch").unwrap().as_f64(), Some(4.5));
@@ -437,7 +430,7 @@ mod tests {
         assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
         assert!(line.contains("resched full=7 spliced=5"));
         assert!(line.contains("sim=640v/16b"));
-        assert!(line.contains("engine=scalar:4/batched:12 compactions=9"));
+        assert!(line.contains("engine=scalar:4/batched:12 mega="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));
     }
 }

@@ -109,7 +109,7 @@ pub struct CompiledFn {
     /// (single-block functions whose operands always reference earlier
     /// instructions). When set, the zero contents of a fresh value array
     /// are unobservable, so the batched engine may recycle one without
-    /// re-zeroing it.
+    /// re-zeroing it (see [`CompiledFn::fusable_straightline`]).
     pub(crate) writes_before_reads: bool,
 }
 
@@ -276,39 +276,6 @@ impl CompiledFn {
         self.blocks.len()
     }
 
-    /// Whether the block graph has a cycle, i.e. some lane may enter a
-    /// block more than once. Kahn's peeling: a cycle is exactly what
-    /// never reaches in-degree zero.
-    pub fn has_loop(&self) -> bool {
-        let succs = |t: &CTerm| match *t {
-            CTerm::Jump(s) => [Some(s), None],
-            CTerm::Branch {
-                on_true, on_false, ..
-            } => [Some(on_true), Some(on_false)],
-            CTerm::Return(_) => [None, None],
-        };
-        let mut indegree = vec![0usize; self.blocks.len()];
-        for b in &self.blocks {
-            for s in succs(&b.term).into_iter().flatten() {
-                indegree[s] += 1;
-            }
-        }
-        let mut ready: Vec<usize> = (0..self.blocks.len())
-            .filter(|&b| indegree[b] == 0)
-            .collect();
-        let mut peeled = 0;
-        while let Some(b) = ready.pop() {
-            peeled += 1;
-            for s in succs(&self.blocks[b].term).into_iter().flatten() {
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    ready.push(s);
-                }
-            }
-        }
-        peeled < self.blocks.len()
-    }
-
     /// Indices of blocks that end in a conditional branch.
     pub fn branch_blocks(&self) -> impl Iterator<Item = usize> + '_ {
         self.blocks
@@ -332,7 +299,16 @@ impl CompiledFn {
         init: &[Vec<i64>],
         step_limit: u64,
     ) -> Result<ExecResult, ExecError> {
-        let memories = crate::batch::sized_memories(self, init);
+        let memories = self
+            .mem_sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &sz)| {
+                let mut m = init.get(i).cloned().unwrap_or_default();
+                m.resize(sz, 0);
+                m
+            })
+            .collect();
         self.run(inputs, memories, step_limit)
     }
 

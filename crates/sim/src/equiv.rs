@@ -354,13 +354,18 @@ mod tests {
         assert!(matches!(*m, Mismatch::Outputs { .. }));
     }
 
-    /// The captured reference, judged through `simulate` on both engines,
+    /// The captured reference, judged through `simulate` on the scalar
+    /// engine — and on the batched one when the call is straight-line —
     /// must reach the oracle's verdict.
     fn verdicts_agree(f1: &fact_ir::Function, f2: &fact_ir::Function, t: &TraceSet, seed: u64) {
         let oracle = check_equivalence(f1, f2, t, seed).is_ok();
         let reference = EquivReference::capture(f1, t, seed);
         let cf2 = CompiledFn::compile(f2);
-        for engine in [SimEngine::Scalar, SimEngine::batched_with(3)] {
+        let mut engines = vec![SimEngine::Scalar];
+        if SimEngine::batchable(&cf2, t, Some(&reference)) {
+            engines.push(SimEngine::batched_with(3));
+        }
+        for engine in engines {
             let sim = simulate(
                 &cf2,
                 t,

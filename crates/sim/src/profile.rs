@@ -107,7 +107,7 @@ pub fn profile_with(f: &Function, traces: &TraceSet, config: &ExecConfig) -> Bra
 /// the single implementation behind every profiling path (the
 /// interpreter oracle and both engines of [`crate::simulate`]). A run
 /// recorded with weight `w` contributes exactly as `w` identical scalar
-/// runs would, so deduplicated batched profiles stay bit-identical to
+/// runs would, so deduplicated profiles stay bit-identical to
 /// vector-at-a-time ones.
 pub(crate) struct ProfileAccum {
     stats: BranchStats,
@@ -147,51 +147,12 @@ impl ProfileAccum {
         }
     }
 
-    /// Records one *successful* run directly from a batch lane's dense
-    /// counter rows (`branch_counts` and `block_visits`, both indexed by
-    /// block). Arithmetic is identical to [`ProfileAccum::record`] on the
-    /// [`ExecResult`] the lane would have materialized: the `t + f > 0`
-    /// filter mirrors how the result's branch map is populated.
-    pub(crate) fn record_run(&mut self, branches: &[(u64, u64)], visits: &[u64], weight: usize) {
-        let w = weight as u64;
-        for (b, &(t, f)) in branches.iter().enumerate() {
-            if t + f > 0 {
-                let e = self.stats.counts.entry(b).or_insert((0, 0));
-                e.0 += t * w;
-                e.1 += f * w;
-            }
-        }
-        for (i, &c) in visits.iter().enumerate() {
-            self.visit_totals[i] += c * w;
-        }
+    /// Records `weight` successful runs of a single-block function: each
+    /// entered block `entry` once and branched nowhere. Arithmetic is
+    /// identical to [`ProfileAccum::record`] on those runs' results.
+    pub(crate) fn record_straightline_runs(&mut self, entry: usize, weight: usize) {
+        self.visit_totals[entry] += weight as u64;
         self.ok += weight;
-    }
-
-    /// Records one failed run observed `weight` times.
-    pub(crate) fn record_failed(&mut self, weight: usize) {
-        self.failed += weight;
-    }
-
-    /// Records pre-summed per-block totals for a *group* of successful
-    /// runs (see `ProfileSink::retire_group`). Since every counter is a
-    /// plain sum, folding lane-wise totals per block is arithmetic-
-    /// identical to calling [`ProfileAccum::record_run`] once per lane:
-    /// the branch entry for `b` is touched exactly when some lane
-    /// branched in `b`, and zero-count lanes contribute nothing either
-    /// way.
-    pub(crate) fn record_block_totals(&mut self, b: usize, t: u64, f: u64, visits: u64) {
-        if t + f > 0 {
-            let e = self.stats.counts.entry(b).or_insert((0, 0));
-            e.0 += t;
-            e.1 += f;
-        }
-        self.visit_totals[b] += visits;
-    }
-
-    /// Counts `n` weighted successful runs (the `ok` side of
-    /// [`ProfileAccum::record_run`], in bulk).
-    pub(crate) fn record_ok_runs(&mut self, n: usize) {
-        self.ok += n;
     }
 
     /// Assembles the profile; `branch_blocks` enumerates the indices of

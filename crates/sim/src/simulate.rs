@@ -3,22 +3,19 @@
 //! The paper validates every rewrite by simulating it on the typical
 //! traces (§3) and takes branch probabilities from the same traces
 //! (§4.1), so evaluating a candidate is one simulation job: [`simulate`]
-//! verifies a compiled function against a captured [`EquivReference`],
-//! profiles it, and measures its control-flow divergence, on the engine
-//! the caller picked ([`SimEngine::for_call`]). Both engines report
-//! bit-identical verdicts and profiles — identical to the interpreter
-//! oracles [`crate::check_equivalence`] and [`crate::profile`] — and
-//! differ only in wall-clock time and work counters.
+//! verifies a compiled function against a captured [`EquivReference`]
+//! and profiles it, on the engine the caller picked
+//! ([`SimEngine::for_call`]). Both engines report bit-identical verdicts
+//! and profiles — identical to the interpreter oracles
+//! [`crate::check_equivalence`] and [`crate::profile`] — and differ only
+//! in wall-clock time and work counters.
 
-use crate::batch::{
-    resolve_columns, resolve_columns_range, resolve_lanes, resolve_presence_only,
-    sized_memories_into, InputPrefill, Lane, SimCounters, SimEngine, SimScratch, VerifySink,
-};
+use crate::batch::{SimCounters, SimEngine, SimScratch};
 use crate::compiled::CompiledFn;
 use crate::equiv::{judge, EquivReference, Expected};
 use crate::interp::{ExecError, ExecResult, DEFAULT_STEP_LIMIT};
 use crate::profile::{BranchProfile, ProfileAccum};
-use crate::trace::{DedupLanes, TraceSet};
+use crate::trace::{DedupLanes, TraceColumns, TraceSet};
 
 /// What one [`simulate`] call observed.
 #[derive(Debug)]
@@ -27,11 +24,6 @@ pub struct Simulation {
     /// memories; `None` when the function is not equivalent to the
     /// reference.
     pub profile: Option<BranchProfile>,
-    /// Fraction of batched lane-steps that ran off the contiguous-group
-    /// fast path, over the whole call (see [`SimCounters::divergence`]);
-    /// 0.0 on the scalar engine. [`SimEngine::for_call`] turns a batched
-    /// call's rate into the engine for the function's next call.
-    pub divergence: f64,
     /// Lanes of the first pass: the distinct trace vectors when every
     /// vector starts from zeroed memories, one per vector otherwise.
     pub lanes: usize,
@@ -69,45 +61,47 @@ impl StepBound {
     }
 }
 
-/// Lanes from which a loop-free function runs batched.
+/// Distinct lanes from which a straight-line call runs batched.
 ///
 /// Both engines run each distinct lane once, weighted, so the batched
-/// engine's only win is lockstep execution. `fact-bench`'s `sim_perf`
-/// crossover sweep (`BENCH_sim.json`) measures it per suite behavior and
-/// distinct-lane count. The loop-free PPS loses on 1 and 2 lanes, breaks
-/// even near 4 and wins from 8 on (1.6× at 8, 10× at 1024). Of the
-/// behaviors with a loop, GCD, Test2, IGF and RANDWALK lose at every
-/// count from 1 to 1024 and SINTRAN at best breaks even; only FIR wins
-/// (1.2–1.8× from 16 lanes). Neither lane count nor ops per block entry
-/// separates FIR from IGF, so every function with a loop runs scalar.
+/// engine's only win is dispatching each instruction once per batch.
+/// `fact-bench`'s `sim_perf` crossover sweep (`BENCH_sim.json`) measures
+/// it on PPS, the suite's straight-line behavior: batching loses on 1
+/// and 2 lanes, breaks even near 4 and wins from 8 on (2.9× at 8, 20× at
+/// 1024).
 pub const MIN_BATCHED_LANES: usize = 8;
 
 impl SimEngine {
     /// The production engine policy for one [`simulate`] call of `cf`
-    /// over `traces` against `reference`: scalar when `cf` has a loop
-    /// ([`CompiledFn::has_loop`]) or the call's first pass has fewer than
-    /// [`MIN_BATCHED_LANES`] lanes; otherwise scalar when the divergence
-    /// `rate` an earlier call measured for the function exceeds 0.1, and
-    /// the default batched engine when it does not or none was measured.
+    /// over `traces` against `reference`: the default batched engine
+    /// exactly when the batched engine can run the call
+    /// ([`SimEngine::batchable`]) and its pass has at least
+    /// [`MIN_BATCHED_LANES`] distinct lanes; scalar otherwise.
     pub fn for_call(
         cf: &CompiledFn,
-        rate: Option<f64>,
         traces: &TraceSet,
         reference: Option<&EquivReference>,
     ) -> SimEngine {
-        if cf.has_loop() {
-            return SimEngine::Scalar;
-        }
-        let lanes = if zeroed(reference) {
-            traces.dedup_lanes().len()
+        if SimEngine::batchable(cf, traces, reference)
+            && traces.dedup_lanes().len() >= MIN_BATCHED_LANES
+        {
+            SimEngine::default()
         } else {
-            traces.len()
-        };
-        if lanes < MIN_BATCHED_LANES {
             SimEngine::Scalar
-        } else {
-            rate.map_or_else(SimEngine::default, SimEngine::for_divergence)
         }
+    }
+
+    /// Whether the batched engine can run this [`simulate`] call: the
+    /// call is straight-line — `cf` is one memory-free,
+    /// `Return`-terminated block that writes every slot before reading
+    /// it, every vector starts from zeroed memories, and every input name
+    /// has a trace column — so no lane can fail or diverge.
+    pub fn batchable(
+        cf: &CompiledFn,
+        traces: &TraceSet,
+        reference: Option<&EquivReference>,
+    ) -> bool {
+        straightline_columns(cf, traces, reference).is_some()
     }
 }
 
@@ -119,29 +113,42 @@ fn zeroed(reference: Option<&EquivReference>) -> bool {
     reference.is_none_or(EquivReference::memory_free)
 }
 
+/// The trace columns a batched call of `cf` reads its inputs from, when
+/// the call is one the batched engine runs: `cf` is
+/// [`CompiledFn::fusable_straightline`], its lanes are the dedup lanes
+/// (zeroed memories, so dedup lane `k` is column row `k`), and every
+/// input name has a column. Such a call can neither fail nor diverge.
+fn straightline_columns<'t>(
+    cf: &CompiledFn,
+    traces: &'t TraceSet,
+    reference: Option<&EquivReference>,
+) -> Option<&'t TraceColumns> {
+    if !(zeroed(reference) && cf.fusable_straightline(DEFAULT_STEP_LIMIT)) {
+        return None;
+    }
+    traces
+        .columns()
+        .filter(|c| cf.input_names.iter().all(|n| c.col(n).is_some()))
+}
+
 /// Running [`StepBound`] of a pass, plus whether a lane hit the limit.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct LaneSteps {
+struct LaneSteps {
     bound: StepBound,
     limited: bool,
 }
 
 impl LaneSteps {
     /// A lane returned after `ops` ops over `entries` block entries.
-    pub(crate) fn ok(&mut self, ops: u64, entries: u64) {
+    fn ok(&mut self, ops: u64, entries: u64) {
         self.bound.ops = self.bound.ops.max(ops);
         self.bound.entries = self.bound.entries.max(entries);
-    }
-
-    /// A lane failed with `e`.
-    pub(crate) fn failed(&mut self, e: &ExecError) {
-        self.limited |= matches!(e, ExecError::StepLimitExceeded { .. });
     }
 
     fn record(&mut self, r: &Result<ExecResult, ExecError>) {
         match r {
             Ok(r) => self.ok(r.ops_executed, r.block_visits.iter().sum()),
-            Err(e) => self.failed(e),
+            Err(e) => self.limited |= matches!(e, ExecError::StepLimitExceeded { .. }),
         }
     }
 
@@ -166,16 +173,18 @@ impl LaneSteps {
 ///   pass from zeroed memories.
 /// - With no `reference`: the profile pass alone.
 ///
-/// Verification stops at the first batch holding a disagreeing lane.
-/// When every vector starts from zeroed memories, identical vectors run
-/// as one lane weighted by their multiplicity. `counters`, when given,
-/// receives the call's work tallies: logical vectors (a lane of
-/// multiplicity *k* counts *k*), batches, compactions and lane-steps.
-/// `scratch` donates reusable buffers.
+/// Verification stops at the first disagreeing vector (on the batched
+/// engine, at the first batch holding one). When every vector starts
+/// from zeroed memories, identical vectors run as one lane weighted by
+/// their multiplicity. `counters`, when given, receives the call's work
+/// tallies: logical vectors (a lane of multiplicity *k* counts *k*) and
+/// batches. `scratch` donates reusable buffers.
 ///
 /// # Panics
 /// Panics if `traces` has a different vector count than the set the
-/// reference was captured with.
+/// reference was captured with, and on [`SimEngine::Batched`] if the
+/// call is not [`SimEngine::batchable`]: the batched engine runs nothing
+/// else.
 ///
 /// # Examples
 ///
@@ -186,11 +195,12 @@ impl LaneSteps {
 /// let g = fact_lang::compile("proc f(a) { var y = 0; if (0 < a) { y = a; } out y = y; }")?;
 /// let traces = generate(&[("a".into(), InputSpec::Uniform { lo: -9, hi: 9 })], 64, 3);
 /// let reference = EquivReference::capture(&f, &traces, 1);
+/// let cg = CompiledFn::compile(&g);
 /// let sim = simulate(
-///     &CompiledFn::compile(&g),
+///     &cg,
 ///     &traces,
 ///     Some(&reference),
-///     SimEngine::default(),
+///     SimEngine::for_call(&cg, &traces, Some(&reference)),
 ///     None,
 ///     &mut Default::default(),
 /// );
@@ -212,195 +222,143 @@ pub fn simulate(
             "simulate needs the traces the reference was captured with"
         );
     }
-    let local = SimCounters::default();
     let mut accum = ProfileAccum::new(cf.num_blocks());
-    // Verification runs on random initial images, profiling on zeroed
-    // ones; a memory-free function cannot tell the two apart.
-    let first_profiles = reference.is_none() || cf.num_memories() == 0;
-    let first = Pass {
-        cf,
-        traces,
-        reference,
-        engine,
-        counters: &local,
+    let (equivalent, lanes, steps, vectors, batches) = match engine {
+        SimEngine::Scalar => {
+            // Verification runs on random initial images, profiling on
+            // zeroed ones; a memory-free function cannot tell the two
+            // apart.
+            let first_profiles = reference.is_none() || cf.num_memories() == 0;
+            let (equivalent, lanes, mut steps, mut vectors) =
+                scalar_pass(cf, traces, reference, first_profiles.then_some(&mut accum));
+            if equivalent && !first_profiles {
+                let (_, _, profiled, v) = scalar_pass(cf, traces, None, Some(&mut accum));
+                steps.merge(profiled);
+                vectors += v;
+            }
+            (equivalent, lanes, steps, vectors, 0)
+        }
+        SimEngine::Batched { max_lanes } => {
+            batched_pass(cf, traces, reference, max_lanes, &mut accum, scratch)
+        }
     };
-    let (equivalent, lanes, mut steps) = first.run(first_profiles.then_some(&mut accum), scratch);
-    if equivalent && !first_profiles {
-        let profile = Pass {
-            reference: None,
-            ..first
-        };
-        steps.merge(profile.run(Some(&mut accum), scratch).2);
-    }
     if let Some(c) = counters {
-        c.merge(&local);
+        c.add(vectors, batches);
     }
     Simulation {
         profile: equivalent.then(|| accum.finish(cf.branch_blocks())),
-        divergence: local.divergence(),
         lanes,
         steps: steps.finish(),
     }
 }
 
-/// One pass of a function over a trace set.
-#[derive(Clone, Copy)]
-struct Pass<'a> {
-    cf: &'a CompiledFn,
-    traces: &'a TraceSet,
-    /// Judge every vector against this capture, starting from its
-    /// initial images; `None` runs every vector from zeroed memories.
-    reference: Option<&'a EquivReference>,
-    engine: SimEngine,
-    counters: &'a SimCounters,
+/// One scalar pass of `cf` over `traces`, judging every vector against
+/// `reference` from its initial images (`None`: from zeroed memories) and
+/// folding profile statistics into `accum` when given. Returns whether
+/// every vector agreed, the pass's lane count, its lanes' step tally and
+/// the vectors it covered.
+fn scalar_pass(
+    cf: &CompiledFn,
+    traces: &TraceSet,
+    reference: Option<&EquivReference>,
+    mut accum: Option<&mut ProfileAccum>,
+) -> (bool, usize, LaneSteps, u64) {
+    let dl = if zeroed(reference) {
+        traces.dedup_lanes()
+    } else {
+        DedupLanes::Identity(traces.len())
+    };
+    let mut steps = LaneSteps::default();
+    let mut vectors = 0;
+    for k in 0..dl.len() {
+        let (i, weight) = dl.get(k);
+        let init = reference.map_or(&[][..], |r| r.init(i));
+        let r = cf.execute_seeded(&traces.vectors[i], init, DEFAULT_STEP_LIMIT);
+        vectors += weight as u64;
+        steps.record(&r);
+        if let Some(a) = accum.as_deref_mut() {
+            a.record(&r, weight);
+        }
+        if reference.is_some_and(|rf| judge(i, rf.expected(i), &r).is_some()) {
+            return (false, dl.len(), steps, vectors);
+        }
+    }
+    (true, dl.len(), steps, vectors)
 }
 
-impl Pass<'_> {
-    /// Runs the pass, folding profile statistics into `accum` when given
-    /// (a pass without a reference always profiles). Returns whether
-    /// every vector agreed with the reference, the pass's lane count, and
-    /// its lanes' step tally.
-    fn run(
-        &self,
-        mut accum: Option<&mut ProfileAccum>,
-        scratch: &mut SimScratch,
-    ) -> (bool, usize, LaneSteps) {
-        let Pass {
-            cf,
-            traces,
-            reference,
-            counters,
-            ..
-        } = *self;
-        let init = |i: usize| reference.map_or(&[][..], |r| r.init(i));
-        let zeroed = zeroed(reference);
-        let dl = if zeroed {
-            traces.dedup_lanes()
-        } else {
-            DedupLanes::Identity(traces.len())
-        };
-        let mut steps = LaneSteps::default();
-        let max_lanes = match self.engine {
-            SimEngine::Scalar => {
-                let mut vectors = 0;
-                let mut agreed = true;
-                for k in 0..dl.len() {
-                    let (i, weight) = dl.get(k);
-                    let r = cf.execute_seeded(&traces.vectors[i], init(i), DEFAULT_STEP_LIMIT);
-                    vectors += weight as u64;
-                    steps.record(&r);
-                    if let Some(a) = accum.as_deref_mut() {
-                        a.record(&r, weight);
-                    }
-                    if reference.is_some_and(|rf| judge(i, rf.expected(i), &r).is_some()) {
-                        agreed = false;
-                        break;
-                    }
-                }
-                counters.add(vectors, 0);
-                return (agreed, dl.len(), steps);
-            }
-            SimEngine::Batched { max_lanes } => max_lanes.max(1),
-        };
-        let cols = traces.columns();
-        // Straight-line fusion: when no batch of this function can fail
-        // or diverge and every input has a trace column, input rows are
-        // filled directly from the columns inside the run
-        // (`InputPrefill`). Sound only when dedup row `k` is column row
-        // `k`, i.e. when the lanes are the dedup lanes.
-        let fuse = zeroed
-            && cf.fusable_straightline(DEFAULT_STEP_LIMIT)
-            && cols.is_some_and(|c| cf.input_names.iter().all(|n| c.col(n).is_some()));
-        let batch = &mut scratch.batch;
-        let (mut vectors, mut batches) = (0u64, 0u64);
-        let mut agreed = true;
-        let mut start = 0;
-        while agreed && start < dl.len() {
-            let end = (start + max_lanes).min(dl.len());
-            let n = end - start;
-            // Per-lane dedup multiplicities; `None` = all 1 (the
-            // all-distinct identity case allocates nothing).
-            let weights: Option<Vec<usize>> = match dl {
-                DedupLanes::Identity(_) => None,
-                DedupLanes::Lanes(l) => Some(l[start..end].iter().map(|&(_, m)| m).collect()),
-            };
-            let (resolved, memories) = match cols {
-                Some(cols) => {
-                    let resolved = if fuse {
-                        resolve_presence_only(cf, n, batch)
-                    } else if zeroed {
-                        // Dedup row k *is* column row k: one straight
-                        // copy per input name.
-                        resolve_columns_range(cf, cols, start..end, batch)
-                    } else {
-                        resolve_columns(cf, cols, (start..end).map(|i| cols.row_of(i)), batch)
-                    };
-                    let memories = batch.take_memories(n, |k, lane| {
-                        sized_memories_into(cf, init(dl.index(start + k)), lane)
-                    });
-                    (resolved, memories)
-                }
-                None => {
-                    let lanes: Vec<Lane<'_>> = (start..end)
-                        .map(|k| Lane {
-                            inputs: &traces.vectors[dl.index(k)],
-                            init: init(dl.index(k)),
-                        })
-                        .collect();
-                    resolve_lanes(cf, &lanes)
-                }
-            };
-            let prefill = match cols {
-                Some(cols) if fuse => Some(InputPrefill {
-                    cols,
-                    rows: start..end,
-                }),
-                _ => None,
-            };
-            match reference {
-                Some(r) => {
-                    let expected: Vec<Expected<'_>> =
-                        (start..end).map(|k| r.expected(dl.index(k))).collect();
-                    let mut sink = VerifySink {
-                        expected: &expected,
-                        weights: weights.as_deref(),
-                        accum: accum.as_deref_mut(),
-                        mismatch: false,
-                        steps: LaneSteps::default(),
-                    };
-                    cf.run_batch_verified(
-                        resolved,
-                        memories,
-                        DEFAULT_STEP_LIMIT,
-                        Some(counters),
-                        &mut sink,
-                        batch,
-                        prefill,
-                    );
-                    agreed = !sink.mismatch;
-                    steps.merge(sink.steps);
-                }
-                None => steps.merge(
-                    cf.run_batch_profiled(
-                        resolved,
-                        memories,
-                        DEFAULT_STEP_LIMIT,
-                        Some(counters),
-                        weights.as_deref(),
-                        accum
-                            .as_deref_mut()
-                            .expect("a pass without a reference profiles"),
-                        batch,
-                        prefill,
-                    ),
-                ),
-            }
-            vectors += weights.map_or(n, |w| w.iter().sum()) as u64;
-            batches += 1;
-            start = end;
+/// The batched pass of a straight-line call: at most `max_lanes` dedup
+/// lanes per batch through the fused kernel, each batch judged against
+/// `reference` (when given) and profiled at once. Stops after the first
+/// batch holding a disagreeing lane. Returns what [`scalar_pass`] does,
+/// plus the batches run.
+fn batched_pass(
+    cf: &CompiledFn,
+    traces: &TraceSet,
+    reference: Option<&EquivReference>,
+    max_lanes: usize,
+    accum: &mut ProfileAccum,
+    scratch: &mut SimScratch,
+) -> (bool, usize, LaneSteps, u64, u64) {
+    let cols = straightline_columns(cf, traces, reference)
+        .expect("the batched engine runs straight-line calls only (see SimEngine::batchable)");
+    let max_lanes = max_lanes.max(1);
+    let dl = traces.dedup_lanes();
+    let outputs: Vec<(usize, usize)> = cf.straightline_outputs().collect();
+    let returned = cf.straightline_return();
+    // Every lane runs the block's instructions once, and nothing else.
+    let ops = cf.blocks[cf.entry].insts.len() as u64;
+    let mut steps = LaneSteps::default();
+    let (mut vectors, mut batches) = (0u64, 0u64);
+    let mut agreed = true;
+    let mut start = 0;
+    while agreed && start < dl.len() {
+        let end = (start + max_lanes).min(dl.len());
+        let n = end - start;
+        let values = cf.run_straightline(cols, start..end, scratch);
+        if let Some(r) = reference {
+            agreed = (0..n).all(|k| {
+                let lane = |slot: usize| values[slot * n + k];
+                lane_agrees(
+                    cf,
+                    &outputs,
+                    returned,
+                    lane,
+                    r.expected(dl.index(start + k)),
+                )
+            });
         }
-        counters.add(vectors, batches);
-        (agreed, dl.len(), steps)
+        let weight: usize = (start..end).map(|k| dl.get(k).1).sum();
+        accum.record_straightline_runs(cf.entry, weight);
+        steps.ok(ops, 1);
+        vectors += weight as u64;
+        batches += 1;
+        start = end;
+    }
+    (agreed, dl.len(), steps, vectors, batches)
+}
+
+/// Whether one lane of a straight-line batch — its value of slot `s` is
+/// `lane(s)` — agrees with its captured expectation, with `judge`'s
+/// semantics: outputs in emission order, then the return value. A
+/// straight-line lane has no memories to compare and never fails, so an
+/// expected failure disagrees.
+fn lane_agrees(
+    cf: &CompiledFn,
+    outputs: &[(usize, usize)],
+    returned: Option<usize>,
+    lane: impl Fn(usize) -> i64,
+    expected: Expected<'_>,
+) -> bool {
+    match expected {
+        Err(_) => false,
+        Ok((want, _, want_returned)) => {
+            want.len() == outputs.len()
+                && outputs
+                    .iter()
+                    .zip(want)
+                    .all(|(&(name, slot), (n, v))| lane(slot) == *v && cf.output_names[name] == *n)
+                && returned.map(&lane) == want_returned
+        }
     }
 }
 
@@ -430,28 +388,31 @@ mod tests {
         )
     }
 
-    /// `simulate` on both engines (several lane caps) agrees with the
-    /// oracles: the verdict with `check_equivalence`, the profile with
-    /// the interpreter's `profile`. Returns the per-engine results.
+    /// `simulate` on the scalar engine, and on the batched one (several
+    /// lane caps) when the call is straight-line, agrees with the
+    /// oracles: the verdict with `check_equivalence`, the profile with the
+    /// interpreter's `profile`. Returns the per-engine results.
     fn assert_matches_oracles(f: &Function, g: &Function, traces: &TraceSet) -> Vec<Simulation> {
         let reference = EquivReference::capture(f, traces, 9);
         let equivalent = check_equivalence(f, g, traces, 9).is_ok();
         let oracle = profile(g, traces);
         let cg = CompiledFn::compile(g);
+        let mut engines = vec![SimEngine::Scalar];
+        if SimEngine::batchable(&cg, traces, Some(&reference)) {
+            engines.extend([
+                SimEngine::batched_with(1),
+                SimEngine::batched_with(5),
+                SimEngine::default(),
+            ]);
+        }
         let mut scratch = SimScratch::default();
         let mut out = Vec::new();
-        for engine in [
-            SimEngine::Scalar,
-            SimEngine::batched_with(1),
-            SimEngine::batched_with(5),
-            SimEngine::default(),
-        ] {
+        for engine in engines {
             let sim = simulate(&cg, traces, Some(&reference), engine, None, &mut scratch);
             assert_eq!(sim.profile.is_some(), equivalent, "verdict ({engine:?})");
             if let Some(p) = &sim.profile {
                 assert_eq!(p, &oracle, "profile ({engine:?})");
             }
-            assert!((0.0..=1.0).contains(&sim.divergence));
             let unchecked = simulate(&cg, traces, None, engine, None, &mut scratch);
             assert_eq!(unchecked.profile.as_ref(), Some(&oracle), "({engine:?})");
             // The profile pass's step bound is the interpreter's, lane
@@ -513,6 +474,29 @@ mod tests {
         assert_matches_oracles(&f, &same, &t);
         assert_matches_oracles(&f, &bad, &t);
         assert_matches_oracles(&f, &rare, &t);
+        // Straight-line calls, which also run batched.
+        let f = compile("proc f(a, n) { out s = a * n + 1; out t = a - n; }").unwrap();
+        for (g, equivalent) in [
+            (
+                "proc f(a, n) { out s = n * a + 1; out t = a + (0 - n); }",
+                true,
+            ),
+            ("proc f(a, n) { out s = a * n + 1; out t = n - a; }", false),
+            // Disagrees only on the duplicated lanes with a == 2.
+            (
+                "proc f(a, n) { out s = a * n + 1 + (a == 2); out t = a - n; }",
+                false,
+            ),
+            // Same values, one output missing.
+            ("proc f(a, n) { out s = a * n + 1; }", false),
+        ] {
+            let sims = assert_matches_oracles(&f, &compile(g).unwrap(), &t);
+            assert_eq!(sims.len(), 4, "{g} runs on both engines");
+            assert!(
+                sims.iter().all(|s| s.profile.is_some() == equivalent),
+                "{g}"
+            );
+        }
     }
 
     #[test]
@@ -559,10 +543,9 @@ mod tests {
         assert!(p.runs_failed > 0 && p.runs_ok > 0);
 
         // Step-limit failures: n = 1 never leaves the loop, so its lane
-        // (two duplicate vectors) runs into the default step limit,
-        // through the verify sink (with a reference) and the profile
-        // sink (without). Six explicit vectors keep the 2M-step lanes
-        // few; the oracle comparison is direct for the same reason.
+        // (two duplicate vectors) runs into the default step limit, with
+        // a reference and without. Six explicit vectors keep the 2M-step
+        // lanes few; the oracle comparison is direct for the same reason.
         let f =
             compile("proc f(n) { var i = 1; while (i > 0) { i = i * n; } out i = i; }").unwrap();
         let t = TraceSet::new(
@@ -575,15 +558,12 @@ mod tests {
         let reference = EquivReference::capture(&f, &t, 9);
         let cf = CompiledFn::compile(&f);
         let mut scratch = SimScratch::default();
-        // Three distinct lanes at two per batch: two batches.
-        for (engine, batches) in [(SimEngine::Scalar, 0), (SimEngine::batched_with(2), 2)] {
-            for r in [Some(&reference), None] {
-                let c = SimCounters::default();
-                let sim = simulate(&cf, &t, r, engine, Some(&c), &mut scratch);
-                assert_eq!(sim.profile.as_ref(), Some(&oracle), "({engine:?})");
-                assert_eq!(sim.steps, None, "a lane hit the limit ({engine:?})");
-                assert_eq!((c.vectors(), c.batches()), (6, batches), "({engine:?})");
-            }
+        for r in [Some(&reference), None] {
+            let c = SimCounters::default();
+            let sim = simulate(&cf, &t, r, SimEngine::Scalar, Some(&c), &mut scratch);
+            assert_eq!(sim.profile.as_ref(), Some(&oracle));
+            assert_eq!(sim.steps, None, "a lane hit the limit");
+            assert_eq!((c.vectors(), c.batches()), (6, 0));
         }
     }
 
@@ -591,7 +571,7 @@ mod tests {
     fn counters_cover_every_vector_once_per_pass() {
         let t = duplicate_heavy();
         let lanes = t.dedup_lanes().len();
-        let f = compile(LOOP_SRC).unwrap();
+        let f = compile("proc f(a, n) { out s = a * n + 1; }").unwrap();
         let reference = EquivReference::capture(&f, &t, 7);
         let cf = CompiledFn::compile(&f);
         let mut scratch = SimScratch::default();
@@ -617,13 +597,12 @@ mod tests {
             &cm,
             &t,
             Some(&reference),
-            SimEngine::batched_with(5),
+            SimEngine::Scalar,
             Some(&c),
             &mut scratch,
         );
         assert_eq!(sim.lanes, 50);
-        assert_eq!(c.vectors(), 100);
-        assert_eq!(c.batches(), 10 + lanes.div_ceil(5) as u64);
+        assert_eq!((c.vectors(), c.batches()), (100, 0));
         // No reference: the profile pass alone; the scalar engine runs
         // each distinct vector once, weighted, and no batch.
         let c = SimCounters::default();
@@ -632,43 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn divergence_separates_convergent_from_divergent() {
-        let cf = CompiledFn::compile(
-            &compile(
-                "proc f(n) { var i = 0; var s = 0; \
-                 while (i < n) { s = s + i; i = i + 1; } out s = s; }",
-            )
-            .unwrap(),
-        );
-        let mut scratch = SimScratch::default();
-        let run = |traces: &TraceSet, engine, scratch: &mut SimScratch| {
-            simulate(&cf, traces, None, engine, None, scratch).divergence
-        };
-        let convergent = generate(&[("n".to_string(), InputSpec::Constant(25))], 64, 1);
-        let d0 = run(&convergent, SimEngine::default(), &mut scratch);
-        assert_eq!(d0, 0.0, "identical lanes never leave the fast path");
-        let divergent = generate(
-            &[("n".to_string(), InputSpec::Uniform { lo: 0, hi: 400 })],
-            64,
-            2,
-        );
-        let d1 = run(&divergent, SimEngine::default(), &mut scratch);
-        assert!(d1 > d0, "spread trip counts must measure as divergence");
-        assert_eq!(run(&divergent, SimEngine::Scalar, &mut scratch), 0.0);
-    }
-
-    #[test]
-    fn engine_policy_thresholds_the_rate() {
-        assert_eq!(SimEngine::for_divergence(0.0), SimEngine::default());
-        assert_eq!(
-            SimEngine::for_divergence(crate::batch::SCALAR_DIVERGENCE_THRESHOLD),
-            SimEngine::default()
-        );
-        assert_eq!(SimEngine::for_divergence(0.5), SimEngine::Scalar);
-    }
-
-    #[test]
-    fn engine_policy_batches_loop_free_functions_of_enough_lanes() {
+    fn engine_policy_batches_straight_line_calls_of_enough_lanes() {
         let lanes = |hi: i64| {
             generate(
                 &[
@@ -682,30 +625,44 @@ mod tests {
         let (few, many) = (lanes(1), lanes(1000));
         assert!(few.dedup_lanes().len() < MIN_BATCHED_LANES);
         assert!(many.dedup_lanes().len() >= MIN_BATCHED_LANES);
-        let straight =
-            CompiledFn::compile(&compile("proc f(a, n) { out s = a * n + 1; }").unwrap());
-        let looping = CompiledFn::compile(&compile(LOOP_SRC).unwrap());
-        let branching = CompiledFn::compile(
-            &compile("proc f(a, n) { var s = n; if (a < 3) { s = s + 1; } out s = s; }").unwrap(),
-        );
-        assert!(!straight.has_loop() && !branching.has_loop() && looping.has_loop());
-        for rate in [None, Some(0.0)] {
-            let call = |cf, traces| SimEngine::for_call(cf, rate, traces, None);
-            assert_eq!(call(&straight, &few), SimEngine::Scalar);
-            assert_eq!(call(&straight, &many), SimEngine::default());
-            assert_eq!(call(&looping, &many), SimEngine::Scalar);
+        let call = |src: &str, traces| {
+            SimEngine::for_call(&CompiledFn::compile(&compile(src).unwrap()), traces, None)
+        };
+        let straight = "proc f(a, n) { out s = a * n + 1; }";
+        assert_eq!(call(straight, &few), SimEngine::Scalar);
+        assert_eq!(call(straight, &many), SimEngine::default());
+        // A loop, a branch, a memory, or an input without a trace column
+        // runs scalar, whatever the lane count.
+        for src in [
+            LOOP_SRC,
+            "proc f(a, n) { var s = n; if (a < 3) { s = s + 1; } out s = s; }",
+            "proc f(a, n) { array x[2]; x[0] = a; out s = x[0] + n; }",
+            "proc f(a, n, k) { out s = a * n + k; }",
+        ] {
+            assert_eq!(call(src, &many), SimEngine::Scalar, "{src}");
         }
+        // Against a memory-bearing reference every vector carries its own
+        // random images, so even a straight-line candidate runs scalar.
+        let f = compile("proc f(a, n) { array x[2]; x[0] = a; out s = x[0] + n; }").unwrap();
+        let reference = EquivReference::capture(&f, &many, 1);
+        let straight = CompiledFn::compile(&compile(straight).unwrap());
         assert_eq!(
-            SimEngine::for_call(&straight, Some(0.5), &many, None),
+            SimEngine::for_call(&straight, &many, Some(&reference)),
             SimEngine::Scalar
         );
-        // Against a memory-bearing reference every vector is its own
-        // lane (private random images): 50 lanes batch.
-        let f = compile("proc f(a, n) { array x[2]; x[0] = a; out s = x[0] + n; }").unwrap();
-        let reference = EquivReference::capture(&f, &few, 1);
-        assert_eq!(
-            SimEngine::for_call(&CompiledFn::compile(&f), None, &few, Some(&reference)),
-            SimEngine::default()
+    }
+
+    #[test]
+    #[should_panic(expected = "straight-line calls only")]
+    fn the_batched_engine_refuses_other_calls() {
+        let cf = CompiledFn::compile(&compile(LOOP_SRC).unwrap());
+        simulate(
+            &cf,
+            &duplicate_heavy(),
+            None,
+            SimEngine::default(),
+            None,
+            &mut SimScratch::default(),
         );
     }
 

@@ -150,6 +150,14 @@ assert d["bench"] == "sim", d
 bad = [(s["name"], s["speedup"]) for s in d["suites"] if s["speedup"] < 1.0]
 bad += [(f"{c['name']}@{c['lanes']}", c["speedup"]) for c in d["crossover"] if c["speedup"] < 1.0]
 assert not bad, f"selector lost on: {bad}"
+# The one remaining batched path must still pay: PPS, the straight-line
+# suite behavior, runs batched from the lane floor (8) on, at parity or
+# better, in every crossover cell.
+pps = [c for c in d["crossover"] if c["name"] == "PPS" and c["lanes"] >= 8]
+assert pps, "no PPS crossover cell at 8 or more lanes"
+unpaid = [(c["lanes"], c["chosen"], c["speedup"]) for c in pps
+          if c["chosen"] != "batched" or c["speedup"] < 1.0]
+assert not unpaid, f"PPS cells not batched at parity or better: {unpaid}"
 line = " ".join(f"{s['name']}:{s['speedup']}x({s['chosen']})" for s in d["suites"])
 batched = sum(c["chosen"] == "batched" for c in d["crossover"])
 print(f"BENCH_sim.json ok: {line}; crossover {batched}/{len(d['crossover'])} cells batched")
