@@ -14,6 +14,7 @@ use fact_core::{
     optimize_with, suite, EvalCache, FactConfig, OptimizeHooks, PhaseTimers, TransformLibrary,
 };
 use fact_estim::section5_library;
+use fact_xform::TransformKind;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -38,6 +39,12 @@ pub struct SuitePerf {
     /// Wall time spent proving candidates equivalent to their parents,
     /// proved or not, seconds ([`PhaseTimers::prove_ns`]).
     pub prove_s: f64,
+    /// Wall time spent deriving unrolled candidates' profiles from their
+    /// parents' counts, seconds ([`PhaseTimers::derive_ns`]).
+    pub derive_s: f64,
+    /// Unrolled candidates simulated (not proved, or their parent was
+    /// never profiled).
+    pub unroll_simulated: u64,
     /// Wall time spent simulating (verification and profiling), seconds
     /// ([`PhaseTimers::simulate_ns`]).
     pub simulate_s: f64,
@@ -119,6 +126,11 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             Ok(r) => (r.evaluated, r.cache_hits),
             Err(_) => (0, 0),
         };
+        let unroll = TransformKind::LoopUnroll.index();
+        let unroll_simulated = match &r {
+            Ok(r) => r.candidates.simulated[unroll],
+            Err(_) => 0,
+        };
         let cs = cache.stats();
         suites.push(SuitePerf {
             name: b.name,
@@ -133,6 +145,8 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             cache_hit_rate: cs.hit_rate(),
             compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
             prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            derive_s: timers.derive_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            unroll_simulated,
             simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -168,8 +182,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
-                 \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"simulate_s\": {:.4}, \
-                 \"estimate_s\": {:.4}, \
+                 \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
+                 \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
                 s.name,
                 s.evaluated,
@@ -179,6 +193,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.cache_hit_rate,
                 s.compile_s,
                 s.prove_s,
+                s.derive_s,
+                s.unroll_simulated,
                 s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
@@ -223,6 +239,11 @@ mod tests {
             assert!(
                 0.0 <= s.prove_s && s.prove_s <= s.wall_s,
                 "{}: proving is a share of the run",
+                s.name
+            );
+            assert!(
+                0.0 <= s.derive_s && s.derive_s <= s.wall_s,
+                "{}: deriving is a share of the run",
                 s.name
             );
         }

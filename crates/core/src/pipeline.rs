@@ -22,8 +22,8 @@ use fact_sched::{
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    simulate, BranchProfile, CompiledFn, EquivReference, SimCounters, SimEngine, SimScratch,
-    StepBound, TraceSet,
+    simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, SimCounters, SimEngine,
+    SimScratch, StepBound, TraceSet,
 };
 use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashMap;
@@ -117,8 +117,8 @@ pub struct FactResult {
     pub block_spliced: usize,
     /// Trace vectors simulated during candidate evaluation (every pass of
     /// every [`simulate`] call; logical vectors, so a deduplicated lane
-    /// of multiplicity *k* counts *k*). Proved candidates, and the
-    /// baseline and final profiles, are not counted.
+    /// of multiplicity *k* counts *k*). Proved and derived candidates,
+    /// and the baseline and final profiles, are not counted.
     pub sim_vectors: u64,
     /// Batched simulation passes executed.
     pub sim_batches: u64,
@@ -138,7 +138,8 @@ pub struct FactResult {
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
     /// How the candidates the cache did not answer got their branch
-    /// profiles: proved equivalent to their parent, or simulated.
+    /// profiles: proved equivalent to their parent, derived from its
+    /// counts, or simulated.
     pub candidates: CandidateCounts,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
@@ -148,24 +149,44 @@ pub struct FactResult {
 /// Candidate evaluations by where their branch profile came from, per
 /// [`TransformKind`] (indexed by [`TransformKind::index`]).
 ///
-/// A candidate [`fact_ir::prove_equivalent`] shows equivalent to an
-/// already-evaluated parent takes the parent's path on every vector, so
-/// it reuses the parent's profile and is neither compiled nor simulated.
-/// Every other candidate is simulated.
+/// A candidate [`fact_ir::prove_equivalent`] shows equivalent to a
+/// parent this run profiled takes the corresponding path on every
+/// vector, so it is neither compiled nor simulated: a rewrite that keeps
+/// the control-flow graph reuses the parent's profile (*proved*), and a
+/// loop unrolled by 2 gets its profile from the parent's per-parity loop
+/// counts (*derived*, [`ProfileCounts::unrolled`]). A search input the
+/// run already profiled (the same structure) reuses that profile and
+/// counts as proved. Every other candidate is simulated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateCounts {
-    /// Candidates proved equivalent to their parent, per kind.
+    /// Candidates proved equivalent to their parent that reused its
+    /// profile, per kind.
     pub proved: [u64; TransformKind::ALL.len()],
+    /// Unrolled candidates proved equivalent to their parent whose
+    /// profile was derived from the parent's counts, per kind.
+    pub derived: [u64; TransformKind::ALL.len()],
     /// Candidates simulated, per kind.
     pub simulated: [u64; TransformKind::ALL.len()],
+    /// Search inputs the run had already profiled.
+    pub proved_inputs: u64,
     /// Search inputs simulated (no transformation produced them).
     pub simulated_inputs: u64,
+    /// Of the simulated candidates, those whose parent this run never
+    /// profiled (the shared cache answered it, or one of its lanes ran
+    /// into the step limit), so nothing could be proved or derived.
+    pub unprofiled_parents: u64,
 }
 
 impl CandidateCounts {
-    /// Candidates proved, over every kind.
+    /// Candidates proved and reusing a profile, over every kind, search
+    /// inputs included.
     pub fn proved_total(&self) -> u64 {
-        self.proved.iter().sum()
+        self.proved.iter().sum::<u64>() + self.proved_inputs
+    }
+
+    /// Candidates whose profile was derived, over every kind.
+    pub fn derived_total(&self) -> u64 {
+        self.derived.iter().sum()
     }
 
     /// Candidates simulated, search inputs included.
@@ -187,6 +208,9 @@ pub struct PhaseTimers {
     /// Time proving candidates equivalent to their parents
     /// ([`fact_ir::prove_equivalent`]), proved or not.
     pub prove_ns: AtomicU64,
+    /// Time deriving unrolled candidates' profiles from their parents'
+    /// counts ([`ProfileCounts::unrolled`]).
+    pub derive_ns: AtomicU64,
     /// Time inside [`simulate`]: equivalence verification and branch
     /// profiling.
     pub simulate_ns: AtomicU64,
@@ -339,10 +363,11 @@ fn timed<T>(
     }
 }
 
-/// The branch profile of `g` over `traces`: one compiled [`simulate`]
-/// pass on the engine [`SimEngine::for_call`] picks, outside the run's
-/// work counters (the baseline and the winner's final re-estimate).
-fn profile_of(g: &Function, traces: &TraceSet) -> BranchProfile {
+/// The profile pass of `g` over `traces`: one compiled [`simulate`]
+/// call with no reference, on the engine [`SimEngine::for_call`] picks,
+/// outside the run's work counters (the baseline, and the winner's final
+/// re-estimate when the run never profiled it).
+fn profile_pass(g: &Function, traces: &TraceSet) -> fact_sim::Simulation {
     let cf = CompiledFn::compile(g);
     simulate(
         &cf,
@@ -352,8 +377,40 @@ fn profile_of(g: &Function, traces: &TraceSet) -> BranchProfile {
         None,
         &mut SimScratch::default(),
     )
-    .profile
-    .expect("a pass without a reference always profiles")
+}
+
+/// What a run knows about a function it profiled: the branch profile,
+/// the counts it came from, and the most work one lane did.
+#[derive(Clone)]
+struct Profiled {
+    profile: Arc<BranchProfile>,
+    counts: Arc<ProfileCounts>,
+    steps: StepBound,
+}
+
+impl Profiled {
+    /// The profile `sim` observed, and — unless some lane ran into the
+    /// step limit — what a child may reuse or derive from it. `None`
+    /// when `sim` did not profile (not equivalent).
+    fn of(sim: fact_sim::Simulation) -> Option<(Arc<BranchProfile>, Option<Profiled>)> {
+        let profile = Arc::new(sim.profile?);
+        let known = sim.steps.map(|steps| Profiled {
+            profile: profile.clone(),
+            counts: Arc::new(sim.counts.expect("counted with the profile")),
+            steps,
+        });
+        Some((profile, known))
+    }
+}
+
+/// Why a candidate's profile could not be reused or derived.
+enum Miss {
+    /// The run never profiled its parent (or, for a search input, the
+    /// input itself).
+    Unprofiled,
+    /// Not proved equivalent to its parent, or its step bound could
+    /// exceed the step limit.
+    Unproved,
 }
 
 impl<'a> IncrementalCtx<'a> {
@@ -451,11 +508,11 @@ struct Run<'a> {
     /// Per-worker reusable simulation buffers, recycled across every
     /// neighborhood of the run (workers check one out per dispatch).
     scratch_pool: Mutex<Vec<SimScratch>>,
-    /// The branch profile and step bound of every function this run
-    /// simulated or proved, by structural hash: what a child proved
-    /// equivalent to it reuses.
-    profiles: Mutex<HashMap<u64, (Arc<BranchProfile>, StepBound)>>,
-    /// Proved and simulated candidates.
+    /// What the run knows of every function it profiled, proved or
+    /// derived, by structural hash (the input included): what a child
+    /// proved equivalent to one reuses or derives its profile from.
+    profiles: Mutex<HashMap<u64, Profiled>>,
+    /// Proved, derived and simulated candidates.
     candidates: Mutex<CandidateCounts>,
 }
 
@@ -475,7 +532,19 @@ impl<'a> Run<'a> {
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
         let ctx = IncrementalCtx::new(f, traces, config, hooks.timers);
-        let prof = profile_of(f, traces);
+        let sim = timed(ctx.timers, |t| &t.simulate_ns, || profile_pass(f, traces));
+        let (prof, known) = Profiled::of(sim).expect("a pass without a reference always profiles");
+        // Seeded into the profile map as a search input would be: the
+        // input agrees with its own reference, and its lanes there bound
+        // its work too.
+        let known = match &ctx.equiv {
+            None => known,
+            Some(r) => known.zip(r.steps()).map(|(k, s)| Profiled {
+                steps: k.steps.joined(s),
+                ..k
+            }),
+        };
+        let profiles = known.map(|k| (structural_hash(f), k)).into_iter().collect();
         let sr0 = schedule_with_memo(
             f,
             library,
@@ -513,7 +582,7 @@ impl<'a> Run<'a> {
             context_key: evaluation_context_key(f, alloc, traces, config),
             cache_hits: AtomicUsize::new(0),
             scratch_pool: Mutex::new(Vec::new()),
-            profiles: Mutex::new(HashMap::new()),
+            profiles: Mutex::new(profiles),
             candidates: Mutex::new(CandidateCounts::default()),
         })
     }
@@ -587,58 +656,102 @@ impl<'a> Run<'a> {
     /// equivalent, unschedulable under the allocation, or — in power
     /// mode — slower than the baseline).
     ///
-    /// The profile is the parent's when [`Run::proved_profile`] proves
-    /// the candidate equivalent to it; otherwise [`Run::simulated_profile`]
-    /// compiles and simulates the candidate.
+    /// The profile comes from [`Run::known_profile`] when the candidate
+    /// is proved equivalent to a parent the run profiled; otherwise
+    /// [`Run::simulated_profile`] compiles and simulates the candidate.
     fn checked_estimate(
         &self,
         cand: &MegaCandidate<'_>,
         scratch: &mut SimScratch,
     ) -> Option<Estimate> {
         debug_assert_eq!(cand.hash, structural_hash(cand.function));
-        let prof = match self.proved_profile(cand) {
-            Some(prof) => prof,
-            None => self.simulated_profile(cand, scratch)?,
+        let prof = match self.known_profile(cand) {
+            Ok(prof) => prof,
+            Err(miss) => self.simulated_profile(cand, miss, scratch)?,
         };
         self.estimate(cand.function, &prof).map(|(_, est)| est)
     }
 
-    /// The parent's profile, when the candidate is provably equivalent to
-    /// a parent this run evaluated and cannot run into the step limit on
-    /// a lane where the parent did not. A proved candidate takes the
-    /// parent's branch on every vector, so its profile — and, with
-    /// equivalence checking on, its verdict — is the parent's. A parent
-    /// the shared cache answered was never simulated here, so its
-    /// children are simulated.
-    fn proved_profile(&self, cand: &MegaCandidate<'_>) -> Option<Arc<BranchProfile>> {
-        let origin = cand.origin?;
-        let (prof, steps) = self
-            .profiles
-            .lock()
-            .expect("no evaluation panics while holding the profile map")
-            .get(&origin.parent_hash)
-            .cloned()?;
-        let proof = timed(
-            self.ctx.timers,
-            |t| &t.prove_ns,
-            || prove_equivalent(origin.parent, cand.function),
-        )?;
-        let steps = steps.grown(proof.block_growth)?;
+    /// What the run knows of the function with structural hash `hash`.
+    fn profiled(&self, hash: u64) -> Option<Profiled> {
         self.profiles
             .lock()
             .expect("no evaluation panics while holding the profile map")
-            .insert(cand.hash, (prof.clone(), steps));
-        self.candidates
+            .get(&hash)
+            .cloned()
+    }
+
+    /// Tallies one candidate evaluation.
+    fn count(&self, tally: impl FnOnce(&mut CandidateCounts)) {
+        tally(
+            &mut self
+                .candidates
+                .lock()
+                .expect("no evaluation panics while holding the counts"),
+        );
+    }
+
+    /// The candidate's profile without simulating it.
+    ///
+    /// A search input the run already profiled reuses that profile. A
+    /// candidate provably equivalent to a parent the run profiled, that
+    /// cannot run into the step limit on a lane where the parent did
+    /// not, takes the corresponding path on every vector — so its
+    /// verdict under equivalence checking is the parent's, and so is its
+    /// profile: the parent's own for a rewrite that keeps the graph, or
+    /// derived from the parent's per-parity loop counts for a loop
+    /// unrolled by 2. A parent the shared cache answered was never
+    /// profiled here, so its children are simulated.
+    fn known_profile(&self, cand: &MegaCandidate<'_>) -> Result<Arc<BranchProfile>, Miss> {
+        let Some(origin) = cand.origin else {
+            let known = self.profiled(cand.hash).ok_or(Miss::Unprofiled)?;
+            self.count(|c| c.proved_inputs += 1);
+            return Ok(known.profile);
+        };
+        let parent = self.profiled(origin.parent_hash).ok_or(Miss::Unprofiled)?;
+        let proof = timed(
+            self.ctx.timers,
+            |t| &t.prove_ns,
+            || prove_equivalent(origin.parent, cand.function, origin.unrolled),
+        )
+        .ok_or(Miss::Unproved)?;
+        let steps = parent
+            .steps
+            .grown(proof.block_growth)
+            .ok_or(Miss::Unproved)?;
+        let known = match origin.unrolled {
+            None => Profiled { steps, ..parent },
+            Some(map) => timed(
+                self.ctx.timers,
+                |t| &t.derive_ns,
+                || {
+                    let counts = parent.counts.unrolled(map, cand.function.num_blocks())?;
+                    Some(Profiled {
+                        profile: Arc::new(counts.profile()),
+                        counts: Arc::new(counts),
+                        steps,
+                    })
+                },
+            )
+            .ok_or(Miss::Unproved)?,
+        };
+        self.profiles
             .lock()
-            .expect("no evaluation panics while holding the counts")
-            .proved[origin.kind.index()] += 1;
-        Some(prof)
+            .expect("no evaluation panics while holding the profile map")
+            .insert(cand.hash, known.clone());
+        let kind = origin.kind.index();
+        match origin.unrolled {
+            None => self.count(|c| c.proved[kind] += 1),
+            Some(_) => self.count(|c| c.derived[kind] += 1),
+        }
+        Ok(known.profile)
     }
 
     /// Compiles `cand` and [`simulate`]s it over the neighborhood-shared
     /// `scratch`: verification against the captured reference when
     /// equivalence checking is on and the branch profile, in one call.
-    /// `None` when it is not equivalent.
+    /// `None` when it is not equivalent. `miss` (why no profile was
+    /// known) goes into the candidate tallies.
     ///
     /// The engine comes from [`SimEngine::for_call`]: batched for a
     /// straight-line call of enough lanes, scalar otherwise. Engines are
@@ -647,19 +760,19 @@ impl<'a> Run<'a> {
     fn simulated_profile(
         &self,
         cand: &MegaCandidate<'_>,
+        miss: Miss,
         scratch: &mut SimScratch,
     ) -> Option<Arc<BranchProfile>> {
         let (ctx, traces) = (&self.ctx, self.traces);
-        {
-            let mut counts = self
-                .candidates
-                .lock()
-                .expect("no evaluation panics while holding the counts");
-            match cand.origin {
-                Some(o) => counts.simulated[o.kind.index()] += 1,
-                None => counts.simulated_inputs += 1,
+        self.count(|c| match cand.origin {
+            Some(o) => {
+                c.simulated[o.kind.index()] += 1;
+                if matches!(miss, Miss::Unprofiled) {
+                    c.unprofiled_parents += 1;
+                }
             }
-        }
+            None => c.simulated_inputs += 1,
+        });
         let cf = timed(
             ctx.timers,
             |t| &t.compile_ns,
@@ -684,12 +797,12 @@ impl<'a> Run<'a> {
         ctx.mega
             .lanes
             .fetch_add(sim.lanes as u64, Ordering::Relaxed);
-        let prof = Arc::new(sim.profile?);
-        if let Some(steps) = sim.steps {
+        let (prof, known) = Profiled::of(sim)?;
+        if let Some(known) = known {
             self.profiles
                 .lock()
                 .expect("no evaluation panics while holding the profile map")
-                .insert(cand.hash, (prof.clone(), steps));
+                .insert(cand.hash, known);
         }
         Some(prof)
     }
@@ -931,13 +1044,23 @@ pub fn optimize_with(
         }
     }
 
-    // Final schedule + estimate of the winner.
+    // Final schedule + estimate of the winner, from the profile the run
+    // already has for it when it has one.
     let ctx = &run.ctx;
-    let prof = timed(
-        ctx.timers,
-        |t| &t.simulate_ns,
-        || profile_of(&current, traces),
-    );
+    let prof = match run.profiled(structural_hash(&current)) {
+        Some(known) => known.profile,
+        None => timed(
+            ctx.timers,
+            |t| &t.simulate_ns,
+            || {
+                let sim = profile_pass(&current, traces);
+                Arc::new(
+                    sim.profile
+                        .expect("a pass without a reference always profiles"),
+                )
+            },
+        ),
+    };
     let (schedule_result, estimate) = run
         .estimate(&current, &prof)
         .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;

@@ -37,7 +37,7 @@
 
 use crate::cache::structural_hash;
 use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
-use fact_ir::Function;
+use fact_ir::{Function, UnrollMap};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_xform::{Region, TransformKind, TransformLibrary};
@@ -163,6 +163,9 @@ pub struct Origin<'a> {
     pub parent_hash: u64,
     /// The transformation that rewrote the parent into the candidate.
     pub kind: TransformKind,
+    /// For a loop unrolled by 2, how the candidate's blocks stand for
+    /// the parent's ([`fact_xform::Candidate::unrolled`]).
+    pub unrolled: Option<&'a UnrollMap>,
 }
 
 /// A whole-neighborhood evaluator: scores one candidate slice in a
@@ -192,6 +195,7 @@ struct Candidate {
     parent: usize,
     kind: TransformKind,
     description: String,
+    unrolled: Option<UnrollMap>,
 }
 
 /// How one search ranks what it has scored and when it stops: the part
@@ -310,6 +314,7 @@ fn run_search<R: Ranking>(
                         parent,
                         kind: cand.kind,
                         description: cand.description,
+                        unrolled: cand.unrolled,
                     });
                 }
             }
@@ -327,6 +332,7 @@ fn run_search<R: Ranking>(
                         parent: &in_set[c.parent].f,
                         parent_hash: in_set[c.parent].hash,
                         kind: c.kind,
+                        unrolled: c.unrolled.as_ref(),
                     }),
                 })
                 .collect();

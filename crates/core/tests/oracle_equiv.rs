@@ -23,11 +23,14 @@
 //!    then the profile pass alone);
 //! 4. Pareto frontiers, bit-identical for any thread count;
 //! 5. the simulation ledger: every uncached candidate is either proved
-//!    equivalent to its parent (no simulation) or costs exactly its
-//!    passes' worth of trace vectors, nothing more;
+//!    equivalent to its parent (no simulation), or derived from its
+//!    counts, or costs exactly its passes' worth of trace vectors,
+//!    nothing more;
 //! 6. the prover: every candidate `prove_equivalent` proves equivalent
 //!    to its parent is equivalent under `check_equivalence` and has the
-//!    parent's profile.
+//!    parent's profile — or, for a loop unrolled by 2, the counts and
+//!    profile derived from the parent's, bit for bit what `simulate`
+//!    takes.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly.
@@ -40,7 +43,7 @@ use fact_core::{
 use fact_estim::{
     evaluate, evaluate_power_mode, markov_of, section5_library, table1_library, Estimate,
 };
-use fact_ir::{prove_equivalent, Function};
+use fact_ir::{prove_equivalent, Function, UnrollMap};
 use fact_lang::compile;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
@@ -49,7 +52,7 @@ use fact_sim::{
     check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec,
     SimEngine, SimScratch, TraceSet, MIN_BATCHED_LANES,
 };
-use fact_xform::Region;
+use fact_xform::{Region, TransformKind};
 
 /// The §2 walkthrough fixture (same setup as the example1 binary).
 fn example1() -> (
@@ -85,6 +88,7 @@ fn assert_paths_agree(
     original: &Function,
     parent: &Function,
     g: &Function,
+    unrolled: Option<&UnrollMap>,
     lib: &fact_sched::FuLibrary,
     rules: &fact_sched::SelectionRules,
     alloc: &Allocation,
@@ -113,22 +117,47 @@ fn assert_paths_agree(
         sim.profile.is_some(),
         "equivalence verdict differs ({ctx})"
     );
-    let Some(inc_prof) = sim.profile else {
+    let (Some(inc_prof), Some(inc_counts)) = (sim.profile, sim.counts) else {
         return false;
     };
 
     let full_prof = profile(g, traces);
     assert_eq!(full_prof, inc_prof, "branch profile differs ({ctx})");
     // What production would do instead of simulating: a proved candidate
-    // must be equivalent to its parent and reuse the parent's profile.
-    if prove_equivalent(parent, g).is_some() {
+    // must be equivalent to its parent and reuse the parent's profile,
+    // or — unrolled — derive it from the parent's counts.
+    if prove_equivalent(parent, g, unrolled).is_some() {
         check_equivalence(parent, g, traces, 0xC0FFEE)
             .unwrap_or_else(|m| panic!("proved but not equivalent ({ctx}): {m}"));
-        assert_eq!(
-            profile(parent, traces),
-            full_prof,
-            "proved candidate's profile differs from its parent's ({ctx})"
-        );
+        match unrolled {
+            None => assert_eq!(
+                profile(parent, traces),
+                full_prof,
+                "proved candidate's profile differs from its parent's ({ctx})"
+            ),
+            Some(map) => {
+                let cp = CompiledFn::compile(parent);
+                let parent_counts = simulate(
+                    &cp,
+                    traces,
+                    None,
+                    SimEngine::Scalar,
+                    None,
+                    &mut SimScratch::default(),
+                )
+                .counts
+                .expect("a pass without a reference profiles");
+                let derived = parent_counts
+                    .unrolled(map, g.num_blocks())
+                    .unwrap_or_else(|| panic!("proved but nothing derived ({ctx})"));
+                assert_eq!(derived, inc_counts, "derived counts differ ({ctx})");
+                assert_eq!(
+                    derived.profile(),
+                    inc_prof,
+                    "derived profile differs ({ctx})"
+                );
+            }
+        }
     }
 
     let full_sr = schedule(g, lib, rules, alloc, &full_prof, &opts);
@@ -200,6 +229,7 @@ fn random_walk(
                 f,
                 &current,
                 &c.function,
+                c.unrolled.as_ref(),
                 lib,
                 rules,
                 alloc,
@@ -445,7 +475,12 @@ fn optimize_suite_matches_oracle() {
                     b.traces.len()
                 );
                 assert_matches_oracle(&r, &oracle, &ctx);
-                assert_eq!(r.sim_batches > 0, batched, "engine policy ({ctx})");
+                // The search proves or derives every candidate of these
+                // behaviors, so fresh runs may simulate nothing at all;
+                // what they simulate runs batched only where the policy
+                // says. (Runs over a warm cache do simulate, PPS batched:
+                // `sim_vectors_count_one_pass_per_simulated_candidate`.)
+                assert!(batched || r.sim_batches == 0, "engine policy ({ctx})");
                 assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
                 assert_eq!(
                     r.mega_candidates, r.evaluated as u64,
@@ -479,12 +514,13 @@ fn optimize_suite_without_equivalence_checks_matches_oracle() {
             let (r, _) = run(&b, &config);
             let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
             assert_matches_oracle(&r, &oracle, &ctx);
-            // Every candidate the cache did not answer was proved or
-            // routed to an engine.
+            // Every candidate the cache did not answer was proved,
+            // derived, or routed to an engine.
             assert_eq!(
                 r.sim_engine_scalar
                     + r.sim_engine_batched
                     + r.candidates.proved_total()
+                    + r.candidates.derived_total()
                     + r.cache_hits as u64,
                 r.evaluated as u64,
                 "engine policy skipped a candidate ({ctx})"
@@ -546,45 +582,107 @@ fn optimize_pareto_is_thread_invariant() {
 }
 
 /// The simulation ledger of whole runs: every candidate the cache did not
-/// answer was either proved equivalent to its parent (and simulated not
-/// at all) or simulated, and each simulated candidate costs `k` passes
-/// over the traces — `k = 1` for memory-free behaviors (verification and
-/// profiling share one pass) and for runs without equivalence checking
-/// (the profile pass alone), `k = 2` for memory-bearing behaviors under
-/// equivalence checking (a verify pass, then a zero-memory profile
-/// pass). The baseline and final profiles are not counted.
+/// answer was either proved equivalent to its parent and reused its
+/// profile, or derived its profile from the parent's counts (both
+/// simulated not at all), or was simulated; and each simulated candidate
+/// costs `k` passes over the traces — `k = 1` for memory-free behaviors
+/// (verification and profiling share one pass) and for runs without
+/// equivalence checking (the profile pass alone), `k = 2` for
+/// memory-bearing behaviors under equivalence checking (a verify pass,
+/// then a zero-memory profile pass). The baseline and final profiles are
+/// not counted.
+///
+/// A fresh run of the suite proves or derives every candidate, so no
+/// loop-unroll candidate is simulated. A second, longer run over the
+/// first run's cache is where simulation remains: the cache answers the
+/// first run's candidates without profiling them, so the children of
+/// those it moves to are simulated — batched for PPS, as the engine
+/// policy says.
 #[test]
 fn sim_vectors_count_one_pass_per_simulated_candidate() {
-    let (lib, _) = section5_library();
-    let mut proved = 0;
-    for b in suite(&lib) {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    let (mut proved, mut derived) = (0, 0);
+    for b in suite_and_wide_traces() {
         let memory_free = b.function.memories().count() == 0;
+        let reference = EquivReference::capture(&b.function, &b.traces, 0xC0FFEE);
+        let cf = CompiledFn::compile(&b.function);
+        let batched = SimEngine::for_call(&cf, &b.traces, Some(&reference)) != SimEngine::Scalar;
         for check_equivalence in [true, false] {
-            let mut config = quick_config(Objective::Throughput, 7, 1);
-            config.check_equivalence = check_equivalence;
-            let (r, _) = run(&b, &config);
             let k = if check_equivalence && !memory_free {
                 2
             } else {
                 1
             };
-            let ctx = format!("{} check_equivalence={check_equivalence}", b.name);
-            let simulated = r.candidates.simulated_total();
-            assert!(simulated > 0, "nothing simulated ({ctx})");
-            assert_eq!(
-                (r.evaluated - r.cache_hits) as u64,
-                r.candidates.proved_total() + simulated,
-                "every uncached candidate is proved or simulated ({ctx})"
-            );
-            assert_eq!(
-                r.sim_vectors,
-                simulated * (k * b.traces.len()) as u64,
-                "simulated vectors ({ctx})"
-            );
-            proved += r.candidates.proved_total();
+            let cache = EvalCache::default();
+            for (fresh, budget) in [(true, 60), (false, 240)] {
+                let mut config = quick_config(Objective::Throughput, 7, 1);
+                config.check_equivalence = check_equivalence;
+                config.search.max_evaluations = budget;
+                let hooks = OptimizeHooks {
+                    cache: Some(&cache),
+                    stop: None,
+                    timers: None,
+                };
+                let r = optimize_with(
+                    &b.function,
+                    &lib,
+                    &rules,
+                    &b.allocation,
+                    &b.traces,
+                    &tlib,
+                    &config,
+                    hooks,
+                )
+                .expect("optimize run");
+                let ctx = format!(
+                    "{} traces={} check_equivalence={check_equivalence} fresh={fresh}",
+                    b.name,
+                    b.traces.len()
+                );
+                let c = &r.candidates;
+                let simulated = c.simulated_total();
+                assert_eq!(
+                    (r.evaluated - r.cache_hits) as u64,
+                    c.proved_total() + c.derived_total() + simulated,
+                    "every uncached candidate is proved, derived or simulated ({ctx})"
+                );
+                assert_eq!(
+                    r.sim_vectors,
+                    simulated * (k * b.traces.len()) as u64,
+                    "simulated vectors ({ctx})"
+                );
+                assert_eq!(
+                    r.sim_batches > 0,
+                    batched && simulated > 0,
+                    "engine policy ({ctx})"
+                );
+                if fresh {
+                    assert_eq!(
+                        c.simulated[TransformKind::LoopUnroll.index()],
+                        0,
+                        "a loop-unroll candidate was simulated ({ctx})"
+                    );
+                } else {
+                    // The suite proves every candidate whose parent was
+                    // profiled: what is simulated had a cache-answered one.
+                    assert_eq!(
+                        c.unprofiled_parents,
+                        simulated - c.simulated_inputs,
+                        "simulated with a profiled parent ({ctx})"
+                    );
+                    // These searches outgrow the first run's budget.
+                    if matches!(b.name, "IGF" | "PPS" | "MEMSUM") {
+                        assert!(c.unprofiled_parents > 0, "nothing simulated ({ctx})");
+                    }
+                }
+                proved += c.proved_total();
+                derived += c.derived_total();
+            }
         }
     }
     assert!(proved > 0, "the prover never short-circuited a simulation");
+    assert!(derived > 0, "no unrolled candidate's profile was derived");
 }
 
 /// The shared cache's ledger holds candidate scores and nothing else: a

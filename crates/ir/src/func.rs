@@ -226,6 +226,29 @@ impl Function {
         }
     }
 
+    /// The function's block storage, shared with its clones until
+    /// mutated (see [`Function::has_blocks`]).
+    pub(crate) fn block_storage(&self) -> &[Arc<BasicBlock>] {
+        &self.blocks
+    }
+
+    /// Whether the function is entered at `entry` and its blocks are
+    /// physically `blocks`, as another function's [`block_storage`]
+    /// returned them. While `blocks` is held, a function that mutates one
+    /// of them mutates a copy, so anything computed from `blocks` holds
+    /// for a function that has them.
+    ///
+    /// [`block_storage`]: Function::block_storage
+    pub(crate) fn has_blocks(&self, entry: BlockId, blocks: &[Arc<BasicBlock>]) -> bool {
+        self.entry == entry
+            && self.blocks.len() == blocks.len()
+            && self
+                .blocks
+                .iter()
+                .zip(blocks)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+    }
+
     /// Accesses an operation.
     ///
     /// # Panics

@@ -57,4 +57,4 @@ pub use func::{BasicBlock, Function, Memory, Successors, Terminator};
 pub use ids::{BlockId, MemId, OpId};
 pub use loops::{LoopForest, NaturalLoop};
 pub use op::{BinOp, Op, OpKind, UnOp};
-pub use prove::{prove_equivalent, Equivalence};
+pub use prove::{prove_equivalent, Equivalence, UnrollMap};

@@ -30,6 +30,13 @@ impl NaturalLoop {
     pub fn contains(&self, b: BlockId) -> bool {
         self.body.contains(&b)
     }
+
+    /// Whether the loop has a single latch and a single exit edge,
+    /// leaving from the header: the loops unrolling copies, and whose
+    /// block visits simulation counts by iteration parity.
+    pub fn is_simple(&self) -> bool {
+        self.latches.len() == 1 && self.exits.len() == 1 && self.exits[0].0 == self.header
+    }
 }
 
 /// The set of natural loops in a function, outermost-first.
@@ -146,6 +153,17 @@ impl LoopForest {
     /// The loop headed at `header`, if any.
     pub fn loop_with_header(&self, header: BlockId) -> Option<&NaturalLoop> {
         self.loops.iter().find(|l| l.header == header)
+    }
+
+    /// The innermost loops: those whose body holds no other loop's
+    /// header. They never overlap.
+    pub fn innermost(&self) -> impl Iterator<Item = &NaturalLoop> {
+        self.loops.iter().filter(|l| {
+            !self
+                .loops
+                .iter()
+                .any(|m| m.header != l.header && l.contains(m.header))
+        })
     }
 
     /// Top-level (depth-1) loops.

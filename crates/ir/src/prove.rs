@@ -53,14 +53,41 @@
 //! names are read in the same blocks), and the step limit. Steps are ops
 //! executed, which a rewrite may change; [`Equivalence::block_growth`]
 //! reports the largest per-block increase so a caller can bound them.
+//!
+//! # Unrolled loops
+//!
+//! Unroll-by-2 changes the graph, so it comes with an [`UnrollMap`]: each
+//! block `b` of one loop keeps its id for the parent's even iterations
+//! (counted from 0 on every entry to the loop) and gains a copy `b.u`
+//! for the odd ones. The prover checks the map against both graphs:
+//! every candidate block must end like the block it stands for, with
+//! each successor the block that stands for the parent's successor at
+//! the parity the edge leads to (the back edge flips the parity, the
+//! entry resets it to even). Then every candidate block's observations
+//! are compared with its parent block's, moved to the candidate's point
+//! of view:
+//!
+//! - in an even block, as they are;
+//! - in a copy, *advanced one iteration*: the header's phis are replaced
+//!   by their latch values (the previous, even iteration's), and the
+//!   loop's loads and joins are renamed to the copy's blocks. A load's
+//!   memory state thus names the copy it reads in, so reads in the two
+//!   copies that sit across a store never merge;
+//! - after the loop, as a gated term of the exit block: as they are on
+//!   the edge from the header, advanced on the edge from its copy.
+//!
+//! The header's phis are checked coinductively as before, with the
+//! incoming value of the copied latch advanced.
 
 use crate::cfg::reverse_postorder;
-use crate::func::{Function, Terminator};
+use crate::func::{BasicBlock, Function, Terminator};
 use crate::ids::{BlockId, OpId};
 use crate::op::{BinOp, OpKind, UnOp};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// A successful proof of [`prove_equivalent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +101,35 @@ pub struct Equivalence {
     pub block_growth: u64,
 }
 
+/// How the blocks of a loop-unrolled candidate stand for its parent's
+/// (see the [module docs](self#unrolled-loops)).
+///
+/// Unroll-by-2 copies every block of one innermost loop. The original
+/// block keeps running the parent's even iterations, counted from 0 on
+/// each entry to the loop, and its copy runs the odd ones.
+/// [`prove_equivalent`] checks the map against both graphs, so a wrong
+/// map only fails to prove.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnrollMap {
+    /// The loop's header, the same block in both functions.
+    pub header: BlockId,
+    /// Each block of the parent's loop, with its copy in the candidate.
+    pub copies: Vec<(BlockId, BlockId)>,
+}
+
 /// Tries to prove `candidate` observably equivalent to `parent`, for
 /// every input vector and every initial memory image: the same path
-/// through the (shared) control-flow graph, the same outputs, stores and
-/// return value, and the same failures (see the [module docs](self)).
+/// through the control-flow graph, the same outputs, stores and return
+/// value, and the same failures (see the [module docs](self)).
+///
+/// Without `unrolled` the two functions must share their control-flow
+/// graph. With it, `candidate` is `parent` with one loop unrolled by 2
+/// as the map says, and each of its block visits corresponds to one
+/// block visit of `parent`.
 ///
 /// Sound but incomplete: `None` means "not proved", and is also the
-/// answer whenever the two functions' control-flow graphs differ or a
-/// term grows past a fixed budget.
+/// answer whenever the graphs do not correspond or a term grows past a
+/// fixed budget.
 ///
 /// # Examples
 ///
@@ -99,11 +147,18 @@ pub struct Equivalence {
 ///     f
 /// };
 /// let parent = build(BinOp::Add, false);
-/// assert!(prove_equivalent(&parent, &build(BinOp::Add, true)).is_some());
-/// assert!(prove_equivalent(&build(BinOp::Sub, false), &build(BinOp::Sub, true)).is_none());
+/// assert!(prove_equivalent(&parent, &build(BinOp::Add, true), None).is_some());
+/// assert!(prove_equivalent(&build(BinOp::Sub, false), &build(BinOp::Sub, true), None).is_none());
 /// ```
-pub fn prove_equivalent(parent: &Function, candidate: &Function) -> Option<Equivalence> {
-    let cfg = Cfg::shared(parent, candidate)?;
+pub fn prove_equivalent(
+    parent: &Function,
+    candidate: &Function,
+    unrolled: Option<&UnrollMap>,
+) -> Option<Equivalence> {
+    let cfg = match unrolled {
+        None => Cfg::shared(parent, candidate)?,
+        Some(map) => Cfg::unrolled(parent, candidate, map)?,
+    };
     let mut terms = ARENA.with(|a| a.take());
     terms.clear();
     let proof = prove_on(parent, candidate, &cfg, &mut terms);
@@ -111,7 +166,7 @@ pub fn prove_equivalent(parent: &Function, candidate: &Function) -> Option<Equiv
     proof
 }
 
-/// [`prove_equivalent`] over the shared graph `cfg`, in `terms`.
+/// [`prove_equivalent`] over the corresponding graphs `cfg`, in `terms`.
 fn prove_on(
     parent: &Function,
     candidate: &Function,
@@ -120,89 +175,388 @@ fn prove_on(
 ) -> Option<Equivalence> {
     let mut pair = Pair::new(parent, candidate, cfg, terms)?;
     let mut block_growth = 0u64;
-    for &b in &cfg.rpo {
-        if !pair.block_unchanged(b) {
-            pair.observations_agree(b)?;
+    for &c in cfg.rpo() {
+        let b = cfg.parent_block(c);
+        if !(cfg.seen_as_is(c) && pair.block_unchanged(c)) {
+            pair.observations_agree(c)?;
         }
-        if cfg.is_header[b.index()] {
-            pair.header_phis_agree(b)?;
+        if cfg.is_header(c) {
+            pair.header_phis_agree(c)?;
         }
         let (np, nc) = (
             parent.block(b).ops.len() as u64,
-            candidate.block(b).ops.len() as u64,
+            candidate.block(c).ops.len() as u64,
         );
         block_growth = block_growth.max(nc.saturating_sub(np));
     }
     Some(Equivalence { block_growth })
 }
 
-/// The control-flow graph both functions share.
+/// The two functions' control-flow graphs and how they correspond.
 struct Cfg {
+    /// The parent's graph, which is also the candidate's when the two
+    /// share it.
+    parent: Rc<ParentGraph>,
+    /// The correspondence of an unrolled candidate; `None` when the two
+    /// functions share their graph.
+    unroll: Option<Unroll>,
+}
+
+/// One function's control-flow graph as the prover walks it.
+struct Graph {
     /// Reachable blocks in reverse postorder.
     rpo: Vec<BlockId>,
-    /// Reachable predecessors of each block, in terminator order.
+    /// Reachable predecessors of each block. In a candidate, in the
+    /// order of the parent's predecessors of the block it stands for:
+    /// join terms of both functions list their incoming terms in this
+    /// order.
     preds: Vec<Vec<BlockId>>,
     /// Whether each block's phis are leaves checked coinductively (some
     /// predecessor does not precede it in reverse postorder) rather than
-    /// gated terms.
+    /// gated terms. In a candidate, the same as for the parent block each
+    /// stands for.
     is_header: Vec<bool>,
+}
+
+/// A parent's [`Graph`]. A search proves its candidates one parent at a
+/// time, so each thread keeps the last parent's ([`ParentGraph::of`]).
+struct ParentGraph {
+    /// The parent's blocks, held so that their storage identifies it
+    /// ([`Function::has_blocks`]).
+    blocks: Vec<Arc<BasicBlock>>,
+    entry: BlockId,
+    graph: Graph,
+}
+
+thread_local! {
+    /// The last parent proved against on this thread.
+    static PARENT: RefCell<Option<Rc<ParentGraph>>> = const { RefCell::new(None) };
+}
+
+impl ParentGraph {
+    /// `parent`'s graph: this thread's last one when `parent` has its
+    /// blocks, else computed and kept.
+    fn of(parent: &Function) -> Rc<ParentGraph> {
+        PARENT.with(|last| {
+            let mut last = last.borrow_mut();
+            if let Some(g) = &*last {
+                if parent.has_blocks(g.entry, &g.blocks) {
+                    return g.clone();
+                }
+            }
+            let g = Rc::new(ParentGraph {
+                blocks: parent.block_storage().to_vec(),
+                entry: parent.entry(),
+                graph: Graph::of(parent),
+            });
+            *last = Some(g.clone());
+            g
+        })
+    }
+}
+
+/// A checked unroll-by-2 correspondence (see [`UnrollMap`]).
+struct Unroll {
+    /// The candidate's graph.
+    graph: Graph,
+    header: BlockId,
+    /// The loop's only exit, taken from the header only.
+    exit: BlockId,
+    /// The parent's only loop block that branches to the header.
+    latch: BlockId,
+    /// Per parent block: its copy, for the loop's blocks.
+    copy: Vec<Option<BlockId>>,
+    /// Per candidate block: the parent block it stands for, and whether
+    /// it runs odd iterations.
+    stands_for: Vec<Option<(BlockId, bool)>>,
+    /// Per candidate block: whether it can run after the loop (is
+    /// reachable from the exit). Only there can a term hold the loop's
+    /// values: every path from a loop block out of the loop leaves
+    /// through the exit.
+    after: Vec<bool>,
+}
+
+/// Where a parent term is compared from a candidate block's point of
+/// view (see [`Pair::seen_from`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum View {
+    /// As it is: no unrolled loop, an even iteration of it, or a block
+    /// that cannot run after it.
+    AsIs,
+    /// Advanced one iteration: a copy.
+    Odd,
+    /// After the loop: gated by the exit edge taken.
+    Exited,
+}
+
+impl Graph {
+    /// `f`'s graph, each block's reachable predecessors in terminator
+    /// order.
+    fn of(f: &Function) -> Graph {
+        let rpo = reverse_postorder(f);
+        let mut preds = vec![Vec::new(); f.num_blocks()];
+        for &b in &rpo {
+            for s in f.block(b).term.successors() {
+                preds[s.index()].push(b);
+            }
+        }
+        Graph {
+            is_header: headers(&rpo, &preds),
+            rpo,
+            preds,
+        }
+    }
+}
+
+/// Per block of a graph with reachable blocks `rpo` and predecessors
+/// `preds`: whether some predecessor does not precede it.
+fn headers(rpo: &[BlockId], preds: &[Vec<BlockId>]) -> Vec<bool> {
+    let mut order = vec![usize::MAX; preds.len()];
+    for (i, b) in rpo.iter().enumerate() {
+        order[b.index()] = i;
+    }
+    (0..preds.len())
+        .map(|b| preds[b].iter().any(|p| order[p.index()] >= order[b]))
+        .collect()
+}
+
+/// Whether two terminators have the same shape: both jumps, both
+/// branches, or both returns with or without a value. Successors are
+/// compared by the caller.
+fn same_shape(x: &Terminator, y: &Terminator) -> bool {
+    match (x, y) {
+        (Terminator::Jump(_), Terminator::Jump(_))
+        | (Terminator::Branch { .. }, Terminator::Branch { .. }) => true,
+        (Terminator::Return(x), Terminator::Return(y)) => x.is_some() == y.is_some(),
+        _ => false,
+    }
+}
+
+fn same_memories(parent: &Function, candidate: &Function) -> bool {
+    parent.entry() == candidate.entry()
+        && parent
+            .memories()
+            .map(|(_, m)| m)
+            .eq(candidate.memories().map(|(_, m)| m))
 }
 
 impl Cfg {
     /// The shared graph, or `None` when the blocks, terminator shapes,
     /// successors or memories differ.
     fn shared(parent: &Function, candidate: &Function) -> Option<Cfg> {
-        if parent.num_blocks() != candidate.num_blocks()
-            || parent.entry() != candidate.entry()
-            || !parent
-                .memories()
-                .map(|(_, m)| m)
-                .eq(candidate.memories().map(|(_, m)| m))
-        {
+        if parent.num_blocks() != candidate.num_blocks() || !same_memories(parent, candidate) {
             return None;
         }
         for b in parent.block_ids() {
-            let same = match (&parent.block(b).term, &candidate.block(b).term) {
-                (Terminator::Jump(x), Terminator::Jump(y)) => x == y,
-                (
-                    Terminator::Branch {
-                        on_true: t1,
-                        on_false: f1,
-                        ..
-                    },
-                    Terminator::Branch {
-                        on_true: t2,
-                        on_false: f2,
-                        ..
-                    },
-                ) => t1 == t2 && f1 == f2,
-                (Terminator::Return(x), Terminator::Return(y)) => x.is_some() == y.is_some(),
-                _ => false,
-            };
-            if !same {
+            if candidate.shares_block_storage(parent, b) {
+                continue;
+            }
+            let (x, y) = (&parent.block(b).term, &candidate.block(b).term);
+            if !same_shape(x, y) || *x.successors() != *y.successors() {
                 return None;
             }
         }
-        let rpo = reverse_postorder(parent);
-        let n = parent.num_blocks();
-        let mut order = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            order[b.index()] = i;
+        Some(Cfg {
+            parent: ParentGraph::of(parent),
+            unroll: None,
+        })
+    }
+
+    /// The correspondence `map` describes between `parent` and its
+    /// unrolled `candidate`, or `None` when the graphs do not have it.
+    ///
+    /// The loop must have one latch and one exit edge, from the header
+    /// to a block with no other predecessor, and no other way in than
+    /// the header. Every candidate block standing for a reachable parent
+    /// block at a parity must end like it, with each successor the block
+    /// that stands for the parent's successor at the parity of the edge:
+    /// the back edge flips it, entering the loop resets it to even, and
+    /// leaving the loop lands on the parent's exit block.
+    fn unrolled(parent: &Function, candidate: &Function, map: &UnrollMap) -> Option<Cfg> {
+        let (n, nc) = (parent.num_blocks(), candidate.num_blocks());
+        if !same_memories(parent, candidate) {
+            return None;
         }
-        let mut preds = vec![Vec::new(); n];
-        for &b in &rpo {
+        let mut copy: Vec<Option<BlockId>> = vec![None; n];
+        let mut stands_for: Vec<Option<(BlockId, bool)>> = (0..nc)
+            .map(|c| (c < n).then_some((BlockId(c as u32), false)))
+            .collect();
+        for &(b, c) in &map.copies {
+            if b.index() >= n || c.index() < n || c.index() >= nc {
+                return None;
+            }
+            if copy[b.index()].is_some() || stands_for[c.index()].is_some() {
+                return None;
+            }
+            copy[b.index()] = Some(c);
+            stands_for[c.index()] = Some((b, true));
+        }
+        let header = map.header;
+        let in_loop = |b: BlockId| copy[b.index()].is_some();
+        if header.index() >= n || !in_loop(header) {
+            return None;
+        }
+        let pg = ParentGraph::of(parent);
+        let (parent_rpo, parent_preds) = (&pg.graph.rpo, &pg.graph.preds);
+        let mut latches = parent_preds[header.index()]
+            .iter()
+            .copied()
+            .filter(|&p| in_loop(p));
+        let latch = latches.next()?;
+        if latches.any(|p| p != latch) {
+            return None;
+        }
+        let mut exit = None;
+        for &b in parent_rpo.iter().filter(|&&b| in_loop(b)) {
             for s in parent.block(b).term.successors() {
-                preds[s.index()].push(b);
+                if !in_loop(s) {
+                    if b != header || exit.is_some_and(|x| x != s) {
+                        return None;
+                    }
+                    exit = Some(s);
+                }
             }
         }
-        let is_header = (0..n)
-            .map(|b| preds[b].iter().any(|p| order[p.index()] >= order[b]))
-            .collect();
+        let exit = exit?;
+        if parent_preds[exit.index()] != [header] {
+            return None;
+        }
+        let at = |b: BlockId, odd: bool| if odd { copy[b.index()] } else { Some(b) };
+        let mut preds = vec![Vec::new(); nc];
+        let mut images = 0;
+        for &b in parent_rpo {
+            for odd in [false, true] {
+                if odd && !in_loop(b) {
+                    continue;
+                }
+                images += 1;
+                let c = at(b, odd)?;
+                let (pt, ct) = (&parent.block(b).term, &candidate.block(c).term);
+                if !same_shape(pt, ct) || pt.successors().len() != ct.successors().len() {
+                    return None;
+                }
+                for (s, cs) in pt.successors().into_iter().zip(ct.successors()) {
+                    let expected = match (in_loop(b), in_loop(s)) {
+                        (true, true) if s == header => at(header, !odd)?,
+                        (true, true) => at(s, odd)?,
+                        (false, true) if s != header => return None,
+                        _ => s,
+                    };
+                    if cs != expected {
+                        return None;
+                    }
+                }
+                preds[c.index()] = if b == exit {
+                    vec![header, at(header, true)?]
+                } else {
+                    let mut ps = Vec::new();
+                    for &q in &parent_preds[b.index()] {
+                        match (in_loop(b), in_loop(q)) {
+                            (true, true) if b == header => ps.push(at(q, !odd)?),
+                            (true, true) => ps.push(at(q, odd)?),
+                            (true, false) if odd => {}
+                            _ => ps.push(q),
+                        }
+                    }
+                    ps
+                };
+            }
+        }
+        let rpo = reverse_postorder(candidate);
+        if rpo.len() != images || rpo.iter().any(|c| stands_for[c.index()].is_none()) {
+            return None;
+        }
+        let is_header = headers(&rpo, &preds);
+        let parent_header = &pg.graph.is_header;
+        let mut after = vec![false; nc];
+        let mut stack = vec![exit];
+        while let Some(b) = stack.pop() {
+            if !std::mem::replace(&mut after[b.index()], true) {
+                stack.extend(candidate.block(b).term.successors());
+            }
+        }
+        for &c in &rpo {
+            let (b, odd) = stands_for[c.index()]?;
+            if is_header[c.index()] != (!odd && parent_header[b.index()]) {
+                return None;
+            }
+        }
         Some(Cfg {
-            rpo,
-            preds,
-            is_header,
+            unroll: Some(Unroll {
+                graph: Graph {
+                    rpo,
+                    preds,
+                    is_header,
+                },
+                header,
+                exit,
+                latch,
+                copy,
+                stands_for,
+                after,
+            }),
+            parent: pg,
         })
+    }
+
+    /// The candidate's graph.
+    fn graph(&self) -> &Graph {
+        match &self.unroll {
+            Some(u) => &u.graph,
+            None => &self.parent.graph,
+        }
+    }
+
+    /// Reachable candidate blocks in reverse postorder.
+    fn rpo(&self) -> &[BlockId] {
+        &self.graph().rpo
+    }
+
+    /// Reachable predecessors of candidate block `b` (see [`Graph`]).
+    fn preds(&self, b: BlockId) -> &[BlockId] {
+        &self.graph().preds[b.index()]
+    }
+
+    /// Whether candidate block `b`'s phis are leaves (see [`Graph`]).
+    fn is_header(&self, b: BlockId) -> bool {
+        self.graph().is_header[b.index()]
+    }
+
+    /// The parent block candidate block `c` stands for.
+    fn parent_block(&self, c: BlockId) -> BlockId {
+        match &self.unroll {
+            Some(u) => u.stands_for[c.index()].expect("a reachable block").0,
+            None => c,
+        }
+    }
+
+    /// How parent terms are seen from candidate block `c`.
+    fn view(&self, c: BlockId) -> View {
+        match &self.unroll {
+            None => View::AsIs,
+            Some(u) => match u.stands_for[c.index()] {
+                Some((_, true)) => View::Odd,
+                Some((b, false)) if u.copy[b.index()].is_none() && u.after[c.index()] => {
+                    View::Exited
+                }
+                _ => View::AsIs,
+            },
+        }
+    }
+
+    /// Whether the candidate sees block `c`'s parent terms as they are,
+    /// so that ops it shares with the parent there are the parent's.
+    fn seen_as_is(&self, c: BlockId) -> bool {
+        self.view(c) == View::AsIs
+    }
+
+    /// The predecessors `side`'s join terms of block `b` range over: the
+    /// parent's exit block has only the header.
+    fn join_preds(&self, cand: bool, b: BlockId) -> &[BlockId] {
+        match &self.unroll {
+            Some(u) if !cand && b == u.exit => std::slice::from_ref(&u.header),
+            _ => self.preds(b),
+        }
     }
 }
 
@@ -237,9 +591,9 @@ struct Side<'f> {
 }
 
 impl<'f> Side<'f> {
-    fn locate(f: &'f Function, cfg: &Cfg) -> Side<'f> {
+    fn locate(f: &'f Function, blocks: &[BlockId]) -> Side<'f> {
         let mut loc = vec![None; f.num_ops()];
-        for &b in &cfg.rpo {
+        for &b in blocks {
             let mut stores = 0;
             for &op in &f.block(b).ops {
                 loc[op.index()] = Some((b, stores));
@@ -279,6 +633,10 @@ struct Pair<'a> {
     candidate: Side<'a>,
     same: Vec<bool>,
     terms: &'a mut Terms,
+    /// Advancing parent terms one iteration of an unrolled loop: each
+    /// header phi's term on the back edge, and the results so far.
+    /// Built on first use.
+    next: Option<(FxMap<u32, Term>, FxMap<Term, Term>)>,
 }
 
 impl<'a> Pair<'a> {
@@ -290,13 +648,14 @@ impl<'a> Pair<'a> {
     ) -> Option<Pair<'a>> {
         let mut pair = Pair {
             cfg,
-            parent: Side::locate(parent, cfg),
-            candidate: Side::locate(candidate, cfg),
+            parent: Side::locate(parent, &cfg.parent.graph.rpo),
+            candidate: Side::locate(candidate, cfg.rpo()),
             same: vec![false; candidate.num_ops()],
             terms,
+            next: None,
         };
         let mut operands = Vec::new();
-        for &b in &cfg.rpo {
+        for &b in cfg.rpo() {
             for &op in &candidate.block(b).ops {
                 let i = op.index();
                 let Some(&Some(pl)) = pair.parent.loc.get(i) else {
@@ -315,8 +674,14 @@ impl<'a> Pair<'a> {
                     // A loop-header phi is a leaf, or stands for the
                     // parent's op it replaced (checked by
                     // `header_phis_agree`).
-                    OpKind::Phi(_) if cfg.is_header[b.index()] => pl.0 == b,
-                    OpKind::Phi(_) => inherited && pl.0 == b,
+                    OpKind::Phi(_) if cfg.is_header(b) => pl.0 == b,
+                    // Not at an unrolled loop's exit, where the candidate
+                    // has an edge more.
+                    OpKind::Phi(_) => {
+                        inherited
+                            && pl.0 == b
+                            && cfg.join_preds(false, b) == cfg.join_preds(true, b)
+                    }
                     OpKind::Input(_)
                     | OpKind::Load { .. }
                     | OpKind::Store { .. }
@@ -380,9 +745,10 @@ impl<'a> Pair<'a> {
                 let e = self.term(cand, *on_false)?;
                 self.terms.mux(c, t, e)?
             }
-            OpKind::Phi(_) if self.cfg.is_header[b.index()] => self.terms.mk(Node::Phi(op.0))?,
+            OpKind::Phi(_) if self.cfg.is_header(b) => self.terms.mk(Node::Phi(op.0))?,
             OpKind::Phi(incoming) => {
-                let preds = &self.cfg.preds[b.index()];
+                let cfg = self.cfg;
+                let preds = cfg.join_preds(cand, b);
                 let mut gated = Vec::with_capacity(preds.len());
                 for p in preds {
                     let &(_, v) = incoming.iter().find(|(q, _)| q == p)?;
@@ -453,11 +819,71 @@ impl<'a> Pair<'a> {
         Some(o)
     }
 
-    /// Compares block `b`'s observables: input names, stores and outputs
-    /// in order, loads as a multiset, and the exit value.
-    fn observations_agree(&mut self, b: BlockId) -> Option<()> {
-        let po = self.observe(false, b)?;
-        let co = self.observe(true, b)?;
+    /// Parent term `t`, evaluated at the end of a visit to the block
+    /// candidate block `c` stands for, as the candidate sees it there
+    /// (see [`View`]).
+    fn seen_from(&mut self, c: BlockId, t: Term) -> Option<Term> {
+        let cfg = self.cfg;
+        match cfg.view(c) {
+            View::AsIs => Some(t),
+            View::Odd => self.advance(t),
+            View::Exited => {
+                // The exit block's predecessors are the header and its
+                // copy, in that order.
+                let odd = self.advance(t)?;
+                let exit = cfg.unroll.as_ref()?.exit;
+                self.terms.join(exit.0, vec![t, odd])
+            }
+        }
+    }
+
+    /// Parent term `t` of one iteration of the unrolled loop, advanced to
+    /// the next iteration as the candidate's copies see it: the header's
+    /// phis become their values on the back edge, and the loop's loads
+    /// and joins those of the copies.
+    fn advance(&mut self, t: Term) -> Option<Term> {
+        let cfg = self.cfg;
+        let u = cfg.unroll.as_ref()?;
+        if self.next.is_none() {
+            let parent = self.parent.f;
+            let mut latch_terms = FxMap::default();
+            for &phi in &parent.block(u.header).ops {
+                if matches!(parent.op(phi).kind, OpKind::Phi(_)) {
+                    let v = self.parent.incoming(phi, u.latch)?;
+                    latch_terms.insert(phi.0, self.term(false, v)?);
+                }
+            }
+            self.next = Some((latch_terms, FxMap::default()));
+        }
+        let (phis, mut memo) = self.next.take()?;
+        let next = Subst::Next {
+            phis: &phis,
+            copy: &u.copy,
+        };
+        let r = self.terms.substitute(t, next, &mut memo);
+        self.next = Some((phis, memo));
+        r
+    }
+
+    /// Compares candidate block `c`'s observables with those of the
+    /// parent block it stands for, as `c` sees them: input names, stores
+    /// and outputs in order, loads as a multiset, and the exit value.
+    fn observations_agree(&mut self, c: BlockId) -> Option<()> {
+        let mut po = self.observe(false, self.cfg.parent_block(c))?;
+        for (_, a, v) in &mut po.stores {
+            *a = self.seen_from(c, *a)?;
+            *v = self.seen_from(c, *v)?;
+        }
+        for (_, v) in &mut po.outputs {
+            *v = self.seen_from(c, *v)?;
+        }
+        for t in &mut po.loads {
+            *t = self.seen_from(c, *t)?;
+        }
+        if let Some(x) = po.exit {
+            po.exit = Some(self.seen_from(c, x)?);
+        }
+        let co = self.observe(true, c)?;
         let cfg = self.cfg;
         let terms = &mut *self.terms;
         let agree = po.inputs == co.inputs
@@ -496,6 +922,11 @@ impl<'a> Pair<'a> {
     /// sinking into a loop header) stands for the parent's term of that
     /// op: on each edge its incoming value must equal that term with the
     /// parent's phis replaced by their incoming values on the edge.
+    ///
+    /// A header stands for itself. Each incoming edge stands for the
+    /// parent's edge from the block its source stands for, and the
+    /// parent's incoming value is seen from that source: the copied
+    /// latch's is advanced one iteration.
     fn header_phis_agree(&mut self, b: BlockId) -> Option<()> {
         let (parent, candidate) = (self.parent.f, self.candidate.f);
         let is_phi = |f: &Function, op: OpId| {
@@ -530,15 +961,19 @@ impl<'a> Pair<'a> {
             sunk.push((x, t));
         }
         let cfg = self.cfg;
-        for &pred in &cfg.preds[b.index()] {
+        if !sunk.is_empty() && cfg.unroll.is_some() {
+            return None;
+        }
+        for &pred in cfg.preds(b) {
             let mut on_edge = FxMap::default();
             for &phi in &phis {
-                let vp = self.parent.incoming(phi, pred)?;
+                let vp = self.parent.incoming(phi, cfg.parent_block(pred))?;
                 let vc = self.candidate.incoming(phi, pred)?;
-                if vp == vc && self.same[vc.index()] && sunk.is_empty() {
+                if vp == vc && self.same[vc.index()] && sunk.is_empty() && cfg.seen_as_is(pred) {
                     continue;
                 }
-                let (x, y) = (self.term(false, vp)?, self.term(true, vc)?);
+                let x = self.term(false, vp)?;
+                let (x, y) = (self.seen_from(pred, x)?, self.term(true, vc)?);
                 if !self.terms.equal(x, y, cfg)? {
                     return None;
                 }
@@ -618,6 +1053,22 @@ enum Subst<'a> {
     Edge { block: u32, edge: u32 },
     /// Loop-header phis (by op id) by the given terms.
     Phis(&'a FxMap<u32, Term>),
+    /// One iteration of an unrolled loop advanced to the next: its
+    /// header's phis (by op id) by the given terms, and its loads and
+    /// joins moved to the copies of their blocks (`copy`, by block).
+    Next {
+        phis: &'a FxMap<u32, Term>,
+        copy: &'a [Option<BlockId>],
+    },
+}
+
+/// Block `b` under substitution `s`: its copy when `s` advances an
+/// unrolled loop it belongs to, itself otherwise.
+fn moved(s: Subst<'_>, b: u32) -> u32 {
+    match s {
+        Subst::Next { copy, .. } => copy.get(b as usize).copied().flatten().map_or(b, |c| c.0),
+        Subst::Edge { .. } | Subst::Phis(_) => b,
+    }
 }
 
 /// A multiply-rotate hasher (the `FxHash` scheme): the keys here are
@@ -942,11 +1393,13 @@ impl Terms {
                 Subst::Edge { block, edge } if b == block => xs[edge as usize],
                 _ => {
                     let xs = self.substitute_all(&xs, s, memo)?;
-                    self.join(b, xs)?
+                    self.join(moved(s, b), xs)?
                 }
             },
             Node::Phi(op) => match s {
-                Subst::Phis(map) => map.get(&op).copied().unwrap_or(t),
+                Subst::Phis(map) | Subst::Next { phis: map, .. } => {
+                    map.get(&op).copied().unwrap_or(t)
+                }
                 Subst::Edge { .. } => t,
             },
             Node::Input(_) => t,
@@ -970,7 +1423,7 @@ impl Terms {
             } => {
                 let addr = self.substitute(addr, s, memo)?;
                 self.mk(Node::Load {
-                    block,
+                    block: moved(s, block),
                     stores,
                     mem,
                     addr,
@@ -1046,7 +1499,7 @@ impl Terms {
             return Some(false);
         }
         let block = top - 1;
-        for edge in 0..cfg.preds[block as usize].len() as u32 {
+        for edge in 0..cfg.preds(BlockId(block)).len() as u32 {
             self.splits += 1;
             if self.splits > MAX_SPLITS {
                 return None;
@@ -1104,7 +1557,7 @@ mod tests {
     }
 
     fn proves(p: &Function, c: &Function) -> bool {
-        prove_equivalent(p, c).is_some()
+        prove_equivalent(p, c, None).is_some()
     }
 
     #[test]
@@ -1122,7 +1575,7 @@ mod tests {
         ));
         let f = straight(BinOp::Add, false);
         assert_eq!(
-            prove_equivalent(&f, &f.clone()),
+            prove_equivalent(&f, &f.clone(), None),
             Some(Equivalence { block_growth: 0 })
         );
     }
@@ -1206,7 +1659,7 @@ mod tests {
     #[test]
     fn phi_sinking_proves_per_edge() {
         let p = figure4(false, false);
-        let proof = prove_equivalent(&p, &figure4(true, false)).expect("proved");
+        let proof = prove_equivalent(&p, &figure4(true, false), None).expect("proved");
         assert_eq!(proof.block_growth, 1, "each arm gains the sunk op");
         assert!(!proves(&p, &figure4(true, true)));
     }
@@ -1379,6 +1832,166 @@ mod tests {
         let mut c = p.clone();
         c.add_block("extra");
         assert!(!proves(&p, &c));
+    }
+
+    /// How [`memory_loop`] unrolls its loop, if at all.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Unrolled {
+        /// A correct unroll by 2.
+        Exact,
+        /// The copy's exit test negated (`i2 >= n`).
+        Negated,
+        /// The copy's exit test off by one (`i2 <= n`).
+        OffByOne,
+        /// The copy's exit test dropped (always taken).
+        NoExitTest,
+        /// The two copies' stores to `y[0]` swapped.
+        StoresSwapped,
+        /// Copy 1 reading `y[0]` as copy 0 loaded it, above copy 0's
+        /// store to `y[0]` (its own load stays, unused).
+        LoadHoisted,
+        /// The back edge carrying copy 0's `s` instead of copy 1's.
+        WrongLatch,
+    }
+
+    /// `array x[64], y[1]; i = 0; s = 0; while (i < n) { v = x[i];
+    /// u = y[0]; x[i + 1] = v + 1; y[0] = s; s = s + (v + u); i = i + 1
+    /// } out s` (`y[0]` stored last), and its unroll by 2 with the block map. Each iteration
+    /// stores what the next one loads.
+    fn memory_loop(unroll: Option<Unrolled>) -> (Function, Option<UnrollMap>) {
+        let mut f = Function::new("memloop");
+        let e = f.entry();
+        let h = f.add_block("header");
+        let l = f.add_block("body");
+        let x = f.add_block("exit");
+        let xm = f.add_memory("x", 64);
+        let ym = f.add_memory("y", 1);
+        let n = f.emit_input(e, "n");
+        let zero = f.emit_const(e, 0);
+        let one = f.emit_const(e, 1);
+        f.set_terminator(e, Terminator::Jump(h));
+        let i = f.emit_phi(h, vec![]);
+        let s = f.emit_phi(h, vec![]);
+        let c = f.emit_bin(h, BinOp::Lt, i, n);
+        f.set_terminator(
+            h,
+            Terminator::Branch {
+                cond: c,
+                on_true: l,
+                on_false: x,
+            },
+        );
+        // One iteration in block `b` from `(i, s)`, storing `y_value` (by
+        // default `s`) to `y[0]` and reading `y[0]` as `u` (by default
+        // its own load). Returns the next `(i, s)` and the load of `y[0]`.
+        let body = |f: &mut Function, b, i, s, y_value: Option<OpId>, u: Option<OpId>| {
+            let v = f.emit_load(b, xm, i);
+            let own = f.emit_load(b, ym, zero);
+            let w = f.emit_bin(b, BinOp::Add, v, one);
+            let i2 = f.emit_bin(b, BinOp::Add, i, one);
+            f.emit_store(b, xm, i2, w);
+            let vu = f.emit_bin(b, BinOp::Add, v, u.unwrap_or(own));
+            let s2 = f.emit_bin(b, BinOp::Add, s, vu);
+            f.emit_store(b, ym, zero, y_value.unwrap_or(s));
+            (i2, s2, own)
+        };
+        let (i2, s2, u) = body(&mut f, l, i, s, None, None);
+        let Some(how) = unroll else {
+            f.set_terminator(l, Terminator::Jump(h));
+            f.op_mut(i).kind = OpKind::Phi(vec![(e, zero), (l, i2)]);
+            f.op_mut(s).kind = OpKind::Phi(vec![(e, zero), (l, s2)]);
+            f.emit_output(x, "s", s);
+            f.set_terminator(x, Terminator::Return(None));
+            crate::verify::verify(&f).unwrap();
+            return (f, None);
+        };
+        let hu = f.add_block("header.u");
+        let lu = f.add_block("body.u");
+        f.set_terminator(l, Terminator::Jump(hu));
+        let cu = match how {
+            Unrolled::Negated => f.emit_bin(hu, BinOp::Ge, i2, n),
+            Unrolled::OffByOne => f.emit_bin(hu, BinOp::Le, i2, n),
+            Unrolled::NoExitTest => one,
+            _ => f.emit_bin(hu, BinOp::Lt, i2, n),
+        };
+        f.set_terminator(
+            hu,
+            Terminator::Branch {
+                cond: cu,
+                on_true: lu,
+                on_false: x,
+            },
+        );
+        // Copy 1 runs from copy 0's latch values.
+        let y1 = (how == Unrolled::StoresSwapped).then_some(s);
+        let stale = (how == Unrolled::LoadHoisted).then_some(u);
+        let (i3, s3, _) = body(&mut f, lu, i2, s2, y1, stale);
+        if how == Unrolled::StoresSwapped {
+            let y0 = *f.block(l).ops.last().expect("the store to y[0]");
+            f.op_mut(y0).kind = OpKind::Store {
+                mem: ym,
+                addr: zero,
+                value: s2,
+            };
+        }
+        f.set_terminator(lu, Terminator::Jump(h));
+        let back = if how == Unrolled::WrongLatch { s2 } else { s3 };
+        f.op_mut(i).kind = OpKind::Phi(vec![(e, zero), (lu, i3)]);
+        f.op_mut(s).kind = OpKind::Phi(vec![(e, zero), (lu, back)]);
+        let out = f.emit_phi(x, vec![(h, s), (hu, s2)]);
+        f.emit_output(x, "s", out);
+        f.set_terminator(x, Terminator::Return(None));
+        crate::verify::verify(&f).unwrap();
+        let map = UnrollMap {
+            header: h,
+            copies: vec![(h, hu), (l, lu)],
+        };
+        (f, Some(map))
+    }
+
+    fn proves_unrolled(p: &Function, (c, map): &(Function, Option<UnrollMap>)) -> bool {
+        prove_equivalent(p, c, map.as_ref()).is_some()
+    }
+
+    #[test]
+    fn unrolled_loops_prove_through_the_block_map() {
+        let (p, _) = memory_loop(None);
+        let exact = memory_loop(Some(Unrolled::Exact));
+        let proof = prove_equivalent(&p, &exact.0, exact.1.as_ref()).expect("proved");
+        assert_eq!(proof.block_growth, 1, "the exit block gains a phi");
+        // Without the map, or with a wrong one, nothing proves.
+        assert!(!proves(&p, &exact.0));
+        let (h, hu, l, lu) = (BlockId(1), BlockId(4), BlockId(2), BlockId(5));
+        for copies in [
+            vec![(h, lu), (l, hu)],
+            vec![(h, hu)],
+            vec![(h, hu), (l, lu), (BlockId(3), BlockId(6))],
+        ] {
+            let wrong = UnrollMap { header: h, copies };
+            assert!(prove_equivalent(&p, &exact.0, Some(&wrong)).is_none());
+        }
+        let wrong_header = UnrollMap {
+            header: l,
+            ..exact.1.clone().unwrap()
+        };
+        assert!(prove_equivalent(&p, &exact.0, Some(&wrong_header)).is_none());
+        // The map does not stand in for a graph-preserving rewrite.
+        assert!(prove_equivalent(&p, &p.clone(), exact.1.as_ref()).is_none());
+    }
+
+    #[test]
+    fn unroll_mutations_never_prove() {
+        let (p, _) = memory_loop(None);
+        for how in [
+            Unrolled::Negated,
+            Unrolled::OffByOne,
+            Unrolled::NoExitTest,
+            Unrolled::StoresSwapped,
+            Unrolled::LoadHoisted,
+            Unrolled::WrongLatch,
+        ] {
+            assert!(!proves_unrolled(&p, &memory_loop(Some(how))), "{how:?}");
+        }
     }
 
     #[test]

@@ -235,6 +235,7 @@ struct JobCounters {
     block_spliced: u64,
     sim_vectors: u64,
     candidates_proved: u64,
+    candidates_derived: u64,
     sim_batches: u64,
     sim_engine_scalar: u64,
     sim_engine_batched: u64,
@@ -609,6 +610,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
                     candidates_proved: r.candidates.proved_total(),
+                    candidates_derived: r.candidates.derived_total(),
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
@@ -630,6 +632,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
                     candidates_proved: r.candidates.proved_total(),
+                    candidates_derived: r.candidates.derived_total(),
                     sim_batches: r.sim_batches,
                     sim_engine_scalar: r.sim_engine_scalar,
                     sim_engine_batched: r.sim_engine_batched,
@@ -654,6 +657,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
     s.sim_vectors.fetch_add(c.sim_vectors, Ordering::Relaxed);
     s.candidates_proved
         .fetch_add(c.candidates_proved, Ordering::Relaxed);
+    s.candidates_derived
+        .fetch_add(c.candidates_derived, Ordering::Relaxed);
     s.sim_batches.fetch_add(c.sim_batches, Ordering::Relaxed);
     s.sim_engine_scalar
         .fetch_add(c.sim_engine_scalar, Ordering::Relaxed);

@@ -74,6 +74,10 @@ pub struct ServerStats {
     /// Candidates proved equivalent to their parent instead of simulated,
     /// across all jobs (`FactResult::candidates`).
     pub candidates_proved: AtomicU64,
+    /// Unrolled candidates whose profile was derived from their parent's
+    /// counts instead of simulated, across all jobs
+    /// (`FactResult::candidates`).
+    pub candidates_derived: AtomicU64,
     /// Batched simulation passes across all jobs
     /// (`FactResult::sim_batches`).
     pub sim_batches: AtomicU64,
@@ -133,6 +137,7 @@ impl ServerStats {
             block_spliced: AtomicU64::new(0),
             sim_vectors: AtomicU64::new(0),
             candidates_proved: AtomicU64::new(0),
+            candidates_derived: AtomicU64::new(0),
             sim_batches: AtomicU64::new(0),
             sim_engine_scalar: AtomicU64::new(0),
             sim_engine_batched: AtomicU64::new(0),
@@ -259,6 +264,7 @@ impl ServerStats {
             ("block_spliced", counter(&self.block_spliced)),
             ("sim_vectors", counter(&self.sim_vectors)),
             ("candidates_proved", counter(&self.candidates_proved)),
+            ("candidates_derived", counter(&self.candidates_derived)),
             ("sim_batches", counter(&self.sim_batches)),
             ("sim_engine_scalar", counter(&self.sim_engine_scalar)),
             ("sim_engine_batched", counter(&self.sim_engine_batched)),
@@ -296,7 +302,7 @@ impl ServerStats {
              panics={} respawns={} \
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
-             evals={} proved={} resched full={} spliced={} sim={}v/{}b ({:.0} v/s) \
+             evals={} proved={} derived={} resched full={} spliced={} sim={}v/{}b ({:.0} v/s) \
              engine=scalar:{}/batched:{} \
              mega={}x{:.1} ({} lanes) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
@@ -322,6 +328,7 @@ impl ServerStats {
             self.pareto_points.load(Ordering::Relaxed),
             self.evaluations.load(Ordering::Relaxed),
             self.candidates_proved.load(Ordering::Relaxed),
+            self.candidates_derived.load(Ordering::Relaxed),
             self.full_reschedules.load(Ordering::Relaxed),
             self.block_spliced.load(Ordering::Relaxed),
             self.sim_vectors.load(Ordering::Relaxed),
@@ -391,6 +398,7 @@ mod tests {
         s.block_spliced.fetch_add(5, Ordering::Relaxed);
         s.sim_vectors.fetch_add(640, Ordering::Relaxed);
         s.candidates_proved.fetch_add(21, Ordering::Relaxed);
+        s.candidates_derived.fetch_add(6, Ordering::Relaxed);
         s.sim_batches.fetch_add(16, Ordering::Relaxed);
         s.sim_engine_scalar.fetch_add(4, Ordering::Relaxed);
         s.sim_engine_batched.fetch_add(12, Ordering::Relaxed);
@@ -411,6 +419,7 @@ mod tests {
         assert_eq!(v.get("block_spliced").unwrap().as_i64(), Some(5));
         assert_eq!(v.get("sim_vectors").unwrap().as_i64(), Some(640));
         assert_eq!(v.get("candidates_proved").unwrap().as_i64(), Some(21));
+        assert_eq!(v.get("candidates_derived").unwrap().as_i64(), Some(6));
         assert_eq!(v.get("sim_batches").unwrap().as_i64(), Some(16));
         assert_eq!(v.get("sim_engine_scalar").unwrap().as_i64(), Some(4));
         assert_eq!(v.get("sim_engine_batched").unwrap().as_i64(), Some(12));

@@ -18,11 +18,12 @@
 //! incremental scores equal to full-pipeline scores.
 
 use crate::interp::{BranchStats, ExecError, ExecResult};
-use fact_ir::{Function, MemId, OpKind, Terminator};
+use fact_ir::{DomTree, Function, LoopForest, MemId, OpKind, Terminator};
 use std::collections::HashMap;
 
 /// One decoded non-phi operation. Value operands are plain indices into
 /// the dense value array (slot = `OpId::index()`).
+#[derive(Clone)]
 pub(crate) enum Inst {
     /// `values[dst] = value`.
     Const { dst: usize, value: i64 },
@@ -62,6 +63,7 @@ pub(crate) enum Inst {
 }
 
 /// Decoded terminator with block indices instead of [`fact_ir::BlockId`]s.
+#[derive(Clone)]
 pub(crate) enum CTerm {
     Jump(usize),
     Branch {
@@ -72,6 +74,33 @@ pub(crate) enum CTerm {
     Return(Option<usize>),
 }
 
+impl CTerm {
+    /// The successor blocks.
+    fn successors(&self) -> Vec<usize> {
+        match *self {
+            CTerm::Jump(t) => vec![t],
+            CTerm::Branch {
+                on_true, on_false, ..
+            } => vec![on_true, on_false],
+            CTerm::Return(_) => Vec::new(),
+        }
+    }
+
+    /// Replaces every successor `s` with `to(s)`.
+    fn retarget(&mut self, to: impl Fn(usize) -> usize) {
+        match self {
+            CTerm::Jump(t) => *t = to(*t),
+            CTerm::Branch {
+                on_true, on_false, ..
+            } => {
+                *on_true = to(*on_true);
+                *on_false = to(*on_false);
+            }
+            CTerm::Return(_) => {}
+        }
+    }
+}
+
 /// Parallel-copy list for one incoming edge: the predecessor block index
 /// and the `(dst, src)` slot pairs of the successor's phis in program
 /// order, or `None` when some phi has no entry for that predecessor
@@ -80,6 +109,7 @@ pub(crate) enum CTerm {
 pub(crate) type PhiCopies = (usize, Option<Vec<(usize, usize)>>);
 
 /// One decoded block.
+#[derive(Clone)]
 pub(crate) struct CBlock {
     /// Parallel-copy lists, one per structural predecessor.
     pub(crate) phi_copies: Vec<PhiCopies>,
@@ -88,6 +118,42 @@ pub(crate) struct CBlock {
     /// Non-phi operations in program order.
     pub(crate) insts: Vec<Inst>,
     pub(crate) term: CTerm,
+}
+
+/// A loop whose block visits and branches are counted by iteration
+/// parity: innermost, one latch, one exit edge from the header
+/// ([`fact_ir::NaturalLoop::is_simple`]). Such loops never overlap.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ParityLoop {
+    pub(crate) header: usize,
+    /// The loop's blocks, ascending (the header included).
+    pub(crate) blocks: Vec<usize>,
+}
+
+/// One run's odd-iteration counts: per block, visits and `(taken, not
+/// taken)` on odd iterations of the parity loop holding it (iterations
+/// are counted from 0 on each entry to the loop). Made once per
+/// function ([`OddCounts::for_fn`]) and reused across its runs: each
+/// successful run overwrites the parity loops' blocks, the only ones it
+/// counts.
+#[derive(Default)]
+pub(crate) struct OddCounts {
+    pub(crate) visits: Vec<u64>,
+    pub(crate) branches: Vec<(u64, u64)>,
+    /// The blocks of every parity loop.
+    pub(crate) blocks: Vec<usize>,
+}
+
+impl OddCounts {
+    /// Zeroed counts for runs of `cf`.
+    pub(crate) fn for_fn(cf: &CompiledFn) -> OddCounts {
+        let n = cf.num_blocks();
+        OddCounts {
+            visits: vec![0; n],
+            branches: vec![(0, 0); n],
+            blocks: cf.odd_copies.iter().map(|&(b, _)| b).collect(),
+        }
+    }
 }
 
 /// A function decoded for repeated execution.
@@ -111,10 +177,16 @@ pub struct CompiledFn {
     /// are unobservable, so the batched engine may recycle one without
     /// re-zeroing it (see [`CompiledFn::fusable_straightline`]).
     pub(crate) writes_before_reads: bool,
+    /// The loops whose counts are split by iteration parity, by header.
+    pub(crate) parity_loops: Vec<ParityLoop>,
+    /// Each parity loop block with the block running its odd iterations,
+    /// appended after the function's own blocks ([`split_by_parity`]).
+    pub(crate) odd_copies: Vec<(usize, usize)>,
 }
 
 impl CompiledFn {
-    /// Decodes `f` into flat executable form.
+    /// Decodes `f` into flat executable form, with every parity loop
+    /// split by iteration parity (`split_by_parity`).
     pub fn compile(f: &Function) -> CompiledFn {
         let preds = f.predecessors();
         let mut input_names: Vec<String> = Vec::new();
@@ -222,6 +294,8 @@ impl CompiledFn {
                 term,
             });
         }
+        let parity_loops = parity_loops(f);
+        let odd_copies = split_by_parity(&mut blocks, &parity_loops);
         let writes_before_reads = blocks.len() == 1 && {
             let b = &blocks[0];
             let mut defined = vec![false; f.num_ops()];
@@ -263,6 +337,8 @@ impl CompiledFn {
             input_names,
             output_names,
             writes_before_reads,
+            parity_loops,
+            odd_copies,
         }
     }
 
@@ -273,16 +349,7 @@ impl CompiledFn {
 
     /// Number of blocks (same indexing as the source function).
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Indices of blocks that end in a conditional branch.
-    pub fn branch_blocks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| matches!(b.term, CTerm::Branch { .. }))
-            .map(|(i, _)| i)
+        self.blocks.len() - self.odd_copies.len()
     }
 
     /// Runs with initial memory images given positionally (memory index
@@ -299,6 +366,19 @@ impl CompiledFn {
         init: &[Vec<i64>],
         step_limit: u64,
     ) -> Result<ExecResult, ExecError> {
+        self.execute_counted(inputs, init, step_limit, None)
+    }
+
+    /// [`CompiledFn::execute_seeded`], also counting the run's
+    /// odd-iteration visits and branches into `odd` when given (made for
+    /// this function by [`OddCounts::for_fn`]).
+    pub(crate) fn execute_counted(
+        &self,
+        inputs: &HashMap<String, i64>,
+        init: &[Vec<i64>],
+        step_limit: u64,
+        odd: Option<&mut OddCounts>,
+    ) -> Result<ExecResult, ExecError> {
         let memories = self
             .mem_sizes
             .iter()
@@ -309,7 +389,7 @@ impl CompiledFn {
                 m
             })
             .collect();
-        self.run(inputs, memories, step_limit)
+        self.run(inputs, memories, step_limit, odd)
     }
 
     fn run(
@@ -317,6 +397,7 @@ impl CompiledFn {
         inputs: &HashMap<String, i64>,
         mut memories: Vec<Vec<i64>>,
         step_limit: u64,
+        mut odd: Option<&mut OddCounts>,
     ) -> Result<ExecResult, ExecError> {
         // Input values are resolved by name once per run; absence is only
         // an error if the corresponding Input op actually executes.
@@ -448,6 +529,19 @@ impl CompiledFn {
                     cur = if taken { on_true } else { on_false };
                 }
                 CTerm::Return(v) => {
+                    // Fold the odd iterations back onto their blocks.
+                    for &(b, c) in &self.odd_copies {
+                        if let Some(odd) = odd.as_deref_mut() {
+                            odd.visits[b] = block_visits[c];
+                            odd.branches[b] = branch_counts[c];
+                        }
+                        block_visits[b] += block_visits[c];
+                        branch_counts[b].0 += branch_counts[c].0;
+                        branch_counts[b].1 += branch_counts[c].1;
+                    }
+                    let n = self.num_blocks();
+                    block_visits.truncate(n);
+                    branch_counts.truncate(n);
                     let mut branches = BranchStats::default();
                     for (i, &(t, fls)) in branch_counts.iter().enumerate() {
                         if t + fls > 0 {
@@ -466,6 +560,77 @@ impl CompiledFn {
             }
         }
     }
+}
+
+/// Splits every parity loop of `blocks` by iteration parity: each loop
+/// block gets a copy, appended, that runs its odd iterations. The back
+/// edge leads from the even latch to the odd header and from the odd
+/// latch to the even one, entering the loop still enters the even
+/// header, and both headers leave for the same exit. The copies run the
+/// same instructions on the same value slots, so runs are unchanged,
+/// and a run counts each block's odd-iteration visits and branches in
+/// its copy at no cost per visit. Returns each loop block with its copy.
+fn split_by_parity(blocks: &mut Vec<CBlock>, loops: &[ParityLoop]) -> Vec<(usize, usize)> {
+    let mut odd_copies = Vec::new();
+    for l in loops {
+        let first = blocks.len();
+        let copy = |b: usize| l.blocks.binary_search(&b).ok().map(|k| first + k);
+        let h = l.header;
+        let h_odd = copy(h).expect("the header is in its loop");
+        for &b in &l.blocks {
+            let mut odd = blocks[b].clone();
+            blocks[b].term.retarget(|s| if s == h { h_odd } else { s });
+            odd.term
+                .retarget(|s| if s == h { h } else { copy(s).unwrap_or(s) });
+            // Every predecessor of a block but the header is in the loop;
+            // the odd header is entered from the even latch only.
+            if b != h {
+                for (p, _) in &mut odd.phi_copies {
+                    *p = copy(*p).expect("only the header is entered from outside");
+                }
+            }
+            blocks.push(odd);
+            odd_copies.push((b, copy(b).expect("a loop block")));
+        }
+        // The even header is entered from the odd latch as from the
+        // latch, and the exit from the odd header as from the header.
+        let back: Vec<PhiCopies> = blocks[h]
+            .phi_copies
+            .iter()
+            .filter_map(|(p, e)| Some((copy(*p)?, e.clone())))
+            .collect();
+        blocks[h].phi_copies.extend(back);
+        for exit in blocks[h].term.successors() {
+            if copy(exit).is_none() {
+                let from_odd = blocks[exit]
+                    .phi_copies
+                    .iter()
+                    .find(|(p, _)| *p == h)
+                    .map(|(_, e)| (h_odd, e.clone()));
+                blocks[exit].phi_copies.extend(from_odd);
+            }
+        }
+    }
+    odd_copies
+}
+
+/// The parity loops of `f`, by header: the simple innermost loops.
+fn parity_loops(f: &Function) -> Vec<ParityLoop> {
+    if f.num_blocks() == 1 {
+        return Vec::new();
+    }
+    let dom = DomTree::compute(f);
+    let forest = LoopForest::compute(f, &dom);
+    let mut loops: Vec<ParityLoop> = forest
+        .innermost()
+        .filter(|l| l.is_simple())
+        .map(|l| ParityLoop {
+            header: l.header.index(),
+            blocks: l.body.iter().map(|b| b.index()).collect(),
+        })
+        .collect();
+    loops.sort_by_key(|l| l.header);
+    loops
 }
 
 /// Interns `name` into `table`, returning its index.
@@ -617,13 +782,5 @@ mod tests {
         let b = cf.execute_seeded(&env, &init, cfg.step_limit).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.memories, b.memories);
-    }
-
-    #[test]
-    fn branch_blocks_enumerates_branching_blocks() {
-        let f = compile("proc f(a) { var y = 0; if (a) { y = 1; } out y = y; }").unwrap();
-        let cf = CompiledFn::compile(&f);
-        assert_eq!(cf.branch_blocks().count(), 1);
-        assert!(cf.num_blocks() >= 3);
     }
 }

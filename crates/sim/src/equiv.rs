@@ -15,6 +15,7 @@
 
 use crate::compiled::CompiledFn;
 use crate::interp::{execute_with, ExecConfig, ExecError, ExecResult, DEFAULT_STEP_LIMIT};
+use crate::simulate::{LaneSteps, StepBound};
 use crate::trace::TraceSet;
 use fact_ir::Function;
 use fact_prng::rngs::StdRng;
@@ -242,6 +243,9 @@ struct RefVector {
 /// `oracle_equiv` suite in `fact-core` holds the two paths together.
 pub struct EquivReference {
     vectors: Vec<RefVector>,
+    /// The most work one lane of the original did, `None` when a lane
+    /// ran into the step limit.
+    steps: Option<StepBound>,
 }
 
 impl EquivReference {
@@ -251,22 +255,33 @@ impl EquivReference {
     pub fn capture(original: &Function, traces: &TraceSet, seed: u64) -> EquivReference {
         let cf = CompiledFn::compile(original);
         let mut rng = StdRng::seed_from_u64(seed);
+        let mut steps = LaneSteps::default();
         let vectors = traces
             .vectors
             .iter()
             .map(|v| {
                 let init = random_images(original, &mut rng);
-                let outcome = cf
-                    .execute_seeded(v, &init, DEFAULT_STEP_LIMIT)
-                    .map(|r| RefOk {
-                        outputs: r.outputs,
-                        memories: r.memories,
-                        returned: r.returned,
-                    });
+                let r = cf.execute_seeded(v, &init, DEFAULT_STEP_LIMIT);
+                steps.record(&r);
+                let outcome = r.map(|r| RefOk {
+                    outputs: r.outputs,
+                    memories: r.memories,
+                    returned: r.returned,
+                });
                 RefVector { init, outcome }
             })
             .collect();
-        EquivReference { vectors }
+        EquivReference {
+            vectors,
+            steps: steps.finish(),
+        }
+    }
+
+    /// The most work one vector of the original did from the captured
+    /// images (what a [`crate::simulate`] verify pass of the original
+    /// itself would bound); `None` when one ran into the step limit.
+    pub fn steps(&self) -> Option<StepBound> {
+        self.steps
     }
 
     /// Number of captured vectors.

@@ -67,18 +67,6 @@ impl BranchStats {
             e.1 += f;
         }
     }
-
-    /// The probability that the branch in block `b` is taken, if observed.
-    pub fn prob_true(&self, b: usize) -> Option<f64> {
-        self.counts.get(&b).and_then(|&(t, f)| {
-            let total = t + f;
-            if total == 0 {
-                None
-            } else {
-                Some(t as f64 / total as f64)
-            }
-        })
-    }
 }
 
 /// The observable result of one execution.
@@ -441,7 +429,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counts[&1], (4, 2));
         assert_eq!(a.counts[&2], (5, 0));
-        assert!((a.prob_true(1).unwrap() - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(a.prob_true(99), None);
     }
 }

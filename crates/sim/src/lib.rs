@@ -28,6 +28,6 @@ pub use batch::{SimCounters, SimEngine, SimScratch, DEFAULT_MAX_LANES};
 pub use compiled::CompiledFn;
 pub use equiv::{check_equivalence, EquivReference, Mismatch};
 pub use interp::{execute, execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
-pub use profile::{profile, profile_with, BranchProfile};
+pub use profile::{profile, profile_with, BranchProfile, ProfileCounts};
 pub use simulate::{simulate, Simulation, StepBound, MIN_BATCHED_LANES};
 pub use trace::{generate, DedupLanes, InputSpec, TraceColumns, TraceSet};

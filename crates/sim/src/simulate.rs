@@ -11,10 +11,10 @@
 //! in wall-clock time and work counters.
 
 use crate::batch::{SimCounters, SimEngine, SimScratch};
-use crate::compiled::CompiledFn;
+use crate::compiled::{CompiledFn, OddCounts};
 use crate::equiv::{judge, EquivReference, Expected};
 use crate::interp::{ExecError, ExecResult, DEFAULT_STEP_LIMIT};
-use crate::profile::{BranchProfile, ProfileAccum};
+use crate::profile::{BranchProfile, ProfileAccum, ProfileCounts};
 use crate::trace::{DedupLanes, TraceColumns, TraceSet};
 
 /// What one [`simulate`] call observed.
@@ -24,6 +24,9 @@ pub struct Simulation {
     /// memories; `None` when the function is not equivalent to the
     /// reference.
     pub profile: Option<BranchProfile>,
+    /// The counts `profile` was computed from, split by iteration parity
+    /// in every parity loop; `Some` exactly when `profile` is.
+    pub counts: Option<ProfileCounts>,
     /// Lanes of the first pass: the distinct trace vectors when every
     /// vector starts from zeroed memories, one per vector otherwise.
     pub lanes: usize,
@@ -58,6 +61,14 @@ impl StepBound {
             ops,
             entries: self.entries,
         })
+    }
+
+    /// The bound over the lanes of both `self` and `other`.
+    pub fn joined(self, other: StepBound) -> StepBound {
+        StepBound {
+            ops: self.ops.max(other.ops),
+            entries: self.entries.max(other.entries),
+        }
     }
 }
 
@@ -133,7 +144,7 @@ fn straightline_columns<'t>(
 
 /// Running [`StepBound`] of a pass, plus whether a lane hit the limit.
 #[derive(Clone, Copy, Default)]
-struct LaneSteps {
+pub(crate) struct LaneSteps {
     bound: StepBound,
     limited: bool,
 }
@@ -145,7 +156,7 @@ impl LaneSteps {
         self.bound.entries = self.bound.entries.max(entries);
     }
 
-    fn record(&mut self, r: &Result<ExecResult, ExecError>) {
+    pub(crate) fn record(&mut self, r: &Result<ExecResult, ExecError>) {
         match r {
             Ok(r) => self.ok(r.ops_executed, r.block_visits.iter().sum()),
             Err(e) => self.limited |= matches!(e, ExecError::StepLimitExceeded { .. }),
@@ -157,7 +168,7 @@ impl LaneSteps {
         self.limited |= other.limited;
     }
 
-    fn finish(self) -> Option<StepBound> {
+    pub(crate) fn finish(self) -> Option<StepBound> {
         (!self.limited).then_some(self.bound)
     }
 }
@@ -245,8 +256,10 @@ pub fn simulate(
     if let Some(c) = counters {
         c.add(vectors, batches);
     }
+    let counts = equivalent.then(|| accum.finish(&cf.parity_loops));
     Simulation {
-        profile: equivalent.then(|| accum.finish(cf.branch_blocks())),
+        profile: counts.as_ref().map(ProfileCounts::profile),
+        counts,
         lanes,
         steps: steps.finish(),
     }
@@ -270,14 +283,15 @@ fn scalar_pass(
     };
     let mut steps = LaneSteps::default();
     let mut vectors = 0;
+    let mut odd = OddCounts::for_fn(cf);
     for k in 0..dl.len() {
         let (i, weight) = dl.get(k);
         let init = reference.map_or(&[][..], |r| r.init(i));
-        let r = cf.execute_seeded(&traces.vectors[i], init, DEFAULT_STEP_LIMIT);
+        let r = cf.execute_counted(&traces.vectors[i], init, DEFAULT_STEP_LIMIT, Some(&mut odd));
         vectors += weight as u64;
         steps.record(&r);
         if let Some(a) = accum.as_deref_mut() {
-            a.record(&r, weight);
+            a.record(&r, weight, &odd);
         }
         if reference.is_some_and(|rf| judge(i, rf.expected(i), &r).is_some()) {
             return (false, dl.len(), steps, vectors);

@@ -44,6 +44,7 @@ impl Transform for Commutativity {
                     kind: TransformKind::Commutativity,
                     description: format!("swap operands of {op} ({bin})"),
                     function: g,
+                    unrolled: None,
                 });
             }
         }
@@ -263,6 +264,7 @@ fn rebuild_tree(
             }
         ),
         function: g,
+        unrolled: None,
     }
 }
 
@@ -314,6 +316,7 @@ impl Transform for Distributivity {
                                 kind: TransformKind::Distributivity,
                                 description: format!("factor {k} out of {op}"),
                                 function: g,
+                                unrolled: None,
                             });
                             break;
                         }
@@ -339,6 +342,7 @@ impl Transform for Distributivity {
                             kind: TransformKind::Distributivity,
                             description: format!("sum-of-differences rewrite at {op}"),
                             function: g,
+                            unrolled: None,
                         });
                     }
                 }
@@ -366,6 +370,7 @@ impl Transform for Distributivity {
                             kind: TransformKind::Distributivity,
                             description: format!("expand {op} over {inner_bin}"),
                             function: g,
+                            unrolled: None,
                         });
                         break;
                     }

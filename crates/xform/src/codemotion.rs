@@ -120,6 +120,7 @@ impl Transform for CodeMotion {
                     l.header
                 ),
                 function: g,
+                unrolled: None,
             });
         }
         out

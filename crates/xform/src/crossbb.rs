@@ -131,6 +131,7 @@ impl Transform for PhiSink {
                     kind: TransformKind::PhiSink,
                     description: format!("sink {u} through joins of {m}"),
                     function: g,
+                    unrolled: None,
                 });
             }
         }

@@ -58,6 +58,7 @@ impl Transform for LoopDistribution {
                     kind: TransformKind::LoopUnroll,
                     description: format!("distribute loop at {}", l.header),
                     function: g,
+                    unrolled: None,
                 });
             }
         }

@@ -8,7 +8,7 @@
 //! is how the algorithm "directs its focus on the critical sections of
 //! the behavior".
 
-use fact_ir::{BlockId, DomTree, Function, LoopForest};
+use fact_ir::{BlockId, DomTree, Function, LoopForest, UnrollMap};
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
@@ -78,6 +78,10 @@ pub struct Candidate {
     pub description: String,
     /// The transformed function (the original is never mutated).
     pub function: Function,
+    /// For a loop unrolled by 2, how its blocks stand for the original's
+    /// (what [`fact_ir::prove_equivalent`] checks); `None` for a rewrite
+    /// that keeps the control-flow graph, or changes it another way.
+    pub unrolled: Option<UnrollMap>,
 }
 
 /// The region a transformation may touch: a set of IR blocks, or the whole

@@ -10,7 +10,9 @@
 //! library transformation).
 
 use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
-use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator};
+use fact_ir::{
+    BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator, UnrollMap,
+};
 use std::collections::HashMap;
 
 /// Loop unrolling by a fixed factor.
@@ -35,25 +37,17 @@ impl Transform for LoopUnroll {
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
-        let forest = parent.loops();
         let mut out = Vec::new();
-        for l in forest.loops() {
+        for l in parent.loops().innermost() {
             if !region.covers(l.header) {
                 continue;
             }
-            // Only innermost loops.
-            if forest
-                .loops()
-                .iter()
-                .any(|m| m.header != l.header && l.contains(m.header))
-            {
-                continue;
-            }
-            if let Some(g) = unroll_once_times(parent, l, self.factor) {
+            if let Some((g, unrolled)) = unroll_once_times(parent, l, self.factor) {
                 out.push(Candidate {
                     kind: TransformKind::LoopUnroll,
                     description: format!("unroll loop at {} by {}", l.header, self.factor),
                     function: g,
+                    unrolled,
                 });
             }
         }
@@ -61,36 +55,43 @@ impl Transform for LoopUnroll {
     }
 }
 
-/// Unrolls `l` by `factor` (chaining `factor - 1` body copies). Returns
-/// `None` if the loop shape is unsupported: the loop must have a single
-/// latch and a single exit edge leaving from the header.
-fn unroll_once_times(parent: &Parent<'_>, l: &NaturalLoop, factor: u32) -> Option<Function> {
+/// Unrolls `l` by `factor` (chaining `factor - 1` body copies), with the
+/// block correspondence when the result is unrolled by 2. Returns `None`
+/// if the loop shape is unsupported: the loop must have a single latch
+/// and a single exit edge leaving from the header.
+fn unroll_once_times(
+    parent: &Parent<'_>,
+    l: &NaturalLoop,
+    factor: u32,
+) -> Option<(Function, Option<UnrollMap>)> {
     // The first copy reads the parent's own analyses.
-    let mut g = unroll_one_copy(parent.function(), parent.dom(), l)?;
+    let (mut g, map) = unroll_one_copy(parent.function(), parent.dom(), l)?;
+    let mut unrolled = Some(map);
     for _ in 2..factor {
         // Later copies re-detect the loop, since prior copies changed
         // block ids. Re-unrolling introduces multiple exits, which the
         // copier does not support; keep what we have (factor degrades).
         let dom = DomTree::compute(&g);
         let forest = LoopForest::compute(&g, &dom);
-        let Some(next) = forest
+        let Some((next, _)) = forest
             .loop_with_header(l.header)
             .and_then(|l| unroll_one_copy(&g, &dom, l))
         else {
             break;
         };
         g = next;
+        unrolled = None;
     }
     fact_ir::rewrite::simplify_phis(&mut g);
     fact_ir::rewrite::eliminate_dead_code(&mut g);
     fact_ir::verify::verify(&g).ok()?;
-    Some(g)
+    Some((g, unrolled))
 }
 
 /// Adds one more body copy to the loop `l` of `f` (`dom` is `f`'s
-/// dominator tree).
-fn unroll_one_copy(f: &Function, dom: &DomTree, l: &NaturalLoop) -> Option<Function> {
-    if l.latches.len() != 1 || l.exits.len() != 1 || l.exits[0].0 != l.header {
+/// dominator tree), and says which block copies which.
+fn unroll_one_copy(f: &Function, dom: &DomTree, l: &NaturalLoop) -> Option<(Function, UnrollMap)> {
+    if !l.is_simple() {
         return None;
     }
     let latch = l.latches[0];
@@ -309,7 +310,14 @@ fn unroll_one_copy(f: &Function, dom: &DomTree, l: &NaturalLoop) -> Option<Funct
         }
     }
 
-    Some(g)
+    let copies = blocks.iter().map(|b| (*b, block_copy[b])).collect();
+    Some((
+        g,
+        UnrollMap {
+            header: l.header,
+            copies,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -317,7 +325,9 @@ mod tests {
     use super::*;
     use fact_ir::verify::verify;
     use fact_lang::compile;
-    use fact_sim::{check_equivalence, generate, InputSpec};
+    use fact_sim::{
+        check_equivalence, generate, simulate, CompiledFn, InputSpec, SimEngine, SimScratch,
+    };
 
     fn traces(names: &[&str], lo: i64, hi: i64) -> fact_sim::TraceSet {
         let specs: Vec<_> = names
@@ -331,6 +341,34 @@ mod tests {
         LoopUnroll::new(2).candidates(f, &Region::whole())
     }
 
+    /// `c` proves equivalent to `f` through its block map, and the counts
+    /// derived from `f`'s over `t` are what simulating `c` counts.
+    fn assert_proved_and_derived(f: &Function, c: &Candidate, t: &fact_sim::TraceSet) {
+        let map = c.unrolled.as_ref().expect("an unroll by 2 has a map");
+        assert!(
+            fact_ir::prove_equivalent(f, &c.function, Some(map)).is_some(),
+            "not proved:\n{f}\n{}",
+            c.function
+        );
+        let counts = |g: &Function| {
+            let cf = CompiledFn::compile(g);
+            simulate(
+                &cf,
+                t,
+                None,
+                SimEngine::Scalar,
+                None,
+                &mut SimScratch::default(),
+            )
+            .counts
+            .unwrap()
+        };
+        assert_eq!(
+            counts(f).unrolled(map, c.function.num_blocks()),
+            Some(counts(&c.function))
+        );
+    }
+
     #[test]
     fn counter_loop_unrolls_and_matches() {
         let f = compile(
@@ -342,6 +380,7 @@ mod tests {
         let g = &cands[0].function;
         verify(g).unwrap();
         check_equivalence(&f, g, &traces(&["n"], 0, 25), 1).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(&["n"], 0, 25));
         // Two loop tests now exist (original + copy).
         let dom = DomTree::compute(g);
         let forest = LoopForest::compute(g, &dom);
@@ -372,6 +411,7 @@ mod tests {
             .map(|&(v, lo, hi)| (v.to_string(), InputSpec::Uniform { lo, hi }))
             .collect();
         check_equivalence(&f, &cands[0].function, &generate(&specs, 60, 5), 3).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &generate(&specs, 60, 5));
     }
 
     #[test]
@@ -391,6 +431,8 @@ mod tests {
         assert_eq!(cands.len(), 1);
         verify(&cands[0].function).unwrap();
         check_equivalence(&f, &cands[0].function, &traces(&["a", "b"], 1, 40), 2).unwrap();
+        // The body's `if` splits by parity too.
+        assert_proved_and_derived(&f, &cands[0], &traces(&["a", "b"], 1, 40));
     }
 
     #[test]
@@ -410,6 +452,7 @@ mod tests {
         assert_eq!(cands.len(), 1);
         verify(&cands[0].function).unwrap();
         check_equivalence(&f, &cands[0].function, &traces(&["n"], 0, 60), 3).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(&["n"], 0, 60));
     }
 
     #[test]
@@ -425,6 +468,7 @@ mod tests {
         assert_eq!(cands.len(), 1);
         verify(&cands[0].function).unwrap();
         check_equivalence(&f, &cands[0].function, &traces(&["n"], 0, 30), 4).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(&["n"], 0, 30));
     }
 
     #[test]
@@ -436,6 +480,7 @@ mod tests {
         let cands = unroll2(&f);
         let t = generate(&[("n".to_string(), InputSpec::Constant(0))], 3, 5);
         check_equivalence(&f, &cands[0].function, &t, 5).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &t);
     }
 
     #[test]
@@ -457,5 +502,6 @@ mod tests {
         assert_eq!(cands.len(), 1);
         verify(&cands[0].function).unwrap();
         check_equivalence(&f, &cands[0].function, &traces(&["n"], 0, 10), 6).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(&["n"], 0, 10));
     }
 }

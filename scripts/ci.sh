@@ -60,6 +60,13 @@ assert not unexpanded, f"expand_s missing or negative: {unexpanded}"
 # So is proving candidates equivalent to their parents.
 unproved = [s["name"] for s in suites if not s["prove_s"] >= 0]
 assert not unproved, f"prove_s missing or negative: {unproved}"
+# And deriving unrolled candidates' profiles from their parents' counts.
+underived = [s["name"] for s in suites if not s["derive_s"] >= 0]
+assert not underived, f"derive_s missing or negative: {underived}"
+# Every loop-unroll candidate of the suite is proved through its block
+# map and its profile derived: none is simulated.
+simulated = [(s["name"], s["unroll_simulated"]) for s in suites if s["unroll_simulated"] != 0]
+assert not simulated, f"loop-unroll candidates simulated: {simulated}"
 print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
 EOF
 scripts/bench.sh sim --smoke \

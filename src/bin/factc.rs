@@ -333,23 +333,23 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 /// Prints how the search's candidates got their branch profiles to
-/// stderr: proved equivalent to their parent, or simulated, with the
-/// proved count per transformation kind.
+/// stderr: proved equivalent to their parent (reusing its profile or
+/// deriving it from the parent's counts), or simulated, with the share
+/// not simulated per transformation kind.
 fn eprint_candidates(c: &CandidateCounts) {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
-        .filter(|k| c.proved[k.index()] + c.simulated[k.index()] > 0)
         .map(|k| {
-            format!(
-                "{k} {}/{}",
-                c.proved[k.index()],
-                c.proved[k.index()] + c.simulated[k.index()]
-            )
+            let i = k.index();
+            (k, c.proved[i] + c.derived[i], c.simulated[i])
         })
+        .filter(|&(_, known, simulated)| known + simulated > 0)
+        .map(|(k, known, simulated)| format!("{k} {known}/{}", known + simulated))
         .collect();
     eprintln!(
-        "candidates: {} proved, {} simulated (proved/total per kind: {})",
+        "candidates: {} proved, {} derived, {} simulated (not simulated/total per kind: {})",
         c.proved_total(),
+        c.derived_total(),
         c.simulated_total(),
         per_kind.join(", ")
     );

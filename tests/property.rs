@@ -13,20 +13,31 @@
 //!   [`TransformLibrary::full`] it proves equivalent to its source, and
 //!   every random mutation of a program it proves equivalent to the
 //!   original, is equivalent under simulation and has the source's
-//!   branch profile.
+//!   branch profile — or, for a loop unrolled by 2, the profile derived
+//!   from the source's per-parity loop counts, bit for bit;
+//! * on loop-shaped programs, unrolling proves, its derived counts equal
+//!   simulation's, and random mutations of unrolled loops prove only
+//!   when equivalent.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
 //! in-bounds) loads and stores, multiplications over sums (for
-//! distributivity), and repeated subexpressions (for CSE). Seed-driven
+//! distributivity), and repeated subexpressions (for CSE). A second
+//! generator writes loop nests: counted loops, loops bounded by an input
+//! (zero trips when it is small), data-dependent exits, if/else bodies,
+//! nested loops, and array recurrences across iterations. Seed-driven
 //! and std-only: a failure prints the seed and the program.
 
-use fact_ir::{prove_equivalent, BinOp, Function, OpKind, UnOp};
+use fact_ir::{prove_equivalent, BinOp, Function, OpKind, UnOp, UnrollMap};
 use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
-use fact_sim::{check_equivalence, generate, InputSpec, TraceSet};
-use fact_xform::{Region, TransformLibrary};
+use fact_sim::{
+    check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, SimEngine,
+    SimScratch, TraceSet,
+};
+use fact_xform::unroll::LoopUnroll;
+use fact_xform::{Region, Transform, TransformLibrary};
 
 /// Generated programs checked per property.
 const CASES: u64 = 256;
@@ -175,6 +186,127 @@ impl ProgGen {
         }
         out
     }
+}
+
+impl ProgGen {
+    /// One loop statement (with its counter's declaration): counted up
+    /// to a constant (possibly 0), bounded by an input (zero trips when
+    /// the input is small), or leaving on data as well; its body mixes
+    /// assignments, if/else, array recurrences across iterations and,
+    /// while `depth > 0`, a nested loop.
+    fn loop_stmt(&mut self, depth: u32) -> Vec<Stmt> {
+        let k = self.counter();
+        let counter = || Expr::Var(k.clone());
+        let cond = match self.rng.gen_range(0..3u32) {
+            0 => Expr::bin(BinOp::Lt, counter(), Expr::Int(self.rng.gen_range(0i64..6))),
+            1 => {
+                let input = Expr::Var(INPUTS[self.rng.gen_range(0..INPUTS.len())].to_string());
+                let bound = Expr::bin(BinOp::Sub, masked(input), Expr::Int(2));
+                Expr::bin(BinOp::Lt, counter(), bound)
+            }
+            _ => {
+                let v = VARS[self.rng.gen_range(0..VARS.len())].to_string();
+                Expr::bin(
+                    BinOp::And,
+                    Expr::bin(BinOp::Lt, counter(), Expr::Int(self.rng.gen_range(1i64..7))),
+                    Expr::bin(
+                        BinOp::Lt,
+                        Expr::Var(v),
+                        Expr::Int(self.rng.gen_range(-10i64..30)),
+                    ),
+                )
+            }
+        };
+        let mut body = Vec::new();
+        for _ in 0..self.rng.gen_range(1..4usize) {
+            let v = VARS[self.rng.gen_range(0..VARS.len())].to_string();
+            match self.rng.gen_range(0..5u32) {
+                0 | 1 => body.push(Stmt::Assign(v, self.expr(2))),
+                2 => {
+                    let w = VARS[self.rng.gen_range(0..VARS.len())].to_string();
+                    body.push(Stmt::If {
+                        cond: self.expr(1),
+                        then_body: vec![Stmt::Assign(v, self.expr(2))],
+                        else_body: vec![Stmt::Assign(w, self.expr(2))],
+                    });
+                }
+                // `m[k + 1] = m[k] + e`: each iteration stores what the
+                // next one loads.
+                3 if self.array => {
+                    let at =
+                        |d: i64| masked(Expr::bin(BinOp::Add, Expr::Var(k.clone()), Expr::Int(d)));
+                    let value = Expr::bin(
+                        BinOp::Add,
+                        Expr::Index(ARRAY.to_string(), Box::new(at(0))),
+                        self.expr(1),
+                    );
+                    body.push(Stmt::StoreStmt {
+                        array: ARRAY.to_string(),
+                        index: at(1),
+                        value,
+                    });
+                }
+                4 if depth > 0 => body.extend(self.loop_stmt(depth - 1)),
+                _ => body.push(Stmt::Assign(v, self.expr(1))),
+            }
+        }
+        body.push(step(&k));
+        vec![
+            Stmt::VarDecl(k.clone(), Expr::Int(0)),
+            Stmt::While { cond, body },
+        ]
+    }
+}
+
+/// The loop-nest program `seed` describes: one to three loops in
+/// sequence, each possibly holding another.
+fn loop_program(seed: u64) -> Proc {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x100F);
+    let array = rng.gen_bool(0.5);
+    let mut gen = ProgGen {
+        rng,
+        array,
+        counters: 0,
+        seen: Vec::new(),
+    };
+    let mut body = Vec::new();
+    if array {
+        body.push(Stmt::ArrayDecl(ARRAY.to_string(), ARRAY_LEN as u32));
+    }
+    for (i, v) in VARS.iter().enumerate() {
+        body.push(Stmt::VarDecl(
+            v.to_string(),
+            Expr::Var(INPUTS[i].to_string()),
+        ));
+    }
+    for _ in 0..gen.rng.gen_range(1..4usize) {
+        body.extend(gen.loop_stmt(1));
+    }
+    for v in VARS {
+        body.push(Stmt::Out(v.to_string(), Expr::Var(v.to_string())));
+    }
+    if array {
+        for i in [0, ARRAY_LEN - 1] {
+            body.push(Stmt::Out(
+                format!("m{i}"),
+                Expr::Index(ARRAY.to_string(), Box::new(Expr::Int(i))),
+            ));
+        }
+    }
+    Proc {
+        name: "loops".to_string(),
+        inputs: INPUTS.iter().map(|s| s.to_string()).collect(),
+        body,
+    }
+}
+
+/// Lowers the loop-nest program `seed` describes.
+fn lowered_loops(seed: u64) -> Result<(String, Function), String> {
+    let p = loop_program(seed);
+    let src = fact_lang::print_proc(&p);
+    let f = fact_lang::lower(&p).map_err(|e| format!("{e}\n{src}"))?;
+    fact_ir::verify::verify(&f).map_err(|e| format!("{e}\n{src}"))?;
+    Ok((src, f))
 }
 
 fn masked(index: Expr) -> Expr {
@@ -379,16 +511,48 @@ fn check_candidates(
     Ok(())
 }
 
+/// The counts `simulate` takes of `f` over `t`, from zeroed memories.
+fn counts_of(f: &Function, t: &TraceSet) -> ProfileCounts {
+    let cf = CompiledFn::compile(f);
+    simulate(
+        &cf,
+        t,
+        None,
+        SimEngine::Scalar,
+        None,
+        &mut SimScratch::default(),
+    )
+    .counts
+    .expect("a pass without a reference profiles")
+}
+
 /// What a proof promises, checked by simulation: `g` is equivalent to
-/// `f` and has its branch profile.
-fn assert_proof_holds(f: &Function, g: &Function, t: &TraceSet, what: &str) -> Result<(), String> {
-    check_equivalence(f, g, t, 5).map_err(|m| {
-        format!("{what}: proved but not equivalent: {m}\n== original\n{f}\n== proved\n{g}")
-    })?;
-    if fact_sim::profile(f, t) != fact_sim::profile(g, t) {
-        return Err(format!(
-            "{what}: proved but its profile differs\n== original\n{f}\n== proved\n{g}"
-        ));
+/// `f` and has its branch profile — or, when `g` unrolls a loop of `f`
+/// as `unrolled` says, the counts and profile derived from `f`'s.
+fn assert_proof_holds(
+    f: &Function,
+    g: &Function,
+    unrolled: Option<&UnrollMap>,
+    t: &TraceSet,
+    what: &str,
+) -> Result<(), String> {
+    let show = || format!("\n== original\n{f}\n== proved\n{g}");
+    check_equivalence(f, g, t, 5)
+        .map_err(|m| format!("{what}: proved but not equivalent: {m}{}", show()))?;
+    let Some(map) = unrolled else {
+        if fact_sim::profile(f, t) != fact_sim::profile(g, t) {
+            return Err(format!("{what}: proved but its profile differs{}", show()));
+        }
+        return Ok(());
+    };
+    let derived = counts_of(f, t)
+        .unrolled(map, g.num_blocks())
+        .ok_or_else(|| format!("{what}: proved but nothing derived{}", show()))?;
+    if derived != counts_of(g, t) {
+        return Err(format!("{what}: derived counts differ{}", show()));
+    }
+    if derived.profile() != fact_sim::profile(g, t) {
+        return Err(format!("{what}: derived profile differs{}", show()));
     }
     Ok(())
 }
@@ -402,9 +566,10 @@ fn proved_candidates_agree_with_simulation() {
         let (_, f) = lowered(seed)?;
         for cand in full.all_candidates(&f, &Region::whole()) {
             total += 1;
-            if prove_equivalent(&f, &cand.function).is_some() {
+            let unrolled = cand.unrolled.as_ref();
+            if prove_equivalent(&f, &cand.function, unrolled).is_some() {
                 proved += 1;
-                assert_proof_holds(&f, &cand.function, &t, &cand.description)?;
+                assert_proof_holds(&f, &cand.function, unrolled, &t, &cand.description)?;
             }
         }
         Ok(())
@@ -470,9 +635,9 @@ fn mutations_are_proved_only_when_equivalent() {
                 continue;
             };
             tried += 1;
-            if prove_equivalent(&f, &g).is_some() {
+            if prove_equivalent(&f, &g, None).is_some() {
                 proved += 1;
-                assert_proof_holds(&f, &g, &t, "mutant")?;
+                assert_proof_holds(&f, &g, None, &t, "mutant")?;
             }
         }
         Ok(())
@@ -481,6 +646,77 @@ fn mutations_are_proved_only_when_equivalent() {
     // Only mutants that happen to be equivalent (a swap of a commutative
     // operator, a redirected phi incoming that carried the same value,
     // a dead op) may be proved.
+    assert!(proved < tried, "every mutant proved: {proved} of {tried}");
+}
+
+/// Every unroll-by-2 candidate of the loop-nest programs: proved through
+/// its block map (the proof rate is reported, and must stay high), and
+/// when proved, equivalent with derived counts equal to simulation's.
+#[test]
+fn unrolled_loops_prove_and_derive_exact_counts() {
+    let t = traces(24, 10);
+    let unroll = LoopUnroll::new(2);
+    let (mut proved, mut total) = (0usize, 0usize);
+    for seed in 0..CASES {
+        let check = |proved: &mut usize, total: &mut usize| -> Result<(), String> {
+            let (src, f) = lowered_loops(seed)?;
+            for cand in unroll.candidates(&f, &Region::whole()) {
+                *total += 1;
+                let map = cand.unrolled.as_ref().ok_or("an unroll without a map")?;
+                if prove_equivalent(&f, &cand.function, Some(map)).is_some() {
+                    *proved += 1;
+                    assert_proof_holds(&f, &cand.function, Some(map), &t, &cand.description)
+                        .map_err(|e| format!("{e}\n{src}"))?;
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = check(&mut proved, &mut total) {
+            panic!("loop seed {seed}: {e}");
+        }
+    }
+    println!("unroll proof rate on loop nests: {proved} of {total}");
+    assert!(total > CASES as usize, "only {total} unroll candidates");
+    assert!(
+        proved * 10 >= total * 9,
+        "proved only {proved} of {total} unrolled loops"
+    );
+}
+
+/// Random single-op mutations of unrolled loops, proved against the
+/// original through the correct block map: only equivalent ones may
+/// prove, with exact derived counts.
+#[test]
+fn unroll_mutations_are_proved_only_when_equivalent() {
+    let t = traces(24, 12);
+    let unroll = LoopUnroll::new(2);
+    let (mut proved, mut tried) = (0usize, 0usize);
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xBAD5);
+        let mut check = || -> Result<(), String> {
+            let (src, f) = lowered_loops(seed)?;
+            for cand in unroll.candidates(&f, &Region::whole()) {
+                let map = cand.unrolled.as_ref().ok_or("an unroll without a map")?;
+                for _ in 0..4 {
+                    let Some(g) = mutate(&cand.function, &mut rng) else {
+                        continue;
+                    };
+                    tried += 1;
+                    if prove_equivalent(&f, &g, Some(map)).is_some() {
+                        proved += 1;
+                        assert_proof_holds(&f, &g, Some(map), &t, "unrolled mutant")
+                            .map_err(|e| format!("{e}\n{src}"))?;
+                    }
+                }
+            }
+            Ok(())
+        };
+        if let Err(e) = check() {
+            panic!("loop seed {seed}: {e}");
+        }
+    }
+    println!("unrolled mutants proved: {proved} of {tried}");
+    assert!(tried > 300, "only {tried} mutants verified");
     assert!(proved < tried, "every mutant proved: {proved} of {tried}");
 }
 
