@@ -5,10 +5,6 @@
 //!   --out PATH     output file (default BENCH_sim.json)
 //!   --vectors N    trace vectors per benchmark (default 1024)
 //!   --smoke        tiny trace set, single pass, stdout only (CI check)
-//!
-//! The stderr summary ends with the crossover sweep of the behaviors the
-//! batched engine runs: batched/scalar throughput per lane count, tagged
-//! with the engine the policy picks (`s`calar or `b`atched).
 
 use fact_bench::sim_perf::{run_with, to_json};
 
@@ -48,35 +44,10 @@ fn main() {
     let json = to_json(&p);
     // Human summary on stderr so `--smoke`'s stdout is pure JSON.
     for s in &p.suites {
-        let batched = match (&s.batched, s.batched_speedup) {
-            (Some(b), Some(x)) => format!("batched {:10.0} v/s {x:5.2}x", b.vectors_per_sec),
-            _ => "batched (not straight-line)".to_string(),
-        };
         eprintln!(
-            "  {:8} {:4} vectors ({:4} lanes) scalar {:10.0} v/s  {batched}  \
-             (dedup {:6.1}x)  chosen {} {:5.2}x",
-            s.name,
-            s.trace_vectors,
-            s.distinct_lanes,
-            s.scalar.vectors_per_sec,
-            s.dedup_factor,
-            s.chosen,
-            s.speedup
+            "  {:8} {:4} vectors ({:4} lanes) {:10.0} v/s  (dedup {:6.1}x)",
+            s.name, s.trace_vectors, s.distinct_lanes, s.vectors_per_sec, s.dedup_factor
         );
-    }
-    for name in p
-        .suites
-        .iter()
-        .filter(|s| s.batched.is_some())
-        .map(|s| s.name)
-    {
-        let cells: Vec<String> = p
-            .crossover
-            .iter()
-            .filter(|c| c.name == name)
-            .map(|c| format!("{}:{:.2}{}", c.lanes, c.batched_speedup, &c.chosen[..1]))
-            .collect();
-        eprintln!("  {name:8} batched/scalar by lanes  {}", cells.join(" "));
     }
     if smoke {
         // CI path: print the JSON for the caller to validate, write nothing.

@@ -22,8 +22,7 @@ use fact_sched::{
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, SimCounters, SimEngine,
-    SimScratch, StepBound, TraceSet,
+    simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, StepBound, TraceSet,
 };
 use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashMap;
@@ -120,13 +119,10 @@ pub struct FactResult {
     /// of multiplicity *k* counts *k*). Proved and derived candidates,
     /// and the baseline and final profiles, are not counted.
     pub sim_vectors: u64,
-    /// Batched simulation passes executed.
-    pub sim_batches: u64,
-    /// Simulated candidates the engine selector routed to the scalar
-    /// interpreter.
+    /// Simulated candidates: [`CandidateCounts::simulated_total`].
     pub sim_engine_scalar: u64,
-    /// Simulated candidates the engine selector routed to the batched
-    /// engine.
+    /// Always 0: there is one simulator. Kept, with `sim_engine_scalar`,
+    /// while the end-to-end benchmark's `sim.batched_share` reads them.
     pub sim_engine_batched: u64,
     /// Whole-neighborhood dispatches evaluated (one per search move,
     /// plus one per scored search input).
@@ -327,8 +323,9 @@ struct IncrementalCtx<'a> {
     full_reschedules: AtomicUsize,
     /// Schedules that reused at least one memoized block fragment.
     block_spliced: AtomicUsize,
-    /// Vectors/batches simulated so far (shared across worker threads).
-    sim: SimCounters,
+    /// Trace vectors simulated so far (shared across worker threads;
+    /// [`FactResult::sim_vectors`]).
+    sim_vectors: AtomicU64,
     /// Phase wall-time sinks from [`OptimizeHooks::timers`].
     timers: Option<&'a PhaseTimers>,
     /// Neighborhood dispatch accounting.
@@ -364,19 +361,11 @@ fn timed<T>(
 }
 
 /// The profile pass of `g` over `traces`: one compiled [`simulate`]
-/// call with no reference, on the engine [`SimEngine::for_call`] picks,
-/// outside the run's work counters (the baseline, and the winner's final
-/// re-estimate when the run never profiled it).
+/// call with no reference, outside the run's work counters (the
+/// baseline, and the winner's final re-estimate when the run never
+/// profiled it).
 fn profile_pass(g: &Function, traces: &TraceSet) -> fact_sim::Simulation {
-    let cf = CompiledFn::compile(g);
-    simulate(
-        &cf,
-        traces,
-        None,
-        SimEngine::for_call(&cf, traces, None),
-        None,
-        &mut SimScratch::default(),
-    )
+    simulate(&CompiledFn::compile(g), traces, None)
 }
 
 /// What a run knows about a function it profiled: the branch profile,
@@ -427,7 +416,7 @@ impl<'a> IncrementalCtx<'a> {
             sched: ScheduleMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
-            sim: SimCounters::default(),
+            sim_vectors: AtomicU64::new(0),
             timers,
             mega: MegaCounters::default(),
         }
@@ -505,9 +494,6 @@ struct Run<'a> {
     /// Context half of every candidate's [`EvalCache`] key.
     context_key: u64,
     cache_hits: AtomicUsize,
-    /// Per-worker reusable simulation buffers, recycled across every
-    /// neighborhood of the run (workers check one out per dispatch).
-    scratch_pool: Mutex<Vec<SimScratch>>,
     /// What the run knows of every function it profiled, proved or
     /// derived, by structural hash (the input included): what a child
     /// proved equivalent to one reuses or derives its profile from.
@@ -581,7 +567,6 @@ impl<'a> Run<'a> {
             regions,
             context_key: evaluation_context_key(f, alloc, traces, config),
             cache_hits: AtomicUsize::new(0),
-            scratch_pool: Mutex::new(Vec::new()),
             profiles: Mutex::new(profiles),
             candidates: Mutex::new(CandidateCounts::default()),
         })
@@ -659,15 +644,11 @@ impl<'a> Run<'a> {
     /// The profile comes from [`Run::known_profile`] when the candidate
     /// is proved equivalent to a parent the run profiled; otherwise
     /// [`Run::simulated_profile`] compiles and simulates the candidate.
-    fn checked_estimate(
-        &self,
-        cand: &MegaCandidate<'_>,
-        scratch: &mut SimScratch,
-    ) -> Option<Estimate> {
+    fn checked_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
         debug_assert_eq!(cand.hash, structural_hash(cand.function));
         let prof = match self.known_profile(cand) {
             Ok(prof) => prof,
-            Err(miss) => self.simulated_profile(cand, miss, scratch)?,
+            Err(miss) => self.simulated_profile(cand, miss)?,
         };
         self.estimate(cand.function, &prof).map(|(_, est)| est)
     }
@@ -747,21 +728,14 @@ impl<'a> Run<'a> {
         Ok(known.profile)
     }
 
-    /// Compiles `cand` and [`simulate`]s it over the neighborhood-shared
-    /// `scratch`: verification against the captured reference when
-    /// equivalence checking is on and the branch profile, in one call.
-    /// `None` when it is not equivalent. `miss` (why no profile was
-    /// known) goes into the candidate tallies.
-    ///
-    /// The engine comes from [`SimEngine::for_call`]: batched for a
-    /// straight-line call of enough lanes, scalar otherwise. Engines are
-    /// bit-identical, so the choice only moves wall-clock and the sim
-    /// work counters.
+    /// Compiles `cand` and [`simulate`]s it: verification against the
+    /// captured reference when equivalence checking is on and the branch
+    /// profile, in one call. `None` when it is not equivalent. `miss`
+    /// (why no profile was known) goes into the candidate tallies.
     fn simulated_profile(
         &self,
         cand: &MegaCandidate<'_>,
         miss: Miss,
-        scratch: &mut SimScratch,
     ) -> Option<Arc<BranchProfile>> {
         let (ctx, traces) = (&self.ctx, self.traces);
         self.count(|c| match cand.origin {
@@ -778,22 +752,12 @@ impl<'a> Run<'a> {
             |t| &t.compile_ns,
             || CompiledFn::compile(cand.function),
         );
-        let engine = SimEngine::for_call(&cf, traces, ctx.equiv.as_ref());
-        ctx.sim.note_engine(engine);
         let sim = timed(
             ctx.timers,
             |t| &t.simulate_ns,
-            || {
-                simulate(
-                    &cf,
-                    traces,
-                    ctx.equiv.as_ref(),
-                    engine,
-                    Some(&ctx.sim),
-                    scratch,
-                )
-            },
+            || simulate(&cf, traces, ctx.equiv.as_ref()),
         );
+        ctx.sim_vectors.fetch_add(sim.vectors, Ordering::Relaxed);
         ctx.mega
             .lanes
             .fetch_add(sim.lanes as u64, Ordering::Relaxed);
@@ -810,38 +774,24 @@ impl<'a> Run<'a> {
     /// Evaluates one search neighborhood (the whole deduplicated
     /// candidate frontier of a move) as a single dispatch. Candidates are
     /// scored by `config.search.threads` workers (one is the sequential
-    /// case), each holding one [`SimScratch`] from the pool for the
-    /// duration of the batch, and results land in their candidate's slot
-    /// — so the returned vector, and therefore the search trajectory, is
-    /// identical for any thread count.
+    /// case), and results land in their candidate's slot — so the
+    /// returned vector, and therefore the search trajectory, is identical
+    /// for any thread count.
     fn evaluate_neighborhood<S: Send>(
         &self,
         batch: &[MegaCandidate<'_>],
-        eval_one: &(dyn Fn(&MegaCandidate<'_>, &mut SimScratch) -> Option<S> + Sync),
+        eval_one: &(dyn Fn(&MegaCandidate<'_>) -> Option<S> + Sync),
     ) -> Vec<Option<S>> {
         let mega = &self.ctx.mega;
         mega.batches.fetch_add(1, Ordering::Relaxed);
         mega.candidates
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        let pool = &self.scratch_pool;
-        let lock = || {
-            pool.lock()
-                .expect("no worker panics while holding the pool")
-        };
-        let take_scratch = || lock().pop().unwrap_or_default();
         let workers = self.config.search.threads.max(1).min(batch.len());
         if workers <= 1 {
-            let mut scratch = take_scratch();
-            let mut out = Vec::with_capacity(batch.len());
-            for cand in batch {
-                if self.stopped() {
-                    out.push(None);
-                    continue;
-                }
-                out.push(eval_one(cand, &mut scratch));
-            }
-            lock().push(scratch);
-            return out;
+            return batch
+                .iter()
+                .map(|cand| if self.stopped() { None } else { eval_one(cand) })
+                .collect();
         }
         // Work-stealing over candidate indices: assignment order never
         // affects which slot a result lands in.
@@ -852,7 +802,6 @@ impl<'a> Run<'a> {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let mut scratch = take_scratch();
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -863,9 +812,8 @@ impl<'a> Run<'a> {
                                 local.push((i, None));
                                 continue;
                             }
-                            local.push((i, eval_one(&batch[i], &mut scratch)));
+                            local.push((i, eval_one(&batch[i])));
                         }
-                        lock().push(scratch);
                         local
                     })
                 })
@@ -889,8 +837,8 @@ impl<'a> Run<'a> {
         batch: &[MegaCandidate<'_>],
         project: &(dyn Fn(&Estimate) -> S + Sync),
     ) -> Vec<Option<S>> {
-        let eval_one = |cand: &MegaCandidate<'_>, scratch: &mut SimScratch| -> Option<S> {
-            let mut score_of = || Some(project(&self.checked_estimate(cand, scratch)?));
+        let eval_one = |cand: &MegaCandidate<'_>| -> Option<S> {
+            let score_of = || Some(project(&self.checked_estimate(cand)?));
             match self.hooks.cache {
                 Some(cache) => {
                     // The hash rode in from stage-1 dedup instead of
@@ -1077,10 +1025,9 @@ pub fn optimize_with(
         cache_hits: run.cache_hits.load(Ordering::Relaxed),
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
-        sim_vectors: ctx.sim.vectors(),
-        sim_batches: ctx.sim.batches(),
-        sim_engine_scalar: ctx.sim.engine_scalar(),
-        sim_engine_batched: ctx.sim.engine_batched(),
+        sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
+        sim_engine_scalar: candidates.simulated_total(),
+        sim_engine_batched: 0,
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
@@ -1135,11 +1082,9 @@ pub struct ParetoFactResult {
     pub block_spliced: usize,
     /// Trace vectors simulated during candidate evaluation.
     pub sim_vectors: u64,
-    /// Batched simulation passes executed.
-    pub sim_batches: u64,
-    /// Simulated candidates routed to the scalar interpreter.
+    /// Simulated candidates (see [`FactResult::sim_engine_scalar`]).
     pub sim_engine_scalar: u64,
-    /// Simulated candidates routed to the batched engine.
+    /// Always 0 (see [`FactResult::sim_engine_batched`]).
     pub sim_engine_batched: u64,
     /// Whole-neighborhood dispatches evaluated.
     pub neighborhood_batches: u64,
@@ -1301,10 +1246,9 @@ pub fn optimize_pareto_with(
         cache_hits: run.cache_hits.load(Ordering::Relaxed),
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
-        sim_vectors: ctx.sim.vectors(),
-        sim_batches: ctx.sim.batches(),
-        sim_engine_scalar: ctx.sim.engine_scalar(),
-        sim_engine_batched: ctx.sim.engine_batched(),
+        sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
+        sim_engine_scalar: candidates.simulated_total(),
+        sim_engine_batched: 0,
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),

@@ -2,9 +2,8 @@
 //!
 //! `optimize` scores candidates one way: one `simulate` call per
 //! candidate (compiled simulation against a captured equivalence
-//! reference and profiling), per-block schedule splicing, the engine
-//! policy, and whole-neighborhood dispatch
-//! across worker threads. This suite holds that path to a deliberately
+//! reference and profiling), per-block schedule splicing, and
+//! whole-neighborhood dispatch across worker threads. This suite holds that path to a deliberately
 //! simple oracle built here from public functions only: the IR
 //! interpreter (`profile`, `check_equivalence`), the memo-free
 //! `schedule`, and `evaluate`/`evaluate_power_mode`. The two must be
@@ -14,7 +13,7 @@
 //!    example1 (TEST1) and Table 2 graphs, comparing every candidate's
 //!    verdict, profile, schedule, and estimates between the two paths;
 //! 2. whole `optimize` runs over the suite (plus two benchmarks under
-//!    traces wide enough to run batched), both objectives, and 1, 2, and
+//!    wider traces and a memory-bearing one), both objectives, and 1, 2, and
 //!    8 worker threads against [`oracle_optimize`] — same trajectory
 //!    (applied path, evaluation count), same winner, same estimate bits,
 //!    and the same cache ledger for every thread count — a ledger that
@@ -49,8 +48,7 @@ use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
 use fact_sim::{
-    check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec,
-    SimEngine, SimScratch, TraceSet, MIN_BATCHED_LANES,
+    check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec, TraceSet,
 };
 use fact_xform::{Region, TransformKind};
 
@@ -102,16 +100,8 @@ fn assert_paths_agree(
     // Full path: interpret the source IR, schedule from scratch.
     let full_verdict = check_equivalence(original, g, traces, 0xC0FFEE).is_ok();
     // Production path: one simulate call verifies and profiles the
-    // compiled candidate, on the engine the production policy picks.
-    let cg = CompiledFn::compile(g);
-    let sim = simulate(
-        &cg,
-        traces,
-        Some(reference),
-        SimEngine::for_call(&cg, traces, Some(reference)),
-        None,
-        &mut SimScratch::default(),
-    );
+    // compiled candidate.
+    let sim = simulate(&CompiledFn::compile(g), traces, Some(reference));
     assert_eq!(
         full_verdict,
         sim.profile.is_some(),
@@ -136,17 +126,9 @@ fn assert_paths_agree(
                 "proved candidate's profile differs from its parent's ({ctx})"
             ),
             Some(map) => {
-                let cp = CompiledFn::compile(parent);
-                let parent_counts = simulate(
-                    &cp,
-                    traces,
-                    None,
-                    SimEngine::Scalar,
-                    None,
-                    &mut SimScratch::default(),
-                )
-                .counts
-                .expect("a pass without a reference profiles");
+                let parent_counts = simulate(&CompiledFn::compile(parent), traces, None)
+                    .counts
+                    .expect("a pass without a reference profiles");
                 let derived = parent_counts
                     .unrolled(map, g.num_blocks())
                     .unwrap_or_else(|| panic!("proved but nothing derived ({ctx})"));
@@ -426,18 +408,15 @@ const MEMORY_SUM_SRC: &str = "proc memsum(a, b, c, d) { array t[4]; \
      t[0] = a + b; t[1] = c + d; out s = t[0] + t[1] + t[2] + t[3] + a; }";
 
 /// The suite, plus GCD, PPS and a loop-free memory-bearing behavior
-/// under 32-vector traces. The engine policy runs the straight-line PPS
-/// batched (already on its suite traces: 10 lanes, at least
-/// [`MIN_BATCHED_LANES`]); every other behavior has a loop or a memory
-/// and runs scalar, the memory-bearing one against private random images
-/// per lane.
+/// under 32-vector traces. The memory-bearing one verifies against
+/// private random images per lane.
 fn suite_and_wide_traces() -> Vec<Benchmark> {
     let (lib, _) = section5_library();
     let mut out = suite(&lib);
     for name in ["GCD", "PPS"] {
         let mut b = suite(&lib).into_iter().find(|b| b.name == name).unwrap();
         b.traces = generate(&suite::input_specs(name).unwrap(), 32, 91);
-        assert!(b.traces.dedup_lanes().len() >= MIN_BATCHED_LANES, "{name}");
+        assert!(b.traces.dedup_lanes().len() >= 8, "{name}: distinct lanes");
         out.push(b);
     }
     let inputs: Vec<(String, InputSpec)> = ["a", "b", "c", "d"]
@@ -458,12 +437,6 @@ fn suite_and_wide_traces() -> Vec<Benchmark> {
 #[test]
 fn optimize_suite_matches_oracle() {
     for b in suite_and_wide_traces() {
-        // Only straight-line calls of at least the batching floor's
-        // lanes run batched.
-        let reference = EquivReference::capture(&b.function, &b.traces, 0xC0FFEE);
-        let cf = CompiledFn::compile(&b.function);
-        let batched = SimEngine::for_call(&cf, &b.traces, Some(&reference)) != SimEngine::Scalar;
-        assert_eq!(batched, b.name == "PPS", "{}", b.name);
         for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
             let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1));
             let mut ledger = None;
@@ -475,12 +448,8 @@ fn optimize_suite_matches_oracle() {
                     b.traces.len()
                 );
                 assert_matches_oracle(&r, &oracle, &ctx);
-                // The search proves or derives every candidate of these
-                // behaviors, so fresh runs may simulate nothing at all;
-                // what they simulate runs batched only where the policy
-                // says. (Runs over a warm cache do simulate, PPS batched:
-                // `sim_vectors_count_one_pass_per_simulated_candidate`.)
-                assert!(batched || r.sim_batches == 0, "engine policy ({ctx})");
+                // There is one simulator: nothing runs batched.
+                assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
                 assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
                 assert_eq!(
                     r.mega_candidates, r.evaluated as u64,
@@ -596,8 +565,7 @@ fn optimize_pareto_is_thread_invariant() {
 /// loop-unroll candidate is simulated. A second, longer run over the
 /// first run's cache is where simulation remains: the cache answers the
 /// first run's candidates without profiling them, so the children of
-/// those it moves to are simulated — batched for PPS, as the engine
-/// policy says.
+/// those it moves to are simulated.
 #[test]
 fn sim_vectors_count_one_pass_per_simulated_candidate() {
     let (lib, rules) = section5_library();
@@ -605,9 +573,6 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
     let (mut proved, mut derived) = (0, 0);
     for b in suite_and_wide_traces() {
         let memory_free = b.function.memories().count() == 0;
-        let reference = EquivReference::capture(&b.function, &b.traces, 0xC0FFEE);
-        let cf = CompiledFn::compile(&b.function);
-        let batched = SimEngine::for_call(&cf, &b.traces, Some(&reference)) != SimEngine::Scalar;
         for check_equivalence in [true, false] {
             let k = if check_equivalence && !memory_free {
                 2
@@ -652,11 +617,7 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
                     simulated * (k * b.traces.len()) as u64,
                     "simulated vectors ({ctx})"
                 );
-                assert_eq!(
-                    r.sim_batches > 0,
-                    batched && simulated > 0,
-                    "engine policy ({ctx})"
-                );
+                assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
                 if fresh {
                     assert_eq!(
                         c.simulated[TransformKind::LoopUnroll.index()],

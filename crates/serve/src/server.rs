@@ -236,9 +236,7 @@ struct JobCounters {
     sim_vectors: u64,
     candidates_proved: u64,
     candidates_derived: u64,
-    sim_batches: u64,
-    sim_engine_scalar: u64,
-    sim_engine_batched: u64,
+    candidates_simulated: u64,
     neighborhood_batches: u64,
     mega_lanes: u64,
     mega_candidates: u64,
@@ -611,9 +609,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     sim_vectors: r.sim_vectors,
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
-                    sim_batches: r.sim_batches,
-                    sim_engine_scalar: r.sim_engine_scalar,
-                    sim_engine_batched: r.sim_engine_batched,
+                    candidates_simulated: r.candidates.simulated_total(),
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -633,9 +629,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     sim_vectors: r.sim_vectors,
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
-                    sim_batches: r.sim_batches,
-                    sim_engine_scalar: r.sim_engine_scalar,
-                    sim_engine_batched: r.sim_engine_batched,
+                    candidates_simulated: r.candidates.simulated_total(),
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -659,11 +653,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.candidates_proved, Ordering::Relaxed);
     s.candidates_derived
         .fetch_add(c.candidates_derived, Ordering::Relaxed);
-    s.sim_batches.fetch_add(c.sim_batches, Ordering::Relaxed);
-    s.sim_engine_scalar
-        .fetch_add(c.sim_engine_scalar, Ordering::Relaxed);
-    s.sim_engine_batched
-        .fetch_add(c.sim_engine_batched, Ordering::Relaxed);
+    s.candidates_simulated
+        .fetch_add(c.candidates_simulated, Ordering::Relaxed);
     s.neighborhood_batches
         .fetch_add(c.neighborhood_batches, Ordering::Relaxed);
     s.mega_lanes.fetch_add(c.mega_lanes, Ordering::Relaxed);

@@ -78,15 +78,9 @@ pub struct ServerStats {
     /// counts instead of simulated, across all jobs
     /// (`FactResult::candidates`).
     pub candidates_derived: AtomicU64,
-    /// Batched simulation passes across all jobs
-    /// (`FactResult::sim_batches`).
-    pub sim_batches: AtomicU64,
-    /// Candidate evaluations the engine policy routed to the scalar
-    /// interpreter (`FactResult::sim_engine_scalar`).
-    pub sim_engine_scalar: AtomicU64,
-    /// Candidate evaluations the engine policy routed to the batched
-    /// straight-line engine (`FactResult::sim_engine_batched`).
-    pub sim_engine_batched: AtomicU64,
+    /// Candidates compiled and simulated, across all jobs
+    /// (`FactResult::candidates`).
+    pub candidates_simulated: AtomicU64,
     /// Whole-neighborhood mega-batch dispatches across all jobs
     /// (`FactResult::neighborhood_batches`).
     pub neighborhood_batches: AtomicU64,
@@ -138,9 +132,7 @@ impl ServerStats {
             sim_vectors: AtomicU64::new(0),
             candidates_proved: AtomicU64::new(0),
             candidates_derived: AtomicU64::new(0),
-            sim_batches: AtomicU64::new(0),
-            sim_engine_scalar: AtomicU64::new(0),
-            sim_engine_batched: AtomicU64::new(0),
+            candidates_simulated: AtomicU64::new(0),
             neighborhood_batches: AtomicU64::new(0),
             mega_lanes: AtomicU64::new(0),
             mega_candidates: AtomicU64::new(0),
@@ -265,9 +257,7 @@ impl ServerStats {
             ("sim_vectors", counter(&self.sim_vectors)),
             ("candidates_proved", counter(&self.candidates_proved)),
             ("candidates_derived", counter(&self.candidates_derived)),
-            ("sim_batches", counter(&self.sim_batches)),
-            ("sim_engine_scalar", counter(&self.sim_engine_scalar)),
-            ("sim_engine_batched", counter(&self.sim_engine_batched)),
+            ("candidates_simulated", counter(&self.candidates_simulated)),
             ("neighborhood_batches", counter(&self.neighborhood_batches)),
             ("mega_lanes", counter(&self.mega_lanes)),
             (
@@ -302,9 +292,8 @@ impl ServerStats {
              panics={} respawns={} \
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
-             evals={} proved={} derived={} resched full={} spliced={} sim={}v/{}b ({:.0} v/s) \
-             engine=scalar:{}/batched:{} \
-             mega={}x{:.1} ({} lanes) \
+             evals={} proved={} derived={} simulated={} resched full={} spliced={} \
+             sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
             self.completed.load(Ordering::Relaxed)
@@ -329,13 +318,11 @@ impl ServerStats {
             self.evaluations.load(Ordering::Relaxed),
             self.candidates_proved.load(Ordering::Relaxed),
             self.candidates_derived.load(Ordering::Relaxed),
+            self.candidates_simulated.load(Ordering::Relaxed),
             self.full_reschedules.load(Ordering::Relaxed),
             self.block_spliced.load(Ordering::Relaxed),
             self.sim_vectors.load(Ordering::Relaxed),
-            self.sim_batches.load(Ordering::Relaxed),
             self.sim_vectors_per_sec(),
-            self.sim_engine_scalar.load(Ordering::Relaxed),
-            self.sim_engine_batched.load(Ordering::Relaxed),
             self.neighborhood_batches.load(Ordering::Relaxed),
             self.candidates_per_batch(),
             self.mega_lanes.load(Ordering::Relaxed),
@@ -399,9 +386,7 @@ mod tests {
         s.sim_vectors.fetch_add(640, Ordering::Relaxed);
         s.candidates_proved.fetch_add(21, Ordering::Relaxed);
         s.candidates_derived.fetch_add(6, Ordering::Relaxed);
-        s.sim_batches.fetch_add(16, Ordering::Relaxed);
-        s.sim_engine_scalar.fetch_add(4, Ordering::Relaxed);
-        s.sim_engine_batched.fetch_add(12, Ordering::Relaxed);
+        s.candidates_simulated.fetch_add(16, Ordering::Relaxed);
         s.neighborhood_batches.fetch_add(4, Ordering::Relaxed);
         s.mega_lanes.fetch_add(512, Ordering::Relaxed);
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
@@ -420,9 +405,10 @@ mod tests {
         assert_eq!(v.get("sim_vectors").unwrap().as_i64(), Some(640));
         assert_eq!(v.get("candidates_proved").unwrap().as_i64(), Some(21));
         assert_eq!(v.get("candidates_derived").unwrap().as_i64(), Some(6));
-        assert_eq!(v.get("sim_batches").unwrap().as_i64(), Some(16));
-        assert_eq!(v.get("sim_engine_scalar").unwrap().as_i64(), Some(4));
-        assert_eq!(v.get("sim_engine_batched").unwrap().as_i64(), Some(12));
+        assert_eq!(v.get("candidates_simulated").unwrap().as_i64(), Some(16));
+        for gone in ["sim_batches", "sim_engine_scalar", "sim_engine_batched"] {
+            assert!(v.get(gone).is_none(), "{gone}");
+        }
         assert!(v.get("lane_compactions").is_none());
         assert_eq!(v.get("neighborhood_batches").unwrap().as_i64(), Some(4));
         assert_eq!(v.get("mega_lanes").unwrap().as_i64(), Some(512));
@@ -438,8 +424,9 @@ mod tests {
         assert!(line.contains("ok=2"));
         assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
         assert!(line.contains("resched full=7 spliced=5"));
-        assert!(line.contains("sim=640v/16b"));
-        assert!(line.contains("engine=scalar:4/batched:12 mega="));
+        assert!(line.contains("proved=21 derived=6 simulated=16 resched"));
+        assert!(line.contains("sim=640v ("));
+        assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));
     }
 }

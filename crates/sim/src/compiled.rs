@@ -171,12 +171,6 @@ pub struct CompiledFn {
     pub(crate) input_names: Vec<String>,
     /// Output names (`Inst::Output` indexes here).
     pub(crate) output_names: Vec<String>,
-    /// Whether every value slot is provably written before it is read
-    /// (single-block functions whose operands always reference earlier
-    /// instructions). When set, the zero contents of a fresh value array
-    /// are unobservable, so the batched engine may recycle one without
-    /// re-zeroing it (see [`CompiledFn::fusable_straightline`]).
-    pub(crate) writes_before_reads: bool,
     /// The loops whose counts are split by iteration parity, by header.
     pub(crate) parity_loops: Vec<ParityLoop>,
     /// Each parity loop block with the block running its odd iterations,
@@ -296,39 +290,6 @@ impl CompiledFn {
         }
         let parity_loops = parity_loops(f);
         let odd_copies = split_by_parity(&mut blocks, &parity_loops);
-        let writes_before_reads = blocks.len() == 1 && {
-            let b = &blocks[0];
-            let mut defined = vec![false; f.num_ops()];
-            let mut ok = !b.has_phis;
-            let check = |defined: &[bool], s: usize| defined.get(s).copied().unwrap_or(false);
-            for inst in &b.insts {
-                let (dst, srcs): (usize, Vec<usize>) = match *inst {
-                    Inst::Const { dst, .. } | Inst::Input { dst, .. } => (dst, vec![]),
-                    Inst::Bin { dst, a, b, .. } => (dst, vec![a, b]),
-                    Inst::Un { dst, a, .. } => (dst, vec![a]),
-                    Inst::Mux {
-                        dst,
-                        cond,
-                        on_true,
-                        on_false,
-                    } => (dst, vec![cond, on_true, on_false]),
-                    Inst::Load { dst, addr, .. } => (dst, vec![addr]),
-                    Inst::Store {
-                        dst, addr, value, ..
-                    } => (dst, vec![addr, value]),
-                    Inst::Output { dst, value, .. } => (dst, vec![value]),
-                };
-                ok &= srcs.iter().all(|&s| check(&defined, s));
-                if dst < defined.len() {
-                    defined[dst] = true;
-                }
-            }
-            ok && match b.term {
-                CTerm::Jump(_) => true,
-                CTerm::Branch { cond, .. } => check(&defined, cond),
-                CTerm::Return(v) => v.is_none_or(|s| check(&defined, s)),
-            }
-        };
         CompiledFn {
             blocks,
             entry: f.entry().index(),
@@ -336,7 +297,6 @@ impl CompiledFn {
             mem_sizes: f.memories().map(|(_, m)| m.size as usize).collect(),
             input_names,
             output_names,
-            writes_before_reads,
             parity_loops,
             odd_copies,
         }

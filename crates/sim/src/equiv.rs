@@ -312,8 +312,8 @@ impl EquivReference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate;
     use crate::trace::{generate, InputSpec};
-    use crate::{simulate, SimEngine};
     use fact_lang::compile;
 
     fn traces_ab(n: usize) -> TraceSet {
@@ -369,32 +369,13 @@ mod tests {
         assert!(matches!(*m, Mismatch::Outputs { .. }));
     }
 
-    /// The captured reference, judged through `simulate` on the scalar
-    /// engine — and on the batched one when the call is straight-line —
-    /// must reach the oracle's verdict.
+    /// The captured reference, judged through `simulate`, must reach the
+    /// oracle's verdict.
     fn verdicts_agree(f1: &fact_ir::Function, f2: &fact_ir::Function, t: &TraceSet, seed: u64) {
         let oracle = check_equivalence(f1, f2, t, seed).is_ok();
         let reference = EquivReference::capture(f1, t, seed);
-        let cf2 = CompiledFn::compile(f2);
-        let mut engines = vec![SimEngine::Scalar];
-        if SimEngine::batchable(&cf2, t, Some(&reference)) {
-            engines.push(SimEngine::batched_with(3));
-        }
-        for engine in engines {
-            let sim = simulate(
-                &cf2,
-                t,
-                Some(&reference),
-                engine,
-                None,
-                &mut Default::default(),
-            );
-            assert_eq!(
-                sim.profile.is_some(),
-                oracle,
-                "verdicts diverge ({engine:?})"
-            );
-        }
+        let sim = simulate(&CompiledFn::compile(f2), t, Some(&reference));
+        assert_eq!(sim.profile.is_some(), oracle, "verdicts diverge");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! * [`simulate`] — the production pass: verifies a candidate against a
 //!   captured [`EquivReference`] (§3) and profiles its branch
-//!   probabilities from the typical traces (§4.1), on the engine
-//!   [`SimEngine::for_call`] picks: the scalar [`CompiledFn`] interpreter,
-//!   or the fused batched kernel for straight-line calls ([`batch`]);
+//!   probabilities from the typical traces (§4.1) on the [`CompiledFn`]
+//!   interpreter, each distinct trace vector once, weighted by its
+//!   multiplicity ([`TraceSet::dedup_lanes`]);
 //! * [`trace`] — reproducible input-trace generation, including the
 //!   paper's temporally-correlated Gaussian source (§5);
 //! * the oracles the production pass is tested against:
@@ -16,7 +16,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod compiled;
 pub mod equiv;
 mod interp;
@@ -24,10 +23,9 @@ pub mod profile;
 mod simulate;
 pub mod trace;
 
-pub use batch::{SimCounters, SimEngine, SimScratch, DEFAULT_MAX_LANES};
 pub use compiled::CompiledFn;
 pub use equiv::{check_equivalence, EquivReference, Mismatch};
 pub use interp::{execute, execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
 pub use profile::{profile, profile_with, BranchProfile, ProfileCounts};
-pub use simulate::{simulate, Simulation, StepBound, MIN_BATCHED_LANES};
-pub use trace::{generate, DedupLanes, InputSpec, TraceColumns, TraceSet};
+pub use simulate::{simulate, Simulation, StepBound};
+pub use trace::{generate, DedupLanes, InputSpec, TraceSet};

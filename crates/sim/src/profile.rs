@@ -215,10 +215,9 @@ impl ProfileCounts {
 
 /// Weighted accumulator of per-run statistics into [`ProfileCounts`] —
 /// the single implementation behind every profiling path (the
-/// interpreter oracle and both engines of [`crate::simulate`]). A run
-/// recorded with weight `w` contributes exactly as `w` identical scalar
-/// runs would, so deduplicated profiles stay bit-identical to
-/// vector-at-a-time ones.
+/// interpreter oracle and [`crate::simulate`]). A run recorded with
+/// weight `w` contributes exactly as `w` identical runs would, so
+/// deduplicated profiles stay bit-identical to vector-at-a-time ones.
 pub(crate) struct ProfileAccum {
     visits: Vec<u64>,
     branches: Vec<(u64, u64)>,
@@ -275,14 +274,6 @@ impl ProfileAccum {
             }
             Err(_) => self.failed += weight,
         }
-    }
-
-    /// Records `weight` successful runs of a single-block function: each
-    /// entered block `entry` once and branched nowhere. Arithmetic is
-    /// identical to [`ProfileAccum::record`] on those runs' results.
-    pub(crate) fn record_straightline_runs(&mut self, entry: usize, weight: usize) {
-        self.visits[entry] += weight as u64;
-        self.ok += weight;
     }
 
     /// Assembles the counts of a function whose parity loops are
@@ -367,14 +358,7 @@ mod tests {
             50,
             21,
         );
-        let sim = crate::simulate(
-            &crate::CompiledFn::compile(&f),
-            &traces,
-            None,
-            crate::SimEngine::Scalar,
-            None,
-            &mut crate::SimScratch::default(),
-        );
+        let sim = crate::simulate(&crate::CompiledFn::compile(&f), &traces, None);
         let counts = sim.counts.expect("profiled");
         assert_eq!(Some(counts.profile()), sim.profile);
         let [l] = &counts.loops[..] else {

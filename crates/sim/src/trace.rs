@@ -18,24 +18,15 @@ pub type InputVector = HashMap<String, i64>;
 #[derive(Clone, Debug, Default)]
 pub struct TraceSet {
     /// The generated input vectors. Treated as immutable once the set is
-    /// built: the first call to [`TraceSet::dedup_lanes`] or
-    /// [`TraceSet::columns`] memoizes a view derived from the vectors, so
-    /// mutating them afterwards would desynchronize the two.
+    /// built: the first call to [`TraceSet::dedup_lanes`] memoizes the
+    /// lanes found in the vectors, so mutating them afterwards would
+    /// desynchronize the two.
     pub vectors: Vec<InputVector>,
-    /// Lazily-built dedup + columnar view (see [`TraceSet::dedup_lanes`]).
-    cache: OnceLock<DedupCache>,
-}
-
-/// The memoized product of one scan over the vectors: the dedup lanes and,
-/// when every vector has the same key set, a columnar value matrix.
-/// `lanes: None` means every vector is distinct — the identity mapping is
-/// represented without materializing `len` pairs (or a `row_of` table),
-/// since all-distinct traces (e.g. wide uniform inputs) gain nothing from
-/// dedup and the tables would be pure overhead on every batched pass.
-#[derive(Clone, Debug)]
-struct DedupCache {
-    lanes: Option<Vec<(usize, usize)>>,
-    columns: Option<TraceColumns>,
+    /// Lazily-built dedup lanes (see [`TraceSet::dedup_lanes`]); `None`
+    /// inside means every vector is distinct — the identity is
+    /// represented without materializing `len` pairs, since all-distinct
+    /// traces (e.g. wide uniform inputs) gain nothing from dedup.
+    lanes: OnceLock<Option<Vec<(usize, usize)>>>,
 }
 
 /// Dedup view of a trace set: either the identity (every vector distinct,
@@ -64,11 +55,6 @@ impl DedupLanes<'_> {
         self.len() == 0
     }
 
-    /// Whether this is the identity mapping (all vectors distinct).
-    pub fn is_identity(&self) -> bool {
-        matches!(self, DedupLanes::Identity(_))
-    }
-
     /// Lane `k` as `(first vector index, multiplicity)`.
     pub fn get(&self, k: usize) -> (usize, usize) {
         match self {
@@ -83,58 +69,12 @@ impl DedupLanes<'_> {
     }
 }
 
-/// Columnar view of a trace set's *distinct* vectors: one row per dedup
-/// lane, one column per input name (sorted). Only exists when every vector
-/// has the same key set — the generated-trace case. The batched simulation
-/// paths resolve inputs from here with one name lookup per *batch* instead
-/// of one hash-map probe per (name, lane).
-#[derive(Clone, Debug)]
-pub struct TraceColumns {
-    /// Input names, sorted; column `c` holds values of `names[c]`.
-    names: Vec<String>,
-    /// Number of rows (dedup lanes) in the matrix.
-    rows: usize,
-    /// Column-major `names × lanes` value matrix: column `c` occupies
-    /// `data[c * rows..(c + 1) * rows]`, so resolving one input for a
-    /// whole batch reads (and lets a batch resolve copy) one contiguous
-    /// run.
-    data: Vec<i64>,
-    /// Maps a vector index to its row (dedup lane index). Empty means the
-    /// identity: every vector is distinct and row `i` holds vector `i`.
-    row_of: Vec<u32>,
-}
-
-impl TraceColumns {
-    /// The column index of `name`, if the traces carry that input.
-    pub fn col(&self, name: &str) -> Option<usize> {
-        self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
-    }
-
-    /// Value of column `c` in row (dedup lane) `row`.
-    pub fn value(&self, row: usize, c: usize) -> i64 {
-        self.data[c * self.rows + row]
-    }
-
-    /// The full value run of column `c`, one entry per dedup lane.
-    pub fn col_values(&self, c: usize) -> &[i64] {
-        &self.data[c * self.rows..(c + 1) * self.rows]
-    }
-
-    /// The row (dedup lane index) holding vector `i`'s values.
-    pub fn row_of(&self, i: usize) -> usize {
-        if self.row_of.is_empty() {
-            return i;
-        }
-        self.row_of[i] as usize
-    }
-}
-
 impl TraceSet {
     /// Wraps a vector list in a trace set.
     pub fn new(vectors: Vec<InputVector>) -> TraceSet {
         TraceSet {
             vectors,
-            cache: OnceLock::new(),
+            lanes: OnceLock::new(),
         }
     }
 
@@ -153,127 +93,66 @@ impl TraceSet {
     ///
     /// Typical trace sets repeat vectors heavily (constant inputs, small
     /// uniform ranges), and a deterministic function behaves identically on
-    /// identical inputs — so the batched simulation paths execute each
-    /// distinct vector once and weight its statistics by multiplicity.
-    /// Only valid when every vector runs against the *same* initial
-    /// memory state (zeroed or shared images); per-vector random memories,
-    /// as in equivalence checking of memory functions, make duplicates
-    /// observable and must not be deduplicated.
+    /// identical inputs — so simulation executes each distinct vector once
+    /// and weights its statistics by multiplicity. Only valid when every
+    /// vector runs against the *same* initial memory state (zeroed or
+    /// shared images); per-vector random memories, as in equivalence
+    /// checking of memory functions, make duplicates observable and must
+    /// not be deduplicated.
     ///
-    /// The multiplicities always sum back to [`TraceSet::len`] (asserted),
-    /// so weighted profile accounting stays exact. The result is memoized:
-    /// a search profiles the same trace set thousands of times, and the
-    /// scan (hashing every vector) would otherwise dominate batched
-    /// simulation of cheap behaviors. When the scan finds every vector
-    /// distinct, [`DedupLanes::Identity`] is returned and no lane or
-    /// row-mapping tables are kept at all — the all-distinct case (PPS:
-    /// 1024/1024 lanes) pays for the one memoized scan and nothing more.
+    /// The multiplicities always sum back to [`TraceSet::len`], so
+    /// weighted profile accounting stays exact. The result is memoized: a
+    /// search profiles the same trace set many times, and the scan
+    /// (hashing every vector) would otherwise dominate the simulation of
+    /// cheap behaviors. When the scan finds every vector distinct,
+    /// [`DedupLanes::Identity`] is returned and no lane table is kept.
     pub fn dedup_lanes(&self) -> DedupLanes<'_> {
-        match &self.cache().lanes {
+        let lanes = self.lanes.get_or_init(|| {
+            let lanes = self
+                .dedup_by_rows()
+                .unwrap_or_else(|| self.dedup_by_pairs());
+            assert_eq!(
+                lanes.iter().map(|&(_, m)| m).sum::<usize>(),
+                self.vectors.len(),
+                "dedup multiplicities must cover every vector"
+            );
+            (lanes.len() != self.vectors.len()).then_some(lanes)
+        });
+        match lanes {
             None => DedupLanes::Identity(self.vectors.len()),
             Some(l) => DedupLanes::Lanes(l),
         }
     }
 
-    /// The columnar view of the distinct vectors, if every vector has the
-    /// same key set (memoized alongside [`TraceSet::dedup_lanes`]).
-    pub fn columns(&self) -> Option<&TraceColumns> {
-        self.cache().columns.as_ref()
-    }
-
-    fn cache(&self) -> &DedupCache {
-        self.cache.get_or_init(|| self.build_cache())
-    }
-
-    fn build_cache(&self) -> DedupCache {
-        let n = self.vectors.len();
-        match self.build_columns() {
-            Some((lanes, mut columns)) => {
-                // All distinct: drop the identity tables entirely.
-                if lanes.len() == n {
-                    columns.row_of = Vec::new();
-                    DedupCache {
-                        lanes: None,
-                        columns: Some(columns),
-                    }
-                } else {
-                    DedupCache {
-                        lanes: Some(lanes),
-                        columns: Some(columns),
-                    }
-                }
-            }
-            None => {
-                let lanes = self.dedup_by_pairs();
-                DedupCache {
-                    lanes: (lanes.len() != n).then_some(lanes),
-                    columns: None,
-                }
-            }
-        }
-    }
-
     /// Fast path: when every vector has the same key set, key the dedup on
-    /// the dense value row (no string sorting or hashing per vector) and
-    /// keep the rows as the columnar matrix. Returns `None` when the key
-    /// sets differ (or the set is empty).
-    fn build_columns(&self) -> Option<(Vec<(usize, usize)>, TraceColumns)> {
+    /// the dense value row (no string sorting or hashing per vector).
+    /// Returns `None` when the key sets differ (or the set is empty).
+    fn dedup_by_rows(&self) -> Option<Vec<(usize, usize)>> {
         let first = self.vectors.first()?;
-        let mut names: Vec<String> = first.keys().cloned().collect();
-        names.sort_unstable();
-        let col_of: HashMap<&str, usize> = names
-            .iter()
+        let col_of: HashMap<&str, usize> = first
+            .keys()
             .enumerate()
             .map(|(c, n)| (n.as_str(), c))
             .collect();
-        let ncols = names.len();
         let mut seen: HashMap<Vec<i64>, usize> = HashMap::new();
         let mut lanes: Vec<(usize, usize)> = Vec::new();
-        let mut data: Vec<i64> = Vec::new();
-        let mut row_of: Vec<u32> = Vec::with_capacity(self.vectors.len());
-        let mut row = vec![0i64; ncols];
+        let mut row = vec![0i64; col_of.len()];
         for (i, v) in self.vectors.iter().enumerate() {
-            if v.len() != ncols {
+            if v.len() != row.len() {
                 return None;
             }
             for (k, &x) in v {
-                match col_of.get(k.as_str()) {
-                    Some(&c) => row[c] = x,
-                    None => return None,
-                }
+                row[*col_of.get(k.as_str())?] = x;
             }
             match seen.get(&row) {
-                Some(&lane) => {
-                    lanes[lane].1 += 1;
-                    row_of.push(lane as u32);
-                }
+                Some(&lane) => lanes[lane].1 += 1,
                 None => {
                     seen.insert(row.clone(), lanes.len());
-                    row_of.push(lanes.len() as u32);
                     lanes.push((i, 1));
-                    data.extend_from_slice(&row);
                 }
             }
         }
-        // Transpose the accumulated row-major rows into the column-major
-        // layout — paid once per trace set (the cache is a `OnceLock`),
-        // saving a strided walk on every subsequent batch resolve.
-        let nrows = lanes.len();
-        let mut by_col = vec![0i64; data.len()];
-        for r in 0..nrows {
-            for c in 0..ncols {
-                by_col[c * nrows + r] = data[r * ncols + c];
-            }
-        }
-        Some((
-            lanes,
-            TraceColumns {
-                names,
-                rows: nrows,
-                data: by_col,
-                row_of,
-            },
-        ))
+        Some(lanes)
     }
 
     /// Slow path for heterogeneous key sets: key each vector by its sorted
@@ -292,11 +171,6 @@ impl TraceSet {
                 }
             }
         }
-        assert_eq!(
-            lanes.iter().map(|&(_, m)| m).sum::<usize>(),
-            self.vectors.len(),
-            "dedup multiplicities must cover every vector"
-        );
         lanes
     }
 }
@@ -508,8 +382,6 @@ mod tests {
         assert!(matches!(dl, DedupLanes::Identity(40)));
         assert_eq!(dl.len(), 40);
         assert!((0..40).all(|k| dl.get(k) == (k, 1)));
-        let cols = t.columns().expect("uniform traces are columnar");
-        assert!((0..40).all(|i| cols.row_of(i) == i));
     }
 
     #[test]
@@ -519,8 +391,23 @@ mod tests {
         };
         // Heterogeneous key sets force the pairwise path; all distinct.
         let t = TraceSet::new(vec![mk(&[("a", 1)]), mk(&[("b", 1)]), mk(&[("a", 2)])]);
-        assert!(t.columns().is_none());
+        assert!(t.dedup_by_rows().is_none());
         assert!(matches!(t.dedup_lanes(), DedupLanes::Identity(3)));
+    }
+
+    #[test]
+    fn row_and_pair_dedup_find_the_same_lanes() {
+        let specs = [
+            ("a".to_string(), InputSpec::Uniform { lo: 0, hi: 3 }),
+            ("b".to_string(), InputSpec::Uniform { lo: -1, hi: 1 }),
+            ("k".to_string(), InputSpec::Constant(7)),
+        ];
+        let t = generate(&specs, 60, 5);
+        let rows = t
+            .dedup_by_rows()
+            .expect("generated traces share one key set");
+        assert_eq!(rows, t.dedup_by_pairs());
+        assert!(rows.len() < t.len(), "small ranges repeat vectors");
     }
 
     #[test]

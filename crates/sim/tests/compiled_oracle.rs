@@ -1,24 +1,22 @@
-//! Straight-line kernel oracle suite.
+//! Compiled-interpreter oracle suite on straight-line programs.
 //!
-//! The batched engine runs one shape only: a single memory-free,
-//! `Return`-terminated block (`SimEngine::batchable`). `simulate` claims
-//! that on it the batched engine reports exactly what the scalar engine
-//! and the interpreter oracles (`check_equivalence`, `profile`) report.
-//! These tests hold that claim against seed-driven random programs:
+//! `simulate` claims that it reports exactly what the interpreter
+//! oracles (`check_equivalence`, `profile`) report. These tests hold that
+//! claim against seed-driven random programs that reach every operator's
+//! edges:
 //!
 //! 1. a generator emits straight-line blocks over every `BinOp`, `UnOp`,
 //!    `Mux`, constants and several outputs (sometimes a return value),
-//!    with op ids shuffled against block order so destination rows land
-//!    both above and below their operand rows;
+//!    with op ids shuffled against block order so value slots are written
+//!    both above and below their operands' slots;
 //! 2. traces draw from a pool of edge values (`i64::MIN`, `-1`, `0`,
 //!    shift counts below 0 and at or above 64) and repeat vectors, so
 //!    division and remainder by 0, `i64::MIN / -1` and every shift edge
 //!    occur and dedup weights are exercised;
-//! 3. each program runs on the scalar engine and on the batched one at
-//!    lane caps that cross batch boundaries, against equivalent rewrites
-//!    and mutants, and verdict, profile bits, `StepBound`, and the
-//!    vector and batch counters are compared with the oracles and with
-//!    counts derived from them independently.
+//! 3. each program is simulated against equivalent rewrites and mutants,
+//!    and verdict, profile bits, `StepBound`, lanes and the vector count
+//!    are compared with the oracles and with counts derived from them
+//!    independently.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly from the printed seed.
@@ -27,8 +25,7 @@ use fact_ir::{BinOp, Function, Op, OpId, OpKind, Terminator, UnOp};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
-    check_equivalence, profile, simulate, CompiledFn, EquivReference, SimCounters, SimEngine,
-    SimScratch, StepBound, TraceSet,
+    check_equivalence, profile, simulate, CompiledFn, EquivReference, StepBound, TraceSet,
 };
 use std::collections::HashMap;
 
@@ -59,7 +56,6 @@ const UN_OPS: [UnOp; 3] = [UnOp::Neg, UnOp::Not, UnOp::LNot];
 const EDGES: [i64; 12] = [i64::MIN, i64::MAX, -65, -64, -1, 0, 1, 2, 63, 64, 65, 100];
 
 const INPUTS: [&str; 3] = ["a", "b", "c"];
-const LANE_CAPS: [usize; 4] = [1, 3, 8, 256];
 const SEEDS: u64 = 60;
 
 /// A generated op, operands by block position.
@@ -226,11 +222,6 @@ fn gen_traces(seed: u64) -> TraceSet {
     TraceSet::new(vectors)
 }
 
-/// The scalar engine and the batched engine at every lane cap.
-fn engines() -> impl Iterator<Item = SimEngine> {
-    std::iter::once(SimEngine::Scalar).chain(LANE_CAPS.map(SimEngine::batched_with))
-}
-
 /// The interpreter's step bound for a straight-line function: every
 /// vector runs each op once, in one block entry.
 fn oracle_steps(f: &Function, traces: &TraceSet) -> StepBound {
@@ -243,22 +234,12 @@ fn oracle_steps(f: &Function, traces: &TraceSet) -> StepBound {
     bound
 }
 
-/// The vectors and batches a call must cover when its pass stops after
-/// dedup lane `stop` (the first disagreeing one) or runs every lane
-/// (`stop = None`): the scalar engine runs lanes up to `stop`, the
-/// batched one every lane of the batch holding it.
-fn expected_work(traces: &TraceSet, stop: Option<usize>, engine: SimEngine) -> (u64, u64) {
+/// The vectors a call must cover when its pass stops after dedup lane
+/// `stop` (the first disagreeing one) or runs every lane (`stop = None`).
+fn expected_vectors(traces: &TraceSet, stop: Option<usize>) -> u64 {
     let dl = traces.dedup_lanes();
-    let lanes = dl.len();
-    let (covered, batches) = match engine {
-        SimEngine::Scalar => (stop.map_or(lanes, |k| k + 1), 0),
-        SimEngine::Batched { max_lanes } => {
-            let batches = stop.map_or(lanes.div_ceil(max_lanes), |k| k / max_lanes + 1);
-            ((batches * max_lanes).min(lanes), batches as u64)
-        }
-    };
-    let vectors = (0..covered).map(|k| dl.get(k).1 as u64).sum();
-    (vectors, batches)
+    let covered = stop.map_or(dl.len(), |k| k + 1);
+    (0..covered).map(|k| dl.get(k).1 as u64).sum()
 }
 
 /// The first dedup lane on which `g` disagrees with `f`, judged by the
@@ -272,48 +253,30 @@ fn first_disagreeing_lane(f: &Function, g: &Function, traces: &TraceSet) -> Opti
 }
 
 #[test]
-fn generated_programs_are_batchable() {
+fn profiles_match_the_oracle() {
     for seed in 0..SEEDS {
         let case = gen_case(seed);
         let traces = gen_traces(seed);
-        for g in std::iter::once(&case.rewrite).chain(&case.mutants) {
-            let reference = EquivReference::capture(&case.f, &traces, seed);
-            assert!(
-                SimEngine::batchable(&CompiledFn::compile(g), &traces, Some(&reference)),
-                "seed {seed}: generated program is not straight-line"
-            );
-        }
-    }
-}
-
-#[test]
-fn profiles_match_the_oracle_on_both_engines() {
-    let mut scratch = SimScratch::default();
-    for seed in 0..SEEDS {
-        let case = gen_case(seed);
-        let traces = gen_traces(seed);
-        let cf = CompiledFn::compile(&case.f);
         let oracle = profile(&case.f, &traces);
-        let steps = oracle_steps(&case.f, &traces);
-        for engine in engines() {
-            let counters = SimCounters::default();
-            let sim = simulate(&cf, &traces, None, engine, Some(&counters), &mut scratch);
-            let ctx = format!("seed {seed}, {engine:?}");
-            assert_eq!(sim.profile.as_ref(), Some(&oracle), "profile ({ctx})");
-            assert_eq!(sim.steps, Some(steps), "step bound ({ctx})");
-            assert_eq!(sim.lanes, traces.dedup_lanes().len(), "lanes ({ctx})");
-            assert_eq!(
-                (counters.vectors(), counters.batches()),
-                expected_work(&traces, None, engine),
-                "vectors and batches ({ctx})"
-            );
-        }
+        let sim = simulate(&CompiledFn::compile(&case.f), &traces, None);
+        let ctx = format!("seed {seed}");
+        assert_eq!(sim.profile.as_ref(), Some(&oracle), "profile ({ctx})");
+        assert_eq!(
+            sim.steps,
+            Some(oracle_steps(&case.f, &traces)),
+            "step bound ({ctx})"
+        );
+        assert_eq!(sim.lanes, traces.dedup_lanes().len(), "lanes ({ctx})");
+        assert_eq!(
+            sim.vectors,
+            expected_vectors(&traces, None),
+            "vectors ({ctx})"
+        );
     }
 }
 
 #[test]
-fn verdicts_match_the_oracle_on_both_engines() {
-    let mut scratch = SimScratch::default();
+fn verdicts_match_the_oracle() {
     let mut rejected = 0usize;
     let mut partial = 0usize;
     for seed in 0..SEEDS {
@@ -337,28 +300,18 @@ fn verdicts_match_the_oracle_on_both_engines() {
                 partial += usize::from(stop != Some(0));
             }
             let oracle_profile = oracle.is_ok().then(|| profile(g, &traces));
-            let cg = CompiledFn::compile(g);
-            for engine in engines() {
-                let counters = SimCounters::default();
-                let sim = simulate(
-                    &cg,
-                    &traces,
-                    Some(&reference),
-                    engine,
-                    Some(&counters),
-                    &mut scratch,
-                );
-                let ctx = format!("seed {seed} candidate {i}, {engine:?}");
-                assert_eq!(sim.profile, oracle_profile, "verdict or profile ({ctx})");
-                if oracle.is_ok() {
-                    assert_eq!(sim.steps, Some(oracle_steps(g, &traces)), "{ctx}");
-                }
-                assert_eq!(
-                    (counters.vectors(), counters.batches()),
-                    expected_work(&traces, stop, engine),
-                    "vectors and batches ({ctx})"
-                );
+            let sim = simulate(&CompiledFn::compile(g), &traces, Some(&reference));
+            let ctx = format!("seed {seed} candidate {i}");
+            assert_eq!(sim.profile, oracle_profile, "verdict or profile ({ctx})");
+            if oracle.is_ok() {
+                assert_eq!(sim.steps, Some(oracle_steps(g, &traces)), "{ctx}");
             }
+            assert_eq!(sim.lanes, traces.dedup_lanes().len(), "lanes ({ctx})");
+            assert_eq!(
+                sim.vectors,
+                expected_vectors(&traces, stop),
+                "vectors ({ctx})"
+            );
         }
     }
     // The mutants must mostly be caught, and some only past the first
@@ -370,9 +323,10 @@ fn verdicts_match_the_oracle_on_both_engines() {
     assert!(partial > 0, "no mutant disagreed past the first lane");
 }
 
-/// Every operator over the full grid of edge-value pairs: the batched
-/// engine must verify the function against its own scalar capture on
-/// every lane, one lane per pair.
+/// Every operator over the full grid of edge-value pairs: lane by lane,
+/// the compiled interpreter must emit what the reference interpreter
+/// emits, and `simulate` must verify each slot layout against a capture
+/// of the other, one lane per pair.
 #[test]
 fn every_operator_matches_on_edge_values() {
     let mut vectors = Vec::new();
@@ -382,7 +336,6 @@ fn every_operator_matches_on_edge_values() {
         }
     }
     let traces = TraceSet::new(vectors);
-    let mut scratch = SimScratch::default();
     let ops = BIN_OPS
         .iter()
         .map(|&op| Kind::Bin(op, 0, 1))
@@ -390,21 +343,24 @@ fn every_operator_matches_on_edge_values() {
         .chain([Kind::Mux(0, 1, 0)]);
     for op in ops {
         let kinds = [Kind::Input(0), Kind::Input(1), op, Kind::Output(2)];
-        for ids in [[0, 1, 2, 3], [3, 2, 1, 0]] {
-            let f = build(&kinds, Some(2), &ids);
-            let reference = EquivReference::capture(&f, &traces, 1);
-            let cf = CompiledFn::compile(&f);
-            for cap in LANE_CAPS {
-                let sim = simulate(
-                    &cf,
-                    &traces,
-                    Some(&reference),
-                    SimEngine::batched_with(cap),
-                    None,
-                    &mut scratch,
+        let layouts = [[0, 1, 2, 3], [3, 2, 1, 0]].map(|ids| build(&kinds, Some(2), &ids));
+        for (f, other) in [(&layouts[0], &layouts[1]), (&layouts[1], &layouts[0])] {
+            let cf = CompiledFn::compile(f);
+            for v in &traces.vectors {
+                let want = fact_sim::execute(f, v).expect("straight-line code never fails");
+                let got = cf
+                    .execute_seeded(v, &[], u64::MAX)
+                    .expect("straight-line code never fails");
+                assert_eq!(
+                    (&got.outputs, got.returned),
+                    (&want.outputs, want.returned),
+                    "{v:?}: {f:?}"
                 );
-                assert!(sim.profile.is_some(), "ids {ids:?} cap {cap}: {f:?}");
             }
+            let reference = EquivReference::capture(other, &traces, 1);
+            let sim = simulate(&cf, &traces, Some(&reference));
+            assert_eq!(sim.profile, Some(profile(f, &traces)), "{f:?}");
+            assert_eq!(sim.lanes, EDGES.len() * EDGES.len());
         }
     }
 }

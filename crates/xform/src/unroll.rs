@@ -325,9 +325,7 @@ mod tests {
     use super::*;
     use fact_ir::verify::verify;
     use fact_lang::compile;
-    use fact_sim::{
-        check_equivalence, generate, simulate, CompiledFn, InputSpec, SimEngine, SimScratch,
-    };
+    use fact_sim::{check_equivalence, generate, simulate, CompiledFn, InputSpec};
 
     fn traces(names: &[&str], lo: i64, hi: i64) -> fact_sim::TraceSet {
         let specs: Vec<_> = names
@@ -350,19 +348,7 @@ mod tests {
             "not proved:\n{f}\n{}",
             c.function
         );
-        let counts = |g: &Function| {
-            let cf = CompiledFn::compile(g);
-            simulate(
-                &cf,
-                t,
-                None,
-                SimEngine::Scalar,
-                None,
-                &mut SimScratch::default(),
-            )
-            .counts
-            .unwrap()
-        };
+        let counts = |g: &Function| simulate(&CompiledFn::compile(g), t, None).counts.unwrap();
         assert_eq!(
             counts(f).unrolled(map, c.function.num_blocks()),
             Some(counts(&c.function))

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Perf-trajectory benchmarks. Two harnesses:
+# Perf-trajectory benchmarks. Four harnesses:
 #
 #   search — search throughput (evals/sec over the §5 suite); writes
 #            crates/bench/BENCH_search.json.
-#   sim    — simulation throughput (trace vectors/sec, scalar vs
-#            batched engine); writes crates/bench/BENCH_sim.json.
+#   sim    — simulation throughput (trace vectors/sec of the profile
+#            pass per suite behavior); writes crates/bench/BENCH_sim.json.
 #   pareto — Pareto-frontier quality/throughput (frontier size,
 #            hypervolume proxy, evals/sec); writes
 #            crates/bench/BENCH_pareto.json (also with --smoke).

@@ -28,8 +28,8 @@ cargo test -q -p fact-ir --release --test graph_properties
 cargo test -q --release --test property
 cargo test -q -p fact-core --release --test neighbourhood_digest
 
-echo "== batched-vs-scalar simulation property tests"
-cargo test -q -p fact-sim --release --test batched_equiv
+echo "== compiled-interpreter vs interpreter-oracle simulation tests"
+cargo test -q -p fact-sim --release --test compiled_oracle
 
 echo "== print/parse round trip and Markov-analysis property tests"
 cargo test -q -p fact-lang --release --test roundtrip
@@ -69,8 +69,7 @@ simulated = [(s["name"], s["unroll_simulated"]) for s in suites if s["unroll_sim
 assert not simulated, f"loop-unroll candidates simulated: {simulated}"
 print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
 EOF
-scripts/bench.sh sim --smoke \
-    | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["bench"] == "sim", d'
+scripts/bench.sh sim --smoke > /tmp/sim_smoke.json
 scripts/bench.sh pareto --smoke > /dev/null
 scripts/bench.sh serve --smoke > /tmp/serve_smoke.json
 python3 - <<'EOF'
@@ -145,29 +144,22 @@ print(
 )
 EOF
 
-echo "== engine-selector never-lose gate (BENCH_sim.json)"
+echo "== simulation bench structure (fresh smoke run + committed BENCH_sim.json)"
 python3 - <<'EOF'
 import json
-with open("crates/bench/BENCH_sim.json") as f:
-    d = json.load(f)
-assert d["bench"] == "sim", d
-# The engine policy must never lose to the scalar baseline: every
-# suite's and every crossover-sweep cell's chosen-engine speedup stays at
-# parity or better.
-bad = [(s["name"], s["speedup"]) for s in d["suites"] if s["speedup"] < 1.0]
-bad += [(f"{c['name']}@{c['lanes']}", c["speedup"]) for c in d["crossover"] if c["speedup"] < 1.0]
-assert not bad, f"selector lost on: {bad}"
-# The one remaining batched path must still pay: PPS, the straight-line
-# suite behavior, runs batched from the lane floor (8) on, at parity or
-# better, in every crossover cell.
-pps = [c for c in d["crossover"] if c["name"] == "PPS" and c["lanes"] >= 8]
-assert pps, "no PPS crossover cell at 8 or more lanes"
-unpaid = [(c["lanes"], c["chosen"], c["speedup"]) for c in pps
-          if c["chosen"] != "batched" or c["speedup"] < 1.0]
-assert not unpaid, f"PPS cells not batched at parity or better: {unpaid}"
-line = " ".join(f"{s['name']}:{s['speedup']}x({s['chosen']})" for s in d["suites"])
-batched = sum(c["chosen"] == "batched" for c in d["crossover"])
-print(f"BENCH_sim.json ok: {line}; crossover {batched}/{len(d['crossover'])} cells batched")
+# Structure only: throughput is a property of the machine, so no floor.
+# Every suite behavior must be measured, and the measurement must be live.
+for path in ("/tmp/sim_smoke.json", "crates/bench/BENCH_sim.json"):
+    with open(path) as f:
+        d = json.load(f)
+    assert d["bench"] == "sim", d
+    suites = d["suites"]
+    assert len(suites) == 6, f"{path}: expected six suites: {[s['name'] for s in suites]}"
+    dead = [s["name"] for s in suites
+            if not (s["passes"] >= 1 and s["vectors"] > 0 and s["vectors_per_sec"] > 0)]
+    assert not dead, f"{path}: suites measured nothing: {dead}"
+    line = " ".join(f"{s['name']}:{s['vectors_per_sec']:.0f}v/s" for s in suites)
+    print(f"{path} ok: {line}")
 EOF
 
 echo "ci.sh: all gates passed"

@@ -22,7 +22,9 @@
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
 //! in-bounds) loads and stores, multiplications over sums (for
-//! distributivity), and repeated subexpressions (for CSE). A second
+//! distributivity), division and remainder (the boundary traces reach
+//! `x / 0` and `i64::MIN / −1`), and repeated subexpressions (for CSE).
+//! A second
 //! generator writes loop nests: counted loops, loops bounded by an input
 //! (zero trips when it is small), data-dependent exits, if/else bodies,
 //! nested loops, and array recurrences across iterations. Seed-driven
@@ -33,8 +35,7 @@ use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
-    check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, SimEngine,
-    SimScratch, TraceSet,
+    check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, TraceSet,
 };
 use fact_xform::unroll::LoopUnroll;
 use fact_xform::{Region, Transform, TransformLibrary};
@@ -51,6 +52,10 @@ const ARRAY_LEN: i64 = 8;
 /// Seed-driven program generator.
 struct ProgGen {
     rng: StdRng,
+    /// Draws which binary operators divide. A stream of its own, so the
+    /// shape `rng` gives a seed's program (the regression seeds' included)
+    /// does not depend on it.
+    divides: StdRng,
     /// Whether this program declares the array.
     array: bool,
     /// Loop counters handed out so far (each loop gets a fresh one).
@@ -106,6 +111,14 @@ impl ProgGen {
                     BinOp::And,
                     BinOp::Xor,
                 ][self.rng.gen_range(0..7usize)];
+                // Division and remainder, as often as any two of the
+                // other operators: the traces' 0, −1 and `i64::MIN`
+                // reach `x / 0` and `MIN / −1`.
+                let op = match self.divides.gen_range(0..9u32) {
+                    0 => BinOp::Div,
+                    1 => BinOp::Rem,
+                    _ => op,
+                };
                 Expr::bin(op, self.expr(depth - 1), self.expr(depth - 1))
             }
         };
@@ -265,6 +278,7 @@ fn loop_program(seed: u64) -> Proc {
     let array = rng.gen_bool(0.5);
     let mut gen = ProgGen {
         rng,
+        divides: StdRng::seed_from_u64(seed ^ 0xD1F1DE),
         array,
         counters: 0,
         seen: Vec::new(),
@@ -326,6 +340,7 @@ fn program(seed: u64) -> Proc {
     let array = rng.gen_bool(0.4);
     let mut gen = ProgGen {
         rng,
+        divides: StdRng::seed_from_u64(seed ^ 0xD1F1DE),
         array,
         counters: 0,
         seen: Vec::new(),
@@ -415,9 +430,16 @@ fn for_seeds(mut check: impl FnMut(u64) -> Result<(), String>) {
 
 #[test]
 fn lowering_always_verifies_and_round_trips() {
+    let mut dividing = 0;
     for_seeds(|seed| {
         let (p, f) = lowered(seed)?;
         let src = fact_lang::print_proc(&p);
+        dividing += usize::from(f.block_ids().any(|b| {
+            f.block(b)
+                .ops
+                .iter()
+                .any(|&op| matches!(f.op(op).kind, OpKind::Bin(BinOp::Div | BinOp::Rem, _, _)))
+        }));
         for v in &traces(5, 1).vectors {
             fact_sim::execute(&f, v).map_err(|e| format!("execution failed: {e:?}\n{src}"))?;
         }
@@ -433,6 +455,11 @@ fn lowering_always_verifies_and_round_trips() {
             .map(|_| ())
             .map_err(|m| format!("printed program computes differently: {m}\n{src}"))
     });
+    // Division and remainder reach the transformations and the prover.
+    assert!(
+        dividing * 4 > CASES as usize,
+        "only {dividing} programs divide"
+    );
 }
 
 #[test]
@@ -513,17 +540,9 @@ fn check_candidates(
 
 /// The counts `simulate` takes of `f` over `t`, from zeroed memories.
 fn counts_of(f: &Function, t: &TraceSet) -> ProfileCounts {
-    let cf = CompiledFn::compile(f);
-    simulate(
-        &cf,
-        t,
-        None,
-        SimEngine::Scalar,
-        None,
-        &mut SimScratch::default(),
-    )
-    .counts
-    .expect("a pass without a reference profiles")
+    simulate(&CompiledFn::compile(f), t, None)
+        .counts
+        .expect("a pass without a reference profiles")
 }
 
 /// What a proof promises, checked by simulation: `g` is equivalent to
@@ -606,6 +625,8 @@ fn mutate(f: &Function, rng: &mut StdRng) -> Option<Function> {
                 BinOp::Mul => BinOp::Add,
                 BinOp::And => BinOp::Or,
                 BinOp::Xor => BinOp::Or,
+                BinOp::Div => BinOp::Rem,
+                BinOp::Rem => BinOp::Div,
                 _ => return None,
             };
             OpKind::Bin(other, x, y)
@@ -722,9 +743,16 @@ fn unroll_mutations_are_proved_only_when_equivalent() {
 
 #[test]
 fn every_behavior_schedules_validly() {
-    let (lib, rules) = fact_estim::section5_library();
+    let (mut lib, mut rules) = fact_estim::section5_library();
+    // The §5 library has no divider; the generated programs divide.
+    rules.div = Some(lib.add(fact_sched::FuSpec {
+        name: "dv1".into(),
+        energy_coeff: 2.3,
+        delay_ns: 23.0,
+        area: 3.9,
+    }));
     let mut alloc = fact_sched::Allocation::new();
-    for name in ["a1", "sb1", "mt1", "cp1", "e1", "i1", "n1", "s1"] {
+    for name in ["a1", "sb1", "mt1", "cp1", "e1", "i1", "n1", "s1", "dv1"] {
         alloc.set(lib.by_name(name).unwrap(), 2);
     }
     for_seeds(|seed| {
