@@ -49,13 +49,15 @@ fn main() {
         for s in &p.suites {
             eprintln!(
                 "  {:8} {:5} evals {:7.3}s {:8.0} evals/sec cache {:4.0}% \
-                 (expand {:.3}s compile {:.3}s prove {:.3}s sim {:.3}s est {:.3}s, \
-                 of it sched {:.3}s)",
+                 inherited {} (setup {:.3}s expand {:.3}s compile {:.3}s prove {:.3}s \
+                 sim {:.3}s est {:.3}s, of it sched {:.3}s)",
                 s.name,
                 s.evaluated,
                 s.wall_s,
                 s.evals_per_sec,
                 s.cache_hit_rate * 100.0,
+                s.inherited,
+                s.setup_s,
                 s.expand_s,
                 s.compile_s,
                 s.prove_s,

@@ -11,7 +11,8 @@
 //! JSON is emitted by hand from a flat result struct.
 
 use fact_core::{
-    optimize_with, suite, EvalCache, FactConfig, OptimizeHooks, PhaseTimers, TransformLibrary,
+    optimize_with, suite, CandidateCounts, EvalCache, FactConfig, OptimizeHooks, PhaseTimers,
+    TransformLibrary,
 };
 use fact_estim::section5_library;
 use fact_xform::TransformKind;
@@ -33,6 +34,21 @@ pub struct SuitePerf {
     pub evals_per_sec: f64,
     /// Cache hit rate over the run (`hits / lookups`).
     pub cache_hit_rate: f64,
+    /// Operand swaps that inherited their parent's evaluation
+    /// ([`fact_core::CandidateCounts::inherited_total`]).
+    pub inherited: u64,
+    /// Candidates proved equivalent to their parent, search inputs
+    /// included ([`fact_core::CandidateCounts::proved_total`]).
+    pub proved: u64,
+    /// Unrolled candidates whose profile was derived
+    /// ([`fact_core::CandidateCounts::derived_total`]).
+    pub derived: u64,
+    /// Candidates simulated, search inputs included
+    /// ([`fact_core::CandidateCounts::simulated_total`]).
+    pub simulated: u64,
+    /// Wall time outside the search — set-up and the winner's final
+    /// re-estimate — seconds ([`PhaseTimers::setup_ns`]).
+    pub setup_s: f64,
     /// Wall time spent compiling candidates, seconds
     /// ([`PhaseTimers::compile_ns`]).
     pub compile_s: f64,
@@ -122,14 +138,9 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             hooks,
         );
         let wall_s = t0.elapsed().as_secs_f64();
-        let (evaluated, cache_hits) = match &r {
-            Ok(r) => (r.evaluated, r.cache_hits),
-            Err(_) => (0, 0),
-        };
-        let unroll = TransformKind::LoopUnroll.index();
-        let unroll_simulated = match &r {
-            Ok(r) => r.candidates.simulated[unroll],
-            Err(_) => 0,
+        let (evaluated, cache_hits, c) = match &r {
+            Ok(r) => (r.evaluated, r.cache_hits, r.candidates),
+            Err(_) => (0, 0, CandidateCounts::default()),
         };
         let cs = cache.stats();
         suites.push(SuitePerf {
@@ -143,10 +154,15 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
                 0.0
             },
             cache_hit_rate: cs.hit_rate(),
+            inherited: c.inherited_total(),
+            proved: c.proved_total(),
+            derived: c.derived_total(),
+            simulated: c.simulated_total(),
+            setup_s: timers.setup_ns.load(Ordering::Relaxed) as f64 / 1e9,
             compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
             prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
             derive_s: timers.derive_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            unroll_simulated,
+            unroll_simulated: c.simulated[TransformKind::LoopUnroll.index()],
             simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -182,7 +198,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
-                 \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
+                 \"inherited\": {}, \"proved\": {}, \"derived\": {}, \"simulated\": {}, \
+                 \"setup_s\": {:.4}, \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
                  \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
                 s.name,
@@ -191,6 +208,11 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.wall_s,
                 s.evals_per_sec,
                 s.cache_hit_rate,
+                s.inherited,
+                s.proved,
+                s.derived,
+                s.simulated,
+                s.setup_s,
                 s.compile_s,
                 s.prove_s,
                 s.derive_s,
@@ -244,6 +266,17 @@ mod tests {
             assert!(
                 0.0 <= s.derive_s && s.derive_s <= s.wall_s,
                 "{}: deriving is a share of the run",
+                s.name
+            );
+            assert!(
+                0.0 <= s.setup_s && s.setup_s <= s.wall_s,
+                "{}: set-up is a share of the run",
+                s.name
+            );
+            assert_eq!(
+                s.evaluated as u64,
+                s.inherited + s.proved + s.derived + s.simulated + s.cache_hits as u64,
+                "{}: every evaluation is accounted for",
                 s.name
             );
         }

@@ -16,7 +16,7 @@ use crate::search::{
     apply_transforms, apply_transforms_pareto, MegaCandidate, SearchConfig, SearchResult,
 };
 use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
-use fact_ir::{prove_equivalent, Function};
+use fact_ir::{operand_swap_of, prove_equivalent, Function};
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
@@ -133,9 +133,9 @@ pub struct FactResult {
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
-    /// How the candidates the cache did not answer got their branch
-    /// profiles: proved equivalent to their parent, derived from its
-    /// counts, or simulated.
+    /// How the candidates the cache did not answer were evaluated:
+    /// inherited from their parent (operand swaps), proved equivalent to
+    /// their parent, derived from its counts, or simulated.
     pub candidates: CandidateCounts,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
@@ -145,9 +145,14 @@ pub struct FactResult {
 /// Candidate evaluations by where their branch profile came from, per
 /// [`TransformKind`] (indexed by [`TransformKind::index`]).
 ///
-/// A candidate [`fact_ir::prove_equivalent`] shows equivalent to a
-/// parent this run profiled takes the corresponding path on every
-/// vector, so it is neither compiled nor simulated: a rewrite that keeps
+/// A candidate that [`fact_ir::operand_swap_of`] shows only exchanges the
+/// operands of one commutative op (or mirrors one comparison) of a
+/// parent this run profiled and scored is neither proved, simulated,
+/// scheduled nor estimated: it takes the parent's profile and estimate
+/// (*inherited*, DESIGN §8.5.2). A candidate
+/// [`fact_ir::prove_equivalent`] shows equivalent to a parent this run
+/// profiled takes the corresponding path on every vector, so it is
+/// neither compiled nor simulated: a rewrite that keeps
 /// the control-flow graph reuses the parent's profile (*proved*), and a
 /// loop unrolled by 2 gets its profile from the parent's per-parity loop
 /// counts (*derived*, [`ProfileCounts::unrolled`]). A search input the
@@ -155,6 +160,9 @@ pub struct FactResult {
 /// counts as proved. Every other candidate is simulated.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateCounts {
+    /// Operand swaps that took their parent's profile and estimate, per
+    /// kind.
+    pub inherited: [u64; TransformKind::ALL.len()],
     /// Candidates proved equivalent to their parent that reused its
     /// profile, per kind.
     pub proved: [u64; TransformKind::ALL.len()],
@@ -174,6 +182,12 @@ pub struct CandidateCounts {
 }
 
 impl CandidateCounts {
+    /// Candidates that inherited their parent's evaluation, over every
+    /// kind.
+    pub fn inherited_total(&self) -> u64 {
+        self.inherited.iter().sum()
+    }
+
     /// Candidates proved and reusing a profile, over every kind, search
     /// inputs included.
     pub fn proved_total(&self) -> u64 {
@@ -191,30 +205,37 @@ impl CandidateCounts {
     }
 }
 
-/// Wall-clock phase accounting of the search, accumulated in
-/// nanoseconds across all worker threads (so a phase's total can exceed
-/// the run's wall time when `search.threads > 1`). Wired in through
-/// [`OptimizeHooks::timers`]; the benchmark harness uses it to attribute
-/// search throughput to expansion, compilation, simulation, and
-/// estimation.
+/// Wall-clock phase accounting of a run, accumulated in nanoseconds
+/// across all worker threads (so a phase's total can exceed the run's
+/// wall time when `search.threads > 1`). The phases are disjoint: set-up
+/// is charged to `setup_ns` alone, and each candidate's work to the
+/// phase it ran in. Wired in through [`OptimizeHooks::timers`]; the
+/// benchmark harness uses it to attribute search throughput to set-up,
+/// expansion, compilation, proving, simulation, and estimation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
+    /// Time outside the search: the run's set-up (capturing the
+    /// equivalence reference, the input's profile pass, its schedule,
+    /// Markov analysis and estimate, and the partition into regions) and
+    /// the winner's final profile and re-estimate.
+    pub setup_ns: AtomicU64,
     /// Time compiling candidates ([`CompiledFn::compile`]).
     pub compile_ns: AtomicU64,
     /// Time proving candidates equivalent to their parents
-    /// ([`fact_ir::prove_equivalent`]), proved or not.
+    /// ([`fact_ir::prove_equivalent`], and [`fact_ir::operand_swap_of`]
+    /// for every candidate with a parent), proved or not.
     pub prove_ns: AtomicU64,
     /// Time deriving unrolled candidates' profiles from their parents'
     /// counts ([`ProfileCounts::unrolled`]).
     pub derive_ns: AtomicU64,
-    /// Time inside [`simulate`]: equivalence verification and branch
-    /// profiling.
+    /// Time inside [`simulate`]: candidates' equivalence verification and
+    /// branch profiling.
     pub simulate_ns: AtomicU64,
-    /// Time scheduling and estimating (list scheduling, Markov solves,
-    /// power/latency evaluation).
+    /// Time scheduling and estimating candidates (list scheduling, Markov
+    /// solves, power/latency evaluation).
     pub estimate_ns: AtomicU64,
     /// The scheduling share of `estimate_ns`: time inside
-    /// [`schedule_with_memo`] during candidate and final estimation.
+    /// [`schedule_with_memo`] during candidate estimation.
     /// `estimate_ns - schedule_ns` is the Markov and power time.
     pub schedule_ns: AtomicU64,
     /// Search time outside the neighborhood evaluator: the wall time of
@@ -498,7 +519,10 @@ struct Run<'a> {
     /// derived, by structural hash (the input included): what a child
     /// proved equivalent to one reuses or derives its profile from.
     profiles: Mutex<HashMap<u64, Profiled>>,
-    /// Proved, derived and simulated candidates.
+    /// The estimate of every function the run scored, by structural
+    /// hash: what an operand swap of one inherits.
+    scores: Mutex<HashMap<u64, Estimate>>,
+    /// Inherited, proved, derived and simulated candidates.
     candidates: Mutex<CandidateCounts>,
 }
 
@@ -518,8 +542,8 @@ impl<'a> Run<'a> {
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
         let ctx = IncrementalCtx::new(f, traces, config, hooks.timers);
-        let sim = timed(ctx.timers, |t| &t.simulate_ns, || profile_pass(f, traces));
-        let (prof, known) = Profiled::of(sim).expect("a pass without a reference always profiles");
+        let (prof, known) = Profiled::of(profile_pass(f, traces))
+            .expect("a pass without a reference always profiles");
         // Seeded into the profile map as a search input would be: the
         // input agrees with its own reference, and its lanes there bound
         // its work too.
@@ -568,6 +592,7 @@ impl<'a> Run<'a> {
             context_key: evaluation_context_key(f, alloc, traces, config),
             cache_hits: AtomicUsize::new(0),
             profiles: Mutex::new(profiles),
+            scores: Mutex::new(HashMap::new()),
             candidates: Mutex::new(CandidateCounts::default()),
         })
     }
@@ -577,20 +602,26 @@ impl<'a> Run<'a> {
         self.hooks.stop.is_some_and(|s| s.load(Ordering::Relaxed))
     }
 
-    /// Schedules + estimates `g` under `prof`; `None` when `g` cannot be
-    /// realized under the allocation (e.g. a strength-reduced shift with
-    /// no shifter), or — in power mode — is slower than the baseline.
-    fn estimate(&self, g: &Function, prof: &BranchProfile) -> Option<(ScheduleResult, Estimate)> {
+    /// Schedules + estimates `g` under `prof`, charging the time to
+    /// `timers`' estimation phases; `None` when `g` cannot be realized
+    /// under the allocation (e.g. a strength-reduced shift with no
+    /// shifter), or — in power mode — is slower than the baseline.
+    fn estimate(
+        &self,
+        g: &Function,
+        prof: &BranchProfile,
+        timers: Option<&PhaseTimers>,
+    ) -> Option<(ScheduleResult, Estimate)> {
         if prof.runs_ok == 0 {
             return None;
         }
         let (ctx, config, library) = (&self.ctx, self.config, self.library);
         timed(
-            ctx.timers,
+            timers,
             |t| &t.estimate_ns,
             || {
                 let sr = timed(
-                    ctx.timers,
+                    timers,
                     |t| &t.schedule_ns,
                     || {
                         schedule_with_memo(
@@ -641,16 +672,62 @@ impl<'a> Run<'a> {
     /// equivalent, unschedulable under the allocation, or — in power
     /// mode — slower than the baseline).
     ///
-    /// The profile comes from [`Run::known_profile`] when the candidate
-    /// is proved equivalent to a parent the run profiled; otherwise
+    /// An operand swap of a parent the run scored inherits the parent's
+    /// estimate ([`Run::inherited_estimate`]). Otherwise the profile
+    /// comes from [`Run::known_profile`] when the candidate is proved
+    /// equivalent to a parent the run profiled, or else
     /// [`Run::simulated_profile`] compiles and simulates the candidate.
     fn checked_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
         debug_assert_eq!(cand.hash, structural_hash(cand.function));
+        if let Some(est) = self.inherited_estimate(cand) {
+            return Some(est);
+        }
         let prof = match self.known_profile(cand) {
             Ok(prof) => prof,
             Err(miss) => self.simulated_profile(cand, miss)?,
         };
-        self.estimate(cand.function, &prof).map(|(_, est)| est)
+        let (_, est) = self.estimate(cand.function, &prof, self.ctx.timers)?;
+        self.scores
+            .lock()
+            .expect("no evaluation panics while holding the score memo")
+            .insert(cand.hash, est.clone());
+        Some(est)
+    }
+
+    /// The parent's estimate, when `cand` only exchanges the operands of
+    /// one commutative op or mirrors one comparison of its parent
+    /// ([`operand_swap_of`]) and the run profiled and scored that parent.
+    /// The swap computes every value on every vector as the parent does,
+    /// so its verdict, profile and step bound (grown by 0) are the
+    /// parent's; and no dependence, unit choice or ready-list tie of its
+    /// schedule sees the swap, so its estimate is the parent's, bit for
+    /// bit (DESIGN §8.5.2). It is neither proved, scheduled nor
+    /// estimated.
+    fn inherited_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
+        let origin = cand.origin?;
+        timed(
+            self.ctx.timers,
+            |t| &t.prove_ns,
+            || operand_swap_of(origin.parent, cand.function),
+        )?;
+        let parent = self.profiled(origin.parent_hash)?;
+        let est = self
+            .scores
+            .lock()
+            .expect("no evaluation panics while holding the score memo")
+            .get(&origin.parent_hash)
+            .cloned()?;
+        let steps = parent.steps.grown(0)?;
+        self.profiles
+            .lock()
+            .expect("no evaluation panics while holding the profile map")
+            .insert(cand.hash, Profiled { steps, ..parent });
+        self.scores
+            .lock()
+            .expect("no evaluation panics while holding the score memo")
+            .insert(cand.hash, est.clone());
+        self.count(|c| c.inherited[origin.kind.index()] += 1);
+        Some(est)
     }
 
     /// What the run knows of the function with structural hash `hash`.
@@ -951,7 +1028,11 @@ pub fn optimize_with(
     config: &FactConfig,
     hooks: OptimizeHooks<'_>,
 ) -> Result<FactResult, FactError> {
-    let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let run = timed(
+        hooks.timers,
+        |t| &t.setup_ns,
+        || Run::new(f, library, rules, alloc, traces, config, hooks),
+    )?;
     let clock = ExpandClock::new(hooks.timers);
     let score = |batch: &[MegaCandidate<'_>]| {
         clock.evaluate(|| {
@@ -995,23 +1076,22 @@ pub fn optimize_with(
     // Final schedule + estimate of the winner, from the profile the run
     // already has for it when it has one.
     let ctx = &run.ctx;
-    let prof = match run.profiled(structural_hash(&current)) {
-        Some(known) => known.profile,
-        None => timed(
-            ctx.timers,
-            |t| &t.simulate_ns,
-            || {
-                let sim = profile_pass(&current, traces);
-                Arc::new(
-                    sim.profile
+    let (schedule_result, estimate) = timed(
+        hooks.timers,
+        |t| &t.setup_ns,
+        || {
+            let prof = match run.profiled(structural_hash(&current)) {
+                Some(known) => known.profile,
+                None => Arc::new(
+                    profile_pass(&current, traces)
+                        .profile
                         .expect("a pass without a reference always profiles"),
-                )
-            },
-        ),
-    };
-    let (schedule_result, estimate) = run
-        .estimate(&current, &prof)
-        .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
+                ),
+            };
+            run.estimate(&current, &prof, None)
+        },
+    )
+    .ok_or_else(|| FactError::Analysis("final candidate failed to schedule".to_string()))?;
 
     let candidates = *run.candidates.lock().expect("the search has finished");
     Ok(FactResult {
@@ -1093,7 +1173,8 @@ pub struct ParetoFactResult {
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
-    /// Proved and simulated candidates (see [`FactResult::candidates`]).
+    /// Inherited, proved, derived and simulated candidates (see
+    /// [`FactResult::candidates`]).
     pub candidates: CandidateCounts,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
@@ -1158,7 +1239,11 @@ pub fn optimize_pareto_with(
         ..config.clone()
     };
     let config = &config;
-    let run = Run::new(f, library, rules, alloc, traces, config, hooks)?;
+    let run = timed(
+        hooks.timers,
+        |t| &t.setup_ns,
+        || Run::new(f, library, rules, alloc, traces, config, hooks),
+    )?;
     let clock = ExpandClock::new(hooks.timers);
     let score = |batch: &[MegaCandidate<'_>]| {
         clock.evaluate(|| {

@@ -483,11 +483,13 @@ fn optimize_suite_without_equivalence_checks_matches_oracle() {
             let (r, _) = run(&b, &config);
             let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
             assert_matches_oracle(&r, &oracle, &ctx);
-            // Every candidate the cache did not answer was proved,
-            // derived, or routed to an engine.
+            // Every candidate the cache did not answer inherited its
+            // parent's evaluation, was proved, derived, or routed to an
+            // engine.
             assert_eq!(
                 r.sim_engine_scalar
                     + r.sim_engine_batched
+                    + r.candidates.inherited_total()
                     + r.candidates.proved_total()
                     + r.candidates.derived_total()
                     + r.cache_hits as u64,
@@ -551,9 +553,10 @@ fn optimize_pareto_is_thread_invariant() {
 }
 
 /// The simulation ledger of whole runs: every candidate the cache did not
-/// answer was either proved equivalent to its parent and reused its
-/// profile, or derived its profile from the parent's counts (both
-/// simulated not at all), or was simulated; and each simulated candidate
+/// answer either inherited its parent's profile and estimate (an operand
+/// swap), or was proved equivalent to its parent and reused its profile,
+/// or derived its profile from the parent's counts (all three simulated
+/// not at all), or was simulated; and each simulated candidate
 /// costs `k` passes over the traces — `k = 1` for memory-free behaviors
 /// (verification and profiling share one pass) and for runs without
 /// equivalence checking (the profile pass alone), `k = 2` for
@@ -561,8 +564,8 @@ fn optimize_pareto_is_thread_invariant() {
 /// then a zero-memory profile pass). The baseline and final profiles are
 /// not counted.
 ///
-/// A fresh run of the suite proves or derives every candidate, so no
-/// loop-unroll candidate is simulated. A second, longer run over the
+/// A fresh run of the suite inherits, proves or derives every candidate,
+/// so no loop-unroll candidate is simulated. A second, longer run over the
 /// first run's cache is where simulation remains: the cache answers the
 /// first run's candidates without profiling them, so the children of
 /// those it moves to are simulated.
@@ -570,7 +573,7 @@ fn optimize_pareto_is_thread_invariant() {
 fn sim_vectors_count_one_pass_per_simulated_candidate() {
     let (lib, rules) = section5_library();
     let tlib = TransformLibrary::full();
-    let (mut proved, mut derived) = (0, 0);
+    let (mut inherited, mut proved, mut derived) = (0, 0, 0);
     for b in suite_and_wide_traces() {
         let memory_free = b.function.memories().count() == 0;
         for check_equivalence in [true, false] {
@@ -609,8 +612,8 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
                 let simulated = c.simulated_total();
                 assert_eq!(
                     (r.evaluated - r.cache_hits) as u64,
-                    c.proved_total() + c.derived_total() + simulated,
-                    "every uncached candidate is proved, derived or simulated ({ctx})"
+                    c.inherited_total() + c.proved_total() + c.derived_total() + simulated,
+                    "every uncached candidate is inherited, proved, derived or simulated ({ctx})"
                 );
                 assert_eq!(
                     r.sim_vectors,
@@ -637,11 +640,16 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
                         assert!(c.unprofiled_parents > 0, "nothing simulated ({ctx})");
                     }
                 }
+                inherited += c.inherited_total();
                 proved += c.proved_total();
                 derived += c.derived_total();
             }
         }
     }
+    assert!(
+        inherited > 0,
+        "no operand swap inherited its parent's estimate"
+    );
     assert!(proved > 0, "the prover never short-circuited a simulation");
     assert!(derived > 0, "no unrolled candidate's profile was derived");
 }

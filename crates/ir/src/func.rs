@@ -277,6 +277,18 @@ impl Function {
         }
     }
 
+    /// The function's op storage, shared with its clones until mutated
+    /// (see [`Function::shares_op_storage`]).
+    pub(crate) fn op_storage(&self) -> &[Arc<Op>] {
+        &self.ops
+    }
+
+    /// Whether `self` and `other` share the physical storage of their
+    /// memory table.
+    pub(crate) fn shares_memory_storage(&self, other: &Function) -> bool {
+        Arc::ptr_eq(&self.mems, &other.mems)
+    }
+
     /// Accesses a memory.
     ///
     /// # Panics

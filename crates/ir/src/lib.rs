@@ -15,8 +15,9 @@
 //! Alongside the data structures, the crate provides the graph analyses
 //! ([`DomTree`], [`LoopForest`], [`mod@cfg`]), a verifier ([`verify::verify`]),
 //! rewriting utilities ([`rewrite`]), an equivalence prover for rewrites
-//! that keep the control-flow graph ([`prove_equivalent`]), and
-//! text/Graphviz printers.
+//! that keep the control-flow graph ([`prove_equivalent`]), a structural
+//! check for pure operand swaps ([`operand_swap_of`]), and text/Graphviz
+//! printers.
 //!
 //! # Examples
 //!
@@ -57,4 +58,4 @@ pub use func::{BasicBlock, Function, Memory, Successors, Terminator};
 pub use ids::{BlockId, MemId, OpId};
 pub use loops::{LoopForest, NaturalLoop};
 pub use op::{BinOp, Op, OpKind, UnOp};
-pub use prove::{prove_equivalent, Equivalence, UnrollMap};
+pub use prove::{operand_swap_of, prove_equivalent, Equivalence, UnrollMap};

@@ -166,6 +166,64 @@ pub fn prove_equivalent(
     proof
 }
 
+/// The op whose operands `candidate` exchanges, when `candidate` is
+/// `parent` with exactly that edit: the same op under the same
+/// commutative [`BinOp`], or under its [`BinOp::mirrored`] comparison,
+/// with its two operands swapped. Every block, every other op and the
+/// memory table must be `parent`'s own storage, shared by a clone
+/// ([`Function::has_blocks`], [`Function::shares_op_storage`]), so the
+/// check is a pointer comparison per block and op plus one op's
+/// contents. It trusts nothing about how `candidate` was made: any other
+/// difference, or contents equal to `parent`'s in storage of its own,
+/// answers `None`.
+///
+/// Such a candidate computes the same value in the same op on every
+/// vector, and every dependence, unit choice and priority of a schedule
+/// sees the swapped op as it saw the original (DESIGN §8.5.2).
+///
+/// # Examples
+///
+/// ```
+/// use fact_ir::{operand_swap_of, BinOp, OpKind};
+///
+/// let mut f = fact_ir::Function::new("f");
+/// let e = f.entry();
+/// let a = f.emit_input(e, "a");
+/// let b = f.emit_input(e, "b");
+/// let lt = f.emit_bin(e, BinOp::Lt, a, b);
+/// f.emit_output(e, "y", lt);
+/// let mut g = f.clone();
+/// g.op_mut(lt).kind = OpKind::Bin(BinOp::Gt, b, a);
+/// assert_eq!(operand_swap_of(&f, &g), Some(lt));
+/// g.op_mut(lt).kind = OpKind::Bin(BinOp::Ge, b, a);
+/// assert_eq!(operand_swap_of(&f, &g), None);
+/// ```
+pub fn operand_swap_of(parent: &Function, candidate: &Function) -> Option<OpId> {
+    if !candidate.has_blocks(parent.entry(), parent.block_storage())
+        || !candidate.shares_memory_storage(parent)
+    {
+        return None;
+    }
+    let (p, c) = (parent.op_storage(), candidate.op_storage());
+    if p.len() != c.len() {
+        return None;
+    }
+    let mut changed = (0..p.len()).filter(|&i| !Arc::ptr_eq(&p[i], &c[i]));
+    let i = changed.next()?;
+    if changed.next().is_some() || p[i].label != c[i].label {
+        return None;
+    }
+    let (OpKind::Bin(op, x, y), OpKind::Bin(swapped, y2, x2)) = (&p[i].kind, &c[i].kind) else {
+        return None;
+    };
+    let same_op = if op.is_commutative() {
+        swapped == op
+    } else {
+        op.mirrored() == Some(*swapped)
+    };
+    (same_op && x == x2 && y == y2).then_some(OpId::new(i))
+}
+
 /// [`prove_equivalent`] over the corresponding graphs `cfg`, in `terms`.
 fn prove_on(
     parent: &Function,
@@ -1779,6 +1837,91 @@ mod tests {
             f
         };
         assert!(!proves(&halved(false), &halved(true)));
+    }
+
+    /// `straight(op, false)` and a clone of it whose one binary op is
+    /// rewritten to `op2` over `swap`ped operands.
+    fn edited(op: BinOp, op2: BinOp, swap: bool) -> (Function, Function, OpId) {
+        let p = straight(op, false);
+        let v = p.block(p.entry()).ops[2];
+        let OpKind::Bin(_, a, b) = p.op(v).kind else {
+            unreachable!()
+        };
+        let mut c = p.clone();
+        let (x, y) = if swap { (b, a) } else { (a, b) };
+        c.op_mut(v).kind = OpKind::Bin(op2, x, y);
+        (p, c, v)
+    }
+
+    #[test]
+    fn operand_swaps_of_commutative_ops_and_mirrored_comparisons_are_recognized() {
+        for op in [BinOp::Add, BinOp::Mul, BinOp::And, BinOp::Xor, BinOp::Eq] {
+            let (p, c, v) = edited(op, op, true);
+            assert_eq!(operand_swap_of(&p, &c), Some(v), "{op}");
+        }
+        for (op, mirrored) in [(BinOp::Lt, BinOp::Gt), (BinOp::Ge, BinOp::Le)] {
+            let (p, c, v) = edited(op, mirrored, true);
+            assert_eq!(operand_swap_of(&p, &c), Some(v), "{op} as {mirrored}");
+        }
+        // A swap deep inside a loop, as the library makes it.
+        let p = counting_loop(|f, l, s, i| f.emit_bin(l, BinOp::Add, s, i));
+        let body = BlockId(2);
+        let add = p.block(body).ops[0];
+        let mut c = p.clone();
+        let OpKind::Bin(_, s, i) = p.op(add).kind else {
+            unreachable!()
+        };
+        c.op_mut(add).kind = OpKind::Bin(BinOp::Add, i, s);
+        assert_eq!(operand_swap_of(&p, &c), Some(add));
+    }
+
+    #[test]
+    fn edits_other_than_one_operand_swap_are_rejected() {
+        let rejected = |(p, c, _): (Function, Function, OpId)| operand_swap_of(&p, &c).is_none();
+        assert!(rejected(edited(BinOp::Sub, BinOp::Sub, true)), "a-b to b-a");
+        assert!(rejected(edited(BinOp::Lt, BinOp::Le, false)), "a<b to a<=b");
+        assert!(rejected(edited(BinOp::Lt, BinOp::Ge, true)), "a<b to b>=a");
+        assert!(rejected(edited(BinOp::Lt, BinOp::Lt, true)), "a<b to b<a");
+        assert!(rejected(edited(BinOp::Add, BinOp::Mul, true)), "a+b to b*a");
+        assert!(
+            rejected(edited(BinOp::Add, BinOp::Add, false)),
+            "nothing swapped"
+        );
+        // The function itself: no op changed.
+        let p = straight(BinOp::Add, false);
+        assert_eq!(operand_swap_of(&p, &p.clone()), None);
+        // A swap plus any second changed op, even one rewritten to
+        // itself.
+        let (p, c, v) = edited(BinOp::Add, BinOp::Add, true);
+        let a = p.block(p.entry()).ops[0];
+        let mut second = c.clone();
+        second.op_mut(a).kind = OpKind::Input("b".into());
+        assert!(operand_swap_of(&p, &second).is_none(), "second op changed");
+        let mut touched = c.clone();
+        touched.op_mut(a);
+        assert!(
+            operand_swap_of(&p, &touched).is_none(),
+            "second op un-shared"
+        );
+        let mut relabeled = c.clone();
+        relabeled.op_mut(v).label = Some("+".into());
+        assert!(operand_swap_of(&p, &relabeled).is_none(), "label changed");
+        // An un-shared but equal block.
+        let mut unshared = c.clone();
+        let e = unshared.entry();
+        unshared.block_mut(e);
+        assert_eq!(unshared.block(e), p.block(e));
+        assert!(operand_swap_of(&p, &unshared).is_none(), "block un-shared");
+        // A different memory table.
+        let mut memory = c.clone();
+        memory.add_memory("m", 4);
+        assert!(operand_swap_of(&p, &memory).is_none(), "memories differ");
+        // An op appended to the arena.
+        let mut grown = c;
+        grown.emit_detached(crate::op::Op::new(OpKind::Const(1)));
+        assert!(operand_swap_of(&p, &grown).is_none(), "op arena grew");
+        // Equal contents in separately built functions share nothing.
+        assert!(operand_swap_of(&p, &straight(BinOp::Add, true)).is_none());
     }
 
     #[test]

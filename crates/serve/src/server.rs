@@ -234,6 +234,7 @@ struct JobCounters {
     full_reschedules: u64,
     block_spliced: u64,
     sim_vectors: u64,
+    candidates_inherited: u64,
     candidates_proved: u64,
     candidates_derived: u64,
     candidates_simulated: u64,
@@ -607,6 +608,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     full_reschedules: r.full_reschedules as u64,
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
+                    candidates_inherited: r.candidates.inherited_total(),
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
                     candidates_simulated: r.candidates.simulated_total(),
@@ -627,6 +629,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     full_reschedules: r.full_reschedules as u64,
                     block_spliced: r.block_spliced as u64,
                     sim_vectors: r.sim_vectors,
+                    candidates_inherited: r.candidates.inherited_total(),
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
                     candidates_simulated: r.candidates.simulated_total(),
@@ -649,6 +652,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
     s.block_spliced
         .fetch_add(c.block_spliced, Ordering::Relaxed);
     s.sim_vectors.fetch_add(c.sim_vectors, Ordering::Relaxed);
+    s.candidates_inherited
+        .fetch_add(c.candidates_inherited, Ordering::Relaxed);
     s.candidates_proved
         .fetch_add(c.candidates_proved, Ordering::Relaxed);
     s.candidates_derived

@@ -71,6 +71,10 @@ pub struct ServerStats {
     /// (`FactResult::sim_vectors`; logical vectors, dedup multiplicities
     /// included).
     pub sim_vectors: AtomicU64,
+    /// Operand swaps that inherited their parent's profile and estimate
+    /// instead of being proved, scheduled and estimated, across all jobs
+    /// (`FactResult::candidates`).
+    pub candidates_inherited: AtomicU64,
     /// Candidates proved equivalent to their parent instead of simulated,
     /// across all jobs (`FactResult::candidates`).
     pub candidates_proved: AtomicU64,
@@ -130,6 +134,7 @@ impl ServerStats {
             full_reschedules: AtomicU64::new(0),
             block_spliced: AtomicU64::new(0),
             sim_vectors: AtomicU64::new(0),
+            candidates_inherited: AtomicU64::new(0),
             candidates_proved: AtomicU64::new(0),
             candidates_derived: AtomicU64::new(0),
             candidates_simulated: AtomicU64::new(0),
@@ -255,6 +260,7 @@ impl ServerStats {
             ("full_reschedules", counter(&self.full_reschedules)),
             ("block_spliced", counter(&self.block_spliced)),
             ("sim_vectors", counter(&self.sim_vectors)),
+            ("candidates_inherited", counter(&self.candidates_inherited)),
             ("candidates_proved", counter(&self.candidates_proved)),
             ("candidates_derived", counter(&self.candidates_derived)),
             ("candidates_simulated", counter(&self.candidates_simulated)),
@@ -292,7 +298,8 @@ impl ServerStats {
              panics={} respawns={} \
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
-             evals={} proved={} derived={} simulated={} resched full={} spliced={} \
+             evals={} inherited={} proved={} derived={} simulated={} \
+             resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
@@ -316,6 +323,7 @@ impl ServerStats {
             self.pareto_jobs.load(Ordering::Relaxed),
             self.pareto_points.load(Ordering::Relaxed),
             self.evaluations.load(Ordering::Relaxed),
+            self.candidates_inherited.load(Ordering::Relaxed),
             self.candidates_proved.load(Ordering::Relaxed),
             self.candidates_derived.load(Ordering::Relaxed),
             self.candidates_simulated.load(Ordering::Relaxed),
@@ -384,6 +392,7 @@ mod tests {
         s.full_reschedules.fetch_add(7, Ordering::Relaxed);
         s.block_spliced.fetch_add(5, Ordering::Relaxed);
         s.sim_vectors.fetch_add(640, Ordering::Relaxed);
+        s.candidates_inherited.fetch_add(33, Ordering::Relaxed);
         s.candidates_proved.fetch_add(21, Ordering::Relaxed);
         s.candidates_derived.fetch_add(6, Ordering::Relaxed);
         s.candidates_simulated.fetch_add(16, Ordering::Relaxed);
@@ -403,6 +412,7 @@ mod tests {
         assert_eq!(v.get("full_reschedules").unwrap().as_i64(), Some(7));
         assert_eq!(v.get("block_spliced").unwrap().as_i64(), Some(5));
         assert_eq!(v.get("sim_vectors").unwrap().as_i64(), Some(640));
+        assert_eq!(v.get("candidates_inherited").unwrap().as_i64(), Some(33));
         assert_eq!(v.get("candidates_proved").unwrap().as_i64(), Some(21));
         assert_eq!(v.get("candidates_derived").unwrap().as_i64(), Some(6));
         assert_eq!(v.get("candidates_simulated").unwrap().as_i64(), Some(16));
@@ -424,7 +434,7 @@ mod tests {
         assert!(line.contains("ok=2"));
         assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
         assert!(line.contains("resched full=7 spliced=5"));
-        assert!(line.contains("proved=21 derived=6 simulated=16 resched"));
+        assert!(line.contains("inherited=33 proved=21 derived=6 simulated=16 resched"));
         assert!(line.contains("sim=640v ("));
         assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));

@@ -67,7 +67,26 @@ assert not underived, f"derive_s missing or negative: {underived}"
 # map and its profile derived: none is simulated.
 simulated = [(s["name"], s["unroll_simulated"]) for s in suites if s["unroll_simulated"] != 0]
 assert not simulated, f"loop-unroll candidates simulated: {simulated}"
-print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}" for s in suites))
+# Set-up (reference capture, baseline profile, schedule and estimate,
+# partition, final re-estimate) has a timer of its own.
+unset = [s["name"] for s in suites if not s["setup_s"] >= 0]
+assert not unset, f"setup_s missing or negative: {unset}"
+# Every suite program has commutative ops, so operand swaps inherit
+# their parent's evaluation on every suite.
+uninherited = [s["name"] for s in suites if not s["inherited"] > 0]
+assert not uninherited, f"no operand swap inherited its parent's evaluation: {uninherited}"
+# Each run starts from a fresh cache, so every evaluation is inherited,
+# proved, derived, simulated, or answered by the cache within the run
+# (a later region re-scoring a structure an earlier one scored).
+unbalanced = [
+    (s["name"], s["evaluated"], s["inherited"], s["proved"], s["derived"], s["simulated"], s["cache_hits"])
+    for s in suites
+    if s["evaluated"] != s["inherited"] + s["proved"] + s["derived"] + s["simulated"] + s["cache_hits"]
+]
+assert not unbalanced, (
+    f"evaluated != inherited + proved + derived + simulated + cache_hits: {unbalanced}"
+)
+print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}({s['inherited']} inherited)" for s in suites))
 EOF
 scripts/bench.sh sim --smoke > /tmp/sim_smoke.json
 scripts/bench.sh pareto --smoke > /dev/null

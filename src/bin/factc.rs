@@ -332,22 +332,28 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints how the search's candidates got their branch profiles to
-/// stderr: proved equivalent to their parent (reusing its profile or
-/// deriving it from the parent's counts), or simulated, with the share
-/// not simulated per transformation kind.
+/// Prints how the search's candidates were evaluated to stderr:
+/// inherited from their parent (operand swaps), proved equivalent to it
+/// (reusing its profile or deriving it from the parent's counts), or
+/// simulated, with the share not simulated per transformation kind.
 fn eprint_candidates(c: &CandidateCounts) {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
             let i = k.index();
-            (k, c.proved[i] + c.derived[i], c.simulated[i])
+            (
+                k,
+                c.inherited[i] + c.proved[i] + c.derived[i],
+                c.simulated[i],
+            )
         })
         .filter(|&(_, known, simulated)| known + simulated > 0)
         .map(|(k, known, simulated)| format!("{k} {known}/{}", known + simulated))
         .collect();
     eprintln!(
-        "candidates: {} proved, {} derived, {} simulated (not simulated/total per kind: {})",
+        "candidates: {} inherited, {} proved, {} derived, {} simulated \
+         (not simulated/total per kind: {})",
+        c.inherited_total(),
         c.proved_total(),
         c.derived_total(),
         c.simulated_total(),

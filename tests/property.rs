@@ -17,7 +17,10 @@
 //!   from the source's per-parity loop counts, bit for bit;
 //! * on loop-shaped programs, unrolling proves, its derived counts equal
 //!   simulation's, and random mutations of unrolled loops prove only
-//!   when equivalent.
+//!   when equivalent;
+//! * every operand swap of a program or loop nest is recognized as one
+//!   by `operand_swap_of` and schedules and estimates, under the
+//!   program's profile, bit for bit like the program.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
@@ -30,13 +33,14 @@
 //! nested loops, and array recurrences across iterations. Seed-driven
 //! and std-only: a failure prints the seed and the program.
 
-use fact_ir::{prove_equivalent, BinOp, Function, OpKind, UnOp, UnrollMap};
+use fact_ir::{operand_swap_of, prove_equivalent, BinOp, Function, OpKind, UnOp, UnrollMap};
 use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
     check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, TraceSet,
 };
+use fact_xform::algebraic::Commutativity;
 use fact_xform::unroll::LoopUnroll;
 use fact_xform::{Region, Transform, TransformLibrary};
 
@@ -741,10 +745,14 @@ fn unroll_mutations_are_proved_only_when_equivalent() {
     assert!(proved < tried, "every mutant proved: {proved} of {tried}");
 }
 
-#[test]
-fn every_behavior_schedules_validly() {
+/// The §5 library plus a divider (it has none; the generated programs
+/// divide), two of every unit allocated.
+fn dividing_library() -> (
+    fact_sched::FuLibrary,
+    fact_sched::SelectionRules,
+    fact_sched::Allocation,
+) {
     let (mut lib, mut rules) = fact_estim::section5_library();
-    // The §5 library has no divider; the generated programs divide.
     rules.div = Some(lib.add(fact_sched::FuSpec {
         name: "dv1".into(),
         energy_coeff: 2.3,
@@ -755,6 +763,12 @@ fn every_behavior_schedules_validly() {
     for name in ["a1", "sb1", "mt1", "cp1", "e1", "i1", "n1", "s1", "dv1"] {
         alloc.set(lib.by_name(name).unwrap(), 2);
     }
+    (lib, rules, alloc)
+}
+
+#[test]
+fn every_behavior_schedules_validly() {
+    let (lib, rules, alloc) = dividing_library();
     for_seeds(|seed| {
         let (p, f) = lowered(seed)?;
         let src = fact_lang::print_proc(&p);
@@ -782,4 +796,60 @@ fn every_behavior_schedules_validly() {
         }
         Ok(())
     });
+}
+
+/// The property operand-swap inheritance rests on (DESIGN §8.5.2): every
+/// `Commutativity` candidate of a generated program or loop nest is an
+/// operand swap to [`operand_swap_of`], and under the program's profile
+/// it schedules and estimates bit for bit like the program, in
+/// throughput and power mode.
+#[test]
+fn operand_swaps_schedule_and_estimate_like_their_parent() {
+    let (lib, rules, alloc) = dividing_library();
+    let opts = fact_sched::SchedOptions::default();
+    let t = traces(6, 14);
+    // (average schedule length, energy, power) bits in throughput mode,
+    // then in power mode against the parent's length.
+    let estimate_bits = |g: &Function,
+                         prof: &fact_sim::BranchProfile,
+                         base_cycles: f64|
+     -> Result<[[u64; 3]; 2], String> {
+        let sr = fact_sched::schedule(g, &lib, &rules, &alloc, prof, &opts)
+            .map_err(|e| format!("schedule failed: {e}"))?;
+        let bits = |e: fact_estim::Estimate| {
+            [
+                e.average_schedule_length.to_bits(),
+                e.energy_vdd2.to_bits(),
+                e.power.to_bits(),
+            ]
+        };
+        let throughput = fact_estim::evaluate(&sr, &lib, opts.clock_ns)?;
+        let power = fact_estim::evaluate_power_mode(&sr, &lib, opts.clock_ns, base_cycles)?;
+        Ok([bits(throughput), bits(power)])
+    };
+    let mut checked = 0usize;
+    for_seeds(|seed| {
+        let (p, f) = lowered(seed)?;
+        let (loop_src, g) = lowered_loops(seed)?;
+        for (src, f) in [(fact_lang::print_proc(&p), f), (loop_src, g)] {
+            let prof = fact_sim::profile(&f, &t);
+            let [throughput, _] =
+                estimate_bits(&f, &prof, 1.0).map_err(|e| format!("{e}\n{src}"))?;
+            let base_cycles = f64::from_bits(throughput[0]);
+            let want = estimate_bits(&f, &prof, base_cycles).map_err(|e| format!("{e}\n{src}"))?;
+            for cand in Commutativity.candidates(&f, &Region::whole()) {
+                let what = format!("{}\n{src}", cand.description);
+                operand_swap_of(&f, &cand.function)
+                    .ok_or_else(|| format!("not recognized as an operand swap: {what}"))?;
+                let got = estimate_bits(&cand.function, &prof, base_cycles)
+                    .map_err(|e| format!("{e}: {what}"))?;
+                if got != want {
+                    return Err(format!("estimate differs from the parent's: {what}"));
+                }
+                checked += 1;
+            }
+        }
+        Ok(())
+    });
+    assert!(checked > 1000, "only {checked} operand swaps checked");
 }
