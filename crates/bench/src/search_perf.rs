@@ -46,6 +46,9 @@ pub struct SuitePerf {
     /// Candidates simulated, search inputs included
     /// ([`fact_core::CandidateCounts::simulated_total`]).
     pub simulated: u64,
+    /// Whether the run captured the equivalence reference
+    /// ([`fact_core::FactResult::reference_captured`]).
+    pub reference_captured: bool,
     /// Wall time outside the search — set-up and the winner's final
     /// re-estimate — seconds ([`PhaseTimers::setup_ns`]).
     pub setup_s: f64,
@@ -138,9 +141,14 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             hooks,
         );
         let wall_s = t0.elapsed().as_secs_f64();
-        let (evaluated, cache_hits, c) = match &r {
-            Ok(r) => (r.evaluated, r.cache_hits, r.candidates),
-            Err(_) => (0, 0, CandidateCounts::default()),
+        let (evaluated, cache_hits, c, reference_captured) = match &r {
+            Ok(r) => (
+                r.evaluated,
+                r.cache_hits,
+                r.candidates,
+                r.reference_captured,
+            ),
+            Err(_) => (0, 0, CandidateCounts::default(), false),
         };
         let cs = cache.stats();
         suites.push(SuitePerf {
@@ -158,6 +166,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             proved: c.proved_total(),
             derived: c.derived_total(),
             simulated: c.simulated_total(),
+            reference_captured,
             setup_s: timers.setup_ns.load(Ordering::Relaxed) as f64 / 1e9,
             compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
             prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -199,6 +208,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
                  \"inherited\": {}, \"proved\": {}, \"derived\": {}, \"simulated\": {}, \
+                 \"reference_captured\": {}, \
                  \"setup_s\": {:.4}, \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
                  \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
@@ -212,6 +222,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.proved,
                 s.derived,
                 s.simulated,
+                s.reference_captured,
                 s.setup_s,
                 s.compile_s,
                 s.prove_s,
@@ -277,6 +288,11 @@ mod tests {
                 s.evaluated as u64,
                 s.inherited + s.proved + s.derived + s.simulated + s.cache_hits as u64,
                 "{}: every evaluation is accounted for",
+                s.name
+            );
+            assert!(
+                !s.reference_captured,
+                "{}: a fresh suite run captures no equivalence reference",
                 s.name
             );
         }

@@ -22,13 +22,14 @@ use fact_sched::{
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, StepBound, TraceSet,
+    memory_steers, simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, StepBound,
+    TraceSet,
 };
 use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Configuration of a FACT run.
 #[derive(Clone, Debug)]
@@ -137,6 +138,11 @@ pub struct FactResult {
     /// inherited from their parent (operand swaps), proved equivalent to
     /// their parent, derived from its counts, or simulated.
     pub candidates: CandidateCounts,
+    /// Whether the run captured the equivalence reference: a candidate
+    /// was simulated against it, or memory steers the input, which
+    /// captures it at set-up (DESIGN §8.5.3). Always `false` with
+    /// equivalence checking off.
+    pub reference_captured: bool,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
     pub stopped: bool,
@@ -214,10 +220,12 @@ impl CandidateCounts {
 /// expansion, compilation, proving, simulation, and estimation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
-    /// Time outside the search: the run's set-up (capturing the
-    /// equivalence reference, the input's profile pass, its schedule,
-    /// Markov analysis and estimate, and the partition into regions) and
-    /// the winner's final profile and re-estimate.
+    /// Time outside the search: the run's set-up (the input's profile
+    /// pass, its schedule, Markov analysis and estimate, the partition
+    /// into regions, and — only when memory steers the input — capturing
+    /// the equivalence reference) and the winner's final profile and
+    /// re-estimate. A reference captured on demand is charged to
+    /// `simulate_ns`, inside the candidate that needed it.
     pub setup_ns: AtomicU64,
     /// Time compiling candidates ([`CompiledFn::compile`]).
     pub compile_ns: AtomicU64,
@@ -229,7 +237,8 @@ pub struct PhaseTimers {
     /// counts ([`ProfileCounts::unrolled`]).
     pub derive_ns: AtomicU64,
     /// Time inside [`simulate`]: candidates' equivalence verification and
-    /// branch profiling.
+    /// branch profiling, including the equivalence reference's capture
+    /// when the first simulated candidate needs it.
     pub simulate_ns: AtomicU64,
     /// Time scheduling and estimating candidates (list scheduling, Markov
     /// solves, power/latency evaluation).
@@ -332,12 +341,16 @@ impl std::error::Error for FactError {}
 
 /// Per-run incremental-evaluation machinery, shared by every candidate
 /// evaluation of one run (including across worker threads — all members
-/// are `Sync`): memoized schedule fragments, the captured equivalence
-/// reference, and the work counters [`FactResult`] reports.
+/// are `Sync`): memoized schedule fragments, the equivalence reference
+/// (captured on demand), and the work counters [`FactResult`] reports.
 struct IncrementalCtx<'a> {
-    /// Captured original-side equivalence data (`None` with equivalence
-    /// checking off).
-    equiv: Option<EquivReference>,
+    /// The input and traces the equivalence reference is captured from
+    /// (`None` with equivalence checking off).
+    original: Option<(&'a Function, &'a TraceSet)>,
+    /// The captured reference: filled the first time a candidate is
+    /// simulated, or at set-up when memory steers the input (DESIGN
+    /// §8.5.3). Empty after a run that never needed it.
+    equiv: OnceLock<EquivReference>,
     /// Per-block list-schedule fragments keyed by structural hash.
     sched: ScheduleMemo,
     /// Schedules computed with no memoized fragment spliced in.
@@ -425,15 +438,14 @@ enum Miss {
 
 impl<'a> IncrementalCtx<'a> {
     fn new(
-        f: &Function,
-        traces: &TraceSet,
+        f: &'a Function,
+        traces: &'a TraceSet,
         config: &FactConfig,
         timers: Option<&'a PhaseTimers>,
     ) -> IncrementalCtx<'a> {
         IncrementalCtx {
-            equiv: config
-                .check_equivalence
-                .then(|| EquivReference::capture(f, traces, 0xC0FFEE)),
+            original: config.check_equivalence.then_some((f, traces)),
+            equiv: OnceLock::new(),
             sched: ScheduleMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
@@ -441,6 +453,18 @@ impl<'a> IncrementalCtx<'a> {
             timers,
             mega: MegaCounters::default(),
         }
+    }
+
+    /// The equivalence reference, captured on first use (`None` with
+    /// equivalence checking off). Worker threads that ask at once wait
+    /// for one capture; it is a function of the input, the traces and
+    /// the seed alone, so who captures it changes nothing.
+    fn reference(&self) -> Option<&EquivReference> {
+        let (f, traces) = self.original?;
+        Some(
+            self.equiv
+                .get_or_init(|| EquivReference::capture(f, traces, 0xC0FFEE)),
+        )
     }
 
     /// Classifies one completed schedule as spliced or from-scratch.
@@ -546,8 +570,16 @@ impl<'a> Run<'a> {
             .expect("a pass without a reference always profiles");
         // Seeded into the profile map as a search input would be: the
         // input agrees with its own reference, and its lanes there bound
-        // its work too.
-        let known = match &ctx.equiv {
+        // its work too. Unless memory steers the input, they do exactly
+        // the work they do from zeroed memories, so the pass's bound is
+        // the reference's and the capture waits for a simulated candidate
+        // (DESIGN §8.5.3); otherwise it is captured now and joined.
+        let forced = if memory_steers(f) {
+            ctx.reference()
+        } else {
+            None
+        };
+        let known = match forced {
             None => known,
             Some(r) => known.zip(r.steps()).map(|(k, s)| Profiled {
                 steps: k.steps.joined(s),
@@ -832,7 +864,7 @@ impl<'a> Run<'a> {
         let sim = timed(
             ctx.timers,
             |t| &t.simulate_ns,
-            || simulate(&cf, traces, ctx.equiv.as_ref()),
+            || simulate(&cf, traces, ctx.reference()),
         );
         ctx.sim_vectors.fetch_add(sim.vectors, Ordering::Relaxed);
         ctx.mega
@@ -1112,6 +1144,7 @@ pub fn optimize_with(
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
+        reference_captured: ctx.equiv.get().is_some(),
         stopped,
     })
 }
@@ -1176,6 +1209,9 @@ pub struct ParetoFactResult {
     /// Inherited, proved, derived and simulated candidates (see
     /// [`FactResult::candidates`]).
     pub candidates: CandidateCounts,
+    /// Whether the run captured the equivalence reference (see
+    /// [`FactResult::reference_captured`]).
+    pub reference_captured: bool,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
 }
@@ -1338,6 +1374,7 @@ pub fn optimize_pareto_with(
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
+        reference_captured: ctx.equiv.get().is_some(),
         stopped,
     })
 }

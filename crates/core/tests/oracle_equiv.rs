@@ -30,14 +30,19 @@
 //!    parent's profile — or, for a loop unrolled by 2, the counts and
 //!    profile derived from the parent's, bit for bit what `simulate`
 //!    takes.
+//! 7. the on-demand reference: a run captures the equivalence reference
+//!    only when it simulates a candidate or memory steers its input —
+//!    never on a fresh run of the suite, never with checking off — and a
+//!    run over an earlier run's cache, which captures it mid-search,
+//!    still matches the cold oracle for any thread count.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly.
 
 use fact_core::{
     apply_transforms, optimize_pareto_with, optimize_with, partition, region_of_block,
-    structural_hash, suite, Benchmark, EvalCache, FactConfig, FactResult, MegaCandidate, Objective,
-    OptimizeHooks, ParetoFactResult, TransformLibrary,
+    structural_hash, suite, Benchmark, CandidateCounts, EvalCache, FactConfig, FactResult,
+    MegaCandidate, Objective, OptimizeHooks, ParetoFactResult, TransformLibrary,
 };
 use fact_estim::{
     evaluate, evaluate_power_mode, markov_of, section5_library, table1_library, Estimate,
@@ -48,7 +53,8 @@ use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
 use fact_sim::{
-    check_equivalence, generate, profile, simulate, CompiledFn, EquivReference, InputSpec, TraceSet,
+    check_equivalence, generate, memory_steers, profile, simulate, CompiledFn, EquivReference,
+    InputSpec, TraceSet,
 };
 use fact_xform::{Region, TransformKind};
 
@@ -407,9 +413,17 @@ fn assert_matches_oracle(r: &FactResult, oracle: &OracleRun, ctx: &str) {
 const MEMORY_SUM_SRC: &str = "proc memsum(a, b, c, d) { array t[4]; \
      t[0] = a + b; t[1] = c + d; out s = t[0] + t[1] + t[2] + t[3] + a; }";
 
-/// The suite, plus GCD, PPS and a loop-free memory-bearing behavior
-/// under 32-vector traces. The memory-bearing one verifies against
-/// private random images per lane.
+/// A loop whose branch reads the memory it writes: memory steers it, so
+/// its lanes do other work on the equivalence reference's random images
+/// than from zeroed memories, and a run captures the reference at
+/// set-up.
+const MEMORY_SCAN_SRC: &str = "proc memscan(a, b, n) { array t[8]; var s = 0; var i = 0; \
+     while (i < n) { if (t[i] > 0) { s = s + a * i + b * i; } else { s = s - a; } \
+     t[i + 1] = s; i = i + 1; } out y = s; }";
+
+/// The suite, plus GCD, PPS and two memory-bearing behaviors under
+/// 32-vector traces: a loop-free one memory does not steer and a loop
+/// it does. Both verify against private random images per lane.
 fn suite_and_wide_traces() -> Vec<Benchmark> {
     let (lib, _) = section5_library();
     let mut out = suite(&lib);
@@ -429,7 +443,38 @@ fn suite_and_wide_traces() -> Vec<Benchmark> {
         allocation: suite::pps(&lib).allocation,
         traces: generate(&inputs, 32, 93),
     });
+    let inputs: Vec<(String, InputSpec)> = [
+        ("a", InputSpec::Uniform { lo: -9, hi: 9 }),
+        ("b", InputSpec::Uniform { lo: -9, hi: 9 }),
+        ("n", InputSpec::Uniform { lo: 0, hi: 7 }),
+    ]
+    .into_iter()
+    .map(|(n, spec)| (n.to_string(), spec))
+    .collect();
+    out.push(Benchmark {
+        name: "MEMSCAN",
+        function: compile(MEMORY_SCAN_SRC).expect("MEMSCAN compiles"),
+        allocation: suite::igf(&lib).allocation,
+        traces: generate(&inputs, 32, 95),
+    });
+    for (name, steered) in [("MEMSUM", false), ("MEMSCAN", true)] {
+        let b = out.iter().find(|b| b.name == name).unwrap();
+        assert_eq!(memory_steers(&b.function), steered, "{name}");
+    }
     out
+}
+
+/// With equivalence checking on, a run captures the reference exactly
+/// when it needs it: a candidate was simulated against it, or memory
+/// steers the input, whose bound on the random images the zero-memory
+/// profile pass cannot give.
+fn assert_captured_on_demand(b: &Benchmark, captured: bool, c: &CandidateCounts, ctx: &str) {
+    assert_eq!(
+        captured,
+        c.simulated_total() > 0 || memory_steers(&b.function),
+        "reference captured = {captured} with {} simulated ({ctx})",
+        c.simulated_total()
+    );
 }
 
 /// For fixed seeds, `optimize` must reproduce the oracle exactly, for
@@ -448,6 +493,7 @@ fn optimize_suite_matches_oracle() {
                     b.traces.len()
                 );
                 assert_matches_oracle(&r, &oracle, &ctx);
+                assert_captured_on_demand(&b, r.reference_captured, &r.candidates, &ctx);
                 // There is one simulator: nothing runs batched.
                 assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
                 assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
@@ -483,6 +529,7 @@ fn optimize_suite_without_equivalence_checks_matches_oracle() {
             let (r, _) = run(&b, &config);
             let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
             assert_matches_oracle(&r, &oracle, &ctx);
+            assert!(!r.reference_captured, "reference captured ({ctx})");
             // Every candidate the cache did not answer inherited its
             // parent's evaluation, was proved, derived, or routed to an
             // engine.
@@ -610,6 +657,11 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
                 );
                 let c = &r.candidates;
                 let simulated = c.simulated_total();
+                if check_equivalence {
+                    assert_captured_on_demand(&b, r.reference_captured, c, &ctx);
+                } else {
+                    assert!(!r.reference_captured, "reference captured ({ctx})");
+                }
                 assert_eq!(
                     (r.evaluated - r.cache_hits) as u64,
                     c.inherited_total() + c.proved_total() + c.derived_total() + simulated,
@@ -669,6 +721,91 @@ fn the_shared_cache_holds_one_score_per_uncached_evaluation() {
             assert_eq!(s.hits, r.cache_hits as u64, "cache hits ({ctx})");
             assert_eq!(s.misses, uncached, "cache misses ({ctx})");
             assert_eq!(s.entries, uncached, "cache entries ({ctx})");
+        }
+    }
+}
+
+/// A fresh run of the suite proves, derives or inherits every candidate
+/// and memory steers no suite behavior, so no objective captures the
+/// equivalence reference (DESIGN §8.5.3).
+#[test]
+fn fresh_suite_runs_capture_no_reference() {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    for b in suite(&lib) {
+        for objective in [Objective::Throughput, Objective::Power] {
+            let (r, _) = run(&b, &quick_config(objective, 13, 1));
+            let ctx = format!("{} {objective:?}", b.name);
+            assert_eq!(r.candidates.simulated_total(), 0, "simulated ({ctx})");
+            assert!(!r.reference_captured, "reference captured ({ctx})");
+        }
+        let r = optimize_pareto_with(
+            &b.function,
+            &lib,
+            &rules,
+            &b.allocation,
+            &b.traces,
+            &tlib,
+            &quick_config(Objective::Pareto, 13, 1),
+            OptimizeHooks::default(),
+        )
+        .expect("pareto run");
+        assert_eq!(r.candidates.simulated_total(), 0, "simulated ({})", b.name);
+        assert!(
+            !r.reference_captured,
+            "reference captured ({} pareto)",
+            b.name
+        );
+    }
+}
+
+/// A run over an earlier run's cache simulates the children of the
+/// parents the cache answered, so it captures the reference on demand
+/// — from whichever worker thread needs it first — and still ends
+/// where the cold oracle does, for any thread count.
+#[test]
+fn warm_runs_capture_the_reference_on_demand_and_match_the_oracle() {
+    let (lib, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    for name in ["IGF", "PPS"] {
+        let b = suite(&lib).into_iter().find(|b| b.name == name).unwrap();
+        let budget = |threads: usize, max_evaluations: usize| {
+            let mut config = quick_config(Objective::Throughput, 7, threads);
+            config.search.max_evaluations = max_evaluations;
+            config
+        };
+        let oracle = oracle_optimize(&b, &budget(1, 240));
+        for threads in [1usize, 2, 8] {
+            let cache = EvalCache::default();
+            let hooks = OptimizeHooks {
+                cache: Some(&cache),
+                stop: None,
+                timers: None,
+            };
+            let optimize = |config: &FactConfig| {
+                optimize_with(
+                    &b.function,
+                    &lib,
+                    &rules,
+                    &b.allocation,
+                    &b.traces,
+                    &tlib,
+                    config,
+                    hooks,
+                )
+                .expect("optimize run")
+            };
+            let ctx = format!("{name} threads={threads}");
+            let cold = optimize(&budget(threads, 60));
+            assert!(!cold.reference_captured, "cold run captured ({ctx})");
+            let warm = optimize(&budget(threads, 240));
+            assert!(warm.cache_hits > 0, "no cache hits ({ctx})");
+            assert!(
+                warm.candidates.unprofiled_parents > 0,
+                "no child of a cache-answered parent simulated ({ctx})"
+            );
+            assert_captured_on_demand(&b, warm.reference_captured, &warm.candidates, &ctx);
+            assert_matches_oracle(&warm, &oracle, &ctx);
         }
     }
 }

@@ -238,6 +238,8 @@ struct JobCounters {
     candidates_proved: u64,
     candidates_derived: u64,
     candidates_simulated: u64,
+    /// Whether the job captured the equivalence reference.
+    reference_captured: bool,
     neighborhood_batches: u64,
     mega_lanes: u64,
     mega_candidates: u64,
@@ -612,6 +614,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
                     candidates_simulated: r.candidates.simulated_total(),
+                    reference_captured: r.reference_captured,
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -633,6 +636,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     candidates_proved: r.candidates.proved_total(),
                     candidates_derived: r.candidates.derived_total(),
                     candidates_simulated: r.candidates.simulated_total(),
+                    reference_captured: r.reference_captured,
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
@@ -660,6 +664,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.candidates_derived, Ordering::Relaxed);
     s.candidates_simulated
         .fetch_add(c.candidates_simulated, Ordering::Relaxed);
+    s.references_captured
+        .fetch_add(u64::from(c.reference_captured), Ordering::Relaxed);
     s.neighborhood_batches
         .fetch_add(c.neighborhood_batches, Ordering::Relaxed);
     s.mega_lanes.fetch_add(c.mega_lanes, Ordering::Relaxed);

@@ -85,6 +85,10 @@ pub struct ServerStats {
     /// Candidates compiled and simulated, across all jobs
     /// (`FactResult::candidates`).
     pub candidates_simulated: AtomicU64,
+    /// Jobs that captured the equivalence reference
+    /// (`FactResult::reference_captured`): a candidate was simulated, or
+    /// memory steers the job's behavior.
+    pub references_captured: AtomicU64,
     /// Whole-neighborhood mega-batch dispatches across all jobs
     /// (`FactResult::neighborhood_batches`).
     pub neighborhood_batches: AtomicU64,
@@ -138,6 +142,7 @@ impl ServerStats {
             candidates_proved: AtomicU64::new(0),
             candidates_derived: AtomicU64::new(0),
             candidates_simulated: AtomicU64::new(0),
+            references_captured: AtomicU64::new(0),
             neighborhood_batches: AtomicU64::new(0),
             mega_lanes: AtomicU64::new(0),
             mega_candidates: AtomicU64::new(0),
@@ -264,6 +269,7 @@ impl ServerStats {
             ("candidates_proved", counter(&self.candidates_proved)),
             ("candidates_derived", counter(&self.candidates_derived)),
             ("candidates_simulated", counter(&self.candidates_simulated)),
+            ("references_captured", counter(&self.references_captured)),
             ("neighborhood_batches", counter(&self.neighborhood_batches)),
             ("mega_lanes", counter(&self.mega_lanes)),
             (
@@ -298,7 +304,7 @@ impl ServerStats {
              panics={} respawns={} \
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
-             evals={} inherited={} proved={} derived={} simulated={} \
+             evals={} inherited={} proved={} derived={} simulated={} ref={} \
              resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
@@ -327,6 +333,7 @@ impl ServerStats {
             self.candidates_proved.load(Ordering::Relaxed),
             self.candidates_derived.load(Ordering::Relaxed),
             self.candidates_simulated.load(Ordering::Relaxed),
+            self.references_captured.load(Ordering::Relaxed),
             self.full_reschedules.load(Ordering::Relaxed),
             self.block_spliced.load(Ordering::Relaxed),
             self.sim_vectors.load(Ordering::Relaxed),
@@ -396,6 +403,7 @@ mod tests {
         s.candidates_proved.fetch_add(21, Ordering::Relaxed);
         s.candidates_derived.fetch_add(6, Ordering::Relaxed);
         s.candidates_simulated.fetch_add(16, Ordering::Relaxed);
+        s.references_captured.fetch_add(1, Ordering::Relaxed);
         s.neighborhood_batches.fetch_add(4, Ordering::Relaxed);
         s.mega_lanes.fetch_add(512, Ordering::Relaxed);
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
@@ -416,6 +424,7 @@ mod tests {
         assert_eq!(v.get("candidates_proved").unwrap().as_i64(), Some(21));
         assert_eq!(v.get("candidates_derived").unwrap().as_i64(), Some(6));
         assert_eq!(v.get("candidates_simulated").unwrap().as_i64(), Some(16));
+        assert_eq!(v.get("references_captured").unwrap().as_i64(), Some(1));
         for gone in ["sim_batches", "sim_engine_scalar", "sim_engine_batched"] {
             assert!(v.get(gone).is_none(), "{gone}");
         }
@@ -434,7 +443,7 @@ mod tests {
         assert!(line.contains("ok=2"));
         assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
         assert!(line.contains("resched full=7 spliced=5"));
-        assert!(line.contains("inherited=33 proved=21 derived=6 simulated=16 resched"));
+        assert!(line.contains("inherited=33 proved=21 derived=6 simulated=16 ref=1 resched"));
         assert!(line.contains("sim=640v ("));
         assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));

@@ -12,12 +12,15 @@
 //! [`Mismatch`]. Production captures the original side once
 //! ([`EquivReference::capture`]) and judges compiled candidates against
 //! it inside [`crate::simulate`], with the same verdicts.
+//! [`memory_steers`] tells when the capture's step bound is already known
+//! from a zero-memory profile pass, so a caller can put the capture off
+//! until a candidate is actually judged against it.
 
 use crate::compiled::CompiledFn;
 use crate::interp::{execute_with, ExecConfig, ExecError, ExecResult, DEFAULT_STEP_LIMIT};
 use crate::simulate::{LaneSteps, StepBound};
 use crate::trace::TraceSet;
-use fact_ir::Function;
+use fact_ir::{Function, OpKind};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use std::fmt;
@@ -217,6 +220,51 @@ pub fn check_equivalence(
     Ok(checked)
 }
 
+/// Whether the contents of `f`'s memories can steer a run of `f`:
+/// whether a loaded value reaches a branch condition or a load or store
+/// address, directly or through any chain of operands and phis.
+///
+/// When none does, the initial memory images choose nothing: on the same
+/// inputs every run takes the same path, executes the same ops, and
+/// fails (out of bounds, missing input, step limit) at the same op from
+/// any images, since every operator is total. So the zero-memory
+/// [`crate::simulate`] pass of `f` bounds its work on the random images
+/// an [`EquivReference`] captures exactly: `capture(f, …).steps()`
+/// equals the profile pass's `steps`.
+pub fn memory_steers(f: &Function) -> bool {
+    let mut tainted = vec![false; f.num_ops()];
+    let mut operands = Vec::new();
+    // Phis carry taint around loops: sweep to a fixed point.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for b in f.block_ids() {
+            for &op in &f.block(b).ops {
+                if tainted[op.index()] {
+                    continue;
+                }
+                let kind = &f.op(op).kind;
+                operands.clear();
+                kind.operands_into(&mut operands);
+                if matches!(kind, OpKind::Load { .. })
+                    || operands.iter().any(|v| tainted[v.index()])
+                {
+                    tainted[op.index()] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+    f.block_ids().any(|b| {
+        let block = f.block(b);
+        block.term.condition().is_some_and(|c| tainted[c.index()])
+            || block.ops.iter().any(|&op| match f.op(op).kind {
+                OpKind::Load { addr, .. } | OpKind::Store { addr, .. } => tainted[addr.index()],
+                _ => false,
+            })
+    })
+}
+
 /// The original behavior's observable results on success.
 struct RefOk {
     outputs: Vec<(String, i64)>,
@@ -399,6 +447,64 @@ mod tests {
         let t = generate(&[("a".to_string(), InputSpec::Constant(0))], 10, 6);
         verdicts_agree(&f1, &f2, &t, 5);
         verdicts_agree(&f1, &f1.clone(), &t, 5);
+    }
+
+    #[test]
+    fn loaded_values_steer_through_branches_addresses_and_phis() {
+        for src in [
+            // A data-dependent loop exit.
+            "proc f(a) { array x[4]; var i = 0; while (x[i] > 0) { i = i + 1; } out y = i; }",
+            // An address loaded from memory.
+            "proc f(a) { array x[4]; out y = x[x[0]]; }",
+            // The branch runs before the load in the body: only the loop
+            // phi carries the loaded value to it.
+            "proc f(a) { array x[4]; var s = 0; var i = 0; \
+             while (i < 4) { if (s > 10) { s = 0; } s = s + x[i]; i = i + 1; } out y = s; }",
+            // A store address computed from a load.
+            "proc f(a) { array x[4]; x[(x[1] + a) & 3] = a; out y = a; }",
+        ] {
+            assert!(memory_steers(&compile(src).unwrap()), "{src}");
+        }
+    }
+
+    #[test]
+    fn counter_indexed_and_memory_free_functions_are_not_steered() {
+        for src in [
+            "proc f(a, b) { var y = 0; if (a > b) { y = a; } out y = y; }",
+            // Loaded values reach outputs, stores and arithmetic only.
+            "proc f(a) { array x[4]; var i = 0; \
+             while (i < 4) { x[i] = x[i] * a + 1; i = i + 1; } out y = x[3] + a; }",
+        ] {
+            assert!(!memory_steers(&compile(src).unwrap()), "{src}");
+        }
+    }
+
+    #[test]
+    fn unsteered_functions_bound_the_reference_from_zeroed_memories() {
+        let t = generate(
+            &[("a".to_string(), InputSpec::Uniform { lo: -9, hi: 9 })],
+            40,
+            3,
+        );
+        let bounds = |src: &str| {
+            let f = compile(src).unwrap();
+            let reference = EquivReference::capture(&f, &t, 11).steps();
+            let zeroed = simulate(&CompiledFn::compile(&f), &t, None).steps;
+            (memory_steers(&f), reference, zeroed)
+        };
+        let (steered, reference, zeroed) = bounds(
+            "proc f(a) { array x[4]; var i = 0; \
+             while (i < 4) { if (a > i) { x[i] = x[i] + a; } i = i + 1; } out y = x[2]; }",
+        );
+        assert!(!steered);
+        assert_eq!(reference, zeroed);
+        // A loaded branch condition does more work on the random images
+        // (x[0] > 0 on about half of them) than from zeroed memories.
+        let (steered, reference, zeroed) = bounds(
+            "proc f(a) { array x[4]; var n = 0; if (x[0] > 0) { n = a * a + 1; } out y = n; }",
+        );
+        assert!(steered);
+        assert!(reference.unwrap().ops > zeroed.unwrap().ops);
     }
 
     #[test]

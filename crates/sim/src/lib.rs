@@ -7,6 +7,10 @@
 //!   probabilities from the typical traces (§4.1) on the [`CompiledFn`]
 //!   interpreter, each distinct trace vector once, weighted by its
 //!   multiplicity ([`TraceSet::dedup_lanes`]);
+//! * [`memory_steers`] — whether memory contents can steer a function's
+//!   path or addresses; when they cannot, a zero-memory pass bounds its
+//!   work on any memory images, and the reference can wait until a
+//!   candidate is judged against it;
 //! * [`trace`] — reproducible input-trace generation, including the
 //!   paper's temporally-correlated Gaussian source (§5);
 //! * the oracles the production pass is tested against:
@@ -24,7 +28,7 @@ mod simulate;
 pub mod trace;
 
 pub use compiled::CompiledFn;
-pub use equiv::{check_equivalence, EquivReference, Mismatch};
+pub use equiv::{check_equivalence, memory_steers, EquivReference, Mismatch};
 pub use interp::{execute, execute_with, BranchStats, ExecConfig, ExecError, ExecResult};
 pub use profile::{profile, profile_with, BranchProfile, ProfileCounts};
 pub use simulate::{simulate, Simulation, StepBound};

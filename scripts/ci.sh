@@ -67,10 +67,15 @@ assert not underived, f"derive_s missing or negative: {underived}"
 # map and its profile derived: none is simulated.
 simulated = [(s["name"], s["unroll_simulated"]) for s in suites if s["unroll_simulated"] != 0]
 assert not simulated, f"loop-unroll candidates simulated: {simulated}"
-# Set-up (reference capture, baseline profile, schedule and estimate,
-# partition, final re-estimate) has a timer of its own.
+# Set-up (baseline profile, schedule and estimate, partition, final
+# re-estimate) has a timer of its own.
 unset = [s["name"] for s in suites if not s["setup_s"] >= 0]
 assert not unset, f"setup_s missing or negative: {unset}"
+# No suite behavior lets memory steer a branch or an address, and a
+# fresh run simulates no candidate, so no suite captures the
+# equivalence reference.
+captured = [s["name"] for s in suites if s["reference_captured"] is not False]
+assert not captured, f"equivalence reference captured: {captured}"
 # Every suite program has commutative ops, so operand swaps inherit
 # their parent's evaluation on every suite.
 uninherited = [s["name"] for s in suites if not s["inherited"] > 0]

@@ -264,7 +264,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.archive_len,
             result.evaluated
         );
-        eprint_candidates(&result.candidates);
+        eprint_candidates(&result.candidates, result.reference_captured);
         println!(
             "  {:>6} {:>10} {:>12} {:>8}  transforms",
             "Vdd", "cycles", "energy", "power"
@@ -310,7 +310,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.estimate.average_schedule_length, result.estimate.power, result.estimate.vdd
         );
         println!("  candidates evaluated: {}", result.evaluated);
-        eprint_candidates(&result.candidates);
+        eprint_candidates(&result.candidates, result.reference_captured);
         if result.applied.is_empty() {
             println!("  no transformation improved the objective");
         } else {
@@ -335,8 +335,9 @@ fn run(args: &Args) -> Result<(), String> {
 /// Prints how the search's candidates were evaluated to stderr:
 /// inherited from their parent (operand swaps), proved equivalent to it
 /// (reusing its profile or deriving it from the parent's counts), or
-/// simulated, with the share not simulated per transformation kind.
-fn eprint_candidates(c: &CandidateCounts) {
+/// simulated, with the share not simulated per transformation kind, and
+/// whether the run captured the equivalence reference.
+fn eprint_candidates(c: &CandidateCounts, reference_captured: bool) {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
@@ -352,12 +353,13 @@ fn eprint_candidates(c: &CandidateCounts) {
         .collect();
     eprintln!(
         "candidates: {} inherited, {} proved, {} derived, {} simulated \
-         (not simulated/total per kind: {})",
+         (not simulated/total per kind: {}); reference captured: {}",
         c.inherited_total(),
         c.proved_total(),
         c.derived_total(),
         c.simulated_total(),
-        per_kind.join(", ")
+        per_kind.join(", "),
+        if reference_captured { "yes" } else { "no" }
     );
 }
 

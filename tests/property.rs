@@ -21,6 +21,9 @@
 //! * every operand swap of a program or loop nest is recognized as one
 //!   by `operand_swap_of` and schedules and estimates, under the
 //!   program's profile, bit for bit like the program.
+//! * on every program and loop nest memory does not steer
+//!   (`memory_steers`), the equivalence reference's step bound on random
+//!   memory images equals the zero-memory profile pass's.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
@@ -38,7 +41,8 @@ use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
-    check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, TraceSet,
+    check_equivalence, generate, memory_steers, simulate, CompiledFn, EquivReference, InputSpec,
+    ProfileCounts, TraceSet,
 };
 use fact_xform::algebraic::Commutativity;
 use fact_xform::unroll::LoopUnroll;
@@ -852,4 +856,49 @@ fn operand_swaps_schedule_and_estimate_like_their_parent() {
         Ok(())
     });
     assert!(checked > 1000, "only {checked} operand swaps checked");
+}
+
+/// The property that lets a run put off capturing its equivalence
+/// reference (DESIGN §8.5.3): on every generated program and loop nest
+/// that memory does not steer, the work the reference's random-image
+/// runs do is bounded exactly by the zero-memory profile pass. Both
+/// corpora hold steered programs too, so the check is not vacuous.
+#[test]
+fn unsteered_programs_bound_the_reference_from_zeroed_memories() {
+    let t = traces(24, 16);
+    // (steered, unsteered) per corpus: random programs, loop nests.
+    let mut counts = [[0usize; 2]; 2];
+    for_seeds(|seed| {
+        let (p, f) = lowered(seed)?;
+        let (loop_src, g) = lowered_loops(seed)?;
+        for (corpus, (src, f)) in [(fact_lang::print_proc(&p), f), (loop_src, g)]
+            .into_iter()
+            .enumerate()
+        {
+            let steered = memory_steers(&f);
+            counts[corpus][usize::from(!steered)] += 1;
+            if steered {
+                continue;
+            }
+            let reference = EquivReference::capture(&f, &t, seed ^ 0xC0FFEE).steps();
+            let zeroed = simulate(&CompiledFn::compile(&f), &t, None).steps;
+            if reference != zeroed {
+                return Err(format!(
+                    "reference bound {reference:?} != zero-memory bound {zeroed:?}\n{src}"
+                ));
+            }
+        }
+        Ok(())
+    });
+    println!(
+        "steered/unsteered: programs {:?}, loop nests {:?}",
+        counts[0], counts[1]
+    );
+    for (corpus, [steered, unsteered]) in ["programs", "loop nests"].iter().zip(counts) {
+        assert!(steered > 0, "no {corpus} are steered by memory");
+        assert!(
+            unsteered > 0,
+            "every one of the {corpus} is steered by memory"
+        );
+    }
 }
