@@ -6,6 +6,9 @@
 //!   --budget N    evaluation budget per benchmark (default 400;
 //!                 an explicit value wins over the `--smoke` cap)
 //!   --smoke       tiny budget, stdout only (CI well-formedness check)
+//!
+//! Each benchmark runs cold on a fresh cache, then warm on the cache the
+//! cold run filled; both are reported.
 
 use fact_bench::search_perf::{run_with, standard_config, to_json};
 
@@ -49,8 +52,9 @@ fn main() {
         for s in &p.suites {
             eprintln!(
                 "  {:8} {:5} evals {:7.3}s {:8.0} evals/sec cache {:4.0}% \
-                 inherited {} (setup {:.3}s expand {:.3}s compile {:.3}s prove {:.3}s \
-                 sim {:.3}s est {:.3}s, of it sched {:.3}s)",
+                 inherited {} (setup {:.3}s build {:.3}s expand {:.3}s compile {:.3}s \
+                 prove {:.3}s sim {:.3}s est {:.3}s, of it sched {:.3}s) \
+                 warm {:.4}s built {}",
                 s.name,
                 s.evaluated,
                 s.wall_s,
@@ -58,12 +62,15 @@ fn main() {
                 s.cache_hit_rate * 100.0,
                 s.inherited,
                 s.setup_s,
+                s.build_s,
                 s.expand_s,
                 s.compile_s,
                 s.prove_s,
                 s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
+                s.warm.wall_s,
+                s.warm.outcome.neighborhoods_built,
             );
         }
     }

@@ -3,16 +3,18 @@
 //! Unlike the paper-artifact drivers, this module records the *perf
 //! trajectory* of the engine itself: how many candidate evaluations per
 //! second the full FACT pipeline sustains on each suite benchmark, plus
-//! wall time and evaluation-cache hit rate. The `search_perf` bench
-//! target writes the result as `BENCH_search.json` so successive PRs can
-//! be compared number-for-number.
+//! wall time and evaluation-cache hit rate. Each benchmark then runs a
+//! second time on the cache its first run filled — a repeated job, as
+//! `factd` serves it — and reports that warm run beside the cold one. The
+//! `search_perf` bench target writes the result as `BENCH_search.json`
+//! so successive PRs can be compared number-for-number.
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
 
 use fact_core::{
-    optimize_with, suite, CandidateCounts, EvalCache, FactConfig, OptimizeHooks, PhaseTimers,
-    TransformLibrary,
+    optimize_with, suite, CandidateCounts, ContextHasher, EvalCache, FactConfig, FactResult,
+    OptimizeHooks, PhaseTimers, TransformLibrary,
 };
 use fact_estim::section5_library;
 use fact_xform::TransformKind;
@@ -73,9 +75,63 @@ pub struct SuitePerf {
     /// The list-scheduling share of `estimate_s`, seconds
     /// ([`PhaseTimers::schedule_ns`]).
     pub schedule_s: f64,
-    /// Search time outside candidate evaluation — expansion, hashing,
-    /// dedup and selection — seconds ([`PhaseTimers::expand_ns`]).
+    /// Search time outside candidate evaluation and building — memo
+    /// lookups, hashing, dedup and selection — seconds
+    /// ([`PhaseTimers::expand_ns`]).
     pub expand_s: f64,
+    /// Wall time spent building candidate functions, seconds
+    /// ([`PhaseTimers::build_ns`]).
+    pub build_s: f64,
+    /// What the run returned: the path, best score and memo counters.
+    pub outcome: Outcome,
+    /// The same job again, on the cache the cold run filled.
+    pub warm: Warm,
+}
+
+/// The parts of a run's result a warm rerun must repeat, plus its
+/// expansion counters.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Outcome {
+    /// Steps on the reported path (`FactResult::applied`).
+    pub applied: usize,
+    /// A hash of the reported path's step descriptions, in order.
+    pub applied_digest: u64,
+    /// The objective's score of the result's estimate.
+    pub best_score: f64,
+    /// Parent expansions the expansion memo answered
+    /// (`FactResult::neighborhoods_memoized`).
+    pub neighborhoods_memoized: u64,
+    /// Neighbourhoods built (`FactResult::neighborhoods_built`).
+    pub neighborhoods_built: u64,
+}
+
+impl Outcome {
+    fn of(r: &FactResult, config: &FactConfig) -> Outcome {
+        let mut h = ContextHasher::new(0x0A99_11ED);
+        for step in &r.applied {
+            h.write_bytes(step.as_bytes());
+        }
+        Outcome {
+            applied: r.applied.len(),
+            applied_digest: h.finish(),
+            best_score: config.objective.score(&r.estimate),
+            neighborhoods_memoized: r.neighborhoods_memoized,
+            neighborhoods_built: r.neighborhoods_built,
+        }
+    }
+}
+
+/// The warm rerun of one benchmark.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Warm {
+    /// Wall-clock time of the rerun, seconds.
+    pub wall_s: f64,
+    /// Candidate evaluations of the rerun.
+    pub evaluated: usize,
+    /// Of them, answered by the cache.
+    pub cache_hits: usize,
+    /// What the rerun returned.
+    pub outcome: Outcome,
 }
 
 /// One full measurement pass: every Table 2 benchmark, fresh cache each.
@@ -116,7 +172,7 @@ impl SearchPerf {
 ///
 /// Each benchmark gets a fresh [`EvalCache`] so hit rates reflect
 /// within-run reuse only (cross-run reuse would make the numbers depend
-/// on measurement order).
+/// on measurement order); its warm rerun reuses that cache.
 pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
     let (lib, rules) = section5_library();
     let tlib = TransformLibrary::full();
@@ -129,18 +185,21 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             stop: None,
             timers: Some(&timers),
         };
-        let t0 = Instant::now();
-        let r = optimize_with(
-            &b.function,
-            &lib,
-            &rules,
-            &b.allocation,
-            &b.traces,
-            &tlib,
-            config,
-            hooks,
-        );
-        let wall_s = t0.elapsed().as_secs_f64();
+        let run = |hooks| {
+            let t0 = Instant::now();
+            let r = optimize_with(
+                &b.function,
+                &lib,
+                &rules,
+                &b.allocation,
+                &b.traces,
+                &tlib,
+                config,
+                hooks,
+            );
+            (r, t0.elapsed().as_secs_f64())
+        };
+        let (r, wall_s) = run(hooks);
         let (evaluated, cache_hits, c, reference_captured) = match &r {
             Ok(r) => (
                 r.evaluated,
@@ -151,6 +210,25 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             Err(_) => (0, 0, CandidateCounts::default(), false),
         };
         let cs = cache.stats();
+        let outcome = r
+            .as_ref()
+            .map_or(Outcome::default(), |r| Outcome::of(r, config));
+        let (warm_r, warm_wall_s) = run(OptimizeHooks {
+            timers: None,
+            ..hooks
+        });
+        let warm = match &warm_r {
+            Ok(w) => Warm {
+                wall_s: warm_wall_s,
+                evaluated: w.evaluated,
+                cache_hits: w.cache_hits,
+                outcome: Outcome::of(w, config),
+            },
+            Err(_) => Warm {
+                wall_s: warm_wall_s,
+                ..Warm::default()
+            },
+        };
         suites.push(SuitePerf {
             name: b.name,
             evaluated,
@@ -176,6 +254,9 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
             expand_s: timers.expand_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            build_s: timers.build_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            outcome,
+            warm,
         });
     }
     SearchPerf {
@@ -195,6 +276,15 @@ pub fn standard_config(budget: usize) -> FactConfig {
     config
 }
 
+/// One [`Outcome`] as JSON members (no braces).
+fn outcome_json(o: &Outcome) -> String {
+    format!(
+        "\"applied\": {}, \"applied_digest\": \"{:016x}\", \"best_score\": {}, \
+         \"neighborhoods_memoized\": {}, \"neighborhoods_built\": {}",
+        o.applied, o.applied_digest, o.best_score, o.neighborhoods_memoized, o.neighborhoods_built
+    )
+}
+
 /// Renders one or more measurement passes as a JSON document.
 pub fn to_json(passes: &[SearchPerf]) -> String {
     let mut out = String::from("{\n  \"bench\": \"search\",\n  \"passes\": [\n");
@@ -211,7 +301,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                  \"reference_captured\": {}, \
                  \"setup_s\": {:.4}, \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
                  \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
-                 \"schedule_s\": {:.4}, \"expand_s\": {:.4}}}{}\n",
+                 \"schedule_s\": {:.4}, \"expand_s\": {:.4}, \"build_s\": {:.4}, {}, \
+                 \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, {}}}}}{}\n",
                 s.name,
                 s.evaluated,
                 s.cache_hits,
@@ -232,6 +323,12 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.estimate_s,
                 s.schedule_s,
                 s.expand_s,
+                s.build_s,
+                outcome_json(&s.outcome),
+                s.warm.wall_s,
+                s.warm.evaluated,
+                s.warm.cache_hits,
+                outcome_json(&s.warm.outcome),
                 if i + 1 < p.suites.len() { "," } else { "" }
             ));
         }
@@ -282,6 +379,21 @@ mod tests {
             assert!(
                 0.0 <= s.setup_s && s.setup_s <= s.wall_s,
                 "{}: set-up is a share of the run",
+                s.name
+            );
+            assert!(
+                0.0 <= s.build_s && s.build_s <= s.wall_s,
+                "{}: building is a share of the run",
+                s.name
+            );
+            let (cold, warm) = (&s.outcome, &s.warm.outcome);
+            assert_eq!(s.warm.evaluated, s.evaluated, "{}", s.name);
+            assert_eq!(s.warm.cache_hits, s.warm.evaluated, "{}", s.name);
+            assert_eq!(warm.applied_digest, cold.applied_digest, "{}", s.name);
+            assert_eq!(warm.best_score.to_bits(), cold.best_score.to_bits());
+            assert_eq!(
+                warm.neighborhoods_built, warm.applied as u64,
+                "{}: a warm rerun builds only along its path",
                 s.name
             );
             assert_eq!(

@@ -16,6 +16,7 @@
 //! signature used for deduplication inside `Apply_transforms`, which
 //! allocated an entire pretty-printed program per candidate per move.
 
+use crate::expand::ExpansionMemo;
 use fact_ir::{Function, OpKind, Terminator};
 use fact_prng::mix64;
 use std::collections::HashMap;
@@ -95,6 +96,116 @@ pub fn structural_hash(f: &Function) -> u64 {
     h.write_u64(f.memories().count() as u64);
     for (_, m) in f.memories() {
         h.write_u64(m.size as u64);
+    }
+    h.finish()
+}
+
+/// A 64-bit hash of everything `Function: PartialEq` compares: the
+/// name, the entry block, every block in arena order (its op list by
+/// arena id, terminator and display name), every arena op (detached
+/// ones too) with its kind and label, and the memories by name and size.
+///
+/// Unlike [`structural_hash`], which equates functions that differ only
+/// in arena layout, this tells apart functions a transformation could
+/// expand differently: op ids appear in candidate descriptions, so two
+/// structurally equal parents can still have different neighbourhoods.
+/// It is the root identity of the expansion memo (DESIGN §10.5).
+pub fn exact_hash(f: &Function) -> u64 {
+    let mut h = ContextHasher::new(0xFAC7_E8AC);
+    let id = |h: &mut ContextHasher, v: fact_ir::OpId| {
+        h.write_u64(v.index() as u64);
+    };
+    h.write_bytes(f.name().as_bytes())
+        .write_u64(f.entry().index() as u64)
+        .write_u64(f.num_blocks() as u64);
+    for b in f.block_ids() {
+        let blk = f.block(b);
+        h.write_u64(blk.ops.len() as u64);
+        for &op in &blk.ops {
+            id(&mut h, op);
+        }
+        match &blk.term {
+            Terminator::Jump(t) => {
+                h.write_u64(20).write_u64(t.index() as u64);
+            }
+            Terminator::Branch {
+                cond,
+                on_true,
+                on_false,
+            } => {
+                h.write_u64(21);
+                id(&mut h, *cond);
+                h.write_u64(on_true.index() as u64)
+                    .write_u64(on_false.index() as u64);
+            }
+            Terminator::Return(v) => {
+                h.write_u64(22)
+                    .write_u64(v.map_or(0, |v| v.index() as u64 + 1));
+            }
+        }
+        match &blk.name {
+            Some(name) => h.write_u64(1).write_bytes(name.as_bytes()),
+            None => h.write_u64(0),
+        };
+    }
+    h.write_u64(f.num_ops() as u64);
+    for i in 0..f.num_ops() {
+        let op = f.op(fact_ir::OpId::new(i));
+        match &op.kind {
+            OpKind::Const(c) => {
+                h.write_u64(1).write_i64(*c);
+            }
+            OpKind::Input(name) => {
+                h.write_u64(2).write_bytes(name.as_bytes());
+            }
+            OpKind::Bin(bin, a, b) => {
+                h.write_u64(3).write_u64(*bin as u64);
+                id(&mut h, *a);
+                id(&mut h, *b);
+            }
+            OpKind::Un(un, a) => {
+                h.write_u64(4).write_u64(*un as u64);
+                id(&mut h, *a);
+            }
+            OpKind::Mux {
+                cond,
+                on_true,
+                on_false,
+            } => {
+                h.write_u64(5);
+                id(&mut h, *cond);
+                id(&mut h, *on_true);
+                id(&mut h, *on_false);
+            }
+            OpKind::Phi(incoming) => {
+                h.write_u64(6).write_u64(incoming.len() as u64);
+                for (from, v) in incoming {
+                    h.write_u64(from.index() as u64);
+                    id(&mut h, *v);
+                }
+            }
+            OpKind::Load { mem, addr } => {
+                h.write_u64(7).write_u64(mem.index() as u64);
+                id(&mut h, *addr);
+            }
+            OpKind::Store { mem, addr, value } => {
+                h.write_u64(8).write_u64(mem.index() as u64);
+                id(&mut h, *addr);
+                id(&mut h, *value);
+            }
+            OpKind::Output(name, v) => {
+                h.write_u64(9).write_bytes(name.as_bytes());
+                id(&mut h, *v);
+            }
+        }
+        match &op.label {
+            Some(label) => h.write_u64(1).write_bytes(label.as_bytes()),
+            None => h.write_u64(0),
+        };
+    }
+    h.write_u64(f.memories().count() as u64);
+    for (_, m) in f.memories() {
+        h.write_bytes(m.name.as_bytes()).write_u64(m.size as u64);
     }
     h.finish()
 }
@@ -258,6 +369,9 @@ impl CacheStats {
 /// second insert is a no-op), which is wasted work but never wrong —
 /// evaluation is deterministic per key.
 ///
+/// The cache also holds the [`ExpansionMemo`] ([`EvalCache::expansions`]),
+/// so every run given a cache shares memoized neighbourhoods too.
+///
 /// # Examples
 ///
 /// ```
@@ -274,6 +388,7 @@ pub struct EvalCache {
     mask: u64,
     hits: AtomicU64,
     misses: AtomicU64,
+    expansions: ExpansionMemo,
 }
 
 impl EvalCache {
@@ -286,7 +401,23 @@ impl EvalCache {
             mask: (n - 1) as u64,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            expansions: ExpansionMemo::default(),
         }
+    }
+
+    /// A cache whose expansion memo holds at most `records` records.
+    #[cfg(test)]
+    pub(crate) fn with_memo_capacity(records: usize) -> Self {
+        EvalCache {
+            expansions: ExpansionMemo::with_capacity(records),
+            ..EvalCache::default()
+        }
+    }
+
+    /// The memoized neighbourhoods the search expands through (DESIGN
+    /// §10.5). Not part of [`EvalCache::save_snapshot`]'s snapshots.
+    pub fn expansions(&self) -> &ExpansionMemo {
+        &self.expansions
     }
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CachedScore>> {
@@ -347,11 +478,13 @@ impl EvalCache {
         }
     }
 
-    /// Drops all entries (counters are preserved).
+    /// Drops all entries and memoized neighbourhoods (counters are
+    /// preserved).
     pub fn clear(&self) {
         for s in self.shards.iter() {
             s.lock().unwrap().clear();
         }
+        self.expansions.clear();
     }
 
     /// All entries, sorted by key — the deterministic iteration order the
@@ -516,6 +649,7 @@ impl std::fmt::Debug for EvalCache {
         f.debug_struct("EvalCache")
             .field("shards", &self.shards.len())
             .field("stats", &self.stats())
+            .field("expansions", &self.expansions)
             .finish()
     }
 }

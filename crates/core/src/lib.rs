@@ -41,6 +41,7 @@
 
 pub mod baselines;
 pub mod cache;
+mod expand;
 pub mod objective;
 pub mod pareto;
 pub mod partition;
@@ -51,9 +52,10 @@ pub mod suite;
 
 pub use baselines::{flamel, m1, BaselineResult};
 pub use cache::{
-    block_hashes, snapshot_tmp_path, structural_hash, CacheStats, ContextHasher, EvalCache,
-    SnapshotLoad,
+    block_hashes, exact_hash, snapshot_tmp_path, structural_hash, CacheStats, ContextHasher,
+    EvalCache, SnapshotLoad,
 };
+pub use expand::{ExpansionMemo, EXPANSION_MEMO_CAPACITY};
 pub use fact_xform::TransformLibrary;
 pub use objective::Objective;
 pub use pareto::{

@@ -9,21 +9,23 @@
 //!    claim.
 
 use crate::cache::{structural_hash, ContextHasher, EvalCache};
+use crate::expand::{BuildLedger, Expander, Sink};
 use crate::objective::Objective;
 use crate::pareto::{nondominated, sweep_vdd, ParetoArchive, ParetoPoint};
 use crate::partition::{partition, region_of_block, PartitionConfig};
 use crate::search::{
-    apply_transforms, apply_transforms_pareto, MegaCandidate, SearchConfig, SearchResult,
+    apply_transforms_pareto_with, apply_transforms_with, MegaCandidate, Origin, SearchConfig,
+    SearchResult,
 };
 use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
-use fact_ir::{operand_swap_of, prove_equivalent, Function};
+use fact_ir::{operand_swap_of, prove_equivalent, Function, UnrollMap};
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{
-    memory_steers, simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts, StepBound,
-    TraceSet,
+    execute, memory_steers, simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts,
+    StepBound, TraceSet,
 };
 use fact_xform::{Region, TransformKind, TransformLibrary};
 use std::collections::HashMap;
@@ -143,6 +145,15 @@ pub struct FactResult {
     /// captures it at set-up (DESIGN §8.5.3). Always `false` with
     /// equivalence checking off.
     pub reference_captured: bool,
+    /// Parent expansions the shared cache's expansion memo answered
+    /// without building a candidate (DESIGN §10.5; 0 without a cache).
+    pub neighborhoods_memoized: u64,
+    /// Neighbourhoods built: whole expansions of a parent (a memo miss,
+    /// or a memoized parent whose children the evaluator read), plus
+    /// single transformations replayed to build one design through its
+    /// path (a region's winner). A repeated job builds only along its
+    /// winners' paths.
+    pub neighborhoods_built: u64,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
     pub stopped: bool,
@@ -217,7 +228,8 @@ impl CandidateCounts {
 /// is charged to `setup_ns` alone, and each candidate's work to the
 /// phase it ran in. Wired in through [`OptimizeHooks::timers`]; the
 /// benchmark harness uses it to attribute search throughput to set-up,
-/// expansion, compilation, proving, simulation, and estimation.
+/// building candidates, expansion, compilation, proving, simulation,
+/// and estimation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
     /// Time outside the search: the run's set-up (the input's profile
@@ -247,26 +259,35 @@ pub struct PhaseTimers {
     /// [`schedule_with_memo`] during candidate estimation.
     /// `estimate_ns - schedule_ns` is the Markov and power time.
     pub schedule_ns: AtomicU64,
-    /// Search time outside the neighborhood evaluator: the wall time of
-    /// every [`apply_transforms`]/[`apply_transforms_pareto`] call minus
-    /// the time spent inside its evaluator. That is stage 1 (enumerate
-    /// and apply transformations, structural hash, dedup) plus stage 3
+    /// Time building candidate functions: expanding parents through the
+    /// transformation library, and replaying one transformation to build
+    /// a design through its path — wherever it happens, in the search's
+    /// stage 1, for a region's winner, or inside the evaluator when it
+    /// reads a function the expansion memo left unbuilt.
+    pub build_ns: AtomicU64,
+    /// Search time outside the neighborhood evaluator and outside
+    /// building: the wall time of every region search minus the time
+    /// inside its evaluator and the search's own `build_ns`. That is
+    /// stage 1 (memo lookups, structural hashes, dedup) plus stage 3
     /// (select).
     pub expand_ns: AtomicU64,
 }
 
-/// Charges search-call wall time minus evaluator time to
-/// [`PhaseTimers::expand_ns`]. Does nothing without timers.
+/// Charges search-call wall time minus evaluator and build time to
+/// [`PhaseTimers::expand_ns`], and build time to
+/// [`PhaseTimers::build_ns`]. Does nothing without timers.
 struct ExpandClock<'a> {
     timers: Option<&'a PhaseTimers>,
+    ledger: &'a BuildLedger,
     /// Evaluator time of the search call in progress.
     eval_ns: AtomicU64,
 }
 
 impl<'a> ExpandClock<'a> {
-    fn new(timers: Option<&'a PhaseTimers>) -> Self {
+    fn new(timers: Option<&'a PhaseTimers>, ledger: &'a BuildLedger) -> Self {
         ExpandClock {
             timers,
+            ledger,
             eval_ns: AtomicU64::new(0),
         }
     }
@@ -293,8 +314,14 @@ impl<'a> ExpandClock<'a> {
                 let out = f();
                 let wall = start.elapsed().as_nanos() as u64;
                 let eval = self.eval_ns.swap(0, Ordering::Relaxed);
-                t.expand_ns
-                    .fetch_add(wall.saturating_sub(eval), Ordering::Relaxed);
+                // Builds the evaluator ran are inside `eval` already.
+                let built = self.ledger.take_ns(Sink::Search);
+                t.build_ns
+                    .fetch_add(built + self.ledger.take_ns(Sink::Eval), Ordering::Relaxed);
+                t.expand_ns.fetch_add(
+                    wall.saturating_sub(eval).saturating_sub(built),
+                    Ordering::Relaxed,
+                );
                 out
             }
             None => f(),
@@ -324,7 +351,9 @@ pub struct OptimizeHooks<'a> {
 pub enum FactError {
     /// The original behavior failed to schedule.
     Schedule(fact_sched::ScheduleError),
-    /// The original behavior's STG failed Markov analysis.
+    /// No trace vector ran to completion on the original behavior (the
+    /// message names how many failed and the first error), or its STG
+    /// failed Markov analysis.
     Analysis(String),
 }
 
@@ -548,6 +577,16 @@ struct Run<'a> {
     scores: Mutex<HashMap<u64, Estimate>>,
     /// Inherited, proved, derived and simulated candidates.
     candidates: Mutex<CandidateCounts>,
+    /// Candidate construction: counts, and times when timers are wired.
+    ledger: BuildLedger,
+}
+
+/// A candidate the cache did not answer, built: its function, and its
+/// parent's with the transformation and unroll map that relate them.
+struct Evaluated<'c> {
+    f: &'c Function,
+    hash: u64,
+    origin: Option<(Origin<'c>, &'c Function, Option<&'c UnrollMap>)>,
 }
 
 impl<'a> Run<'a> {
@@ -568,6 +607,18 @@ impl<'a> Run<'a> {
         let ctx = IncrementalCtx::new(f, traces, config, hooks.timers);
         let (prof, known) = Profiled::of(profile_pass(f, traces))
             .expect("a pass without a reference always profiles");
+        if prof.runs_ok == 0 {
+            // Nothing can be estimated from a profile without a single
+            // completed vector: fail now, not after a search in which
+            // every candidate is rejected.
+            let first = traces.vectors.iter().find_map(|v| execute(f, v).err());
+            return Err(FactError::Analysis(format!(
+                "no trace vector ran to completion ({} of {} failed{})",
+                prof.runs_failed,
+                traces.vectors.len(),
+                first.map_or(String::new(), |e| format!("; first error: {e}"))
+            )));
+        }
         // Seeded into the profile map as a search input would be: the
         // input agrees with its own reference, and its lanes there bound
         // its work too. Unless memory steers the input, they do exactly
@@ -626,7 +677,20 @@ impl<'a> Run<'a> {
             profiles: Mutex::new(profiles),
             scores: Mutex::new(HashMap::new()),
             candidates: Mutex::new(CandidateCounts::default()),
+            ledger: match hooks.timers {
+                Some(_) => BuildLedger::timed(),
+                None => BuildLedger::default(),
+            },
         })
+    }
+
+    /// How this run's searches expand their parents: through the shared
+    /// cache's expansion memo when there is a cache.
+    fn expander(&self) -> Expander<'_> {
+        Expander {
+            memo: self.hooks.cache.map(EvalCache::expansions),
+            ledger: &self.ledger,
+        }
     }
 
     /// Whether the run has been asked to wind down.
@@ -710,15 +774,24 @@ impl<'a> Run<'a> {
     /// equivalent to a parent the run profiled, or else
     /// [`Run::simulated_profile`] compiles and simulates the candidate.
     fn checked_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
-        debug_assert_eq!(cand.hash, structural_hash(cand.function));
-        if let Some(est) = self.inherited_estimate(cand) {
+        // Built here, outside every phase timer: building is charged to
+        // `build_ns` alone.
+        let f = cand.function();
+        let origin = cand.origin.map(|o| (o, o.parent(), cand.unrolled()));
+        debug_assert_eq!(cand.hash, structural_hash(f));
+        let cand = Evaluated {
+            f,
+            hash: cand.hash,
+            origin,
+        };
+        if let Some(est) = self.inherited_estimate(&cand) {
             return Some(est);
         }
-        let prof = match self.known_profile(cand) {
+        let prof = match self.known_profile(&cand) {
             Ok(prof) => prof,
-            Err(miss) => self.simulated_profile(cand, miss)?,
+            Err(miss) => self.simulated_profile(&cand, miss)?,
         };
-        let (_, est) = self.estimate(cand.function, &prof, self.ctx.timers)?;
+        let (_, est) = self.estimate(cand.f, &prof, self.ctx.timers)?;
         self.scores
             .lock()
             .expect("no evaluation panics while holding the score memo")
@@ -735,12 +808,12 @@ impl<'a> Run<'a> {
     /// schedule sees the swap, so its estimate is the parent's, bit for
     /// bit (DESIGN §8.5.2). It is neither proved, scheduled nor
     /// estimated.
-    fn inherited_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
-        let origin = cand.origin?;
+    fn inherited_estimate(&self, cand: &Evaluated<'_>) -> Option<Estimate> {
+        let (origin, parent_f, _) = cand.origin?;
         timed(
             self.ctx.timers,
             |t| &t.prove_ns,
-            || operand_swap_of(origin.parent, cand.function),
+            || operand_swap_of(parent_f, cand.f),
         )?;
         let parent = self.profiled(origin.parent_hash)?;
         let est = self
@@ -792,8 +865,8 @@ impl<'a> Run<'a> {
     /// derived from the parent's per-parity loop counts for a loop
     /// unrolled by 2. A parent the shared cache answered was never
     /// profiled here, so its children are simulated.
-    fn known_profile(&self, cand: &MegaCandidate<'_>) -> Result<Arc<BranchProfile>, Miss> {
-        let Some(origin) = cand.origin else {
+    fn known_profile(&self, cand: &Evaluated<'_>) -> Result<Arc<BranchProfile>, Miss> {
+        let Some((origin, parent_f, unrolled)) = cand.origin else {
             let known = self.profiled(cand.hash).ok_or(Miss::Unprofiled)?;
             self.count(|c| c.proved_inputs += 1);
             return Ok(known.profile);
@@ -802,20 +875,20 @@ impl<'a> Run<'a> {
         let proof = timed(
             self.ctx.timers,
             |t| &t.prove_ns,
-            || prove_equivalent(origin.parent, cand.function, origin.unrolled),
+            || prove_equivalent(parent_f, cand.f, unrolled),
         )
         .ok_or(Miss::Unproved)?;
         let steps = parent
             .steps
             .grown(proof.block_growth)
             .ok_or(Miss::Unproved)?;
-        let known = match origin.unrolled {
+        let known = match unrolled {
             None => Profiled { steps, ..parent },
             Some(map) => timed(
                 self.ctx.timers,
                 |t| &t.derive_ns,
                 || {
-                    let counts = parent.counts.unrolled(map, cand.function.num_blocks())?;
+                    let counts = parent.counts.unrolled(map, cand.f.num_blocks())?;
                     Some(Profiled {
                         profile: Arc::new(counts.profile()),
                         counts: Arc::new(counts),
@@ -830,7 +903,7 @@ impl<'a> Run<'a> {
             .expect("no evaluation panics while holding the profile map")
             .insert(cand.hash, known.clone());
         let kind = origin.kind.index();
-        match origin.unrolled {
+        match unrolled {
             None => self.count(|c| c.proved[kind] += 1),
             Some(_) => self.count(|c| c.derived[kind] += 1),
         }
@@ -841,14 +914,10 @@ impl<'a> Run<'a> {
     /// captured reference when equivalence checking is on and the branch
     /// profile, in one call. `None` when it is not equivalent. `miss`
     /// (why no profile was known) goes into the candidate tallies.
-    fn simulated_profile(
-        &self,
-        cand: &MegaCandidate<'_>,
-        miss: Miss,
-    ) -> Option<Arc<BranchProfile>> {
+    fn simulated_profile(&self, cand: &Evaluated<'_>, miss: Miss) -> Option<Arc<BranchProfile>> {
         let (ctx, traces) = (&self.ctx, self.traces);
         self.count(|c| match cand.origin {
-            Some(o) => {
+            Some((o, ..)) => {
                 c.simulated[o.kind.index()] += 1;
                 if matches!(miss, Miss::Unprofiled) {
                     c.unprofiled_parents += 1;
@@ -859,7 +928,7 @@ impl<'a> Run<'a> {
         let cf = timed(
             ctx.timers,
             |t| &t.compile_ns,
-            || CompiledFn::compile(cand.function),
+            || CompiledFn::compile(cand.f),
         );
         let sim = timed(
             ctx.timers,
@@ -1065,7 +1134,7 @@ pub fn optimize_with(
         |t| &t.setup_ns,
         || Run::new(f, library, rules, alloc, traces, config, hooks),
     )?;
-    let clock = ExpandClock::new(hooks.timers);
+    let clock = ExpandClock::new(hooks.timers, &run.ledger);
     let score = |batch: &[MegaCandidate<'_>]| {
         clock.evaluate(|| {
             run.score_neighborhood(batch, &|est: &Estimate| config.objective.score(est))
@@ -1092,7 +1161,15 @@ pub fn optimize_with(
             stopped: search_stopped,
             ..
         } = clock.search(|| {
-            apply_transforms(&current, region, tlib, &config.search, &score, hooks.stop)
+            apply_transforms_with(
+                &current,
+                region,
+                tlib,
+                &config.search,
+                &score,
+                hooks.stop,
+                run.expander(),
+            )
         });
         evaluated += n;
         stopped |= search_stopped;
@@ -1145,6 +1222,8 @@ pub fn optimize_with(
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
         reference_captured: ctx.equiv.get().is_some(),
+        neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
+        neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
         stopped,
     })
 }
@@ -1212,6 +1291,11 @@ pub struct ParetoFactResult {
     /// Whether the run captured the equivalence reference (see
     /// [`FactResult::reference_captured`]).
     pub reference_captured: bool,
+    /// Parent expansions the expansion memo answered (see
+    /// [`FactResult::neighborhoods_memoized`]).
+    pub neighborhoods_memoized: u64,
+    /// Neighbourhoods built (see [`FactResult::neighborhoods_built`]).
+    pub neighborhoods_built: u64,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
 }
@@ -1280,7 +1364,7 @@ pub fn optimize_pareto_with(
         |t| &t.setup_ns,
         || Run::new(f, library, rules, alloc, traces, config, hooks),
     )?;
-    let clock = ExpandClock::new(hooks.timers);
+    let clock = ExpandClock::new(hooks.timers, &run.ledger);
     let score = |batch: &[MegaCandidate<'_>]| {
         clock.evaluate(|| {
             run.score_neighborhood(batch, &|est: &Estimate| {
@@ -1303,7 +1387,7 @@ pub fn optimize_pareto_with(
             break;
         }
         let r = clock.search(|| {
-            apply_transforms_pareto(
+            apply_transforms_pareto_with(
                 f,
                 region,
                 tlib,
@@ -1311,6 +1395,7 @@ pub fn optimize_pareto_with(
                 &mut archive,
                 &score,
                 hooks.stop,
+                run.expander(),
             )
         });
         evaluated += r.evaluated;
@@ -1375,6 +1460,8 @@ pub fn optimize_pareto_with(
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
         reference_captured: ctx.equiv.get().is_some(),
+        neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
+        neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
         stopped,
     })
 }
@@ -1694,6 +1781,75 @@ mod tests {
         // error path contract) but no region search runs to completion.
         assert!(r.stopped);
         assert!(r.applied.is_empty());
+    }
+
+    #[test]
+    fn traces_no_vector_completes_on_fail_before_the_search() {
+        // GCD-style traces that never set `b`: every vector fails with a
+        // missing input, in both drivers, before any candidate is tried.
+        let f = compile(
+            "proc gcd(a, b) { var x = a; var y = b; \
+             while (x != y) { if (x > y) { x = x - y; } else { y = y - x; } } out g = x; }",
+        )
+        .unwrap();
+        let (lib, rules) = section5_library();
+        let alloc = alloc_of(&lib, &[("a1", 1), ("sb1", 1), ("cp1", 1)]);
+        let traces = generate(
+            &[("a".to_string(), InputSpec::Uniform { lo: 1, hi: 9 })],
+            5,
+            3,
+        );
+        let tlib = TransformLibrary::full();
+        let cache = crate::cache::EvalCache::default();
+        let hooks = OptimizeHooks {
+            cache: Some(&cache),
+            stop: None,
+            timers: None,
+        };
+        let cfg = quick_config(Objective::Throughput);
+        let analysis = |e: FactError| match e {
+            FactError::Analysis(m) => m,
+            other => panic!("expected an analysis error, got {other}"),
+        };
+        let m = analysis(
+            optimize_with(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg, hooks).unwrap_err(),
+        );
+        assert!(m.contains("5 of 5 failed"), "{m}");
+        assert!(m.contains("first error"), "{m}");
+        let m = analysis(
+            optimize_pareto_with(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg, hooks)
+                .unwrap_err(),
+        );
+        assert!(m.contains("5 of 5 failed"), "{m}");
+        assert!(cache.is_empty(), "no candidate was evaluated");
+    }
+
+    #[test]
+    fn results_hold_at_the_memo_capacity() {
+        // A memo too small for one job's neighbourhoods evicts all the
+        // time; eviction only costs rebuilds, never a different result.
+        let (f, lib, rules, alloc, traces) = cache_fixture();
+        let tlib = TransformLibrary::full();
+        let cfg = quick_config(Objective::Throughput);
+        let plain = optimize(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg).unwrap();
+        let cache = crate::cache::EvalCache::with_memo_capacity(24);
+        let hooks = OptimizeHooks {
+            cache: Some(&cache),
+            stop: None,
+            timers: None,
+        };
+        for _ in 0..3 {
+            let r = optimize_with(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg, hooks).unwrap();
+            assert_eq!(r.applied, plain.applied);
+            assert_eq!(r.evaluated, plain.evaluated);
+            assert_eq!(r.best, plain.best);
+            assert_eq!(
+                r.estimate.average_schedule_length.to_bits(),
+                plain.estimate.average_schedule_length.to_bits()
+            );
+            assert!(cache.expansions().records() <= 24);
+        }
+        assert!(!cache.expansions().is_empty());
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!
 //! 1. **Expand**: enumerate the neighborhood of every frontier element in
 //!    order, deduplicating by [`structural_hash`] against everything seen
-//!    so far and truncating to the remaining evaluation budget;
+//!    so far and truncating to the remaining evaluation budget. With an
+//!    expansion memo (the pipeline passes the [`EvalCache`]'s) a parent
+//!    expanded before is answered from its records, and a candidate's
+//!    function is built only when something reads it (DESIGN §10.5);
 //! 2. **Evaluate**: hand the whole surviving neighborhood to the caller's
 //!    [`MegaEval`] in one call. It returns one score slot per candidate,
 //!    in batch order, however it schedules the work (sequentially or
@@ -34,8 +37,11 @@
 //! ([`apply_transforms_pareto`]) are the same loop with a different
 //! ranking: score order plus one incumbent, or nondominated order plus
 //! an archive.
+//!
+//! [`EvalCache`]: crate::EvalCache
 
 use crate::cache::structural_hash;
+use crate::expand::{BuildLedger, Design, Expander, Lazy, Scope, Siblings, Sink};
 use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
 use fact_ir::{Function, UnrollMap};
 use fact_prng::rngs::StdRng;
@@ -109,7 +115,7 @@ pub struct SearchResult {
 /// parent's prefix is a refcount bump; the vector form is materialized
 /// only for the final [`SearchResult`].
 struct PathNode {
-    step: String,
+    step: Arc<str>,
     parent: Option<Arc<PathNode>>,
 }
 
@@ -119,7 +125,7 @@ fn materialize_path(tip: &Option<Arc<PathNode>>) -> Vec<String> {
     let mut out = Vec::new();
     let mut cur = tip.as_ref();
     while let Some(n) = cur {
-        out.push(n.step.clone());
+        out.push(n.step.to_string());
         cur = n.parent.as_ref();
     }
     out.reverse();
@@ -127,12 +133,11 @@ fn materialize_path(tip: &Option<Arc<PathNode>>) -> Vec<String> {
 }
 
 /// A scored element of the search frontier. Cloning is cheap: the
-/// function and path are shared, not copied.
+/// design and path are shared, not copied.
 #[derive(Clone)]
 struct Scored<S> {
-    f: Arc<Function>,
-    /// `structural_hash(&f)`.
-    hash: u64,
+    /// The design, built only once something reads its function.
+    design: Arc<Design>,
     path: Option<Arc<PathNode>>,
     score: S,
 }
@@ -141,15 +146,30 @@ struct Scored<S> {
 /// whole-neighborhood evaluator.
 ///
 /// The structural hash is the one stage 1 already computed for
-/// deduplication, piggybacked here so evaluators can key their score
-/// caches without hashing the function a second time.
+/// deduplication (or recorded in the expansion memo), piggybacked here
+/// so evaluators can key their score caches without the function. The
+/// function itself is built on first read ([`MegaCandidate::function`]):
+/// an evaluator that answers a candidate from its cache never builds it.
 pub struct MegaCandidate<'a> {
-    /// The candidate CDFG.
-    pub function: &'a Function,
-    /// `structural_hash(self.function)`, computed during stage-1 dedup.
+    /// `structural_hash(self.function())`, known without building it.
     pub hash: u64,
     /// Where the candidate came from; `None` for a search input.
     pub origin: Option<Origin<'a>>,
+    lazy: Lazy<'a>,
+}
+
+impl<'a> MegaCandidate<'a> {
+    /// The candidate CDFG, built on first read.
+    pub fn function(&self) -> &'a Function {
+        self.lazy.function()
+    }
+
+    /// For a loop unrolled by 2, how the candidate's blocks stand for
+    /// its parent's ([`fact_xform::Candidate::unrolled`]). Builds the
+    /// candidate.
+    pub fn unrolled(&self) -> Option<&'a UnrollMap> {
+        self.lazy.unrolled()
+    }
 }
 
 /// The frontier element a candidate was expanded from, and the
@@ -157,15 +177,18 @@ pub struct MegaCandidate<'a> {
 /// equivalent to an already-evaluated parent instead of simulating it.
 #[derive(Clone, Copy)]
 pub struct Origin<'a> {
-    /// The parent CDFG.
-    pub parent: &'a Function,
-    /// `structural_hash(self.parent)`.
+    /// `structural_hash(self.parent())`.
     pub parent_hash: u64,
     /// The transformation that rewrote the parent into the candidate.
     pub kind: TransformKind,
-    /// For a loop unrolled by 2, how the candidate's blocks stand for
-    /// the parent's ([`fact_xform::Candidate::unrolled`]).
-    pub unrolled: Option<&'a UnrollMap>,
+    parent: Lazy<'a>,
+}
+
+impl<'a> Origin<'a> {
+    /// The parent CDFG, built on first read.
+    pub fn parent(&self) -> &'a Function {
+        self.parent.function()
+    }
 }
 
 /// A whole-neighborhood evaluator: scores one candidate slice in a
@@ -189,13 +212,11 @@ fn score_batch<S>(evaluate: &MegaEval<'_, S>, batch: &[MegaCandidate<'_>]) -> Ve
 
 /// A not-yet-evaluated expansion of a frontier element.
 struct Candidate {
-    f: Function,
-    /// Structural hash computed by stage-1 dedup (see [`MegaCandidate`]).
-    hash: u64,
+    design: Arc<Design>,
+    /// Index of the parent in the move's `In_set`.
     parent: usize,
     kind: TransformKind,
-    description: String,
-    unrolled: Option<UnrollMap>,
+    description: Arc<str>,
 }
 
 /// How one search ranks what it has scored and when it stops: the part
@@ -235,7 +256,11 @@ struct Progress {
     stopped: bool,
 }
 
-/// The Figure 6 loop, generic over the [`Ranking`].
+/// The Figure 6 loop, generic over the [`Ranking`]. `expander` decides
+/// how parents are expanded; the search's own builds (memo misses and
+/// the winner's function) are charged to its ledger's search sink, and
+/// the evaluator's reads to its evaluation sink.
+#[allow(clippy::too_many_arguments)]
 fn run_search<R: Ranking>(
     g0: &Function,
     region: &Region,
@@ -244,29 +269,36 @@ fn run_search<R: Ranking>(
     ranking: &mut R,
     evaluate: &MegaEval<'_, R::Score>,
     stop: Option<&AtomicBool>,
+    expander: Expander<'_>,
 ) -> Progress {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut evaluated = 0usize;
     let cancelled = || stop.is_some_and(|s| s.load(Ordering::Relaxed));
     let mut seen: HashSet<u64> = ranking.known().into_iter().collect();
+    let ledger = expander.ledger;
+    let scope = Scope::new(library, region);
 
     // The input anchors the search (Figure 6, line 1).
     let h0 = structural_hash(g0);
     if seen.insert(h0) {
+        let root = Arc::new(Design::input(g0.clone(), h0));
         let base = score_batch(
             evaluate,
             &[MegaCandidate {
-                function: g0,
                 hash: h0,
                 origin: None,
+                lazy: Lazy {
+                    design: &root,
+                    siblings: None,
+                    ledger,
+                },
             }],
         )
         .remove(0);
         evaluated += 1;
         if let Some(score) = base {
             ranking.admit(&Scored {
-                f: Arc::new(g0.clone()),
-                hash: h0,
+                design: root,
                 path: None,
                 score,
             });
@@ -300,21 +332,20 @@ fn run_search<R: Ranking>(
             let budget = config.max_evaluations.saturating_sub(evaluated);
             let mut candidates: Vec<Candidate> = Vec::new();
             'expand: for (parent, g) in in_set.iter().enumerate() {
-                for cand in library.all_candidates(g.f.as_ref(), region) {
+                let (records, mut built) = expander.expand(&g.design, &scope);
+                for (i, rec) in records.iter().enumerate() {
                     if candidates.len() >= budget {
                         break 'expand;
                     }
-                    let hash = structural_hash(&cand.function);
-                    if !seen.insert(hash) {
+                    if !seen.insert(rec.hash) {
                         continue;
                     }
+                    let c = built.get_mut(i).and_then(Option::take);
                     candidates.push(Candidate {
-                        f: cand.function,
-                        hash,
+                        design: Arc::new(Design::child(&g.design, &scope, rec, c)),
                         parent,
-                        kind: cand.kind,
-                        description: cand.description,
-                        unrolled: cand.unrolled,
+                        kind: rec.kind,
+                        description: rec.description.clone(),
                     });
                 }
             }
@@ -323,17 +354,28 @@ fn run_search<R: Ranking>(
             }
 
             // Stage 2: score the whole neighborhood in one dispatch.
+            let siblings: Vec<Siblings> = in_set.iter().map(|_| Siblings::default()).collect();
             let batch: Vec<MegaCandidate<'_>> = candidates
                 .iter()
-                .map(|c| MegaCandidate {
-                    function: &c.f,
-                    hash: c.hash,
-                    origin: Some(Origin {
-                        parent: &in_set[c.parent].f,
-                        parent_hash: in_set[c.parent].hash,
-                        kind: c.kind,
-                        unrolled: c.unrolled.as_ref(),
-                    }),
+                .map(|c| {
+                    let parent = &in_set[c.parent].design;
+                    MegaCandidate {
+                        hash: c.design.hash,
+                        origin: Some(Origin {
+                            parent_hash: parent.hash,
+                            kind: c.kind,
+                            parent: Lazy {
+                                design: parent,
+                                siblings: None,
+                                ledger,
+                            },
+                        }),
+                        lazy: Lazy {
+                            design: &c.design,
+                            siblings: Some(&siblings[c.parent]),
+                            ledger,
+                        },
+                    }
                 })
                 .collect();
             let scores = score_batch(evaluate, &batch);
@@ -353,8 +395,7 @@ fn run_search<R: Ranking>(
             for (cand, score) in candidates.into_iter().zip(scores) {
                 let Some(score) = score else { continue };
                 let scored = Scored {
-                    f: Arc::new(cand.f),
-                    hash: cand.hash,
+                    design: cand.design,
                     path: Some(Arc::new(PathNode {
                         step: cand.description,
                         parent: in_set[cand.parent].path.clone(),
@@ -523,7 +564,7 @@ impl Ranking for Incumbent {
 ///     &|batch: &[MegaCandidate<'_>]| {
 ///         batch
 ///             .iter()
-///             .map(|c| Some(-(datapath_op_count(c.function) as f64)))
+///             .map(|c| Some(-(datapath_op_count(c.function()) as f64)))
 ///             .collect()
 ///     },
 ///     None,
@@ -540,12 +581,40 @@ pub fn apply_transforms(
     evaluate: &MegaEval<'_, f64>,
     stop: Option<&AtomicBool>,
 ) -> SearchResult {
+    let ledger = BuildLedger::default();
+    let expander = Expander {
+        memo: None,
+        ledger: &ledger,
+    };
+    apply_transforms_with(g0, region, library, config, evaluate, stop, expander)
+}
+
+/// [`apply_transforms`] expanding through `expander`; the winner's
+/// function is built through its path when the search did not build it.
+pub(crate) fn apply_transforms_with(
+    g0: &Function,
+    region: &Region,
+    library: &TransformLibrary,
+    config: &SearchConfig,
+    evaluate: &MegaEval<'_, f64>,
+    stop: Option<&AtomicBool>,
+    expander: Expander<'_>,
+) -> SearchResult {
     let mut ranking = Incumbent::default();
-    let p = run_search(g0, region, library, config, &mut ranking, evaluate, stop);
+    let p = run_search(
+        g0,
+        region,
+        library,
+        config,
+        &mut ranking,
+        evaluate,
+        stop,
+        expander,
+    );
     match ranking.best {
         Some(best) => SearchResult {
             applied: materialize_path(&best.path),
-            best: Arc::try_unwrap(best.f).unwrap_or_else(|shared| (*shared).clone()),
+            best: best.design.function(expander.ledger, Sink::Search).clone(),
             best_score: best.score,
             evaluated: p.evaluated,
             rounds: p.rounds,
@@ -567,16 +636,14 @@ pub fn apply_transforms(
 /// are shared).
 #[derive(Clone)]
 pub struct ParetoCandidate {
-    f: Arc<Function>,
-    /// `structural_hash(&f)`.
-    hash: u64,
+    design: Arc<Design>,
     path: Option<Arc<PathNode>>,
 }
 
 impl ParetoCandidate {
-    /// The candidate CDFG.
+    /// The candidate CDFG, built on first read.
     pub fn function(&self) -> &Function {
-        &self.f
+        self.design.function(&BuildLedger::default(), Sink::Search)
     }
 
     /// The transformation steps that produced this candidate, in
@@ -618,7 +685,11 @@ impl Ranking for Frontier<'_> {
 
     /// Archived survivors of earlier regions are already evaluated.
     fn known(&self) -> Vec<u64> {
-        self.archive.entries().iter().map(|(_, c)| c.hash).collect()
+        self.archive
+            .entries()
+            .iter()
+            .map(|(_, c)| c.design.hash)
+            .collect()
     }
 
     fn admit(&mut self, s: &Scored<(f64, f64)>) -> bool {
@@ -629,8 +700,7 @@ impl Ranking for Frontier<'_> {
         self.archive.try_insert(
             point,
             ParetoCandidate {
-                f: s.f.clone(),
-                hash: s.hash,
+                design: s.design.clone(),
                 path: s.path.clone(),
             },
         );
@@ -665,8 +735,7 @@ impl Ranking for Frontier<'_> {
         let scored = |i: usize| {
             let (p, c) = &entries[i];
             Scored {
-                f: c.f.clone(),
-                hash: c.hash,
+                design: c.design.clone(),
                 path: c.path.clone(),
                 score: (p.energy, p.latency),
             }
@@ -720,11 +789,43 @@ pub fn apply_transforms_pareto(
     evaluate: &MegaEval<'_, (f64, f64)>,
     stop: Option<&AtomicBool>,
 ) -> ParetoSearchResult {
+    let ledger = BuildLedger::default();
+    let expander = Expander {
+        memo: None,
+        ledger: &ledger,
+    };
+    apply_transforms_pareto_with(
+        g0, region, library, config, archive, evaluate, stop, expander,
+    )
+}
+
+/// [`apply_transforms_pareto`] expanding through `expander`. Archived
+/// designs stay unbuilt until something reads their function.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_transforms_pareto_with(
+    g0: &Function,
+    region: &Region,
+    library: &TransformLibrary,
+    config: &SearchConfig,
+    archive: &mut ParetoArchive<ParetoCandidate>,
+    evaluate: &MegaEval<'_, (f64, f64)>,
+    stop: Option<&AtomicBool>,
+    expander: Expander<'_>,
+) -> ParetoSearchResult {
     let mut ranking = Frontier {
         archive,
         at_round_start: 0,
     };
-    let p = run_search(g0, region, library, config, &mut ranking, evaluate, stop);
+    let p = run_search(
+        g0,
+        region,
+        library,
+        config,
+        &mut ranking,
+        evaluate,
+        stop,
+        expander,
+    );
     ParetoSearchResult {
         evaluated: p.evaluated,
         rounds: p.rounds,
@@ -749,7 +850,7 @@ mod tests {
     fn each<S>(
         score: impl Fn(&Function) -> Option<S> + Sync,
     ) -> impl Fn(&[MegaCandidate<'_>]) -> Vec<Option<S>> + Sync {
-        move |batch| batch.iter().map(|c| score(c.function)).collect()
+        move |batch| batch.iter().map(|c| score(c.function())).collect()
     }
 
     fn search(f: &Function, cfg: &SearchConfig, eval: &MegaEval<'_, f64>) -> SearchResult {
@@ -821,8 +922,8 @@ mod tests {
             batch
                 .iter()
                 .map(|c| {
-                    assert_eq!(c.hash, structural_hash(c.function));
-                    op_count_score(c.function)
+                    assert_eq!(c.hash, structural_hash(c.function()));
+                    op_count_score(c.function())
                 })
                 .collect()
         };
@@ -841,7 +942,7 @@ mod tests {
             batch
                 .iter()
                 .map(|c| {
-                    let ops = datapath_op_count(c.function) as f64;
+                    let ops = datapath_op_count(c.function()) as f64;
                     Some((ops, -ops))
                 })
                 .collect()

@@ -327,7 +327,7 @@ fn oracle_optimize(b: &Benchmark, config: &FactConfig) -> OracleRun {
         Some(config.objective.score(&estimate(g)?))
     };
     let score = |batch: &[MegaCandidate<'_>]| -> Vec<Option<f64>> {
-        batch.iter().map(|c| score_one(c.function)).collect()
+        batch.iter().map(|c| score_one(c.function())).collect()
     };
 
     let mut best = f.clone();

@@ -309,6 +309,23 @@ mod tests {
     }
 
     #[test]
+    fn traces_no_vector_completes_on_are_an_analysis_error() {
+        // The traces never set `b`: every vector fails with a missing
+        // input, so the job fails at set-up, before any search.
+        let cache = EvalCache::default();
+        let stop = AtomicBool::new(false);
+        let src = JOB.replace(r#","b":{"const":3}"#, "");
+        let e = run_job(&decode(&src), &cache, &stop).unwrap_err();
+        assert_eq!(e.code, "analysis");
+        assert!(e.message.contains("4 of 4 failed"), "{}", e.message);
+        assert!(e.message.contains("first error"), "{}", e.message);
+        let pareto = PARETO_JOB.replace(r#","b":{"const":3}"#, "");
+        let e = run_pareto_job(&decode_pareto(&pareto), &cache, &stop).unwrap_err();
+        assert_eq!(e.code, "analysis");
+        assert!(cache.is_empty(), "no candidate was evaluated");
+    }
+
+    #[test]
     fn pre_raised_stop_flag_yields_stopped_result() {
         let cache = EvalCache::default();
         let stop = AtomicBool::new(true);

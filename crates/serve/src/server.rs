@@ -243,6 +243,8 @@ struct JobCounters {
     neighborhood_batches: u64,
     mega_lanes: u64,
     mega_candidates: u64,
+    neighborhoods_memoized: u64,
+    neighborhoods_built: u64,
     stopped: bool,
 }
 
@@ -618,6 +620,8 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
+                    neighborhoods_memoized: r.neighborhoods_memoized,
+                    neighborhoods_built: r.neighborhoods_built,
                     stopped: r.stopped,
                 },
             )
@@ -640,6 +644,8 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     neighborhood_batches: r.neighborhood_batches,
                     mega_lanes: r.mega_lanes,
                     mega_candidates: r.mega_candidates,
+                    neighborhoods_memoized: r.neighborhoods_memoized,
+                    neighborhoods_built: r.neighborhoods_built,
                     stopped: r.stopped,
                 },
             )
@@ -671,6 +677,10 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
     s.mega_lanes.fetch_add(c.mega_lanes, Ordering::Relaxed);
     s.mega_candidates
         .fetch_add(c.mega_candidates, Ordering::Relaxed);
+    s.neighborhoods_memoized
+        .fetch_add(c.neighborhoods_memoized, Ordering::Relaxed);
+    s.neighborhoods_built
+        .fetch_add(c.neighborhoods_built, Ordering::Relaxed);
 }
 
 /// Periodically persists the evaluation cache while the server runs.

@@ -98,6 +98,12 @@ pub struct ServerStats {
     /// Candidates handed to mega-batch dispatches across all jobs
     /// (`FactResult::mega_candidates`; cache hits included).
     pub mega_candidates: AtomicU64,
+    /// Parent expansions the cache's expansion memo answered across all
+    /// jobs (`FactResult::neighborhoods_memoized`).
+    pub neighborhoods_memoized: AtomicU64,
+    /// Neighbourhoods built across all jobs
+    /// (`FactResult::neighborhoods_built`).
+    pub neighborhoods_built: AtomicU64,
     /// EWMA of per-job *service* time (worker execution only, queue wait
     /// excluded), in milliseconds — the admission controller's estimate
     /// of how fast the queue drains. 0 until the first job completes.
@@ -146,6 +152,8 @@ impl ServerStats {
             neighborhood_batches: AtomicU64::new(0),
             mega_lanes: AtomicU64::new(0),
             mega_candidates: AtomicU64::new(0),
+            neighborhoods_memoized: AtomicU64::new(0),
+            neighborhoods_built: AtomicU64::new(0),
             service_ewma_ms: AtomicU64::new(0),
             last_snapshot: Mutex::new(None),
             latencies: Mutex::new(LatencyRing {
@@ -236,6 +244,7 @@ impl ServerStats {
     pub fn snapshot(&self, cache: &EvalCache) -> Value {
         let (p50, p95) = self.latency_percentiles();
         let cs = cache.stats();
+        let memo = cache.expansions();
         Value::object([
             ("type", Value::Str("stats".into())),
             (
@@ -280,6 +289,13 @@ impl ServerStats {
                 "sim_vectors_per_sec",
                 Value::Float(self.sim_vectors_per_sec()),
             ),
+            (
+                "neighborhoods_memoized",
+                counter(&self.neighborhoods_memoized),
+            ),
+            ("neighborhoods_built", counter(&self.neighborhoods_built)),
+            ("memo_entries", Value::Int(memo.len() as i64)),
+            ("memo_records", Value::Int(memo.records() as i64)),
             ("cache_hits", Value::Int(cs.hits as i64)),
             ("cache_misses", Value::Int(cs.misses as i64)),
             ("cache_entries", Value::Int(cs.entries as i64)),
@@ -307,6 +323,7 @@ impl ServerStats {
              evals={} inherited={} proved={} derived={} simulated={} ref={} \
              resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
+             nbhd memoized={} built={} (memo {} entries) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
             self.completed.load(Ordering::Relaxed)
@@ -341,6 +358,9 @@ impl ServerStats {
             self.neighborhood_batches.load(Ordering::Relaxed),
             self.candidates_per_batch(),
             self.mega_lanes.load(Ordering::Relaxed),
+            self.neighborhoods_memoized.load(Ordering::Relaxed),
+            self.neighborhoods_built.load(Ordering::Relaxed),
+            cache.expansions().len(),
             cs.hit_rate() * 100.0,
             cs.entries,
             self.cache_warm_entries.load(Ordering::Relaxed),
@@ -407,6 +427,8 @@ mod tests {
         s.neighborhood_batches.fetch_add(4, Ordering::Relaxed);
         s.mega_lanes.fetch_add(512, Ordering::Relaxed);
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
+        s.neighborhoods_memoized.fetch_add(40, Ordering::Relaxed);
+        s.neighborhoods_built.fetch_add(3, Ordering::Relaxed);
         s.connections_open.store(4, Ordering::Relaxed);
         s.connections_total.fetch_add(11, Ordering::Relaxed);
         s.idle_disconnects.fetch_add(2, Ordering::Relaxed);
@@ -433,6 +455,10 @@ mod tests {
         assert_eq!(v.get("mega_lanes").unwrap().as_i64(), Some(512));
         assert_eq!(v.get("candidates_per_batch").unwrap().as_f64(), Some(4.5));
         assert!(v.get("sim_vectors_per_sec").unwrap().as_f64().unwrap() >= 0.0);
+        assert_eq!(v.get("neighborhoods_memoized").unwrap().as_i64(), Some(40));
+        assert_eq!(v.get("neighborhoods_built").unwrap().as_i64(), Some(3));
+        assert_eq!(v.get("memo_entries").unwrap().as_i64(), Some(0));
+        assert_eq!(v.get("memo_records").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("cache_hit_rate").unwrap().as_f64(), Some(0.0));
         assert_eq!(v.get("connections_open").unwrap().as_i64(), Some(4));
         assert_eq!(v.get("connections_total").unwrap().as_i64(), Some(11));
@@ -447,5 +473,6 @@ mod tests {
         assert!(line.contains("sim=640v ("));
         assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));
+        assert!(line.contains("nbhd memoized=40 built=3 (memo 0 entries)"));
     }
 }

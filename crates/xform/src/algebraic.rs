@@ -7,7 +7,7 @@
 //! `(y1-y3)+(y2-y4)` is better depends entirely on which units the
 //! surrounding schedule leaves idle.
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use crate::util::{as_bin, placed_ops};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
 
@@ -17,6 +17,10 @@ pub struct Commutativity;
 impl Transform for Commutativity {
     fn kind(&self) -> TransformKind {
         TransformKind::Commutativity
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("commutativity", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
@@ -87,6 +91,10 @@ impl Associativity {
 impl Transform for Associativity {
     fn kind(&self) -> TransformKind {
         TransformKind::Associativity
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("associativity", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {
@@ -275,6 +283,10 @@ pub struct Distributivity;
 impl Transform for Distributivity {
     fn kind(&self) -> TransformKind {
         TransformKind::Distributivity
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("distributivity", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -7,7 +7,7 @@
 //! paper's transformation list, and the enabling transformation for the
 //! power reductions on loop-heavy benchmarks.
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{BlockId, Function, OpId, OpKind, Terminator};
 use std::collections::HashSet;
 
@@ -44,6 +44,10 @@ fn preheader(
 impl Transform for CodeMotion {
     fn kind(&self) -> TransformKind {
         TransformKind::CodeMotion
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("code-motion", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -6,7 +6,7 @@
 //! enabled rewrite at once (iterated to a fixed point) — matching how
 //! compilers treat it \[2\] — rather than one candidate per site.
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use crate::util::placed_ops;
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses, try_fold};
 use fact_ir::{BinOp, Function, Op, OpId, OpKind};
@@ -89,6 +89,10 @@ fn apply_once(g: &mut Function, region: &Region) -> usize {
 impl Transform for ConstantPropagation {
     fn kind(&self) -> TransformKind {
         TransformKind::ConstantPropagation
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("constant-propagation", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -19,7 +19,7 @@
 //! per-thread copies expose *intra-thread* algebraic rewrites — e.g. the
 //! distributivity of Example 3 — to the rest of the library.
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{Op, OpKind};
 
 /// The phi-sinking transformation.
@@ -28,6 +28,10 @@ pub struct PhiSink;
 impl Transform for PhiSink {
     fn kind(&self) -> TransformKind {
         TransformKind::PhiSink
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("phi-sink", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

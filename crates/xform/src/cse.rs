@@ -11,7 +11,7 @@
 //! in [`TransformLibrary::full`](crate::TransformLibrary::full), so the
 //! paper-faithful experiments keep the paper's exact suite.
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::rewrite::{eliminate_dead_code, replace_all_uses};
 use fact_ir::{Function, OpId, OpKind};
 use std::collections::HashMap;
@@ -50,6 +50,10 @@ fn value_key(f: &Function, op: OpId) -> Option<(u8, u32, u64, u64)> {
 impl Transform for CommonSubexpression {
     fn kind(&self) -> TransformKind {
         TransformKind::ConstantPropagation // same family: always-profitable cleanup
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("common-subexpression", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -25,7 +25,7 @@
 //!   cross-group effects; disjoint memories make store reordering
 //!   unobservable, output streams would not be).
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{BlockId, Function, NaturalLoop, Op, OpId, OpKind, Terminator};
 use std::collections::{HashMap, HashSet};
 
@@ -35,6 +35,10 @@ pub struct LoopDistribution;
 impl Transform for LoopDistribution {
     fn kind(&self) -> TransformKind {
         TransformKind::LoopUnroll // loop-restructuring family
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("loop-distribution", &[])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -25,4 +25,6 @@ pub mod transform;
 pub mod unroll;
 pub mod util;
 
-pub use transform::{Candidate, Parent, Region, Transform, TransformKind, TransformLibrary};
+pub use transform::{
+    fingerprint_of, Candidate, Parent, Region, Transform, TransformKind, TransformLibrary,
+};

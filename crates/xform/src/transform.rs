@@ -12,6 +12,7 @@ use fact_ir::{BlockId, DomTree, Function, LoopForest, UnrollMap};
 use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// The transformation classes supported by the framework (paper §1: "our
 /// system currently supports associativity, commutativity, distributivity,
@@ -116,6 +117,14 @@ impl Region {
     pub fn is_whole(&self) -> bool {
         self.blocks.is_none()
     }
+
+    /// The region's blocks in ascending order (`None` for the whole
+    /// function).
+    pub fn sorted_blocks(&self) -> Option<Vec<BlockId>> {
+        let mut blocks: Vec<BlockId> = self.blocks.as_ref()?.iter().copied().collect();
+        blocks.sort_unstable();
+        Some(blocks)
+    }
 }
 
 /// The function being expanded, with the analyses its transformations
@@ -182,6 +191,13 @@ pub trait Transform {
     /// The transformation's class.
     fn kind(&self) -> TransformKind;
 
+    /// Identifies the transformation and its parameters: two transforms
+    /// that could expand the same parent differently must fingerprint
+    /// differently ([`fingerprint_of`] over a name and the parameters).
+    /// Expansions are memoized under the fingerprints of the library
+    /// that produced them.
+    fn fingerprint(&self) -> u64;
+
     /// Proposes transformed copies of `parent`'s function, touching only
     /// `region`.
     ///
@@ -195,9 +211,21 @@ pub trait Transform {
     }
 }
 
+/// A [`Transform::fingerprint`]: FNV-1a over `name`, then `params`.
+pub fn fingerprint_of(name: &str, params: &[u64]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let bytes = name.bytes().chain([0xFF]);
+    for b in bytes.chain(params.iter().flat_map(|p| p.to_le_bytes())) {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
 /// A collection of transformations (the paper's `T.lib` in Figure 6).
+/// Cloning shares the transformations.
+#[derive(Clone)]
 pub struct TransformLibrary {
-    transforms: Vec<Box<dyn Transform + Send + Sync>>,
+    transforms: Vec<Arc<dyn Transform + Send + Sync>>,
 }
 
 impl TransformLibrary {
@@ -235,7 +263,14 @@ impl TransformLibrary {
     /// Adds a transformation ("other transformations can easily be
     /// incorporated within the framework", §1).
     pub fn push(&mut self, t: Box<dyn Transform + Send + Sync>) {
-        self.transforms.push(t);
+        self.transforms.push(Arc::from(t));
+    }
+
+    /// Identifies the library: its transformations' fingerprints, in
+    /// order. Libraries that fingerprint alike expand every parent alike.
+    pub fn fingerprint(&self) -> u64 {
+        let params: Vec<u64> = self.transforms.iter().map(|t| t.fingerprint()).collect();
+        fingerprint_of("library", &params)
     }
 
     /// Number of transformations.
@@ -253,12 +288,26 @@ impl TransformLibrary {
     /// Every transformation sees the same [`Parent`], so the analyses
     /// they share are computed once per call.
     pub fn all_candidates(&self, f: &Function, region: &Region) -> Vec<Candidate> {
+        self.candidates_by_transform(f, region)
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// [`TransformLibrary::all_candidates`], grouped by transformation:
+    /// entry `i` holds transformation `i`'s candidates, in order.
+    pub fn candidates_by_transform(&self, f: &Function, region: &Region) -> Vec<Vec<Candidate>> {
         let parent = Parent::new(f);
-        let mut out = Vec::new();
-        for t in &self.transforms {
-            out.extend(t.expand(&parent, region));
-        }
-        out
+        self.transforms
+            .iter()
+            .map(|t| t.expand(&parent, region))
+            .collect()
+    }
+
+    /// Entry `i` of [`TransformLibrary::candidates_by_transform`] alone:
+    /// transformation `i`'s candidates.
+    pub fn transform_candidates(&self, i: usize, f: &Function, region: &Region) -> Vec<Candidate> {
+        self.transforms[i].candidates(f, region)
     }
 }
 
@@ -305,6 +354,32 @@ mod tests {
     #[test]
     fn extended_library_adds_cse_and_fission() {
         assert_eq!(TransformLibrary::extended().len(), 9);
+    }
+
+    #[test]
+    fn fingerprints_tell_libraries_apart() {
+        let full = TransformLibrary::full();
+        assert_eq!(full.fingerprint(), TransformLibrary::full().fingerprint());
+        assert_ne!(
+            full.fingerprint(),
+            TransformLibrary::extended().fingerprint()
+        );
+        let mut by4 = TransformLibrary::full();
+        by4.transforms[5] = Arc::new(crate::unroll::LoopUnroll::new(4));
+        assert_ne!(full.fingerprint(), by4.fingerprint());
+        let mut cse = TransformLibrary::new();
+        cse.push(Box::new(crate::cse::CommonSubexpression));
+        let mut constprop = TransformLibrary::new();
+        constprop.push(Box::new(crate::constprop::ConstantPropagation));
+        // Same kind, different transformation.
+        assert_ne!(cse.fingerprint(), constprop.fingerprint());
+    }
+
+    #[test]
+    fn region_blocks_sort() {
+        let r = Region::of_blocks([BlockId(3), BlockId(1)]);
+        assert_eq!(r.sorted_blocks(), Some(vec![BlockId(1), BlockId(3)]));
+        assert_eq!(Region::whole().sorted_blocks(), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! the scheduler also performs *implicit* unrolling; this is the explicit
 //! library transformation).
 
-use crate::transform::{Candidate, Parent, Region, Transform, TransformKind};
+use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{
     BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator, UnrollMap,
 };
@@ -34,6 +34,10 @@ impl LoopUnroll {
 impl Transform for LoopUnroll {
     fn kind(&self) -> TransformKind {
         TransformKind::LoopUnroll
+    }
+
+    fn fingerprint(&self) -> u64 {
+        fingerprint_of("loop-unroll", &[u64::from(self.factor)])
     }
 
     fn expand(&self, parent: &Parent<'_>, region: &Region) -> Vec<Candidate> {

@@ -91,7 +91,31 @@ unbalanced = [
 assert not unbalanced, (
     f"evaluated != inherited + proved + derived + simulated + cache_hits: {unbalanced}"
 )
-print("search smoke ok: " + " ".join(f"{s['name']}:{s['evaluated']}({s['inherited']} inherited)" for s in suites))
+# Building candidate functions has a timer of its own.
+unbuilt = [s["name"] for s in suites if not s["build_s"] >= 0]
+assert not unbuilt, f"build_s missing or negative: {unbuilt}"
+# Each suite reruns on the cache its cold run filled: the warm run must
+# find what the cold one found, answering every evaluation from the
+# cache, and build nothing but the designs on its reported path (one
+# replayed transformation per applied step), since the expansion memo
+# knows every parent it expands.
+diverged = [
+    (s["name"], s["evaluated"], s["warm"]["evaluated"], s["best_score"], s["warm"]["best_score"])
+    for s in suites
+    if (s["warm"]["evaluated"], s["warm"]["applied"], s["warm"]["applied_digest"], s["warm"]["best_score"])
+    != (s["evaluated"], s["applied"], s["applied_digest"], s["best_score"])
+]
+assert not diverged, f"warm rerun differs from the cold run (evaluated, best score): {diverged}"
+overbuilt = [
+    (s["name"], s["warm"]["neighborhoods_built"], s["warm"]["applied"])
+    for s in suites
+    if s["warm"]["neighborhoods_built"] != s["warm"]["applied"]
+]
+assert not overbuilt, f"warm rerun built more than its path (built, path steps): {overbuilt}"
+print("search smoke ok: " + " ".join(
+    f"{s['name']}:{s['evaluated']}({s['inherited']} inherited, warm built {s['warm']['neighborhoods_built']})"
+    for s in suites
+))
 EOF
 scripts/bench.sh sim --smoke > /tmp/sim_smoke.json
 scripts/bench.sh pareto --smoke > /dev/null

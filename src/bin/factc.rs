@@ -264,7 +264,11 @@ fn run(args: &Args) -> Result<(), String> {
             result.archive_len,
             result.evaluated
         );
-        eprint_candidates(&result.candidates, result.reference_captured);
+        eprint_candidates(
+            &result.candidates,
+            result.reference_captured,
+            (result.neighborhoods_memoized, result.neighborhoods_built),
+        );
         println!(
             "  {:>6} {:>10} {:>12} {:>8}  transforms",
             "Vdd", "cycles", "energy", "power"
@@ -310,7 +314,11 @@ fn run(args: &Args) -> Result<(), String> {
             result.estimate.average_schedule_length, result.estimate.power, result.estimate.vdd
         );
         println!("  candidates evaluated: {}", result.evaluated);
-        eprint_candidates(&result.candidates, result.reference_captured);
+        eprint_candidates(
+            &result.candidates,
+            result.reference_captured,
+            (result.neighborhoods_memoized, result.neighborhoods_built),
+        );
         if result.applied.is_empty() {
             println!("  no transformation improved the objective");
         } else {
@@ -335,9 +343,11 @@ fn run(args: &Args) -> Result<(), String> {
 /// Prints how the search's candidates were evaluated to stderr:
 /// inherited from their parent (operand swaps), proved equivalent to it
 /// (reusing its profile or deriving it from the parent's counts), or
-/// simulated, with the share not simulated per transformation kind, and
-/// whether the run captured the equivalence reference.
-fn eprint_candidates(c: &CandidateCounts, reference_captured: bool) {
+/// simulated, with the share not simulated per transformation kind,
+/// whether the run captured the equivalence reference, and how many
+/// parent expansions the expansion memo answered and how many
+/// neighbourhoods were built.
+fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, (memoized, built): (u64, u64)) {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
@@ -353,7 +363,8 @@ fn eprint_candidates(c: &CandidateCounts, reference_captured: bool) {
         .collect();
     eprintln!(
         "candidates: {} inherited, {} proved, {} derived, {} simulated \
-         (not simulated/total per kind: {}); reference captured: {}",
+         (not simulated/total per kind: {}); reference captured: {}; \
+         neighbourhoods: {memoized} memoized, {built} built",
         c.inherited_total(),
         c.proved_total(),
         c.derived_total(),
