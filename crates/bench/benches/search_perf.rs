@@ -8,7 +8,8 @@
 //!   --smoke       tiny budget, stdout only (CI well-formedness check)
 //!
 //! Each benchmark runs cold on a fresh cache, then warm on the cache the
-//! cold run filled; both are reported.
+//! cold run filled, then retraced (the same traces plus an input no
+//! program reads) on that cache; all three are reported.
 
 use fact_bench::search_perf::{run_with, standard_config, to_json};
 
@@ -54,7 +55,8 @@ fn main() {
                 "  {:8} {:5} evals {:7.3}s {:8.0} evals/sec cache {:4.0}% \
                  inherited {} (setup {:.3}s build {:.3}s expand {:.3}s compile {:.3}s \
                  prove {:.3}s sim {:.3}s est {:.3}s, of it sched {:.3}s) \
-                 warm {:.4}s built {}",
+                 warm {:.4}s built {} retraced {:.4}s (prove {:.3}s build {:.3}s, \
+                 {} verdicts memoized)",
                 s.name,
                 s.evaluated,
                 s.wall_s,
@@ -71,6 +73,10 @@ fn main() {
                 s.schedule_s,
                 s.warm.wall_s,
                 s.warm.outcome.neighborhoods_built,
+                s.retraced.wall_s,
+                s.retraced.prove_s,
+                s.retraced.build_s,
+                s.retraced.verdicts_memoized,
             );
         }
     }

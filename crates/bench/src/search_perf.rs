@@ -5,9 +5,13 @@
 //! second the full FACT pipeline sustains on each suite benchmark, plus
 //! wall time and evaluation-cache hit rate. Each benchmark then runs a
 //! second time on the cache its first run filled — a repeated job, as
-//! `factd` serves it — and reports that warm run beside the cold one. The
-//! `search_perf` bench target writes the result as `BENCH_search.json`
-//! so successive PRs can be compared number-for-number.
+//! `factd` serves it — and reports that warm run beside the cold one. A
+//! third, *retraced* run uses that cache again on the same traces plus
+//! one input no program reads: every score lookup misses, as for a new
+//! job, but the expansion memo and the verdicts in its records are found
+//! (DESIGN §10.5). The `search_perf` bench target writes the result as
+//! `BENCH_search.json` so successive runs can be compared
+//! number-for-number.
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
@@ -17,6 +21,7 @@ use fact_core::{
     OptimizeHooks, PhaseTimers, TransformLibrary,
 };
 use fact_estim::section5_library;
+use fact_sim::TraceSet;
 use fact_xform::TransformKind;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
@@ -86,6 +91,8 @@ pub struct SuitePerf {
     pub outcome: Outcome,
     /// The same job again, on the cache the cold run filled.
     pub warm: Warm,
+    /// The job on retraced traces, on the cache the cold run filled.
+    pub retraced: Retraced,
 }
 
 /// The parts of a run's result a warm rerun must repeat, plus its
@@ -134,6 +141,60 @@ pub struct Warm {
     pub outcome: Outcome,
 }
 
+/// The retraced rerun of one benchmark: its traces plus an input no
+/// program reads ([`retraced`]), on the cache the cold run filled, and
+/// the same traces with no cache, which the rerun must match.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Retraced {
+    /// Wall-clock time of the rerun, seconds.
+    pub wall_s: f64,
+    /// Candidate evaluations of the rerun.
+    pub evaluated: usize,
+    /// Of them, answered by the cache (only re-scorings within the run:
+    /// the cold run's scores are under other traces).
+    pub cache_hits: usize,
+    /// Operand swaps that inherited their parent's evaluation.
+    pub inherited: u64,
+    /// Children proved equivalent to their parent, search inputs not
+    /// included ([`CandidateCounts::proved`] summed over kinds).
+    pub proved: u64,
+    /// Unrolled candidates whose profile was derived.
+    pub derived: u64,
+    /// Candidates simulated, search inputs included.
+    pub simulated: u64,
+    /// Candidates whose swap or proof verdict came from their record
+    /// (`FactResult::verdicts_memoized`).
+    pub verdicts_memoized: u64,
+    /// Wall time proving, seconds ([`PhaseTimers::prove_ns`]).
+    pub prove_s: f64,
+    /// Wall time building candidate functions, seconds
+    /// ([`PhaseTimers::build_ns`]).
+    pub build_s: f64,
+    /// What the rerun returned.
+    pub outcome: Outcome,
+    /// Candidate evaluations of the run without a cache.
+    pub uncached_evaluated: usize,
+    /// What the run without a cache returned.
+    pub uncached: Outcome,
+}
+
+/// `traces` with one more input, `nonce`, on every vector: no program
+/// reads it, so every run behaves as on `traces`, but the evaluation
+/// context differs and no cached score applies.
+pub fn retraced(traces: &TraceSet) -> TraceSet {
+    TraceSet::new(
+        traces
+            .vectors
+            .iter()
+            .map(|v| {
+                let mut v = v.clone();
+                v.insert("nonce".to_string(), 1);
+                v
+            })
+            .collect(),
+    )
+}
+
 /// One full measurement pass: every Table 2 benchmark, fresh cache each.
 #[derive(Clone, Debug)]
 pub struct SearchPerf {
@@ -172,7 +233,7 @@ impl SearchPerf {
 ///
 /// Each benchmark gets a fresh [`EvalCache`] so hit rates reflect
 /// within-run reuse only (cross-run reuse would make the numbers depend
-/// on measurement order); its warm rerun reuses that cache.
+/// on measurement order); its warm and retraced reruns reuse that cache.
 pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
     let (lib, rules) = section5_library();
     let tlib = TransformLibrary::full();
@@ -185,20 +246,21 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             stop: None,
             timers: Some(&timers),
         };
-        let run = |hooks| {
+        let run_on = |traces, hooks| {
             let t0 = Instant::now();
             let r = optimize_with(
                 &b.function,
                 &lib,
                 &rules,
                 &b.allocation,
-                &b.traces,
+                traces,
                 &tlib,
                 config,
                 hooks,
             );
             (r, t0.elapsed().as_secs_f64())
         };
+        let run = |hooks| run_on(&b.traces, hooks);
         let (r, wall_s) = run(hooks);
         let (evaluated, cache_hits, c, reference_captured) = match &r {
             Ok(r) => (
@@ -229,6 +291,38 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
                 ..Warm::default()
             },
         };
+        let traces = retraced(&b.traces);
+        let retimers = PhaseTimers::default();
+        let (re_r, re_wall_s) = run_on(
+            &traces,
+            OptimizeHooks {
+                timers: Some(&retimers),
+                ..hooks
+            },
+        );
+        let (plain, _) = run_on(&traces, OptimizeHooks::default());
+        let mut retraced = Retraced {
+            wall_s: re_wall_s,
+            prove_s: retimers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            build_s: retimers.build_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            ..Retraced::default()
+        };
+        if let (Ok(re), Ok(plain)) = (&re_r, &plain) {
+            let c = &re.candidates;
+            retraced = Retraced {
+                evaluated: re.evaluated,
+                cache_hits: re.cache_hits,
+                inherited: c.inherited_total(),
+                proved: c.proved.iter().sum(),
+                derived: c.derived_total(),
+                simulated: c.simulated_total(),
+                verdicts_memoized: re.verdicts_memoized,
+                outcome: Outcome::of(re, config),
+                uncached_evaluated: plain.evaluated,
+                uncached: Outcome::of(plain, config),
+                ..retraced
+            };
+        }
         suites.push(SuitePerf {
             name: b.name,
             evaluated,
@@ -257,6 +351,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             build_s: timers.build_ns.load(Ordering::Relaxed) as f64 / 1e9,
             outcome,
             warm,
+            retraced,
         });
     }
     SearchPerf {
@@ -285,6 +380,29 @@ fn outcome_json(o: &Outcome) -> String {
     )
 }
 
+/// One [`Retraced`] as a JSON object.
+fn retraced_json(r: &Retraced) -> String {
+    format!(
+        "{{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, \"inherited\": {}, \
+         \"proved\": {}, \"derived\": {}, \"simulated\": {}, \"verdicts_memoized\": {}, \
+         \"prove_s\": {:.4}, \"build_s\": {:.4}, {}, \
+         \"uncached\": {{\"evaluated\": {}, {}}}}}",
+        r.wall_s,
+        r.evaluated,
+        r.cache_hits,
+        r.inherited,
+        r.proved,
+        r.derived,
+        r.simulated,
+        r.verdicts_memoized,
+        r.prove_s,
+        r.build_s,
+        outcome_json(&r.outcome),
+        r.uncached_evaluated,
+        outcome_json(&r.uncached),
+    )
+}
+
 /// Renders one or more measurement passes as a JSON document.
 pub fn to_json(passes: &[SearchPerf]) -> String {
     let mut out = String::from("{\n  \"bench\": \"search\",\n  \"passes\": [\n");
@@ -302,7 +420,8 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                  \"setup_s\": {:.4}, \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
                  \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}, \"build_s\": {:.4}, {}, \
-                 \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, {}}}}}{}\n",
+                 \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, {}}}, \
+                 \"retraced\": {}}}{}\n",
                 s.name,
                 s.evaluated,
                 s.cache_hits,
@@ -329,6 +448,7 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.warm.evaluated,
                 s.warm.cache_hits,
                 outcome_json(&s.warm.outcome),
+                retraced_json(&s.retraced),
                 if i + 1 < p.suites.len() { "," } else { "" }
             ));
         }
@@ -405,6 +525,25 @@ mod tests {
             assert!(
                 !s.reference_captured,
                 "{}: a fresh suite run captures no equivalence reference",
+                s.name
+            );
+            let re = &s.retraced;
+            assert_eq!(re.evaluated, re.uncached_evaluated, "{}", s.name);
+            assert_eq!(
+                re.outcome.applied_digest, re.uncached.applied_digest,
+                "{}",
+                s.name
+            );
+            assert_eq!(
+                re.outcome.best_score.to_bits(),
+                re.uncached.best_score.to_bits(),
+                "{}",
+                s.name
+            );
+            assert_eq!(
+                re.verdicts_memoized,
+                re.inherited + re.proved + re.derived,
+                "{}: every verdict the retraced run needs, the cold run left in its record",
                 s.name
             );
         }

@@ -7,20 +7,25 @@
 //! every candidate's score, as it does for a job `factd` has served
 //! before. The [`ExpansionMemo`] remembers, per parent, the ordered list
 //! of what its expansion produced: each candidate's structural hash,
-//! kind, description, and the recipe that rebuilds it. A search whose
+//! kind, description, the recipe that rebuilds it, and what its
+//! equivalence checks found once some run made them. A search whose
 //! parent the memo knows dedups and truncates from these records alone,
-//! and a candidate's function is built only when something reads it.
+//! and a candidate's function is built only when something reads it:
+//! per transformation, so a read builds that transformation's outputs
+//! and no other's.
 //!
 //! The memo is exact, not heuristic. Its key is the parent's *identity*,
 //! which determines the parent function exactly: the search input's is
 //! its [`exact_hash`], a child's is derived from its parent's identity,
 //! the region, the library and the child's recipe, and the expansion is
 //! a deterministic function of these. So a hit replays what expanding
-//! the parent would have produced, record for record.
+//! the parent would have produced, record for record — and a record's
+//! verdicts, which depend on nothing but the parent, the candidate and
+//! its unroll map, hold for every run that reaches the record.
 
 use crate::cache::{exact_hash, structural_hash, ContextHasher};
-use fact_ir::{Function, UnrollMap};
-use fact_xform::{Candidate, Region, TransformKind, TransformLibrary};
+use fact_ir::{operand_swap_of, prove_equivalent, Equivalence, Function, UnrollMap};
+use fact_xform::{Candidate, Parent, Region, TransformKind, TransformLibrary};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -29,14 +34,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Inserting beyond it evicts the oldest neighbourhoods first; an evicted
 /// neighbourhood is rebuilt on its next use, with the same result.
 ///
-/// A record is about 100 bytes (most of it the description), so the cap
-/// keeps the memo under about 2 MiB. The 18 paper-sized jobs of three
+/// A record is about 130 bytes (most of it the description, 32 of it the
+/// verdict cells), so the cap keeps the memo under about 2.5 MiB. The 18 paper-sized jobs of three
 /// objectives over the §5 suite, at default search settings, fill 198
 /// neighbourhoods with 1,874 records.
 pub const EXPANSION_MEMO_CAPACITY: usize = 16_384;
 
 /// One candidate of a memoized neighbourhood, in expansion order.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct Expanded {
     /// `structural_hash` of the candidate.
     pub(crate) hash: u64,
@@ -48,6 +53,54 @@ pub(crate) struct Expanded {
     transform: u32,
     /// Which of that transformation's outputs it is.
     nth: u32,
+    /// What its equivalence checks against the parent found.
+    verdicts: Verdicts,
+}
+
+/// What a candidate's equivalence checks against its parent found:
+/// [`fact_ir::operand_swap_of`]'s verdict and
+/// [`fact_ir::prove_equivalent`]'s result. Both are pure functions of
+/// the parent, the candidate and its unroll map, which the candidate's
+/// record fixes, so the first run that makes a check writes its cell and
+/// every later design made from the record reads it (DESIGN §10.5).
+/// What the traces decide — whether the parent was profiled and scored,
+/// the step bound, a derived profile — stays with each run.
+#[derive(Debug, Default)]
+pub(crate) struct Verdicts {
+    /// Whether the candidate only swaps the operands of one of its
+    /// parent's ops.
+    swap: OnceLock<bool>,
+    /// Whether, and with what block growth, it is proved equivalent.
+    proof: OnceLock<Option<Equivalence>>,
+}
+
+impl Verdicts {
+    /// The swap verdict, from the record or else from `check`; the flag
+    /// is `true` when the record held it.
+    pub(crate) fn swap(&self, check: impl FnOnce() -> bool) -> (bool, bool) {
+        recall(&self.swap, check)
+    }
+
+    /// The proof, from the record or else from `check`; the flag is
+    /// `true` when the record held it.
+    pub(crate) fn proof(
+        &self,
+        check: impl FnOnce() -> Option<Equivalence>,
+    ) -> (Option<Equivalence>, bool) {
+        recall(&self.proof, check)
+    }
+}
+
+/// `cell`'s value and `true`, or `check`'s value, stored, and `false`.
+/// Racing writers compute the same value, so which one stores it does
+/// not matter.
+fn recall<T: Copy>(cell: &OnceLock<T>, check: impl FnOnce() -> T) -> (T, bool) {
+    if let Some(&v) = cell.get() {
+        return (v, true);
+    }
+    let v = check();
+    let _ = cell.set(v);
+    (v, false)
 }
 
 /// Memoized neighbourhoods: parent identity × region × library → the
@@ -135,6 +188,69 @@ impl ExpansionMemo {
     }
 }
 
+impl ExpansionMemo {
+    /// Checks the memo against a fresh expansion: every neighbourhood it
+    /// holds in the tree under the search input `input` (expanded in
+    /// `region` through `library`) is expanded again, and each record's
+    /// hash, and each verdict it holds, must equal the candidate's
+    /// structural hash and what [`operand_swap_of`] and
+    /// [`prove_equivalent`] answer for it now. Returns how many records
+    /// were visited and how many verdicts checked, or the first
+    /// disagreement.
+    ///
+    /// # Errors
+    /// Names the record that disagrees and how.
+    pub fn audit(
+        &self,
+        input: &Function,
+        region: &Region,
+        library: &TransformLibrary,
+    ) -> Result<(usize, usize), String> {
+        let scope = Scope::new(library, region);
+        let (mut visited, mut checked) = (0, 0);
+        let mut stack = vec![(exact_hash(input), input.clone())];
+        while let Some((id, parent)) = stack.pop() {
+            let Some(records) = self.get(scope.memo_key(id)) else {
+                continue;
+            };
+            let built: Vec<Candidate> = library
+                .candidates_by_transform(&parent, region)
+                .into_iter()
+                .flatten()
+                .collect();
+            if built.len() != records.len() {
+                return Err(format!(
+                    "{} records for {} candidates",
+                    records.len(),
+                    built.len()
+                ));
+            }
+            for (rec, c) in records.iter().zip(built) {
+                visited += 1;
+                let what = &rec.description;
+                if rec.hash != structural_hash(&c.function) {
+                    return Err(format!("{what}: hash differs"));
+                }
+                if let Some(&swap) = rec.verdicts.swap.get() {
+                    checked += 1;
+                    if swap != operand_swap_of(&parent, &c.function).is_some() {
+                        return Err(format!("{what}: stored swap verdict {swap} differs"));
+                    }
+                }
+                if let Some(&proof) = rec.verdicts.proof.get() {
+                    checked += 1;
+                    let now = prove_equivalent(&parent, &c.function, c.unrolled.as_ref());
+                    if proof != now {
+                        return Err(format!("{what}: stored proof {proof:?}, now {now:?}"));
+                    }
+                }
+                stack.push((scope.child_id(id, rec), c.function));
+            }
+        }
+        Ok((visited, checked))
+    }
+}
+
 impl Default for ExpansionMemo {
     fn default() -> Self {
         ExpansionMemo::with_capacity(EXPANSION_MEMO_CAPACITY)
@@ -181,6 +297,24 @@ impl Scope {
             salt: h.finish(),
         })
     }
+
+    /// The memo key of the parent with identity `id`.
+    fn memo_key(&self, id: u64) -> u64 {
+        ContextHasher::new(0xFAC7_3E30)
+            .write_u64(id)
+            .write_u64(self.salt)
+            .finish()
+    }
+
+    /// The identity of the child `rec` of the parent with identity `id`.
+    fn child_id(&self, id: u64, rec: &Expanded) -> u64 {
+        ContextHasher::new(0xFAC7_C41D)
+            .write_u64(id)
+            .write_u64(self.salt)
+            .write_u64(u64::from(rec.transform))
+            .write_u64(u64::from(rec.nth))
+            .finish()
+    }
 }
 
 /// Where the time of building candidates is charged: the search's own
@@ -195,8 +329,9 @@ pub(crate) enum Sink {
 #[derive(Default)]
 pub(crate) struct BuildLedger {
     timed: bool,
-    /// Neighbourhoods built: whole expansions of a parent, plus single
-    /// transformations replayed to rebuild one design.
+    /// Transformations run on a parent: every one of the library on a
+    /// memo miss, and one at a time when the evaluator reads a memoized
+    /// candidate or a design is rebuilt through its recipe.
     pub(crate) built: AtomicU64,
     /// Expansions the memo answered.
     pub(crate) memoized: AtomicU64,
@@ -213,9 +348,10 @@ impl BuildLedger {
         }
     }
 
-    /// Runs one build, counting it and charging its time to `sink`.
-    fn build<T>(&self, sink: Sink, f: impl FnOnce() -> T) -> T {
-        self.built.fetch_add(1, Ordering::Relaxed);
+    /// Runs one build of `transforms` transformations, counting them and
+    /// charging its time to `sink`.
+    fn build<T>(&self, sink: Sink, transforms: usize, f: impl FnOnce() -> T) -> T {
+        self.built.fetch_add(transforms as u64, Ordering::Relaxed);
         if !self.timed {
             return f();
         }
@@ -254,13 +390,12 @@ impl From<Candidate> for Built {
     }
 }
 
-/// How to rebuild a design: output `nth` of transformation `transform`
-/// of the scope's library, applied to `parent` in the scope's region.
+/// How to rebuild a design: its record's output of its record's
+/// transformation of the scope's library, applied to `parent` in the
+/// scope's region.
 struct Recipe {
     parent: Arc<Design>,
     scope: Arc<Scope>,
-    transform: u32,
-    nth: u32,
 }
 
 /// A design the search reached: its identity and structural hash always,
@@ -273,15 +408,51 @@ pub(crate) struct Design {
     built: OnceLock<Built>,
     /// `None` for a design built when it was made.
     recipe: Option<Recipe>,
+    /// The neighbourhood record the design was made from, by slot: which
+    /// output the recipe rebuilds, and where its verdicts live. `None`
+    /// for a search input.
+    record: Option<(Arc<[Expanded]>, u32)>,
 }
 
-/// One parent's whole neighbourhood during one search move, built at
-/// most once: when the evaluator reads the first of its children the
-/// memo answered. Every transformation then shares the parent's
-/// analyses, as a memo miss's expansion does.
-#[derive(Default)]
-pub(crate) struct Siblings {
-    all: OnceLock<Vec<Vec<Candidate>>>,
+/// One parent's neighbourhood during one search move: each
+/// transformation's outputs, built at most once, when the evaluator
+/// first reads one of them. The transformations built share one set of
+/// the parent's analyses, as a memo miss's expansion does, and the
+/// transformations whose outputs nobody reads are never run.
+pub(crate) struct Siblings<'a> {
+    parent: &'a Design,
+    scope: &'a Scope,
+    analyses: OnceLock<Parent<'a>>,
+    outputs: Box<[OnceLock<Vec<Candidate>>]>,
+}
+
+impl<'a> Siblings<'a> {
+    /// `parent`'s neighbourhood in `scope`, nothing built yet.
+    pub(crate) fn new(parent: &'a Design, scope: &'a Scope) -> Self {
+        Siblings {
+            parent,
+            scope,
+            analyses: OnceLock::new(),
+            outputs: (0..scope.library.len()).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Output `nth` of transformation `t`, building the transformation's
+    /// outputs on first read.
+    fn output(&self, t: usize, nth: usize, ledger: &BuildLedger, sink: Sink) -> &Candidate {
+        let outputs = self.outputs[t].get_or_init(|| {
+            // Built outside this build's timing: it is a build of its own.
+            let parent = self
+                .analyses
+                .get_or_init(|| Parent::new(self.parent.function(ledger, sink)));
+            ledger.build(sink, 1, || {
+                self.scope
+                    .library
+                    .expand_transform(t, parent, &self.scope.region)
+            })
+        });
+        &outputs[nth]
+    }
 }
 
 impl Design {
@@ -295,42 +466,50 @@ impl Design {
                 unrolled: None,
             }),
             recipe: None,
+            record: None,
         }
     }
 
-    /// The child `rec` of `parent` in `scope`; `built` is the candidate
-    /// itself when the expansion just built it.
+    /// The child `records[slot]` of `parent` in `scope`; `built` is the
+    /// candidate itself when the expansion just built it.
     pub(crate) fn child(
         parent: &Arc<Design>,
         scope: &Arc<Scope>,
-        rec: &Expanded,
+        records: &Arc<[Expanded]>,
+        slot: usize,
         built: Option<Candidate>,
     ) -> Design {
-        let id = ContextHasher::new(0xFAC7_C41D)
-            .write_u64(parent.id)
-            .write_u64(scope.salt)
-            .write_u64(u64::from(rec.transform))
-            .write_u64(u64::from(rec.nth))
-            .finish();
-        match built {
-            Some(c) => Design {
-                id,
-                hash: rec.hash,
-                built: OnceLock::from(Built::from(c)),
-                recipe: None,
-            },
-            None => Design {
-                id,
-                hash: rec.hash,
-                built: OnceLock::new(),
-                recipe: Some(Recipe {
+        let rec = &records[slot];
+        let id = scope.child_id(parent.id, rec);
+        let (built, recipe) = match built {
+            Some(c) => (OnceLock::from(Built::from(c)), None),
+            None => (
+                OnceLock::new(),
+                Some(Recipe {
                     parent: parent.clone(),
                     scope: scope.clone(),
-                    transform: rec.transform,
-                    nth: rec.nth,
                 }),
-            },
+            ),
+        };
+        Design {
+            id,
+            hash: rec.hash,
+            built,
+            recipe,
+            record: Some((records.clone(), slot as u32)),
         }
+    }
+
+    /// The record the design was made from (`None` for a search input).
+    fn record(&self) -> Option<&Expanded> {
+        let (records, slot) = self.record.as_ref()?;
+        Some(&records[*slot as usize])
+    }
+
+    /// The verdicts of the record the design was made from (`None` for
+    /// a search input).
+    pub(crate) fn verdicts(&self) -> Option<&Verdicts> {
+        Some(&self.record()?.verdicts)
     }
 
     /// The design's function, built on first read.
@@ -347,28 +526,29 @@ impl Design {
                 .recipe
                 .as_ref()
                 .expect("a design without a recipe is built when made");
-            // Built outside this build's timing: it is a build of its own.
-            let parent = r.parent.function(ledger, sink);
-            let (t, nth) = (r.transform as usize, r.nth as usize);
-            let (library, region) = (&r.scope.library, &r.scope.region);
+            let rec = self.record().expect("a design with a recipe has a record");
+            let (t, nth) = (rec.transform as usize, rec.nth as usize);
             match siblings {
                 Some(s) => {
-                    let all = s.all.get_or_init(|| {
-                        ledger.build(sink, || library.candidates_by_transform(parent, region))
-                    });
-                    let c = &all[t][nth];
+                    debug_assert!(std::ptr::eq(s.parent, &*r.parent));
+                    let c = s.output(t, nth, ledger, sink);
                     Built {
                         function: c.function.clone(),
                         unrolled: c.unrolled.clone(),
                     }
                 }
-                None => Built::from(
-                    ledger
-                        .build(sink, || library.transform_candidates(t, parent, region))
-                        .into_iter()
-                        .nth(nth)
-                        .expect("a recipe replays its exact parent"),
-                ),
+                None => {
+                    // Built outside this build's timing: a build of its own.
+                    let parent = Parent::new(r.parent.function(ledger, sink));
+                    let (library, region) = (&r.scope.library, &r.scope.region);
+                    Built::from(
+                        ledger
+                            .build(sink, 1, || library.expand_transform(t, &parent, region))
+                            .into_iter()
+                            .nth(nth)
+                            .expect("a recipe replays its exact parent"),
+                    )
+                }
             }
         })
     }
@@ -378,7 +558,7 @@ impl Design {
 #[derive(Clone, Copy)]
 pub(crate) struct Lazy<'a> {
     pub(crate) design: &'a Design,
-    pub(crate) siblings: Option<&'a Siblings>,
+    pub(crate) siblings: Option<&'a Siblings<'a>>,
     pub(crate) ledger: &'a BuildLedger,
 }
 
@@ -416,16 +596,13 @@ impl Expander<'_> {
         parent: &Design,
         scope: &Scope,
     ) -> (Arc<[Expanded]>, Vec<Option<Candidate>>) {
-        let key = ContextHasher::new(0xFAC7_3E30)
-            .write_u64(parent.id)
-            .write_u64(scope.salt)
-            .finish();
+        let key = scope.memo_key(parent.id);
         if let Some(records) = self.memo.and_then(|m| m.get(key)) {
             self.ledger.memoized.fetch_add(1, Ordering::Relaxed);
             return (records, Vec::new());
         }
         let f = parent.function(self.ledger, Sink::Search);
-        let by_transform = self.ledger.build(Sink::Search, || {
+        let by_transform = self.ledger.build(Sink::Search, scope.library.len(), || {
             scope.library.candidates_by_transform(f, &scope.region)
         });
         let mut records = Vec::new();
@@ -438,6 +615,7 @@ impl Expander<'_> {
                     description: Arc::from(c.description.as_str()),
                     transform: t as u32,
                     nth: nth as u32,
+                    verdicts: Verdicts::default(),
                 });
                 built.push(Some(c));
             }

@@ -9,7 +9,7 @@
 //!    claim.
 
 use crate::cache::{structural_hash, ContextHasher, EvalCache};
-use crate::expand::{BuildLedger, Expander, Sink};
+use crate::expand::{BuildLedger, Expander, Sink, Verdicts};
 use crate::objective::Objective;
 use crate::pareto::{nondominated, sweep_vdd, ParetoArchive, ParetoPoint};
 use crate::partition::{partition, region_of_block, PartitionConfig};
@@ -18,7 +18,7 @@ use crate::search::{
     SearchResult,
 };
 use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
-use fact_ir::{operand_swap_of, prove_equivalent, Function, UnrollMap};
+use fact_ir::{operand_swap_of, prove_equivalent, Equivalence, Function};
 use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
@@ -148,12 +148,18 @@ pub struct FactResult {
     /// Parent expansions the shared cache's expansion memo answered
     /// without building a candidate (DESIGN §10.5; 0 without a cache).
     pub neighborhoods_memoized: u64,
-    /// Neighbourhoods built: whole expansions of a parent (a memo miss,
-    /// or a memoized parent whose children the evaluator read), plus
-    /// single transformations replayed to build one design through its
-    /// path (a region's winner). A repeated job builds only along its
-    /// winners' paths.
+    /// Transformations run to build candidates: every transformation of
+    /// the library on a memo miss, one for each transformation whose
+    /// outputs the evaluator read from a memoized parent, and one for
+    /// each design rebuilt through its path (a region's winner, or an
+    /// unbuilt parent). A repeated job builds only along its winners'
+    /// paths.
     pub neighborhoods_built: u64,
+    /// Candidates whose operand-swap or proof verdict came from their
+    /// expansion record rather than from running the check (DESIGN
+    /// §10.5). Counted once per candidate; always 0 without a cache,
+    /// whose records each run keeps to itself.
+    pub verdicts_memoized: u64,
     /// `true` when the run was cut short by cancellation or timeout;
     /// the result is the best of what was explored.
     pub stopped: bool,
@@ -242,8 +248,9 @@ pub struct PhaseTimers {
     /// Time compiling candidates ([`CompiledFn::compile`]).
     pub compile_ns: AtomicU64,
     /// Time proving candidates equivalent to their parents
-    /// ([`fact_ir::prove_equivalent`], and [`fact_ir::operand_swap_of`]
-    /// for every candidate with a parent), proved or not.
+    /// ([`fact_ir::prove_equivalent`] and [`fact_ir::operand_swap_of`]),
+    /// proved or not. A check whose verdict the candidate's expansion
+    /// record already holds is not run, and costs nothing here.
     pub prove_ns: AtomicU64,
     /// Time deriving unrolled candidates' profiles from their parents'
     /// counts ([`ProfileCounts::unrolled`]).
@@ -579,14 +586,9 @@ struct Run<'a> {
     candidates: Mutex<CandidateCounts>,
     /// Candidate construction: counts, and times when timers are wired.
     ledger: BuildLedger,
-}
-
-/// A candidate the cache did not answer, built: its function, and its
-/// parent's with the transformation and unroll map that relate them.
-struct Evaluated<'c> {
-    f: &'c Function,
-    hash: u64,
-    origin: Option<(Origin<'c>, &'c Function, Option<&'c UnrollMap>)>,
+    /// Candidates whose swap or proof verdict came from their record
+    /// ([`FactResult::verdicts_memoized`]).
+    verdicts_memoized: AtomicU64,
 }
 
 impl<'a> Run<'a> {
@@ -681,6 +683,7 @@ impl<'a> Run<'a> {
                 Some(_) => BuildLedger::timed(),
                 None => BuildLedger::default(),
             },
+            verdicts_memoized: AtomicU64::new(0),
         })
     }
 
@@ -768,65 +771,137 @@ impl<'a> Run<'a> {
     /// equivalent, unschedulable under the allocation, or — in power
     /// mode — slower than the baseline).
     ///
-    /// An operand swap of a parent the run scored inherits the parent's
-    /// estimate ([`Run::inherited_estimate`]). Otherwise the profile
-    /// comes from [`Run::known_profile`] when the candidate is proved
-    /// equivalent to a parent the run profiled, or else
-    /// [`Run::simulated_profile`] compiles and simulates the candidate.
+    /// A search input reuses the profile the run has for it, or is
+    /// simulated. A child goes through [`Run::child_estimate`].
     fn checked_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
+        let Some(origin) = cand.origin else {
+            let f = cand.function();
+            debug_assert_eq!(cand.hash, structural_hash(f));
+            let prof = match self.profiled(cand.hash) {
+                Some(known) => {
+                    self.count(|c| c.proved_inputs += 1);
+                    known.profile
+                }
+                None => self.simulated_profile(f, cand.hash, None, Miss::Unprofiled)?,
+            };
+            return self.scored(f, cand.hash, &prof);
+        };
+        let verdicts = cand
+            .verdicts()
+            .expect("every child is made from an expansion record");
+        let mut recalled = false;
+        let est = self.child_estimate(cand, origin, verdicts, &mut recalled);
+        if recalled {
+            self.verdicts_memoized.fetch_add(1, Ordering::Relaxed);
+        }
+        est
+    }
+
+    /// A child's evaluation. An operand swap of a parent the run scored
+    /// inherits the parent's estimate ([`Run::inherited_estimate`])
+    /// without being built. Otherwise the profile comes from
+    /// [`Run::proved_profile`] when the child is proved equivalent to a
+    /// parent the run profiled, or else [`Run::simulated_profile`]
+    /// compiles and simulates the child. Every check's verdict is read
+    /// from, or written to, the child's record; `recalled` is set when
+    /// one was read.
+    fn child_estimate(
+        &self,
+        cand: &MegaCandidate<'_>,
+        origin: Origin<'_>,
+        verdicts: &Verdicts,
+        recalled: &mut bool,
+    ) -> Option<Estimate> {
+        let parent = self.profiled(origin.parent_hash);
+        if let Some(parent) = &parent {
+            if let Some(est) = self.inherited_estimate(cand, origin, parent, verdicts, recalled) {
+                return Some(est);
+            }
+        }
         // Built here, outside every phase timer: building is charged to
         // `build_ns` alone.
         let f = cand.function();
-        let origin = cand.origin.map(|o| (o, o.parent(), cand.unrolled()));
         debug_assert_eq!(cand.hash, structural_hash(f));
-        let cand = Evaluated {
-            f,
-            hash: cand.hash,
-            origin,
+        let kind = Some(origin.kind);
+        let prof = match parent {
+            None => self.simulated_profile(f, cand.hash, kind, Miss::Unprofiled)?,
+            Some(parent) => {
+                let (proof, stored) = verdicts.proof(|| {
+                    let (p, unrolled) = (origin.parent(), cand.unrolled());
+                    timed(
+                        self.ctx.timers,
+                        |t| &t.prove_ns,
+                        || prove_equivalent(p, f, unrolled),
+                    )
+                });
+                *recalled |= stored;
+                match self.proved_profile(f, cand, origin, parent, proof) {
+                    Some(prof) => prof,
+                    None => self.simulated_profile(f, cand.hash, kind, Miss::Unproved)?,
+                }
+            }
         };
-        if let Some(est) = self.inherited_estimate(&cand) {
-            return Some(est);
-        }
-        let prof = match self.known_profile(&cand) {
-            Ok(prof) => prof,
-            Err(miss) => self.simulated_profile(&cand, miss)?,
-        };
-        let (_, est) = self.estimate(cand.f, &prof, self.ctx.timers)?;
+        self.scored(f, cand.hash, &prof)
+    }
+
+    /// Schedules and estimates `f` under `prof`, remembering the estimate
+    /// under `hash` for its operand swaps to inherit.
+    fn scored(&self, f: &Function, hash: u64, prof: &BranchProfile) -> Option<Estimate> {
+        let (_, est) = self.estimate(f, prof, self.ctx.timers)?;
         self.scores
             .lock()
             .expect("no evaluation panics while holding the score memo")
-            .insert(cand.hash, est.clone());
+            .insert(hash, est.clone());
         Some(est)
     }
 
     /// The parent's estimate, when `cand` only exchanges the operands of
     /// one commutative op or mirrors one comparison of its parent
-    /// ([`operand_swap_of`]) and the run profiled and scored that parent.
-    /// The swap computes every value on every vector as the parent does,
-    /// so its verdict, profile and step bound (grown by 0) are the
-    /// parent's; and no dependence, unit choice or ready-list tie of its
-    /// schedule sees the swap, so its estimate is the parent's, bit for
-    /// bit (DESIGN §8.5.2). It is neither proved, scheduled nor
-    /// estimated.
-    fn inherited_estimate(&self, cand: &Evaluated<'_>) -> Option<Estimate> {
-        let (origin, parent_f, _) = cand.origin?;
-        timed(
-            self.ctx.timers,
-            |t| &t.prove_ns,
-            || operand_swap_of(parent_f, cand.f),
-        )?;
-        let parent = self.profiled(origin.parent_hash)?;
+    /// ([`operand_swap_of`]) and the run profiled (`parent`) and scored
+    /// that parent. The swap computes every value on every vector as the
+    /// parent does, so its verdict, profile and step bound (grown by 0)
+    /// are the parent's; and no dependence, unit choice or ready-list tie
+    /// of its schedule sees the swap, so its estimate is the parent's,
+    /// bit for bit (DESIGN §8.5.2). It is neither proved, scheduled nor
+    /// estimated — and, when its record holds the swap verdict, not even
+    /// built.
+    fn inherited_estimate(
+        &self,
+        cand: &MegaCandidate<'_>,
+        origin: Origin<'_>,
+        parent: &Profiled,
+        verdicts: &Verdicts,
+        recalled: &mut bool,
+    ) -> Option<Estimate> {
         let est = self
             .scores
             .lock()
             .expect("no evaluation panics while holding the score memo")
             .get(&origin.parent_hash)
             .cloned()?;
+        let (swap, stored) = verdicts.swap(|| {
+            let (p, f) = (origin.parent(), cand.function());
+            timed(
+                self.ctx.timers,
+                |t| &t.prove_ns,
+                || operand_swap_of(p, f).is_some(),
+            )
+        });
+        *recalled |= stored;
+        if !swap {
+            return None;
+        }
         let steps = parent.steps.grown(0)?;
         self.profiles
             .lock()
             .expect("no evaluation panics while holding the profile map")
-            .insert(cand.hash, Profiled { steps, ..parent });
+            .insert(
+                cand.hash,
+                Profiled {
+                    steps,
+                    ..parent.clone()
+                },
+            );
         self.scores
             .lock()
             .expect("no evaluation panics while holding the score memo")
@@ -854,49 +929,40 @@ impl<'a> Run<'a> {
         );
     }
 
-    /// The candidate's profile without simulating it.
+    /// The profile of `f`, the child `cand` of a parent the run profiled
+    /// (`parent`), given the proof of their equivalence; `None` without
+    /// a proof.
     ///
-    /// A search input the run already profiled reuses that profile. A
-    /// candidate provably equivalent to a parent the run profiled, that
-    /// cannot run into the step limit on a lane where the parent did
-    /// not, takes the corresponding path on every vector — so its
-    /// verdict under equivalence checking is the parent's, and so is its
-    /// profile: the parent's own for a rewrite that keeps the graph, or
-    /// derived from the parent's per-parity loop counts for a loop
-    /// unrolled by 2. A parent the shared cache answered was never
-    /// profiled here, so its children are simulated.
-    fn known_profile(&self, cand: &Evaluated<'_>) -> Result<Arc<BranchProfile>, Miss> {
-        let Some((origin, parent_f, unrolled)) = cand.origin else {
-            let known = self.profiled(cand.hash).ok_or(Miss::Unprofiled)?;
-            self.count(|c| c.proved_inputs += 1);
-            return Ok(known.profile);
-        };
-        let parent = self.profiled(origin.parent_hash).ok_or(Miss::Unprofiled)?;
-        let proof = timed(
-            self.ctx.timers,
-            |t| &t.prove_ns,
-            || prove_equivalent(parent_f, cand.f, unrolled),
-        )
-        .ok_or(Miss::Unproved)?;
-        let steps = parent
-            .steps
-            .grown(proof.block_growth)
-            .ok_or(Miss::Unproved)?;
+    /// A child provably equivalent to its parent, that cannot run into
+    /// the step limit on a lane where the parent did not, takes the
+    /// corresponding path on every vector — so its verdict under
+    /// equivalence checking is the parent's, and so is its profile: the
+    /// parent's own for a rewrite that keeps the graph, or derived from
+    /// the parent's per-parity loop counts for a loop unrolled by 2.
+    fn proved_profile(
+        &self,
+        f: &Function,
+        cand: &MegaCandidate<'_>,
+        origin: Origin<'_>,
+        parent: Profiled,
+        proof: Option<Equivalence>,
+    ) -> Option<Arc<BranchProfile>> {
+        let steps = parent.steps.grown(proof?.block_growth)?;
+        let unrolled = cand.unrolled();
         let known = match unrolled {
             None => Profiled { steps, ..parent },
             Some(map) => timed(
                 self.ctx.timers,
                 |t| &t.derive_ns,
                 || {
-                    let counts = parent.counts.unrolled(map, cand.f.num_blocks())?;
+                    let counts = parent.counts.unrolled(map, f.num_blocks())?;
                     Some(Profiled {
                         profile: Arc::new(counts.profile()),
                         counts: Arc::new(counts),
                         steps,
                     })
                 },
-            )
-            .ok_or(Miss::Unproved)?,
+            )?,
         };
         self.profiles
             .lock()
@@ -907,29 +973,33 @@ impl<'a> Run<'a> {
             None => self.count(|c| c.proved[kind] += 1),
             Some(_) => self.count(|c| c.derived[kind] += 1),
         }
-        Ok(known.profile)
+        Some(known.profile)
     }
 
-    /// Compiles `cand` and [`simulate`]s it: verification against the
-    /// captured reference when equivalence checking is on and the branch
-    /// profile, in one call. `None` when it is not equivalent. `miss`
-    /// (why no profile was known) goes into the candidate tallies.
-    fn simulated_profile(&self, cand: &Evaluated<'_>, miss: Miss) -> Option<Arc<BranchProfile>> {
+    /// Compiles `f` (structural hash `hash`, produced by a `kind`
+    /// transformation, or a search input) and [`simulate`]s it:
+    /// verification against the captured reference when equivalence
+    /// checking is on and the branch profile, in one call. `None` when it
+    /// is not equivalent. `miss` (why no profile was known) goes into the
+    /// candidate tallies.
+    fn simulated_profile(
+        &self,
+        f: &Function,
+        hash: u64,
+        kind: Option<TransformKind>,
+        miss: Miss,
+    ) -> Option<Arc<BranchProfile>> {
         let (ctx, traces) = (&self.ctx, self.traces);
-        self.count(|c| match cand.origin {
-            Some((o, ..)) => {
-                c.simulated[o.kind.index()] += 1;
+        self.count(|c| match kind {
+            Some(kind) => {
+                c.simulated[kind.index()] += 1;
                 if matches!(miss, Miss::Unprofiled) {
                     c.unprofiled_parents += 1;
                 }
             }
             None => c.simulated_inputs += 1,
         });
-        let cf = timed(
-            ctx.timers,
-            |t| &t.compile_ns,
-            || CompiledFn::compile(cand.f),
-        );
+        let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(f));
         let sim = timed(
             ctx.timers,
             |t| &t.simulate_ns,
@@ -944,7 +1014,7 @@ impl<'a> Run<'a> {
             self.profiles
                 .lock()
                 .expect("no evaluation panics while holding the profile map")
-                .insert(cand.hash, known);
+                .insert(hash, known);
         }
         Some(prof)
     }
@@ -1224,6 +1294,7 @@ pub fn optimize_with(
         reference_captured: ctx.equiv.get().is_some(),
         neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
         neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
+        verdicts_memoized: run.verdicts_memoized.load(Ordering::Relaxed),
         stopped,
     })
 }
@@ -1294,8 +1365,12 @@ pub struct ParetoFactResult {
     /// Parent expansions the expansion memo answered (see
     /// [`FactResult::neighborhoods_memoized`]).
     pub neighborhoods_memoized: u64,
-    /// Neighbourhoods built (see [`FactResult::neighborhoods_built`]).
+    /// Transformations run to build candidates (see
+    /// [`FactResult::neighborhoods_built`]).
     pub neighborhoods_built: u64,
+    /// Candidates whose verdicts came from their record (see
+    /// [`FactResult::verdicts_memoized`]).
+    pub verdicts_memoized: u64,
     /// `true` when the run was cut short by cancellation or timeout.
     pub stopped: bool,
 }
@@ -1462,6 +1537,7 @@ pub fn optimize_pareto_with(
         reference_captured: ctx.equiv.get().is_some(),
         neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
         neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
+        verdicts_memoized: run.verdicts_memoized.load(Ordering::Relaxed),
         stopped,
     })
 }
@@ -1822,34 +1898,6 @@ mod tests {
         );
         assert!(m.contains("5 of 5 failed"), "{m}");
         assert!(cache.is_empty(), "no candidate was evaluated");
-    }
-
-    #[test]
-    fn results_hold_at_the_memo_capacity() {
-        // A memo too small for one job's neighbourhoods evicts all the
-        // time; eviction only costs rebuilds, never a different result.
-        let (f, lib, rules, alloc, traces) = cache_fixture();
-        let tlib = TransformLibrary::full();
-        let cfg = quick_config(Objective::Throughput);
-        let plain = optimize(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg).unwrap();
-        let cache = crate::cache::EvalCache::with_memo_capacity(24);
-        let hooks = OptimizeHooks {
-            cache: Some(&cache),
-            stop: None,
-            timers: None,
-        };
-        for _ in 0..3 {
-            let r = optimize_with(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg, hooks).unwrap();
-            assert_eq!(r.applied, plain.applied);
-            assert_eq!(r.evaluated, plain.evaluated);
-            assert_eq!(r.best, plain.best);
-            assert_eq!(
-                r.estimate.average_schedule_length.to_bits(),
-                plain.estimate.average_schedule_length.to_bits()
-            );
-            assert!(cache.expansions().records() <= 24);
-        }
-        assert!(!cache.expansions().is_empty());
     }
 
     #[test]

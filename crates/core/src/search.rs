@@ -41,7 +41,7 @@
 //! [`EvalCache`]: crate::EvalCache
 
 use crate::cache::structural_hash;
-use crate::expand::{BuildLedger, Design, Expander, Lazy, Scope, Siblings, Sink};
+use crate::expand::{BuildLedger, Design, Expander, Lazy, Scope, Siblings, Sink, Verdicts};
 use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
 use fact_ir::{Function, UnrollMap};
 use fact_prng::rngs::StdRng;
@@ -169,6 +169,13 @@ impl<'a> MegaCandidate<'a> {
     /// candidate.
     pub fn unrolled(&self) -> Option<&'a UnrollMap> {
         self.lazy.unrolled()
+    }
+
+    /// What the candidate's equivalence checks found, kept in its
+    /// expansion record (`None` for a search input). Reading it builds
+    /// nothing.
+    pub(crate) fn verdicts(&self) -> Option<&'a Verdicts> {
+        self.lazy.design.verdicts()
     }
 }
 
@@ -333,16 +340,16 @@ fn run_search<R: Ranking>(
             let mut candidates: Vec<Candidate> = Vec::new();
             'expand: for (parent, g) in in_set.iter().enumerate() {
                 let (records, mut built) = expander.expand(&g.design, &scope);
-                for (i, rec) in records.iter().enumerate() {
+                for (slot, rec) in records.iter().enumerate() {
                     if candidates.len() >= budget {
                         break 'expand;
                     }
                     if !seen.insert(rec.hash) {
                         continue;
                     }
-                    let c = built.get_mut(i).and_then(Option::take);
+                    let c = built.get_mut(slot).and_then(Option::take);
                     candidates.push(Candidate {
-                        design: Arc::new(Design::child(&g.design, &scope, rec, c)),
+                        design: Arc::new(Design::child(&g.design, &scope, &records, slot, c)),
                         parent,
                         kind: rec.kind,
                         description: rec.description.clone(),
@@ -354,31 +361,36 @@ fn run_search<R: Ranking>(
             }
 
             // Stage 2: score the whole neighborhood in one dispatch.
-            let siblings: Vec<Siblings> = in_set.iter().map(|_| Siblings::default()).collect();
-            let batch: Vec<MegaCandidate<'_>> = candidates
-                .iter()
-                .map(|c| {
-                    let parent = &in_set[c.parent].design;
-                    MegaCandidate {
-                        hash: c.design.hash,
-                        origin: Some(Origin {
-                            parent_hash: parent.hash,
-                            kind: c.kind,
-                            parent: Lazy {
-                                design: parent,
-                                siblings: None,
+            let scores = {
+                let siblings: Vec<Siblings<'_>> = in_set
+                    .iter()
+                    .map(|g| Siblings::new(&g.design, &scope))
+                    .collect();
+                let batch: Vec<MegaCandidate<'_>> = candidates
+                    .iter()
+                    .map(|c| {
+                        let parent = &in_set[c.parent].design;
+                        MegaCandidate {
+                            hash: c.design.hash,
+                            origin: Some(Origin {
+                                parent_hash: parent.hash,
+                                kind: c.kind,
+                                parent: Lazy {
+                                    design: parent,
+                                    siblings: None,
+                                    ledger,
+                                },
+                            }),
+                            lazy: Lazy {
+                                design: &c.design,
+                                siblings: Some(&siblings[c.parent]),
                                 ledger,
                             },
-                        }),
-                        lazy: Lazy {
-                            design: &c.design,
-                            siblings: Some(&siblings[c.parent]),
-                            ledger,
-                        },
-                    }
-                })
-                .collect();
-            let scores = score_batch(evaluate, &batch);
+                        }
+                    })
+                    .collect();
+                score_batch(evaluate, &batch)
+            };
             evaluated += candidates.len();
             if cancelled() {
                 // Partial batches are discarded: un-run slots are

@@ -7,12 +7,15 @@
 //! cache, and again on the cache the fresh run filled — and requires the
 //! same result from all three: the winner's IR and STG, the estimates,
 //! the path, the evaluation count and the dispatch shape. A run whose
-//! parents the memo knows but whose scores the cache does not (another
-//! objective filled it) must match a fresh run in every counter. Memo
-//! entries of different libraries and regions must never answer one
-//! another, nor those of structurally equal inputs whose op ids differ,
-//! and the exact hash behind the memo's identities must see what the
-//! structural hash ignores.
+//! parents the memo knows but whose scores the cache does not (other
+//! traces and another objective filled it) reads the verdicts the
+//! earlier runs left in the records, and must match a fresh run in every
+//! counter. Every stored verdict must equal the check run again on the
+//! rebuilt functions, and a memo too small for one job must not move a
+//! result. Memo entries of different libraries and regions must never
+//! answer one another, nor those of structurally equal inputs whose op
+//! ids differ, and the exact hash behind the memo's identities must see
+//! what the structural hash ignores.
 
 use fact_core::{
     exact_hash, optimize_pareto_with, optimize_with, structural_hash, suite, Benchmark, EvalCache,
@@ -22,6 +25,8 @@ use fact_core::{
 use fact_estim::section5_library;
 use fact_ir::{Function, Op, OpKind};
 use fact_sched::{FuLibrary, SelectionRules};
+use fact_sim::TraceSet;
+use fact_xform::{Region, TransformKind};
 
 /// The parts of a result a cache may not change.
 fn outcome(r: &FactResult) -> String {
@@ -109,6 +114,22 @@ fn hooks(cache: Option<&EvalCache>) -> OptimizeHooks<'_> {
     }
 }
 
+/// `traces` plus an input, `nonce`, that no program reads: the same
+/// runs, under an evaluation context no cached score belongs to.
+fn retraced(traces: &TraceSet, nonce: i64) -> TraceSet {
+    TraceSet::new(
+        traces
+            .vectors
+            .iter()
+            .map(|v| {
+                let mut v = v.clone();
+                v.insert("nonce".to_string(), nonce);
+                v
+            })
+            .collect(),
+    )
+}
+
 struct Job<'a> {
     b: &'a Benchmark,
     fus: &'a FuLibrary,
@@ -118,13 +139,22 @@ struct Job<'a> {
 
 impl Job<'_> {
     fn optimize(&self, config: &FactConfig, cache: Option<&EvalCache>) -> FactResult {
+        self.optimize_on(&self.b.traces, config, cache)
+    }
+
+    fn optimize_on(
+        &self,
+        traces: &TraceSet,
+        config: &FactConfig,
+        cache: Option<&EvalCache>,
+    ) -> FactResult {
         let b = self.b;
         optimize_with(
             &b.function,
             self.fus,
             self.rules,
             &b.allocation,
-            &b.traces,
+            traces,
             self.tlib,
             config,
             hooks(cache),
@@ -206,9 +236,11 @@ fn cold_warm_and_uncached_runs_agree() {
 
 #[test]
 fn memoized_parents_with_unscored_children_match_a_fresh_run() {
-    // Another objective fills the memo with every parent the next run
-    // expands (the search input at least) but none of its scores: the
-    // evaluator then reads children the memo left unbuilt.
+    // Another objective on other traces fills the memo with every parent
+    // the next run expands (the search input at least), and the records
+    // with the verdicts of every candidate it evaluated, but the cache
+    // with none of the next run's scores: the evaluator then reads
+    // verdicts from the records and children the memo left unbuilt.
     let (fus, rules) = section5_library();
     let tlib = TransformLibrary::full();
     for b in &suite(&fus) {
@@ -225,25 +257,144 @@ fn memoized_parents_with_unscored_children_match_a_fresh_run() {
             let pareto = config(Objective::Pareto, threads);
 
             let shared = EvalCache::default();
-            job.optimize(&throughput, Some(&shared));
+            job.optimize_on(&retraced(&b.traces, 1), &throughput, Some(&shared));
             let crossed = job.optimize(&power, Some(&shared));
             let fresh = job.optimize(&power, Some(&EvalCache::default()));
+            let plain = job.optimize(&power, None);
             assert!(crossed.neighborhoods_memoized > 0, "{what}");
+            assert!(crossed.verdicts_memoized > 0, "{what}");
+            assert_eq!(fresh.verdicts_memoized, 0, "{what}");
             assert_eq!(
                 outcome_and_work(&crossed),
                 outcome_and_work(&fresh),
-                "{what}: power after throughput"
+                "{what}: power after throughput on other traces"
             );
-            assert_eq!(crossed.best, fresh.best, "{what}");
+            assert_eq!(outcome(&crossed), outcome(&plain), "{what}");
+            assert_eq!(crossed.best, plain.best, "{what}");
 
             let crossed = job.pareto(&pareto, Some(&shared));
             let fresh = job.pareto(&pareto, Some(&EvalCache::default()));
+            let plain = job.pareto(&pareto, None);
             assert!(crossed.neighborhoods_memoized > 0, "{what}");
+            assert!(crossed.verdicts_memoized > 0, "{what}");
             assert_eq!(
                 pareto_outcome_and_work(&crossed),
                 pareto_outcome_and_work(&fresh),
                 "{what}: pareto after throughput and power"
             );
+            assert_eq!(pareto_outcome(&crossed), pareto_outcome(&plain), "{what}");
+        }
+    }
+}
+
+/// The suite, plus a fused loop the extended library's fission splits.
+fn programs(fus: &FuLibrary) -> Vec<Benchmark> {
+    let mut programs = suite(fus);
+    let mut allocation = fact_sched::Allocation::new();
+    for (u, c) in [("a1", 2), ("mt1", 1), ("cp1", 2), ("i1", 2), ("sb1", 1)] {
+        allocation.set(fus.by_name(u).unwrap(), c);
+    }
+    let spec = fact_sim::InputSpec::Uniform { lo: 0, hi: 5 };
+    programs.push(Benchmark {
+        name: "fused",
+        function: fact_lang::compile(
+            "proc fused(n, a, b) { array x[128]; array y[128]; var i = 0; \
+             while (i < n) { x[i] = (a * i) * 3; y[i] = b + i + b; i = i + 1; } }",
+        )
+        .unwrap(),
+        allocation,
+        traces: fact_sim::generate(
+            &[
+                ("n".to_string(), fact_sim::InputSpec::Constant(40)),
+                ("a".to_string(), spec.clone()),
+                ("b".to_string(), spec),
+            ],
+            4,
+            77,
+        ),
+    });
+    programs
+}
+
+#[test]
+fn stored_verdicts_equal_the_checks_run_again() {
+    // One region, the whole function, so every neighbourhood the memo
+    // holds lies in the tree under the input, which the audit walks:
+    // each parent is expanded again and each stored verdict compared
+    // with `operand_swap_of` and `prove_equivalent` on the functions.
+    let (fus, rules) = section5_library();
+    let mut c = config(Objective::Throughput, 2);
+    c.partition = PartitionConfig {
+        threshold_fraction: 2.0,
+    };
+    for (name, tlib) in [
+        ("full", TransformLibrary::full()),
+        ("extended", TransformLibrary::extended()),
+    ] {
+        for b in &programs(&fus) {
+            let what = format!("{} {name}", b.name);
+            let job = Job {
+                b,
+                fus: &fus,
+                rules: &rules,
+                tlib: &tlib,
+            };
+            let cache = EvalCache::default();
+            let throughput = job.optimize(&c, Some(&cache));
+            if b.name == "fused" && name == "extended" {
+                assert!(
+                    throughput
+                        .applied
+                        .iter()
+                        .any(|step| step.starts_with("distribute loop")),
+                    "{what}: fission applied: {:?}",
+                    throughput.applied
+                );
+                let fission = TransformKind::LoopDistribution.index();
+                assert!(throughput.candidates.simulated[fission] > 0, "{what}");
+            }
+            let power = FactConfig {
+                objective: Objective::Power,
+                ..c.clone()
+            };
+            job.optimize_on(&retraced(&b.traces, 2), &power, Some(&cache));
+            job.pareto(&c, Some(&cache));
+            let memo = cache.expansions();
+            let (visited, checked) = memo
+                .audit(&b.function, &Region::whole(), &tlib)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(visited, memo.records(), "{what}: every record audited");
+            assert!(checked > 0, "{what}: some verdict stored");
+        }
+    }
+}
+
+#[test]
+fn results_hold_when_the_memo_cap_is_below_one_job() {
+    // A memo too small for one job's records evicts all the time, so
+    // verdicts are lost with their records; that only costs checks and
+    // rebuilds, never a different result.
+    let (fus, rules) = section5_library();
+    let tlib = TransformLibrary::full();
+    for b in &suite(&fus) {
+        let job = Job {
+            b,
+            fus: &fus,
+            rules: &rules,
+            tlib: &tlib,
+        };
+        for objective in [Objective::Throughput, Objective::Power] {
+            let what = format!("{} {objective:?}", b.name);
+            let c = config(objective, 2);
+            let plain = job.optimize(&c, None);
+            let small = EvalCache::with_memo_capacity(24);
+            let other = job.optimize_on(&retraced(&b.traces, 3), &c, Some(&small));
+            let again = job.optimize(&c, Some(&small));
+            for r in [&other, &again] {
+                assert_eq!(outcome(r), outcome(&plain), "{what}");
+                assert_eq!(r.best, plain.best, "{what}");
+            }
+            assert!(small.expansions().records() <= 24, "{what}");
         }
     }
 }

@@ -207,7 +207,7 @@ const EXTENDED: &[(&str, usize, u64)] = &[
     ("PPS", 0, 0x6F1070BADCDC4086),
     ("PPS", 1, 0x6F1070BADCDC4086),
     ("TEST1", 0, 0x497DE3513178EEA8),
-    ("fused", 0, 0x16F72CB7AE19876E),
+    ("fused", 0, 0xB97CBA4AD667972D),
     ("dup", 0, 0xD8D7A05DA95BC078),
     ("hoist", 0, 0xA45CFDF184A70790),
 ];

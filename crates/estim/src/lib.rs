@@ -25,7 +25,7 @@ pub mod vdd;
 
 pub use area::{estimate_area, AreaReport};
 pub use evaluate::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of};
-pub use library::{section5_library, table1_library};
+pub use library::{check_divider, section5_library, table1_library};
 pub use markov::{analyze, analyze_preferring_empirical, MarkovAnalysis};
 pub use power::{energy_per_execution, estimate, EnergyBreakdown, Estimate};
 pub use vdd::{delay_factor, scale_voltage, scaled_power, VDD_REF, VT};

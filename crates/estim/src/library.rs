@@ -10,6 +10,7 @@
 //!   §5 does not print energy coefficients for these units; we assign them
 //!   from the Table 1 units of the same class (documented in DESIGN.md).
 
+use fact_ir::{BinOp, Function, OpKind};
 use fact_sched::{FuLibrary, FuSpec, SelectionRules};
 
 /// Builds the Table 1 library and matching selection rules.
@@ -123,9 +124,50 @@ pub fn section5_library() -> (FuLibrary, SelectionRules) {
     (lib, rules)
 }
 
+/// Rejects a behavior that divides (`/` or `%`) when `rules` select no
+/// divider, as the §5 library's do not. Front ends call it before they
+/// generate traces, so such a behavior fails at once with this message
+/// instead of with the scheduler's "no functional unit" for some op.
+///
+/// # Errors
+/// The message names the first dividing op.
+pub fn check_divider(f: &Function, rules: &SelectionRules) -> Result<(), String> {
+    if rules.div.is_some() {
+        return Ok(());
+    }
+    let divides = |op| matches!(f.op(op).kind, OpKind::Bin(BinOp::Div | BinOp::Rem, _, _));
+    match f
+        .block_ids()
+        .flat_map(|b| f.block(b).ops.iter().copied())
+        .find(|&op| divides(op))
+    {
+        None => Ok(()),
+        Some(op) => Err(format!(
+            "op {op} divides: `/` and `%` need a divider, and the §5 \
+             functional-unit library has none"
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dividing_behaviors_are_rejected_without_a_divider() {
+        let (_, rules) = section5_library();
+        for src in [
+            "proc f(a, b) { out y = a / (b + 1); }",
+            "proc f(a, b) { out y = a % (b + 1); }",
+        ] {
+            let f = fact_lang::compile(src).unwrap();
+            let e = check_divider(&f, &rules).unwrap_err();
+            assert!(e.contains("need a divider"), "{e}");
+            assert!(e.contains("§5"), "{e}");
+        }
+        let f = fact_lang::compile("proc f(a, b) { out y = a * (b + 1); }").unwrap();
+        assert_eq!(check_divider(&f, &rules), Ok(()));
+    }
 
     #[test]
     fn table1_matches_paper_values() {

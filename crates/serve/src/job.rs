@@ -12,7 +12,7 @@ use fact_core::{
     optimize_pareto_with, optimize_with, EvalCache, FactError, FactResult, OptimizeHooks,
     ParetoFactResult, TransformLibrary,
 };
-use fact_estim::{section5_library, Estimate};
+use fact_estim::{check_divider, section5_library, Estimate};
 use fact_ir::Function;
 use fact_sched::{Allocation, FuLibrary, SelectionRules};
 use fact_sim::{generate, TraceSet};
@@ -21,7 +21,8 @@ use std::sync::atomic::AtomicBool;
 /// A job failure, as an `(error code, message)` pair for the error reply.
 #[derive(Clone, Debug)]
 pub struct JobError {
-    /// Stable machine-readable code (`compile`, `alloc`, `schedule`, …).
+    /// Stable machine-readable code (`compile`, `unsupported`, `alloc`,
+    /// `schedule`, …).
     pub code: &'static str,
     /// Human-readable detail.
     pub message: String,
@@ -47,6 +48,7 @@ fn prepare(
     let f = fact_lang::compile(&req.source).map_err(|e| fail("compile", e.to_string()))?;
 
     let (library, rules) = section5_library();
+    check_divider(&f, &rules).map_err(|m| fail("unsupported", m))?;
     let mut alloc = Allocation::new();
     for (name, count) in &req.alloc {
         let fu = library.by_name(name).ok_or_else(|| {
@@ -306,6 +308,22 @@ mod tests {
         assert_eq!(e.code, "alloc");
         assert!(e.message.contains("warp9"));
         assert!(e.message.contains("a1"));
+    }
+
+    #[test]
+    fn dividing_behaviors_are_unsupported() {
+        let cache = EvalCache::default();
+        let stop = AtomicBool::new(false);
+        let mut req = decode(JOB);
+        req.source = "proc f(a, b) { out y = a / (b + 1); }".into();
+        let e = run_job(&req, &cache, &stop).unwrap_err();
+        assert_eq!(e.code, "unsupported");
+        assert!(e.message.contains("need a divider"), "{}", e.message);
+        let mut req = decode_pareto(PARETO_JOB);
+        req.source = "proc f(a, b) { out y = a % (b + 1); }".into();
+        let e = run_pareto_job(&req, &cache, &stop).unwrap_err();
+        assert_eq!(e.code, "unsupported");
+        assert!(cache.is_empty(), "no candidate was evaluated");
     }
 
     #[test]

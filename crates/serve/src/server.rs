@@ -245,6 +245,7 @@ struct JobCounters {
     mega_candidates: u64,
     neighborhoods_memoized: u64,
     neighborhoods_built: u64,
+    verdicts_memoized: u64,
     stopped: bool,
 }
 
@@ -622,6 +623,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     mega_candidates: r.mega_candidates,
                     neighborhoods_memoized: r.neighborhoods_memoized,
                     neighborhoods_built: r.neighborhoods_built,
+                    verdicts_memoized: r.verdicts_memoized,
                     stopped: r.stopped,
                 },
             )
@@ -646,6 +648,7 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                     mega_candidates: r.mega_candidates,
                     neighborhoods_memoized: r.neighborhoods_memoized,
                     neighborhoods_built: r.neighborhoods_built,
+                    verdicts_memoized: r.verdicts_memoized,
                     stopped: r.stopped,
                 },
             )
@@ -681,6 +684,8 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.neighborhoods_memoized, Ordering::Relaxed);
     s.neighborhoods_built
         .fetch_add(c.neighborhoods_built, Ordering::Relaxed);
+    s.verdicts_memoized
+        .fetch_add(c.verdicts_memoized, Ordering::Relaxed);
 }
 
 /// Periodically persists the evaluation cache while the server runs.

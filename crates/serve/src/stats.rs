@@ -101,9 +101,12 @@ pub struct ServerStats {
     /// Parent expansions the cache's expansion memo answered across all
     /// jobs (`FactResult::neighborhoods_memoized`).
     pub neighborhoods_memoized: AtomicU64,
-    /// Neighbourhoods built across all jobs
+    /// Transformations run to build candidates across all jobs
     /// (`FactResult::neighborhoods_built`).
     pub neighborhoods_built: AtomicU64,
+    /// Candidates whose swap or proof verdict came from their expansion
+    /// record across all jobs (`FactResult::verdicts_memoized`).
+    pub verdicts_memoized: AtomicU64,
     /// EWMA of per-job *service* time (worker execution only, queue wait
     /// excluded), in milliseconds — the admission controller's estimate
     /// of how fast the queue drains. 0 until the first job completes.
@@ -154,6 +157,7 @@ impl ServerStats {
             mega_candidates: AtomicU64::new(0),
             neighborhoods_memoized: AtomicU64::new(0),
             neighborhoods_built: AtomicU64::new(0),
+            verdicts_memoized: AtomicU64::new(0),
             service_ewma_ms: AtomicU64::new(0),
             last_snapshot: Mutex::new(None),
             latencies: Mutex::new(LatencyRing {
@@ -294,6 +298,7 @@ impl ServerStats {
                 counter(&self.neighborhoods_memoized),
             ),
             ("neighborhoods_built", counter(&self.neighborhoods_built)),
+            ("verdicts_memoized", counter(&self.verdicts_memoized)),
             ("memo_entries", Value::Int(memo.len() as i64)),
             ("memo_records", Value::Int(memo.records() as i64)),
             ("cache_hits", Value::Int(cs.hits as i64)),
@@ -323,7 +328,7 @@ impl ServerStats {
              evals={} inherited={} proved={} derived={} simulated={} ref={} \
              resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
-             nbhd memoized={} built={} (memo {} entries) \
+             nbhd memoized={} built={} (memo {} entries) verdicts={} \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
             self.completed.load(Ordering::Relaxed)
@@ -361,6 +366,7 @@ impl ServerStats {
             self.neighborhoods_memoized.load(Ordering::Relaxed),
             self.neighborhoods_built.load(Ordering::Relaxed),
             cache.expansions().len(),
+            self.verdicts_memoized.load(Ordering::Relaxed),
             cs.hit_rate() * 100.0,
             cs.entries,
             self.cache_warm_entries.load(Ordering::Relaxed),
@@ -429,6 +435,7 @@ mod tests {
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
         s.neighborhoods_memoized.fetch_add(40, Ordering::Relaxed);
         s.neighborhoods_built.fetch_add(3, Ordering::Relaxed);
+        s.verdicts_memoized.fetch_add(27, Ordering::Relaxed);
         s.connections_open.store(4, Ordering::Relaxed);
         s.connections_total.fetch_add(11, Ordering::Relaxed);
         s.idle_disconnects.fetch_add(2, Ordering::Relaxed);
@@ -457,6 +464,7 @@ mod tests {
         assert!(v.get("sim_vectors_per_sec").unwrap().as_f64().unwrap() >= 0.0);
         assert_eq!(v.get("neighborhoods_memoized").unwrap().as_i64(), Some(40));
         assert_eq!(v.get("neighborhoods_built").unwrap().as_i64(), Some(3));
+        assert_eq!(v.get("verdicts_memoized").unwrap().as_i64(), Some(27));
         assert_eq!(v.get("memo_entries").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("memo_records").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("cache_hit_rate").unwrap().as_f64(), Some(0.0));
@@ -473,6 +481,6 @@ mod tests {
         assert!(line.contains("sim=640v ("));
         assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));
-        assert!(line.contains("nbhd memoized=40 built=3 (memo 0 entries)"));
+        assert!(line.contains("nbhd memoized=40 built=3 (memo 0 entries) verdicts=27"));
     }
 }

@@ -34,7 +34,7 @@ pub struct LoopDistribution;
 
 impl Transform for LoopDistribution {
     fn kind(&self) -> TransformKind {
-        TransformKind::LoopUnroll // loop-restructuring family
+        TransformKind::LoopDistribution
     }
 
     fn fingerprint(&self) -> u64 {
@@ -59,7 +59,7 @@ impl Transform for LoopDistribution {
             }
             if let Some(g) = distribute(f, l) {
                 out.push(Candidate {
-                    kind: TransformKind::LoopUnroll,
+                    kind: TransformKind::LoopDistribution,
                     description: format!("distribute loop at {}", l.header),
                     function: g,
                     unrolled: None,

@@ -9,10 +9,9 @@
 //! the behavior".
 
 use fact_ir::{BlockId, DomTree, Function, LoopForest, UnrollMap};
-use std::cell::OnceCell;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The transformation classes supported by the framework (paper §1: "our
 /// system currently supports associativity, commutativity, distributivity,
@@ -34,11 +33,14 @@ pub enum TransformKind {
     /// Sinking an operation through joins into predecessor threads — the
     /// cross-basic-block enabler of §3 Example 3.
     PhiSink,
+    /// Loop fission: one loop split into consecutive loops (an extension,
+    /// [`crate::distribute`]).
+    LoopDistribution,
 }
 
 impl TransformKind {
     /// Every kind, in declaration order ([`TransformKind::index`] order).
-    pub const ALL: [TransformKind; 7] = [
+    pub const ALL: [TransformKind; 8] = [
         TransformKind::Commutativity,
         TransformKind::Associativity,
         TransformKind::Distributivity,
@@ -46,6 +48,7 @@ impl TransformKind {
         TransformKind::CodeMotion,
         TransformKind::LoopUnroll,
         TransformKind::PhiSink,
+        TransformKind::LoopDistribution,
     ];
 
     /// This kind's position in [`TransformKind::ALL`], for per-kind
@@ -65,6 +68,7 @@ impl fmt::Display for TransformKind {
             TransformKind::CodeMotion => "code-motion",
             TransformKind::LoopUnroll => "loop-unroll",
             TransformKind::PhiSink => "phi-sink",
+            TransformKind::LoopDistribution => "loop-distribution",
         };
         f.write_str(s)
     }
@@ -130,14 +134,16 @@ impl Region {
 /// The function being expanded, with the analyses its transformations
 /// read. Each analysis is computed on first use and then shared, so one
 /// pass of [`TransformLibrary::all_candidates`] computes the parent's
-/// dominators, loops and predecessors at most once.
+/// dominators, loops and predecessors at most once. The cells are
+/// thread-safe: transformations run on different threads may share one
+/// `Parent` ([`TransformLibrary::expand_transform`]).
 pub struct Parent<'a> {
     f: &'a Function,
-    dom: OnceCell<DomTree>,
-    loops: OnceCell<LoopForest>,
-    preds: OnceCell<Vec<Vec<BlockId>>>,
-    op_blocks: OnceCell<Vec<Option<BlockId>>>,
-    use_counts: OnceCell<Vec<usize>>,
+    dom: OnceLock<DomTree>,
+    loops: OnceLock<LoopForest>,
+    preds: OnceLock<Vec<Vec<BlockId>>>,
+    op_blocks: OnceLock<Vec<Option<BlockId>>>,
+    use_counts: OnceLock<Vec<usize>>,
 }
 
 impl<'a> Parent<'a> {
@@ -145,11 +151,11 @@ impl<'a> Parent<'a> {
     pub fn new(f: &'a Function) -> Self {
         Parent {
             f,
-            dom: OnceCell::new(),
-            loops: OnceCell::new(),
-            preds: OnceCell::new(),
-            op_blocks: OnceCell::new(),
-            use_counts: OnceCell::new(),
+            dom: OnceLock::new(),
+            loops: OnceLock::new(),
+            preds: OnceLock::new(),
+            op_blocks: OnceLock::new(),
+            use_counts: OnceLock::new(),
         }
     }
 
@@ -305,9 +311,15 @@ impl TransformLibrary {
     }
 
     /// Entry `i` of [`TransformLibrary::candidates_by_transform`] alone:
-    /// transformation `i`'s candidates.
-    pub fn transform_candidates(&self, i: usize, f: &Function, region: &Region) -> Vec<Candidate> {
-        self.transforms[i].candidates(f, region)
+    /// transformation `i`'s candidates, reading the analyses `parent`
+    /// holds (computing those it lacks, for later calls to share).
+    pub fn expand_transform(
+        &self,
+        i: usize,
+        parent: &Parent<'_>,
+        region: &Region,
+    ) -> Vec<Candidate> {
+        self.transforms[i].expand(parent, region)
     }
 }
 
@@ -386,5 +398,9 @@ mod tests {
     fn kinds_display() {
         assert_eq!(TransformKind::Distributivity.to_string(), "distributivity");
         assert_eq!(TransformKind::PhiSink.to_string(), "phi-sink");
+        assert_eq!(
+            TransformKind::LoopDistribution.to_string(),
+            "loop-distribution"
+        );
     }
 }

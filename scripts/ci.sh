@@ -112,8 +112,32 @@ overbuilt = [
     if s["warm"]["neighborhoods_built"] != s["warm"]["applied"]
 ]
 assert not overbuilt, f"warm rerun built more than its path (built, path steps): {overbuilt}"
+# Each suite then reruns on that cache with its traces plus an input no
+# program reads: every score lookup misses, as for a new job, yet the
+# run must find what a run without a cache finds on those traces, and
+# every inherited, proved or derived candidate must take its swap or
+# proof verdict from the record the cold run left it in.
+retraced = [
+    (s["name"], s["retraced"]["evaluated"], s["retraced"]["uncached"]["evaluated"],
+     s["retraced"]["best_score"], s["retraced"]["uncached"]["best_score"])
+    for s in suites
+    if (s["retraced"]["evaluated"], s["retraced"]["applied_digest"], s["retraced"]["best_score"])
+    != (s["retraced"]["uncached"]["evaluated"], s["retraced"]["uncached"]["applied_digest"],
+        s["retraced"]["uncached"]["best_score"])
+]
+assert not retraced, f"retraced rerun differs from a run without a cache (evaluated, best score): {retraced}"
+unrecalled = [
+    (s["name"], r["verdicts_memoized"], r["inherited"], r["proved"], r["derived"])
+    for s in suites
+    for r in [s["retraced"]]
+    if r["verdicts_memoized"] != r["inherited"] + r["proved"] + r["derived"]
+]
+assert not unrecalled, (
+    f"retraced rerun: verdicts_memoized != inherited + proved + derived: {unrecalled}"
+)
 print("search smoke ok: " + " ".join(
-    f"{s['name']}:{s['evaluated']}({s['inherited']} inherited, warm built {s['warm']['neighborhoods_built']})"
+    f"{s['name']}:{s['evaluated']}({s['inherited']} inherited, warm built {s['warm']['neighborhoods_built']}, "
+    f"retraced verdicts {s['retraced']['verdicts_memoized']})"
     for s in suites
 ))
 EOF

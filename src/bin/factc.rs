@@ -13,7 +13,7 @@ use fact_core::{
     optimize, optimize_pareto, CandidateCounts, DesignReport, FactConfig, Objective,
     TransformLibrary,
 };
-use fact_estim::{evaluate, markov_of, section5_library};
+use fact_estim::{check_divider, evaluate, markov_of, section5_library};
 use fact_sched::{schedule, Allocation, SchedOptions};
 use fact_sim::{generate, profile, InputSpec};
 use std::process::ExitCode;
@@ -183,6 +183,7 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     let (library, rules) = section5_library();
+    check_divider(&behavior, &rules)?;
     let mut allocation = Allocation::new();
     if args.alloc.is_empty() {
         for (id, _) in library.iter() {
@@ -267,7 +268,11 @@ fn run(args: &Args) -> Result<(), String> {
         eprint_candidates(
             &result.candidates,
             result.reference_captured,
-            (result.neighborhoods_memoized, result.neighborhoods_built),
+            (
+                result.neighborhoods_memoized,
+                result.neighborhoods_built,
+                result.verdicts_memoized,
+            ),
         );
         println!(
             "  {:>6} {:>10} {:>12} {:>8}  transforms",
@@ -317,7 +322,11 @@ fn run(args: &Args) -> Result<(), String> {
         eprint_candidates(
             &result.candidates,
             result.reference_captured,
-            (result.neighborhoods_memoized, result.neighborhoods_built),
+            (
+                result.neighborhoods_memoized,
+                result.neighborhoods_built,
+                result.verdicts_memoized,
+            ),
         );
         if result.applied.is_empty() {
             println!("  no transformation improved the objective");
@@ -340,14 +349,25 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints how the search's candidates were evaluated to stderr:
-/// inherited from their parent (operand swaps), proved equivalent to it
-/// (reusing its profile or deriving it from the parent's counts), or
-/// simulated, with the share not simulated per transformation kind,
-/// whether the run captured the equivalence reference, and how many
-/// parent expansions the expansion memo answered and how many
-/// neighbourhoods were built.
-fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, (memoized, built): (u64, u64)) {
+/// Prints how the search's candidates were evaluated to stderr
+/// ([`candidates_line`]).
+fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, memo: (u64, u64, u64)) {
+    eprintln!("{}", candidates_line(c, reference_captured, memo));
+}
+
+/// How the search's candidates were evaluated: inherited from their
+/// parent (operand swaps), proved equivalent to it (reusing its profile
+/// or deriving it from the parent's counts), or simulated, with the
+/// share not simulated per transformation kind; whether the run captured
+/// the equivalence reference; how many candidates took a verdict from
+/// their expansion record; and how many parent expansions the expansion
+/// memo answered and how many transformations were run to build
+/// candidates.
+fn candidates_line(
+    c: &CandidateCounts,
+    reference_captured: bool,
+    (memoized, built, verdicts): (u64, u64, u64),
+) -> String {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
@@ -361,9 +381,10 @@ fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, (memoized, b
         .filter(|&(_, known, simulated)| known + simulated > 0)
         .map(|(k, known, simulated)| format!("{k} {known}/{}", known + simulated))
         .collect();
-    eprintln!(
+    format!(
         "candidates: {} inherited, {} proved, {} derived, {} simulated \
          (not simulated/total per kind: {}); reference captured: {}; \
+         verdicts memoized: {verdicts}; \
          neighbourhoods: {memoized} memoized, {built} built",
         c.inherited_total(),
         c.proved_total(),
@@ -371,7 +392,7 @@ fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, (memoized, b
         c.simulated_total(),
         per_kind.join(", "),
         if reference_captured { "yes" } else { "no" }
-    );
+    )
 }
 
 /// Runs the factd daemon in-process (`--serve ADDR`); blocks until a
@@ -503,6 +524,45 @@ mod tests {
         assert!(parse(&["f.bdl", "--objective", "speed"]).is_err());
         assert!(parse(&["f.bdl", "--unknown"]).is_err());
         assert!(parse(&["f.bdl", "--clock"]).is_err());
+    }
+
+    #[test]
+    fn candidates_line_counts_each_kind_apart() {
+        use fact_xform::TransformKind;
+        let mut c = CandidateCounts::default();
+        c.derived[TransformKind::LoopUnroll.index()] = 2;
+        c.simulated[TransformKind::LoopDistribution.index()] = 3;
+        c.proved[TransformKind::LoopDistribution.index()] = 1;
+        let line = candidates_line(&c, false, (4, 9, 5));
+        assert!(
+            line.contains("loop-unroll 2/2, loop-distribution 1/4"),
+            "{line}"
+        );
+        assert!(line.contains("verdicts memoized: 5"), "{line}");
+        assert!(
+            line.ends_with("neighbourhoods: 4 memoized, 9 built"),
+            "{line}"
+        );
+    }
+
+    #[test]
+    fn dividing_behaviors_fail_before_traces() {
+        let dir = std::env::temp_dir().join(format!("factc-div-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("div.bdl");
+        std::fs::write(&file, "proc f(a, b) { out y = a / (b + 1); }").unwrap();
+        let args = parse(&[
+            file.to_str().unwrap(),
+            "--optimize",
+            "--alloc",
+            "a1=2,mt1=1,cp1=1,i1=1",
+        ])
+        .unwrap();
+        let e = run(&args).unwrap_err();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(e.contains("need a divider"), "{e}");
+        assert!(e.contains("§5"), "{e}");
+        assert!(!e.contains("scheduling failed"), "{e}");
     }
 
     #[test]
