@@ -405,9 +405,9 @@ impl EvalCache {
         }
     }
 
-    /// A cache whose expansion memo holds at most `records` records
-    /// (the default is [`EXPANSION_MEMO_CAPACITY`](crate::EXPANSION_MEMO_CAPACITY)).
-    pub fn with_memo_capacity(records: usize) -> Self {
+    /// A cache whose expansion memo holds at most `records` records.
+    #[cfg(test)]
+    pub(crate) fn with_memo_capacity(records: usize) -> Self {
         EvalCache {
             expansions: ExpansionMemo::with_capacity(records),
             ..EvalCache::default()

@@ -24,7 +24,7 @@
 //! its unroll map, hold for every run that reaches the record.
 
 use crate::cache::{exact_hash, structural_hash, ContextHasher};
-use fact_ir::{operand_swap_of, prove_equivalent, Equivalence, Function, UnrollMap};
+use fact_ir::{Equivalence, Function, UnrollMap};
 use fact_xform::{Candidate, Parent, Region, TransformKind, TransformLibrary};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +54,7 @@ pub(crate) struct Expanded {
     /// Which of that transformation's outputs it is.
     nth: u32,
     /// What its equivalence checks against the parent found.
-    verdicts: Verdicts,
+    pub(crate) verdicts: Verdicts,
 }
 
 /// What a candidate's equivalence checks against its parent found:
@@ -62,7 +62,7 @@ pub(crate) struct Expanded {
 /// [`fact_ir::prove_equivalent`]'s result. Both are pure functions of
 /// the parent, the candidate and its unroll map, which the candidate's
 /// record fixes, so the first run that makes a check writes its cell and
-/// every later design made from the record reads it (DESIGN §10.5).
+/// every later candidate made from the record reads it (DESIGN §10.5).
 /// What the traces decide — whether the parent was profiled and scored,
 /// the step bound, a derived profile — stays with each run.
 #[derive(Debug, Default)]
@@ -185,69 +185,6 @@ impl ExpansionMemo {
         inner.records += list.len();
         inner.order.push_back(key);
         inner.map.insert(key, list);
-    }
-}
-
-impl ExpansionMemo {
-    /// Checks the memo against a fresh expansion: every neighbourhood it
-    /// holds in the tree under the search input `input` (expanded in
-    /// `region` through `library`) is expanded again, and each record's
-    /// hash, and each verdict it holds, must equal the candidate's
-    /// structural hash and what [`operand_swap_of`] and
-    /// [`prove_equivalent`] answer for it now. Returns how many records
-    /// were visited and how many verdicts checked, or the first
-    /// disagreement.
-    ///
-    /// # Errors
-    /// Names the record that disagrees and how.
-    pub fn audit(
-        &self,
-        input: &Function,
-        region: &Region,
-        library: &TransformLibrary,
-    ) -> Result<(usize, usize), String> {
-        let scope = Scope::new(library, region);
-        let (mut visited, mut checked) = (0, 0);
-        let mut stack = vec![(exact_hash(input), input.clone())];
-        while let Some((id, parent)) = stack.pop() {
-            let Some(records) = self.get(scope.memo_key(id)) else {
-                continue;
-            };
-            let built: Vec<Candidate> = library
-                .candidates_by_transform(&parent, region)
-                .into_iter()
-                .flatten()
-                .collect();
-            if built.len() != records.len() {
-                return Err(format!(
-                    "{} records for {} candidates",
-                    records.len(),
-                    built.len()
-                ));
-            }
-            for (rec, c) in records.iter().zip(built) {
-                visited += 1;
-                let what = &rec.description;
-                if rec.hash != structural_hash(&c.function) {
-                    return Err(format!("{what}: hash differs"));
-                }
-                if let Some(&swap) = rec.verdicts.swap.get() {
-                    checked += 1;
-                    if swap != operand_swap_of(&parent, &c.function).is_some() {
-                        return Err(format!("{what}: stored swap verdict {swap} differs"));
-                    }
-                }
-                if let Some(&proof) = rec.verdicts.proof.get() {
-                    checked += 1;
-                    let now = prove_equivalent(&parent, &c.function, c.unrolled.as_ref());
-                    if proof != now {
-                        return Err(format!("{what}: stored proof {proof:?}, now {now:?}"));
-                    }
-                }
-                stack.push((scope.child_id(id, rec), c.function));
-            }
-        }
-        Ok((visited, checked))
     }
 }
 
@@ -390,12 +327,13 @@ impl From<Candidate> for Built {
     }
 }
 
-/// How to rebuild a design: its record's output of its record's
-/// transformation of the scope's library, applied to `parent` in the
-/// scope's region.
+/// How to rebuild a design: output `nth` of transformation `transform`
+/// of the scope's library, applied to `parent` in the scope's region.
 struct Recipe {
     parent: Arc<Design>,
     scope: Arc<Scope>,
+    transform: u32,
+    nth: u32,
 }
 
 /// A design the search reached: its identity and structural hash always,
@@ -408,50 +346,75 @@ pub(crate) struct Design {
     built: OnceLock<Built>,
     /// `None` for a design built when it was made.
     recipe: Option<Recipe>,
-    /// The neighbourhood record the design was made from, by slot: which
-    /// output the recipe rebuilds, and where its verdicts live. `None`
-    /// for a search input.
-    record: Option<(Arc<[Expanded]>, u32)>,
 }
 
-/// One parent's neighbourhood during one search move: each
-/// transformation's outputs, built at most once, when the evaluator
-/// first reads one of them. The transformations built share one set of
-/// the parent's analyses, as a memo miss's expansion does, and the
-/// transformations whose outputs nobody reads are never run.
+/// One parent's neighbourhood: each transformation's outputs, built at
+/// most once, when something first reads one of them. The
+/// transformations built share one set of the parent's analyses, as a
+/// memo miss's expansion does, and the transformations whose outputs
+/// nobody reads are never run. Every design built through its recipe is
+/// built through one: its parent's neighbourhood in the current search
+/// move, or one of its own when it is read outside a move.
 pub(crate) struct Siblings<'a> {
     parent: &'a Design,
+    /// The neighbourhood `parent` belongs to, which builds it if it is
+    /// unbuilt.
+    origin: Option<&'a Siblings<'a>>,
     scope: &'a Scope,
     analyses: OnceLock<Parent<'a>>,
-    outputs: Box<[OnceLock<Vec<Candidate>>]>,
+    /// One cell per transformation, allocated on the first read: a
+    /// neighbourhood nobody reads, as on a job the cache answers in
+    /// full, costs no allocation.
+    outputs: OnceLock<Box<[OnceLock<Vec<Candidate>>]>>,
 }
 
 impl<'a> Siblings<'a> {
-    /// `parent`'s neighbourhood in `scope`, nothing built yet.
-    pub(crate) fn new(parent: &'a Design, scope: &'a Scope) -> Self {
+    /// `parent`'s neighbourhood in `scope`, nothing built yet; `origin`
+    /// is the neighbourhood `parent` belongs to, if one is at hand.
+    pub(crate) fn new(
+        parent: &'a Design,
+        origin: Option<&'a Siblings<'a>>,
+        scope: &'a Scope,
+    ) -> Self {
         Siblings {
             parent,
+            origin,
             scope,
             analyses: OnceLock::new(),
-            outputs: (0..scope.library.len()).map(|_| OnceLock::new()).collect(),
+            outputs: OnceLock::new(),
         }
     }
 
-    /// Output `nth` of transformation `t`, building the transformation's
-    /// outputs on first read.
-    fn output(&self, t: usize, nth: usize, ledger: &BuildLedger, sink: Sink) -> &Candidate {
-        let outputs = self.outputs[t].get_or_init(|| {
+    /// Whether this is `design`'s neighbourhood.
+    pub(crate) fn is_of(&self, design: &Design) -> bool {
+        std::ptr::eq(self.parent, design)
+    }
+
+    /// Transformation `t`'s outputs, built on first read.
+    fn outputs(&self, t: usize, ledger: &BuildLedger, sink: Sink) -> &[Candidate] {
+        let cells = self.outputs.get_or_init(|| {
+            let n = self.scope.library.len();
+            (0..n).map(|_| OnceLock::new()).collect()
+        });
+        cells[t].get_or_init(|| {
             // Built outside this build's timing: it is a build of its own.
-            let parent = self
-                .analyses
-                .get_or_init(|| Parent::new(self.parent.function(ledger, sink)));
+            let parent = self.analyses.get_or_init(|| {
+                Parent::new(&self.parent.built(self.origin, ledger, sink).function)
+            });
             ledger.build(sink, 1, || {
                 self.scope
                     .library
                     .expand_transform(t, parent, &self.scope.region)
             })
-        });
-        &outputs[nth]
+        })
+    }
+
+    /// Output `nth` of transformation `t`, moved out of a neighbourhood
+    /// nothing else reads.
+    fn into_output(mut self, t: usize, nth: usize, ledger: &BuildLedger, sink: Sink) -> Candidate {
+        self.outputs(t, ledger, sink);
+        let cells = self.outputs.get_mut().expect("just built");
+        cells[t].take().expect("just built").swap_remove(nth)
     }
 }
 
@@ -466,21 +429,17 @@ impl Design {
                 unrolled: None,
             }),
             recipe: None,
-            record: None,
         }
     }
 
-    /// The child `records[slot]` of `parent` in `scope`; `built` is the
-    /// candidate itself when the expansion just built it.
+    /// The child `rec` of `parent` in `scope`; `built` is the candidate
+    /// itself when the expansion just built it.
     pub(crate) fn child(
         parent: &Arc<Design>,
         scope: &Arc<Scope>,
-        records: &Arc<[Expanded]>,
-        slot: usize,
+        rec: &Expanded,
         built: Option<Candidate>,
     ) -> Design {
-        let rec = &records[slot];
-        let id = scope.child_id(parent.id, rec);
         let (built, recipe) = match built {
             Some(c) => (OnceLock::from(Built::from(c)), None),
             None => (
@@ -488,28 +447,26 @@ impl Design {
                 Some(Recipe {
                     parent: parent.clone(),
                     scope: scope.clone(),
+                    transform: rec.transform,
+                    nth: rec.nth,
                 }),
             ),
         };
         Design {
-            id,
+            id: scope.child_id(parent.id, rec),
             hash: rec.hash,
             built,
             recipe,
-            record: Some((records.clone(), slot as u32)),
         }
     }
 
-    /// The record the design was made from (`None` for a search input).
-    fn record(&self) -> Option<&Expanded> {
-        let (records, slot) = self.record.as_ref()?;
-        Some(&records[*slot as usize])
-    }
-
-    /// The verdicts of the record the design was made from (`None` for
-    /// a search input).
-    pub(crate) fn verdicts(&self) -> Option<&Verdicts> {
-        Some(&self.record()?.verdicts)
+    /// The parent a design not built yet is rebuilt from (`None` once
+    /// it is built, or for a design built when it was made).
+    pub(crate) fn unbuilt_parent(&self) -> Option<&Design> {
+        match (&self.recipe, self.built.get()) {
+            (Some(r), None) => Some(&r.parent),
+            _ => None,
+        }
     }
 
     /// The design's function, built on first read.
@@ -517,38 +474,28 @@ impl Design {
         &self.built(None, ledger, sink).function
     }
 
-    /// The function (and unroll map), built on first read: from
-    /// `siblings`, the parent's neighbourhood in the current move, when
-    /// given, else by replaying the one transformation of the recipe.
+    /// The function (and unroll map), built on first read through
+    /// `siblings`, the parent's neighbourhood, when given, else through
+    /// a neighbourhood of the parent's own.
     fn built(&self, siblings: Option<&Siblings>, ledger: &BuildLedger, sink: Sink) -> &Built {
         self.built.get_or_init(|| {
             let r = self
                 .recipe
                 .as_ref()
                 .expect("a design without a recipe is built when made");
-            let rec = self.record().expect("a design with a recipe has a record");
-            let (t, nth) = (rec.transform as usize, rec.nth as usize);
+            let (t, nth) = (r.transform as usize, r.nth as usize);
             match siblings {
                 Some(s) => {
-                    debug_assert!(std::ptr::eq(s.parent, &*r.parent));
-                    let c = s.output(t, nth, ledger, sink);
+                    debug_assert!(s.is_of(&r.parent));
+                    let c = &s.outputs(t, ledger, sink)[nth];
                     Built {
                         function: c.function.clone(),
                         unrolled: c.unrolled.clone(),
                     }
                 }
-                None => {
-                    // Built outside this build's timing: a build of its own.
-                    let parent = Parent::new(r.parent.function(ledger, sink));
-                    let (library, region) = (&r.scope.library, &r.scope.region);
-                    Built::from(
-                        ledger
-                            .build(sink, 1, || library.expand_transform(t, &parent, region))
-                            .into_iter()
-                            .nth(nth)
-                            .expect("a recipe replays its exact parent"),
-                    )
-                }
+                None => Siblings::new(&r.parent, None, &r.scope)
+                    .into_output(t, nth, ledger, sink)
+                    .into(),
             }
         })
     }
@@ -590,10 +537,13 @@ impl Expander<'_> {
     /// `parent`'s neighbourhood in `scope`: the records of its
     /// candidates in expansion order, and — on a memo miss, which builds
     /// the neighbourhood in full and records it — the candidates
-    /// themselves, slot for slot (empty on a hit: nothing is built).
+    /// themselves, slot for slot (empty on a hit: nothing is built). An
+    /// unbuilt `parent` is built through `origin`, the neighbourhood it
+    /// belongs to, when given.
     pub(crate) fn expand(
         &self,
         parent: &Design,
+        origin: Option<&Siblings>,
         scope: &Scope,
     ) -> (Arc<[Expanded]>, Vec<Option<Candidate>>) {
         let key = scope.memo_key(parent.id);
@@ -601,7 +551,7 @@ impl Expander<'_> {
             self.ledger.memoized.fetch_add(1, Ordering::Relaxed);
             return (records, Vec::new());
         }
-        let f = parent.function(self.ledger, Sink::Search);
+        let f = &parent.built(origin, self.ledger, Sink::Search).function;
         let by_transform = self.ledger.build(Sink::Search, scope.library.len(), || {
             scope.library.candidates_by_transform(f, &scope.region)
         });
@@ -625,5 +575,323 @@ impl Expander<'_> {
             memo.insert(key, records.clone());
         }
         (records, built)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cache::EvalCache;
+    use crate::pipeline::{optimize_pareto_with, optimize_with, FactConfig, OptimizeHooks};
+    use crate::suite::{suite, Benchmark};
+    use crate::Objective;
+    use fact_estim::section5_library;
+    use fact_ir::{operand_swap_of, prove_equivalent};
+    use fact_sched::{FuLibrary, SelectionRules};
+    use fact_sim::{InputSpec, TraceSet};
+
+    /// Checks `memo` against a fresh expansion: every neighbourhood it
+    /// holds in the tree under the search input `input` is expanded
+    /// again, and each record's hash, and each verdict it holds, must
+    /// equal the candidate's structural hash and what `operand_swap_of`
+    /// and `prove_equivalent` answer for it now. Returns how many
+    /// records were visited and how many verdicts checked, or the first
+    /// disagreement.
+    fn audit(
+        memo: &ExpansionMemo,
+        input: &Function,
+        region: &Region,
+        library: &TransformLibrary,
+    ) -> Result<(usize, usize), String> {
+        let scope = Scope::new(library, region);
+        let (mut visited, mut checked) = (0, 0);
+        let mut stack = vec![(exact_hash(input), input.clone())];
+        while let Some((id, parent)) = stack.pop() {
+            let Some(records) = memo.get(scope.memo_key(id)) else {
+                continue;
+            };
+            let built: Vec<Candidate> = library
+                .candidates_by_transform(&parent, region)
+                .into_iter()
+                .flatten()
+                .collect();
+            if built.len() != records.len() {
+                return Err(format!(
+                    "{} records for {} candidates",
+                    records.len(),
+                    built.len()
+                ));
+            }
+            for (rec, c) in records.iter().zip(built) {
+                visited += 1;
+                let what = &rec.description;
+                if rec.hash != structural_hash(&c.function) {
+                    return Err(format!("{what}: hash differs"));
+                }
+                if let Some(&swap) = rec.verdicts.swap.get() {
+                    checked += 1;
+                    if swap != operand_swap_of(&parent, &c.function).is_some() {
+                        return Err(format!("{what}: stored swap verdict {swap} differs"));
+                    }
+                }
+                if let Some(&proof) = rec.verdicts.proof.get() {
+                    checked += 1;
+                    let now = prove_equivalent(&parent, &c.function, c.unrolled.as_ref());
+                    if proof != now {
+                        return Err(format!("{what}: stored proof {proof:?}, now {now:?}"));
+                    }
+                }
+                stack.push((scope.child_id(id, rec), c.function));
+            }
+        }
+        Ok((visited, checked))
+    }
+
+    fn config(objective: Objective) -> FactConfig {
+        let mut c = FactConfig {
+            objective,
+            ..FactConfig::default()
+        };
+        c.search.max_evaluations = 150;
+        c.search.threads = 2;
+        c
+    }
+
+    /// `traces` plus an input, `nonce`, that no program reads: the same
+    /// runs, under an evaluation context no cached score belongs to.
+    fn retraced(traces: &TraceSet, nonce: i64) -> TraceSet {
+        TraceSet::new(
+            traces
+                .vectors
+                .iter()
+                .map(|v| {
+                    let mut v = v.clone();
+                    v.insert("nonce".to_string(), nonce);
+                    v
+                })
+                .collect(),
+        )
+    }
+
+    struct Job<'a> {
+        b: &'a Benchmark,
+        fus: &'a FuLibrary,
+        rules: &'a SelectionRules,
+        tlib: &'a TransformLibrary,
+    }
+
+    impl Job<'_> {
+        fn hooks(cache: Option<&EvalCache>) -> OptimizeHooks<'_> {
+            OptimizeHooks {
+                cache,
+                stop: None,
+                timers: None,
+            }
+        }
+
+        fn optimize(
+            &self,
+            traces: &TraceSet,
+            config: &FactConfig,
+            cache: Option<&EvalCache>,
+        ) -> crate::FactResult {
+            let b = self.b;
+            optimize_with(
+                &b.function,
+                self.fus,
+                self.rules,
+                &b.allocation,
+                traces,
+                self.tlib,
+                config,
+                Self::hooks(cache),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name))
+        }
+
+        fn pareto(&self, config: &FactConfig, cache: &EvalCache) {
+            let b = self.b;
+            optimize_pareto_with(
+                &b.function,
+                self.fus,
+                self.rules,
+                &b.allocation,
+                &b.traces,
+                self.tlib,
+                config,
+                Self::hooks(Some(cache)),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", b.name));
+        }
+    }
+
+    /// The suite, plus a fused loop the extended library's fission
+    /// splits.
+    fn programs(fus: &FuLibrary) -> Vec<Benchmark> {
+        let mut programs = suite(fus);
+        let mut allocation = fact_sched::Allocation::new();
+        for (u, c) in [("a1", 2), ("mt1", 1), ("cp1", 2), ("i1", 2), ("sb1", 1)] {
+            allocation.set(fus.by_name(u).unwrap(), c);
+        }
+        let spec = InputSpec::Uniform { lo: 0, hi: 5 };
+        programs.push(Benchmark {
+            name: "fused",
+            function: fact_lang::compile(
+                "proc fused(n, a, b) { array x[128]; array y[128]; var i = 0; \
+                 while (i < n) { x[i] = (a * i) * 3; y[i] = b + i + b; i = i + 1; } }",
+            )
+            .unwrap(),
+            allocation,
+            traces: fact_sim::generate(
+                &[
+                    ("n".to_string(), InputSpec::Constant(40)),
+                    ("a".to_string(), spec.clone()),
+                    ("b".to_string(), spec),
+                ],
+                4,
+                77,
+            ),
+        });
+        programs
+    }
+
+    #[test]
+    fn stored_verdicts_equal_the_checks_run_again() {
+        // One region, the whole function, so every neighbourhood the
+        // memo holds lies in the tree under the input, which the audit
+        // walks: each parent is expanded again and each stored verdict
+        // compared with `operand_swap_of` and `prove_equivalent` on the
+        // functions.
+        let (fus, rules) = section5_library();
+        let mut c = config(Objective::Throughput);
+        c.partition = crate::PartitionConfig {
+            threshold_fraction: 2.0,
+        };
+        for (name, tlib) in [
+            ("full", TransformLibrary::full()),
+            ("extended", TransformLibrary::extended()),
+        ] {
+            for b in &programs(&fus) {
+                let what = format!("{} {name}", b.name);
+                let job = Job {
+                    b,
+                    fus: &fus,
+                    rules: &rules,
+                    tlib: &tlib,
+                };
+                let cache = EvalCache::default();
+                let throughput = job.optimize(&b.traces, &c, Some(&cache));
+                if b.name == "fused" && name == "extended" {
+                    assert!(
+                        throughput
+                            .applied
+                            .iter()
+                            .any(|step| step.starts_with("distribute loop")),
+                        "{what}: fission applied: {:?}",
+                        throughput.applied
+                    );
+                    let fission = TransformKind::LoopDistribution.index();
+                    assert!(throughput.candidates.simulated[fission] > 0, "{what}");
+                }
+                let power = FactConfig {
+                    objective: Objective::Power,
+                    ..c.clone()
+                };
+                job.optimize(&retraced(&b.traces, 2), &power, Some(&cache));
+                job.pareto(&c, &cache);
+                let memo = cache.expansions();
+                let (visited, checked) = audit(memo, &b.function, &Region::whole(), &tlib)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(visited, memo.records(), "{what}: every record audited");
+                assert!(checked > 0, "{what}: some verdict stored");
+            }
+        }
+    }
+
+    /// Every field of `r` but the memo counters and the schedule's
+    /// maps, whose `Debug` order varies: the winner by its IR, the
+    /// schedule by its STG.
+    fn outcome(r: &crate::FactResult) -> String {
+        format!(
+            "applied {:?}\nevaluated {} blocks {} batches {} batch candidates {} lanes {} \
+             stopped {}\nestimate {:?}\nbaseline {:?}\ncache hits {} full {} spliced {} \
+             vectors {} simulated {} batched {} candidates {:?} reference {}\n\
+             winner\n{:?}\nstg\n{}",
+            r.applied,
+            r.evaluated,
+            r.blocks_optimized,
+            r.neighborhood_batches,
+            r.mega_candidates,
+            r.mega_lanes,
+            r.stopped,
+            r.estimate,
+            r.baseline,
+            r.cache_hits,
+            r.full_reschedules,
+            r.block_spliced,
+            r.sim_vectors,
+            r.sim_engine_scalar,
+            r.sim_engine_batched,
+            r.candidates,
+            r.reference_captured,
+            r.best,
+            r.schedule.stg.pretty(&r.schedule.function),
+        )
+    }
+
+    #[test]
+    fn results_hold_when_the_memo_cap_is_below_one_job() {
+        // A capped memo evicts all the time, so verdicts are lost with
+        // their records; that only costs checks and rebuilds, never a
+        // different result. Two jobs run on each capped memo: one on
+        // traces nobody else uses, then another objective on the
+        // program's own traces, which reads the verdicts the first left
+        // in the records its inserts have not evicted yet. A memo of half
+        // of the first job's records cannot hold even that job; one of
+        // all its records holds it but not the second job as well.
+        let (fus, rules) = section5_library();
+        let tlib = TransformLibrary::full();
+        let (mut memoized, mut verdicts) = (0, 0);
+        for b in &suite(&fus) {
+            let job = Job {
+                b,
+                fus: &fus,
+                rules: &rules,
+                tlib: &tlib,
+            };
+            let traces = retraced(&b.traces, 3);
+            for (first, second) in [
+                (Objective::Throughput, Objective::Power),
+                (Objective::Power, Objective::Throughput),
+            ] {
+                let what = format!("{} {first:?} then {second:?}", b.name);
+                let (first, second) = (config(first), config(second));
+                let unbounded = EvalCache::default();
+                let want_first = job.optimize(&traces, &first, Some(&unbounded));
+                let one_job = unbounded.expansions().records();
+                let want_second = job.optimize(&b.traces, &second, Some(&unbounded));
+                let two_jobs = unbounded.expansions().records();
+                for cap in [one_job / 2, one_job] {
+                    let what = format!("{what}, cap {cap} of {one_job}");
+                    let small = EvalCache::with_memo_capacity(cap);
+                    let got = job.optimize(&traces, &first, Some(&small));
+                    assert_eq!(outcome(&got), outcome(&want_first), "{what}");
+                    let got = job.optimize(&b.traces, &second, Some(&small));
+                    assert_eq!(outcome(&got), outcome(&want_second), "{what}");
+                    let memo = small.expansions();
+                    assert!(
+                        !memo.is_empty() && memo.records() <= cap,
+                        "{what}: {memo:?}"
+                    );
+                    if two_jobs > cap {
+                        // Read while evicting.
+                        memoized += got.neighborhoods_memoized;
+                        verdicts += got.verdicts_memoized;
+                    }
+                }
+            }
+        }
+        assert!(memoized > 0, "some expansion came from a capped memo");
+        assert!(verdicts > 0, "some verdict came from a capped memo");
     }
 }

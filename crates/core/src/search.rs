@@ -41,7 +41,9 @@
 //! [`EvalCache`]: crate::EvalCache
 
 use crate::cache::structural_hash;
-use crate::expand::{BuildLedger, Design, Expander, Lazy, Scope, Siblings, Sink, Verdicts};
+use crate::expand::{
+    BuildLedger, Design, Expanded, Expander, Lazy, Scope, Siblings, Sink, Verdicts,
+};
 use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
 use fact_ir::{Function, UnrollMap};
 use fact_prng::rngs::StdRng;
@@ -156,6 +158,9 @@ pub struct MegaCandidate<'a> {
     /// Where the candidate came from; `None` for a search input.
     pub origin: Option<Origin<'a>>,
     lazy: Lazy<'a>,
+    /// The verdict cells of the candidate's expansion record (`None`
+    /// for a search input).
+    verdicts: Option<&'a Verdicts>,
 }
 
 impl<'a> MegaCandidate<'a> {
@@ -175,7 +180,7 @@ impl<'a> MegaCandidate<'a> {
     /// expansion record (`None` for a search input). Reading it builds
     /// nothing.
     pub(crate) fn verdicts(&self) -> Option<&'a Verdicts> {
-        self.lazy.design.verdicts()
+        self.verdicts
     }
 }
 
@@ -222,6 +227,8 @@ struct Candidate {
     design: Arc<Design>,
     /// Index of the parent in the move's `In_set`.
     parent: usize,
+    /// Index of the candidate's record in its parent's neighbourhood.
+    slot: usize,
     kind: TransformKind,
     description: Arc<str>,
 }
@@ -299,6 +306,7 @@ fn run_search<R: Ranking>(
                     siblings: None,
                     ledger,
                 },
+                verdicts: None,
             }],
         )
         .remove(0);
@@ -334,12 +342,33 @@ fn run_search<R: Ranking>(
                 stopped = true;
                 break 'rounds;
             }
+            // The neighbourhoods unbuilt frontier elements come from, one
+            // per parent: siblings read in this move share its builds.
+            let mut origins: Vec<Siblings<'_>> = Vec::new();
+            let origin_slot: Vec<Option<usize>> = in_set
+                .iter()
+                .map(|g| {
+                    let p = g.design.unbuilt_parent()?;
+                    let slot = origins.iter().position(|o| o.is_of(p));
+                    Some(slot.unwrap_or_else(|| {
+                        origins.push(Siblings::new(p, None, &scope));
+                        origins.len() - 1
+                    }))
+                })
+                .collect();
+            let origin = |parent: usize| origin_slot[parent].map(|i| &origins[i]);
+
             // Stage 1: expand the neighborhood of every frontier element,
             // dedup by structural hash, truncate to the budget.
             let budget = config.max_evaluations.saturating_sub(evaluated);
             let mut candidates: Vec<Candidate> = Vec::new();
+            // Each expanded parent's records, by `In_set` index: where the
+            // candidates' verdict cells live while they are evaluated.
+            let mut neighbourhoods: Vec<Arc<[Expanded]>> = Vec::new();
             'expand: for (parent, g) in in_set.iter().enumerate() {
-                let (records, mut built) = expander.expand(&g.design, &scope);
+                let (records, mut built) = expander.expand(&g.design, origin(parent), &scope);
+                neighbourhoods.push(records);
+                let records = &neighbourhoods[parent];
                 for (slot, rec) in records.iter().enumerate() {
                     if candidates.len() >= budget {
                         break 'expand;
@@ -349,8 +378,9 @@ fn run_search<R: Ranking>(
                     }
                     let c = built.get_mut(slot).and_then(Option::take);
                     candidates.push(Candidate {
-                        design: Arc::new(Design::child(&g.design, &scope, &records, slot, c)),
+                        design: Arc::new(Design::child(&g.design, &scope, rec, c)),
                         parent,
+                        slot,
                         kind: rec.kind,
                         description: rec.description.clone(),
                     });
@@ -364,7 +394,8 @@ fn run_search<R: Ranking>(
             let scores = {
                 let siblings: Vec<Siblings<'_>> = in_set
                     .iter()
-                    .map(|g| Siblings::new(&g.design, &scope))
+                    .enumerate()
+                    .map(|(i, g)| Siblings::new(&g.design, origin(i), &scope))
                     .collect();
                 let batch: Vec<MegaCandidate<'_>> = candidates
                     .iter()
@@ -377,7 +408,7 @@ fn run_search<R: Ranking>(
                                 kind: c.kind,
                                 parent: Lazy {
                                     design: parent,
-                                    siblings: None,
+                                    siblings: origin(c.parent),
                                     ledger,
                                 },
                             }),
@@ -386,6 +417,7 @@ fn run_search<R: Ranking>(
                                 siblings: Some(&siblings[c.parent]),
                                 ledger,
                             },
+                            verdicts: Some(&neighbourhoods[c.parent][c.slot].verdicts),
                         }
                     })
                     .collect();
