@@ -53,8 +53,8 @@ fn main() {
         for s in &p.suites {
             eprintln!(
                 "  {:8} {:5} evals {:7.3}s {:8.0} evals/sec cache {:4.0}% \
-                 inherited {} (setup {:.3}s build {:.3}s expand {:.3}s compile {:.3}s \
-                 prove {:.3}s sim {:.3}s est {:.3}s, of it sched {:.3}s) \
+                 inherited {} unproved {} (setup {:.3}s build {:.3}s expand {:.3}s \
+                 prove {:.3}s est {:.3}s, of it sched {:.3}s) \
                  warm {:.4}s built {} retraced {:.4}s (prove {:.3}s build {:.3}s, \
                  {} verdicts memoized)",
                 s.name,
@@ -63,12 +63,11 @@ fn main() {
                 s.evals_per_sec,
                 s.cache_hit_rate * 100.0,
                 s.inherited,
+                s.unproved,
                 s.setup_s,
                 s.build_s,
                 s.expand_s,
-                s.compile_s,
                 s.prove_s,
-                s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
                 s.warm.wall_s,

@@ -22,7 +22,6 @@ use fact_core::{
 };
 use fact_estim::section5_library;
 use fact_sim::TraceSet;
-use fact_xform::TransformKind;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
@@ -47,33 +46,25 @@ pub struct SuitePerf {
     /// Candidates proved equivalent to their parent, search inputs
     /// included ([`fact_core::CandidateCounts::proved_total`]).
     pub proved: u64,
-    /// Unrolled candidates whose profile was derived
+    /// Unrolled or fissioned candidates whose profile was derived
     /// ([`fact_core::CandidateCounts::derived_total`]).
     pub derived: u64,
-    /// Candidates simulated, search inputs included
-    /// ([`fact_core::CandidateCounts::simulated_total`]).
-    pub simulated: u64,
-    /// Whether the run captured the equivalence reference
-    /// ([`fact_core::FactResult::reference_captured`]).
-    pub reference_captured: bool,
+    /// Candidates rejected unproved
+    /// ([`fact_core::CandidateCounts::unproved_total`]).
+    pub unproved: u64,
+    /// Parents and search inputs profiled inside the search
+    /// ([`fact_core::CandidateCounts::parents_profiled`]).
+    pub parents_profiled: u64,
     /// Wall time outside the search — set-up and the winner's final
     /// re-estimate — seconds ([`PhaseTimers::setup_ns`]).
     pub setup_s: f64,
-    /// Wall time spent compiling candidates, seconds
-    /// ([`PhaseTimers::compile_ns`]).
-    pub compile_s: f64,
     /// Wall time spent proving candidates equivalent to their parents,
     /// proved or not, seconds ([`PhaseTimers::prove_ns`]).
     pub prove_s: f64,
-    /// Wall time spent deriving unrolled candidates' profiles from their
-    /// parents' counts, seconds ([`PhaseTimers::derive_ns`]).
+    /// Wall time spent deriving unrolled and fissioned candidates'
+    /// profiles from their parents' counts, seconds
+    /// ([`PhaseTimers::derive_ns`]).
     pub derive_s: f64,
-    /// Unrolled candidates simulated (not proved, or their parent was
-    /// never profiled).
-    pub unroll_simulated: u64,
-    /// Wall time spent simulating (verification and profiling), seconds
-    /// ([`PhaseTimers::simulate_ns`]).
-    pub simulate_s: f64,
     /// Wall time spent scheduling and estimating, seconds
     /// ([`PhaseTimers::estimate_ns`]).
     pub estimate_s: f64,
@@ -158,10 +149,10 @@ pub struct Retraced {
     /// Children proved equivalent to their parent, search inputs not
     /// included ([`CandidateCounts::proved`] summed over kinds).
     pub proved: u64,
-    /// Unrolled candidates whose profile was derived.
+    /// Unrolled or fissioned candidates whose profile was derived.
     pub derived: u64,
-    /// Candidates simulated, search inputs included.
-    pub simulated: u64,
+    /// Candidates rejected unproved.
+    pub unproved: u64,
     /// Candidates whose swap or proof verdict came from their record
     /// (`FactResult::verdicts_memoized`).
     pub verdicts_memoized: u64,
@@ -262,14 +253,9 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
         };
         let run = |hooks| run_on(&b.traces, hooks);
         let (r, wall_s) = run(hooks);
-        let (evaluated, cache_hits, c, reference_captured) = match &r {
-            Ok(r) => (
-                r.evaluated,
-                r.cache_hits,
-                r.candidates,
-                r.reference_captured,
-            ),
-            Err(_) => (0, 0, CandidateCounts::default(), false),
+        let (evaluated, cache_hits, c) = match &r {
+            Ok(r) => (r.evaluated, r.cache_hits, r.candidates),
+            Err(_) => (0, 0, CandidateCounts::default()),
         };
         let cs = cache.stats();
         let outcome = r
@@ -315,7 +301,7 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
                 inherited: c.inherited_total(),
                 proved: c.proved.iter().sum(),
                 derived: c.derived_total(),
-                simulated: c.simulated_total(),
+                unproved: c.unproved_total(),
                 verdicts_memoized: re.verdicts_memoized,
                 outcome: Outcome::of(re, config),
                 uncached_evaluated: plain.evaluated,
@@ -337,14 +323,11 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             inherited: c.inherited_total(),
             proved: c.proved_total(),
             derived: c.derived_total(),
-            simulated: c.simulated_total(),
-            reference_captured,
+            unproved: c.unproved_total(),
+            parents_profiled: c.parents_profiled,
             setup_s: timers.setup_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            compile_s: timers.compile_ns.load(Ordering::Relaxed) as f64 / 1e9,
             prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
             derive_s: timers.derive_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            unroll_simulated: c.simulated[TransformKind::LoopUnroll.index()],
-            simulate_s: timers.simulate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
             schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
             expand_s: timers.expand_ns.load(Ordering::Relaxed) as f64 / 1e9,
@@ -384,7 +367,7 @@ fn outcome_json(o: &Outcome) -> String {
 fn retraced_json(r: &Retraced) -> String {
     format!(
         "{{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, \"inherited\": {}, \
-         \"proved\": {}, \"derived\": {}, \"simulated\": {}, \"verdicts_memoized\": {}, \
+         \"proved\": {}, \"derived\": {}, \"unproved\": {}, \"verdicts_memoized\": {}, \
          \"prove_s\": {:.4}, \"build_s\": {:.4}, {}, \
          \"uncached\": {{\"evaluated\": {}, {}}}}}",
         r.wall_s,
@@ -393,7 +376,7 @@ fn retraced_json(r: &Retraced) -> String {
         r.inherited,
         r.proved,
         r.derived,
-        r.simulated,
+        r.unproved,
         r.verdicts_memoized,
         r.prove_s,
         r.build_s,
@@ -415,10 +398,9 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
             out.push_str(&format!(
                 "        {{\"name\": \"{}\", \"evaluated\": {}, \"cache_hits\": {}, \
                  \"wall_s\": {:.4}, \"evals_per_sec\": {:.1}, \"cache_hit_rate\": {:.4}, \
-                 \"inherited\": {}, \"proved\": {}, \"derived\": {}, \"simulated\": {}, \
-                 \"reference_captured\": {}, \
-                 \"setup_s\": {:.4}, \"compile_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \
-                 \"unroll_simulated\": {}, \"simulate_s\": {:.4}, \"estimate_s\": {:.4}, \
+                 \"inherited\": {}, \"proved\": {}, \"derived\": {}, \"unproved\": {}, \
+                 \"parents_profiled\": {}, \
+                 \"setup_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \"estimate_s\": {:.4}, \
                  \"schedule_s\": {:.4}, \"expand_s\": {:.4}, \"build_s\": {:.4}, {}, \
                  \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, {}}}, \
                  \"retraced\": {}}}{}\n",
@@ -431,14 +413,11 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.inherited,
                 s.proved,
                 s.derived,
-                s.simulated,
-                s.reference_captured,
+                s.unproved,
+                s.parents_profiled,
                 s.setup_s,
-                s.compile_s,
                 s.prove_s,
                 s.derive_s,
-                s.unroll_simulated,
-                s.simulate_s,
                 s.estimate_s,
                 s.schedule_s,
                 s.expand_s,
@@ -518,15 +497,11 @@ mod tests {
             );
             assert_eq!(
                 s.evaluated as u64,
-                s.inherited + s.proved + s.derived + s.simulated + s.cache_hits as u64,
+                s.inherited + s.proved + s.derived + s.unproved + s.cache_hits as u64,
                 "{}: every evaluation is accounted for",
                 s.name
             );
-            assert!(
-                !s.reference_captured,
-                "{}: a fresh suite run captures no equivalence reference",
-                s.name
-            );
+            assert_eq!(s.unproved, 0, "{}: every suite candidate is proved", s.name);
             let re = &s.retraced;
             assert_eq!(re.evaluated, re.uncached_evaluated, "{}", s.name);
             assert_eq!(

@@ -1,13 +1,13 @@
 //! Simulation-throughput measurement: trace vectors/sec over the §5
 //! suite behaviors.
 //!
-//! Simulation (equivalence checks + branch profiling) is the layer a
-//! candidate the prover cannot show equivalent pays for, so this module
-//! measures it in isolation: how many trace vectors per second the
-//! production pass sustains when profiling a suite behavior over a large
-//! trace set drawn from the benchmark's own input distributions
-//! ([`fact_core::suite::input_specs`]). Each pass is one [`simulate`]
-//! call with no reference (the profile pass). The `sim_perf` bench target
+//! Simulation (branch profiling) is what a run pays for its input, its
+//! winner's final estimate and the parents the shared cache answered, so
+//! this module measures it in isolation: how many trace vectors per
+//! second the production pass sustains when profiling a suite behavior
+//! over a large trace set drawn from the benchmark's own input
+//! distributions ([`fact_core::suite::input_specs`]). Each pass is one
+//! [`simulate`] call (the profile pass). The `sim_perf` bench target
 //! writes the result as `BENCH_sim.json`.
 //!
 //! Vectors are counted *logically* ([`fact_sim::Simulation::vectors`]):
@@ -68,7 +68,7 @@ fn measure(
     let (mut passes, mut vectors) = (0usize, 0u64);
     let t0 = Instant::now();
     loop {
-        vectors += std::hint::black_box(simulate(cf, traces, None)).vectors;
+        vectors += std::hint::black_box(simulate(cf, traces)).vectors;
         passes += 1;
         if passes >= min_passes && (t0.elapsed().as_secs_f64() >= min_wall_s || passes >= 20_000) {
             break;

@@ -596,8 +596,14 @@ pub struct SnapshotLoad {
 }
 
 /// Snapshot file magic + format version. Bump the trailing digit on any
-/// incompatible record-format change; a mismatch loads as empty.
-const SNAPSHOT_MAGIC: &[u8; 8] = b"FACTEVC1";
+/// incompatible record-format change, and on any change in what a stored
+/// score means — a file whose scores a different evaluation produced
+/// must not answer for this one. A mismatch loads as empty.
+///
+/// Version 2: candidates are accepted only when proved equivalent to
+/// their parent; version 1's scores include candidates accepted by
+/// simulation alone.
+const SNAPSHOT_MAGIC: &[u8; 8] = b"FACTEVC2";
 /// Record payload: key u64 + presence tag u8 + score f64 bits.
 const RECORD_PAYLOAD: usize = 17;
 /// Full on-disk record: u32 length prefix + payload + u64 checksum.
@@ -841,6 +847,20 @@ mod tests {
             }
         );
         assert_eq!(warm.entries_sorted(), c.entries_sorted());
+    }
+
+    #[test]
+    fn version_one_snapshots_load_as_empty() {
+        let path = TempPath::new("v1");
+        seeded_cache(10, 5).save_snapshot(&path.0).unwrap();
+        let mut bytes = std::fs::read(&path.0).unwrap();
+        assert_eq!(&bytes[..8], SNAPSHOT_MAGIC);
+        bytes[..8].copy_from_slice(b"FACTEVC1");
+        std::fs::write(&path.0, &bytes).unwrap();
+        let warm = EvalCache::new(2);
+        let load = warm.load_snapshot(&path.0).unwrap();
+        assert_eq!(load.entries, 0);
+        assert!(warm.is_empty());
     }
 
     #[test]

@@ -21,18 +21,20 @@
 //! a deterministic function of these. So a hit replays what expanding
 //! the parent would have produced, record for record — and a record's
 //! verdicts, which depend on nothing but the parent, the candidate and
-//! its unroll map, hold for every run that reaches the record.
+//! its graph map, hold for every run that reaches the record.
 
 use crate::cache::{exact_hash, structural_hash, ContextHasher};
-use fact_ir::{Equivalence, Function, UnrollMap};
+use fact_ir::{Equivalence, Function, GraphMap};
 use fact_xform::{Candidate, Parent, Region, TransformKind, TransformLibrary};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// How many candidate records the [`ExpansionMemo`] holds at most.
-/// Inserting beyond it evicts the oldest neighbourhoods first; an evicted
-/// neighbourhood is rebuilt on its next use, with the same result.
+/// Inserting beyond it evicts the oldest neighbourhoods first, except that
+/// one read since it was last passed over gets a second chance; an
+/// evicted neighbourhood is rebuilt on its next use, with the same
+/// result.
 ///
 /// A record is about 130 bytes (most of it the description, 32 of it the
 /// verdict cells), so the cap keeps the memo under about 2.5 MiB. The 18 paper-sized jobs of three
@@ -60,7 +62,7 @@ pub(crate) struct Expanded {
 /// What a candidate's equivalence checks against its parent found:
 /// [`fact_ir::operand_swap_of`]'s verdict and
 /// [`fact_ir::prove_equivalent`]'s result. Both are pure functions of
-/// the parent, the candidate and its unroll map, which the candidate's
+/// the parent, the candidate and its graph map, which the candidate's
 /// record fixes, so the first run that makes a check writes its cell and
 /// every later candidate made from the record reads it (DESIGN §10.5).
 /// What the traces decide — whether the parent was profiled and scored,
@@ -114,11 +116,19 @@ pub struct ExpansionMemo {
 
 #[derive(Default)]
 struct MemoInner {
-    map: HashMap<u64, Arc<[Expanded]>>,
-    /// Keys in insertion order: the eviction order.
+    map: HashMap<u64, Held>,
+    /// Keys in eviction order: insertion order, with each neighbourhood
+    /// given a second chance moved to the back.
     order: VecDeque<u64>,
     /// Records across every held neighbourhood.
     records: usize,
+}
+
+/// One held neighbourhood.
+struct Held {
+    records: Arc<[Expanded]>,
+    /// Read since eviction last passed over it.
+    used: bool,
 }
 
 impl ExpansionMemo {
@@ -157,12 +167,18 @@ impl ExpansionMemo {
     }
 
     fn get(&self, key: u64) -> Option<Arc<[Expanded]>> {
-        self.lock().map.get(&key).cloned()
+        let mut inner = self.lock();
+        let held = inner.map.get_mut(&key)?;
+        held.used = true;
+        Some(held.records.clone())
     }
 
-    /// Stores `list` under `key`, evicting the oldest neighbourhoods to
-    /// stay within the capacity. A racing second insert of a key is a
-    /// no-op (both writers expanded the same parent alike).
+    /// Stores `list` under `key`, evicting neighbourhoods to stay within
+    /// the capacity: the oldest first, but one read since eviction last
+    /// passed over it is moved to the back once instead (the second
+    /// chance of the clock algorithm), so a neighbourhood jobs keep
+    /// reading outlives those read once. A racing second insert of a key
+    /// is a no-op (both writers expanded the same parent alike).
     fn insert(&self, key: u64, list: Arc<[Expanded]>) {
         if list.len() > self.capacity {
             return;
@@ -176,15 +192,26 @@ impl ExpansionMemo {
                 .order
                 .pop_front()
                 .expect("records above zero means a neighbourhood is held");
-            let evicted = inner
+            let held = inner
                 .map
-                .remove(&old)
+                .get_mut(&old)
                 .expect("the order lists held keys only");
-            inner.records -= evicted.len();
+            if std::mem::take(&mut held.used) {
+                inner.order.push_back(old);
+                continue;
+            }
+            let evicted = inner.map.remove(&old).expect("just found");
+            inner.records -= evicted.records.len();
         }
         inner.records += list.len();
         inner.order.push_back(key);
-        inner.map.insert(key, list);
+        inner.map.insert(
+            key,
+            Held {
+                records: list,
+                used: false,
+            },
+        );
     }
 }
 
@@ -311,18 +338,18 @@ impl BuildLedger {
     }
 }
 
-/// A built design: the function, and for a loop unrolled by 2 how its
-/// blocks stand for its parent's.
+/// A built design: the function, and for a loop unrolled by 2 or split
+/// by fission how its blocks stand for its parent's.
 struct Built {
     function: Function,
-    unrolled: Option<UnrollMap>,
+    map: Option<GraphMap>,
 }
 
 impl From<Candidate> for Built {
     fn from(c: Candidate) -> Self {
         Built {
             function: c.function,
-            unrolled: c.unrolled,
+            map: c.map,
         }
     }
 }
@@ -426,7 +453,7 @@ impl Design {
             hash,
             built: OnceLock::from(Built {
                 function,
-                unrolled: None,
+                map: None,
             }),
             recipe: None,
         }
@@ -474,7 +501,7 @@ impl Design {
         &self.built(None, ledger, sink).function
     }
 
-    /// The function (and unroll map), built on first read through
+    /// The function (and graph map), built on first read through
     /// `siblings`, the parent's neighbourhood, when given, else through
     /// a neighbourhood of the parent's own.
     fn built(&self, siblings: Option<&Siblings>, ledger: &BuildLedger, sink: Sink) -> &Built {
@@ -490,7 +517,7 @@ impl Design {
                     let c = &s.outputs(t, ledger, sink)[nth];
                     Built {
                         function: c.function.clone(),
-                        unrolled: c.unrolled.clone(),
+                        map: c.map.clone(),
                     }
                 }
                 None => Siblings::new(&r.parent, None, &r.scope)
@@ -517,10 +544,10 @@ impl<'a> Lazy<'a> {
             .function
     }
 
-    pub(crate) fn unrolled(self) -> Option<&'a UnrollMap> {
+    pub(crate) fn map(self) -> Option<&'a GraphMap> {
         self.design
             .built(self.siblings, self.ledger, Sink::Eval)
-            .unrolled
+            .map
             .as_ref()
     }
 }
@@ -636,7 +663,7 @@ mod tests {
                 }
                 if let Some(&proof) = rec.verdicts.proof.get() {
                     checked += 1;
-                    let now = prove_equivalent(&parent, &c.function, c.unrolled.as_ref());
+                    let now = prove_equivalent(&parent, &c.function, c.map.as_ref());
                     if proof != now {
                         return Err(format!("{what}: stored proof {proof:?}, now {now:?}"));
                     }
@@ -791,7 +818,8 @@ mod tests {
                         throughput.applied
                     );
                     let fission = TransformKind::LoopDistribution.index();
-                    assert!(throughput.candidates.simulated[fission] > 0, "{what}");
+                    let c = &throughput.candidates;
+                    assert!(c.proved[fission] + c.derived[fission] > 0, "{what}");
                 }
                 let power = FactConfig {
                     objective: Objective::Power,
@@ -815,7 +843,7 @@ mod tests {
         format!(
             "applied {:?}\nevaluated {} blocks {} batches {} batch candidates {} lanes {} \
              stopped {}\nestimate {:?}\nbaseline {:?}\ncache hits {} full {} spliced {} \
-             vectors {} simulated {} batched {} candidates {:?} reference {}\n\
+             vectors {} profiled {} batched {} candidates {:?}\n\
              winner\n{:?}\nstg\n{}",
             r.applied,
             r.evaluated,
@@ -833,7 +861,6 @@ mod tests {
             r.sim_engine_scalar,
             r.sim_engine_batched,
             r.candidates,
-            r.reference_captured,
             r.best,
             r.schedule.stg.pretty(&r.schedule.function),
         )
@@ -893,5 +920,50 @@ mod tests {
         }
         assert!(memoized > 0, "some expansion came from a capped memo");
         assert!(verdicts > 0, "some verdict came from a capped memo");
+    }
+
+    /// A job's expansions, as [`Expander::expand`] makes them: each
+    /// parent's neighbourhood read from `memo`, or built and inserted.
+    /// Returns how many the memo answered.
+    fn job(memo: &ExpansionMemo, parents: std::ops::Range<u64>) -> usize {
+        parents
+            .filter(|&key| {
+                let hit = memo.get(key).is_some();
+                if !hit {
+                    // Two records each.
+                    let record = |nth| Expanded {
+                        hash: key,
+                        kind: TransformKind::Commutativity,
+                        description: Arc::from("swap"),
+                        transform: 0,
+                        nth,
+                        verdicts: Verdicts::default(),
+                    };
+                    memo.insert(key, Arc::new([record(0), record(1)]));
+                }
+                hit
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_hot_job_keeps_its_neighbourhoods_between_cold_jobs() {
+        // The hot job's 10 neighbourhoods take 20 of 48 records; each cold
+        // job's 15 distinct ones (30 records) are one more than the rest
+        // holds. Evicting the oldest first, every cold job would evict
+        // the whole hot job, which would then read nothing; a read hot
+        // neighbourhood is passed over once, so each cold job evicts the
+        // cold ones before it instead.
+        let memo = ExpansionMemo::with_capacity(48);
+        let hot = 0..10;
+        assert_eq!(job(&memo, hot.clone()), 0, "a cold start");
+        assert_eq!(job(&memo, hot.clone()), 10);
+        for round in 1..=5u64 {
+            let cold = round * 1000;
+            assert_eq!(job(&memo, cold..cold + 15), 0, "distinct cold jobs");
+            assert!(memo.records() <= 48);
+            let read = job(&memo, hot.clone());
+            assert_eq!(read, 10, "round {round}: the hot job read {read} of 10");
+        }
     }
 }

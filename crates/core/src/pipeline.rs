@@ -23,15 +23,12 @@ use fact_sched::{
     schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
-use fact_sim::{
-    execute, memory_steers, simulate, BranchProfile, CompiledFn, EquivReference, ProfileCounts,
-    StepBound, TraceSet,
-};
+use fact_sim::{execute, simulate, BranchProfile, CompiledFn, ProfileCounts, StepBound, TraceSet};
 use fact_xform::{Region, TransformKind, TransformLibrary};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Configuration of a FACT run.
 #[derive(Clone, Debug)]
@@ -44,10 +41,6 @@ pub struct FactConfig {
     pub search: SearchConfig,
     /// Partitioning knobs.
     pub partition: PartitionConfig,
-    /// Validate every candidate against the original behavior by
-    /// randomized equivalence checking (defense in depth; the
-    /// transformations are individually verified too).
-    pub check_equivalence: bool,
     /// Optimize at most this many STG blocks (hottest first).
     pub max_blocks: usize,
     /// Frontier knobs for [`Objective::Pareto`] runs (ignored by the
@@ -62,7 +55,6 @@ impl Default for FactConfig {
             sched: SchedOptions::default(),
             search: SearchConfig::default(),
             partition: PartitionConfig::default(),
-            check_equivalence: true,
             max_blocks: 3,
             pareto: ParetoConfig::default(),
         }
@@ -117,12 +109,14 @@ pub struct FactResult {
     /// Schedules that spliced at least one memoized per-block fragment
     /// instead of re-running list scheduling.
     pub block_spliced: usize,
-    /// Trace vectors simulated during candidate evaluation (every pass of
-    /// every [`simulate`] call; logical vectors, so a deduplicated lane
-    /// of multiplicity *k* counts *k*). Proved and derived candidates,
-    /// and the baseline and final profiles, are not counted.
+    /// Trace vectors of the profile passes inside the search (logical
+    /// vectors, so a deduplicated lane of multiplicity *k* counts *k*):
+    /// those over parents and search inputs the shared cache answered
+    /// ([`CandidateCounts::parents_profiled`]). No candidate is
+    /// simulated, and the baseline and final profiles are not counted.
     pub sim_vectors: u64,
-    /// Simulated candidates: [`CandidateCounts::simulated_total`].
+    /// The profile passes inside the search:
+    /// [`CandidateCounts::parents_profiled`].
     pub sim_engine_scalar: u64,
     /// Always 0: there is one simulator. Kept, with `sim_engine_scalar`,
     /// while the end-to-end benchmark's `sim.batched_share` reads them.
@@ -130,21 +124,15 @@ pub struct FactResult {
     /// Whole-neighborhood dispatches evaluated (one per search move,
     /// plus one per scored search input).
     pub neighborhood_batches: u64,
-    /// Simulation lanes of candidate evaluations: the first-pass lanes
-    /// of every simulated candidate ([`fact_sim::Simulation::lanes`];
-    /// cache hits short-circuit theirs out of the batch).
+    /// Simulation lanes of the profile passes inside the search
+    /// ([`fact_sim::Simulation::lanes`]).
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
     /// How the candidates the cache did not answer were evaluated:
     /// inherited from their parent (operand swaps), proved equivalent to
-    /// their parent, derived from its counts, or simulated.
+    /// their parent, derived from its counts, or rejected unproved.
     pub candidates: CandidateCounts,
-    /// Whether the run captured the equivalence reference: a candidate
-    /// was simulated against it, or memory steers the input, which
-    /// captures it at set-up (DESIGN §8.5.3). Always `false` with
-    /// equivalence checking off.
-    pub reference_captured: bool,
     /// Parent expansions the shared cache's expansion memo answered
     /// without building a candidate (DESIGN §10.5; 0 without a cache).
     pub neighborhoods_memoized: u64,
@@ -170,17 +158,17 @@ pub struct FactResult {
 ///
 /// A candidate that [`fact_ir::operand_swap_of`] shows only exchanges the
 /// operands of one commutative op (or mirrors one comparison) of a
-/// parent this run profiled and scored is neither proved, simulated,
-/// scheduled nor estimated: it takes the parent's profile and estimate
-/// (*inherited*, DESIGN §8.5.2). A candidate
-/// [`fact_ir::prove_equivalent`] shows equivalent to a parent this run
-/// profiled takes the corresponding path on every vector, so it is
-/// neither compiled nor simulated: a rewrite that keeps
-/// the control-flow graph reuses the parent's profile (*proved*), and a
-/// loop unrolled by 2 gets its profile from the parent's per-parity loop
-/// counts (*derived*, [`ProfileCounts::unrolled`]). A search input the
-/// run already profiled (the same structure) reuses that profile and
-/// counts as proved. Every other candidate is simulated.
+/// parent this run profiled and scored is neither proved, scheduled nor
+/// estimated: it takes the parent's profile and estimate (*inherited*,
+/// DESIGN §8.5.2). A candidate [`fact_ir::prove_equivalent`] shows
+/// equivalent to a parent this run profiled takes the corresponding path
+/// on every vector: a rewrite that keeps the control-flow graph reuses
+/// the parent's profile (*proved*), and a loop unrolled by 2 or split by
+/// fission gets its profile from the parent's counts (*derived*,
+/// [`ProfileCounts::mapped`]). Every other candidate is rejected
+/// (*unproved*): nothing in the search checks equivalence by simulation.
+/// A parent, or a search input, the run has no profile of — the shared
+/// cache answered it — is profiled once first (*parents profiled*).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CandidateCounts {
     /// Operand swaps that took their parent's profile and estimate, per
@@ -189,19 +177,20 @@ pub struct CandidateCounts {
     /// Candidates proved equivalent to their parent that reused its
     /// profile, per kind.
     pub proved: [u64; TransformKind::ALL.len()],
-    /// Unrolled candidates proved equivalent to their parent whose
-    /// profile was derived from the parent's counts, per kind.
+    /// Unrolled or fissioned candidates proved equivalent to their
+    /// parent whose profile was derived from the parent's counts, per
+    /// kind.
     pub derived: [u64; TransformKind::ALL.len()],
-    /// Candidates simulated, per kind.
-    pub simulated: [u64; TransformKind::ALL.len()],
-    /// Search inputs the run had already profiled.
+    /// Candidates rejected, per kind: not proved equivalent to their
+    /// parent, their step bound could exceed the step limit, their
+    /// profile could not be derived, or their parent's profile pass ran
+    /// into the step limit.
+    pub unproved: [u64; TransformKind::ALL.len()],
+    /// Search inputs, scored from the profile the run has of them.
     pub proved_inputs: u64,
-    /// Search inputs simulated (no transformation produced them).
-    pub simulated_inputs: u64,
-    /// Of the simulated candidates, those whose parent this run never
-    /// profiled (the shared cache answered it, or one of its lanes ran
-    /// into the step limit), so nothing could be proved or derived.
-    pub unprofiled_parents: u64,
+    /// Parents and search inputs the run profiled inside the search,
+    /// because the shared cache had answered them (one pass each).
+    pub parents_profiled: u64,
 }
 
 impl CandidateCounts {
@@ -222,9 +211,9 @@ impl CandidateCounts {
         self.derived.iter().sum()
     }
 
-    /// Candidates simulated, search inputs included.
-    pub fn simulated_total(&self) -> u64 {
-        self.simulated.iter().sum::<u64>() + self.simulated_inputs
+    /// Candidates rejected unproved, over every kind.
+    pub fn unproved_total(&self) -> u64 {
+        self.unproved.iter().sum()
     }
 }
 
@@ -234,30 +223,29 @@ impl CandidateCounts {
 /// is charged to `setup_ns` alone, and each candidate's work to the
 /// phase it ran in. Wired in through [`OptimizeHooks::timers`]; the
 /// benchmark harness uses it to attribute search throughput to set-up,
-/// building candidates, expansion, compilation, proving, simulation,
-/// and estimation.
+/// building candidates, expansion, proving, deriving, profiling parents
+/// the cache answered, and estimation.
 #[derive(Debug, Default)]
 pub struct PhaseTimers {
     /// Time outside the search: the run's set-up (the input's profile
-    /// pass, its schedule, Markov analysis and estimate, the partition
-    /// into regions, and — only when memory steers the input — capturing
-    /// the equivalence reference) and the winner's final profile and
-    /// re-estimate. A reference captured on demand is charged to
-    /// `simulate_ns`, inside the candidate that needed it.
+    /// pass, its schedule, Markov analysis and estimate, and the
+    /// partition into regions) and the winner's final profile and
+    /// re-estimate.
     pub setup_ns: AtomicU64,
-    /// Time compiling candidates ([`CompiledFn::compile`]).
+    /// Time compiling the parents and search inputs profiled inside the
+    /// search ([`CompiledFn::compile`];
+    /// [`CandidateCounts::parents_profiled`]).
     pub compile_ns: AtomicU64,
     /// Time proving candidates equivalent to their parents
     /// ([`fact_ir::prove_equivalent`] and [`fact_ir::operand_swap_of`]),
     /// proved or not. A check whose verdict the candidate's expansion
     /// record already holds is not run, and costs nothing here.
     pub prove_ns: AtomicU64,
-    /// Time deriving unrolled candidates' profiles from their parents'
-    /// counts ([`ProfileCounts::unrolled`]).
+    /// Time deriving unrolled and fissioned candidates' profiles from
+    /// their parents' counts ([`ProfileCounts::mapped`]).
     pub derive_ns: AtomicU64,
-    /// Time inside [`simulate`]: candidates' equivalence verification and
-    /// branch profiling, including the equivalence reference's capture
-    /// when the first simulated candidate needs it.
+    /// Time inside [`simulate`] profiling the parents and search inputs
+    /// compiled for `compile_ns`.
     pub simulate_ns: AtomicU64,
     /// Time scheduling and estimating candidates (list scheduling, Markov
     /// solves, power/latency evaluation).
@@ -348,8 +336,8 @@ pub struct OptimizeHooks<'a> {
     /// Set to `true` (by a timeout watchdog or a client disconnect) to
     /// make the run wind down at the next evaluation boundary.
     pub stop: Option<&'a AtomicBool>,
-    /// When present, receives the expand/compile/simulate/estimate
-    /// wall-time breakdown of the search. `None` skips all timing calls.
+    /// When present, receives the set-up/build/expand/prove/estimate
+    /// wall-time breakdown of the run. `None` skips all timing calls.
     pub timers: Option<&'a PhaseTimers>,
 }
 
@@ -377,24 +365,17 @@ impl std::error::Error for FactError {}
 
 /// Per-run incremental-evaluation machinery, shared by every candidate
 /// evaluation of one run (including across worker threads — all members
-/// are `Sync`): memoized schedule fragments, the equivalence reference
-/// (captured on demand), and the work counters [`FactResult`] reports.
+/// are `Sync`): memoized schedule fragments and the work counters
+/// [`FactResult`] reports.
 struct IncrementalCtx<'a> {
-    /// The input and traces the equivalence reference is captured from
-    /// (`None` with equivalence checking off).
-    original: Option<(&'a Function, &'a TraceSet)>,
-    /// The captured reference: filled the first time a candidate is
-    /// simulated, or at set-up when memory steers the input (DESIGN
-    /// §8.5.3). Empty after a run that never needed it.
-    equiv: OnceLock<EquivReference>,
     /// Per-block list-schedule fragments keyed by structural hash.
     sched: ScheduleMemo,
     /// Schedules computed with no memoized fragment spliced in.
     full_reschedules: AtomicUsize,
     /// Schedules that reused at least one memoized block fragment.
     block_spliced: AtomicUsize,
-    /// Trace vectors simulated so far (shared across worker threads;
-    /// [`FactResult::sim_vectors`]).
+    /// Trace vectors profiled inside the search so far (shared across
+    /// worker threads; [`FactResult::sim_vectors`]).
     sim_vectors: AtomicU64,
     /// Phase wall-time sinks from [`OptimizeHooks::timers`].
     timers: Option<&'a PhaseTimers>,
@@ -431,11 +412,17 @@ fn timed<T>(
 }
 
 /// The profile pass of `g` over `traces`: one compiled [`simulate`]
-/// call with no reference, outside the run's work counters (the
-/// baseline, and the winner's final re-estimate when the run never
-/// profiled it).
-fn profile_pass(g: &Function, traces: &TraceSet) -> fact_sim::Simulation {
-    simulate(&CompiledFn::compile(g), traces, None)
+/// call. The only simulation of a run: the input at set-up, a parent or
+/// search input the shared cache answered ([`Run::profiled_in_search`],
+/// which passes `timers`), and the winner's final re-estimate when the
+/// run never profiled it.
+fn profile_pass(
+    g: &Function,
+    traces: &TraceSet,
+    timers: Option<&PhaseTimers>,
+) -> fact_sim::Simulation {
+    let cf = timed(timers, |t| &t.compile_ns, || CompiledFn::compile(g));
+    timed(timers, |t| &t.simulate_ns, || simulate(&cf, traces))
 }
 
 /// What a run knows about a function it profiled: the branch profile,
@@ -449,39 +436,21 @@ struct Profiled {
 
 impl Profiled {
     /// The profile `sim` observed, and — unless some lane ran into the
-    /// step limit — what a child may reuse or derive from it. `None`
-    /// when `sim` did not profile (not equivalent).
-    fn of(sim: fact_sim::Simulation) -> Option<(Arc<BranchProfile>, Option<Profiled>)> {
-        let profile = Arc::new(sim.profile?);
+    /// step limit — what a child may reuse or derive from it.
+    fn of(sim: fact_sim::Simulation) -> (Arc<BranchProfile>, Option<Profiled>) {
+        let profile = Arc::new(sim.profile);
         let known = sim.steps.map(|steps| Profiled {
             profile: profile.clone(),
-            counts: Arc::new(sim.counts.expect("counted with the profile")),
+            counts: Arc::new(sim.counts),
             steps,
         });
-        Some((profile, known))
+        (profile, known)
     }
 }
 
-/// Why a candidate's profile could not be reused or derived.
-enum Miss {
-    /// The run never profiled its parent (or, for a search input, the
-    /// input itself).
-    Unprofiled,
-    /// Not proved equivalent to its parent, or its step bound could
-    /// exceed the step limit.
-    Unproved,
-}
-
 impl<'a> IncrementalCtx<'a> {
-    fn new(
-        f: &'a Function,
-        traces: &'a TraceSet,
-        config: &FactConfig,
-        timers: Option<&'a PhaseTimers>,
-    ) -> IncrementalCtx<'a> {
+    fn new(timers: Option<&'a PhaseTimers>) -> IncrementalCtx<'a> {
         IncrementalCtx {
-            original: config.check_equivalence.then_some((f, traces)),
-            equiv: OnceLock::new(),
             sched: ScheduleMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
@@ -489,18 +458,6 @@ impl<'a> IncrementalCtx<'a> {
             timers,
             mega: MegaCounters::default(),
         }
-    }
-
-    /// The equivalence reference, captured on first use (`None` with
-    /// equivalence checking off). Worker threads that ask at once wait
-    /// for one capture; it is a function of the input, the traces and
-    /// the seed alone, so who captures it changes nothing.
-    fn reference(&self) -> Option<&EquivReference> {
-        let (f, traces) = self.original?;
-        Some(
-            self.equiv
-                .get_or_init(|| EquivReference::capture(f, traces, 0xC0FFEE)),
-        )
     }
 
     /// Classifies one completed schedule as spliced or from-scratch.
@@ -582,7 +539,11 @@ struct Run<'a> {
     /// The estimate of every function the run scored, by structural
     /// hash: what an operand swap of one inherits.
     scores: Mutex<HashMap<u64, Estimate>>,
-    /// Inherited, proved, derived and simulated candidates.
+    /// Held while a parent the run has no profile of is profiled, so
+    /// each is profiled once; the set holds the parents whose pass ran
+    /// into the step limit, which leave nothing to reuse.
+    profiling: Mutex<HashSet<u64>>,
+    /// Inherited, proved, derived and unproved candidates.
     candidates: Mutex<CandidateCounts>,
     /// Candidate construction: counts, and times when timers are wired.
     ledger: BuildLedger,
@@ -606,9 +567,8 @@ impl<'a> Run<'a> {
         config: &'a FactConfig,
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
-        let ctx = IncrementalCtx::new(f, traces, config, hooks.timers);
-        let (prof, known) = Profiled::of(profile_pass(f, traces))
-            .expect("a pass without a reference always profiles");
+        let ctx = IncrementalCtx::new(hooks.timers);
+        let (prof, known) = Profiled::of(profile_pass(f, traces, None));
         if prof.runs_ok == 0 {
             // Nothing can be estimated from a profile without a single
             // completed vector: fail now, not after a search in which
@@ -621,24 +581,7 @@ impl<'a> Run<'a> {
                 first.map_or(String::new(), |e| format!("; first error: {e}"))
             )));
         }
-        // Seeded into the profile map as a search input would be: the
-        // input agrees with its own reference, and its lanes there bound
-        // its work too. Unless memory steers the input, they do exactly
-        // the work they do from zeroed memories, so the pass's bound is
-        // the reference's and the capture waits for a simulated candidate
-        // (DESIGN §8.5.3); otherwise it is captured now and joined.
-        let forced = if memory_steers(f) {
-            ctx.reference()
-        } else {
-            None
-        };
-        let known = match forced {
-            None => known,
-            Some(r) => known.zip(r.steps()).map(|(k, s)| Profiled {
-                steps: k.steps.joined(s),
-                ..k
-            }),
-        };
+        // Seeded into the profile map, as a search input would be.
         let profiles = known.map(|k| (structural_hash(f), k)).into_iter().collect();
         let sr0 = schedule_with_memo(
             f,
@@ -678,6 +621,7 @@ impl<'a> Run<'a> {
             cache_hits: AtomicUsize::new(0),
             profiles: Mutex::new(profiles),
             scores: Mutex::new(HashMap::new()),
+            profiling: Mutex::new(HashSet::new()),
             candidates: Mutex::new(CandidateCounts::default()),
             ledger: match hooks.timers {
                 Some(_) => BuildLedger::timed(),
@@ -767,23 +711,22 @@ impl<'a> Run<'a> {
     }
 
     /// The candidate evaluation: the candidate's branch profile, then
-    /// schedule + estimate. `None` marks an invalid candidate (not
-    /// equivalent, unschedulable under the allocation, or — in power
-    /// mode — slower than the baseline).
+    /// schedule + estimate. `None` marks a rejected candidate (unproved,
+    /// unschedulable under the allocation, or — in power mode — slower
+    /// than the baseline).
     ///
-    /// A search input reuses the profile the run has for it, or is
-    /// simulated. A child goes through [`Run::child_estimate`].
+    /// A search input is scored from the profile the run has of it,
+    /// profiling it first when the shared cache answered it. A child goes
+    /// through [`Run::child_estimate`].
     fn checked_estimate(&self, cand: &MegaCandidate<'_>) -> Option<Estimate> {
         let Some(origin) = cand.origin else {
             let f = cand.function();
             debug_assert_eq!(cand.hash, structural_hash(f));
             let prof = match self.profiled(cand.hash) {
-                Some(known) => {
-                    self.count(|c| c.proved_inputs += 1);
-                    known.profile
-                }
-                None => self.simulated_profile(f, cand.hash, None, Miss::Unprofiled)?,
+                Some(known) => known.profile,
+                None => self.profiled_in_search(f, cand.hash).0,
             };
+            self.count(|c| c.proved_inputs += 1);
             return self.scored(f, cand.hash, &prof);
         };
         let verdicts = cand
@@ -799,12 +742,12 @@ impl<'a> Run<'a> {
 
     /// A child's evaluation. An operand swap of a parent the run scored
     /// inherits the parent's estimate ([`Run::inherited_estimate`])
-    /// without being built. Otherwise the profile comes from
-    /// [`Run::proved_profile`] when the child is proved equivalent to a
-    /// parent the run profiled, or else [`Run::simulated_profile`]
-    /// compiles and simulates the child. Every check's verdict is read
-    /// from, or written to, the child's record; `recalled` is set when
-    /// one was read.
+    /// without being built. Otherwise the child must be proved equivalent
+    /// to its parent, which the run profiles first if the shared cache
+    /// answered it ([`Run::parent_profile`]), and its profile comes from
+    /// [`Run::proved_profile`]; an unproved child is rejected. Every
+    /// check's verdict is read from, or written to, the child's record;
+    /// `recalled` is set when one was read.
     fn child_estimate(
         &self,
         cand: &MegaCandidate<'_>,
@@ -812,36 +755,91 @@ impl<'a> Run<'a> {
         verdicts: &Verdicts,
         recalled: &mut bool,
     ) -> Option<Estimate> {
-        let parent = self.profiled(origin.parent_hash);
-        if let Some(parent) = &parent {
-            if let Some(est) = self.inherited_estimate(cand, origin, parent, verdicts, recalled) {
-                return Some(est);
-            }
+        let kind = origin.kind.index();
+        let Some(parent) = self.parent_profile(origin) else {
+            self.count(|c| c.unproved[kind] += 1);
+            return None;
+        };
+        if let Some(est) = self.inherited_estimate(cand, origin, &parent, verdicts, recalled) {
+            return Some(est);
         }
         // Built here, outside every phase timer: building is charged to
         // `build_ns` alone.
         let f = cand.function();
         debug_assert_eq!(cand.hash, structural_hash(f));
-        let kind = Some(origin.kind);
-        let prof = match parent {
-            None => self.simulated_profile(f, cand.hash, kind, Miss::Unprofiled)?,
-            Some(parent) => {
-                let (proof, stored) = verdicts.proof(|| {
-                    let (p, unrolled) = (origin.parent(), cand.unrolled());
-                    timed(
-                        self.ctx.timers,
-                        |t| &t.prove_ns,
-                        || prove_equivalent(p, f, unrolled),
-                    )
-                });
-                *recalled |= stored;
-                match self.proved_profile(f, cand, origin, parent, proof) {
-                    Some(prof) => prof,
-                    None => self.simulated_profile(f, cand.hash, kind, Miss::Unproved)?,
-                }
-            }
+        let (proof, stored) = verdicts.proof(|| {
+            let (p, map) = (origin.parent(), cand.map());
+            timed(
+                self.ctx.timers,
+                |t| &t.prove_ns,
+                || prove_equivalent(p, f, map),
+            )
+        });
+        *recalled |= stored;
+        let Some(prof) = self.proved_profile(f, cand, parent, proof) else {
+            self.count(|c| c.unproved[kind] += 1);
+            return None;
         };
+        let derived = cand.map().is_some();
+        self.count(|c| match derived {
+            false => c.proved[kind] += 1,
+            true => c.derived[kind] += 1,
+        });
         self.scored(f, cand.hash, &prof)
+    }
+
+    /// What the run knows of `origin`'s parent: its own profile, or —
+    /// when the shared cache answered the parent, so the run never
+    /// profiled it — one taken now. `None` when that pass ran into the
+    /// step limit, which leaves nothing a child may reuse.
+    fn parent_profile(&self, origin: Origin<'_>) -> Option<Profiled> {
+        if let Some(known) = self.profiled(origin.parent_hash) {
+            return Some(known);
+        }
+        let mut limited = self
+            .profiling
+            .lock()
+            .expect("no evaluation panics while profiling a parent");
+        if let Some(known) = self.profiled(origin.parent_hash) {
+            return Some(known); // another worker profiled it meanwhile
+        }
+        if limited.contains(&origin.parent_hash) {
+            return None;
+        }
+        let known = self
+            .profiled_in_search(origin.parent(), origin.parent_hash)
+            .1;
+        if known.is_none() {
+            limited.insert(origin.parent_hash);
+        }
+        known
+    }
+
+    /// Profiles `f` (structural hash `hash`), a parent or search input
+    /// the shared cache answered, counting the pass in the run's
+    /// [`CandidateCounts::parents_profiled`] and simulation counters and
+    /// its time in `compile_ns` and `simulate_ns`; what a child may reuse
+    /// goes into the profile map.
+    fn profiled_in_search(
+        &self,
+        f: &Function,
+        hash: u64,
+    ) -> (Arc<BranchProfile>, Option<Profiled>) {
+        let ctx = &self.ctx;
+        let sim = profile_pass(f, self.traces, ctx.timers);
+        ctx.sim_vectors.fetch_add(sim.vectors, Ordering::Relaxed);
+        ctx.mega
+            .lanes
+            .fetch_add(sim.lanes as u64, Ordering::Relaxed);
+        self.count(|c| c.parents_profiled += 1);
+        let (prof, known) = Profiled::of(sim);
+        if let Some(known) = &known {
+            self.profiles
+                .lock()
+                .expect("no evaluation panics while holding the profile map")
+                .insert(hash, known.clone());
+        }
+        (prof, known)
     }
 
     /// Schedules and estimates `f` under `prof`, remembering the estimate
@@ -891,7 +889,7 @@ impl<'a> Run<'a> {
         if !swap {
             return None;
         }
-        let steps = parent.steps.grown(0)?;
+        let steps = parent.steps.grown(0, 1)?;
         self.profiles
             .lock()
             .expect("no evaluation panics while holding the profile map")
@@ -931,31 +929,30 @@ impl<'a> Run<'a> {
 
     /// The profile of `f`, the child `cand` of a parent the run profiled
     /// (`parent`), given the proof of their equivalence; `None` without
-    /// a proof.
+    /// a proof, when its step bound could exceed the step limit, or when
+    /// its profile cannot be derived.
     ///
     /// A child provably equivalent to its parent, that cannot run into
     /// the step limit on a lane where the parent did not, takes the
-    /// corresponding path on every vector — so its verdict under
-    /// equivalence checking is the parent's, and so is its profile: the
+    /// corresponding path on every vector — so its profile is the
     /// parent's own for a rewrite that keeps the graph, or derived from
-    /// the parent's per-parity loop counts for a loop unrolled by 2.
+    /// the parent's counts for a loop unrolled by 2 or split by fission.
     fn proved_profile(
         &self,
         f: &Function,
         cand: &MegaCandidate<'_>,
-        origin: Origin<'_>,
         parent: Profiled,
         proof: Option<Equivalence>,
     ) -> Option<Arc<BranchProfile>> {
-        let steps = parent.steps.grown(proof?.block_growth)?;
-        let unrolled = cand.unrolled();
-        let known = match unrolled {
+        let proof = proof?;
+        let steps = parent.steps.grown(proof.block_growth, proof.entry_copies)?;
+        let known = match cand.map() {
             None => Profiled { steps, ..parent },
             Some(map) => timed(
                 self.ctx.timers,
                 |t| &t.derive_ns,
                 || {
-                    let counts = parent.counts.unrolled(map, f.num_blocks())?;
+                    let counts = parent.counts.mapped(map, f.num_blocks())?;
                     Some(Profiled {
                         profile: Arc::new(counts.profile()),
                         counts: Arc::new(counts),
@@ -968,55 +965,7 @@ impl<'a> Run<'a> {
             .lock()
             .expect("no evaluation panics while holding the profile map")
             .insert(cand.hash, known.clone());
-        let kind = origin.kind.index();
-        match unrolled {
-            None => self.count(|c| c.proved[kind] += 1),
-            Some(_) => self.count(|c| c.derived[kind] += 1),
-        }
         Some(known.profile)
-    }
-
-    /// Compiles `f` (structural hash `hash`, produced by a `kind`
-    /// transformation, or a search input) and [`simulate`]s it:
-    /// verification against the captured reference when equivalence
-    /// checking is on and the branch profile, in one call. `None` when it
-    /// is not equivalent. `miss` (why no profile was known) goes into the
-    /// candidate tallies.
-    fn simulated_profile(
-        &self,
-        f: &Function,
-        hash: u64,
-        kind: Option<TransformKind>,
-        miss: Miss,
-    ) -> Option<Arc<BranchProfile>> {
-        let (ctx, traces) = (&self.ctx, self.traces);
-        self.count(|c| match kind {
-            Some(kind) => {
-                c.simulated[kind.index()] += 1;
-                if matches!(miss, Miss::Unprofiled) {
-                    c.unprofiled_parents += 1;
-                }
-            }
-            None => c.simulated_inputs += 1,
-        });
-        let cf = timed(ctx.timers, |t| &t.compile_ns, || CompiledFn::compile(f));
-        let sim = timed(
-            ctx.timers,
-            |t| &t.simulate_ns,
-            || simulate(&cf, traces, ctx.reference()),
-        );
-        ctx.sim_vectors.fetch_add(sim.vectors, Ordering::Relaxed);
-        ctx.mega
-            .lanes
-            .fetch_add(sim.lanes as u64, Ordering::Relaxed);
-        let (prof, known) = Profiled::of(sim)?;
-        if let Some(known) = known {
-            self.profiles
-                .lock()
-                .expect("no evaluation panics while holding the profile map")
-                .insert(hash, known);
-        }
-        Some(prof)
     }
 
     /// Evaluates one search neighborhood (the whole deduplicated
@@ -1109,7 +1058,7 @@ impl<'a> Run<'a> {
 
 /// A 64-bit key covering everything a candidate's score depends on
 /// *besides* the candidate itself: allocation, objective, scheduler
-/// options, input traces, and the equivalence-checking reference.
+/// options and input traces.
 ///
 /// Combined with [`structural_hash`] of the candidate it forms the
 /// [`EvalCache`] key, which is what makes one cache safely shareable
@@ -1122,8 +1071,7 @@ pub fn evaluation_context_key(
 ) -> u64 {
     let mut h = ContextHasher::new(0xFAC7_C0DE);
     // The original behavior anchors the context: power mode scores
-    // against its baseline cycles, and equivalence checks compare
-    // against it.
+    // against its baseline cycles.
     h.write_u64(structural_hash(f));
     h.write_u64(match config.objective {
         Objective::Throughput => 1,
@@ -1134,8 +1082,7 @@ pub fn evaluation_context_key(
         .write_u64(config.sched.if_convert as u64)
         .write_u64(config.sched.rotate as u64)
         .write_u64(config.sched.pipeline as u64)
-        .write_u64(config.sched.concurrent as u64)
-        .write_u64(config.check_equivalence as u64);
+        .write_u64(config.sched.concurrent as u64);
     let mut pairs: Vec<(u32, u32)> = alloc.iter().map(|(fu, n)| (fu.0, n)).collect();
     pairs.sort_unstable();
     h.write_u64(pairs.len() as u64);
@@ -1261,11 +1208,7 @@ pub fn optimize_with(
         || {
             let prof = match run.profiled(structural_hash(&current)) {
                 Some(known) => known.profile,
-                None => Arc::new(
-                    profile_pass(&current, traces)
-                        .profile
-                        .expect("a pass without a reference always profiles"),
-                ),
+                None => Arc::new(profile_pass(&current, traces, None).profile),
             };
             run.estimate(&current, &prof, None)
         },
@@ -1285,13 +1228,12 @@ pub fn optimize_with(
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
         sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
-        sim_engine_scalar: candidates.simulated_total(),
+        sim_engine_scalar: candidates.parents_profiled,
         sim_engine_batched: 0,
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
-        reference_captured: ctx.equiv.get().is_some(),
         neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
         neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
         verdicts_memoized: run.verdicts_memoized.load(Ordering::Relaxed),
@@ -1343,25 +1285,24 @@ pub struct ParetoFactResult {
     pub full_reschedules: usize,
     /// Schedules that spliced at least one memoized block fragment.
     pub block_spliced: usize,
-    /// Trace vectors simulated during candidate evaluation.
+    /// Trace vectors profiled inside the search (see
+    /// [`FactResult::sim_vectors`]).
     pub sim_vectors: u64,
-    /// Simulated candidates (see [`FactResult::sim_engine_scalar`]).
+    /// Profile passes inside the search (see
+    /// [`FactResult::sim_engine_scalar`]).
     pub sim_engine_scalar: u64,
     /// Always 0 (see [`FactResult::sim_engine_batched`]).
     pub sim_engine_batched: u64,
     /// Whole-neighborhood dispatches evaluated.
     pub neighborhood_batches: u64,
-    /// Simulation lanes of candidate evaluations (see
+    /// Simulation lanes of the profile passes inside the search (see
     /// [`FactResult::mega_lanes`]).
     pub mega_lanes: u64,
     /// Candidates handed to neighborhood dispatches (cache hits included).
     pub mega_candidates: u64,
-    /// Inherited, proved, derived and simulated candidates (see
+    /// Inherited, proved, derived and unproved candidates (see
     /// [`FactResult::candidates`]).
     pub candidates: CandidateCounts,
-    /// Whether the run captured the equivalence reference (see
-    /// [`FactResult::reference_captured`]).
-    pub reference_captured: bool,
     /// Parent expansions the expansion memo answered (see
     /// [`FactResult::neighborhoods_memoized`]).
     pub neighborhoods_memoized: u64,
@@ -1412,7 +1353,7 @@ pub fn optimize_pareto(
 /// `config.objective` is forced to [`Objective::Pareto`] internally;
 /// `config.pareto` holds the archive capacity and Vdd sweep resolution.
 /// Candidates flow through the same evaluation as [`optimize_with`]
-/// (schedule splicing, one compiled simulation call, cached scores), and the returned frontier is bit-identical for a fixed
+/// (schedule splicing, proofs, cached scores), and the returned frontier is bit-identical for a fixed
 /// `config.search.seed` regardless of `config.search.threads`.
 ///
 /// # Errors
@@ -1528,13 +1469,12 @@ pub fn optimize_pareto_with(
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
         sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
-        sim_engine_scalar: candidates.simulated_total(),
+        sim_engine_scalar: candidates.parents_profiled,
         sim_engine_batched: 0,
         neighborhood_batches: ctx.mega.batches.load(Ordering::Relaxed),
         mega_lanes: ctx.mega.lanes.load(Ordering::Relaxed),
         mega_candidates: ctx.mega.candidates.load(Ordering::Relaxed),
         candidates,
-        reference_captured: ctx.equiv.get().is_some(),
         neighborhoods_memoized: run.ledger.memoized.load(Ordering::Relaxed),
         neighborhoods_built: run.ledger.built.load(Ordering::Relaxed),
         verdicts_memoized: run.verdicts_memoized.load(Ordering::Relaxed),

@@ -45,7 +45,7 @@ use crate::expand::{
     BuildLedger, Design, Expanded, Expander, Lazy, Scope, Siblings, Sink, Verdicts,
 };
 use crate::pareto::{ranked_order, ParetoArchive, ParetoPoint};
-use fact_ir::{Function, UnrollMap};
+use fact_ir::{Function, GraphMap};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_xform::{Region, TransformKind, TransformLibrary};
@@ -169,11 +169,11 @@ impl<'a> MegaCandidate<'a> {
         self.lazy.function()
     }
 
-    /// For a loop unrolled by 2, how the candidate's blocks stand for
-    /// its parent's ([`fact_xform::Candidate::unrolled`]). Builds the
-    /// candidate.
-    pub fn unrolled(&self) -> Option<&'a UnrollMap> {
-        self.lazy.unrolled()
+    /// For a loop unrolled by 2 or split by fission, how the candidate's
+    /// blocks stand for its parent's ([`fact_xform::Candidate::map`]).
+    /// Builds the candidate.
+    pub fn map(&self) -> Option<&'a GraphMap> {
+        self.lazy.map()
     }
 
     /// What the candidate's equivalence checks found, kept in its
@@ -186,7 +186,7 @@ impl<'a> MegaCandidate<'a> {
 
 /// The frontier element a candidate was expanded from, and the
 /// transformation that produced it. Lets an evaluator prove a candidate
-/// equivalent to an already-evaluated parent instead of simulating it.
+/// equivalent to an already-evaluated parent.
 #[derive(Clone, Copy)]
 pub struct Origin<'a> {
     /// `structural_hash(self.parent())`.

@@ -305,18 +305,6 @@ mod tests {
         }
     }
 
-    /// FIR, Test2 and SINTRAN index their arrays by loop counters and the
-    /// others have no memories: no run of the suite needs the equivalence
-    /// reference to bound its input's work.
-    #[test]
-    fn memory_steers_no_suite_behavior() {
-        let (lib, _) = section5_library();
-        for b in suite(&lib) {
-            assert!(!fact_sim::memory_steers(&b.function), "{}", b.name);
-        }
-        assert!(!fact_sim::memory_steers(&compile(TEST1_SRC).unwrap()));
-    }
-
     #[test]
     fn suite_has_six_table2_rows() {
         let (lib, _) = section5_library();

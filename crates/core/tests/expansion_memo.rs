@@ -46,8 +46,8 @@ fn outcome(r: &FactResult) -> String {
 /// [`outcome`] plus every work counter except the memo's.
 fn outcome_and_work(r: &FactResult) -> String {
     format!(
-        "{}\ncache hits {} full {} spliced {} vectors {} simulated {} batched {} lanes {} \
-         candidates {:?} reference {}",
+        "{}\ncache hits {} full {} spliced {} vectors {} profiled {} batched {} lanes {} \
+         candidates {:?}",
         outcome(r),
         r.cache_hits,
         r.full_reschedules,
@@ -57,7 +57,6 @@ fn outcome_and_work(r: &FactResult) -> String {
         r.sim_engine_batched,
         r.mega_lanes,
         r.candidates,
-        r.reference_captured,
     )
 }
 
@@ -78,8 +77,8 @@ fn pareto_outcome(r: &ParetoFactResult) -> String {
 
 fn pareto_outcome_and_work(r: &ParetoFactResult) -> String {
     format!(
-        "{}\ncache hits {} full {} spliced {} vectors {} simulated {} batched {} lanes {} \
-         candidates {:?} reference {}",
+        "{}\ncache hits {} full {} spliced {} vectors {} profiled {} batched {} lanes {} \
+         candidates {:?}",
         pareto_outcome(r),
         r.cache_hits,
         r.full_reschedules,
@@ -89,7 +88,6 @@ fn pareto_outcome_and_work(r: &ParetoFactResult) -> String {
         r.sim_engine_batched,
         r.mega_lanes,
         r.candidates,
-        r.reference_captured,
     )
 }
 

@@ -1,77 +1,62 @@
-//! Production evaluation vs. the from-scratch oracle.
+//! Production evaluation vs. the from-scratch oracle, and the soundness
+//! of every proof the search accepts a candidate on.
 //!
-//! `optimize` scores candidates one way: one `simulate` call per
-//! candidate (compiled simulation against a captured equivalence
-//! reference and profiling), per-block schedule splicing, and
-//! whole-neighborhood dispatch across worker threads. This suite holds that path to a deliberately
-//! simple oracle built here from public functions only: the IR
-//! interpreter (`profile`, `check_equivalence`), the memo-free
-//! `schedule`, and `evaluate`/`evaluate_power_mode`. The two must be
-//! *bit-identical*, not approximately equal:
+//! `optimize` accepts a candidate only when it is proved equivalent to
+//! its parent (`prove_equivalent`, or `operand_swap_of` for an operand
+//! swap), reusing the parent's profile or deriving it from the parent's
+//! counts; it schedules with per-block splicing and dispatches whole
+//! neighborhoods across worker threads. This suite holds that path to a
+//! deliberately simple oracle built here from public functions only: the
+//! IR interpreter (`profile`, `check_equivalence`), the memo-free
+//! `schedule`, and `evaluate`/`evaluate_power_mode`. The oracle accepts a
+//! candidate when `check_equivalence` finds no difference. The two must
+//! be *bit-identical*, not approximately equal:
 //!
 //! 1. seed-driven random walks through the transformation space of the
-//!    example1 (TEST1) and Table 2 graphs, comparing every candidate's
-//!    verdict, profile, schedule, and estimates between the two paths;
+//!    example1 (TEST1) and Table 2 graphs, auditing the candidates they
+//!    meet (item 6);
 //! 2. whole `optimize` runs over the suite (plus two benchmarks under
-//!    wider traces and a memory-bearing one), both objectives, and 1, 2, and
-//!    8 worker threads against [`oracle_optimize`] — same trajectory
-//!    (applied path, evaluation count), same winner, same estimate bits,
-//!    and the same cache ledger for every thread count — a ledger that
-//!    holds candidate scores and nothing else;
-//! 3. the same with equivalence checking off (each candidate's call is
-//!    then the profile pass alone);
-//! 4. Pareto frontiers, bit-identical for any thread count;
-//! 5. the simulation ledger: every uncached candidate is either proved
-//!    equivalent to its parent (no simulation), or derived from its
-//!    counts, or costs exactly its passes' worth of trace vectors,
-//!    nothing more;
-//! 6. the prover: every candidate `prove_equivalent` proves equivalent
-//!    to its parent is equivalent under `check_equivalence` and has the
-//!    parent's profile — or, for a loop unrolled by 2, the counts and
-//!    profile derived from the parent's, bit for bit what `simulate`
-//!    takes.
-//! 7. the on-demand reference: a run captures the equivalence reference
-//!    only when it simulates a candidate or memory steers its input —
-//!    never on a fresh run of the suite, never with checking off — and a
-//!    run over an earlier run's cache, which captures it mid-search,
-//!    still matches the cold oracle for any thread count.
+//!    wider traces and two memory-bearing ones), the full and extended
+//!    libraries, both objectives, and 1, 2, and 8 worker threads against
+//!    [`oracle_optimize`] — same trajectory (applied path, evaluation
+//!    count), same winner, same estimate bits, and the same cache ledger
+//!    for every thread count — a ledger that holds candidate scores and
+//!    nothing else;
+//! 3. Pareto runs against [`oracle_pareto`], and Pareto frontiers,
+//!    bit-identical for any thread count;
+//! 4. the simulation ledger: no candidate of the suite is unproved, and
+//!    the only profile passes inside a search are one per parent or
+//!    search input the shared cache answered;
+//! 5. runs over a cache another run filled end where the cold oracle
+//!    does, for any thread count;
+//! 6. soundness: every candidate the oracles meet that the prover (or
+//!    the operand-swap check) accepts passes `check_equivalence` against
+//!    its parent and the input, and its reused or derived profile is the
+//!    interpreter's, bit for bit ([`assert_paths_agree`]). The count of
+//!    accepted but not equivalent candidates is pinned at zero.
 //!
 //! Deliberately std-only and seed-driven (no proptest): a failure
 //! reproduces exactly.
 
 use fact_core::{
-    apply_transforms, optimize_pareto_with, optimize_with, partition, region_of_block,
-    structural_hash, suite, Benchmark, CandidateCounts, EvalCache, FactConfig, FactResult,
-    MegaCandidate, Objective, OptimizeHooks, ParetoFactResult, TransformLibrary,
+    apply_transforms, apply_transforms_pareto, optimize_pareto_with, optimize_with, partition,
+    region_of_block, structural_hash, suite, Benchmark, CandidateCounts, EvalCache, FactConfig,
+    FactResult, MegaCandidate, Objective, OptimizeHooks, ParetoArchive, ParetoFactResult,
+    TransformLibrary,
 };
-use fact_estim::{
-    evaluate, evaluate_power_mode, markov_of, section5_library, table1_library, Estimate,
-};
-use fact_ir::{prove_equivalent, Function, UnrollMap};
+use fact_estim::{evaluate, evaluate_power_mode, markov_of, section5_library, Estimate};
+use fact_ir::{operand_swap_of, prove_equivalent, Function, GraphMap};
 use fact_lang::compile;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
-use fact_sched::{schedule, schedule_with_memo, Allocation, SchedOptions, ScheduleMemo};
-use fact_sim::{
-    check_equivalence, generate, memory_steers, profile, simulate, CompiledFn, EquivReference,
-    InputSpec, TraceSet,
-};
+use fact_sched::{schedule, Allocation};
+use fact_sim::{check_equivalence, generate, profile, simulate, CompiledFn, InputSpec, TraceSet};
 use fact_xform::{Region, TransformKind};
+use std::sync::Mutex;
 
-/// The §2 walkthrough fixture (same setup as the example1 binary).
-fn example1() -> (
-    Function,
-    fact_sched::FuLibrary,
-    fact_sched::SelectionRules,
-    Allocation,
-    TraceSet,
-) {
+/// The §2 walkthrough's behavior and traces (as the example1 binary).
+fn example1() -> (Function, TraceSet) {
     let f = compile(suite::TEST1_SRC).expect("TEST1 compiles");
-    let (lib, rules) = table1_library();
-    let mut alloc = Allocation::new();
-    for (name, n) in [("comp1", 2), ("cla1", 2), ("incr1", 1), ("w_mult1", 1)] {
-        alloc.set(lib.by_name(name).unwrap(), n);
-    }
     let traces = generate(
         &[
             ("c1".to_string(), InputSpec::Constant(18)),
@@ -80,126 +65,99 @@ fn example1() -> (
         4,
         7,
     );
-    (f, lib, rules, alloc, traces)
+    (f, traces)
 }
 
-/// Evaluates `g` (a rewrite of `parent`) the oracle way and the
-/// production way and asserts the results are bit-identical. Returns
-/// whether the candidate survived (equivalent and schedulable), judged
-/// identically by both paths.
-#[allow(clippy::too_many_arguments)]
+/// Where [`assert_paths_agree`] keeps count: the candidates accepted on
+/// a proof, and what was wrong with those that are unsound.
+#[derive(Default)]
+struct Audit {
+    accepted: Mutex<usize>,
+    unsound: Mutex<Vec<String>>,
+}
+
+impl Audit {
+    /// Panics unless something was accepted and everything accepted was
+    /// sound: the count of accepted but not equivalent candidates is
+    /// pinned at zero.
+    fn assert_sound(&self, what: &str) {
+        let unsound = self.unsound.lock().unwrap();
+        let accepted = *self.accepted.lock().unwrap();
+        assert!(accepted > 0, "{what}: nothing accepted");
+        assert_eq!(
+            unsound.len(),
+            0,
+            "{what}: {} of {accepted} accepted candidates unsound: {:#?}",
+            unsound.len(),
+            *unsound
+        );
+    }
+}
+
+/// Whether production accepts `g`, a child of `parent` made as `map`
+/// says, on a proof (`prove_equivalent`, or `operand_swap_of` for a
+/// swap) with a profile it can reuse or derive. An accepted candidate is
+/// checked against the interpreter, into `audit`: it must pass
+/// `check_equivalence` against `parent` and against `original`, and the
+/// profile production gives it — the parent's own, or derived from the
+/// parent's counts — must equal the interpreter's bit for bit.
 fn assert_paths_agree(
+    audit: &Audit,
     original: &Function,
     parent: &Function,
     g: &Function,
-    unrolled: Option<&UnrollMap>,
-    lib: &fact_sched::FuLibrary,
-    rules: &fact_sched::SelectionRules,
-    alloc: &Allocation,
+    map: Option<&GraphMap>,
     traces: &TraceSet,
-    reference: &EquivReference,
-    sched_memo: &ScheduleMemo,
     ctx: &str,
 ) -> bool {
-    let opts = SchedOptions::default();
-
-    // Full path: interpret the source IR, schedule from scratch.
-    let full_verdict = check_equivalence(original, g, traces, 0xC0FFEE).is_ok();
-    // Production path: one simulate call verifies and profiles the
-    // compiled candidate.
-    let sim = simulate(&CompiledFn::compile(g), traces, Some(reference));
-    assert_eq!(
-        full_verdict,
-        sim.profile.is_some(),
-        "equivalence verdict differs ({ctx})"
-    );
-    let (Some(inc_prof), Some(inc_counts)) = (sim.profile, sim.counts) else {
+    let swap = map.is_none() && operand_swap_of(parent, g).is_some();
+    if !swap && prove_equivalent(parent, g, map).is_none() {
         return false;
+    }
+    let given = match map {
+        None => profile(parent, traces),
+        // Production rejects a candidate whose counts it cannot derive.
+        Some(map) => match simulate(&CompiledFn::compile(parent), traces)
+            .counts
+            .mapped(map, g.num_blocks())
+        {
+            Some(derived) => derived.profile(),
+            None => return false,
+        },
     };
-
-    let full_prof = profile(g, traces);
-    assert_eq!(full_prof, inc_prof, "branch profile differs ({ctx})");
-    // What production would do instead of simulating: a proved candidate
-    // must be equivalent to its parent and reuse the parent's profile,
-    // or — unrolled — derive it from the parent's counts.
-    if prove_equivalent(parent, g, unrolled).is_some() {
-        check_equivalence(parent, g, traces, 0xC0FFEE)
-            .unwrap_or_else(|m| panic!("proved but not equivalent ({ctx}): {m}"));
-        match unrolled {
-            None => assert_eq!(
-                profile(parent, traces),
-                full_prof,
-                "proved candidate's profile differs from its parent's ({ctx})"
-            ),
-            Some(map) => {
-                let parent_counts = simulate(&CompiledFn::compile(parent), traces, None)
-                    .counts
-                    .expect("a pass without a reference profiles");
-                let derived = parent_counts
-                    .unrolled(map, g.num_blocks())
-                    .unwrap_or_else(|| panic!("proved but nothing derived ({ctx})"));
-                assert_eq!(derived, inc_counts, "derived counts differ ({ctx})");
-                assert_eq!(
-                    derived.profile(),
-                    inc_prof,
-                    "derived profile differs ({ctx})"
-                );
-            }
+    *audit.accepted.lock().unwrap() += 1;
+    let fail = |what: String| {
+        audit
+            .unsound
+            .lock()
+            .unwrap()
+            .push(format!("{what} ({ctx})"))
+    };
+    for (against, name) in [(parent, "parent"), (original, "input")] {
+        if let Err(m) = check_equivalence(against, g, traces, 0xC0FFEE) {
+            fail(format!("accepted but not equivalent to its {name}: {m}"));
         }
     }
-
-    let full_sr = schedule(g, lib, rules, alloc, &full_prof, &opts);
-    let inc_sr = schedule_with_memo(g, lib, rules, alloc, &inc_prof, &opts, Some(sched_memo));
-    let (full_sr, inc_sr) = match (full_sr, inc_sr) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(_), Err(_)) => return false,
-        (a, b) => panic!(
-            "schedulability differs ({ctx}): full={} incremental={}",
-            a.is_ok(),
-            b.is_ok()
-        ),
-    };
-    assert_eq!(
-        structural_hash(&full_sr.function),
-        structural_hash(&inc_sr.function),
-        "scheduled function structural hash differs ({ctx})"
-    );
-
-    let full_est = evaluate(&full_sr, lib, opts.clock_ns).expect("full estimate");
-    let inc_est = evaluate(&inc_sr, lib, opts.clock_ns).expect("inc estimate");
-    assert_eq!(
-        full_est.average_schedule_length.to_bits(),
-        inc_est.average_schedule_length.to_bits(),
-        "schedule length differs ({ctx})"
-    );
-    assert_eq!(
-        full_est.power.to_bits(),
-        inc_est.power.to_bits(),
-        "power estimate differs ({ctx})"
-    );
+    if given != profile(g, traces) {
+        fail("accepted with a profile other than the interpreter's".to_string());
+    }
     true
 }
 
-/// Walks `depth` random transformation steps from `f`, comparing every
-/// visited candidate between the two evaluation paths.
-#[allow(clippy::too_many_arguments)]
+/// Walks `depth` random transformation steps from `f` through the
+/// extended library, auditing a sample of every visited neighbourhood
+/// and stepping to an accepted candidate. Returns how many candidates
+/// were audited.
 fn random_walk(
+    audit: &Audit,
     name: &str,
     f: &Function,
-    lib: &fact_sched::FuLibrary,
-    rules: &fact_sched::SelectionRules,
-    alloc: &Allocation,
     traces: &TraceSet,
     seed: u64,
     depth: usize,
 ) -> usize {
-    let tlib = TransformLibrary::full();
+    let tlib = TransformLibrary::extended();
     let mut rng = StdRng::seed_from_u64(seed);
-    // The memo persists across the whole walk: late steps hit fragments
-    // cached by early steps, exactly as in a real search.
-    let sched_memo = ScheduleMemo::default();
-    let reference = EquivReference::capture(f, traces, 0xC0FFEE);
-
     let mut compared = 0;
     let mut current = f.clone();
     for step in 0..depth {
@@ -207,23 +165,17 @@ fn random_walk(
         if cands.is_empty() {
             break;
         }
-        // Compare a bounded random sample of the frontier, then step to a
-        // random surviving candidate.
         let mut next = None;
         for _ in 0..cands.len().min(6) {
             let c = &cands[rng.gen_range(0..cands.len())];
             let ctx = format!("{name} seed={seed} step={step} cand={}", c.description);
             if assert_paths_agree(
+                audit,
                 f,
                 &current,
                 &c.function,
-                c.unrolled.as_ref(),
-                lib,
-                rules,
-                alloc,
+                c.map.as_ref(),
                 traces,
-                &reference,
-                &sched_memo,
                 &ctx,
             ) {
                 next = Some(c.function.clone());
@@ -240,35 +192,28 @@ fn random_walk(
 
 #[test]
 fn random_walks_example1_paths_agree() {
-    let (f, lib, rules, alloc, traces) = example1();
+    let (f, traces) = example1();
+    let audit = Audit::default();
     let mut compared = 0;
     for seed in [1, 2, 3] {
-        compared += random_walk("example1", &f, &lib, &rules, &alloc, &traces, seed, 3);
+        compared += random_walk(&audit, "example1", &f, &traces, seed, 3);
     }
     assert!(compared >= 10, "walks compared only {compared} candidates");
+    audit.assert_sound("example1 walks");
 }
 
 #[test]
 fn random_walks_table2_paths_agree() {
-    let (lib, rules) = section5_library();
+    let (lib, _) = section5_library();
+    let audit = Audit::default();
     let mut compared = 0;
     for b in suite(&lib) {
-        // Two seeds per benchmark, short walks: enough to mix cold and
-        // warm memo states without dominating test time.
         for seed in [11, 29] {
-            compared += random_walk(
-                b.name,
-                &b.function,
-                &lib,
-                &rules,
-                &b.allocation,
-                &b.traces,
-                seed,
-                2,
-            );
+            compared += random_walk(&audit, b.name, &b.function, &b.traces, seed, 2);
         }
     }
     assert!(compared >= 30, "walks compared only {compared} candidates");
+    audit.assert_sound("Table 2 walks");
 }
 
 /// What a whole search must reproduce.
@@ -279,75 +224,178 @@ struct OracleRun {
     estimate: Estimate,
 }
 
-/// The Figure 5 flow from scratch: every candidate is checked and
-/// profiled on the IR interpreter, scheduled without a memo, and
-/// estimated, one at a time.
-fn oracle_optimize(b: &Benchmark, config: &FactConfig) -> OracleRun {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
-    let (f, alloc, traces) = (&b.function, &b.allocation, &b.traces);
+/// The oracle's view of a run: the input's regions and baseline, and
+/// how it estimates a candidate.
+struct OracleSetup<'a> {
+    b: &'a Benchmark,
+    lib: fact_sched::FuLibrary,
+    rules: fact_sched::SelectionRules,
+    regions: Vec<Region>,
+    base_cycles: f64,
+    config: &'a FactConfig,
+}
 
-    let sr0 = schedule(f, &lib, &rules, alloc, &profile(f, traces), &config.sched)
-        .expect("baseline schedules");
-    let markov0 = markov_of(&sr0).expect("baseline analyzes");
-    let base_cycles = markov0.average_schedule_length;
-    let blocks = partition(&sr0.stg, &markov0, &config.partition);
-    let regions: Vec<Region> = if blocks.is_empty() {
-        vec![Region::whole()]
-    } else {
-        blocks
-            .iter()
-            .take(config.max_blocks)
-            .map(|blk| region_of_block(f, &sr0, blk))
-            .collect()
-    };
+impl<'a> OracleSetup<'a> {
+    fn new(b: &'a Benchmark, config: &'a FactConfig) -> Self {
+        let (lib, rules) = section5_library();
+        let (f, alloc, traces) = (&b.function, &b.allocation, &b.traces);
+        let sr0 = schedule(f, &lib, &rules, alloc, &profile(f, traces), &config.sched)
+            .expect("baseline schedules");
+        let markov0 = markov_of(&sr0).expect("baseline analyzes");
+        let blocks = partition(&sr0.stg, &markov0, &config.partition);
+        let regions = if blocks.is_empty() {
+            vec![Region::whole()]
+        } else {
+            blocks
+                .iter()
+                .take(config.max_blocks)
+                .map(|blk| region_of_block(f, &sr0, blk))
+                .collect()
+        };
+        OracleSetup {
+            b,
+            lib,
+            rules,
+            regions,
+            base_cycles: markov0.average_schedule_length,
+            config,
+        }
+    }
 
-    let clock_ns = config.sched.clock_ns;
-    let estimate = |g: &Function| -> Option<Estimate> {
-        let prof = profile(g, traces);
+    /// `g` profiled on the interpreter, scheduled without a memo, and
+    /// estimated under `objective`.
+    fn estimate(&self, g: &Function, objective: Objective) -> Option<Estimate> {
+        let (b, config) = (self.b, self.config);
+        let prof = profile(g, &b.traces);
         if prof.runs_ok == 0 {
             return None;
         }
-        let sr = schedule(g, &lib, &rules, alloc, &prof, &config.sched).ok()?;
-        match config.objective {
+        let sr = schedule(
+            g,
+            &self.lib,
+            &self.rules,
+            &b.allocation,
+            &prof,
+            &config.sched,
+        )
+        .ok()?;
+        let clock_ns = config.sched.clock_ns;
+        match objective {
             Objective::Power => {
-                let est = evaluate_power_mode(&sr, &lib, clock_ns, base_cycles).ok()?;
-                if est.average_schedule_length > base_cycles * 1.001 {
+                let est = evaluate_power_mode(&sr, &self.lib, clock_ns, self.base_cycles).ok()?;
+                if est.average_schedule_length > self.base_cycles * 1.001 {
                     return None;
                 }
                 Some(est)
             }
-            Objective::Throughput | Objective::Pareto => evaluate(&sr, &lib, clock_ns).ok(),
+            Objective::Throughput | Objective::Pareto => evaluate(&sr, &self.lib, clock_ns).ok(),
         }
-    };
-    let score_one = |g: &Function| -> Option<f64> {
-        if config.check_equivalence && check_equivalence(f, g, traces, 0xC0FFEE).is_err() {
-            return None;
-        }
-        Some(config.objective.score(&estimate(g)?))
-    };
-    let score = |batch: &[MegaCandidate<'_>]| -> Vec<Option<f64>> {
-        batch.iter().map(|c| score_one(c.function())).collect()
-    };
+    }
 
-    let mut best = f.clone();
+    /// The oracle's estimate of `c`: `None` unless `check_equivalence`
+    /// finds it equivalent to the input. A child is audited too.
+    fn checked(
+        &self,
+        c: &MegaCandidate<'_>,
+        objective: Objective,
+        audit: &Audit,
+    ) -> Option<Estimate> {
+        let (b, g) = (self.b, c.function());
+        if let Some(origin) = &c.origin {
+            let ctx = format!("{} {objective:?} {}", b.name, origin.kind);
+            assert_paths_agree(
+                audit,
+                &b.function,
+                origin.parent(),
+                g,
+                c.map(),
+                &b.traces,
+                &ctx,
+            );
+        }
+        check_equivalence(&b.function, g, &b.traces, 0xC0FFEE).ok()?;
+        self.estimate(g, objective)
+    }
+}
+
+/// The Figure 5 flow from scratch: every candidate is checked and
+/// profiled on the IR interpreter, scheduled without a memo, and
+/// estimated, one at a time; and every proof on the way is audited.
+fn oracle_optimize(
+    b: &Benchmark,
+    config: &FactConfig,
+    tlib: &TransformLibrary,
+    audit: &Audit,
+) -> OracleRun {
+    let setup = OracleSetup::new(b, config);
+    let objective = config.objective;
+    let score = |batch: &[MegaCandidate<'_>]| -> Vec<Option<f64>> {
+        batch
+            .iter()
+            .map(|c| Some(objective.score(&setup.checked(c, objective, audit)?)))
+            .collect()
+    };
+    let mut best = b.function.clone();
     let mut applied = Vec::new();
     let mut evaluated = 0;
-    for region in &regions {
-        let r = apply_transforms(&best, region, &tlib, &config.search, &score, None);
+    for region in &setup.regions {
+        let r = apply_transforms(&best, region, tlib, &config.search, &score, None);
         evaluated += r.evaluated;
         if r.best_score > f64::NEG_INFINITY && !r.applied.is_empty() {
             best = r.best;
             applied.extend(r.applied);
         }
     }
-    let estimate = estimate(&best).expect("the winner estimates");
+    let estimate = setup
+        .estimate(&best, objective)
+        .expect("the winner estimates");
     OracleRun {
         best,
         applied,
         evaluated,
         estimate,
     }
+}
+
+/// The Pareto flow from scratch, as [`oracle_optimize`] evaluates:
+/// returns the evaluation count and the archived designs' (energy,
+/// latency) bits.
+fn oracle_pareto(
+    b: &Benchmark,
+    config: &FactConfig,
+    tlib: &TransformLibrary,
+    audit: &Audit,
+) -> (usize, Vec<(u64, u64)>) {
+    let setup = OracleSetup::new(b, config);
+    let score = |batch: &[MegaCandidate<'_>]| -> Vec<Option<(f64, f64)>> {
+        batch
+            .iter()
+            .map(|c| {
+                let est = setup.checked(c, Objective::Pareto, audit)?;
+                Some((est.energy_vdd2, est.average_schedule_length))
+            })
+            .collect()
+    };
+    let mut archive = ParetoArchive::new(config.pareto.archive_capacity);
+    let mut evaluated = 0;
+    for region in &setup.regions {
+        let r = apply_transforms_pareto(
+            &b.function,
+            region,
+            tlib,
+            &config.search,
+            &mut archive,
+            &score,
+            None,
+        );
+        evaluated += r.evaluated;
+    }
+    let points = archive
+        .entries()
+        .iter()
+        .map(|(p, _)| (p.energy.to_bits(), p.latency.to_bits()))
+        .collect();
+    (evaluated, points)
 }
 
 fn quick_config(objective: Objective, seed: u64, threads: usize) -> FactConfig {
@@ -364,28 +412,54 @@ fn quick_config(objective: Objective, seed: u64, threads: usize) -> FactConfig {
     config
 }
 
-/// The production run, with a fresh shared cache.
-fn run(b: &Benchmark, config: &FactConfig) -> (FactResult, EvalCache) {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
-    let cache = EvalCache::default();
-    let hooks = OptimizeHooks {
-        cache: Some(&cache),
+fn hooks(cache: &EvalCache) -> OptimizeHooks<'_> {
+    OptimizeHooks {
+        cache: Some(cache),
         stop: None,
         timers: None,
-    };
-    let r = optimize_with(
+    }
+}
+
+/// The production run on `cache`.
+fn run_on(
+    b: &Benchmark,
+    config: &FactConfig,
+    tlib: &TransformLibrary,
+    cache: &EvalCache,
+) -> FactResult {
+    let (lib, rules) = section5_library();
+    optimize_with(
         &b.function,
         &lib,
         &rules,
         &b.allocation,
         &b.traces,
-        &tlib,
+        tlib,
         config,
-        hooks,
+        hooks(cache),
     )
-    .expect("optimize run");
-    (r, cache)
+    .expect("optimize run")
+}
+
+/// The production Pareto run on `cache`.
+fn run_pareto_on(
+    b: &Benchmark,
+    config: &FactConfig,
+    tlib: &TransformLibrary,
+    cache: &EvalCache,
+) -> ParetoFactResult {
+    let (lib, rules) = section5_library();
+    optimize_pareto_with(
+        &b.function,
+        &lib,
+        &rules,
+        &b.allocation,
+        &b.traces,
+        tlib,
+        config,
+        hooks(cache),
+    )
+    .expect("pareto run")
 }
 
 fn assert_matches_oracle(r: &FactResult, oracle: &OracleRun, ctx: &str) {
@@ -409,21 +483,25 @@ fn assert_matches_oracle(r: &FactResult, oracle: &OracleRun, ctx: &str) {
 }
 
 /// A loop-free behavior with a memory: two stored entries and two never
-/// written, so every verify lane reads its own private random image.
+/// written, so every lane of the equivalence check reads its own private
+/// random image.
 const MEMORY_SUM_SRC: &str = "proc memsum(a, b, c, d) { array t[4]; \
      t[0] = a + b; t[1] = c + d; out s = t[0] + t[1] + t[2] + t[3] + a; }";
 
 /// A loop whose branch reads the memory it writes: memory steers it, so
-/// its lanes do other work on the equivalence reference's random images
-/// than from zeroed memories, and a run captures the reference at
-/// set-up.
+/// its lanes take other paths on the equivalence check's random images
+/// than from the zeroed memories it is profiled from.
 const MEMORY_SCAN_SRC: &str = "proc memscan(a, b, n) { array t[8]; var s = 0; var i = 0; \
      while (i < n) { if (t[i] > 0) { s = s + a * i + b * i; } else { s = s - a; } \
      t[i + 1] = s; i = i + 1; } out y = s; }";
 
-/// The suite, plus GCD, PPS and two memory-bearing behaviors under
-/// 32-vector traces: a loop-free one memory does not steer and a loop
-/// it does. Both verify against private random images per lane.
+/// A loop the extended library's fission splits into two.
+const FUSED_SRC: &str = "proc fused(n, a, b) { array x[128]; array y[128]; var i = 0; \
+     while (i < n) { x[i] = (a * i) * 3; y[i] = b + i + b; i = i + 1; } }";
+
+/// The suite, plus GCD and PPS under 32-vector traces, two
+/// memory-bearing behaviors (a loop-free one memory does not steer and a
+/// loop it does) and a fused loop fission splits.
 fn suite_and_wide_traces() -> Vec<Benchmark> {
     let (lib, _) = section5_library();
     let mut out = suite(&lib);
@@ -443,145 +521,136 @@ fn suite_and_wide_traces() -> Vec<Benchmark> {
         allocation: suite::pps(&lib).allocation,
         traces: generate(&inputs, 32, 93),
     });
-    let inputs: Vec<(String, InputSpec)> = [
-        ("a", InputSpec::Uniform { lo: -9, hi: 9 }),
-        ("b", InputSpec::Uniform { lo: -9, hi: 9 }),
-        ("n", InputSpec::Uniform { lo: 0, hi: 7 }),
-    ]
-    .into_iter()
-    .map(|(n, spec)| (n.to_string(), spec))
-    .collect();
+    let specs = |pairs: &[(&str, InputSpec)]| -> Vec<(String, InputSpec)> {
+        pairs
+            .iter()
+            .map(|(n, spec)| (n.to_string(), spec.clone()))
+            .collect()
+    };
+    let small = InputSpec::Uniform { lo: -9, hi: 9 };
     out.push(Benchmark {
         name: "MEMSCAN",
         function: compile(MEMORY_SCAN_SRC).expect("MEMSCAN compiles"),
         allocation: suite::igf(&lib).allocation,
-        traces: generate(&inputs, 32, 95),
+        traces: generate(
+            &specs(&[
+                ("a", small.clone()),
+                ("b", small),
+                ("n", InputSpec::Uniform { lo: 0, hi: 7 }),
+            ]),
+            32,
+            95,
+        ),
     });
-    for (name, steered) in [("MEMSUM", false), ("MEMSCAN", true)] {
-        let b = out.iter().find(|b| b.name == name).unwrap();
-        assert_eq!(memory_steers(&b.function), steered, "{name}");
+    let mut allocation = Allocation::new();
+    for (u, c) in [("a1", 2), ("mt1", 1), ("cp1", 2), ("i1", 2), ("sb1", 1)] {
+        allocation.set(lib.by_name(u).unwrap(), c);
     }
+    let spec = InputSpec::Uniform { lo: 0, hi: 5 };
+    out.push(Benchmark {
+        name: "FUSED",
+        function: compile(FUSED_SRC).expect("FUSED compiles"),
+        allocation,
+        traces: generate(
+            &specs(&[
+                ("n", InputSpec::Constant(40)),
+                ("a", spec.clone()),
+                ("b", spec),
+            ]),
+            4,
+            77,
+        ),
+    });
     out
 }
 
-/// With equivalence checking on, a run captures the reference exactly
-/// when it needs it: a candidate was simulated against it, or memory
-/// steers the input, whose bound on the random images the zero-memory
-/// profile pass cannot give.
-fn assert_captured_on_demand(b: &Benchmark, captured: bool, c: &CandidateCounts, ctx: &str) {
-    assert_eq!(
-        captured,
-        c.simulated_total() > 0 || memory_steers(&b.function),
-        "reference captured = {captured} with {} simulated ({ctx})",
-        c.simulated_total()
-    );
+/// Candidates `r` rejected unproved, but for the unrolls of FUSED's
+/// fissioned loops: the first loop exits into the second one's header,
+/// which the unroll proof does not accept (ROADMAP item 6).
+fn unproved(b: &Benchmark, c: &CandidateCounts) -> u64 {
+    let unroll = TransformKind::LoopUnroll.index();
+    c.unproved_total()
+        - if b.name == "FUSED" {
+            c.unproved[unroll]
+        } else {
+            0
+        }
+}
+
+/// The libraries every whole-run comparison covers.
+fn libraries() -> [(&'static str, TransformLibrary); 2] {
+    [
+        ("full", TransformLibrary::full()),
+        ("extended", TransformLibrary::extended()),
+    ]
 }
 
 /// For fixed seeds, `optimize` must reproduce the oracle exactly, for
-/// any worker thread count — and leave the same cache ledger behind.
+/// any worker thread count — and leave the same cache ledger behind —
+/// and every proof the oracle's search meets must be sound.
 #[test]
 fn optimize_suite_matches_oracle() {
+    let audit = Audit::default();
     for b in suite_and_wide_traces() {
-        for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
-            let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1));
-            let mut ledger = None;
-            for threads in [1usize, 2, 8] {
-                let (r, cache) = run(&b, &quick_config(objective, seed, threads));
-                let ctx = format!(
-                    "{} ({} vectors) {objective:?} seed={seed} threads={threads}",
-                    b.name,
-                    b.traces.len()
-                );
-                assert_matches_oracle(&r, &oracle, &ctx);
-                assert_captured_on_demand(&b, r.reference_captured, &r.candidates, &ctx);
-                // There is one simulator: nothing runs batched.
-                assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
-                assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
-                assert_eq!(
-                    r.mega_candidates, r.evaluated as u64,
-                    "dispatched candidates != evaluations ({ctx})"
-                );
-                // Same keys resolved, same hit/miss split, as the
-                // single-threaded run.
-                let s = cache.stats();
-                let ledger = *ledger.get_or_insert((s.entries, s.misses));
-                assert_eq!(
-                    ledger,
-                    (s.entries, s.misses),
-                    "cache ledger differs ({ctx})"
-                );
+        for (lname, tlib) in libraries() {
+            for (objective, seed) in [(Objective::Throughput, 3), (Objective::Power, 17)] {
+                let oracle = oracle_optimize(&b, &quick_config(objective, seed, 1), &tlib, &audit);
+                let mut ledger = None;
+                for threads in [1usize, 2, 8] {
+                    let cache = EvalCache::default();
+                    let r = run_on(&b, &quick_config(objective, seed, threads), &tlib, &cache);
+                    let ctx = format!(
+                        "{} ({} vectors) {lname} {objective:?} seed={seed} threads={threads}",
+                        b.name,
+                        b.traces.len()
+                    );
+                    assert_matches_oracle(&r, &oracle, &ctx);
+                    assert_eq!(unproved(&b, &r.candidates), 0, "unproved ({ctx})");
+                    // There is one simulator: nothing runs batched.
+                    assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
+                    assert!(r.neighborhood_batches > 0, "no dispatch recorded ({ctx})");
+                    assert_eq!(
+                        r.mega_candidates, r.evaluated as u64,
+                        "dispatched candidates != evaluations ({ctx})"
+                    );
+                    // Same keys resolved, same hit/miss split, as the
+                    // single-threaded run.
+                    let s = cache.stats();
+                    let ledger = *ledger.get_or_insert((s.entries, s.misses));
+                    assert_eq!(
+                        ledger,
+                        (s.entries, s.misses),
+                        "cache ledger differs ({ctx})"
+                    );
+                }
             }
         }
     }
+    audit.assert_sound("whole runs");
 }
 
-/// With equivalence checking off, each candidate's simulate call is the
-/// profile pass alone; the search must still match the oracle run with
-/// the same setting.
+/// The Pareto driver matches the oracle's Pareto search — the same
+/// evaluations and archived points — and its frontier is a function of
+/// the seed alone: same points (bit for bit), same archive, same
+/// trajectory for any thread count.
 #[test]
-fn optimize_suite_without_equivalence_checks_matches_oracle() {
+fn optimize_pareto_matches_oracle_and_is_thread_invariant() {
     let (lib, _) = section5_library();
-    for b in suite(&lib) {
-        for (objective, seed) in [(Objective::Throughput, 5), (Objective::Power, 23)] {
-            let mut config = quick_config(objective, seed, 1);
-            config.check_equivalence = false;
-            let oracle = oracle_optimize(&b, &config);
-            let (r, _) = run(&b, &config);
-            let ctx = format!("{} {objective:?} seed={seed} unchecked", b.name);
-            assert_matches_oracle(&r, &oracle, &ctx);
-            assert!(!r.reference_captured, "reference captured ({ctx})");
-            // Every candidate the cache did not answer inherited its
-            // parent's evaluation, was proved, derived, or routed to an
-            // engine.
-            assert_eq!(
-                r.sim_engine_scalar
-                    + r.sim_engine_batched
-                    + r.candidates.inherited_total()
-                    + r.candidates.proved_total()
-                    + r.candidates.derived_total()
-                    + r.cache_hits as u64,
-                r.evaluated as u64,
-                "engine policy skipped a candidate ({ctx})"
-            );
-        }
-    }
-}
-
-/// The Pareto driver's frontier is a function of the seed alone: same
-/// points (bit for bit), same archive, same trajectory for any thread
-/// count.
-#[test]
-fn optimize_pareto_is_thread_invariant() {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
+    let audit = Audit::default();
     for b in suite(&lib).into_iter().take(3) {
-        let run_pareto = |threads: usize| -> ParetoFactResult {
-            let cache = EvalCache::default();
-            let hooks = OptimizeHooks {
-                cache: Some(&cache),
-                stop: None,
-                timers: None,
-            };
-            optimize_pareto_with(
-                &b.function,
-                &lib,
-                &rules,
-                &b.allocation,
-                &b.traces,
-                &tlib,
-                &quick_config(Objective::Pareto, 5, threads),
-                hooks,
-            )
-            .expect("pareto run")
-        };
-        let sequential = run_pareto(1);
-        assert!(sequential.archive_len > 0, "empty archive ({})", b.name);
-        for threads in [2usize, 8] {
-            let r = run_pareto(threads);
-            let ctx = format!("{} pareto threads={threads}", b.name);
-            assert_eq!(r.evaluated, sequential.evaluated, "eval count ({ctx})");
-            assert_eq!(r.cache_hits, sequential.cache_hits, "cache hits ({ctx})");
-            assert_eq!(r.archive_len, sequential.archive_len, "archive ({ctx})");
+        for (lname, tlib) in libraries() {
+            let config = quick_config(Objective::Pareto, 5, 1);
+            let (evaluated, points) = oracle_pareto(&b, &config, &tlib, &audit);
+            let sequential = run_pareto_on(&b, &config, &tlib, &EvalCache::default());
+            let ctx = format!("{} {lname} pareto", b.name);
+            assert!(sequential.archive_len > 0, "empty archive ({ctx})");
+            assert_eq!(sequential.evaluated, evaluated, "eval count ({ctx})");
+            assert_eq!(sequential.archive_len, points.len(), "archive ({ctx})");
+            assert_eq!(
+                sequential.candidates.unproved_total(),
+                0,
+                "unproved ({ctx})"
+            );
             let bits = |p: &ParetoFactResult| -> Vec<(u64, u64, Vec<String>)> {
                 p.frontier
                     .iter()
@@ -594,103 +663,59 @@ fn optimize_pareto_is_thread_invariant() {
                     })
                     .collect()
             };
-            assert_eq!(bits(&r), bits(&sequential), "frontier differs ({ctx})");
+            for threads in [2usize, 8] {
+                let config = quick_config(Objective::Pareto, 5, threads);
+                let r = run_pareto_on(&b, &config, &tlib, &EvalCache::default());
+                let ctx = format!("{ctx} threads={threads}");
+                assert_eq!(r.evaluated, sequential.evaluated, "eval count ({ctx})");
+                assert_eq!(r.cache_hits, sequential.cache_hits, "cache hits ({ctx})");
+                assert_eq!(r.archive_len, sequential.archive_len, "archive ({ctx})");
+                assert_eq!(bits(&r), bits(&sequential), "frontier differs ({ctx})");
+            }
         }
     }
+    audit.assert_sound("pareto runs");
 }
 
 /// The simulation ledger of whole runs: every candidate the cache did not
-/// answer either inherited its parent's profile and estimate (an operand
-/// swap), or was proved equivalent to its parent and reused its profile,
-/// or derived its profile from the parent's counts (all three simulated
-/// not at all), or was simulated; and each simulated candidate
-/// costs `k` passes over the traces — `k = 1` for memory-free behaviors
-/// (verification and profiling share one pass) and for runs without
-/// equivalence checking (the profile pass alone), `k = 2` for
-/// memory-bearing behaviors under equivalence checking (a verify pass,
-/// then a zero-memory profile pass). The baseline and final profiles are
-/// not counted.
-///
-/// A fresh run of the suite inherits, proves or derives every candidate,
-/// so no loop-unroll candidate is simulated. A second, longer run over the
-/// first run's cache is where simulation remains: the cache answers the
-/// first run's candidates without profiling them, so the children of
-/// those it moves to are simulated.
+/// answer inherited its parent's profile and estimate (an operand swap),
+/// was proved equivalent to its parent and reused its profile, or
+/// derived its profile from the parent's counts — none is unproved, and
+/// none is simulated. The only profile passes inside a search are over
+/// the parents and search inputs the shared cache answered, one pass
+/// each: none on a fresh run, and on a second, longer run over the first
+/// run's cache, one per cache-answered parent whose children it
+/// evaluates.
 #[test]
-fn sim_vectors_count_one_pass_per_simulated_candidate() {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
+fn sim_vectors_count_one_pass_per_profiled_parent() {
     let (mut inherited, mut proved, mut derived) = (0, 0, 0);
     for b in suite_and_wide_traces() {
-        let memory_free = b.function.memories().count() == 0;
-        for check_equivalence in [true, false] {
-            let k = if check_equivalence && !memory_free {
-                2
-            } else {
-                1
-            };
+        for (lname, tlib) in libraries() {
             let cache = EvalCache::default();
             for (fresh, budget) in [(true, 60), (false, 240)] {
                 let mut config = quick_config(Objective::Throughput, 7, 1);
-                config.check_equivalence = check_equivalence;
                 config.search.max_evaluations = budget;
-                let hooks = OptimizeHooks {
-                    cache: Some(&cache),
-                    stop: None,
-                    timers: None,
-                };
-                let r = optimize_with(
-                    &b.function,
-                    &lib,
-                    &rules,
-                    &b.allocation,
-                    &b.traces,
-                    &tlib,
-                    &config,
-                    hooks,
-                )
-                .expect("optimize run");
-                let ctx = format!(
-                    "{} traces={} check_equivalence={check_equivalence} fresh={fresh}",
-                    b.name,
-                    b.traces.len()
-                );
+                let r = run_on(&b, &config, &tlib, &cache);
+                let ctx = format!("{} traces={} {lname} fresh={fresh}", b.name, b.traces.len());
                 let c = &r.candidates;
-                let simulated = c.simulated_total();
-                if check_equivalence {
-                    assert_captured_on_demand(&b, r.reference_captured, c, &ctx);
-                } else {
-                    assert!(!r.reference_captured, "reference captured ({ctx})");
-                }
                 assert_eq!(
                     (r.evaluated - r.cache_hits) as u64,
-                    c.inherited_total() + c.proved_total() + c.derived_total() + simulated,
-                    "every uncached candidate is inherited, proved, derived or simulated ({ctx})"
+                    c.inherited_total() + c.proved_total() + c.derived_total() + c.unproved_total(),
+                    "every uncached candidate is inherited, proved, derived or unproved ({ctx})"
                 );
+                assert_eq!(unproved(&b, c), 0, "unproved ({ctx})");
+                assert_eq!(r.sim_engine_scalar, c.parents_profiled, "passes ({ctx})");
                 assert_eq!(
                     r.sim_vectors,
-                    simulated * (k * b.traces.len()) as u64,
-                    "simulated vectors ({ctx})"
+                    c.parents_profiled * b.traces.len() as u64,
+                    "one pass per profiled parent ({ctx})"
                 );
                 assert_eq!(r.sim_engine_batched, 0, "batched engine ({ctx})");
                 if fresh {
-                    assert_eq!(
-                        c.simulated[TransformKind::LoopUnroll.index()],
-                        0,
-                        "a loop-unroll candidate was simulated ({ctx})"
-                    );
-                } else {
-                    // The suite proves every candidate whose parent was
-                    // profiled: what is simulated had a cache-answered one.
-                    assert_eq!(
-                        c.unprofiled_parents,
-                        simulated - c.simulated_inputs,
-                        "simulated with a profiled parent ({ctx})"
-                    );
+                    assert_eq!(c.parents_profiled, 0, "a fresh run profiled ({ctx})");
+                } else if matches!(b.name, "IGF" | "PPS" | "MEMSUM") {
                     // These searches outgrow the first run's budget.
-                    if matches!(b.name, "IGF" | "PPS" | "MEMSUM") {
-                        assert!(c.unprofiled_parents > 0, "nothing simulated ({ctx})");
-                    }
+                    assert!(c.parents_profiled > 0, "no parent profiled ({ctx})");
                 }
                 inherited += c.inherited_total();
                 proved += c.proved_total();
@@ -702,8 +727,8 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
         inherited > 0,
         "no operand swap inherited its parent's estimate"
     );
-    assert!(proved > 0, "the prover never short-circuited a simulation");
-    assert!(derived > 0, "no unrolled candidate's profile was derived");
+    assert!(proved > 0, "the prover never proved a candidate");
+    assert!(derived > 0, "no candidate's profile was derived");
 }
 
 /// The shared cache's ledger holds candidate scores and nothing else: a
@@ -712,9 +737,11 @@ fn sim_vectors_count_one_pass_per_simulated_candidate() {
 #[test]
 fn the_shared_cache_holds_one_score_per_uncached_evaluation() {
     let (lib, _) = section5_library();
+    let tlib = TransformLibrary::full();
     for b in suite(&lib) {
         for (objective, seed) in [(Objective::Throughput, 11), (Objective::Power, 29)] {
-            let (r, cache) = run(&b, &quick_config(objective, seed, 1));
+            let cache = EvalCache::default();
+            let r = run_on(&b, &quick_config(objective, seed, 1), &tlib, &cache);
             let ctx = format!("{} {objective:?} seed={seed}", b.name);
             let uncached = (r.evaluated - r.cache_hits) as u64;
             let s = cache.stats();
@@ -725,87 +752,48 @@ fn the_shared_cache_holds_one_score_per_uncached_evaluation() {
     }
 }
 
-/// A fresh run of the suite proves, derives or inherits every candidate
-/// and memory steers no suite behavior, so no objective captures the
-/// equivalence reference (DESIGN §8.5.3).
+/// A run over an earlier run's cache profiles the parents the cache
+/// answered — from whichever worker thread needs one first — proves their
+/// children against them, and ends where the cold oracle does, for any
+/// thread count; a Pareto run over a cache another objective filled does
+/// too.
 #[test]
-fn fresh_suite_runs_capture_no_reference() {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
-    for b in suite(&lib) {
-        for objective in [Objective::Throughput, Objective::Power] {
-            let (r, _) = run(&b, &quick_config(objective, 13, 1));
-            let ctx = format!("{} {objective:?}", b.name);
-            assert_eq!(r.candidates.simulated_total(), 0, "simulated ({ctx})");
-            assert!(!r.reference_captured, "reference captured ({ctx})");
-        }
-        let r = optimize_pareto_with(
-            &b.function,
-            &lib,
-            &rules,
-            &b.allocation,
-            &b.traces,
-            &tlib,
-            &quick_config(Objective::Pareto, 13, 1),
-            OptimizeHooks::default(),
-        )
-        .expect("pareto run");
-        assert_eq!(r.candidates.simulated_total(), 0, "simulated ({})", b.name);
-        assert!(
-            !r.reference_captured,
-            "reference captured ({} pareto)",
-            b.name
-        );
-    }
-}
-
-/// A run over an earlier run's cache simulates the children of the
-/// parents the cache answered, so it captures the reference on demand
-/// — from whichever worker thread needs it first — and still ends
-/// where the cold oracle does, for any thread count.
-#[test]
-fn warm_runs_capture_the_reference_on_demand_and_match_the_oracle() {
-    let (lib, rules) = section5_library();
-    let tlib = TransformLibrary::full();
+fn warm_runs_match_the_cold_oracle() {
+    let (lib, _) = section5_library();
+    let audit = Audit::default();
     for name in ["IGF", "PPS"] {
         let b = suite(&lib).into_iter().find(|b| b.name == name).unwrap();
-        let budget = |threads: usize, max_evaluations: usize| {
-            let mut config = quick_config(Objective::Throughput, 7, threads);
-            config.search.max_evaluations = max_evaluations;
-            config
-        };
-        let oracle = oracle_optimize(&b, &budget(1, 240));
-        for threads in [1usize, 2, 8] {
+        for (lname, tlib) in libraries() {
+            let budget = |threads: usize, max_evaluations: usize| {
+                let mut config = quick_config(Objective::Throughput, 7, threads);
+                config.search.max_evaluations = max_evaluations;
+                config
+            };
+            let oracle = oracle_optimize(&b, &budget(1, 240), &tlib, &audit);
+            for threads in [1usize, 2, 8] {
+                let cache = EvalCache::default();
+                let ctx = format!("{name} {lname} threads={threads}");
+                let cold = run_on(&b, &budget(threads, 60), &tlib, &cache);
+                assert_eq!(cold.candidates.parents_profiled, 0, "cold ({ctx})");
+                let warm = run_on(&b, &budget(threads, 240), &tlib, &cache);
+                assert!(warm.cache_hits > 0, "no cache hits ({ctx})");
+                assert!(
+                    warm.candidates.parents_profiled > 0,
+                    "no cache-answered parent profiled ({ctx})"
+                );
+                assert_eq!(warm.candidates.unproved_total(), 0, "unproved ({ctx})");
+                assert_matches_oracle(&warm, &oracle, &ctx);
+            }
+            let config = quick_config(Objective::Pareto, 5, 2);
+            let (evaluated, points) = oracle_pareto(&b, &config, &tlib, &audit);
             let cache = EvalCache::default();
-            let hooks = OptimizeHooks {
-                cache: Some(&cache),
-                stop: None,
-                timers: None,
-            };
-            let optimize = |config: &FactConfig| {
-                optimize_with(
-                    &b.function,
-                    &lib,
-                    &rules,
-                    &b.allocation,
-                    &b.traces,
-                    &tlib,
-                    config,
-                    hooks,
-                )
-                .expect("optimize run")
-            };
-            let ctx = format!("{name} threads={threads}");
-            let cold = optimize(&budget(threads, 60));
-            assert!(!cold.reference_captured, "cold run captured ({ctx})");
-            let warm = optimize(&budget(threads, 240));
-            assert!(warm.cache_hits > 0, "no cache hits ({ctx})");
-            assert!(
-                warm.candidates.unprofiled_parents > 0,
-                "no child of a cache-answered parent simulated ({ctx})"
-            );
-            assert_captured_on_demand(&b, warm.reference_captured, &warm.candidates, &ctx);
-            assert_matches_oracle(&warm, &oracle, &ctx);
+            run_on(&b, &budget(2, 240), &tlib, &cache);
+            let warm = run_pareto_on(&b, &config, &tlib, &cache);
+            let ctx = format!("{name} {lname} pareto over a throughput cache");
+            assert_eq!(warm.evaluated, evaluated, "eval count ({ctx})");
+            assert_eq!(warm.archive_len, points.len(), "archive ({ctx})");
+            assert_eq!(warm.candidates.unproved_total(), 0, "unproved ({ctx})");
         }
     }
+    audit.assert_sound("warm runs");
 }

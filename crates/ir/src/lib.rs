@@ -58,4 +58,6 @@ pub use func::{BasicBlock, Function, Memory, Successors, Terminator};
 pub use ids::{BlockId, MemId, OpId};
 pub use loops::{LoopForest, NaturalLoop};
 pub use op::{BinOp, Op, OpKind, UnOp};
-pub use prove::{operand_swap_of, prove_equivalent, Equivalence, UnrollMap};
+pub use prove::{
+    operand_swap_of, prove_equivalent, Equivalence, FissionLoop, FissionMap, GraphMap, UnrollMap,
+};

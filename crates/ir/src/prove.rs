@@ -78,6 +78,20 @@
 //!
 //! The header's phis are checked coinductively as before, with the
 //! incoming value of the copied latch advanced.
+//!
+//! # Fissioned loops
+//!
+//! Loop fission splits a loop of a header and one body block into
+//! consecutive loops and comes with a [`FissionMap`]. Each parent
+//! iteration stands for one iteration of every loop: a candidate phi is
+//! the leaf of the parent phi it stands for, and every loop's entry and
+//! back-edge phi values and header condition must be the parent's. A
+//! loop reads no other loop's values but constants and inputs. Every
+//! memory, the output stream and the input reads belong to one loop,
+//! whose accesses — header and body apart, in order — are the parent's;
+//! a loop block's load is named by the parent block it stands for and
+//! the stores to its own memory before it. After the loops a leaf means
+//! its loop's last iteration, as in the parent.
 
 use crate::cfg::reverse_postorder;
 use crate::func::{BasicBlock, Function, Terminator};
@@ -98,7 +112,49 @@ pub struct Equivalence {
     /// parent's entry of the same block, so a run of the parent that
     /// executed `ops` ops over `entries` block entries runs at most
     /// `ops + entries × block_growth` ops in the candidate.
+    ///
+    /// A block entry of the parent stands for [`Self::entry_copies`]
+    /// candidate entries at most; `block_growth` covers them all.
     pub block_growth: u64,
+    /// The most candidate block entries one parent block entry stands
+    /// for: 1, or the number of loops a fission made of one.
+    pub entry_copies: u64,
+}
+
+/// How a candidate whose control-flow graph a rewrite changed stands for
+/// its parent's: what [`prove_equivalent`] checks it against.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GraphMap {
+    /// One loop unrolled by 2.
+    Unrolled(UnrollMap),
+    /// One loop split into consecutive loops.
+    Fissioned(FissionMap),
+}
+
+/// How the loops of a loop-fissioned candidate stand for its parent's
+/// one loop of a header and a body block (see the
+/// [module docs](self#fissioned-loops)). The candidate keeps both; each
+/// further loop has the same shape and is entered where the one before
+/// it exits. [`prove_equivalent`] checks the map against both graphs,
+/// so a wrong map only fails to prove.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FissionMap {
+    /// The parent's loop header, which the candidate's first loop keeps.
+    pub header: BlockId,
+    /// The further loops, in the order they run.
+    pub loops: Vec<FissionLoop>,
+}
+
+/// One loop a fission added (see [`FissionMap`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FissionLoop {
+    /// The loop's header.
+    pub header: BlockId,
+    /// Its body, which jumps back to the header.
+    pub body: BlockId,
+    /// Parent header phis, each with the phi of this header standing
+    /// for it. Pairs whose phi the candidate no longer has are ignored.
+    pub phis: Vec<(OpId, OpId)>,
 }
 
 /// How the blocks of a loop-unrolled candidate stand for its parent's
@@ -122,10 +178,9 @@ pub struct UnrollMap {
 /// through the control-flow graph, the same outputs, stores and return
 /// value, and the same failures (see the [module docs](self)).
 ///
-/// Without `unrolled` the two functions must share their control-flow
-/// graph. With it, `candidate` is `parent` with one loop unrolled by 2
-/// as the map says, and each of its block visits corresponds to one
-/// block visit of `parent`.
+/// Without `map` the two functions must share their control-flow
+/// graph. With it, `candidate` is `parent` with one loop unrolled by 2,
+/// or split into several, as the map says.
 ///
 /// Sound but incomplete: `None` means "not proved", and is also the
 /// answer whenever the graphs do not correspond or a term grows past a
@@ -153,11 +208,12 @@ pub struct UnrollMap {
 pub fn prove_equivalent(
     parent: &Function,
     candidate: &Function,
-    unrolled: Option<&UnrollMap>,
+    map: Option<&GraphMap>,
 ) -> Option<Equivalence> {
-    let cfg = match unrolled {
+    let cfg = match map {
         None => Cfg::shared(parent, candidate)?,
-        Some(map) => Cfg::unrolled(parent, candidate, map)?,
+        Some(GraphMap::Unrolled(map)) => Cfg::unrolled(parent, candidate, map)?,
+        Some(GraphMap::Fissioned(map)) => Cfg::fissioned(parent, candidate, map)?,
     };
     let mut terms = ARENA.with(|a| a.take());
     terms.clear();
@@ -232,8 +288,15 @@ fn prove_on(
     terms: &mut Terms,
 ) -> Option<Equivalence> {
     let mut pair = Pair::new(parent, candidate, cfg, terms)?;
-    let mut block_growth = 0u64;
+    let (mut block_growth, mut entry_copies) = (0u64, 1u64);
+    if let Shape::Fissioned(x) = &cfg.shape {
+        block_growth = pair.fissioned_loops_agree(x)?;
+        entry_copies = x.loops.len() as u64;
+    }
     for &c in cfg.rpo() {
+        if cfg.loop_of(c).is_some() {
+            continue; // compared loop by loop above
+        }
         let b = cfg.parent_block(c);
         if !(cfg.seen_as_is(c) && pair.block_unchanged(c)) {
             pair.observations_agree(c)?;
@@ -247,7 +310,10 @@ fn prove_on(
         );
         block_growth = block_growth.max(nc.saturating_sub(np));
     }
-    Some(Equivalence { block_growth })
+    Some(Equivalence {
+        block_growth,
+        entry_copies,
+    })
 }
 
 /// The two functions' control-flow graphs and how they correspond.
@@ -255,9 +321,15 @@ struct Cfg {
     /// The parent's graph, which is also the candidate's when the two
     /// share it.
     parent: Rc<ParentGraph>,
-    /// The correspondence of an unrolled candidate; `None` when the two
-    /// functions share their graph.
-    unroll: Option<Unroll>,
+    shape: Shape,
+}
+
+/// How the candidate's graph corresponds to the parent's.
+enum Shape {
+    /// The two functions share their graph.
+    Shared,
+    Unrolled(Unroll),
+    Fissioned(Fission),
 }
 
 /// One function's control-flow graph as the prover walks it.
@@ -332,6 +404,24 @@ struct Unroll {
     /// values: every path from a loop block out of the loop leaves
     /// through the exit.
     after: Vec<bool>,
+}
+
+/// A checked fission correspondence (see [`FissionMap`]).
+struct Fission {
+    /// The candidate's graph.
+    graph: Graph,
+    /// The parent loop's header, body and exit block.
+    header: BlockId,
+    body: BlockId,
+    exit: BlockId,
+    /// The candidate's loops, `(header, body)` in the order they run:
+    /// the parent's own first.
+    loops: Vec<(BlockId, BlockId)>,
+    /// Per candidate block: the loop it belongs to.
+    loop_of: Vec<Option<usize>>,
+    /// Per further loop's header phi (by op id): the parent phi it
+    /// stands for.
+    phi_of: FxMap<u32, u32>,
 }
 
 /// Where a parent term is compared from a candidate block's point of
@@ -416,7 +506,7 @@ impl Cfg {
         }
         Some(Cfg {
             parent: ParentGraph::of(parent),
-            unroll: None,
+            shape: Shape::Shared,
         })
     }
 
@@ -540,7 +630,7 @@ impl Cfg {
             }
         }
         Some(Cfg {
-            unroll: Some(Unroll {
+            shape: Shape::Unrolled(Unroll {
                 graph: Graph {
                     rpo,
                     preds,
@@ -557,11 +647,156 @@ impl Cfg {
         })
     }
 
+    /// The correspondence `map` describes between `parent` and its
+    /// fissioned `candidate`, or `None` when the graphs do not have it.
+    ///
+    /// The parent's loop must be its header and one body block that is
+    /// entered from the header only and jumps back to it, entered from
+    /// one block outside, and leaving from the header to a block with no
+    /// other predecessor. Every candidate loop must branch like the
+    /// parent's header (the body on the same side) and leave to the next
+    /// loop's header, the last to the parent's exit; every other block
+    /// must end as the parent's does.
+    fn fissioned(parent: &Function, candidate: &Function, map: &FissionMap) -> Option<Cfg> {
+        let (n, nc, h) = (parent.num_blocks(), candidate.num_blocks(), map.header);
+        let added = 2 * map.loops.len();
+        if !same_memories(parent, candidate) || nc != n + added || added == 0 || h.index() >= n {
+            return None;
+        }
+        let pg = ParentGraph::of(parent);
+        let parent_preds = &pg.graph.preds;
+        let arms = |f: &Function, b: BlockId| match f.block(b).term {
+            Terminator::Branch {
+                on_true, on_false, ..
+            } => Some([on_true, on_false]),
+            _ => None,
+        };
+        let is_body = |s: BlockId| {
+            s != h && parent.block(s).term == Terminator::Jump(h) && parent_preds[s.index()] == [h]
+        };
+        let parent_arms = arms(parent, h)?;
+        let side = match parent_arms.map(is_body) {
+            [true, false] => 0,
+            [false, true] => 1,
+            _ => return None,
+        };
+        let (b, exit) = (parent_arms[side], parent_arms[1 - side]);
+        let entered = parent_preds[h.index()].iter().filter(|&&p| p != b).count();
+        if exit == h || parent_preds[h.index()].len() != 2 || entered != 1 {
+            return None;
+        }
+        if parent_preds[exit.index()] != [h] || !pg.graph.rpo.contains(&h) {
+            return None;
+        }
+        let mut loops = vec![(h, b)];
+        loops.extend(map.loops.iter().map(|l| (l.header, l.body)));
+        let mut loop_of: Vec<Option<usize>> = vec![None; nc];
+        let mut preds = parent_preds.clone();
+        preds.resize(nc, Vec::new());
+        for (k, &(lh, lb)) in loops.iter().enumerate() {
+            for blk in [lh, lb] {
+                let fresh = k == 0 || blk.index() >= n;
+                if !fresh || blk.index() >= nc || loop_of[blk.index()].replace(k).is_some() {
+                    return None;
+                }
+            }
+            // Each loop branches like the parent's header and leaves to
+            // the next loop, the last to the parent's exit.
+            let next = loops.get(k + 1).map_or(exit, |l| l.0);
+            let mut expected = [next; 2];
+            expected[side] = lb;
+            if arms(candidate, lh)? != expected || candidate.block(lb).term != Terminator::Jump(lh)
+            {
+                return None;
+            }
+            if k > 0 {
+                preds[lh.index()] = vec![loops[k - 1].0, lb];
+                preds[lb.index()] = vec![lh];
+            }
+        }
+        preds[exit.index()] = vec![loops[loops.len() - 1].0];
+        for c in parent.block_ids().filter(|&c| loop_of[c.index()].is_none()) {
+            let (x, y) = (&parent.block(c).term, &candidate.block(c).term);
+            if !same_shape(x, y) || *x.successors() != *y.successors() {
+                return None;
+            }
+        }
+        let rpo = reverse_postorder(candidate);
+        let is_header = headers(&rpo, &preds);
+        let header_as_expected = |&c: &BlockId| {
+            is_header[c.index()]
+                == match loop_of[c.index()] {
+                    Some(k) => c == loops[k].0,
+                    None => pg.graph.is_header[c.index()],
+                }
+        };
+        if rpo.len() != pg.graph.rpo.len() + added || !rpo.iter().all(header_as_expected) {
+            return None;
+        }
+        let phi_of: FxMap<u32, u32> = map
+            .loops
+            .iter()
+            .flat_map(|l| &l.phis)
+            .map(|&(p, c)| (c.0, p.0))
+            .collect();
+        if phi_of.len() != map.loops.iter().map(|l| l.phis.len()).sum::<usize>() {
+            return None; // a phi standing for two
+        }
+        let graph = Graph {
+            rpo,
+            preds,
+            is_header,
+        };
+        let (header, body) = (h, b);
+        let shape = Shape::Fissioned(Fission {
+            graph,
+            header,
+            body,
+            exit,
+            loops,
+            loop_of,
+            phi_of,
+        });
+        Some(Cfg { shape, parent: pg })
+    }
+
     /// The candidate's graph.
     fn graph(&self) -> &Graph {
-        match &self.unroll {
-            Some(u) => &u.graph,
-            None => &self.parent.graph,
+        match &self.shape {
+            Shape::Shared => &self.parent.graph,
+            Shape::Unrolled(u) => &u.graph,
+            Shape::Fissioned(x) => &x.graph,
+        }
+    }
+
+    /// The fissioned loop candidate block `c` belongs to, if any.
+    fn loop_of(&self, c: BlockId) -> Option<usize> {
+        match &self.shape {
+            Shape::Fissioned(x) => x.loop_of[c.index()],
+            _ => None,
+        }
+    }
+
+    /// Whether `side`'s block `b` names its loads by the stores to their
+    /// own memory before them: the blocks of a fissioned loop, whose
+    /// stores to other memories moved to other loops.
+    fn per_memory(&self, cand: bool, b: BlockId) -> bool {
+        match &self.shape {
+            Shape::Fissioned(x) if cand => x.loop_of[b.index()].is_some(),
+            Shape::Fissioned(x) => b == x.header || b == x.body,
+            _ => false,
+        }
+    }
+
+    /// The leaf of header phi `phi` of `side`'s block `b`: the parent
+    /// phi it stands for. `None` for a phi of a further fissioned loop
+    /// the map does not give one for.
+    fn phi_leaf(&self, cand: bool, b: BlockId, phi: OpId) -> Option<u32> {
+        match &self.shape {
+            Shape::Fissioned(x) if cand && x.loop_of[b.index()].is_some_and(|k| k > 0) => {
+                x.phi_of.get(&phi.0).copied()
+            }
+            _ => Some(phi.0),
         }
     }
 
@@ -582,23 +817,26 @@ impl Cfg {
 
     /// The parent block candidate block `c` stands for.
     fn parent_block(&self, c: BlockId) -> BlockId {
-        match &self.unroll {
-            Some(u) => u.stands_for[c.index()].expect("a reachable block").0,
-            None => c,
+        match &self.shape {
+            Shape::Shared => c,
+            Shape::Unrolled(u) => u.stands_for[c.index()].expect("a reachable block").0,
+            Shape::Fissioned(x) => match x.loop_of[c.index()] {
+                Some(k) if c == x.loops[k].0 => x.header,
+                Some(_) => x.body,
+                None => c,
+            },
         }
     }
 
     /// How parent terms are seen from candidate block `c`.
     fn view(&self, c: BlockId) -> View {
-        match &self.unroll {
-            None => View::AsIs,
-            Some(u) => match u.stands_for[c.index()] {
-                Some((_, true)) => View::Odd,
-                Some((b, false)) if u.copy[b.index()].is_none() && u.after[c.index()] => {
-                    View::Exited
-                }
-                _ => View::AsIs,
-            },
+        let Shape::Unrolled(u) = &self.shape else {
+            return View::AsIs;
+        };
+        match u.stands_for[c.index()] {
+            Some((_, true)) => View::Odd,
+            Some((b, false)) if u.copy[b.index()].is_none() && u.after[c.index()] => View::Exited,
+            _ => View::AsIs,
         }
     }
 
@@ -611,8 +849,9 @@ impl Cfg {
     /// The predecessors `side`'s join terms of block `b` range over: the
     /// parent's exit block has only the header.
     fn join_preds(&self, cand: bool, b: BlockId) -> &[BlockId] {
-        match &self.unroll {
-            Some(u) if !cand && b == u.exit => std::slice::from_ref(&u.header),
+        match &self.shape {
+            Shape::Unrolled(u) if !cand && b == u.exit => std::slice::from_ref(&u.header),
+            Shape::Fissioned(x) if !cand && b == x.exit => std::slice::from_ref(&x.header),
             _ => self.preds(b),
         }
     }
@@ -649,14 +888,29 @@ struct Side<'f> {
 }
 
 impl<'f> Side<'f> {
-    fn locate(f: &'f Function, blocks: &[BlockId]) -> Side<'f> {
+    /// Places `f`'s ops in the reachable `blocks`. A load's memory state
+    /// counts every store before it in its block, or — where
+    /// `per_memory` says so — only the stores to its own memory.
+    fn locate(
+        f: &'f Function,
+        blocks: &[BlockId],
+        per_memory: impl Fn(BlockId) -> bool,
+    ) -> Side<'f> {
         let mut loc = vec![None; f.num_ops()];
+        let mut by_memory = vec![0u32; f.memories().count()];
         for &b in blocks {
+            let per_memory = per_memory(b);
+            by_memory.fill(0);
             let mut stores = 0;
             for &op in &f.block(b).ops {
-                loc[op.index()] = Some((b, stores));
-                if matches!(f.op(op).kind, OpKind::Store { .. }) {
-                    stores += 1;
+                let kind = &f.op(op).kind;
+                let count = match kind.memory() {
+                    Some(m) if per_memory => &mut by_memory[m.index()],
+                    _ => &mut stores,
+                };
+                loc[op.index()] = Some((b, *count));
+                if matches!(kind, OpKind::Store { .. }) {
+                    *count += 1;
                 }
             }
         }
@@ -706,8 +960,8 @@ impl<'a> Pair<'a> {
     ) -> Option<Pair<'a>> {
         let mut pair = Pair {
             cfg,
-            parent: Side::locate(parent, &cfg.parent.graph.rpo),
-            candidate: Side::locate(candidate, cfg.rpo()),
+            parent: Side::locate(parent, &cfg.parent.graph.rpo, |b| cfg.per_memory(false, b)),
+            candidate: Side::locate(candidate, cfg.rpo(), |b| cfg.per_memory(true, b)),
             same: vec![false; candidate.num_ops()],
             terms,
             next: None,
@@ -803,7 +1057,10 @@ impl<'a> Pair<'a> {
                 let e = self.term(cand, *on_false)?;
                 self.terms.mux(c, t, e)?
             }
-            OpKind::Phi(_) if self.cfg.is_header(b) => self.terms.mk(Node::Phi(op.0))?,
+            OpKind::Phi(_) if self.cfg.is_header(b) => {
+                let leaf = self.cfg.phi_leaf(cand, b, op)?;
+                self.terms.mk(Node::Phi(leaf))?
+            }
             OpKind::Phi(incoming) => {
                 let cfg = self.cfg;
                 let preds = cfg.join_preds(cand, b);
@@ -816,8 +1073,14 @@ impl<'a> Pair<'a> {
             }
             OpKind::Load { mem, addr } => {
                 let addr = self.term(cand, *addr)?;
+                // A fissioned loop's loads are named by the parent block
+                // they stand for.
+                let block = match self.cfg.per_memory(cand, b) {
+                    true => self.cfg.parent_block(b),
+                    false => b,
+                };
                 self.terms.mk(Node::Load {
-                    block: b.0,
+                    block: block.0,
                     stores,
                     mem: mem.0,
                     addr,
@@ -889,7 +1152,10 @@ impl<'a> Pair<'a> {
                 // The exit block's predecessors are the header and its
                 // copy, in that order.
                 let odd = self.advance(t)?;
-                let exit = cfg.unroll.as_ref()?.exit;
+                let Shape::Unrolled(u) = &cfg.shape else {
+                    return None;
+                };
+                let exit = u.exit;
                 self.terms.join(exit.0, vec![t, odd])
             }
         }
@@ -901,7 +1167,9 @@ impl<'a> Pair<'a> {
     /// and joins those of the copies.
     fn advance(&mut self, t: Term) -> Option<Term> {
         let cfg = self.cfg;
-        let u = cfg.unroll.as_ref()?;
+        let Shape::Unrolled(u) = &cfg.shape else {
+            return None;
+        };
         if self.next.is_none() {
             let parent = self.parent.f;
             let mut latch_terms = FxMap::default();
@@ -1019,7 +1287,7 @@ impl<'a> Pair<'a> {
             sunk.push((x, t));
         }
         let cfg = self.cfg;
-        if !sunk.is_empty() && cfg.unroll.is_some() {
+        if !sunk.is_empty() && !matches!(cfg.shape, Shape::Shared) {
             return None;
         }
         for &pred in cfg.preds(b) {
@@ -1049,6 +1317,164 @@ impl<'a> Pair<'a> {
         }
         Some(())
     }
+
+    /// Compares the loops of a fissioned candidate with the parent's one
+    /// loop (see the [module docs](self#fissioned-loops)). Returns the
+    /// largest increase in op count of the parent's header, or body,
+    /// over all the blocks that stand for it.
+    fn fissioned_loops_agree(&mut self, x: &Fission) -> Option<u64> {
+        let (parent, candidate, cfg) = (self.parent.f, self.candidate.f, self.cfg);
+        // A loop reads nothing another loop computes but constants and
+        // inputs; its header phis' entry values are compared below.
+        let local = |k: usize, v: OpId| match self.candidate.loc.get(v.index()).copied().flatten() {
+            Some((blk, _)) => {
+                x.loop_of[blk.index()].is_none_or(|j| j == k)
+                    || matches!(candidate.op(v).kind, OpKind::Const(_) | OpKind::Input(_))
+            }
+            None => false,
+        };
+        let mut operands = Vec::new();
+        for (k, &(h, b)) in x.loops.iter().enumerate() {
+            for blk in [h, b] {
+                operands.clear();
+                operands.extend(exit_value(candidate, blk));
+                for &op in &candidate.block(blk).ops {
+                    match &candidate.op(op).kind {
+                        OpKind::Phi(incoming) if blk == h => {
+                            operands.extend(incoming.iter().filter(|(p, _)| *p == b).map(|e| e.1));
+                        }
+                        kind => kind.operands_into(&mut operands),
+                    }
+                }
+                if !operands.iter().all(|&v| local(k, v)) {
+                    return None;
+                }
+            }
+        }
+        // Every header phi stands for a parent header phi, with the
+        // parent's value on entry and on the back edge.
+        let (ph, pb) = (x.header, x.body);
+        let pre = *cfg.parent.graph.preds[ph.index()]
+            .iter()
+            .find(|&&p| p != pb)?;
+        for (k, &(h, b)) in x.loops.iter().enumerate() {
+            let entry = if k == 0 { pre } else { x.loops[k - 1].0 };
+            for &psi in &candidate.block(h).ops {
+                if !matches!(candidate.op(psi).kind, OpKind::Phi(_)) {
+                    continue;
+                }
+                let phi = OpId(cfg.phi_leaf(true, h, psi)?);
+                let in_header = self.parent.loc.get(phi.index()).copied().flatten();
+                if in_header.map(|l| l.0) != Some(ph) {
+                    return None;
+                }
+                for (pp, cp) in [(pre, entry), (pb, b)] {
+                    let vp = self.parent.incoming(phi, pp)?;
+                    let vc = self.candidate.incoming(psi, cp)?;
+                    let (tp, tc) = (self.term(false, vp)?, self.term(true, vc)?);
+                    if !self.terms.equal(tp, tc, cfg)? {
+                        return None;
+                    }
+                }
+            }
+        }
+        // Every header branches on the parent's condition.
+        let cond = self.term(false, exit_value(parent, ph)?)?;
+        for &(h, _) in &x.loops {
+            let c = self.term(true, exit_value(candidate, h)?)?;
+            if !self.terms.equal(cond, c, cfg)? {
+                return None;
+            }
+        }
+        // Header and body apart: every memory's accesses, the outputs
+        // and the input reads, each in the one loop that has them.
+        let outputs = parent.memories().count();
+        let mut growth = 0;
+        let mut parts = Vec::with_capacity(2);
+        for (side, pblk) in [ph, pb].into_iter().enumerate() {
+            let cblks = x.loops.iter().map(|l| if side == 0 { l.0 } else { l.1 });
+            let nc: usize = cblks.clone().map(|c| candidate.block(c).ops.len()).sum();
+            growth = growth.max(nc.saturating_sub(parent.block(pblk).ops.len()) as u64);
+            let ca = cblks
+                .map(|c| self.accesses(true, c, outputs))
+                .collect::<Option<Vec<_>>>()?;
+            parts.push((self.accesses(false, pblk, outputs)?, ca));
+        }
+        for ch in 0..outputs + 2 {
+            let on = |a: &&Access| a.channel == ch;
+            let mut owners = (0..x.loops.len())
+                .filter(|&k| parts.iter().any(|(_, ca)| ca[k].iter().any(|a| on(&a))));
+            let owner = owners.next();
+            if owners.next().is_some() {
+                return None;
+            }
+            for (pa, ca) in &parts {
+                let p: Vec<&Access> = pa.iter().filter(on).collect();
+                let c: Vec<&Access> =
+                    owner.map_or(Vec::new(), |k| ca[k].iter().filter(on).collect());
+                if p.len() != c.len() {
+                    return None;
+                }
+                for (a, b) in p.into_iter().zip(c) {
+                    if (a.store, a.name) != (b.store, b.name)
+                        || !self.terms.equal(a.addr, b.addr, cfg)?
+                        || !self.terms.equal(a.value, b.value, cfg)?
+                    {
+                        return None;
+                    }
+                }
+            }
+        }
+        Some(growth)
+    }
+
+    /// `side`'s block `b`'s loads, stores, outputs and input reads in
+    /// program order, on the memories (by index), the output stream
+    /// (`outputs`) and the inputs (one past it).
+    fn accesses(&mut self, cand: bool, b: BlockId, outputs: usize) -> Option<Vec<Access<'a>>> {
+        let f = if cand {
+            self.candidate.f
+        } else {
+            self.parent.f
+        };
+        let mut out = Vec::new();
+        for &op in &f.block(b).ops {
+            let (channel, name, store, addr, value) = match &f.op(op).kind {
+                OpKind::Load { mem, addr } => (mem.index(), None, false, Some(*addr), None),
+                OpKind::Store { mem, addr, value } => {
+                    (mem.index(), None, true, Some(*addr), Some(*value))
+                }
+                OpKind::Output(name, v) => (outputs, Some(name.as_str()), true, None, Some(*v)),
+                OpKind::Input(name) => (outputs + 1, Some(name.as_str()), false, None, None),
+                _ => continue,
+            };
+            let mut term = |v: Option<OpId>| v.map_or(Some(0), |v| self.term(cand, v));
+            let (addr, value) = (term(addr)?, term(value)?);
+            out.push(Access {
+                channel,
+                name,
+                store,
+                addr,
+                value,
+            });
+        }
+        Some(out)
+    }
+}
+
+/// One access of a block to a memory, the output stream or the inputs.
+struct Access<'f> {
+    /// The memory's index; one past the last for the outputs, two past
+    /// it for the inputs.
+    channel: usize,
+    /// An output's or an input's name.
+    name: Option<&'f str>,
+    /// A store or an output.
+    store: bool,
+    /// A load's or a store's address (else 0).
+    addr: Term,
+    /// The value stored or output (else 0).
+    value: Term,
 }
 
 /// The value block `b`'s terminator reads: its branch condition or
@@ -1601,6 +2027,14 @@ mod tests {
     use super::*;
     use crate::func::Terminator;
 
+    fn branch(cond: OpId, on_true: BlockId, on_false: BlockId) -> Terminator {
+        Terminator::Branch {
+            cond,
+            on_true,
+            on_false,
+        }
+    }
+
     /// `proc f(a, b) { out y = op(a, b) }` with the operands optionally
     /// swapped.
     fn straight(op: BinOp, swap: bool) -> Function {
@@ -1634,7 +2068,10 @@ mod tests {
         let f = straight(BinOp::Add, false);
         assert_eq!(
             prove_equivalent(&f, &f.clone(), None),
-            Some(Equivalence { block_growth: 0 })
+            Some(Equivalence {
+                block_growth: 0,
+                entry_copies: 1
+            })
         );
     }
 
@@ -1686,14 +2123,7 @@ mod tests {
         let m = f.add_block("merge");
         let [x1, x2, x3, x4, x5, c] =
             ["x1", "x2", "x3", "x4", "x5", "c"].map(|n| f.emit_input(e, n));
-        f.set_terminator(
-            e,
-            Terminator::Branch {
-                cond: c,
-                on_true: t,
-                on_false: el,
-            },
-        );
+        f.set_terminator(e, branch(c, t, el));
         let j1t = f.emit_bin(t, BinOp::Mul, x1, x2);
         let j2t = f.emit_bin(t, BinOp::Mul, x1, x3);
         f.set_terminator(t, Terminator::Jump(m));
@@ -1736,14 +2166,7 @@ mod tests {
         let s = f.emit_phi(h, vec![]);
         let i = f.emit_phi(h, vec![]);
         let c = f.emit_bin(h, BinOp::Lt, i, n);
-        f.set_terminator(
-            h,
-            Terminator::Branch {
-                cond: c,
-                on_true: l,
-                on_false: x,
-            },
-        );
+        f.set_terminator(h, branch(c, l, x));
         let s2 = body(&mut f, l, s, i);
         let one = f.emit_const(l, 1);
         let i2 = f.emit_bin(l, BinOp::Add, i, one);
@@ -2001,7 +2424,7 @@ mod tests {
     /// u = y[0]; x[i + 1] = v + 1; y[0] = s; s = s + (v + u); i = i + 1
     /// } out s` (`y[0]` stored last), and its unroll by 2 with the block map. Each iteration
     /// stores what the next one loads.
-    fn memory_loop(unroll: Option<Unrolled>) -> (Function, Option<UnrollMap>) {
+    fn memory_loop(unroll: Option<Unrolled>) -> (Function, Option<GraphMap>) {
         let mut f = Function::new("memloop");
         let e = f.entry();
         let h = f.add_block("header");
@@ -2016,14 +2439,7 @@ mod tests {
         let i = f.emit_phi(h, vec![]);
         let s = f.emit_phi(h, vec![]);
         let c = f.emit_bin(h, BinOp::Lt, i, n);
-        f.set_terminator(
-            h,
-            Terminator::Branch {
-                cond: c,
-                on_true: l,
-                on_false: x,
-            },
-        );
+        f.set_terminator(h, branch(c, l, x));
         // One iteration in block `b` from `(i, s)`, storing `y_value` (by
         // default `s`) to `y[0]` and reading `y[0]` as `u` (by default
         // its own load). Returns the next `(i, s)` and the load of `y[0]`.
@@ -2057,14 +2473,7 @@ mod tests {
             Unrolled::NoExitTest => one,
             _ => f.emit_bin(hu, BinOp::Lt, i2, n),
         };
-        f.set_terminator(
-            hu,
-            Terminator::Branch {
-                cond: cu,
-                on_true: lu,
-                on_false: x,
-            },
-        );
+        f.set_terminator(hu, branch(cu, lu, x));
         // Copy 1 runs from copy 0's latch values.
         let y1 = (how == Unrolled::StoresSwapped).then_some(s);
         let stale = (how == Unrolled::LoadHoisted).then_some(u);
@@ -2089,10 +2498,10 @@ mod tests {
             header: h,
             copies: vec![(h, hu), (l, lu)],
         };
-        (f, Some(map))
+        (f, Some(GraphMap::Unrolled(map)))
     }
 
-    fn proves_unrolled(p: &Function, (c, map): &(Function, Option<UnrollMap>)) -> bool {
+    fn proves_unrolled(p: &Function, (c, map): &(Function, Option<GraphMap>)) -> bool {
         prove_equivalent(p, c, map.as_ref()).is_some()
     }
 
@@ -2110,13 +2519,13 @@ mod tests {
             vec![(h, hu)],
             vec![(h, hu), (l, lu), (BlockId(3), BlockId(6))],
         ] {
-            let wrong = UnrollMap { header: h, copies };
+            let wrong = GraphMap::Unrolled(UnrollMap { header: h, copies });
             assert!(prove_equivalent(&p, &exact.0, Some(&wrong)).is_none());
         }
-        let wrong_header = UnrollMap {
+        let wrong_header = GraphMap::Unrolled(UnrollMap {
             header: l,
-            ..exact.1.clone().unwrap()
-        };
+            copies: vec![(h, hu), (l, lu)],
+        });
         assert!(prove_equivalent(&p, &exact.0, Some(&wrong_header)).is_none());
         // The map does not stand in for a graph-preserving rewrite.
         assert!(prove_equivalent(&p, &p.clone(), exact.1.as_ref()).is_none());
@@ -2152,5 +2561,178 @@ mod tests {
             f
         };
         assert!(proves(&build(false), &build(true)));
+    }
+
+    /// How [`fused_loop`] fissions its loop: group A (memory `x`, the
+    /// output) into the first loop, group B (memory `y`) into the second,
+    /// and then (but for `Exact`):
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    enum Fission {
+        Exact,
+        /// A's store to `x` moved into the second loop, which loads what
+        /// it stores from `x` itself.
+        StoreMoved,
+        /// The second loop's bound is `i <= n`.
+        BoundChanged,
+        /// The second loop's counter starts at 1.
+        StartChanged,
+        /// B stores `x[i + 2] + b`, which A writes one iteration later.
+        ReadsOther,
+        /// B outputs its value too.
+        BothOutput,
+        /// The second loop also stores `b` to `x[i + 1]`.
+        StoreCopied,
+        /// The second loop stores to `y` at the first loop's counter.
+        ReadsFinalCounter,
+    }
+
+    /// `array x[64], y[64]; i = 0; while (i < n) { t = x[i]; out o = t;
+    /// x[i + 1] = t + a; y[i] = b + i; i = i + 1 }` (group A on `x` and
+    /// the output, group B on `y`; see [`Fission`] for the variants of
+    /// group B) and its fission as `how` says, with the map.
+    fn fused_loop(how: Fission) -> (Function, Function, GraphMap) {
+        let mut f = Function::new("fused");
+        let e = f.entry();
+        let h = f.add_block("header");
+        let l = f.add_block("body");
+        let x = f.add_block("exit");
+        let xm = f.add_memory("x", 64);
+        let ym = f.add_memory("y", 64);
+        let [n, a, b] = ["n", "a", "b"].map(|name| f.emit_input(e, name));
+        let [zero, one, two] = [0, 1, 2].map(|k| f.emit_const(e, k));
+        f.set_terminator(e, Terminator::Jump(h));
+        let i = f.emit_phi(h, vec![]);
+        let c = f.emit_bin(h, BinOp::Lt, i, n);
+        f.set_terminator(h, branch(c, l, x));
+        let t = f.emit_load(l, xm, i);
+        f.emit_output(l, "o", t);
+        let i2 = f.emit_bin(l, BinOp::Add, i, one);
+        let u = f.emit_bin(l, BinOp::Add, t, a);
+        let store_x = f.emit_store(l, xm, i2, u);
+        // Group B from counter `i` in block `blk`, storing at `at`;
+        // returns its ops.
+        let group_b = |f: &mut Function, blk: BlockId, i: OpId, at: OpId| {
+            let first = f.num_ops();
+            let v = if how == Fission::ReadsOther {
+                let i3 = f.emit_bin(blk, BinOp::Add, i, two);
+                let s = f.emit_load(blk, xm, i3);
+                f.emit_bin(blk, BinOp::Add, s, b)
+            } else {
+                f.emit_bin(blk, BinOp::Add, b, i)
+            };
+            f.emit_store(blk, ym, at, v);
+            if how == Fission::BothOutput {
+                f.emit_output(blk, "q", v);
+            }
+            (first..f.num_ops()).map(OpId::new).collect::<Vec<_>>()
+        };
+        let moved = group_b(&mut f, l, i, i);
+        f.set_terminator(l, Terminator::Jump(h));
+        f.op_mut(i).kind = OpKind::Phi(vec![(e, zero), (l, i2)]);
+        f.set_terminator(x, Terminator::Return(None));
+        crate::verify::verify(&f).unwrap();
+
+        let mut g = f.clone();
+        let h2 = g.add_block("fission.header");
+        let l2 = g.add_block("fission.body");
+        let j = g.emit_phi(h2, vec![]);
+        let bound = if how == Fission::BoundChanged {
+            BinOp::Le
+        } else {
+            BinOp::Lt
+        };
+        let c2 = g.emit_bin(h2, bound, j, n);
+        g.set_terminator(h2, branch(c2, l2, x));
+        g.set_terminator(h, branch(c, l, h2));
+        g.block_mut(l).ops.retain(|op| !moved.contains(op));
+        let j2 = g.emit_bin(l2, BinOp::Add, j, one);
+        if how == Fission::StoreMoved {
+            g.block_mut(l).ops.retain(|&op| op != store_x);
+            let t2 = g.emit_load(l2, xm, j);
+            let u2 = g.emit_bin(l2, BinOp::Add, t2, a);
+            g.emit_store(l2, xm, j2, u2);
+        }
+        let at = if how == Fission::ReadsFinalCounter {
+            i
+        } else {
+            j
+        };
+        group_b(&mut g, l2, j, at);
+        if how == Fission::StoreCopied {
+            g.emit_store(l2, xm, j2, b);
+        }
+        g.set_terminator(l2, Terminator::Jump(h2));
+        let start = if how == Fission::StartChanged {
+            one
+        } else {
+            zero
+        };
+        g.op_mut(j).kind = OpKind::Phi(vec![(h, start), (l2, j2)]);
+        crate::verify::verify(&g).unwrap();
+        let map = GraphMap::Fissioned(FissionMap {
+            header: h,
+            loops: vec![FissionLoop {
+                header: h2,
+                body: l2,
+                phis: vec![(i, j)],
+            }],
+        });
+        (f, g, map)
+    }
+
+    #[test]
+    fn fissioned_loops_prove_through_the_map() {
+        let (p, c, map) = fused_loop(Fission::Exact);
+        let proof = prove_equivalent(&p, &c, Some(&map)).expect("proved");
+        assert_eq!(proof.entry_copies, 2, "each parent entry stands for two");
+        assert_eq!(
+            proof.block_growth, 2,
+            "the second header's phi and test, the second body's increment and constant"
+        );
+        // Without the map, or with a wrong one, nothing proves.
+        assert!(!proves(&p, &c));
+        let GraphMap::Fissioned(exact) = &map else {
+            unreachable!()
+        };
+        let (h, l) = (BlockId(1), BlockId(2));
+        let fission = |header, loops| Some(GraphMap::Fissioned(FissionMap { header, loops }));
+        let unpaired = FissionLoop {
+            phis: Vec::new(),
+            ..exact.loops[0].clone()
+        };
+        let swapped = FissionLoop {
+            header: exact.loops[0].body,
+            body: exact.loops[0].header,
+            ..exact.loops[0].clone()
+        };
+        for wrong in [
+            fission(h, vec![unpaired]),
+            fission(h, vec![swapped]),
+            fission(l, exact.loops.clone()),
+            fission(h, Vec::new()),
+        ] {
+            assert!(
+                prove_equivalent(&p, &c, wrong.as_ref()).is_none(),
+                "{wrong:?}"
+            );
+        }
+        // The map does not stand in for a graph-preserving rewrite.
+        assert!(prove_equivalent(&p, &p.clone(), Some(&map)).is_none());
+    }
+
+    #[test]
+    fn fission_mutants_never_prove() {
+        for how in [
+            Fission::StoreMoved,
+            Fission::BoundChanged,
+            Fission::StartChanged,
+            Fission::ReadsOther,
+            Fission::BothOutput,
+            Fission::StoreCopied,
+            Fission::ReadsFinalCounter,
+        ] {
+            let (p, c, map) = fused_loop(how);
+            assert!(prove_equivalent(&p, &c, Some(&map)).is_none(), "{how:?}");
+        }
     }
 }

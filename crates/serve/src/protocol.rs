@@ -164,11 +164,6 @@ fn decode_optimize(v: &Value, pareto: bool) -> Result<OptimizeRequest, ProtocolE
             .filter(|c| *c > 0.0)
             .ok_or_else(|| bad("`clock_ns` must be a positive number"))?;
     }
-    if let Some(ce) = v.get("check_equivalence") {
-        config.check_equivalence = ce
-            .as_bool()
-            .ok_or_else(|| bad("`check_equivalence` must be a boolean"))?;
-    }
     if let Some(mb) = v.get("max_blocks") {
         config.max_blocks = usize_member(mb, "max_blocks")?;
     }
@@ -362,7 +357,6 @@ mod tests {
         assert_eq!(req.alloc, vec![("a1".into(), 2), ("mt1".into(), 1)]);
         assert!(matches!(req.config.objective, Objective::Power));
         assert_eq!(req.config.sched.clock_ns, 20.0);
-        assert!(!req.config.check_equivalence);
         assert_eq!(req.config.max_blocks, 2);
         assert_eq!(req.config.search.seed, 7);
         assert_eq!(req.config.search.threads, 2);
@@ -388,7 +382,6 @@ mod tests {
         };
         assert_eq!(req.id, "");
         assert!(matches!(req.config.objective, Objective::Throughput));
-        assert!(req.config.check_equivalence);
         assert_eq!(req.timeout_ms, None);
         assert_eq!(req.priority, 0);
         assert_eq!(req.traces.seed, 1);

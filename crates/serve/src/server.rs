@@ -237,9 +237,8 @@ struct JobCounters {
     candidates_inherited: u64,
     candidates_proved: u64,
     candidates_derived: u64,
-    candidates_simulated: u64,
-    /// Whether the job captured the equivalence reference.
-    reference_captured: bool,
+    candidates_unproved: u64,
+    parents_profiled: u64,
     neighborhood_batches: u64,
     mega_lanes: u64,
     mega_candidates: u64,
@@ -599,6 +598,28 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
     shared.faults.maybe_eval_panic();
     // Route by job kind; both pipelines report the same counter set,
     // plus the per-kind job/point counters folded inline.
+    macro_rules! counters {
+        ($r:expr) => {
+            JobCounters {
+                evaluated: $r.evaluated as u64,
+                full_reschedules: $r.full_reschedules as u64,
+                block_spliced: $r.block_spliced as u64,
+                sim_vectors: $r.sim_vectors,
+                candidates_inherited: $r.candidates.inherited_total(),
+                candidates_proved: $r.candidates.proved_total(),
+                candidates_derived: $r.candidates.derived_total(),
+                candidates_unproved: $r.candidates.unproved_total(),
+                parents_profiled: $r.candidates.parents_profiled,
+                neighborhood_batches: $r.neighborhood_batches,
+                mega_lanes: $r.mega_lanes,
+                mega_candidates: $r.mega_candidates,
+                neighborhoods_memoized: $r.neighborhoods_memoized,
+                neighborhoods_built: $r.neighborhoods_built,
+                verdicts_memoized: $r.verdicts_memoized,
+                stopped: $r.stopped,
+            }
+        };
+    }
     if job.pareto {
         run_pareto_job(&job.req, &shared.cache, &job.cancel).map(|(reply, r)| {
             shared.stats.pareto_jobs.fetch_add(1, Ordering::Relaxed);
@@ -606,52 +627,12 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                 .stats
                 .pareto_points
                 .fetch_add(r.frontier.len() as u64, Ordering::Relaxed);
-            (
-                reply,
-                JobCounters {
-                    evaluated: r.evaluated as u64,
-                    full_reschedules: r.full_reschedules as u64,
-                    block_spliced: r.block_spliced as u64,
-                    sim_vectors: r.sim_vectors,
-                    candidates_inherited: r.candidates.inherited_total(),
-                    candidates_proved: r.candidates.proved_total(),
-                    candidates_derived: r.candidates.derived_total(),
-                    candidates_simulated: r.candidates.simulated_total(),
-                    reference_captured: r.reference_captured,
-                    neighborhood_batches: r.neighborhood_batches,
-                    mega_lanes: r.mega_lanes,
-                    mega_candidates: r.mega_candidates,
-                    neighborhoods_memoized: r.neighborhoods_memoized,
-                    neighborhoods_built: r.neighborhoods_built,
-                    verdicts_memoized: r.verdicts_memoized,
-                    stopped: r.stopped,
-                },
-            )
+            (reply, counters!(r))
         })
     } else {
         run_job(&job.req, &shared.cache, &job.cancel).map(|(reply, r)| {
             shared.stats.optimize_jobs.fetch_add(1, Ordering::Relaxed);
-            (
-                reply,
-                JobCounters {
-                    evaluated: r.evaluated as u64,
-                    full_reschedules: r.full_reschedules as u64,
-                    block_spliced: r.block_spliced as u64,
-                    sim_vectors: r.sim_vectors,
-                    candidates_inherited: r.candidates.inherited_total(),
-                    candidates_proved: r.candidates.proved_total(),
-                    candidates_derived: r.candidates.derived_total(),
-                    candidates_simulated: r.candidates.simulated_total(),
-                    reference_captured: r.reference_captured,
-                    neighborhood_batches: r.neighborhood_batches,
-                    mega_lanes: r.mega_lanes,
-                    mega_candidates: r.mega_candidates,
-                    neighborhoods_memoized: r.neighborhoods_memoized,
-                    neighborhoods_built: r.neighborhoods_built,
-                    verdicts_memoized: r.verdicts_memoized,
-                    stopped: r.stopped,
-                },
-            )
+            (reply, counters!(r))
         })
     }
 }
@@ -671,10 +652,10 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.candidates_proved, Ordering::Relaxed);
     s.candidates_derived
         .fetch_add(c.candidates_derived, Ordering::Relaxed);
-    s.candidates_simulated
-        .fetch_add(c.candidates_simulated, Ordering::Relaxed);
-    s.references_captured
-        .fetch_add(u64::from(c.reference_captured), Ordering::Relaxed);
+    s.candidates_unproved
+        .fetch_add(c.candidates_unproved, Ordering::Relaxed);
+    s.parents_profiled
+        .fetch_add(c.parents_profiled, Ordering::Relaxed);
     s.neighborhood_batches
         .fetch_add(c.neighborhood_batches, Ordering::Relaxed);
     s.mega_lanes.fetch_add(c.mega_lanes, Ordering::Relaxed);

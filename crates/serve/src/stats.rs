@@ -67,7 +67,7 @@ pub struct ServerStats {
     /// Candidate schedules that spliced memoized block fragments
     /// (`FactResult::block_spliced`).
     pub block_spliced: AtomicU64,
-    /// Trace vectors simulated across all jobs
+    /// Trace vectors of the profile passes inside the jobs' searches
     /// (`FactResult::sim_vectors`; logical vectors, dedup multiplicities
     /// included).
     pub sim_vectors: AtomicU64,
@@ -75,20 +75,20 @@ pub struct ServerStats {
     /// instead of being proved, scheduled and estimated, across all jobs
     /// (`FactResult::candidates`).
     pub candidates_inherited: AtomicU64,
-    /// Candidates proved equivalent to their parent instead of simulated,
+    /// Candidates proved equivalent to their parent, reusing its profile,
     /// across all jobs (`FactResult::candidates`).
     pub candidates_proved: AtomicU64,
-    /// Unrolled candidates whose profile was derived from their parent's
-    /// counts instead of simulated, across all jobs
+    /// Unrolled or fissioned candidates proved equivalent to their parent
+    /// whose profile was derived from its counts, across all jobs
     /// (`FactResult::candidates`).
     pub candidates_derived: AtomicU64,
-    /// Candidates compiled and simulated, across all jobs
-    /// (`FactResult::candidates`).
-    pub candidates_simulated: AtomicU64,
-    /// Jobs that captured the equivalence reference
-    /// (`FactResult::reference_captured`): a candidate was simulated, or
-    /// memory steers the job's behavior.
-    pub references_captured: AtomicU64,
+    /// Candidates rejected because they were not proved equivalent to
+    /// their parent, across all jobs (`FactResult::candidates`).
+    pub candidates_unproved: AtomicU64,
+    /// Parents and search inputs profiled inside the search because the
+    /// shared cache had answered them, across all jobs
+    /// (`CandidateCounts::parents_profiled`).
+    pub parents_profiled: AtomicU64,
     /// Whole-neighborhood mega-batch dispatches across all jobs
     /// (`FactResult::neighborhood_batches`).
     pub neighborhood_batches: AtomicU64,
@@ -150,8 +150,8 @@ impl ServerStats {
             candidates_inherited: AtomicU64::new(0),
             candidates_proved: AtomicU64::new(0),
             candidates_derived: AtomicU64::new(0),
-            candidates_simulated: AtomicU64::new(0),
-            references_captured: AtomicU64::new(0),
+            candidates_unproved: AtomicU64::new(0),
+            parents_profiled: AtomicU64::new(0),
             neighborhood_batches: AtomicU64::new(0),
             mega_lanes: AtomicU64::new(0),
             mega_candidates: AtomicU64::new(0),
@@ -281,8 +281,8 @@ impl ServerStats {
             ("candidates_inherited", counter(&self.candidates_inherited)),
             ("candidates_proved", counter(&self.candidates_proved)),
             ("candidates_derived", counter(&self.candidates_derived)),
-            ("candidates_simulated", counter(&self.candidates_simulated)),
-            ("references_captured", counter(&self.references_captured)),
+            ("candidates_unproved", counter(&self.candidates_unproved)),
+            ("parents_profiled", counter(&self.parents_profiled)),
             ("neighborhood_batches", counter(&self.neighborhood_batches)),
             ("mega_lanes", counter(&self.mega_lanes)),
             (
@@ -325,7 +325,7 @@ impl ServerStats {
              panics={} respawns={} \
              conns={}/{} idle_dc={} slow_dc={} wakeups={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
-             evals={} inherited={} proved={} derived={} simulated={} ref={} \
+             evals={} inherited={} proved={} derived={} unproved={} profiled={} \
              resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
              nbhd memoized={} built={} (memo {} entries) verdicts={} \
@@ -354,8 +354,8 @@ impl ServerStats {
             self.candidates_inherited.load(Ordering::Relaxed),
             self.candidates_proved.load(Ordering::Relaxed),
             self.candidates_derived.load(Ordering::Relaxed),
-            self.candidates_simulated.load(Ordering::Relaxed),
-            self.references_captured.load(Ordering::Relaxed),
+            self.candidates_unproved.load(Ordering::Relaxed),
+            self.parents_profiled.load(Ordering::Relaxed),
             self.full_reschedules.load(Ordering::Relaxed),
             self.block_spliced.load(Ordering::Relaxed),
             self.sim_vectors.load(Ordering::Relaxed),
@@ -428,8 +428,8 @@ mod tests {
         s.candidates_inherited.fetch_add(33, Ordering::Relaxed);
         s.candidates_proved.fetch_add(21, Ordering::Relaxed);
         s.candidates_derived.fetch_add(6, Ordering::Relaxed);
-        s.candidates_simulated.fetch_add(16, Ordering::Relaxed);
-        s.references_captured.fetch_add(1, Ordering::Relaxed);
+        s.candidates_unproved.fetch_add(16, Ordering::Relaxed);
+        s.parents_profiled.fetch_add(1, Ordering::Relaxed);
         s.neighborhood_batches.fetch_add(4, Ordering::Relaxed);
         s.mega_lanes.fetch_add(512, Ordering::Relaxed);
         s.mega_candidates.fetch_add(18, Ordering::Relaxed);
@@ -452,9 +452,15 @@ mod tests {
         assert_eq!(v.get("candidates_inherited").unwrap().as_i64(), Some(33));
         assert_eq!(v.get("candidates_proved").unwrap().as_i64(), Some(21));
         assert_eq!(v.get("candidates_derived").unwrap().as_i64(), Some(6));
-        assert_eq!(v.get("candidates_simulated").unwrap().as_i64(), Some(16));
-        assert_eq!(v.get("references_captured").unwrap().as_i64(), Some(1));
-        for gone in ["sim_batches", "sim_engine_scalar", "sim_engine_batched"] {
+        assert_eq!(v.get("candidates_unproved").unwrap().as_i64(), Some(16));
+        assert_eq!(v.get("parents_profiled").unwrap().as_i64(), Some(1));
+        for gone in [
+            "sim_batches",
+            "sim_engine_scalar",
+            "sim_engine_batched",
+            "candidates_simulated",
+            "references_captured",
+        ] {
             assert!(v.get(gone).is_none(), "{gone}");
         }
         assert!(v.get("lane_compactions").is_none());
@@ -477,7 +483,7 @@ mod tests {
         assert!(line.contains("ok=2"));
         assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
         assert!(line.contains("resched full=7 spliced=5"));
-        assert!(line.contains("inherited=33 proved=21 derived=6 simulated=16 ref=1 resched"));
+        assert!(line.contains("inherited=33 proved=21 derived=6 unproved=16 profiled=1 resched"));
         assert!(line.contains("sim=640v ("));
         assert!(!line.contains("engine="));
         assert!(line.contains("mega=4x4.5 (512 lanes)"));

@@ -159,7 +159,7 @@ impl OddCounts {
 /// A function decoded for repeated execution.
 ///
 /// Build once with [`CompiledFn::compile`], then call
-/// [`CompiledFn::execute_seeded`] as many times as needed; results are
+/// [`CompiledFn::execute`] as many times as needed; results are
 /// bit-identical to [`crate::execute_with`].
 pub struct CompiledFn {
     pub(crate) blocks: Vec<CBlock>,
@@ -302,53 +302,35 @@ impl CompiledFn {
         }
     }
 
-    /// Number of memories the source function declared.
-    pub fn num_memories(&self) -> usize {
-        self.mem_sizes.len()
-    }
-
     /// Number of blocks (same indexing as the source function).
     pub fn num_blocks(&self) -> usize {
         self.blocks.len() - self.odd_copies.len()
     }
 
-    /// Runs with initial memory images given positionally (memory index
-    /// `i` starts as a copy of `init[i]`, resized to the declared size;
-    /// missing entries are zero-filled). Bit-identical to
-    /// [`crate::execute_with`] on the source function with
-    /// `initial_memories` built from the same data.
+    /// Runs once from zeroed memories. Bit-identical to
+    /// [`crate::execute_with`] on the source function with the same
+    /// step limit.
     ///
     /// # Errors
     /// See [`ExecError`].
-    pub fn execute_seeded(
+    pub fn execute(
         &self,
         inputs: &HashMap<String, i64>,
-        init: &[Vec<i64>],
         step_limit: u64,
     ) -> Result<ExecResult, ExecError> {
-        self.execute_counted(inputs, init, step_limit, None)
+        self.execute_counted(inputs, step_limit, None)
     }
 
-    /// [`CompiledFn::execute_seeded`], also counting the run's
-    /// odd-iteration visits and branches into `odd` when given (made for
-    /// this function by [`OddCounts::for_fn`]).
+    /// [`CompiledFn::execute`], also counting the run's odd-iteration
+    /// visits and branches into `odd` when given (made for this function
+    /// by [`OddCounts::for_fn`]).
     pub(crate) fn execute_counted(
         &self,
         inputs: &HashMap<String, i64>,
-        init: &[Vec<i64>],
         step_limit: u64,
         odd: Option<&mut OddCounts>,
     ) -> Result<ExecResult, ExecError> {
-        let memories = self
-            .mem_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &sz)| {
-                let mut m = init.get(i).cloned().unwrap_or_default();
-                m.resize(sz, 0);
-                m
-            })
-            .collect();
+        let memories = self.mem_sizes.iter().map(|&sz| vec![0; sz]).collect();
         self.run(inputs, memories, step_limit, odd)
     }
 
@@ -616,10 +598,7 @@ mod tests {
         let env: HashMap<String, i64> = inputs.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let cf = CompiledFn::compile(&f);
         let reference = execute_with(&f, &env, config);
-        let init: Vec<Vec<i64>> = (0..cf.num_memories())
-            .map(|i| config.initial_memories.get(&i).cloned().unwrap_or_default())
-            .collect();
-        let fast = cf.execute_seeded(&env, &init, config.step_limit);
+        let fast = cf.execute(&env, config.step_limit);
         match (reference, fast) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.outputs, b.outputs);
@@ -662,29 +641,16 @@ mod tests {
     }
 
     #[test]
-    fn memories_match_including_random_init() {
+    fn memories_match() {
         let src = r#"
             proc f(n, k) {
                 array x[8]; array y[4];
                 var i = 0;
-                while (i < n) { x[i] = x[i] + y[i % 4] * k; i = i + 1; }
-                out v = x[0];
+                while (i < n) { y[i % 4] = i; x[i] = x[i] + y[i % 4] * k; i = i + 1; }
+                out v = x[7];
             }
         "#;
-        let cfg = ExecConfig {
-            initial_memories: HashMap::from([
-                (0, vec![5, -3, 9, 0, 1, 2, 3, 4]),
-                (1, vec![-7, 11, 0, 2]),
-            ]),
-            ..Default::default()
-        };
-        assert_identical(src, &[("n", 8), ("k", 3)], &cfg);
-        // Undersized images are zero-extended identically.
-        let short = ExecConfig {
-            initial_memories: HashMap::from([(0, vec![5, -3])]),
-            ..Default::default()
-        };
-        assert_identical(src, &[("n", 8), ("k", 3)], &short);
+        assert_identical(src, &[("n", 8), ("k", 3)], &ExecConfig::default());
     }
 
     #[test]
@@ -725,22 +691,5 @@ mod tests {
             };
             assert_identical(src, &[("n", 4)], &cfg);
         }
-    }
-
-    #[test]
-    fn execute_seeded_matches_map_form() {
-        let src = "proc f(i) { array x[4]; var v = x[i]; x[i] = v + 1; out y = v; }";
-        let f = compile(src).unwrap();
-        let cf = CompiledFn::compile(&f);
-        let env = HashMap::from([("i".to_string(), 2)]);
-        let init = vec![vec![10, 20, 30, 40]];
-        let cfg = ExecConfig {
-            initial_memories: HashMap::from([(0, init[0].clone())]),
-            ..Default::default()
-        };
-        let a = execute_with(&f, &env, &cfg).unwrap();
-        let b = cf.execute_seeded(&env, &init, cfg.step_limit).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.memories, b.memories);
     }
 }

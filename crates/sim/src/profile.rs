@@ -9,7 +9,7 @@
 use crate::compiled::{OddCounts, ParityLoop};
 use crate::interp::{execute_with, ExecConfig, ExecError, ExecResult};
 use crate::trace::TraceSet;
-use fact_ir::{BlockId, Function, UnrollMap};
+use fact_ir::{BlockId, FissionMap, Function, GraphMap, UnrollMap};
 use std::collections::HashMap;
 
 /// Branch-probability profile of a behavior.
@@ -107,9 +107,10 @@ pub fn profile_with(f: &Function, traces: &TraceSet, config: &ExecConfig) -> Bra
 /// from its header ([`fact_ir::NaturalLoop::is_simple`]): the loops
 /// loop unrolling copies. Its iterations are counted from 0 on each
 /// entry. Unrolling one by 2 leaves the original blocks the even
-/// iterations and gives the odd ones to the copies, so the unrolled
+/// iterations and gives the odd ones to the copies, and fission runs
+/// every iteration once in each of its loops, so the transformed
 /// function's counts follow from these without simulating it
-/// ([`ProfileCounts::unrolled`]).
+/// ([`ProfileCounts::mapped`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProfileCounts {
     /// Per block: visits over the successful runs.
@@ -161,18 +162,29 @@ impl ProfileCounts {
         }
     }
 
-    /// The counts of this function with the parity loop `map.header`
+    /// The counts of this function rewritten as `map` says, into a
+    /// function of `num_blocks` blocks: [`GraphMap::Unrolled`] or
+    /// [`GraphMap::Fissioned`] (see the two cases below). `None` when the
+    /// counts cannot be derived exactly.
+    ///
+    /// Exact when the rewritten function takes the corresponding path on
+    /// every run (`fact_ir::prove_equivalent` with the same map): the
+    /// result is then what [`crate::simulate`] would count.
+    pub fn mapped(&self, map: &GraphMap, num_blocks: usize) -> Option<ProfileCounts> {
+        match map {
+            GraphMap::Unrolled(map) => self.unrolled(map, num_blocks),
+            GraphMap::Fissioned(map) => self.fissioned(map, num_blocks),
+        }
+    }
+
+    /// The counts with the parity loop `map.header`
     /// unrolled by 2 as `map` says, into a function of `num_blocks`
     /// blocks: each loop block keeps its even-iteration counts and its
     /// copy takes the odd ones; every other block, every other parity
     /// loop and the run tallies stay. The unrolled loop has two exits,
     /// so it is no parity loop any more. `None` when `map` does not copy
     /// exactly the blocks of a parity loop into new blocks.
-    ///
-    /// Exact when the unrolled function takes the corresponding path on
-    /// every run (`fact_ir::prove_equivalent` with the same map): the
-    /// result is then what [`crate::simulate`] would count.
-    pub fn unrolled(&self, map: &UnrollMap, num_blocks: usize) -> Option<ProfileCounts> {
+    fn unrolled(&self, map: &UnrollMap, num_blocks: usize) -> Option<ProfileCounts> {
         let n = self.visits.len();
         let i = self
             .loops
@@ -210,6 +222,54 @@ impl ProfileCounts {
             ok: self.ok,
             failed: self.failed,
         })
+    }
+
+    /// The counts with the parity loop `map.header` split by fission
+    /// into the loops `map` lists, into a function of `num_blocks`
+    /// blocks: every further loop's header and body take the counts, and
+    /// the odd-iteration counts, of the parent loop's header and body,
+    /// since each loop iterates as the parent's; every other block and
+    /// parity loop and the run tallies stay. `None` when `map.header` is
+    /// no parity loop of a header and one body, when a new block is not
+    /// past this function's, or when a run failed: a run that fails
+    /// inside the parent's loop fails at another point after fission,
+    /// so a function with failing runs keeps its loop whole.
+    fn fissioned(&self, map: &FissionMap, num_blocks: usize) -> Option<ProfileCounts> {
+        let n = self.visits.len();
+        let l = self
+            .loops
+            .iter()
+            .find(|l| l.shape.header == map.header.index())?;
+        if self.failed > 0 || l.shape.blocks.len() != 2 {
+            return None;
+        }
+        // The parent loop's header and body, as positions in its
+        // ascending blocks.
+        let ph = usize::from(l.shape.blocks[1] == l.shape.header);
+        let mut counts = self.clone();
+        counts.visits.resize(num_blocks, 0);
+        counts.branches.resize(num_blocks, (0, 0));
+        for new in &map.loops {
+            let (h, b) = (new.header.index(), new.body.index());
+            if h.min(b) < n || h.max(b) >= num_blocks {
+                return None;
+            }
+            for (c, k) in [(h, ph), (b, 1 - ph)] {
+                counts.visits[c] = self.visits[l.shape.blocks[k]];
+                counts.branches[c] = self.branches[l.shape.blocks[k]];
+            }
+            let order = if h < b { [ph, 1 - ph] } else { [1 - ph, ph] };
+            counts.loops.push(OddIterations {
+                shape: ParityLoop {
+                    header: h,
+                    blocks: vec![h.min(b), h.max(b)],
+                },
+                visits: order.map(|k| l.visits[k]).to_vec(),
+                branches: order.map(|k| l.branches[k]).to_vec(),
+            });
+        }
+        counts.loops.sort_by_key(|l| l.shape.header);
+        Some(counts)
     }
 }
 
@@ -358,9 +418,9 @@ mod tests {
             50,
             21,
         );
-        let sim = crate::simulate(&crate::CompiledFn::compile(&f), &traces, None);
-        let counts = sim.counts.expect("profiled");
-        assert_eq!(Some(counts.profile()), sim.profile);
+        let sim = crate::simulate(&crate::CompiledFn::compile(&f), &traces);
+        let counts = sim.counts;
+        assert_eq!(counts.profile(), sim.profile);
         let [l] = &counts.loops[..] else {
             panic!("one parity loop")
         };

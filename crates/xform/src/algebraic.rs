@@ -48,7 +48,7 @@ impl Transform for Commutativity {
                     kind: TransformKind::Commutativity,
                     description: format!("swap operands of {op} ({bin})"),
                     function: g,
-                    unrolled: None,
+                    map: None,
                 });
             }
         }
@@ -272,7 +272,7 @@ fn rebuild_tree(
             }
         ),
         function: g,
-        unrolled: None,
+        map: None,
     }
 }
 
@@ -328,7 +328,7 @@ impl Transform for Distributivity {
                                 kind: TransformKind::Distributivity,
                                 description: format!("factor {k} out of {op}"),
                                 function: g,
-                                unrolled: None,
+                                map: None,
                             });
                             break;
                         }
@@ -354,7 +354,7 @@ impl Transform for Distributivity {
                             kind: TransformKind::Distributivity,
                             description: format!("sum-of-differences rewrite at {op}"),
                             function: g,
-                            unrolled: None,
+                            map: None,
                         });
                     }
                 }
@@ -382,7 +382,7 @@ impl Transform for Distributivity {
                             kind: TransformKind::Distributivity,
                             description: format!("expand {op} over {inner_bin}"),
                             function: g,
-                            unrolled: None,
+                            map: None,
                         });
                         break;
                     }

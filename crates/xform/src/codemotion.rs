@@ -124,7 +124,7 @@ impl Transform for CodeMotion {
                     l.header
                 ),
                 function: g,
-                unrolled: None,
+                map: None,
             });
         }
         out

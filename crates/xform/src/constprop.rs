@@ -113,7 +113,7 @@ impl Transform for ConstantPropagation {
             kind: TransformKind::ConstantPropagation,
             description: format!("constant propagation ({total} sites)"),
             function: g,
-            unrolled: None,
+            map: None,
         }]
     }
 }

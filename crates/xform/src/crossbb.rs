@@ -135,7 +135,7 @@ impl Transform for PhiSink {
                     kind: TransformKind::PhiSink,
                     description: format!("sink {u} through joins of {m}"),
                     function: g,
-                    unrolled: None,
+                    map: None,
                 });
             }
         }

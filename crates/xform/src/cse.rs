@@ -126,7 +126,7 @@ impl Transform for CommonSubexpression {
             kind: TransformKind::ConstantPropagation,
             description: format!("common-subexpression elimination ({replaced} sites)"),
             function: g,
-            unrolled: None,
+            map: None,
         }]
     }
 }

@@ -24,9 +24,15 @@
 //! * at most one group performs observable outputs (fission reorders
 //!   cross-group effects; disjoint memories make store reordering
 //!   unobservable, output streams would not be).
+//!
+//! Each candidate carries a [`FissionMap`] — the new loops in the order
+//! they run, each header phi paired with the one it clones — against
+//! which `fact_ir::prove_equivalent` checks these conditions.
 
 use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
-use fact_ir::{BlockId, Function, NaturalLoop, Op, OpId, OpKind, Terminator};
+use fact_ir::{
+    BlockId, FissionLoop, FissionMap, Function, GraphMap, NaturalLoop, Op, OpId, OpKind, Terminator,
+};
 use std::collections::{HashMap, HashSet};
 
 /// The loop-distribution transformation.
@@ -57,12 +63,12 @@ impl Transform for LoopDistribution {
             {
                 continue;
             }
-            if let Some(g) = distribute(f, l) {
+            if let Some((g, map)) = distribute(f, l) {
                 out.push(Candidate {
                     kind: TransformKind::LoopDistribution,
                     description: format!("distribute loop at {}", l.header),
                     function: g,
-                    unrolled: None,
+                    map: Some(GraphMap::Fissioned(map)),
                 });
             }
         }
@@ -107,7 +113,9 @@ fn shape(f: &Function, l: &NaturalLoop) -> Option<LoopShape> {
     })
 }
 
-fn distribute(f: &Function, l: &NaturalLoop) -> Option<Function> {
+/// `f` with loop `l` split into one loop per independent group, and how
+/// the new loops stand for `l`.
+fn distribute(f: &Function, l: &NaturalLoop) -> Option<(Function, FissionMap)> {
     let s = shape(f, l)?;
     if !s.preheader_edge_ok {
         return None;
@@ -269,13 +277,14 @@ fn distribute(f: &Function, l: &NaturalLoop) -> Option<Function> {
     // own fresh loop chained after the original's exit.
     let mut g = f.clone();
     let mut chain_from_exit: BlockId = s.exit_target;
-    let mut new_loops: Vec<(BlockId, BlockId)> = Vec::new();
+    let mut new_loops: Vec<FissionLoop> = Vec::new();
     // The original loop's exit edge will be retargeted at the first new
     // loop; build new loops in reverse so each links to the next.
     for group in groups[1..].iter().rev() {
-        let (h2, b2) = build_cloned_loop(&mut g, f, &s, &induction, group, chain_from_exit)?;
-        new_loops.push((h2, b2));
-        chain_from_exit = h2;
+        let sets = (&induction, &support);
+        let new = build_cloned_loop(&mut g, f, &s, sets, group, chain_from_exit)?;
+        chain_from_exit = new.header;
+        new_loops.push(new);
     }
     // Retarget the original header's exit edge to the first new loop.
     if let Terminator::Branch {
@@ -298,7 +307,12 @@ fn distribute(f: &Function, l: &NaturalLoop) -> Option<Function> {
     // cloned phi was created with `(s.header, init)`, but a chained
     // fission loop is actually entered from the previous fission header.
     let preds = g.predecessors();
-    for &(h2, b2) in &new_loops {
+    for &FissionLoop {
+        header: h2,
+        body: b2,
+        ..
+    } in &new_loops
+    {
         let entry_preds: Vec<BlockId> = preds[h2.index()]
             .iter()
             .copied()
@@ -322,7 +336,12 @@ fn distribute(f: &Function, l: &NaturalLoop) -> Option<Function> {
     fact_ir::rewrite::simplify_phis(&mut g);
     fact_ir::rewrite::eliminate_dead_code(&mut g);
     fact_ir::verify::verify(&g).ok()?;
-    Some(g)
+    new_loops.reverse();
+    let map = FissionMap {
+        header: s.header,
+        loops: new_loops,
+    };
+    Some((g, map))
 }
 
 /// Builds one cloned loop executing `group`, entered where the original
@@ -331,25 +350,19 @@ fn distribute(f: &Function, l: &NaturalLoop) -> Option<Function> {
 /// accepting groups whose values are not used outside the loop except
 /// through phis that also move; if a moved value is used outside, the new
 /// header's phi (which dominates everything after the original loop)
-/// replaces it.
+/// replaces it. The loop's header phis are paired with the originals they
+/// clone.
 fn build_cloned_loop(
     g: &mut Function,
     f: &Function,
     s: &LoopShape,
-    induction: &HashSet<OpId>,
+    (induction, support): (&HashSet<OpId>, &HashSet<OpId>),
     group: &[OpId],
     next: BlockId,
-) -> Option<(BlockId, BlockId)> {
+) -> Option<FissionLoop> {
     let latch = s.body;
     let header2 = g.add_block("fission.header");
     let body2 = g.add_block("fission.body");
-
-    let latch_value = |phi: OpId| -> Option<OpId> {
-        match &f.op(phi).kind {
-            OpKind::Phi(incoming) => incoming.iter().find(|(b, _)| *b == latch).map(|(_, v)| *v),
-            _ => None,
-        }
-    };
 
     // Clone induction phis + support ops + the group, remapping operands.
     let mut map: HashMap<OpId, OpId> = HashMap::new();
@@ -358,25 +371,6 @@ fn build_cloned_loop(
     let body_ops: Vec<OpId> = f.block(s.body).ops.clone();
     let group_set: HashSet<OpId> = group.iter().copied().collect();
     let in_loop: HashSet<OpId> = header_ops.iter().chain(&body_ops).copied().collect();
-
-    // Which ops get cloned into the new loop: induction phis, induction
-    // support (condition + updates), and the group itself.
-    let mut support: HashSet<OpId> = HashSet::new();
-    {
-        let mut stack: Vec<OpId> = induction
-            .iter()
-            .filter_map(|&p| latch_value(p))
-            .chain([s.cond])
-            .collect();
-        while let Some(v) = stack.pop() {
-            if !in_loop.contains(&v) || matches!(f.op(v).kind, OpKind::Phi(_)) {
-                continue;
-            }
-            if support.insert(v) {
-                stack.extend(f.op(v).kind.operands());
-            }
-        }
-    }
 
     // Clone set: induction phis, the condition/update support, the group,
     // plus every in-loop constant they reference (constants are emitted at
@@ -488,7 +482,6 @@ fn build_cloned_loop(
     // Group values used outside the original loop: replace those uses with
     // the new-loop equivalents (the new header's phis dominate `next`).
     // Uses of ORIGINAL group phis after the loop must read the new phi.
-    let op_blocks = g.op_blocks();
     for &op in group {
         if !matches!(f.op(op).kind, OpKind::Phi(_)) {
             continue;
@@ -513,20 +506,28 @@ fn build_cloned_loop(
             }
         }
     }
-    let _ = op_blocks;
 
     // Phi entry-edge predecessor blocks are patched by distribute() once
     // the whole chain is wired (see the fixup pass there).
-    Some((header2, body2))
+    let phis = cloned
+        .iter()
+        .filter(|&&op| header_ops.contains(&op) && matches!(f.op(op).kind, OpKind::Phi(_)))
+        .map(|&op| (op, map[&op]))
+        .collect();
+    Some(FissionLoop {
+        header: header2,
+        body: body2,
+        phis,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fact_ir::verify::verify;
-    use fact_ir::{DomTree, LoopForest};
+    use fact_ir::{prove_equivalent, DomTree, LoopForest};
     use fact_lang::compile;
-    use fact_sim::{check_equivalence, generate, InputSpec};
+    use fact_sim::{check_equivalence, generate, simulate, CompiledFn, InputSpec};
 
     fn traces(n: i64) -> fact_sim::TraceSet {
         generate(
@@ -538,6 +539,19 @@ mod tests {
             30,
             61,
         )
+    }
+
+    /// `c` proves equivalent to `f` through its fission map, and the
+    /// counts derived from `f`'s over `t` are what simulating `c` counts.
+    fn assert_proved_and_derived(f: &Function, c: &Candidate, t: &fact_sim::TraceSet) {
+        let map = c.map.as_ref().expect("a fission has a map");
+        let proof = prove_equivalent(f, &c.function, Some(map));
+        assert!(proof.is_some(), "not proved:\n{f}\n{}", c.function);
+        let counts = |g: &Function| simulate(&CompiledFn::compile(g), t).counts;
+        assert_eq!(
+            counts(f).mapped(map, c.function.num_blocks()),
+            Some(counts(&c.function))
+        );
     }
 
     #[test]
@@ -567,6 +581,7 @@ mod tests {
         let g = &cands[0].function;
         verify(g).unwrap();
         check_equivalence(&f, g, &traces(12), 1).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(12));
         // Two loops now exist.
         let dom = DomTree::compute(g);
         let forest = LoopForest::compute(g, &dom);
@@ -596,6 +611,7 @@ mod tests {
         verify(g).unwrap();
         let t = generate(&[("n".to_string(), InputSpec::Constant(20))], 5, 3);
         check_equivalence(&f, g, &t, 2).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &t);
     }
 
     #[test]
@@ -661,6 +677,7 @@ mod tests {
         assert_eq!(cands.len(), 1);
         let g = cands[0].function.clone();
         check_equivalence(&f, &g, &traces(16), 4).unwrap();
+        assert_proved_and_derived(&f, &cands[0], &traces(16));
         let dom = DomTree::compute(&g);
         let forest = LoopForest::compute(&g, &dom);
         assert_eq!(forest.loops().len(), 2);

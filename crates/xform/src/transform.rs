@@ -8,7 +8,7 @@
 //! is how the algorithm "directs its focus on the critical sections of
 //! the behavior".
 
-use fact_ir::{BlockId, DomTree, Function, LoopForest, UnrollMap};
+use fact_ir::{BlockId, DomTree, Function, GraphMap, LoopForest};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -83,10 +83,11 @@ pub struct Candidate {
     pub description: String,
     /// The transformed function (the original is never mutated).
     pub function: Function,
-    /// For a loop unrolled by 2, how its blocks stand for the original's
-    /// (what [`fact_ir::prove_equivalent`] checks); `None` for a rewrite
-    /// that keeps the control-flow graph, or changes it another way.
-    pub unrolled: Option<UnrollMap>,
+    /// For a loop unrolled by 2 or split by fission, how its blocks stand
+    /// for the original's (what [`fact_ir::prove_equivalent`] checks);
+    /// `None` for a rewrite that keeps the control-flow graph, or changes
+    /// it another way.
+    pub map: Option<GraphMap>,
 }
 
 /// The region a transformation may touch: a set of IR blocks, or the whole

@@ -11,7 +11,8 @@
 
 use crate::transform::{fingerprint_of, Candidate, Parent, Region, Transform, TransformKind};
 use fact_ir::{
-    BlockId, DomTree, Function, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator, UnrollMap,
+    BlockId, DomTree, Function, GraphMap, LoopForest, NaturalLoop, Op, OpId, OpKind, Terminator,
+    UnrollMap,
 };
 use std::collections::HashMap;
 
@@ -51,7 +52,7 @@ impl Transform for LoopUnroll {
                     kind: TransformKind::LoopUnroll,
                     description: format!("unroll loop at {} by {}", l.header, self.factor),
                     function: g,
-                    unrolled,
+                    map: unrolled.map(GraphMap::Unrolled),
                 });
             }
         }
@@ -346,15 +347,15 @@ mod tests {
     /// `c` proves equivalent to `f` through its block map, and the counts
     /// derived from `f`'s over `t` are what simulating `c` counts.
     fn assert_proved_and_derived(f: &Function, c: &Candidate, t: &fact_sim::TraceSet) {
-        let map = c.unrolled.as_ref().expect("an unroll by 2 has a map");
+        let map = c.map.as_ref().expect("an unroll by 2 has a map");
         assert!(
             fact_ir::prove_equivalent(f, &c.function, Some(map)).is_some(),
             "not proved:\n{f}\n{}",
             c.function
         );
-        let counts = |g: &Function| simulate(&CompiledFn::compile(g), t, None).counts.unwrap();
+        let counts = |g: &Function| simulate(&CompiledFn::compile(g), t).counts;
         assert_eq!(
-            counts(f).unrolled(map, c.function.num_blocks()),
+            counts(f).mapped(map, c.function.num_blocks()),
             Some(counts(&c.function))
         );
     }

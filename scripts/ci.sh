@@ -60,36 +60,32 @@ assert not unexpanded, f"expand_s missing or negative: {unexpanded}"
 # So is proving candidates equivalent to their parents.
 unproved = [s["name"] for s in suites if not s["prove_s"] >= 0]
 assert not unproved, f"prove_s missing or negative: {unproved}"
-# And deriving unrolled candidates' profiles from their parents' counts.
+# And deriving unrolled and fissioned candidates' profiles from their
+# parents' counts.
 underived = [s["name"] for s in suites if not s["derive_s"] >= 0]
 assert not underived, f"derive_s missing or negative: {underived}"
-# Every loop-unroll candidate of the suite is proved through its block
-# map and its profile derived: none is simulated.
-simulated = [(s["name"], s["unroll_simulated"]) for s in suites if s["unroll_simulated"] != 0]
-assert not simulated, f"loop-unroll candidates simulated: {simulated}"
+# The search accepts only candidates it proves equivalent to their
+# parent, and on the suite it proves every one: none is unproved.
+unproved = [(s["name"], s["unproved"]) for s in suites if s["unproved"] != 0]
+assert not unproved, f"suite candidates unproved: {unproved}"
 # Set-up (baseline profile, schedule and estimate, partition, final
 # re-estimate) has a timer of its own.
 unset = [s["name"] for s in suites if not s["setup_s"] >= 0]
 assert not unset, f"setup_s missing or negative: {unset}"
-# No suite behavior lets memory steer a branch or an address, and a
-# fresh run simulates no candidate, so no suite captures the
-# equivalence reference.
-captured = [s["name"] for s in suites if s["reference_captured"] is not False]
-assert not captured, f"equivalence reference captured: {captured}"
 # Every suite program has commutative ops, so operand swaps inherit
 # their parent's evaluation on every suite.
 uninherited = [s["name"] for s in suites if not s["inherited"] > 0]
 assert not uninherited, f"no operand swap inherited its parent's evaluation: {uninherited}"
 # Each run starts from a fresh cache, so every evaluation is inherited,
-# proved, derived, simulated, or answered by the cache within the run
+# proved, derived, unproved, or answered by the cache within the run
 # (a later region re-scoring a structure an earlier one scored).
 unbalanced = [
-    (s["name"], s["evaluated"], s["inherited"], s["proved"], s["derived"], s["simulated"], s["cache_hits"])
+    (s["name"], s["evaluated"], s["inherited"], s["proved"], s["derived"], s["unproved"], s["cache_hits"])
     for s in suites
-    if s["evaluated"] != s["inherited"] + s["proved"] + s["derived"] + s["simulated"] + s["cache_hits"]
+    if s["evaluated"] != s["inherited"] + s["proved"] + s["derived"] + s["unproved"] + s["cache_hits"]
 ]
 assert not unbalanced, (
-    f"evaluated != inherited + proved + derived + simulated + cache_hits: {unbalanced}"
+    f"evaluated != inherited + proved + derived + unproved + cache_hits: {unbalanced}"
 )
 # Building candidate functions has a timer of its own.
 unbuilt = [s["name"] for s in suites if not s["build_s"] >= 0]

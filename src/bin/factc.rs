@@ -267,7 +267,6 @@ fn run(args: &Args) -> Result<(), String> {
         );
         eprint_candidates(
             &result.candidates,
-            result.reference_captured,
             (
                 result.neighborhoods_memoized,
                 result.neighborhoods_built,
@@ -321,7 +320,6 @@ fn run(args: &Args) -> Result<(), String> {
         println!("  candidates evaluated: {}", result.evaluated);
         eprint_candidates(
             &result.candidates,
-            result.reference_captured,
             (
                 result.neighborhoods_memoized,
                 result.neighborhoods_built,
@@ -351,47 +349,40 @@ fn run(args: &Args) -> Result<(), String> {
 
 /// Prints how the search's candidates were evaluated to stderr
 /// ([`candidates_line`]).
-fn eprint_candidates(c: &CandidateCounts, reference_captured: bool, memo: (u64, u64, u64)) {
-    eprintln!("{}", candidates_line(c, reference_captured, memo));
+fn eprint_candidates(c: &CandidateCounts, memo: (u64, u64, u64)) {
+    eprintln!("{}", candidates_line(c, memo));
 }
 
 /// How the search's candidates were evaluated: inherited from their
 /// parent (operand swaps), proved equivalent to it (reusing its profile
-/// or deriving it from the parent's counts), or simulated, with the
-/// share not simulated per transformation kind; whether the run captured
-/// the equivalence reference; how many candidates took a verdict from
+/// or deriving it from the parent's counts), or rejected unproved, with
+/// the unproved share per transformation kind; how many parents the run
+/// profiled inside the search; how many candidates took a verdict from
 /// their expansion record; and how many parent expansions the expansion
 /// memo answered and how many transformations were run to build
 /// candidates.
-fn candidates_line(
-    c: &CandidateCounts,
-    reference_captured: bool,
-    (memoized, built, verdicts): (u64, u64, u64),
-) -> String {
+fn candidates_line(c: &CandidateCounts, (memoized, built, verdicts): (u64, u64, u64)) -> String {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
             let i = k.index();
-            (
-                k,
-                c.inherited[i] + c.proved[i] + c.derived[i],
-                c.simulated[i],
-            )
+            let known = c.inherited[i] + c.proved[i] + c.derived[i];
+            (k, c.unproved[i], known + c.unproved[i])
         })
-        .filter(|&(_, known, simulated)| known + simulated > 0)
-        .map(|(k, known, simulated)| format!("{k} {known}/{}", known + simulated))
+        .filter(|&(_, _, total)| total > 0)
+        .map(|(k, unproved, total)| format!("{k} {unproved}/{total}"))
         .collect();
     format!(
-        "candidates: {} inherited, {} proved, {} derived, {} simulated \
-         (not simulated/total per kind: {}); reference captured: {}; \
+        "candidates: {} inherited, {} proved, {} derived, {} unproved \
+         (unproved/total per kind: {}); parents profiled: {}; \
          verdicts memoized: {verdicts}; \
          neighbourhoods: {memoized} memoized, {built} built",
         c.inherited_total(),
         c.proved_total(),
         c.derived_total(),
-        c.simulated_total(),
+        c.unproved_total(),
         per_kind.join(", "),
-        if reference_captured { "yes" } else { "no" }
+        c.parents_profiled,
     )
 }
 
@@ -531,13 +522,16 @@ mod tests {
         use fact_xform::TransformKind;
         let mut c = CandidateCounts::default();
         c.derived[TransformKind::LoopUnroll.index()] = 2;
-        c.simulated[TransformKind::LoopDistribution.index()] = 3;
+        c.unproved[TransformKind::LoopDistribution.index()] = 3;
         c.proved[TransformKind::LoopDistribution.index()] = 1;
-        let line = candidates_line(&c, false, (4, 9, 5));
+        c.parents_profiled = 2;
+        let line = candidates_line(&c, (4, 9, 5));
         assert!(
-            line.contains("loop-unroll 2/2, loop-distribution 1/4"),
+            line.contains("loop-unroll 0/2, loop-distribution 3/4"),
             "{line}"
         );
+        assert!(line.contains("2 derived, 3 unproved"), "{line}");
+        assert!(line.contains("parents profiled: 2"), "{line}");
         assert!(line.contains("verdicts memoized: 5"), "{line}");
         assert!(
             line.ends_with("neighbourhoods: 4 memoized, 9 built"),

@@ -18,12 +18,12 @@
 //! * on loop-shaped programs, unrolling proves, its derived counts equal
 //!   simulation's, and random mutations of unrolled loops prove only
 //!   when equivalent;
+//! * every loop-distribution (fission) candidate of the random programs
+//!   and loop nests that the prover accepts is equivalent, with the
+//!   counts derived from its source's equal to simulation's;
 //! * every operand swap of a program or loop nest is recognized as one
 //!   by `operand_swap_of` and schedules and estimates, under the
 //!   program's profile, bit for bit like the program.
-//! * on every program and loop nest memory does not steer
-//!   (`memory_steers`), the equivalence reference's step bound on random
-//!   memory images equals the zero-memory profile pass's.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
@@ -36,15 +36,15 @@
 //! nested loops, and array recurrences across iterations. Seed-driven
 //! and std-only: a failure prints the seed and the program.
 
-use fact_ir::{operand_swap_of, prove_equivalent, BinOp, Function, OpKind, UnOp, UnrollMap};
+use fact_ir::{operand_swap_of, prove_equivalent, BinOp, Function, GraphMap, OpKind, UnOp};
 use fact_lang::ast::{Expr, Proc, Stmt};
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
 use fact_sim::{
-    check_equivalence, generate, memory_steers, simulate, CompiledFn, EquivReference, InputSpec,
-    ProfileCounts, TraceSet,
+    check_equivalence, generate, simulate, CompiledFn, InputSpec, ProfileCounts, TraceSet,
 };
 use fact_xform::algebraic::Commutativity;
+use fact_xform::distribute::LoopDistribution;
 use fact_xform::unroll::LoopUnroll;
 use fact_xform::{Region, Transform, TransformLibrary};
 
@@ -548,32 +548,30 @@ fn check_candidates(
 
 /// The counts `simulate` takes of `f` over `t`, from zeroed memories.
 fn counts_of(f: &Function, t: &TraceSet) -> ProfileCounts {
-    simulate(&CompiledFn::compile(f), t, None)
-        .counts
-        .expect("a pass without a reference profiles")
+    simulate(&CompiledFn::compile(f), t).counts
 }
 
 /// What a proof promises, checked by simulation: `g` is equivalent to
-/// `f` and has its branch profile — or, when `g` unrolls a loop of `f`
-/// as `unrolled` says, the counts and profile derived from `f`'s.
+/// `f` and has its branch profile — or, when `g` unrolls or splits a loop
+/// of `f` as `map` says, the counts and profile derived from `f`'s.
 fn assert_proof_holds(
     f: &Function,
     g: &Function,
-    unrolled: Option<&UnrollMap>,
+    map: Option<&GraphMap>,
     t: &TraceSet,
     what: &str,
 ) -> Result<(), String> {
     let show = || format!("\n== original\n{f}\n== proved\n{g}");
     check_equivalence(f, g, t, 5)
         .map_err(|m| format!("{what}: proved but not equivalent: {m}{}", show()))?;
-    let Some(map) = unrolled else {
+    let Some(map) = map else {
         if fact_sim::profile(f, t) != fact_sim::profile(g, t) {
             return Err(format!("{what}: proved but its profile differs{}", show()));
         }
         return Ok(());
     };
     let derived = counts_of(f, t)
-        .unrolled(map, g.num_blocks())
+        .mapped(map, g.num_blocks())
         .ok_or_else(|| format!("{what}: proved but nothing derived{}", show()))?;
     if derived != counts_of(g, t) {
         return Err(format!("{what}: derived counts differ{}", show()));
@@ -593,10 +591,10 @@ fn proved_candidates_agree_with_simulation() {
         let (_, f) = lowered(seed)?;
         for cand in full.all_candidates(&f, &Region::whole()) {
             total += 1;
-            let unrolled = cand.unrolled.as_ref();
-            if prove_equivalent(&f, &cand.function, unrolled).is_some() {
+            let map = cand.map.as_ref();
+            if prove_equivalent(&f, &cand.function, map).is_some() {
                 proved += 1;
-                assert_proof_holds(&f, &cand.function, unrolled, &t, &cand.description)?;
+                assert_proof_holds(&f, &cand.function, map, &t, &cand.description)?;
             }
         }
         Ok(())
@@ -691,7 +689,7 @@ fn unrolled_loops_prove_and_derive_exact_counts() {
             let (src, f) = lowered_loops(seed)?;
             for cand in unroll.candidates(&f, &Region::whole()) {
                 *total += 1;
-                let map = cand.unrolled.as_ref().ok_or("an unroll without a map")?;
+                let map = cand.map.as_ref().ok_or("an unroll without a map")?;
                 if prove_equivalent(&f, &cand.function, Some(map)).is_some() {
                     *proved += 1;
                     assert_proof_holds(&f, &cand.function, Some(map), &t, &cand.description)
@@ -725,7 +723,7 @@ fn unroll_mutations_are_proved_only_when_equivalent() {
         let mut check = || -> Result<(), String> {
             let (src, f) = lowered_loops(seed)?;
             for cand in unroll.candidates(&f, &Region::whole()) {
-                let map = cand.unrolled.as_ref().ok_or("an unroll without a map")?;
+                let map = cand.map.as_ref().ok_or("an unroll without a map")?;
                 for _ in 0..4 {
                     let Some(g) = mutate(&cand.function, &mut rng) else {
                         continue;
@@ -858,47 +856,29 @@ fn operand_swaps_schedule_and_estimate_like_their_parent() {
     assert!(checked > 1000, "only {checked} operand swaps checked");
 }
 
-/// The property that lets a run put off capturing its equivalence
-/// reference (DESIGN §8.5.3): on every generated program and loop nest
-/// that memory does not steer, the work the reference's random-image
-/// runs do is bounded exactly by the zero-memory profile pass. Both
-/// corpora hold steered programs too, so the check is not vacuous.
+/// Every loop-distribution candidate of the random programs and the
+/// loop nests: when proved through its fission map, equivalent with
+/// derived counts equal to simulation's. The proof rate is reported.
 #[test]
-fn unsteered_programs_bound_the_reference_from_zeroed_memories() {
+fn fissioned_loops_prove_only_when_equivalent() {
     let t = traces(24, 16);
-    // (steered, unsteered) per corpus: random programs, loop nests.
-    let mut counts = [[0usize; 2]; 2];
+    let (mut proved, mut total) = (0usize, 0usize);
     for_seeds(|seed| {
         let (p, f) = lowered(seed)?;
         let (loop_src, g) = lowered_loops(seed)?;
-        for (corpus, (src, f)) in [(fact_lang::print_proc(&p), f), (loop_src, g)]
-            .into_iter()
-            .enumerate()
-        {
-            let steered = memory_steers(&f);
-            counts[corpus][usize::from(!steered)] += 1;
-            if steered {
-                continue;
-            }
-            let reference = EquivReference::capture(&f, &t, seed ^ 0xC0FFEE).steps();
-            let zeroed = simulate(&CompiledFn::compile(&f), &t, None).steps;
-            if reference != zeroed {
-                return Err(format!(
-                    "reference bound {reference:?} != zero-memory bound {zeroed:?}\n{src}"
-                ));
+        for (src, f) in [(fact_lang::print_proc(&p), f), (loop_src, g)] {
+            for cand in LoopDistribution.candidates(&f, &Region::whole()) {
+                total += 1;
+                let map = cand.map.as_ref().ok_or("a fission without a map")?;
+                if prove_equivalent(&f, &cand.function, Some(map)).is_some() {
+                    proved += 1;
+                    assert_proof_holds(&f, &cand.function, Some(map), &t, &cand.description)
+                        .map_err(|e| format!("{e}\n{src}"))?;
+                }
             }
         }
         Ok(())
     });
-    println!(
-        "steered/unsteered: programs {:?}, loop nests {:?}",
-        counts[0], counts[1]
-    );
-    for (corpus, [steered, unsteered]) in ["programs", "loop nests"].iter().zip(counts) {
-        assert!(steered > 0, "no {corpus} are steered by memory");
-        assert!(
-            unsteered > 0,
-            "every one of the {corpus} is steered by memory"
-        );
-    }
+    println!("fission proof rate: {proved} of {total}");
+    assert!(proved > 0, "no fission proved of {total} candidates");
 }
