@@ -9,7 +9,8 @@
 //!
 //! Each benchmark runs cold on a fresh cache, then warm on the cache the
 //! cold run filled, then retraced (the same traces plus an input no
-//! program reads) on that cache; all three are reported.
+//! program reads) on that cache; all three are reported, each with the
+//! schedule plans it built and took from the cache (DESIGN §10.6).
 
 use fact_bench::search_perf::{run_with, standard_config, to_json};
 
@@ -54,9 +55,9 @@ fn main() {
             eprintln!(
                 "  {:8} {:5} evals {:7.3}s {:8.0} evals/sec cache {:4.0}% \
                  inherited {} unproved {} (setup {:.3}s build {:.3}s expand {:.3}s \
-                 prove {:.3}s est {:.3}s, of it sched {:.3}s) \
-                 warm {:.4}s built {} retraced {:.4}s (prove {:.3}s build {:.3}s, \
-                 {} verdicts memoized)",
+                 prove {:.3}s est {:.3}s, of it sched {:.3}s, of it plans {:.3}s, \
+                 {} plans built) warm {:.4}s built {} retraced {:.4}s (prove {:.3}s \
+                 build {:.3}s, {} verdicts memoized, {} plans memoized, {} built)",
                 s.name,
                 s.evaluated,
                 s.wall_s,
@@ -70,12 +71,16 @@ fn main() {
                 s.prove_s,
                 s.estimate_s,
                 s.schedule_s,
+                s.plan_s,
+                s.outcome.plans_built,
                 s.warm.wall_s,
                 s.warm.outcome.neighborhoods_built,
                 s.retraced.wall_s,
                 s.retraced.prove_s,
                 s.retraced.build_s,
                 s.retraced.verdicts_memoized,
+                s.retraced.outcome.plans_memoized,
+                s.retraced.outcome.plans_built,
             );
         }
     }

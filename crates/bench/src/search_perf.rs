@@ -9,7 +9,7 @@
 //! third, *retraced* run uses that cache again on the same traces plus
 //! one input no program reads: every score lookup misses, as for a new
 //! job, but the expansion memo and the verdicts in its records are found
-//! (DESIGN §10.5). The `search_perf` bench target writes the result as
+//! (DESIGN §10.5), and so is every schedule plan (§10.6). The `search_perf` bench target writes the result as
 //! `BENCH_search.json` so successive runs can be compared
 //! number-for-number.
 //!
@@ -22,7 +22,7 @@ use fact_core::{
 };
 use fact_estim::section5_library;
 use fact_sim::TraceSet;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Throughput measurement of one suite benchmark.
@@ -71,6 +71,9 @@ pub struct SuitePerf {
     /// The list-scheduling share of `estimate_s`, seconds
     /// ([`PhaseTimers::schedule_ns`]).
     pub schedule_s: f64,
+    /// The plan-building share of `schedule_s`, seconds
+    /// ([`PhaseTimers::plan_ns`]).
+    pub plan_s: f64,
     /// Search time outside candidate evaluation and building — memo
     /// lookups, hashing, dedup and selection — seconds
     /// ([`PhaseTimers::expand_ns`]).
@@ -87,7 +90,7 @@ pub struct SuitePerf {
 }
 
 /// The parts of a run's result a warm rerun must repeat, plus its
-/// expansion counters.
+/// expansion and plan counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Outcome {
     /// Steps on the reported path (`FactResult::applied`).
@@ -101,6 +104,11 @@ pub struct Outcome {
     pub neighborhoods_memoized: u64,
     /// Neighbourhoods built (`FactResult::neighborhoods_built`).
     pub neighborhoods_built: u64,
+    /// Schedules whose plan came from the cache
+    /// (`FactResult::plans_memoized`).
+    pub plans_memoized: u64,
+    /// Schedule plans built (`FactResult::plans_built`).
+    pub plans_built: u64,
 }
 
 impl Outcome {
@@ -115,6 +123,8 @@ impl Outcome {
             best_score: config.objective.score(&r.estimate),
             neighborhoods_memoized: r.neighborhoods_memoized,
             neighborhoods_built: r.neighborhoods_built,
+            plans_memoized: r.plans_memoized,
+            plans_built: r.plans_built,
         }
     }
 }
@@ -128,6 +138,9 @@ pub struct Warm {
     pub evaluated: usize,
     /// Of them, answered by the cache.
     pub cache_hits: usize,
+    /// Wall time building schedule plans, seconds
+    /// ([`PhaseTimers::plan_ns`]).
+    pub plan_s: f64,
     /// What the rerun returned.
     pub outcome: Outcome,
 }
@@ -161,6 +174,9 @@ pub struct Retraced {
     /// Wall time building candidate functions, seconds
     /// ([`PhaseTimers::build_ns`]).
     pub build_s: f64,
+    /// Wall time building schedule plans, seconds
+    /// ([`PhaseTimers::plan_ns`]).
+    pub plan_s: f64,
     /// What the rerun returned.
     pub outcome: Outcome,
     /// Candidate evaluations of the run without a cache.
@@ -261,22 +277,24 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
         let outcome = r
             .as_ref()
             .map_or(Outcome::default(), |r| Outcome::of(r, config));
+        let warm_timers = PhaseTimers::default();
         let (warm_r, warm_wall_s) = run(OptimizeHooks {
-            timers: None,
+            timers: Some(&warm_timers),
             ..hooks
         });
-        let warm = match &warm_r {
-            Ok(w) => Warm {
-                wall_s: warm_wall_s,
+        let mut warm = Warm {
+            wall_s: warm_wall_s,
+            plan_s: secs(&warm_timers.plan_ns),
+            ..Warm::default()
+        };
+        if let Ok(w) = &warm_r {
+            warm = Warm {
                 evaluated: w.evaluated,
                 cache_hits: w.cache_hits,
                 outcome: Outcome::of(w, config),
-            },
-            Err(_) => Warm {
-                wall_s: warm_wall_s,
-                ..Warm::default()
-            },
-        };
+                ..warm
+            };
+        }
         let traces = retraced(&b.traces);
         let retimers = PhaseTimers::default();
         let (re_r, re_wall_s) = run_on(
@@ -289,8 +307,9 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
         let (plain, _) = run_on(&traces, OptimizeHooks::default());
         let mut retraced = Retraced {
             wall_s: re_wall_s,
-            prove_s: retimers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            build_s: retimers.build_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            prove_s: secs(&retimers.prove_ns),
+            build_s: secs(&retimers.build_ns),
+            plan_s: secs(&retimers.plan_ns),
             ..Retraced::default()
         };
         if let (Ok(re), Ok(plain)) = (&re_r, &plain) {
@@ -325,13 +344,14 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
             derived: c.derived_total(),
             unproved: c.unproved_total(),
             parents_profiled: c.parents_profiled,
-            setup_s: timers.setup_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            prove_s: timers.prove_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            derive_s: timers.derive_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            estimate_s: timers.estimate_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            schedule_s: timers.schedule_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            expand_s: timers.expand_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            build_s: timers.build_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            setup_s: secs(&timers.setup_ns),
+            prove_s: secs(&timers.prove_ns),
+            derive_s: secs(&timers.derive_ns),
+            estimate_s: secs(&timers.estimate_ns),
+            schedule_s: secs(&timers.schedule_ns),
+            plan_s: secs(&timers.plan_ns),
+            expand_s: secs(&timers.expand_ns),
+            build_s: secs(&timers.build_ns),
             outcome,
             warm,
             retraced,
@@ -342,6 +362,11 @@ pub fn run_with(mode: &str, config: &FactConfig) -> SearchPerf {
         budget: config.search.max_evaluations,
         suites,
     }
+}
+
+/// A phase timer's reading in seconds.
+fn secs(ns: &AtomicU64) -> f64 {
+    ns.load(Ordering::Relaxed) as f64 / 1e9
 }
 
 /// The standard measurement configuration: defaults with the given
@@ -358,8 +383,15 @@ pub fn standard_config(budget: usize) -> FactConfig {
 fn outcome_json(o: &Outcome) -> String {
     format!(
         "\"applied\": {}, \"applied_digest\": \"{:016x}\", \"best_score\": {}, \
-         \"neighborhoods_memoized\": {}, \"neighborhoods_built\": {}",
-        o.applied, o.applied_digest, o.best_score, o.neighborhoods_memoized, o.neighborhoods_built
+         \"neighborhoods_memoized\": {}, \"neighborhoods_built\": {}, \
+         \"plans_memoized\": {}, \"plans_built\": {}",
+        o.applied,
+        o.applied_digest,
+        o.best_score,
+        o.neighborhoods_memoized,
+        o.neighborhoods_built,
+        o.plans_memoized,
+        o.plans_built
     )
 }
 
@@ -368,7 +400,7 @@ fn retraced_json(r: &Retraced) -> String {
     format!(
         "{{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, \"inherited\": {}, \
          \"proved\": {}, \"derived\": {}, \"unproved\": {}, \"verdicts_memoized\": {}, \
-         \"prove_s\": {:.4}, \"build_s\": {:.4}, {}, \
+         \"prove_s\": {:.4}, \"build_s\": {:.4}, \"plan_s\": {:.4}, {}, \
          \"uncached\": {{\"evaluated\": {}, {}}}}}",
         r.wall_s,
         r.evaluated,
@@ -380,6 +412,7 @@ fn retraced_json(r: &Retraced) -> String {
         r.verdicts_memoized,
         r.prove_s,
         r.build_s,
+        r.plan_s,
         outcome_json(&r.outcome),
         r.uncached_evaluated,
         outcome_json(&r.uncached),
@@ -401,8 +434,10 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                  \"inherited\": {}, \"proved\": {}, \"derived\": {}, \"unproved\": {}, \
                  \"parents_profiled\": {}, \
                  \"setup_s\": {:.4}, \"prove_s\": {:.4}, \"derive_s\": {:.4}, \"estimate_s\": {:.4}, \
-                 \"schedule_s\": {:.4}, \"expand_s\": {:.4}, \"build_s\": {:.4}, {}, \
-                 \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, {}}}, \
+                 \"schedule_s\": {:.4}, \"plan_s\": {:.4}, \"expand_s\": {:.4}, \
+                 \"build_s\": {:.4}, {}, \
+                 \"warm\": {{\"wall_s\": {:.4}, \"evaluated\": {}, \"cache_hits\": {}, \
+                 \"plan_s\": {:.4}, {}}}, \
                  \"retraced\": {}}}{}\n",
                 s.name,
                 s.evaluated,
@@ -420,12 +455,14 @@ pub fn to_json(passes: &[SearchPerf]) -> String {
                 s.derive_s,
                 s.estimate_s,
                 s.schedule_s,
+                s.plan_s,
                 s.expand_s,
                 s.build_s,
                 outcome_json(&s.outcome),
                 s.warm.wall_s,
                 s.warm.evaluated,
                 s.warm.cache_hits,
+                s.warm.plan_s,
                 outcome_json(&s.warm.outcome),
                 retraced_json(&s.retraced),
                 if i + 1 < p.suites.len() { "," } else { "" }
@@ -458,6 +495,11 @@ mod tests {
             assert!(
                 s.schedule_s <= s.estimate_s,
                 "{}: scheduling is a subset of estimation",
+                s.name
+            );
+            assert!(
+                0.0 <= s.plan_s && s.plan_s <= s.schedule_s,
+                "{}: building plans is a share of scheduling",
                 s.name
             );
             assert!(
@@ -521,6 +563,13 @@ mod tests {
                 "{}: every verdict the retraced run needs, the cold run left in its record",
                 s.name
             );
+            assert_eq!(
+                (re.outcome.plans_built, warm.plans_built),
+                (0, 0),
+                "{}: the cold run left every plan the reruns schedule with",
+                s.name
+            );
+            assert!(re.outcome.plans_memoized > 0, "{}", s.name);
         }
         let json = to_json(&[p]);
         assert!(json.contains("\"bench\": \"search\""));

@@ -16,15 +16,34 @@
 //! signature used for deduplication inside `Apply_transforms`, which
 //! allocated an entire pretty-printed program per candidate per move.
 
+use crate::bounded::BoundedMap;
 use crate::expand::ExpansionMemo;
 use fact_ir::{Function, OpKind, Terminator};
 use fact_prng::mix64;
+use fact_sched::{ScheduleError, SchedulePlan};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+
+/// How many schedule plans the [`EvalCache`] holds at most (DESIGN
+/// §10.6). A plan of a §5 suite design holds about 0.9 KB (measured with
+/// a counting allocator: after the 18 paper-sized suite jobs, 384 held
+/// plans took 340 KiB), so the cap bounds plans near 290 KiB. Jobs of
+/// four-vector traces over GCD, FIR, IGF and PPS schedule about 270
+/// distinct designs, and jobs of 64 to 6,144 vectors over Test2,
+/// SINTRAN, FIR and GCD about 350. A cap below a workload's designs
+/// makes its jobs rebuild the plans that fall out, so the cap sits near
+/// both; a larger one costs every server memory for plans that
+/// cache-answered jobs never read.
+pub const PLAN_CAPACITY: usize = 320;
+
+/// A held plan, or the error building it gave (a design the allocation
+/// cannot realize fails the same way for every profile); one pointer,
+/// so a held plan costs the map one word.
+pub(crate) type PlanOutcome = Arc<Result<SchedulePlan, ScheduleError>>;
 
 /// An incremental 64-bit hasher over words, built on the SplitMix64
 /// finalizer. Not cryptographic; collision odds across the ~10^3..10^6
@@ -369,8 +388,9 @@ impl CacheStats {
 /// second insert is a no-op), which is wasted work but never wrong —
 /// evaluation is deterministic per key.
 ///
-/// The cache also holds the [`ExpansionMemo`] ([`EvalCache::expansions`]),
-/// so every run given a cache shares memoized neighbourhoods too.
+/// The cache also holds the [`ExpansionMemo`] ([`EvalCache::expansions`])
+/// and the schedule plans (DESIGN §10.6), so every run given a cache
+/// shares memoized neighbourhoods and plans too.
 ///
 /// # Examples
 ///
@@ -389,6 +409,9 @@ pub struct EvalCache {
     hits: AtomicU64,
     misses: AtomicU64,
     expansions: ExpansionMemo,
+    /// Schedule plans by design identity × scheduling context, one
+    /// weight unit each.
+    plans: BoundedMap<PlanOutcome>,
 }
 
 impl EvalCache {
@@ -402,6 +425,7 @@ impl EvalCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             expansions: ExpansionMemo::default(),
+            plans: BoundedMap::with_capacity(PLAN_CAPACITY),
         }
     }
 
@@ -414,10 +438,30 @@ impl EvalCache {
         }
     }
 
+    /// A cache holding at most `plans` schedule plans.
+    #[cfg(test)]
+    pub(crate) fn with_plan_capacity(plans: usize) -> Self {
+        EvalCache {
+            plans: BoundedMap::with_capacity(plans),
+            ..EvalCache::default()
+        }
+    }
+
     /// The memoized neighbourhoods the search expands through (DESIGN
     /// §10.5). Not part of [`EvalCache::save_snapshot`]'s snapshots.
     pub fn expansions(&self) -> &ExpansionMemo {
         &self.expansions
+    }
+
+    /// The schedule plans held (DESIGN §10.6). Not part of
+    /// [`EvalCache::save_snapshot`]'s snapshots.
+    pub(crate) fn plans(&self) -> &BoundedMap<PlanOutcome> {
+        &self.plans
+    }
+
+    /// Schedule plans held.
+    pub fn plans_held(&self) -> usize {
+        self.plans.len()
     }
 
     fn shard(&self, key: u64) -> &Mutex<HashMap<u64, CachedScore>> {
@@ -478,13 +522,14 @@ impl EvalCache {
         }
     }
 
-    /// Drops all entries and memoized neighbourhoods (counters are
-    /// preserved).
+    /// Drops all entries, memoized neighbourhoods and schedule plans
+    /// (counters are preserved).
     pub fn clear(&self) {
         for s in self.shards.iter() {
             s.lock().unwrap().clear();
         }
         self.expansions.clear();
+        self.plans.clear();
     }
 
     /// All entries, sorted by key — the deterministic iteration order the
@@ -656,6 +701,7 @@ impl std::fmt::Debug for EvalCache {
             .field("shards", &self.shards.len())
             .field("stats", &self.stats())
             .field("expansions", &self.expansions)
+            .field("plans", &self.plans.len())
             .finish()
     }
 }

@@ -23,12 +23,12 @@
 //! verdicts, which depend on nothing but the parent, the candidate and
 //! its graph map, hold for every run that reaches the record.
 
+use crate::bounded::BoundedMap;
 use crate::cache::{exact_hash, structural_hash, ContextHasher};
 use fact_ir::{Equivalence, Function, GraphMap};
 use fact_xform::{Candidate, Parent, Region, TransformKind, TransformLibrary};
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// How many candidate records the [`ExpansionMemo`] holds at most.
 /// Inserting beyond it evicts the oldest neighbourhoods first, except that
@@ -108,47 +108,23 @@ fn recall<T: Copy>(cell: &OnceLock<T>, check: impl FnOnce() -> T) -> (T, bool) {
 /// Memoized neighbourhoods: parent identity × region × library → the
 /// ordered candidate records of the parent's expansion (see the module
 /// docs). Lives inside the [`EvalCache`](crate::EvalCache), so every run
-/// given a cache shares it; it is not written to cache snapshots.
+/// given a cache shares it; it is not written to cache snapshots. Held
+/// in a [`BoundedMap`] weighing each neighbourhood by its record count.
 pub struct ExpansionMemo {
-    capacity: usize,
-    inner: Mutex<MemoInner>,
-}
-
-#[derive(Default)]
-struct MemoInner {
-    map: HashMap<u64, Held>,
-    /// Keys in eviction order: insertion order, with each neighbourhood
-    /// given a second chance moved to the back.
-    order: VecDeque<u64>,
-    /// Records across every held neighbourhood.
-    records: usize,
-}
-
-/// One held neighbourhood.
-struct Held {
-    records: Arc<[Expanded]>,
-    /// Read since eviction last passed over it.
-    used: bool,
+    map: BoundedMap<Arc<[Expanded]>>,
 }
 
 impl ExpansionMemo {
     /// A memo holding at most `records` candidate records.
     pub(crate) fn with_capacity(records: usize) -> Self {
         ExpansionMemo {
-            capacity: records,
-            inner: Mutex::new(MemoInner::default()),
+            map: BoundedMap::with_capacity(records),
         }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoInner> {
-        self.inner
-            .lock()
-            .expect("no memo operation panics while holding the lock")
     }
 
     /// Neighbourhoods held.
     pub fn len(&self) -> usize {
-        self.lock().map.len()
+        self.map.len()
     }
 
     /// Whether the memo holds no neighbourhood.
@@ -158,60 +134,23 @@ impl ExpansionMemo {
 
     /// Candidate records held, over every neighbourhood.
     pub fn records(&self) -> usize {
-        self.lock().records
+        self.map.weight()
     }
 
     /// Drops every neighbourhood.
     pub fn clear(&self) {
-        *self.lock() = MemoInner::default();
+        self.map.clear();
     }
 
     fn get(&self, key: u64) -> Option<Arc<[Expanded]>> {
-        let mut inner = self.lock();
-        let held = inner.map.get_mut(&key)?;
-        held.used = true;
-        Some(held.records.clone())
+        self.map.get(key)
     }
 
     /// Stores `list` under `key`, evicting neighbourhoods to stay within
-    /// the capacity: the oldest first, but one read since eviction last
-    /// passed over it is moved to the back once instead (the second
-    /// chance of the clock algorithm), so a neighbourhood jobs keep
-    /// reading outlives those read once. A racing second insert of a key
-    /// is a no-op (both writers expanded the same parent alike).
+    /// the capacity (see [`BoundedMap::insert`]).
     fn insert(&self, key: u64, list: Arc<[Expanded]>) {
-        if list.len() > self.capacity {
-            return;
-        }
-        let mut inner = self.lock();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        while inner.records + list.len() > self.capacity {
-            let old = inner
-                .order
-                .pop_front()
-                .expect("records above zero means a neighbourhood is held");
-            let held = inner
-                .map
-                .get_mut(&old)
-                .expect("the order lists held keys only");
-            if std::mem::take(&mut held.used) {
-                inner.order.push_back(old);
-                continue;
-            }
-            let evicted = inner.map.remove(&old).expect("just found");
-            inner.records -= evicted.records.len();
-        }
-        inner.records += list.len();
-        inner.order.push_back(key);
-        inner.map.insert(
-            key,
-            Held {
-                records: list,
-                used: false,
-            },
-        );
+        let records = list.len();
+        self.map.insert(key, list, records);
     }
 }
 
@@ -223,11 +162,10 @@ impl Default for ExpansionMemo {
 
 impl std::fmt::Debug for ExpansionMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.lock();
         f.debug_struct("ExpansionMemo")
-            .field("neighbourhoods", &inner.map.len())
-            .field("records", &inner.records)
-            .field("capacity", &self.capacity)
+            .field("neighbourhoods", &self.len())
+            .field("records", &self.records())
+            .field("capacity", &self.map.capacity())
             .finish()
     }
 }

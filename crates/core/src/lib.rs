@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+mod bounded;
 pub mod cache;
 mod expand;
 pub mod objective;

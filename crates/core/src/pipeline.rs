@@ -8,7 +8,7 @@
 //!    information guides transformation selection, the paper's central
 //!    claim.
 
-use crate::cache::{structural_hash, ContextHasher, EvalCache};
+use crate::cache::{exact_hash, structural_hash, ContextHasher, EvalCache, PlanOutcome};
 use crate::expand::{BuildLedger, Expander, Sink, Verdicts};
 use crate::objective::Objective;
 use crate::pareto::{nondominated, sweep_vdd, ParetoArchive, ParetoPoint};
@@ -20,7 +20,7 @@ use crate::search::{
 use fact_estim::{evaluate, evaluate_analyzed, evaluate_power_mode, markov_of, Estimate};
 use fact_ir::{operand_swap_of, prove_equivalent, Equivalence, Function};
 use fact_sched::{
-    schedule_with_memo, Allocation, FuLibrary, SchedOptions, ScheduleMemo, ScheduleReport,
+    Allocation, FuLibrary, SchedOptions, ScheduleError, ScheduleMemo, SchedulePlan, ScheduleReport,
     ScheduleResult, SelectionRules,
 };
 use fact_sim::{execute, simulate, BranchProfile, CompiledFn, ProfileCounts, StepBound, TraceSet};
@@ -103,12 +103,22 @@ pub struct FactResult {
     /// Candidate evaluations answered by the shared [`EvalCache`]
     /// (0 when the run was not given a cache).
     pub cache_hits: usize,
-    /// Schedules computed entirely from scratch — no memoized block
-    /// fragment was spliced in.
+    /// Schedules whose plan was built with every block list-scheduled
+    /// from scratch — no memoized block fragment was spliced in.
     pub full_reschedules: usize,
-    /// Schedules that spliced at least one memoized per-block fragment
-    /// instead of re-running list scheduling.
+    /// Schedules that reused at least one block schedule instead of
+    /// re-running list scheduling: their plan was built splicing a
+    /// memoized per-block fragment, or came from the shared cache whole
+    /// (every block reused; [`FactResult::plans_memoized`]).
     pub block_spliced: usize,
+    /// Schedules whose profile-independent half, the design's
+    /// [`SchedulePlan`], came from the shared cache (DESIGN §10.6; 0
+    /// without a cache).
+    pub plans_memoized: u64,
+    /// Schedule plans built: one per schedule without a cache, one per
+    /// design and scheduling context the shared cache does not hold with
+    /// one.
+    pub plans_built: u64,
     /// Trace vectors of the profile passes inside the search (logical
     /// vectors, so a deduplicated lane of multiplicity *k* counts *k*):
     /// those over parents and search inputs the shared cache answered
@@ -250,10 +260,16 @@ pub struct PhaseTimers {
     /// Time scheduling and estimating candidates (list scheduling, Markov
     /// solves, power/latency evaluation).
     pub estimate_ns: AtomicU64,
-    /// The scheduling share of `estimate_ns`: time inside
-    /// [`schedule_with_memo`] during candidate estimation.
-    /// `estimate_ns - schedule_ns` is the Markov and power time.
+    /// The scheduling share of `estimate_ns`: looking up or building
+    /// each candidate's [`SchedulePlan`] and weighting it with the
+    /// candidate's profile. `estimate_ns - schedule_ns` is the Markov and
+    /// power time.
     pub schedule_ns: AtomicU64,
+    /// The plan-building share of `schedule_ns` ([`SchedulePlan::build`]
+    /// for the designs whose plan the shared cache does not hold);
+    /// `schedule_ns - plan_ns` is the per-trace weighting and the plan
+    /// lookups (DESIGN §10.6).
+    pub plan_ns: AtomicU64,
     /// Time building candidate functions: expanding parents through the
     /// transformation library, and replaying one transformation to build
     /// a design through its path — wherever it happens, in the search's
@@ -345,7 +361,7 @@ pub struct OptimizeHooks<'a> {
 #[derive(Debug)]
 pub enum FactError {
     /// The original behavior failed to schedule.
-    Schedule(fact_sched::ScheduleError),
+    Schedule(ScheduleError),
     /// No trace vector ran to completion on the original behavior (the
     /// message names how many failed and the first error), or its STG
     /// failed Markov analysis.
@@ -365,15 +381,28 @@ impl std::error::Error for FactError {}
 
 /// Per-run incremental-evaluation machinery, shared by every candidate
 /// evaluation of one run (including across worker threads — all members
-/// are `Sync`): memoized schedule fragments and the work counters
-/// [`FactResult`] reports.
+/// are `Sync`): schedule plans, memoized schedule fragments and the work
+/// counters [`FactResult`] reports.
 struct IncrementalCtx<'a> {
-    /// Per-block list-schedule fragments keyed by structural hash.
+    library: &'a FuLibrary,
+    rules: &'a SelectionRules,
+    alloc: &'a Allocation,
+    opts: &'a SchedOptions,
+    /// The shared cache, which holds plans across runs.
+    cache: Option<&'a EvalCache>,
+    /// Scheduling half of every plan key ([`schedule_context_key`]).
+    plan_context: u64,
+    /// Per-block list-schedule fragments keyed by structural hash, for
+    /// the plans this run builds.
     sched: ScheduleMemo,
     /// Schedules computed with no memoized fragment spliced in.
     full_reschedules: AtomicUsize,
-    /// Schedules that reused at least one memoized block fragment.
+    /// Schedules that reused at least one block schedule.
     block_spliced: AtomicUsize,
+    /// Schedules whose plan came from the shared cache.
+    plans_memoized: AtomicU64,
+    /// Plans built.
+    plans_built: AtomicU64,
     /// Trace vectors profiled inside the search so far (shared across
     /// worker threads; [`FactResult::sim_vectors`]).
     sim_vectors: AtomicU64,
@@ -409,6 +438,16 @@ fn timed<T>(
         }
         None => f(),
     }
+}
+
+/// Runs `f`, charging its wall time to `timers`' `estimate_ns` and its
+/// `schedule_ns` share.
+fn scheduling<T>(timers: Option<&PhaseTimers>, f: impl FnOnce() -> T) -> T {
+    timed(
+        timers,
+        |t| &t.estimate_ns,
+        || timed(timers, |t| &t.schedule_ns, f),
+    )
 }
 
 /// The profile pass of `g` over `traces`: one compiled [`simulate`]
@@ -449,20 +488,96 @@ impl Profiled {
 }
 
 impl<'a> IncrementalCtx<'a> {
-    fn new(timers: Option<&'a PhaseTimers>) -> IncrementalCtx<'a> {
+    fn new(
+        library: &'a FuLibrary,
+        rules: &'a SelectionRules,
+        alloc: &'a Allocation,
+        opts: &'a SchedOptions,
+        hooks: OptimizeHooks<'a>,
+    ) -> IncrementalCtx<'a> {
         IncrementalCtx {
+            library,
+            rules,
+            alloc,
+            opts,
+            cache: hooks.cache,
+            plan_context: schedule_context_key(library, rules, alloc, opts),
             sched: ScheduleMemo::default(),
             full_reschedules: AtomicUsize::new(0),
             block_spliced: AtomicUsize::new(0),
+            plans_memoized: AtomicU64::new(0),
+            plans_built: AtomicU64::new(0),
             sim_vectors: AtomicU64::new(0),
-            timers,
+            timers: hooks.timers,
             mega: MegaCounters::default(),
         }
     }
 
-    /// Classifies one completed schedule as spliced or from-scratch.
-    fn note_schedule(&self, report: &ScheduleReport) {
-        if report.memo_hits > 0 {
+    /// Schedules `f` under `prof`: its plan (DESIGN §10.6), weighted
+    /// with `prof`. The plan is keyed by `f`'s exact identity
+    /// ([`exact_hash`]) in the scheduling context: the shared cache's
+    /// when it holds one, else built and stored. The time goes to
+    /// `timers`' `estimate_ns` and `schedule_ns`, a build's to `plan_ns`
+    /// as well.
+    fn schedule(
+        &self,
+        f: &Function,
+        prof: &BranchProfile,
+        timers: Option<&PhaseTimers>,
+    ) -> Result<ScheduleResult, ScheduleError> {
+        let (plan, held) = self.plan(f, timers);
+        let sr = match &*plan {
+            Ok(plan) => scheduling(timers, || plan.weight(f, prof))?,
+            Err(e) => return Err(e.clone()),
+        };
+        self.note_schedule(&sr.report, held);
+        Ok(sr)
+    }
+
+    /// The plan of `f` for [`IncrementalCtx::schedule`]; the flag is
+    /// `true` when it came from the cache.
+    fn plan(&self, f: &Function, timers: Option<&PhaseTimers>) -> (PlanOutcome, bool) {
+        let slot = self.cache.map(|cache| {
+            scheduling(timers, || {
+                let key = ContextHasher::new(self.plan_context)
+                    .write_u64(exact_hash(f))
+                    .finish();
+                (cache, key, cache.plans().get(key))
+            })
+        });
+        if let Some((_, _, Some(held))) = slot {
+            self.plans_memoized.fetch_add(1, Ordering::Relaxed);
+            return (held, true);
+        }
+        let built = Arc::new(scheduling(timers, || {
+            timed(
+                timers,
+                |t| &t.plan_ns,
+                || {
+                    SchedulePlan::build(
+                        f,
+                        self.library,
+                        self.rules,
+                        self.alloc,
+                        self.opts,
+                        Some(&self.sched),
+                    )
+                },
+            )
+        }));
+        self.plans_built.fetch_add(1, Ordering::Relaxed);
+        if let Some((cache, key, _)) = slot {
+            cache.plans().insert(key, built.clone(), 1);
+        }
+        (built, false)
+    }
+
+    /// Classifies one completed schedule as spliced or from-scratch: one
+    /// whose plan came from the cache (`held`) reused every block
+    /// schedule, one whose plan was built reused those its memo hits
+    /// name.
+    fn note_schedule(&self, report: &ScheduleReport, held: bool) {
+        if held || report.memo_hits > 0 {
             self.block_spliced.fetch_add(1, Ordering::Relaxed);
         } else {
             self.full_reschedules.fetch_add(1, Ordering::Relaxed);
@@ -517,8 +632,6 @@ impl Cacheable for (f64, f64) {
 /// neighborhood workers score candidates through a shared `&Run`.
 struct Run<'a> {
     library: &'a FuLibrary,
-    rules: &'a SelectionRules,
-    alloc: &'a Allocation,
     traces: &'a TraceSet,
     config: &'a FactConfig,
     hooks: OptimizeHooks<'a>,
@@ -567,7 +680,7 @@ impl<'a> Run<'a> {
         config: &'a FactConfig,
         hooks: OptimizeHooks<'a>,
     ) -> Result<Run<'a>, FactError> {
-        let ctx = IncrementalCtx::new(hooks.timers);
+        let ctx = IncrementalCtx::new(library, rules, alloc, &config.sched, hooks);
         let (prof, known) = Profiled::of(profile_pass(f, traces, None));
         if prof.runs_ok == 0 {
             // Nothing can be estimated from a profile without a single
@@ -583,17 +696,7 @@ impl<'a> Run<'a> {
         }
         // Seeded into the profile map, as a search input would be.
         let profiles = known.map(|k| (structural_hash(f), k)).into_iter().collect();
-        let sr0 = schedule_with_memo(
-            f,
-            library,
-            rules,
-            alloc,
-            &prof,
-            &config.sched,
-            Some(&ctx.sched),
-        )
-        .map_err(FactError::Schedule)?;
-        ctx.note_schedule(&sr0.report);
+        let sr0 = ctx.schedule(f, &prof, None).map_err(FactError::Schedule)?;
         let markov0 = markov_of(&sr0).map_err(FactError::Analysis)?;
         let baseline = evaluate_analyzed(&sr0, &markov0, library, config.sched.clock_ns);
         let blocks = partition(&sr0.stg, &markov0, &config.partition);
@@ -608,8 +711,6 @@ impl<'a> Run<'a> {
         };
         Ok(Run {
             library,
-            rules,
-            alloc,
             traces,
             config,
             hooks,
@@ -645,8 +746,9 @@ impl<'a> Run<'a> {
         self.hooks.stop.is_some_and(|s| s.load(Ordering::Relaxed))
     }
 
-    /// Schedules + estimates `g` under `prof`, charging the time to
-    /// `timers`' estimation phases; `None` when `g` cannot be realized
+    /// Schedules ([`IncrementalCtx::schedule`]) and estimates `g` under
+    /// `prof`; the time goes to `timers`' estimation phases. `None` when
+    /// `g` cannot be realized
     /// under the allocation (e.g. a strength-reduced shift with no
     /// shifter), or — in power mode — is slower than the baseline.
     fn estimate(
@@ -658,28 +760,12 @@ impl<'a> Run<'a> {
         if prof.runs_ok == 0 {
             return None;
         }
-        let (ctx, config, library) = (&self.ctx, self.config, self.library);
+        let (config, library) = (self.config, self.library);
+        let sr = self.ctx.schedule(g, prof, timers).ok()?;
         timed(
             timers,
             |t| &t.estimate_ns,
             || {
-                let sr = timed(
-                    timers,
-                    |t| &t.schedule_ns,
-                    || {
-                        schedule_with_memo(
-                            g,
-                            library,
-                            self.rules,
-                            self.alloc,
-                            prof,
-                            &config.sched,
-                            Some(&ctx.sched),
-                        )
-                    },
-                )
-                .ok()?;
-                ctx.note_schedule(&sr.report);
                 let est = match config.objective {
                     // Pareto mode estimates at the reference voltage too: the archive
                     // lives in (energy_vdd2, latency) space and voltage becomes a
@@ -842,8 +928,10 @@ impl<'a> Run<'a> {
         (prof, known)
     }
 
-    /// Schedules and estimates `f` under `prof`, remembering the estimate
-    /// under `hash` for its operand swaps to inherit.
+    /// Schedules and estimates `f`, of structural hash `hash`, under
+    /// `prof` ([`Run::estimate`]),
+    /// remembering the estimate under `hash` for its operand swaps to
+    /// inherit.
     fn scored(&self, f: &Function, hash: u64, prof: &BranchProfile) -> Option<Estimate> {
         let (_, est) = self.estimate(f, prof, self.ctx.timers)?;
         self.scores
@@ -1100,6 +1188,30 @@ pub fn evaluation_context_key(
     h.finish()
 }
 
+/// A 64-bit key covering everything a [`SchedulePlan`] depends on
+/// besides the design: the unit library (every unit's specification and
+/// the storage coefficients, `memory_delay_ns` among them), the
+/// selection rules, the allocation, the clock and every scheduler flag.
+/// Combined with a design's exact identity it keys the design's plan in
+/// the shared [`EvalCache`] (DESIGN §10.6).
+fn schedule_context_key(
+    library: &FuLibrary,
+    rules: &SelectionRules,
+    alloc: &Allocation,
+    opts: &SchedOptions,
+) -> u64 {
+    let mut h = ContextHasher::new(0xFAC7_91A2);
+    // The three print every field, floats exactly, in a fixed order.
+    h.write_bytes(format!("{library:?}\n{rules:?}\n{opts:?}").as_bytes());
+    let mut pairs: Vec<(u32, u32)> = alloc.iter().map(|(fu, n)| (fu.0, n)).collect();
+    pairs.sort_unstable();
+    h.write_u64(pairs.len() as u64);
+    for (fu, n) in pairs {
+        h.write_u64(((fu as u64) << 32) | n as u64);
+    }
+    h.finish()
+}
+
 /// Runs FACT on `f`.
 ///
 /// # Errors
@@ -1227,6 +1339,8 @@ pub fn optimize_with(
         cache_hits: run.cache_hits.load(Ordering::Relaxed),
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
+        plans_memoized: ctx.plans_memoized.load(Ordering::Relaxed),
+        plans_built: ctx.plans_built.load(Ordering::Relaxed),
         sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
         sim_engine_scalar: candidates.parents_profiled,
         sim_engine_batched: 0,
@@ -1281,10 +1395,17 @@ pub struct ParetoFactResult {
     pub blocks_optimized: usize,
     /// Candidate evaluations answered by the shared [`EvalCache`].
     pub cache_hits: usize,
-    /// Schedules computed entirely from scratch.
+    /// Schedules computed entirely from scratch (see
+    /// [`FactResult::full_reschedules`]).
     pub full_reschedules: usize,
-    /// Schedules that spliced at least one memoized block fragment.
+    /// Schedules that reused a block schedule (see
+    /// [`FactResult::block_spliced`]).
     pub block_spliced: usize,
+    /// Schedules whose plan came from the shared cache (see
+    /// [`FactResult::plans_memoized`]).
+    pub plans_memoized: u64,
+    /// Schedule plans built (see [`FactResult::plans_built`]).
+    pub plans_built: u64,
     /// Trace vectors profiled inside the search (see
     /// [`FactResult::sim_vectors`]).
     pub sim_vectors: u64,
@@ -1468,6 +1589,8 @@ pub fn optimize_pareto_with(
         cache_hits: run.cache_hits.load(Ordering::Relaxed),
         full_reschedules: ctx.full_reschedules.load(Ordering::Relaxed),
         block_spliced: ctx.block_spliced.load(Ordering::Relaxed),
+        plans_memoized: ctx.plans_memoized.load(Ordering::Relaxed),
+        plans_built: ctx.plans_built.load(Ordering::Relaxed),
         sim_vectors: ctx.sim_vectors.load(Ordering::Relaxed),
         sim_engine_scalar: candidates.parents_profiled,
         sim_engine_batched: 0,
@@ -1723,6 +1846,230 @@ mod tests {
             r2_ref.estimate.average_schedule_length
         );
         let _ = uncached;
+    }
+
+    /// `traces` plus an input no program reads: the same runs under an
+    /// evaluation context no cached score belongs to.
+    fn with_nonce(traces: &TraceSet, nonce: i64) -> TraceSet {
+        TraceSet::new(
+            traces
+                .vectors
+                .iter()
+                .map(|v| {
+                    let mut v = v.clone();
+                    v.insert("nonce".to_string(), nonce);
+                    v
+                })
+                .collect(),
+        )
+    }
+
+    /// A plan is keyed by everything it depends on besides the design:
+    /// changing any of it must miss.
+    #[test]
+    fn schedule_context_key_covers_every_scheduling_input() {
+        let (lib, rules) = section5_library();
+        let alloc = alloc_of(&lib, &[("a1", 2), ("mt1", 1), ("cp1", 1)]);
+        let opts = SchedOptions::default();
+        let key =
+            |lib: &FuLibrary, rules: &SelectionRules, alloc: &Allocation, opts: &SchedOptions| {
+                schedule_context_key(lib, rules, alloc, opts)
+            };
+        let base = key(&lib, &rules, &alloc, &opts);
+        assert_eq!(base, key(&lib.clone(), &rules, &alloc.clone(), &opts));
+        // The same allocation built in another order is the same context.
+        let reordered = alloc_of(&lib, &[("cp1", 1), ("mt1", 1), ("a1", 2)]);
+        assert_eq!(base, key(&lib, &rules, &reordered, &opts));
+
+        let mut misses = Vec::new();
+        let more_adders = alloc_of(&lib, &[("a1", 3), ("mt1", 1), ("cp1", 1)]);
+        misses.push(("allocation count", key(&lib, &rules, &more_adders, &opts)));
+        // The library rebuilt with one unit slower.
+        let rebuilt = |delay_of: &dyn Fn(&str, f64) -> f64, memory_delay_ns| {
+            let mut l = FuLibrary::new(
+                lib.register_energy_coeff,
+                lib.register_delay_ns,
+                lib.memory_energy_coeff,
+                memory_delay_ns,
+            );
+            for i in 0..lib.len() {
+                let mut spec = lib.spec(fact_sched::FuId(i as u32)).clone();
+                spec.delay_ns = delay_of(&spec.name, spec.delay_ns);
+                l.add(spec);
+            }
+            l
+        };
+        let same = rebuilt(&|_, d| d, lib.memory_delay_ns);
+        assert_eq!(base, key(&same, &rules, &alloc, &opts));
+        let slow_adder = rebuilt(
+            &|n, d| if n == "a1" { d + 1.0 } else { d },
+            lib.memory_delay_ns,
+        );
+        misses.push(("unit delay", key(&slow_adder, &rules, &alloc, &opts)));
+        let slow_memory = rebuilt(&|_, d| d, lib.memory_delay_ns + 1.0);
+        misses.push(("memory delay", key(&slow_memory, &rules, &alloc, &opts)));
+        let mut other_rules = rules.clone();
+        other_rules.sub = other_rules.add;
+        misses.push(("selection rules", key(&lib, &other_rules, &alloc, &opts)));
+        for (what, i) in [
+            ("clock", 0),
+            ("if_convert", 1),
+            ("rotate", 2),
+            ("pipeline", 3),
+            ("concurrent", 4),
+        ] {
+            let mut o = opts.clone();
+            match i {
+                0 => o.clock_ns += 1.0,
+                1 => o.if_convert = !o.if_convert,
+                2 => o.rotate = !o.rotate,
+                3 => o.pipeline = !o.pipeline,
+                _ => o.concurrent = !o.concurrent,
+            }
+            misses.push((what, key(&lib, &rules, &alloc, &o)));
+        }
+        for (what, k) in &misses {
+            assert_ne!(*k, base, "changing the {what} must change the key");
+        }
+        let distinct: HashSet<u64> = misses.iter().map(|&(_, k)| k).collect();
+        assert_eq!(distinct.len(), misses.len(), "{misses:?}");
+    }
+
+    #[test]
+    fn plans_serve_other_traces_and_a_small_cap_changes_nothing() {
+        let (f, lib, rules, alloc, traces) = cache_fixture();
+        let tlib = TransformLibrary::full();
+        let cfg = quick_config(Objective::Throughput);
+        let want = optimize(&f, &lib, &rules, &alloc, &traces, &tlib, &cfg).unwrap();
+        let same = |r: &FactResult| {
+            assert_eq!(r.applied, want.applied);
+            assert_eq!(r.evaluated, want.evaluated);
+            assert_eq!(r.best, want.best);
+            assert_eq!(format!("{:?}", r.estimate), format!("{:?}", want.estimate));
+            assert_eq!(
+                format!("{:?}", r.schedule.stg),
+                format!("{:?}", want.schedule.stg)
+            );
+        };
+        // A cap below one job's design count evicts all the time, which
+        // costs rebuilt plans, never a different result.
+        let small = crate::cache::EvalCache::with_plan_capacity(2);
+        let hooks = |cache| OptimizeHooks {
+            cache: Some(cache),
+            stop: None,
+            timers: None,
+        };
+        let got = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc,
+            &traces,
+            &tlib,
+            &cfg,
+            hooks(&small),
+        );
+        let got = got.unwrap();
+        same(&got);
+        assert!(got.plans_built > 2, "{}", got.plans_built);
+        assert!(small.plans().evictions() > 0 && small.plans_held() <= 2);
+        small.clear();
+        assert_eq!(small.plans_held(), 0, "clearing the cache drops its plans");
+        // Other traces under an unbounded cache: every plan is read, none
+        // built, and the result is a fresh run's.
+        let shared = crate::cache::EvalCache::default();
+        let cold = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc,
+            &traces,
+            &tlib,
+            &cfg,
+            hooks(&shared),
+        );
+        same(&cold.unwrap());
+        let other = with_nonce(&traces, 7);
+        let fresh = optimize(&f, &lib, &rules, &alloc, &other, &tlib, &cfg).unwrap();
+        let re = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc,
+            &other,
+            &tlib,
+            &cfg,
+            hooks(&shared),
+        );
+        let re = re.unwrap();
+        assert_eq!((re.plans_built, re.cache_hits), (0, 0));
+        assert!(re.plans_memoized > 0);
+        assert_eq!(re.applied, fresh.applied);
+        assert_eq!(
+            format!("{:?}", re.estimate),
+            format!("{:?}", fresh.estimate)
+        );
+        // Another allocation, or another clock, is another scheduling
+        // context: no plan the earlier runs left answers it.
+        let alloc2 = alloc_of(
+            &lib,
+            &[("a1", 2), ("mt1", 2), ("cp1", 1), ("i1", 2), ("sb1", 1)],
+        );
+        let r2 = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc2,
+            &other,
+            &tlib,
+            &cfg,
+            hooks(&shared),
+        );
+        let alone = crate::cache::EvalCache::default();
+        let want2 = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc2,
+            &other,
+            &tlib,
+            &cfg,
+            hooks(&alone),
+        );
+        // Only the run's own plans answer it, as on an empty cache.
+        let (r2, want2) = (r2.unwrap(), want2.unwrap());
+        assert_eq!(
+            (r2.plans_memoized, r2.plans_built),
+            (want2.plans_memoized, want2.plans_built)
+        );
+        let mut slow = cfg.clone();
+        slow.sched.clock_ns = 30.0;
+        let r3 = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc,
+            &other,
+            &tlib,
+            &slow,
+            hooks(&shared),
+        );
+        let alone = crate::cache::EvalCache::default();
+        let want3 = optimize_with(
+            &f,
+            &lib,
+            &rules,
+            &alloc,
+            &other,
+            &tlib,
+            &slow,
+            hooks(&alone),
+        );
+        let (r3, want3) = (r3.unwrap(), want3.unwrap());
+        assert_eq!(
+            (r3.plans_memoized, r3.plans_built),
+            (want3.plans_memoized, want3.plans_built)
+        );
     }
 
     #[test]

@@ -43,15 +43,16 @@ fn outcome(r: &FactResult) -> String {
     )
 }
 
-/// [`outcome`] plus every work counter except the memo's.
+/// [`outcome`] plus every work counter except the memos': a held plan
+/// (DESIGN §10.6) turns a from-scratch schedule into a spliced one, so
+/// the schedules are counted, not split.
 fn outcome_and_work(r: &FactResult) -> String {
     format!(
-        "{}\ncache hits {} full {} spliced {} vectors {} profiled {} batched {} lanes {} \
+        "{}\ncache hits {} schedules {} vectors {} profiled {} batched {} lanes {} \
          candidates {:?}",
         outcome(r),
         r.cache_hits,
-        r.full_reschedules,
-        r.block_spliced,
+        r.full_reschedules + r.block_spliced,
         r.sim_vectors,
         r.sim_engine_scalar,
         r.sim_engine_batched,
@@ -77,12 +78,11 @@ fn pareto_outcome(r: &ParetoFactResult) -> String {
 
 fn pareto_outcome_and_work(r: &ParetoFactResult) -> String {
     format!(
-        "{}\ncache hits {} full {} spliced {} vectors {} profiled {} batched {} lanes {} \
+        "{}\ncache hits {} schedules {} vectors {} profiled {} batched {} lanes {} \
          candidates {:?}",
         pareto_outcome(r),
         r.cache_hits,
-        r.full_reschedules,
-        r.block_spliced,
+        r.full_reschedules + r.block_spliced,
         r.sim_vectors,
         r.sim_engine_scalar,
         r.sim_engine_batched,

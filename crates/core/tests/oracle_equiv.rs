@@ -49,8 +49,10 @@ use fact_ir::{operand_swap_of, prove_equivalent, Function, GraphMap};
 use fact_lang::compile;
 use fact_prng::rngs::StdRng;
 use fact_prng::{Rng, SeedableRng};
-use fact_sched::{schedule, Allocation};
-use fact_sim::{check_equivalence, generate, profile, simulate, CompiledFn, InputSpec, TraceSet};
+use fact_sched::{schedule, Allocation, SchedOptions, ScheduleMemo, SchedulePlan, ScheduleResult};
+use fact_sim::{
+    check_equivalence, generate, profile, simulate, BranchProfile, CompiledFn, InputSpec, TraceSet,
+};
 use fact_xform::{Region, TransformKind};
 use std::sync::Mutex;
 
@@ -583,6 +585,126 @@ fn libraries() -> [(&'static str, TransformLibrary); 2] {
         ("full", TransformLibrary::full()),
         ("extended", TransformLibrary::extended()),
     ]
+}
+
+/// Why `got`, a schedule weighted from a plan, is not `want`, a fresh
+/// memo-less [`schedule`] of the same function under the same profile:
+/// the STG (states, their ops and expected visits, transitions and
+/// their probabilities), the function and the report must match, and so
+/// must the `evaluate` and `evaluate_power_mode` bits.
+fn plan_mismatch(got: &ScheduleResult, want: &ScheduleResult) -> Option<String> {
+    let (lib, _) = section5_library();
+    let (g, w) = (&got.report, &want.report);
+    let report = |r: &fact_sched::ScheduleReport| {
+        format!(
+            "{:?} {:?} {} {} {}",
+            r.kernels,
+            r.rotations,
+            r.if_converted,
+            r.concurrent_groups,
+            r.memo_hits + r.memo_misses
+        )
+    };
+    if report(g) != report(w) {
+        return Some(format!("report {} != {}", report(g), report(w)));
+    }
+    if format!("{:?}", got.stg) != format!("{:?}", want.stg) {
+        return Some("STG differs".into());
+    }
+    if got.function.to_string() != want.function.to_string() {
+        return Some("scheduled function differs".into());
+    }
+    let bits = |sr: &ScheduleResult| -> Result<[u64; 6], String> {
+        let e = evaluate(sr, &lib, 25.0)?;
+        let p = evaluate_power_mode(sr, &lib, 25.0, e.average_schedule_length + 1.0)?;
+        Ok([
+            e.average_schedule_length.to_bits(),
+            e.energy_vdd2.to_bits(),
+            e.power.to_bits(),
+            p.average_schedule_length.to_bits(),
+            p.energy_vdd2.to_bits(),
+            p.vdd.to_bits(),
+        ])
+    };
+    (bits(got) != bits(want)).then(|| format!("estimate {:?} != {:?}", bits(got), bits(want)))
+}
+
+/// Two diamonds in a row: if-converting the first folds the block that
+/// tests the second into the first's head, so the second's branch moves.
+const MOVED_SRC: &str = "proc moved(a, b) { var x = 0; if (a > b) { x = a - b; } \
+     else { x = b - a; } if (x > 3) { x = x - a; } else { x = x - b; } out y = x; }";
+
+/// One schedule plan per design (DESIGN §10.6), built once through a
+/// block memo shared by every design and weighted under three profiles
+/// (the traces', one vector's, and the uniform one without visit
+/// counts), equals under each a fresh memo-less [`schedule`]. The
+/// designs are the suite's, MEMSUM's, MEMSCAN's, FUSED's and MOVED's
+/// behaviors and every candidate of the extended library one step from
+/// them; the corpus must reach kernels, rotations, concurrent groups and
+/// branches if-conversion moved.
+#[test]
+fn plans_weight_like_fresh_schedules() {
+    let (lib, rules) = section5_library();
+    let opts = SchedOptions::default();
+    let tlib = TransformLibrary::extended();
+    let memo = ScheduleMemo::default();
+    let (mut kernels, mut rotations, mut groups, mut moved, mut checked) = (0, 0, 0, 0, 0);
+    let mut benchmarks = suite_and_wide_traces();
+    let small = InputSpec::Uniform { lo: -9, hi: 9 };
+    benchmarks.push(Benchmark {
+        name: "MOVED",
+        function: compile(MOVED_SRC).expect("MOVED compiles"),
+        allocation: suite::gcd(&lib).allocation,
+        traces: generate(
+            &[("a".to_string(), small.clone()), ("b".to_string(), small)],
+            8,
+            97,
+        ),
+    });
+    for b in benchmarks {
+        let one = TraceSet::new(b.traces.vectors[..1].to_vec());
+        let designs = std::iter::once(b.function.clone()).chain(
+            tlib.all_candidates(&b.function, &Region::whole())
+                .into_iter()
+                .map(|c| c.function),
+        );
+        for f in designs {
+            let Ok(plan) = SchedulePlan::build(&f, &lib, &rules, &b.allocation, &opts, Some(&memo))
+            else {
+                assert!(schedule(
+                    &f,
+                    &lib,
+                    &rules,
+                    &b.allocation,
+                    &BranchProfile::uniform(),
+                    &opts
+                )
+                .is_err());
+                continue;
+            };
+            moved += usize::from(plan.moved_branches() > 0);
+            for prof in [
+                profile(&f, &b.traces),
+                profile(&f, &one),
+                BranchProfile::uniform(),
+            ] {
+                let got = plan.weight(&f, &prof).expect("a built plan weights");
+                let want = schedule(&f, &lib, &rules, &b.allocation, &prof, &opts).unwrap();
+                if let Some(why) = plan_mismatch(&got, &want) {
+                    panic!("{}: {why}\n{f}", b.name);
+                }
+                kernels += usize::from(!got.report.kernels.is_empty());
+                rotations += usize::from(!got.report.rotations.is_empty());
+                groups += usize::from(got.report.concurrent_groups > 0);
+                checked += 1;
+            }
+        }
+    }
+    assert!(
+        kernels > 0 && rotations > 0 && groups > 0 && moved > 0,
+        "kernels {kernels} rotations {rotations} groups {groups} moved {moved}"
+    );
+    assert!(checked > 400, "only {checked} weightings checked");
 }
 
 /// For fixed seeds, `optimize` must reproduce the oracle exactly, for

@@ -27,6 +27,7 @@ pub mod stg;
 pub use memo::ScheduleMemo;
 pub use resources::{Allocation, FuId, FuLibrary, FuSelection, FuSpec, SelectionRules};
 pub use schedule::{
-    schedule, schedule_with_memo, SchedOptions, ScheduleError, ScheduleReport, ScheduleResult,
+    schedule, schedule_with_memo, SchedOptions, ScheduleError, SchedulePlan, ScheduleReport,
+    ScheduleResult,
 };
 pub use stg::{ScheduledOp, State, StateId, Stg, Transition};

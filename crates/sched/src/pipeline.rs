@@ -37,14 +37,19 @@ pub struct LoopKernel {
     pub body_ops: Vec<OpId>,
     /// Per-iteration resource demand.
     pub usage: HashMap<ResKey, f64>,
-    /// Expected iteration count from the branch profile.
-    pub expected_iters: f64,
     /// The in-loop successor of the header branch.
     pub body_target: BlockId,
     /// The out-of-loop successor of the header branch.
     pub exit_target: BlockId,
-    /// Probability of staying in the loop at the header test.
-    pub continue_prob: f64,
+}
+
+/// Expected iterations per entry of a loop that continues at its header
+/// test with probability `continue_prob` (geometric, at least 1; the
+/// probability is clamped below 1 so a loop the profile never saw leave
+/// stays finite).
+pub fn geometric_iters(continue_prob: f64) -> f64 {
+    let q = continue_prob.clamp(0.0, 0.999_999);
+    (q / (1.0 - q)).max(1.0)
 }
 
 fn op_delay(f: &Function, lib: &FuLibrary, sel: &FuSelection, op: OpId) -> f64 {
@@ -77,7 +82,9 @@ pub fn resource_usage(f: &Function, sel: &FuSelection, ops: &[OpId]) -> HashMap<
 }
 
 /// Checks whether `l` has the shape kernel pipelining requires and, if so,
-/// computes its kernel parameters. Returns `None` when the loop:
+/// computes its kernel parameters, which depend on the design alone (the
+/// profile enters through [`geometric_iters`] and the scheduler's
+/// acceptance test). Returns `None` when the loop:
 ///
 /// * contains a conditional branch other than the header test,
 /// * has more than one exit edge (or an exit not at the header),
@@ -92,7 +99,6 @@ pub fn analyze_kernel(
     selection: &FuSelection,
     alloc: &Allocation,
     clk: f64,
-    continue_prob: f64,
 ) -> Option<LoopKernel> {
     // Shape: only the header branches; single exit from the header.
     let (cond, on_true, on_false) = match f.block(l.header).term {
@@ -165,9 +171,11 @@ pub fn analyze_kernel(
     // (a distance-1 dependence cycle). Paths that start at one phi and end
     // at a different phi's latch value are cross-iteration feed-forward
     // dependences — they add pipeline depth, not initiation interval — so
-    // each phi is treated as its own single source. (Multi-phi cycles,
-    // e.g. a swap, are conservatively under-approximated at II ≥ 1;
-    // ResMII still applies.)
+    // each phi is treated as its own single source. A recurrence that
+    // runs through two or more phis (e.g. a swap) is missed, so its II is
+    // under-estimated — an optimistic bound, not a conservative one;
+    // ResMII still applies. ROADMAP item 1 replaces this with the
+    // maximum cycle ratio over the phi dependence graph.
     let in_body: HashMap<OpId, usize> = body_ops.iter().enumerate().map(|(i, &o)| (o, i)).collect();
     let mut rec_mii: u32 = 1;
     let phis: Vec<OpId> = body_ops
@@ -211,8 +219,6 @@ pub fn analyze_kernel(
     }
 
     let ii = (res_mii.ceil() as u32).max(rec_mii).max(1);
-    let q = continue_prob.clamp(0.0, 0.999_999);
-    let expected_iters = (q / (1.0 - q)).max(1.0);
 
     Some(LoopKernel {
         header: l.header,
@@ -221,10 +227,8 @@ pub fn analyze_kernel(
         rec_mii,
         body_ops,
         usage,
-        expected_iters,
         body_target,
         exit_target,
-        continue_prob: q,
     })
 }
 
@@ -291,11 +295,11 @@ mod tests {
         );
         let l = only_loop(&f);
         let a = alloc(&lib, &[("i1", 1), ("cp1", 1)]);
-        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).unwrap();
+        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).unwrap();
         // i -> i+1 recurrence: 5ns -> 1 cycle. One incrementer, one use.
         assert_eq!(k.ii, 1);
         assert_eq!(k.rec_mii, 1);
-        assert!((k.expected_iters - 9.0).abs() < 1e-9);
+        assert!((geometric_iters(0.9) - 9.0).abs() < 1e-9);
     }
 
     #[test]
@@ -307,10 +311,10 @@ mod tests {
         );
         let l = only_loop(&f);
         let one = alloc(&lib, &[("a1", 1), ("i1", 1), ("cp1", 1)]);
-        let k = analyze_kernel(&f, &l, &lib, &sel, &one, 25.0, 0.9).unwrap();
+        let k = analyze_kernel(&f, &l, &lib, &sel, &one, 25.0).unwrap();
         assert_eq!(k.ii, 2);
         let two = alloc(&lib, &[("a1", 2), ("i1", 1), ("cp1", 1)]);
-        let k2 = analyze_kernel(&f, &l, &lib, &sel, &two, 25.0, 0.9).unwrap();
+        let k2 = analyze_kernel(&f, &l, &lib, &sel, &two, 25.0).unwrap();
         assert_eq!(k2.ii, 1);
     }
 
@@ -323,7 +327,7 @@ mod tests {
         );
         let l = only_loop(&f);
         let a = alloc(&lib, &[("a1", 1), ("mt1", 1), ("i1", 1), ("cp1", 1)]);
-        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).unwrap();
+        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).unwrap();
         assert_eq!(k.rec_mii, 2);
         assert_eq!(k.ii, 2);
     }
@@ -341,12 +345,12 @@ mod tests {
         let (f, lib, sel, _) = setup(src, false);
         let l = only_loop(&f);
         let a = alloc(&lib, &[("sb1", 2), ("cp1", 2)]);
-        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).is_none());
+        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).is_none());
 
         let (f2, lib2, sel2, _) = setup(src, true);
         let l2 = only_loop(&f2);
         let a2 = alloc(&lib2, &[("sb1", 2), ("cp1", 2)]);
-        let k = analyze_kernel(&f2, &l2, &lib2, &sel2, &a2, 25.0, 0.9).unwrap();
+        let k = analyze_kernel(&f2, &l2, &lib2, &sel2, &a2, 25.0).unwrap();
         // Both subtractions execute speculatively; 2 subs / 2 units = 1;
         // recurrence a-b -> mux -> compare next iter: sub(10) + mux(0) = 10ns -> 1.
         assert_eq!(k.ii, 1);
@@ -360,7 +364,7 @@ mod tests {
         );
         let l = only_loop(&f);
         let a = alloc(&lib, &[("a1", 1), ("i1", 1), ("cp1", 1)]);
-        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).is_none());
+        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).is_none());
     }
 
     #[test]
@@ -371,7 +375,7 @@ mod tests {
         );
         let l = only_loop(&f);
         let a = alloc(&lib, &[("i1", 1), ("cp1", 1)]);
-        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).unwrap();
+        let k = analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).unwrap();
         assert_eq!(k.ii, 1);
         assert!(k.usage.contains_key(&ResKey::Mem(fact_ir::MemId(0))));
     }
@@ -384,6 +388,6 @@ mod tests {
         );
         let l = only_loop(&f);
         let a = alloc(&lib, &[("i1", 1), ("cp1", 1)]); // no adder
-        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0, 0.9).is_none());
+        assert!(analyze_kernel(&f, &l, &lib, &sel, &a, 25.0).is_none());
     }
 }

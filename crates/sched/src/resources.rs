@@ -142,7 +142,9 @@ impl Allocation {
 /// whose cost is folded into the interconnect overhead, as in \[5\]).
 #[derive(Clone, Debug)]
 pub struct FuSelection {
-    by_op: HashMap<OpId, FuId>,
+    /// The unit of each op, by op index ([`FuSelection::FREE`] for a free
+    /// op): a schedule plan holds one per design, so it is kept compact.
+    by_op: Box<[u32]>,
 }
 
 /// Rules for building a [`FuSelection`] from a function.
@@ -195,13 +197,16 @@ impl fmt::Display for SelectionError {
 impl std::error::Error for SelectionError {}
 
 impl FuSelection {
+    /// What `by_op` holds for an op that needs no unit.
+    const FREE: u32 = u32::MAX;
+
     /// Builds a selection for every datapath operation of `f` using the
     /// given rules.
     ///
     /// # Errors
     /// Returns [`SelectionError`] if some operation class has no unit.
     pub fn from_rules(f: &Function, rules: &SelectionRules) -> Result<Self, SelectionError> {
-        let mut by_op = HashMap::new();
+        let mut by_op = vec![Self::FREE; f.num_ops()];
         let is_const_one = |v: OpId| matches!(f.op(v).kind, OpKind::Const(1) | OpKind::Const(-1));
         for b in f.block_ids() {
             for &op in &f.block(b).ops {
@@ -265,23 +270,28 @@ impl FuSelection {
                     _ => None,
                 };
                 if let Some(fu) = fu {
-                    by_op.insert(op, fu);
+                    by_op[op.index()] = fu.0;
                 }
             }
         }
-        Ok(FuSelection { by_op })
+        Ok(FuSelection {
+            by_op: by_op.into(),
+        })
     }
 
     /// The unit executing `op`, if it needs one.
     pub fn fu_of(&self, op: OpId) -> Option<FuId> {
-        self.by_op.get(&op).copied()
+        match self.by_op.get(op.index()) {
+            Some(&fu) if fu != Self::FREE => Some(FuId(fu)),
+            _ => None,
+        }
     }
 
     /// Counts operations bound to each unit type.
     pub fn usage_histogram(&self) -> HashMap<FuId, usize> {
         let mut h = HashMap::new();
-        for &fu in self.by_op.values() {
-            *h.entry(fu).or_insert(0) += 1;
+        for &fu in self.by_op.iter().filter(|&&fu| fu != Self::FREE) {
+            *h.entry(FuId(fu)).or_insert(0) += 1;
         }
         h
     }

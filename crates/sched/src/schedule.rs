@@ -5,16 +5,25 @@
 //! optimizations: if-conversion, loop-kernel pipelining, implicit
 //! unrolling (header rotation into the latch state, Figure 1(c)), and
 //! concurrent loop phases (Figure 2(b)).
+//!
+//! Scheduling runs in two halves (DESIGN §10.6). [`SchedulePlan::build`]
+//! does everything that depends on the design alone — if-conversion,
+//! unit binding, loops, block list schedules, kernel analysis and header
+//! rotation — and [`SchedulePlan::weight`] brings in a trace's
+//! [`BranchProfile`]: which kernels pay off, which loops run as
+//! concurrent phases, and the STG with its probabilities and visits. One
+//! plan serves every profile of its design.
 
 use crate::ifconv::if_convert;
 use crate::listsched::{schedule_block, BlockSchedule, SchedError};
 use crate::memo::ScheduleMemo;
 use crate::parloops::{plan_phases, LoopRate, Phase};
-use crate::pipeline::{analyze_kernel, LoopKernel, ResKey};
-use crate::resources::{Allocation, FuLibrary, FuSelection, SelectionError, SelectionRules};
+use crate::pipeline::{analyze_kernel, geometric_iters, ResKey};
+use crate::resources::{Allocation, FuId, FuLibrary, FuSelection, SelectionError, SelectionRules};
 use crate::stg::{ScheduledOp, StateId, Stg};
 use fact_ir::{BlockId, DomTree, Function, LoopForest, NaturalLoop, OpId, OpKind, Terminator};
 use fact_sim::BranchProfile;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -61,9 +70,9 @@ pub struct ScheduleReport {
     /// Number of concurrent-loop groups formed.
     pub concurrent_groups: usize,
     /// Blocks whose list schedule was spliced from a [`ScheduleMemo`]
-    /// (zero when scheduling without a memo).
+    /// when the plan was built (zero when it was built without a memo).
     pub memo_hits: usize,
-    /// Blocks list-scheduled from scratch.
+    /// Blocks list-scheduled from scratch when the plan was built.
     pub memo_misses: usize,
 }
 
@@ -74,10 +83,9 @@ pub struct ScheduleResult {
     pub stg: Stg,
     /// The (possibly if-converted) function the STG refers to.
     pub function: Function,
-    /// Functional-unit binding for `function`.
-    pub selection: FuSelection,
-    /// The branch profile remapped onto `function`.
-    pub profile: BranchProfile,
+    /// Functional-unit binding for `function`, shared with the
+    /// [`SchedulePlan`] it was weighted from.
+    pub selection: Arc<FuSelection>,
     /// What happened.
     pub report: ScheduleReport,
 }
@@ -122,12 +130,12 @@ impl From<SchedError> for ScheduleError {
 /// body).
 fn block_freq_in_loop(
     f: &Function,
-    l: &NaturalLoop,
+    l: &PlannedLoop,
     profile: &BranchProfile,
-    rpo_index: &HashMap<BlockId, usize>,
+    rpo_pos: &[usize],
 ) -> HashMap<BlockId, f64> {
-    let mut blocks: Vec<BlockId> = l.body.iter().copied().collect();
-    blocks.sort_by_key(|b| rpo_index.get(b).copied().unwrap_or(usize::MAX));
+    let mut blocks: Vec<BlockId> = l.body.to_vec();
+    blocks.sort_by_key(|b| rpo_pos[b.index()]);
     let mut freq: HashMap<BlockId, f64> = HashMap::new();
     freq.insert(l.header, 1.0);
     for &b in &blocks {
@@ -154,27 +162,34 @@ fn block_freq_in_loop(
     freq
 }
 
-/// The probability of continuing the loop at its header test, and the
-/// in-loop / out-of-loop successors, if the header ends in a branch with
-/// exactly one in-loop target.
-fn header_continue(
-    f: &Function,
-    l: &NaturalLoop,
-    profile: &BranchProfile,
-) -> Option<(f64, BlockId, BlockId)> {
+/// The in-loop and out-of-loop successors of `l`'s header test, and
+/// whether the in-loop one is taken on `true`, if the header ends in a
+/// branch with exactly one in-loop target. Depends on the graph alone.
+fn header_test(f: &Function, l: &PlannedLoop) -> Option<(BlockId, BlockId, bool)> {
     if let Terminator::Branch {
         on_true, on_false, ..
     } = f.block(l.header).term
     {
-        let p = profile.prob_true(l.header);
         match (l.contains(on_true), l.contains(on_false)) {
-            (true, false) => Some((p, on_true, on_false)),
-            (false, true) => Some((1.0 - p, on_false, on_true)),
+            (true, false) => Some((on_true, on_false, true)),
+            (false, true) => Some((on_false, on_true, false)),
             _ => None,
         }
     } else {
         None
     }
+}
+
+/// The probability of continuing the loop at its header test, and the
+/// in-loop / out-of-loop successors (see [`header_test`]).
+fn header_continue(
+    f: &Function,
+    l: &PlannedLoop,
+    profile: &BranchProfile,
+) -> Option<(f64, BlockId, BlockId)> {
+    let (body, exit, stay_on_true) = header_test(f, l)?;
+    let p = profile.prob_true(l.header);
+    Some((if stay_on_true { p } else { 1.0 - p }, body, exit))
 }
 
 /// Empirical expected iterations of a loop: profiled visits of the body
@@ -194,8 +209,9 @@ enum Target {
     Done,
 }
 
+/// What covers a block in the STG besides its own chain of states.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Plan {
+enum Cover {
     Kernel(usize),
     Group(usize),
 }
@@ -211,6 +227,822 @@ struct GroupInfo {
     exit: BlockId,
     /// Executions of the whole group per run (outer-loop nesting).
     entries: f64,
+}
+
+/// A loop as weighting reads it: a [`NaturalLoop`]'s header, body and
+/// exits, the body a sorted slice rather than a tree.
+struct PlannedLoop {
+    header: BlockId,
+    /// Every block of the loop, the header included, in block order.
+    body: Box<[BlockId]>,
+    /// Edges leaving the loop as `(from_inside, to_outside)` pairs.
+    exits: Box<[(BlockId, BlockId)]>,
+}
+
+impl PlannedLoop {
+    fn of(l: &NaturalLoop) -> PlannedLoop {
+        PlannedLoop {
+            header: l.header,
+            body: l.body.iter().copied().collect(),
+            exits: l.exits.as_slice().into(),
+        }
+    }
+
+    fn contains(&self, b: BlockId) -> bool {
+        self.body.binary_search(&b).is_ok()
+    }
+}
+
+/// An innermost loop's kernel, kept by a [`SchedulePlan`]: the parts
+/// of its [`LoopKernel`](crate::pipeline::LoopKernel) the STG reads.
+struct PlannedKernel {
+    /// Index of the loop in the plan's `loops`.
+    l: usize,
+    ii: u32,
+    rec_mii: u32,
+    /// The body's datapath ops, in body order: the kernel state's ops.
+    datapath_ops: Box<[OpId]>,
+    body_target: BlockId,
+    exit_target: BlockId,
+}
+
+/// A loop whose header ops fit into its latch's final state, kept by a
+/// [`SchedulePlan`]; whether it is rotated depends on the profile (a
+/// kernel or concurrent group may cover it).
+struct PlannedRotation {
+    /// Index of the loop in the plan's `loops`.
+    l: usize,
+    latch: BlockId,
+    /// The header's datapath ops, folded into the latch as next-iteration
+    /// copies.
+    rotated_ops: Box<[OpId]>,
+}
+
+/// The states of every block's list schedule, flattened: of a
+/// [`BlockSchedule`], weighting reads only which ops issue in each state.
+/// A block schedule also places every op (32 bytes an op), so holding
+/// this instead of the memo's `Arc`s keeps plans small.
+struct PlannedStates {
+    /// The block positions issued, state after state.
+    issued: Box<[u32]>,
+    /// Where each state's run in `issued` ends.
+    ends: Box<[u32]>,
+    /// Each block's states, as a range of `ends`, by block index (empty
+    /// for a block that is unreachable or takes no cycles).
+    of_block: Box<[(u32, u32)]>,
+}
+
+impl PlannedStates {
+    /// Flattens `blocks`, indexed by block.
+    fn new(blocks: &[Option<Arc<BlockSchedule>>]) -> PlannedStates {
+        let (mut issued, mut ends, mut of_block) = (Vec::new(), Vec::new(), Vec::new());
+        for bs in blocks {
+            let first = ends.len() as u32;
+            for state in bs.iter().flat_map(|bs| &bs.states) {
+                issued.extend_from_slice(state);
+                ends.push(issued.len() as u32);
+            }
+            of_block.push((first, ends.len() as u32));
+        }
+        PlannedStates {
+            issued: issued.into(),
+            ends: ends.into(),
+            of_block: of_block.into(),
+        }
+    }
+
+    /// How many states block `b` takes.
+    fn len(&self, b: BlockId) -> usize {
+        let (first, end) = self.of_block[b.index()];
+        (end - first) as usize
+    }
+
+    /// The block positions issued in each of block `b`'s states.
+    fn of(&self, b: BlockId) -> impl Iterator<Item = &[u32]> {
+        let (first, end) = self.of_block[b.index()];
+        (first..end).map(move |s| {
+            let start = match s {
+                0 => 0,
+                _ => self.ends[s as usize - 1],
+            };
+            &self.issued[start as usize..self.ends[s as usize] as usize]
+        })
+    }
+}
+
+/// The profile-independent half of scheduling one design: everything
+/// [`schedule`] computes from the function, library, rules, allocation
+/// and options alone (DESIGN §10.6). [`SchedulePlan::weight`] turns it
+/// into the STG for one branch profile; a plan weighted under any
+/// profile gives, bit for bit, what [`schedule`] gives under it.
+///
+/// A plan is small: it keeps no copy of the design (weighting is given
+/// the function again), and of the block schedules, the binding and the
+/// loop analyses only what weighting reads.
+pub struct SchedulePlan {
+    /// The binding of the if-converted function's ops.
+    selection: Arc<FuSelection>,
+    /// If-conversion's branch moves: `(new owner, original block)`.
+    moved: Box<[(BlockId, BlockId)]>,
+    if_converted: usize,
+    /// The allocation's count of every unit of the library, by unit.
+    unit_counts: Box<[u32]>,
+    opts: SchedOptions,
+    rpo: Box<[BlockId]>,
+    /// The loop forest's loops, in its order.
+    loops: Box<[PlannedLoop]>,
+    /// Indices of the innermost loops in `loops`, in order.
+    innermost: Box<[usize]>,
+    /// Every block's list schedule, states only.
+    states: PlannedStates,
+    /// Pipelinable innermost loops, in order (empty unless
+    /// `opts.pipeline`).
+    kernels: Box<[PlannedKernel]>,
+    /// Rotatable loops, in order (empty unless `opts.rotate`).
+    rotations: Box<[PlannedRotation]>,
+    memo_hits: usize,
+    memo_misses: usize,
+}
+
+impl fmt::Debug for SchedulePlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SchedulePlan")
+            .field("blocks", &self.rpo.len())
+            .field("kernels", &self.kernels.len())
+            .field("rotations", &self.rotations.len())
+            .finish()
+    }
+}
+
+impl SchedulePlan {
+    /// Plans `f`: if-conversion, binding, loops, every block's list
+    /// schedule (through `memo` when given), the kernel analysis of each
+    /// innermost loop and the rotation of each loop that admits one.
+    ///
+    /// # Errors
+    /// Returns [`ScheduleError`] on binding failures or unschedulable
+    /// blocks.
+    pub fn build(
+        f: &Function,
+        library: &FuLibrary,
+        rules: &SelectionRules,
+        alloc: &Allocation,
+        opts: &SchedOptions,
+        memo: Option<&ScheduleMemo>,
+    ) -> Result<SchedulePlan, ScheduleError> {
+        let mut work = f.clone();
+        let (mut moved, mut if_converted) = (Vec::new(), 0);
+        if opts.if_convert {
+            let r = if_convert(&mut work);
+            if_converted = r.converted;
+            moved = r.branch_moved_from.into_iter().collect();
+        }
+
+        let selection = FuSelection::from_rules(&work, rules)?;
+        let dom = DomTree::compute(&work);
+        let forest = LoopForest::compute(&work, &dom);
+        let rpo: Box<[BlockId]> = dom.rpo().into();
+
+        // Per-block schedules, spliced from the memo where available.
+        let (mut memo_hits, mut memo_misses) = (0, 0);
+        let mut blocks: Vec<Option<Arc<BlockSchedule>>> = vec![None; work.num_blocks()];
+        for &b in rpo.iter() {
+            let bs = match memo {
+                Some(m) => {
+                    let (outcome, hit) = m.schedule_block_memoized(
+                        &work,
+                        b,
+                        library,
+                        &selection,
+                        alloc,
+                        opts.clock_ns,
+                    );
+                    if hit {
+                        memo_hits += 1;
+                    } else {
+                        memo_misses += 1;
+                    }
+                    outcome?
+                }
+                None => {
+                    memo_misses += 1;
+                    let bs = schedule_block(&work, b, library, &selection, alloc, opts.clock_ns)?;
+                    Arc::new(bs)
+                }
+            };
+            blocks[b.index()] = Some(bs);
+        }
+
+        let all = forest.loops();
+        let shapes: Vec<PlannedLoop> = all.iter().map(PlannedLoop::of).collect();
+        let innermost: Vec<bool> = all
+            .iter()
+            .map(|l| {
+                all.iter()
+                    .all(|m| m.header == l.header || !l.contains(m.header))
+            })
+            .collect();
+
+        // Kernel analysis for innermost loops with a header test.
+        let mut kernels = Vec::new();
+        if opts.pipeline {
+            for (i, l) in all.iter().enumerate() {
+                if !innermost[i] {
+                    continue;
+                }
+                let Some((body_target, exit_target, _)) = header_test(&work, &shapes[i]) else {
+                    continue;
+                };
+                if let Some(k) = analyze_kernel(&work, l, library, &selection, alloc, opts.clock_ns)
+                {
+                    debug_assert_eq!((k.body_target, k.exit_target), (body_target, exit_target));
+                    kernels.push(PlannedKernel {
+                        l: i,
+                        ii: k.ii,
+                        rec_mii: k.rec_mii,
+                        datapath_ops: k
+                            .body_ops
+                            .iter()
+                            .copied()
+                            .filter(|&op| is_datapath(&work, op))
+                            .collect(),
+                        body_target,
+                        exit_target,
+                    });
+                }
+            }
+        }
+
+        // Header rotation for every loop of the right shape.
+        let mut rotations = Vec::new();
+        if opts.rotate {
+            for (i, l) in all.iter().enumerate() {
+                if header_test(&work, &shapes[i]).is_none()
+                    || l.exits.len() != 1
+                    || l.exits[0].0 != l.header
+                    || l.latches.len() != 1
+                {
+                    continue;
+                }
+                let latch = l.latches[0];
+                if latch == l.header {
+                    continue;
+                }
+                let sched = |b: BlockId| {
+                    blocks[b.index()]
+                        .as_ref()
+                        .expect("loop blocks are reachable")
+                };
+                let (header_sched, latch_sched) = (sched(l.header), sched(latch));
+                if header_sched.is_empty() || latch_sched.is_empty() {
+                    continue;
+                }
+                if let Some(rotated_ops) = try_rotation(
+                    &work,
+                    l,
+                    latch,
+                    latch_sched,
+                    library,
+                    &selection,
+                    alloc,
+                    opts.clock_ns,
+                ) {
+                    rotations.push(PlannedRotation {
+                        l: i,
+                        latch,
+                        rotated_ops: rotated_ops.into(),
+                    });
+                }
+            }
+        }
+
+        Ok(SchedulePlan {
+            selection: Arc::new(selection),
+            moved: moved.into(),
+            if_converted,
+            unit_counts: (0..library.len() as u32)
+                .map(|fu| alloc.count(FuId(fu)))
+                .collect(),
+            opts: opts.clone(),
+            rpo,
+            loops: shapes.into(),
+            innermost: (0..all.len()).filter(|&i| innermost[i]).collect(),
+            states: PlannedStates::new(&blocks),
+            kernels: kernels.into(),
+            rotations: rotations.into(),
+            memo_hits,
+            memo_misses,
+        })
+    }
+
+    /// How many branches if-conversion moved to another block (each is
+    /// remapped in every profile the plan is weighted with).
+    pub fn moved_branches(&self) -> usize {
+        self.moved.len()
+    }
+
+    /// Weights the plan of `f`, the function it was built from, with
+    /// `profile`, keyed by `f`'s block ids: the function if-converted
+    /// again (when the plan converted anything), the profile remapped
+    /// across if-conversion's branch moves, the kernels that beat
+    /// sequential execution under it, the concurrent loop groups, the
+    /// rotations of the loops neither covers, and the STG with its
+    /// transition probabilities and expected visits.
+    ///
+    /// The plan keeps no copy of `f` (a copy would keep every op the
+    /// design owns alive as long as the plan), so the caller passes it
+    /// in; passing another function is a logic error.
+    ///
+    /// # Errors
+    /// Returns [`ScheduleError::Internal`] if the STG fails validation.
+    pub fn weight(
+        &self,
+        f: &Function,
+        profile: &BranchProfile,
+    ) -> Result<ScheduleResult, ScheduleError> {
+        let mut function = f.clone();
+        if self.if_converted > 0 {
+            // Deterministic: the same diamonds convert as when planned.
+            let redone = if_convert(&mut function);
+            debug_assert_eq!(redone.converted, self.if_converted);
+        }
+        debug_assert_eq!(function.num_blocks(), self.states.of_block.len());
+        let work = &function;
+        let loops = &self.loops;
+        // Each block's position in reverse postorder, by block index.
+        let mut rpo_pos = vec![usize::MAX; work.num_blocks()];
+        for (i, &b) in self.rpo.iter().enumerate() {
+            rpo_pos[b.index()] = i;
+        }
+        let rpo_pos = &rpo_pos[..];
+        let mut report = ScheduleReport {
+            if_converted: self.if_converted,
+            memo_hits: self.memo_hits,
+            memo_misses: self.memo_misses,
+            ..ScheduleReport::default()
+        };
+
+        let mut prof = Cow::Borrowed(profile);
+        if !self.moved.is_empty() {
+            let remapped = prof.to_mut();
+            for &(new_owner, orig) in &self.moved {
+                remapped.set_prob(new_owner, profile.prob_true(orig));
+            }
+        }
+        let prof: &BranchProfile = &prof;
+
+        let seq_cycles = |l: &PlannedLoop| -> f64 {
+            let freq = block_freq_in_loop(work, l, prof, rpo_pos);
+            l.body
+                .iter()
+                .map(|b| freq.get(b).copied().unwrap_or(0.0) * self.states.len(*b) as f64)
+                .sum::<f64>()
+                .max(1.0)
+        };
+
+        // Kernels that beat the loop's sequential schedule under this
+        // profile, with their expected iterations per entry.
+        let mut kernels: Vec<(&PlannedKernel, f64)> = Vec::new();
+        let mut kernel_of_header: HashMap<BlockId, &PlannedKernel> = HashMap::new();
+        for k in self.kernels.iter() {
+            let l = &loops[k.l];
+            let (q, _, _) =
+                header_continue(work, l, prof).expect("planned kernels have a header test");
+            let mut expected_iters = geometric_iters(q);
+            if let Some(e) = empirical_iters(prof, l.header, k.body_target) {
+                expected_iters = e.max(0.0);
+            }
+            if (k.ii as f64) < seq_cycles(l) - 1e-9 {
+                kernel_of_header.insert(l.header, k);
+                kernels.push((k, expected_iters));
+            }
+        }
+
+        // Concurrent groups: chains of sibling loops joined by datapath-free
+        // glue, executed as rate phases.
+        let mut groups: Vec<GroupInfo> = Vec::new();
+        let mut cover: HashMap<BlockId, Cover> = HashMap::new();
+        if self.opts.concurrent {
+            let innermost: Vec<&PlannedLoop> = self.innermost.iter().map(|&i| &loops[i]).collect();
+            groups = find_groups(
+                work,
+                &innermost,
+                &kernel_of_header,
+                prof,
+                rpo_pos,
+                &self.selection,
+                &self.unit_counts,
+                &seq_cycles,
+            );
+            report.concurrent_groups = groups.len();
+            for (gi, g) in groups.iter().enumerate() {
+                for &b in &g.blocks {
+                    cover.insert(b, Cover::Group(gi));
+                }
+            }
+        }
+        // Kernels for loops not swallowed by groups.
+        let mut live_kernels: Vec<(&PlannedKernel, f64)> = Vec::new();
+        for &(k, expected_iters) in &kernels {
+            let l = &loops[k.l];
+            if !cover.contains_key(&l.header) {
+                for &b in &l.body {
+                    cover.insert(b, Cover::Kernel(live_kernels.len()));
+                }
+                report.kernels.push((l.header, k.ii));
+                live_kernels.push((k, expected_iters));
+            }
+        }
+
+        // Rotation for the remaining loops, keyed by latch.
+        struct Rotation<'p> {
+            rotated_ops: &'p [OpId],
+            continue_prob: f64,
+            body_target: BlockId,
+            exit_target: BlockId,
+        }
+        let mut rotations: HashMap<BlockId, Rotation> = HashMap::new();
+        let mut rotated_headers: Vec<(BlockId, BlockId)> = Vec::new();
+        for r in self.rotations.iter() {
+            let l = &loops[r.l];
+            if cover.contains_key(&l.header) || l.body.iter().any(|b| cover.contains_key(b)) {
+                continue;
+            }
+            let (q, body_target, exit_target) =
+                header_continue(work, l, prof).expect("planned rotations have a header test");
+            report.rotations.push((l.header, self.states.len(l.header)));
+            rotated_headers.push((l.header, body_target));
+            rotations.insert(
+                r.latch,
+                Rotation {
+                    rotated_ops: &r.rotated_ops,
+                    continue_prob: q,
+                    body_target,
+                    exit_target,
+                },
+            );
+        }
+
+        // ----- STG assembly -----
+        let mut stg = Stg::new();
+
+        // States for normal chains.
+        let mut chain_states: HashMap<BlockId, Vec<StateId>> = HashMap::new();
+        for &b in self.rpo.iter() {
+            if cover.contains_key(&b) {
+                continue;
+            }
+            if self.states.len(b) == 0 {
+                continue;
+            }
+            let block = work.block(b);
+            let name = match &block.name {
+                Some(name) => Cow::Borrowed(name.as_str()),
+                None => Cow::Owned(b.to_string()),
+            };
+            let visits = prof.block_visits(b);
+            let mut ids = Vec::with_capacity(self.states.len(b));
+            for (i, issued) in self.states.of(b).enumerate() {
+                let s = stg.add_state(format!("{name}.{i}"));
+                let state = stg.state_mut(s);
+                state.ops = issued
+                    .iter()
+                    .map(|&p| ScheduledOp::once(block.ops[p as usize]))
+                    .collect();
+                state.expected_visits = visits;
+                ids.push(s);
+            }
+            chain_states.insert(b, ids);
+        }
+
+        // Rotated loops bypass their header on the back edge, so the header's
+        // states run once per loop *entry*, not once per iteration.
+        for (header, body_target) in &rotated_headers {
+            if let (Some(states), Some(vh), Some(vb)) = (
+                chain_states.get(header),
+                prof.block_visits(*header),
+                prof.block_visits(*body_target),
+            ) {
+                let entries = (vh - vb).max(1.0);
+                for &s in states {
+                    stg.state_mut(s).expected_visits = Some(entries);
+                }
+            }
+        }
+
+        // Kernel states.
+        let mut kernel_states: Vec<StateId> = Vec::new();
+        for &(k, expected_iters) in &live_kernels {
+            let header = loops[k.l].header;
+            let s = stg.add_state(format!("kernel@{header}(II={})", k.ii));
+            for &op in k.datapath_ops.iter() {
+                stg.state_mut(s).ops.push(ScheduledOp {
+                    op,
+                    iter: 0,
+                    weight: 1.0 / k.ii as f64,
+                });
+            }
+            // Per-execution visits: total empirical iterations × II (the
+            // body-target visit count already accounts for outer-loop
+            // nesting); fall back to the per-entry geometric estimate.
+            let total_iters = prof.block_visits(k.body_target).unwrap_or(expected_iters);
+            stg.state_mut(s).expected_visits = Some((total_iters * k.ii as f64).max(1.0));
+            kernel_states.push(s);
+        }
+
+        // Phase states per group.
+        let mut group_states: Vec<Vec<StateId>> = Vec::new();
+        for (gi, g) in groups.iter().enumerate() {
+            let group_entries = g.entries;
+            let mut states = Vec::new();
+            for (pi, ph) in g.phases.iter().enumerate() {
+                let s = stg.add_state(format!("g{gi}.phase{pi}"));
+                for &(li, rate) in &ph.active {
+                    for &(op, rel) in &g.rates[li].ops {
+                        stg.state_mut(s).ops.push(ScheduledOp {
+                            op,
+                            iter: 0,
+                            weight: rate * rel,
+                        });
+                    }
+                }
+                stg.state_mut(s).expected_visits = Some(ph.length.max(1.0) * group_entries);
+                states.push(s);
+            }
+            group_states.push(states);
+        }
+
+        // Resolution of block entry points into state distributions.
+        struct Resolver<'a> {
+            work: &'a Function,
+            prof: &'a BranchProfile,
+            cover: &'a HashMap<BlockId, Cover>,
+            chain_states: &'a HashMap<BlockId, Vec<StateId>>,
+            kernel_states: &'a [StateId],
+            group_states: &'a [Vec<StateId>],
+            groups: &'a [GroupInfo],
+            memo: HashMap<BlockId, Vec<(Target, f64)>>,
+            in_progress: HashSet<BlockId>,
+            pads: HashMap<BlockId, StateId>,
+        }
+
+        impl Resolver<'_> {
+            fn resolve(&mut self, stg: &mut Stg, b: BlockId) -> Vec<(Target, f64)> {
+                if let Some(r) = self.memo.get(&b) {
+                    return r.clone();
+                }
+                if let Some(&pad) = self.pads.get(&b) {
+                    return vec![(Target::State(pad), 1.0)];
+                }
+                if self.in_progress.contains(&b) {
+                    // Cycle of empty blocks: materialize a pad state.
+                    let pad = stg.add_state(format!("pad@{b}"));
+                    self.pads.insert(b, pad);
+                    return vec![(Target::State(pad), 1.0)];
+                }
+                let result = match self.cover.get(&b) {
+                    Some(Cover::Kernel(ki)) => vec![(Target::State(self.kernel_states[*ki]), 1.0)],
+                    Some(Cover::Group(gi)) => {
+                        let states = &self.group_states[*gi];
+                        match states.first() {
+                            Some(&s) => vec![(Target::State(s), 1.0)],
+                            None => {
+                                // Degenerate group with no phases: skip to exit.
+                                let exit = self.groups[*gi].exit;
+                                self.in_progress.insert(b);
+                                let r = self.resolve(stg, exit);
+                                self.in_progress.remove(&b);
+                                r
+                            }
+                        }
+                    }
+                    _ => {
+                        if let Some(states) = self.chain_states.get(&b) {
+                            vec![(Target::State(states[0]), 1.0)]
+                        } else {
+                            // Empty block: fall through its terminator.
+                            self.in_progress.insert(b);
+                            let r = match self.work.block(b).term.clone() {
+                                Terminator::Jump(t) => self.resolve(stg, t),
+                                Terminator::Branch {
+                                    on_true, on_false, ..
+                                } => {
+                                    let p = self.prof.prob_true(b);
+                                    let mut out = Vec::new();
+                                    for (t, w) in self.resolve(stg, on_true) {
+                                        out.push((t, w * p));
+                                    }
+                                    for (t, w) in self.resolve(stg, on_false) {
+                                        out.push((t, w * (1.0 - p)));
+                                    }
+                                    out
+                                }
+                                Terminator::Return(_) => vec![(Target::Done, 1.0)],
+                            };
+                            self.in_progress.remove(&b);
+                            r
+                        }
+                    }
+                };
+                self.memo.insert(b, result.clone());
+                result
+            }
+        }
+
+        let mut resolver = Resolver {
+            work,
+            prof,
+            cover: &cover,
+            chain_states: &chain_states,
+            kernel_states: &kernel_states,
+            group_states: &group_states,
+            groups: &groups,
+            memo: HashMap::new(),
+            in_progress: HashSet::new(),
+            pads: HashMap::new(),
+        };
+
+        // Entry state.
+        let entry_state = stg.add_state("entry");
+        stg.state_mut(entry_state).expected_visits = Some(1.0);
+        stg.set_entry(entry_state);
+        let entry_targets = resolver.resolve(&mut stg, work.entry());
+        let done = stg.done();
+        for (t, p) in entry_targets {
+            match t {
+                Target::State(s) => stg.add_transition(entry_state, s, p, "start"),
+                Target::Done => stg.add_transition(entry_state, done, p, "start"),
+            }
+        }
+
+        // Helper to emit terminator edges from a state.
+        let emit_edges = |stg: &mut Stg,
+                          resolver: &mut Resolver,
+                          from: StateId,
+                          edges: Vec<(BlockId, f64, String)>,
+                          to_done: f64| {
+            for (block, p, label) in edges {
+                if p <= 0.0 {
+                    continue;
+                }
+                for (t, w) in resolver.resolve(stg, block) {
+                    match t {
+                        Target::State(s) => stg.add_transition(from, s, p * w, label.clone()),
+                        Target::Done => {
+                            let d = stg.done();
+                            stg.add_transition(from, d, p * w, label.clone())
+                        }
+                    }
+                }
+            }
+            if to_done > 0.0 {
+                let d = stg.done();
+                stg.add_transition(from, d, to_done, "ret");
+            }
+        };
+
+        // Normal block chains: intra-block transitions + terminator edges.
+        for &b in self.rpo.iter() {
+            let Some(states) = chain_states.get(&b).cloned() else {
+                continue;
+            };
+            for w in states.windows(2) {
+                stg.add_transition(w[0], w[1], 1.0, "");
+            }
+            let last = *states.last().expect("non-empty chain");
+
+            if let Some(rot) = rotations.get(&b) {
+                // Rotated latch: append next-iteration header ops and branch
+                // directly, bypassing the header states on the back edge.
+                for &op in rot.rotated_ops {
+                    stg.state_mut(last).ops.push(ScheduledOp {
+                        op,
+                        iter: 1,
+                        weight: 1.0,
+                    });
+                }
+                let q = rot.continue_prob;
+                emit_edges(
+                    &mut stg,
+                    &mut resolver,
+                    last,
+                    vec![
+                        (rot.body_target, q, "loop".to_string()),
+                        (rot.exit_target, 1.0 - q, "exit".to_string()),
+                    ],
+                    0.0,
+                );
+                continue;
+            }
+
+            match work.block(b).term.clone() {
+                Terminator::Jump(t) => emit_edges(
+                    &mut stg,
+                    &mut resolver,
+                    last,
+                    vec![(t, 1.0, String::new())],
+                    0.0,
+                ),
+                Terminator::Branch {
+                    cond,
+                    on_true,
+                    on_false,
+                } => {
+                    let p = prof.prob_true(b);
+                    let label = fact_ir::pretty::op_short_label(work, cond);
+                    emit_edges(
+                        &mut stg,
+                        &mut resolver,
+                        last,
+                        vec![
+                            (on_true, p, format!("{label}+")),
+                            (on_false, 1.0 - p, format!("{label}-")),
+                        ],
+                        0.0,
+                    );
+                }
+                Terminator::Return(_) => {
+                    emit_edges(&mut stg, &mut resolver, last, vec![], 1.0);
+                }
+            }
+        }
+
+        // Kernel self-loops and exits.
+        for (&(k, expected_iters), &ks) in live_kernels.iter().zip(&kernel_states) {
+            let visits = (expected_iters * k.ii as f64).max(1.0);
+            let q = 1.0 - 1.0 / visits;
+            stg.add_transition(ks, ks, q, "loop");
+            emit_edges(
+                &mut stg,
+                &mut resolver,
+                ks,
+                vec![(k.exit_target, 1.0 - q, "exit".to_string())],
+                0.0,
+            );
+        }
+
+        // Group phase chains.
+        for (g, states) in groups.iter().zip(&group_states) {
+            for (pi, (&s, ph)) in states.iter().zip(&g.phases).enumerate() {
+                let q = 1.0 - 1.0 / ph.length.max(1.0);
+                if q > 0.0 {
+                    stg.add_transition(s, s, q, "phase");
+                }
+                let leave = 1.0 - q;
+                if let Some(&next) = states.get(pi + 1) {
+                    stg.add_transition(s, next, leave, "next-phase");
+                } else {
+                    emit_edges(
+                        &mut stg,
+                        &mut resolver,
+                        s,
+                        vec![(g.exit, leave, "exit".to_string())],
+                        0.0,
+                    );
+                }
+            }
+        }
+
+        // Pad states (from empty-block cycles): single-cycle no-ops that fall
+        // through their block's terminator, in block order.
+        let mut pads: Vec<(BlockId, StateId)> =
+            resolver.pads.iter().map(|(&b, &s)| (b, s)).collect();
+        pads.sort_unstable();
+        for (b, s) in pads {
+            stg.state_mut(s).expected_visits = prof.block_visits(b);
+            match work.block(b).term.clone() {
+                Terminator::Jump(t) => emit_edges(
+                    &mut stg,
+                    &mut resolver,
+                    s,
+                    vec![(t, 1.0, String::new())],
+                    0.0,
+                ),
+                Terminator::Branch {
+                    on_true, on_false, ..
+                } => {
+                    let p = prof.prob_true(b);
+                    emit_edges(
+                        &mut stg,
+                        &mut resolver,
+                        s,
+                        vec![(on_true, p, "+".into()), (on_false, 1.0 - p, "-".into())],
+                        0.0,
+                    );
+                }
+                Terminator::Return(_) => emit_edges(&mut stg, &mut resolver, s, vec![], 1.0),
+            }
+        }
+
+        stg.validate().map_err(ScheduleError::Internal)?;
+
+        Ok(ScheduleResult {
+            stg,
+            function,
+            selection: self.selection.clone(),
+            report,
+        })
+    }
 }
 
 /// Schedules `f` into an STG.
@@ -253,7 +1085,8 @@ pub fn schedule(
     schedule_with_memo(f, library, rules, alloc, profile, opts, None)
 }
 
-/// [`schedule`] with an optional per-block schedule cache.
+/// [`schedule`] with an optional per-block schedule cache: a
+/// [`SchedulePlan`] built through `memo`, weighted with `profile`.
 ///
 /// With `Some(memo)`, every per-block list schedule is looked up by
 /// structural hash before being computed; hits are spliced in and counted
@@ -272,551 +1105,7 @@ pub fn schedule_with_memo(
     opts: &SchedOptions,
     memo: Option<&ScheduleMemo>,
 ) -> Result<ScheduleResult, ScheduleError> {
-    let mut work = f.clone();
-    let mut prof = profile.clone();
-    let mut report = ScheduleReport::default();
-
-    if opts.if_convert {
-        let r = if_convert(&mut work);
-        report.if_converted = r.converted;
-        for (new_owner, orig) in &r.branch_moved_from {
-            let p = profile.prob_true(*orig);
-            prof.set_prob(*new_owner, p);
-        }
-    }
-
-    let selection = FuSelection::from_rules(&work, rules)?;
-    let dom = DomTree::compute(&work);
-    let forest = LoopForest::compute(&work, &dom);
-    let rpo: Vec<BlockId> = dom.rpo().to_vec();
-    let rpo_index: HashMap<BlockId, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-
-    // Per-block schedules, spliced from the memo where available.
-    let mut chains_sched: HashMap<BlockId, Arc<BlockSchedule>> = HashMap::new();
-    for &b in &rpo {
-        let bs = match memo {
-            Some(m) => {
-                let (outcome, hit) =
-                    m.schedule_block_memoized(&work, b, library, &selection, alloc, opts.clock_ns);
-                if hit {
-                    report.memo_hits += 1;
-                } else {
-                    report.memo_misses += 1;
-                }
-                outcome?
-            }
-            None => {
-                report.memo_misses += 1;
-                let bs = schedule_block(&work, b, library, &selection, alloc, opts.clock_ns)?;
-                Arc::new(bs)
-            }
-        };
-        chains_sched.insert(b, bs);
-    }
-
-    // Loop metrics.
-    let innermost: Vec<&NaturalLoop> = forest
-        .loops()
-        .iter()
-        .filter(|l| {
-            forest
-                .loops()
-                .iter()
-                .all(|m| m.header == l.header || !l.contains(m.header))
-        })
-        .collect();
-
-    let seq_cycles = |l: &NaturalLoop| -> f64 {
-        let freq = block_freq_in_loop(&work, l, &prof, &rpo_index);
-        l.body
-            .iter()
-            .map(|b| {
-                freq.get(b).copied().unwrap_or(0.0)
-                    * chains_sched.get(b).map_or(0, |bs| bs.len()) as f64
-            })
-            .sum::<f64>()
-            .max(1.0)
-    };
-
-    // Kernel analysis for innermost loops.
-    let mut kernels: Vec<LoopKernel> = Vec::new();
-    let mut kernel_of_header: HashMap<BlockId, usize> = HashMap::new();
-    if opts.pipeline {
-        for l in &innermost {
-            if let Some((q, _, _)) = header_continue(&work, l, &prof) {
-                if let Some(mut k) =
-                    analyze_kernel(&work, l, library, &selection, alloc, opts.clock_ns, q)
-                {
-                    if let Some(e) = empirical_iters(&prof, l.header, k.body_target) {
-                        k.expected_iters = e.max(0.0);
-                    }
-                    if (k.ii as f64) < seq_cycles(l) - 1e-9 {
-                        kernel_of_header.insert(l.header, kernels.len());
-                        kernels.push(k);
-                    }
-                }
-            }
-        }
-    }
-
-    // Concurrent groups: chains of sibling loops joined by datapath-free
-    // glue, executed as rate phases.
-    let mut groups: Vec<GroupInfo> = Vec::new();
-    let mut plan: HashMap<BlockId, Plan> = HashMap::new();
-    if opts.concurrent {
-        groups = find_groups(
-            &work,
-            &forest,
-            &innermost,
-            &kernels,
-            &kernel_of_header,
-            &prof,
-            &rpo_index,
-            library,
-            &selection,
-            alloc,
-            &seq_cycles,
-        );
-        report.concurrent_groups = groups.len();
-        for (gi, g) in groups.iter().enumerate() {
-            for &b in &g.blocks {
-                plan.insert(b, Plan::Group(gi));
-            }
-        }
-    }
-    // Kernel plans for loops not swallowed by groups.
-    let mut live_kernels: Vec<(usize, LoopKernel)> = Vec::new();
-    for (ki, k) in kernels.iter().enumerate() {
-        let covered = plan.contains_key(&k.header);
-        if !covered {
-            let l = innermost
-                .iter()
-                .find(|l| l.header == k.header)
-                .expect("kernel loop exists");
-            for &b in &l.body {
-                plan.insert(b, Plan::Kernel(live_kernels.len()));
-            }
-            report.kernels.push((k.header, k.ii));
-            live_kernels.push((ki, k.clone()));
-        }
-    }
-
-    // Rotation for remaining loops.
-    struct Rotation {
-        latch: BlockId,
-        rotated_ops: Vec<OpId>,
-        continue_prob: f64,
-        body_target: BlockId,
-        exit_target: BlockId,
-    }
-    let mut rotations: HashMap<BlockId, Rotation> = HashMap::new(); // keyed by latch
-    let mut rotated_headers: Vec<(BlockId, BlockId)> = Vec::new();
-    if opts.rotate {
-        for l in forest.loops() {
-            if plan.contains_key(&l.header) {
-                continue;
-            }
-            if l.body.iter().any(|b| plan.contains_key(b)) {
-                continue;
-            }
-            let Some((q, body_target, exit_target)) = header_continue(&work, l, &prof) else {
-                continue;
-            };
-            if l.exits.len() != 1 || l.exits[0].0 != l.header || l.latches.len() != 1 {
-                continue;
-            }
-            let latch = l.latches[0];
-            if latch == l.header {
-                continue;
-            }
-            let header_sched = &chains_sched[&l.header];
-            let latch_sched = &chains_sched[&latch];
-            if header_sched.is_empty() || latch_sched.is_empty() {
-                continue;
-            }
-            if let Some(rotated_ops) = try_rotation(
-                &work,
-                l,
-                latch,
-                latch_sched,
-                library,
-                &selection,
-                alloc,
-                opts.clock_ns,
-            ) {
-                report.rotations.push((l.header, header_sched.len()));
-                rotated_headers.push((l.header, body_target));
-                rotations.insert(
-                    latch,
-                    Rotation {
-                        latch,
-                        rotated_ops,
-                        continue_prob: q,
-                        body_target,
-                        exit_target,
-                    },
-                );
-            }
-        }
-    }
-
-    // ----- STG assembly -----
-    let mut stg = Stg::new();
-
-    // States for normal chains.
-    let mut chain_states: HashMap<BlockId, Vec<StateId>> = HashMap::new();
-    for &b in &rpo {
-        if plan.contains_key(&b) {
-            continue;
-        }
-        let bs = &chains_sched[&b];
-        if bs.is_empty() {
-            continue;
-        }
-        let name = work.block(b).name.clone().unwrap_or_else(|| format!("{b}"));
-        let ops = &work.block(b).ops;
-        let mut ids = Vec::new();
-        for (i, issued) in bs.states.iter().enumerate() {
-            let s = stg.add_state(format!("{name}.{i}"));
-            for &p in issued {
-                stg.state_mut(s)
-                    .ops
-                    .push(ScheduledOp::once(ops[p as usize]));
-            }
-            stg.state_mut(s).expected_visits = prof.block_visits(b);
-            ids.push(s);
-        }
-        chain_states.insert(b, ids);
-    }
-
-    // Rotated loops bypass their header on the back edge, so the header's
-    // states run once per loop *entry*, not once per iteration.
-    for (header, body_target) in &rotated_headers {
-        if let (Some(states), Some(vh), Some(vb)) = (
-            chain_states.get(header),
-            prof.block_visits(*header),
-            prof.block_visits(*body_target),
-        ) {
-            let entries = (vh - vb).max(1.0);
-            for &s in states {
-                stg.state_mut(s).expected_visits = Some(entries);
-            }
-        }
-    }
-
-    // Kernel states.
-    let mut kernel_states: Vec<StateId> = Vec::new();
-    for (_, k) in &live_kernels {
-        let s = stg.add_state(format!("kernel@{}(II={})", k.header, k.ii));
-        for &op in &k.body_ops {
-            if is_datapath(&work, op) {
-                stg.state_mut(s).ops.push(ScheduledOp {
-                    op,
-                    iter: 0,
-                    weight: 1.0 / k.ii as f64,
-                });
-            }
-        }
-        // Per-execution visits: total empirical iterations × II (the
-        // body-target visit count already accounts for outer-loop
-        // nesting); fall back to the per-entry geometric estimate.
-        let total_iters = prof.block_visits(k.body_target).unwrap_or(k.expected_iters);
-        stg.state_mut(s).expected_visits = Some((total_iters * k.ii as f64).max(1.0));
-        kernel_states.push(s);
-    }
-
-    // Phase states per group.
-    let mut group_states: Vec<Vec<StateId>> = Vec::new();
-    for (gi, g) in groups.iter().enumerate() {
-        let group_entries = g.entries;
-        let mut states = Vec::new();
-        for (pi, ph) in g.phases.iter().enumerate() {
-            let s = stg.add_state(format!("g{gi}.phase{pi}"));
-            for &(li, rate) in &ph.active {
-                for &(op, rel) in &g.rates[li].ops {
-                    stg.state_mut(s).ops.push(ScheduledOp {
-                        op,
-                        iter: 0,
-                        weight: rate * rel,
-                    });
-                }
-            }
-            stg.state_mut(s).expected_visits = Some(ph.length.max(1.0) * group_entries);
-            states.push(s);
-        }
-        group_states.push(states);
-    }
-
-    // Resolution of block entry points into state distributions.
-    struct Resolver<'a> {
-        work: &'a Function,
-        prof: &'a BranchProfile,
-        plan: &'a HashMap<BlockId, Plan>,
-        chain_states: &'a HashMap<BlockId, Vec<StateId>>,
-        kernel_states: &'a [StateId],
-        group_states: &'a [Vec<StateId>],
-        groups: &'a [GroupInfo],
-        memo: HashMap<BlockId, Vec<(Target, f64)>>,
-        in_progress: HashSet<BlockId>,
-        pads: HashMap<BlockId, StateId>,
-    }
-
-    impl Resolver<'_> {
-        fn resolve(&mut self, stg: &mut Stg, b: BlockId) -> Vec<(Target, f64)> {
-            if let Some(r) = self.memo.get(&b) {
-                return r.clone();
-            }
-            if let Some(&pad) = self.pads.get(&b) {
-                return vec![(Target::State(pad), 1.0)];
-            }
-            if self.in_progress.contains(&b) {
-                // Cycle of empty blocks: materialize a pad state.
-                let pad = stg.add_state(format!("pad@{b}"));
-                self.pads.insert(b, pad);
-                return vec![(Target::State(pad), 1.0)];
-            }
-            let result = match self.plan.get(&b) {
-                Some(Plan::Kernel(ki)) => vec![(Target::State(self.kernel_states[*ki]), 1.0)],
-                Some(Plan::Group(gi)) => {
-                    let states = &self.group_states[*gi];
-                    match states.first() {
-                        Some(&s) => vec![(Target::State(s), 1.0)],
-                        None => {
-                            // Degenerate group with no phases: skip to exit.
-                            let exit = self.groups[*gi].exit;
-                            self.in_progress.insert(b);
-                            let r = self.resolve(stg, exit);
-                            self.in_progress.remove(&b);
-                            r
-                        }
-                    }
-                }
-                _ => {
-                    if let Some(states) = self.chain_states.get(&b) {
-                        vec![(Target::State(states[0]), 1.0)]
-                    } else {
-                        // Empty block: fall through its terminator.
-                        self.in_progress.insert(b);
-                        let r = match self.work.block(b).term.clone() {
-                            Terminator::Jump(t) => self.resolve(stg, t),
-                            Terminator::Branch {
-                                on_true, on_false, ..
-                            } => {
-                                let p = self.prof.prob_true(b);
-                                let mut out = Vec::new();
-                                for (t, w) in self.resolve(stg, on_true) {
-                                    out.push((t, w * p));
-                                }
-                                for (t, w) in self.resolve(stg, on_false) {
-                                    out.push((t, w * (1.0 - p)));
-                                }
-                                out
-                            }
-                            Terminator::Return(_) => vec![(Target::Done, 1.0)],
-                        };
-                        self.in_progress.remove(&b);
-                        r
-                    }
-                }
-            };
-            self.memo.insert(b, result.clone());
-            result
-        }
-    }
-
-    let mut resolver = Resolver {
-        work: &work,
-        prof: &prof,
-        plan: &plan,
-        chain_states: &chain_states,
-        kernel_states: &kernel_states,
-        group_states: &group_states,
-        groups: &groups,
-        memo: HashMap::new(),
-        in_progress: HashSet::new(),
-        pads: HashMap::new(),
-    };
-
-    // Entry state.
-    let entry_state = stg.add_state("entry");
-    stg.state_mut(entry_state).expected_visits = Some(1.0);
-    stg.set_entry(entry_state);
-    let entry_targets = resolver.resolve(&mut stg, work.entry());
-    let done = stg.done();
-    for (t, p) in entry_targets {
-        match t {
-            Target::State(s) => stg.add_transition(entry_state, s, p, "start"),
-            Target::Done => stg.add_transition(entry_state, done, p, "start"),
-        }
-    }
-
-    // Helper to emit terminator edges from a state.
-    let emit_edges = |stg: &mut Stg,
-                      resolver: &mut Resolver,
-                      from: StateId,
-                      edges: Vec<(BlockId, f64, String)>,
-                      to_done: f64| {
-        for (block, p, label) in edges {
-            if p <= 0.0 {
-                continue;
-            }
-            for (t, w) in resolver.resolve(stg, block) {
-                match t {
-                    Target::State(s) => stg.add_transition(from, s, p * w, label.clone()),
-                    Target::Done => {
-                        let d = stg.done();
-                        stg.add_transition(from, d, p * w, label.clone())
-                    }
-                }
-            }
-        }
-        if to_done > 0.0 {
-            let d = stg.done();
-            stg.add_transition(from, d, to_done, "ret");
-        }
-    };
-
-    // Normal block chains: intra-block transitions + terminator edges.
-    for &b in &rpo {
-        let Some(states) = chain_states.get(&b).cloned() else {
-            continue;
-        };
-        for w in states.windows(2) {
-            stg.add_transition(w[0], w[1], 1.0, "");
-        }
-        let last = *states.last().expect("non-empty chain");
-
-        if let Some(rot) = rotations.get(&b) {
-            // Rotated latch: append next-iteration header ops and branch
-            // directly, bypassing the header states on the back edge.
-            for &op in &rot.rotated_ops {
-                stg.state_mut(last).ops.push(ScheduledOp {
-                    op,
-                    iter: 1,
-                    weight: 1.0,
-                });
-            }
-            let q = rot.continue_prob;
-            emit_edges(
-                &mut stg,
-                &mut resolver,
-                last,
-                vec![
-                    (rot.body_target, q, "loop".to_string()),
-                    (rot.exit_target, 1.0 - q, "exit".to_string()),
-                ],
-                0.0,
-            );
-            let _ = rot.latch;
-            continue;
-        }
-
-        match work.block(b).term.clone() {
-            Terminator::Jump(t) => emit_edges(
-                &mut stg,
-                &mut resolver,
-                last,
-                vec![(t, 1.0, String::new())],
-                0.0,
-            ),
-            Terminator::Branch {
-                cond,
-                on_true,
-                on_false,
-            } => {
-                let p = prof.prob_true(b);
-                let label = fact_ir::pretty::op_short_label(&work, cond);
-                emit_edges(
-                    &mut stg,
-                    &mut resolver,
-                    last,
-                    vec![
-                        (on_true, p, format!("{label}+")),
-                        (on_false, 1.0 - p, format!("{label}-")),
-                    ],
-                    0.0,
-                );
-            }
-            Terminator::Return(_) => {
-                emit_edges(&mut stg, &mut resolver, last, vec![], 1.0);
-            }
-        }
-    }
-
-    // Kernel self-loops and exits.
-    for ((_, k), &ks) in live_kernels.iter().zip(&kernel_states) {
-        let visits = (k.expected_iters * k.ii as f64).max(1.0);
-        let q = 1.0 - 1.0 / visits;
-        stg.add_transition(ks, ks, q, "loop");
-        emit_edges(
-            &mut stg,
-            &mut resolver,
-            ks,
-            vec![(k.exit_target, 1.0 - q, "exit".to_string())],
-            0.0,
-        );
-    }
-
-    // Group phase chains.
-    for (g, states) in groups.iter().zip(&group_states) {
-        for (pi, (&s, ph)) in states.iter().zip(&g.phases).enumerate() {
-            let q = 1.0 - 1.0 / ph.length.max(1.0);
-            if q > 0.0 {
-                stg.add_transition(s, s, q, "phase");
-            }
-            let leave = 1.0 - q;
-            if let Some(&next) = states.get(pi + 1) {
-                stg.add_transition(s, next, leave, "next-phase");
-            } else {
-                emit_edges(
-                    &mut stg,
-                    &mut resolver,
-                    s,
-                    vec![(g.exit, leave, "exit".to_string())],
-                    0.0,
-                );
-            }
-        }
-    }
-
-    // Pad states (from empty-block cycles): single-cycle no-ops that fall
-    // through their block's terminator.
-    let pads: Vec<(BlockId, StateId)> = resolver.pads.iter().map(|(&b, &s)| (b, s)).collect();
-    for (b, s) in pads {
-        stg.state_mut(s).expected_visits = prof.block_visits(b);
-        match work.block(b).term.clone() {
-            Terminator::Jump(t) => emit_edges(
-                &mut stg,
-                &mut resolver,
-                s,
-                vec![(t, 1.0, String::new())],
-                0.0,
-            ),
-            Terminator::Branch {
-                on_true, on_false, ..
-            } => {
-                let p = prof.prob_true(b);
-                emit_edges(
-                    &mut stg,
-                    &mut resolver,
-                    s,
-                    vec![(on_true, p, "+".into()), (on_false, 1.0 - p, "-".into())],
-                    0.0,
-                );
-            }
-            Terminator::Return(_) => emit_edges(&mut stg, &mut resolver, s, vec![], 1.0),
-        }
-    }
-
-    stg.validate().map_err(ScheduleError::Internal)?;
-
-    Ok(ScheduleResult {
-        stg,
-        function: work,
-        selection,
-        profile: prof,
-        report,
-    })
+    SchedulePlan::build(f, library, rules, alloc, opts, memo)?.weight(f, profile)
 }
 
 fn is_datapath(f: &Function, op: OpId) -> bool {
@@ -950,26 +1239,22 @@ fn try_rotation(
 #[allow(clippy::too_many_arguments)]
 fn find_groups(
     work: &Function,
-    forest: &LoopForest,
-    innermost: &[&NaturalLoop],
-    kernels: &[LoopKernel],
-    kernel_of_header: &HashMap<BlockId, usize>,
+    innermost: &[&PlannedLoop],
+    kernel_of_header: &HashMap<BlockId, &PlannedKernel>,
     prof: &BranchProfile,
-    rpo_index: &HashMap<BlockId, usize>,
-    library: &FuLibrary,
+    rpo_pos: &[usize],
     selection: &FuSelection,
-    alloc: &Allocation,
-    seq_cycles: &dyn Fn(&NaturalLoop) -> f64,
+    unit_counts: &[u32],
+    seq_cycles: &dyn Fn(&PlannedLoop) -> f64,
 ) -> Vec<GroupInfo> {
-    let _ = (library, forest);
     // Candidate loops: innermost, with a well-formed header test.
-    let mut cands: Vec<&NaturalLoop> = innermost
+    let mut cands: Vec<&PlannedLoop> = innermost
         .iter()
         .copied()
-        .filter(|l| header_continue(work, l, prof).is_some())
+        .filter(|l| header_test(work, l).is_some())
         .filter(|l| l.exits.len() == 1 && l.exits[0].0 == l.header)
         .collect();
-    cands.sort_by_key(|l| rpo_index.get(&l.header).copied().unwrap_or(usize::MAX));
+    cands.sort_by_key(|l| rpo_pos[l.header.index()]);
 
     // Glue-following: from a loop's exit target, skip datapath-free
     // straight-line blocks to find the next loop header.
@@ -992,7 +1277,7 @@ fn find_groups(
     };
 
     // Memory and value footprints per loop.
-    let footprint = |l: &NaturalLoop| {
+    let footprint = |l: &PlannedLoop| {
         let mut loads = HashSet::new();
         let mut stores = HashSet::new();
         let mut defs = HashSet::new();
@@ -1026,7 +1311,7 @@ fn find_groups(
             continue;
         }
         // Grow a chain starting at `first`.
-        let mut chain: Vec<&NaturalLoop> = vec![first];
+        let mut chain: Vec<&PlannedLoop> = vec![first];
         let mut glue_blocks: HashSet<BlockId> = HashSet::new();
         loop {
             let cur = *chain.last().expect("nonempty");
@@ -1055,7 +1340,7 @@ fn find_groups(
         let feet: Vec<_> = chain.iter().map(|l| footprint(l)).collect();
         let mut ok = true;
         for (li, l) in chain.iter().enumerate() {
-            let freq = block_freq_in_loop(work, l, prof, rpo_index);
+            let freq = block_freq_in_loop(work, l, prof, rpo_pos);
             let mut ops: Vec<(OpId, f64)> = Vec::new();
             for &b in &l.body {
                 let fb = freq.get(&b).copied().unwrap_or(0.0);
@@ -1080,7 +1365,7 @@ fn find_groups(
             // Any resource with zero capacity blocks the group.
             for key in usage.keys() {
                 let cap = match key {
-                    ResKey::Fu(fu) => alloc.count(*fu) as f64,
+                    ResKey::Fu(fu) => unit_counts.get(fu.0 as usize).copied().unwrap_or(0) as f64,
                     ResKey::Mem(_) => 1.0,
                 };
                 if cap == 0.0 {
@@ -1088,11 +1373,10 @@ fn find_groups(
                 }
             }
             let (q, body_tgt, _) = header_continue(work, l, prof).expect("header test");
-            let qc = q.clamp(0.0, 0.999_999);
-            let expected_iters = empirical_iters(prof, l.header, body_tgt)
-                .unwrap_or_else(|| (qc / (1.0 - qc)).max(1.0));
+            let expected_iters =
+                empirical_iters(prof, l.header, body_tgt).unwrap_or_else(|| geometric_iters(q));
             let dep_cap = match kernel_of_header.get(&l.header) {
-                Some(&ki) => 1.0 / kernels[ki].rec_mii as f64,
+                Some(k) => 1.0 / k.rec_mii as f64,
                 None => 1.0 / seq_cycles(l),
             };
             // Dependences on earlier chain members.
@@ -1143,7 +1427,7 @@ fn find_groups(
         for r in &rates {
             for key in r.usage.keys() {
                 let cap = match key {
-                    ResKey::Fu(fu) => alloc.count(*fu) as f64,
+                    ResKey::Fu(fu) => unit_counts.get(fu.0 as usize).copied().unwrap_or(0) as f64,
                     ResKey::Mem(_) => 1.0,
                 };
                 capacity.insert(*key, cap);

@@ -245,6 +245,8 @@ struct JobCounters {
     neighborhoods_memoized: u64,
     neighborhoods_built: u64,
     verdicts_memoized: u64,
+    plans_memoized: u64,
+    plans_built: u64,
     stopped: bool,
 }
 
@@ -616,6 +618,8 @@ fn execute_job(shared: &Shared, job: &Job) -> Result<(Value, JobCounters), JobEr
                 neighborhoods_memoized: $r.neighborhoods_memoized,
                 neighborhoods_built: $r.neighborhoods_built,
                 verdicts_memoized: $r.verdicts_memoized,
+                plans_memoized: $r.plans_memoized,
+                plans_built: $r.plans_built,
                 stopped: $r.stopped,
             }
         };
@@ -667,6 +671,9 @@ fn fold_counters(shared: &Shared, c: &JobCounters) {
         .fetch_add(c.neighborhoods_built, Ordering::Relaxed);
     s.verdicts_memoized
         .fetch_add(c.verdicts_memoized, Ordering::Relaxed);
+    s.plans_memoized
+        .fetch_add(c.plans_memoized, Ordering::Relaxed);
+    s.plans_built.fetch_add(c.plans_built, Ordering::Relaxed);
 }
 
 /// Periodically persists the evaluation cache while the server runs.

@@ -107,6 +107,11 @@ pub struct ServerStats {
     /// Candidates whose swap or proof verdict came from their expansion
     /// record across all jobs (`FactResult::verdicts_memoized`).
     pub verdicts_memoized: AtomicU64,
+    /// Schedules whose plan came from the shared cache across all jobs
+    /// (`FactResult::plans_memoized`).
+    pub plans_memoized: AtomicU64,
+    /// Schedule plans built across all jobs (`FactResult::plans_built`).
+    pub plans_built: AtomicU64,
     /// EWMA of per-job *service* time (worker execution only, queue wait
     /// excluded), in milliseconds — the admission controller's estimate
     /// of how fast the queue drains. 0 until the first job completes.
@@ -158,6 +163,8 @@ impl ServerStats {
             neighborhoods_memoized: AtomicU64::new(0),
             neighborhoods_built: AtomicU64::new(0),
             verdicts_memoized: AtomicU64::new(0),
+            plans_memoized: AtomicU64::new(0),
+            plans_built: AtomicU64::new(0),
             service_ewma_ms: AtomicU64::new(0),
             last_snapshot: Mutex::new(None),
             latencies: Mutex::new(LatencyRing {
@@ -299,6 +306,9 @@ impl ServerStats {
             ),
             ("neighborhoods_built", counter(&self.neighborhoods_built)),
             ("verdicts_memoized", counter(&self.verdicts_memoized)),
+            ("plans_memoized", counter(&self.plans_memoized)),
+            ("plans_built", counter(&self.plans_built)),
+            ("plans_held", Value::Int(cache.plans_held() as i64)),
             ("memo_entries", Value::Int(memo.len() as i64)),
             ("memo_records", Value::Int(memo.records() as i64)),
             ("cache_hits", Value::Int(cs.hits as i64)),
@@ -329,6 +339,7 @@ impl ServerStats {
              resched full={} spliced={} \
              sim={}v ({:.0} v/s) mega={}x{:.1} ({} lanes) \
              nbhd memoized={} built={} (memo {} entries) verdicts={} \
+             plans memoized={} built={} ({} held) \
              cache={:.0}% ({} entries, warm {}, snap_age {}s) p50={}ms p95={}ms",
             self.start.elapsed().as_secs(),
             self.completed.load(Ordering::Relaxed)
@@ -367,6 +378,9 @@ impl ServerStats {
             self.neighborhoods_built.load(Ordering::Relaxed),
             cache.expansions().len(),
             self.verdicts_memoized.load(Ordering::Relaxed),
+            self.plans_memoized.load(Ordering::Relaxed),
+            self.plans_built.load(Ordering::Relaxed),
+            cache.plans_held(),
             cs.hit_rate() * 100.0,
             cs.entries,
             self.cache_warm_entries.load(Ordering::Relaxed),
@@ -436,6 +450,8 @@ mod tests {
         s.neighborhoods_memoized.fetch_add(40, Ordering::Relaxed);
         s.neighborhoods_built.fetch_add(3, Ordering::Relaxed);
         s.verdicts_memoized.fetch_add(27, Ordering::Relaxed);
+        s.plans_memoized.fetch_add(90, Ordering::Relaxed);
+        s.plans_built.fetch_add(12, Ordering::Relaxed);
         s.connections_open.store(4, Ordering::Relaxed);
         s.connections_total.fetch_add(11, Ordering::Relaxed);
         s.idle_disconnects.fetch_add(2, Ordering::Relaxed);
@@ -471,6 +487,9 @@ mod tests {
         assert_eq!(v.get("neighborhoods_memoized").unwrap().as_i64(), Some(40));
         assert_eq!(v.get("neighborhoods_built").unwrap().as_i64(), Some(3));
         assert_eq!(v.get("verdicts_memoized").unwrap().as_i64(), Some(27));
+        assert_eq!(v.get("plans_memoized").unwrap().as_i64(), Some(90));
+        assert_eq!(v.get("plans_built").unwrap().as_i64(), Some(12));
+        assert_eq!(v.get("plans_held").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("memo_entries").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("memo_records").unwrap().as_i64(), Some(0));
         assert_eq!(v.get("cache_hit_rate").unwrap().as_f64(), Some(0.0));

@@ -131,9 +131,21 @@ unrecalled = [
 assert not unrecalled, (
     f"retraced rerun: verdicts_memoized != inherited + proved + derived: {unrecalled}"
 )
+# Schedule plans (DESIGN §10.6): building them is a share of scheduling
+# time, and the retraced rerun, whose designs and scheduling context are
+# the cold run's, takes every plan from the cache and builds none.
+unplanned = [
+    (s["name"], s["plan_s"], s["schedule_s"]) for s in suites if not 0 <= s["plan_s"] <= s["schedule_s"]
+]
+assert not unplanned, f"plan_s missing from or above schedule_s: {unplanned}"
+replanned = [
+    (s["name"], s["retraced"]["plans_built"]) for s in suites if s["retraced"]["plans_built"] != 0
+]
+assert not replanned, f"retraced rerun built schedule plans the cold run left: {replanned}"
 print("search smoke ok: " + " ".join(
     f"{s['name']}:{s['evaluated']}({s['inherited']} inherited, warm built {s['warm']['neighborhoods_built']}, "
-    f"retraced verdicts {s['retraced']['verdicts_memoized']})"
+    f"retraced verdicts {s['retraced']['verdicts_memoized']}, "
+    f"plans memoized {s['retraced']['plans_memoized']})"
     for s in suites
 ))
 EOF

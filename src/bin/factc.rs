@@ -265,14 +265,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.archive_len,
             result.evaluated
         );
-        eprint_candidates(
-            &result.candidates,
-            (
-                result.neighborhoods_memoized,
-                result.neighborhoods_built,
-                result.verdicts_memoized,
-            ),
-        );
+        eprint_candidates(&result.candidates, reuse!(result));
         println!(
             "  {:>6} {:>10} {:>12} {:>8}  transforms",
             "Vdd", "cycles", "energy", "power"
@@ -318,14 +311,7 @@ fn run(args: &Args) -> Result<(), String> {
             result.estimate.average_schedule_length, result.estimate.power, result.estimate.vdd
         );
         println!("  candidates evaluated: {}", result.evaluated);
-        eprint_candidates(
-            &result.candidates,
-            (
-                result.neighborhoods_memoized,
-                result.neighborhoods_built,
-                result.verdicts_memoized,
-            ),
-        );
+        eprint_candidates(&result.candidates, reuse!(result));
         if result.applied.is_empty() {
             println!("  no transformation improved the objective");
         } else {
@@ -347,10 +333,34 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// What a run took from the shared cache's memos instead of computing:
+/// expansions, equivalence verdicts and schedule plans.
+struct Reuse {
+    neighbourhoods_memoized: u64,
+    neighbourhoods_built: u64,
+    verdicts_memoized: u64,
+    plans_memoized: u64,
+    plans_built: u64,
+}
+
+/// The [`Reuse`] of a `FactResult` or `ParetoFactResult`.
+macro_rules! reuse {
+    ($r:expr) => {
+        Reuse {
+            neighbourhoods_memoized: $r.neighborhoods_memoized,
+            neighbourhoods_built: $r.neighborhoods_built,
+            verdicts_memoized: $r.verdicts_memoized,
+            plans_memoized: $r.plans_memoized,
+            plans_built: $r.plans_built,
+        }
+    };
+}
+use reuse;
+
 /// Prints how the search's candidates were evaluated to stderr
 /// ([`candidates_line`]).
-fn eprint_candidates(c: &CandidateCounts, memo: (u64, u64, u64)) {
-    eprintln!("{}", candidates_line(c, memo));
+fn eprint_candidates(c: &CandidateCounts, reuse: Reuse) {
+    eprintln!("{}", candidates_line(c, &reuse));
 }
 
 /// How the search's candidates were evaluated: inherited from their
@@ -358,10 +368,11 @@ fn eprint_candidates(c: &CandidateCounts, memo: (u64, u64, u64)) {
 /// or deriving it from the parent's counts), or rejected unproved, with
 /// the unproved share per transformation kind; how many parents the run
 /// profiled inside the search; how many candidates took a verdict from
-/// their expansion record; and how many parent expansions the expansion
+/// their expansion record; how many parent expansions the expansion
 /// memo answered and how many transformations were run to build
-/// candidates.
-fn candidates_line(c: &CandidateCounts, (memoized, built, verdicts): (u64, u64, u64)) -> String {
+/// candidates; and how many schedules took their plan from the cache and
+/// how many plans were built.
+fn candidates_line(c: &CandidateCounts, reuse: &Reuse) -> String {
     let per_kind: Vec<String> = fact_xform::TransformKind::ALL
         .iter()
         .map(|k| {
@@ -375,14 +386,19 @@ fn candidates_line(c: &CandidateCounts, (memoized, built, verdicts): (u64, u64, 
     format!(
         "candidates: {} inherited, {} proved, {} derived, {} unproved \
          (unproved/total per kind: {}); parents profiled: {}; \
-         verdicts memoized: {verdicts}; \
-         neighbourhoods: {memoized} memoized, {built} built",
+         verdicts memoized: {}; neighbourhoods: {} memoized, {} built; \
+         plans: {} memoized, {} built",
         c.inherited_total(),
         c.proved_total(),
         c.derived_total(),
         c.unproved_total(),
         per_kind.join(", "),
         c.parents_profiled,
+        reuse.verdicts_memoized,
+        reuse.neighbourhoods_memoized,
+        reuse.neighbourhoods_built,
+        reuse.plans_memoized,
+        reuse.plans_built,
     )
 }
 
@@ -525,7 +541,16 @@ mod tests {
         c.unproved[TransformKind::LoopDistribution.index()] = 3;
         c.proved[TransformKind::LoopDistribution.index()] = 1;
         c.parents_profiled = 2;
-        let line = candidates_line(&c, (4, 9, 5));
+        let line = candidates_line(
+            &c,
+            &Reuse {
+                neighbourhoods_memoized: 4,
+                neighbourhoods_built: 9,
+                verdicts_memoized: 5,
+                plans_memoized: 30,
+                plans_built: 7,
+            },
+        );
         assert!(
             line.contains("loop-unroll 0/2, loop-distribution 3/4"),
             "{line}"
@@ -534,7 +559,7 @@ mod tests {
         assert!(line.contains("parents profiled: 2"), "{line}");
         assert!(line.contains("verdicts memoized: 5"), "{line}");
         assert!(
-            line.ends_with("neighbourhoods: 4 memoized, 9 built"),
+            line.ends_with("neighbourhoods: 4 memoized, 9 built; plans: 30 memoized, 7 built"),
             "{line}"
         );
     }

@@ -23,7 +23,9 @@
 //!   counts derived from its source's equal to simulation's;
 //! * every operand swap of a program or loop nest is recognized as one
 //!   by `operand_swap_of` and schedules and estimates, under the
-//!   program's profile, bit for bit like the program.
+//!   program's profile, bit for bit like the program;
+//! * every program's and loop nest's schedule plan, weighted under two
+//!   profiles, schedules and estimates like a fresh `schedule`.
 //!
 //! The generator covers nested ifs, counted loops, loops with
 //! data-dependent exits, sibling loops, an array with masked (always
@@ -798,6 +800,60 @@ fn every_behavior_schedules_validly() {
         }
         Ok(())
     });
+}
+
+/// A schedule plan (DESIGN §10.6) of every generated program and loop
+/// nest, built once and weighted under two profiles, equals under each
+/// a fresh memo-less `schedule`: the STG, the report and the estimate
+/// bits. The corpus must reach kernels, rotations, concurrent groups and
+/// branches if-conversion moved.
+#[test]
+fn plans_weight_like_fresh_schedules() {
+    let (lib, rules, alloc) = dividing_library();
+    let opts = fact_sched::SchedOptions::default();
+    let (a, b) = (traces(6, 21), traces(3, 22));
+    let mut seen = [0usize; 4];
+    let described = |sr: &fact_sched::ScheduleResult| -> Result<String, String> {
+        let r = &sr.report;
+        let e = fact_estim::evaluate(sr, &lib, opts.clock_ns)?;
+        let p = fact_estim::evaluate_power_mode(sr, &lib, opts.clock_ns, 1e6)?;
+        Ok(format!(
+            "{:?}\n{:?} {:?} {} {}\n{:?} {:?}",
+            sr.stg,
+            r.kernels,
+            r.rotations,
+            r.if_converted,
+            r.concurrent_groups,
+            [e.average_schedule_length, e.energy_vdd2, e.power].map(f64::to_bits),
+            [p.energy_vdd2, p.power, p.vdd].map(f64::to_bits),
+        ))
+    };
+    for_seeds(|seed| {
+        let (p, f) = lowered(seed)?;
+        let (loop_src, g) = lowered_loops(seed)?;
+        for (src, f) in [(fact_lang::print_proc(&p), f), (loop_src, g)] {
+            let plan = fact_sched::SchedulePlan::build(&f, &lib, &rules, &alloc, &opts, None)
+                .map_err(|e| format!("plan failed: {e}\n{src}"))?;
+            seen[3] += usize::from(plan.moved_branches() > 0);
+            for t in [&a, &b] {
+                let prof = fact_sim::profile(&f, t);
+                let got = plan.weight(&f, &prof).map_err(|e| format!("{e}\n{src}"))?;
+                let want = fact_sched::schedule(&f, &lib, &rules, &alloc, &prof, &opts)
+                    .map_err(|e| format!("{e}\n{src}"))?;
+                if described(&got)? != described(&want)? {
+                    return Err(format!("plan weights unlike a fresh schedule\n{src}"));
+                }
+                seen[0] += usize::from(!got.report.kernels.is_empty());
+                seen[1] += usize::from(!got.report.rotations.is_empty());
+                seen[2] += usize::from(got.report.concurrent_groups > 0);
+            }
+        }
+        Ok(())
+    });
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "kernels, rotations, groups, moved branches: {seen:?}"
+    );
 }
 
 /// The property operand-swap inheritance rests on (DESIGN §8.5.2): every
