@@ -1,20 +1,18 @@
 //! Serve-load bench: emits `BENCH_serve.json`.
 //! Run: `scripts/bench.sh serve` (or `cargo bench -p fact-bench --bench serve_perf`).
 //!
-//! One pass per connection front end — the epoll event loop (Linux) and
-//! the thread-per-connection fallback — each holding a fleet of idle
-//! connections while traffic threads drive a mixed request stream.
+//! One pass holding a fleet of idle connections while traffic threads
+//! drive a mixed request stream.
 //!
 //! Flags (after `--`):
-//!   --held N      idle connections held per pass (default 512;
+//!   --held N      idle connections held (default 512;
 //!                 an explicit value wins over the `--smoke` cap)
-//!   --threads N   traffic threads per pass (default 4)
+//!   --threads N   traffic threads (default 4)
 //!   --requests N  requests per traffic thread (default 250)
 //!   --out PATH    output file (default BENCH_serve.json)
 //!   --smoke       tiny fleet, stdout only (CI well-formedness check)
 
 use fact_bench::serve_perf::{run_pass, to_json, PassConfig};
-use fact_serve::IoModel;
 
 fn main() {
     let mut out_path = String::from("BENCH_serve.json");
@@ -40,55 +38,40 @@ fn main() {
         }
     }
 
-    // Both front ends in one run, same shape, so the comparison is
-    // apples-to-apples; off Linux only the portable model exists.
-    let models: &[IoModel] = if cfg!(target_os = "linux") {
-        &[IoModel::Epoll, IoModel::Threads]
+    let mut cfg = if smoke {
+        PassConfig::smoke()
     } else {
-        &[IoModel::Threads]
+        PassConfig::standard()
     };
+    if let Some(n) = held {
+        cfg.held_connections = n;
+    }
+    if let Some(n) = threads {
+        cfg.traffic_threads = n.max(1);
+    }
+    if let Some(n) = requests {
+        cfg.requests_per_thread = n.max(1);
+    }
     let t0 = std::time::Instant::now();
-    let passes: Vec<_> = models
-        .iter()
-        .map(|&io_model| {
-            let mut cfg = if smoke {
-                PassConfig::smoke(io_model)
-            } else {
-                PassConfig::standard(io_model)
-            };
-            if let Some(n) = held {
-                cfg.held_connections = n;
-            }
-            if let Some(n) = threads {
-                cfg.traffic_threads = n.max(1);
-            }
-            if let Some(n) = requests {
-                cfg.requests_per_thread = n.max(1);
-            }
-            run_pass(&cfg)
-        })
-        .collect();
-    let json = to_json(&passes);
+    let p = run_pass(&cfg);
+    let json = to_json(std::slice::from_ref(&p));
 
     // Human summary on stderr so `--smoke`'s stdout is pure JSON.
-    for p in &passes {
-        eprintln!(
-            "io={:7} held={} traffic={}x{}: {} ok / {} err in {:.2}s -> {:.0} req/sec \
-             (p50 {:.2}ms p99 {:.2}ms max {:.2}ms, {} busy retries)",
-            p.io_model,
-            p.held_connections,
-            p.traffic_threads,
-            p.requests / p.traffic_threads.max(1),
-            p.completed,
-            p.errors,
-            p.wall_s,
-            p.jobs_per_sec,
-            p.p50_ms,
-            p.p99_ms,
-            p.max_ms,
-            p.busy_retries,
-        );
-    }
+    eprintln!(
+        "held={} traffic={}x{}: {} ok / {} err in {:.2}s -> {:.0} req/sec \
+         (p50 {:.2}ms p99 {:.2}ms max {:.2}ms, {} busy retries)",
+        p.held_connections,
+        p.traffic_threads,
+        p.requests / p.traffic_threads.max(1),
+        p.completed,
+        p.errors,
+        p.wall_s,
+        p.jobs_per_sec,
+        p.p50_ms,
+        p.p99_ms,
+        p.max_ms,
+        p.busy_retries,
+    );
     if smoke {
         // CI path: print the JSON for the caller to validate, write nothing.
         print!("{json}");

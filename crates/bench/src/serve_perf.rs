@@ -4,21 +4,19 @@
 //! Where [`crate::search_perf`] measures the optimization engine, this
 //! module measures the daemon's *connection front end*: an in-process
 //! server is booted, a fleet of idle connections is opened and held (so
-//! the front end is really multiplexing them all), and traffic threads
+//! the front end really holds them all), and traffic threads
 //! hammer it with a mixed request stream — mostly `ping`/`stats` (the
 //! front end's own cost), with a cache-hot `optimize` and `pareto` job
 //! sprinkled in so the worker handoff path is exercised too. Each pass
 //! records client-observed latency percentiles and sustained
-//! requests/sec; the `serve_perf` bench target runs one pass per
-//! [`fact_serve::IoModel`] and writes `BENCH_serve.json` so the epoll
-//! event loop and the thread-per-connection fallback can be compared
-//! number-for-number.
+//! requests/sec; the `serve_perf` bench target runs one pass and
+//! writes `BENCH_serve.json`.
 //!
 //! Std-only by design (the offline build has no serde/criterion): the
 //! JSON is emitted by hand from a flat result struct.
 
 use crate::client::{ClientError, RetryPolicy, RetryingClient};
-use fact_serve::{parse, IoModel, Server, ServerConfig, Value};
+use fact_serve::{parse, Server, ServerConfig, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
@@ -27,8 +25,6 @@ use std::time::Instant;
 /// Shape of one measurement pass.
 #[derive(Clone, Debug)]
 pub struct PassConfig {
-    /// Which connection front end the server runs.
-    pub io_model: IoModel,
     /// Idle connections opened (and pinged once) before traffic starts,
     /// then held open for the whole pass.
     pub held_connections: usize,
@@ -41,11 +37,10 @@ pub struct PassConfig {
 }
 
 impl PassConfig {
-    /// The standard full-measurement pass for `io_model`: 512 held
-    /// connections, 4 traffic threads × 250 requests.
-    pub fn standard(io_model: IoModel) -> PassConfig {
+    /// The standard full-measurement pass: 512 held connections, 4
+    /// traffic threads × 250 requests.
+    pub fn standard() -> PassConfig {
         PassConfig {
-            io_model,
             held_connections: 512,
             traffic_threads: 4,
             requests_per_thread: 250,
@@ -55,9 +50,8 @@ impl PassConfig {
 
     /// A CI-sized smoke pass: enough connections to mean something,
     /// small enough to finish in seconds on one core.
-    pub fn smoke(io_model: IoModel) -> PassConfig {
+    pub fn smoke() -> PassConfig {
         PassConfig {
-            io_model,
             held_connections: 64,
             traffic_threads: 2,
             requests_per_thread: 25,
@@ -69,8 +63,6 @@ impl PassConfig {
 /// Result of one measurement pass.
 #[derive(Clone, Debug)]
 pub struct PassResult {
-    /// Front end measured (`epoll` or `threads`).
-    pub io_model: String,
     /// Idle connections actually held throughout the pass.
     pub held_connections: usize,
     /// Concurrent traffic threads.
@@ -194,8 +186,8 @@ fn stats_roundtrip(addr: SocketAddr) -> Option<Value> {
     parse(reply.trim()).ok()
 }
 
-/// Boots an in-process server with the pass's front end, holds the idle
-/// connection fleet, runs the traffic threads, and collects the result.
+/// Boots an in-process server, holds the idle connection fleet, runs
+/// the traffic threads, and collects the result.
 ///
 /// # Panics
 ///
@@ -209,7 +201,6 @@ pub fn run_pass(cfg: &PassConfig) -> PassResult {
         workers: cfg.workers.max(1),
         stats_interval_s: 0,
         log: false,
-        io_model: cfg.io_model,
         ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
@@ -292,15 +283,14 @@ pub fn run_pass(cfg: &PassConfig) -> PassResult {
         .and_then(|s| s.get("connections_total").and_then(Value::as_i64))
         .unwrap_or(0);
 
-    // Release the fleet before shutdown so front-end threads (in the
-    // threads model) unblock on EOF rather than waiting out the drain.
+    // Release the fleet before shutdown so its connection threads see
+    // EOF from the clients rather than from the drain.
     drop(held);
     handle.shutdown();
     join.join().expect("server thread");
 
     let completed = latencies_ms.len();
     PassResult {
-        io_model: cfg.io_model.to_string(),
         held_connections: cfg.held_connections,
         traffic_threads: cfg.traffic_threads,
         requests: cfg.traffic_threads * cfg.requests_per_thread,
@@ -326,11 +316,10 @@ pub fn to_json(passes: &[PassResult]) -> String {
     let mut out = String::from("{\n  \"bench\": \"serve\",\n  \"passes\": [\n");
     for (i, p) in passes.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"io_model\": \"{}\", \"held_connections\": {}, \"traffic_threads\": {}, \
+            "    {{\"held_connections\": {}, \"traffic_threads\": {}, \
              \"requests\": {}, \"completed\": {}, \"busy_retries\": {}, \"errors\": {}, \
              \"wall_s\": {:.4}, \"jobs_per_sec\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \
              \"max_ms\": {:.3}, \"timeout_budget_ms\": {}, \"connections_total\": {}}}{}\n",
-            p.io_model,
             p.held_connections,
             p.traffic_threads,
             p.requests,
@@ -368,7 +357,6 @@ mod tests {
     #[test]
     fn tiny_pass_produces_sane_numbers() {
         let cfg = PassConfig {
-            io_model: IoModel::default(),
             held_connections: 8,
             traffic_threads: 2,
             requests_per_thread: 13,

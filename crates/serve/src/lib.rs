@@ -9,10 +9,8 @@
 //!
 //! The crate is pure `std`: the JSON codec is in [`json`], the request
 //! schema in [`protocol`], job execution in [`job`], and the daemon
-//! itself in [`server`]. On Linux the connection front end is an `epoll`
-//! event loop (raw syscalls behind an internal `poller` module — no
-//! external crates); elsewhere, and under `--io-model threads`, it is
-//! the portable thread-per-connection model. See [`IoModel`].
+//! itself in [`server`]. The connection front end is one thread per
+//! client, on every platform.
 //!
 //! # Examples
 //!
@@ -45,14 +43,9 @@
 
 #![warn(missing_docs)]
 
-pub(crate) mod conn;
-#[cfg(target_os = "linux")]
-pub(crate) mod event_loop;
 pub mod faults;
 pub mod job;
 pub mod json;
-#[cfg(target_os = "linux")]
-pub(crate) mod poller;
 pub mod protocol;
 pub mod queue;
 pub mod server;
@@ -63,5 +56,5 @@ pub use job::{run_job, JobError};
 pub use json::{parse, Value};
 pub use protocol::{decode_request, OptimizeRequest, Request, TracesSpec};
 pub use queue::{JobQueue, PushError};
-pub use server::{install_signal_flag, IoModel, Server, ServerConfig, ServerHandle};
+pub use server::{install_signal_flag, Server, ServerConfig, ServerHandle};
 pub use stats::ServerStats;

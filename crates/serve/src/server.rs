@@ -2,26 +2,18 @@
 //!
 //! ## Thread structure
 //!
-//! The connection **front end** comes in two flavors, selected by
-//! [`ServerConfig::io_model`] (see `docs/SERVER.md` and DESIGN.md §12):
-//!
-//! - [`IoModel::Epoll`] (Linux default): a single event-loop thread (the
-//!   one calling [`Server::run`]) multiplexes the nonblocking listener
-//!   and every client socket through `epoll`. Each connection is a state
-//!   machine — read buffer → newline framing → job dispatch, bounded
-//!   outbox with partial-write resumption — and worker threads hand
-//!   finished replies back through an `eventfd` wakeup. The loop
-//!   enforces the connection lifecycle policy: a max-connections cap, an
-//!   idle timeout, and slow-client disconnects when an outbox exceeds
-//!   its cap.
-//! - [`IoModel::Threads`] (portable fallback, `--io-model threads`): the
-//!   accept loop spawns a thread per client; each reads requests,
-//!   enqueues jobs, and waits (with the job's deadline) for the reply.
-//!
-//! Under either front end, on deadline expiry the connection raises the
-//! job's cancellation flag; the search winds down at the next evaluation
-//! boundary and replies with its best-so-far under `status:"timeout"`.
-//!
+//! - **front end**: the thread calling [`Server::run`] accepts clients
+//!   and spawns one thread per connection. Each connection thread reads
+//!   newline-framed requests, answers ping/stats/shutdown itself, and
+//!   enqueues jobs, waiting (with the job's deadline) for each reply
+//!   before it reads the next request. On deadline expiry it raises the
+//!   job's cancellation flag; the search winds down at the next
+//!   evaluation boundary and replies with its best-so-far under
+//!   `status:"timeout"`. The front end enforces the connection
+//!   lifecycle (see `docs/SERVER.md`): the
+//!   [`ServerConfig::max_connections`] cap, [`ServerConfig::idle_timeout_s`]
+//!   as the socket's read timeout (idle clients) and write timeout
+//!   (clients that stop reading), and a cap on one request line.
 //! - **worker pool**: [`ServerConfig::workers`] threads popping jobs
 //!   from the bounded [`JobQueue`]. Each job runs inside a
 //!   `catch_unwind` (a panicking evaluation fails only that job, with
@@ -46,8 +38,11 @@
 //!
 //! [`ServerHandle::shutdown`] (also triggered by a `shutdown` request or
 //! by SIGINT/SIGTERM in `factd`) closes the queue, raises every
-//! in-flight job's cancellation flag, and wakes the accept loop; workers
-//! drain, reply, and exit, and [`Server::run`] returns.
+//! in-flight job's cancellation flag, and wakes the accept loop. The
+//! front end then shuts the read half of every open connection, which
+//! wakes idle connection threads with EOF, and joins the connection
+//! threads: one that owes a reply writes it first. Workers drain, reply,
+//! and exit, and [`Server::run`] returns.
 
 use crate::faults::{FaultPlan, FaultSpec, FaultyWriter};
 use crate::job::{run_job, run_pareto_job, JobError};
@@ -58,19 +53,25 @@ use crate::protocol::{
 use crate::queue::{JobQueue, PushOutcome};
 use crate::stats::ServerStats;
 use fact_core::EvalCache;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
 /// How long after cancellation a job gets to wind down and deliver its
 /// best-so-far before the connection gives up on it entirely.
-pub(crate) const WIND_DOWN_GRACE: Duration = Duration::from_secs(10);
+const WIND_DOWN_GRACE: Duration = Duration::from_secs(10);
+
+/// Cap on one request line. Requests carry source text, so the cap is
+/// generous; a client that exceeds it without a newline cannot be
+/// resynchronized and is disconnected after a `request` error reply.
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// Logs one line to stderr, swallowing write errors. `eprintln!` panics
 /// when stderr is a closed pipe (a dead log collector); a log line must
@@ -79,52 +80,6 @@ macro_rules! log_stderr {
     ($($arg:tt)*) => {
         let _ = writeln!(io::stderr(), $($arg)*);
     };
-}
-pub(crate) use log_stderr;
-
-/// Which connection front end the daemon runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoModel {
-    /// A single event-loop thread multiplexing every connection through
-    /// `epoll` (Linux only; the default there).
-    Epoll,
-    /// One thread per connection — the portable fallback, and the
-    /// default off Linux.
-    Threads,
-}
-
-impl Default for IoModel {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "epoll" if cfg!(target_os = "linux") => Ok(IoModel::Epoll),
-            "epoll" => Err("io model `epoll` requires Linux; use `threads`".into()),
-            "threads" => Ok(IoModel::Threads),
-            other => Err(format!(
-                "unknown io model `{other}` (expected `epoll` or `threads`)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        })
-    }
 }
 
 /// Daemon configuration.
@@ -154,20 +109,15 @@ pub struct ServerConfig {
     pub cache_snapshot_every_s: u64,
     /// Fault-injection plan for chaos testing; the default is inert.
     pub faults: FaultSpec,
-    /// Connection front end (see [`IoModel`]).
-    pub io_model: IoModel,
-    /// Max simultaneously open client connections under the event loop;
-    /// excess connections are accepted and immediately closed so the
-    /// client sees a clean EOF instead of a hung SYN backlog slot.
+    /// Max simultaneously open client connections; excess connections
+    /// are accepted and immediately closed so the client sees a clean
+    /// EOF instead of a hung SYN backlog slot.
     pub max_connections: usize,
-    /// Seconds an event-loop connection may sit idle (no request in
-    /// flight, nothing buffered) before it is closed; 0 disables.
+    /// Seconds a connection may wait for its next request, and a reply
+    /// may wait for the client to read it, before the connection is
+    /// closed (`idle_disconnects`, `slow_client_disconnects`); 0
+    /// disables both timeouts.
     pub idle_timeout_s: u64,
-    /// Per-connection outbox cap in bytes under the event loop. A client
-    /// that stops reading while replies accumulate past this is
-    /// disconnected (`slow_client_disconnects`) instead of being allowed
-    /// to pin server memory.
-    pub max_outbox_bytes: usize,
 }
 
 impl Default for ServerConfig {
@@ -184,48 +134,23 @@ impl Default for ServerConfig {
             cache_file: None,
             cache_snapshot_every_s: 0,
             faults: FaultSpec::default(),
-            io_model: IoModel::default(),
             max_connections: 4096,
             idle_timeout_s: 300,
-            max_outbox_bytes: 1 << 20,
-        }
-    }
-}
-
-/// Where a finished job's outcome goes: the blocked connection thread
-/// that submitted it (threads model) or the event loop's completion
-/// queue (epoll model).
-pub(crate) enum ReplyTo {
-    /// The thread model's per-request channel; a dropped sender is how
-    /// the waiting connection learns its worker died.
-    Thread(mpsc::Sender<Result<Value, JobError>>),
-    /// The event loop's completion queue; the drop behavior of the
-    /// channel is reproduced by [`crate::event_loop::LoopReply`].
-    #[cfg(target_os = "linux")]
-    Loop(crate::event_loop::LoopReply),
-}
-
-impl ReplyTo {
-    /// Delivers the outcome, best-effort — the client may already be
-    /// gone, which no sender needs to know about.
-    pub(crate) fn send(self, outcome: Result<Value, JobError>) {
-        match self {
-            ReplyTo::Thread(tx) => drop(tx.send(outcome)),
-            #[cfg(target_os = "linux")]
-            ReplyTo::Loop(reply) => reply.send(outcome),
         }
     }
 }
 
 /// One queued optimization job.
-pub(crate) struct Job {
+struct Job {
     req: OptimizeRequest,
     /// `true` routes through the Pareto-frontier pipeline instead of the
     /// single-objective search.
     pareto: bool,
     cancel: Arc<AtomicBool>,
     submitted: Instant,
-    reply: ReplyTo,
+    /// The waiting connection thread; a dropped sender is how it learns
+    /// its worker died.
+    reply: mpsc::Sender<Result<Value, JobError>>,
 }
 
 /// The per-job counter deltas both job kinds fold into [`ServerStats`].
@@ -251,20 +176,20 @@ struct JobCounters {
 }
 
 /// State shared by every thread of one server.
-pub(crate) struct Shared {
-    pub(crate) config: ServerConfig,
+struct Shared {
+    config: ServerConfig,
     queue: JobQueue<Job>,
-    pub(crate) stats: ServerStats,
+    stats: ServerStats,
     cache: EvalCache,
-    pub(crate) shutdown: AtomicBool,
+    shutdown: AtomicBool,
     /// Cancellation flags of in-flight jobs, so shutdown can stop them.
     active: Mutex<Vec<Weak<AtomicBool>>>,
     addr: Mutex<Option<SocketAddr>>,
-    pub(crate) faults: FaultPlan,
+    faults: FaultPlan,
 }
 
 impl Shared {
-    pub(crate) fn begin_shutdown(&self) {
+    fn begin_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return; // already shutting down
         }
@@ -414,12 +339,14 @@ impl Server {
         let Server { shared, listener } = self;
         if shared.config.log {
             log_stderr!(
-                "factd: listening on {} ({} io, {} workers, queue {}, default timeout {}ms)",
+                "factd: listening on {} ({} workers, queue {}, default timeout {}ms, \
+                 max {} connections, idle timeout {}s)",
                 listener.local_addr()?,
-                shared.config.io_model,
                 shared.config.workers,
                 shared.config.queue_capacity,
                 shared.config.default_timeout_ms,
+                shared.config.max_connections,
+                shared.config.idle_timeout_s,
             );
         }
 
@@ -491,56 +418,131 @@ impl Server {
     }
 }
 
-/// Dispatches to the configured connection front end.
-#[cfg(target_os = "linux")]
-fn run_front_end(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<()> {
-    match shared.config.io_model {
-        IoModel::Epoll => crate::event_loop::run_event_loop(shared, listener),
-        IoModel::Threads => run_thread_model(shared, listener),
+/// Nothing panics while holding the connection registry's lock.
+const REGISTRY_LOCK: &str = "connection registry lock poisoned";
+
+/// Open client connections, each shared with its connection thread so
+/// shutdown can wake the threads blocked reading them.
+#[derive(Default)]
+struct Connections {
+    open: Mutex<HashMap<u64, Arc<TcpStream>>>,
+    /// Signalled whenever a connection closes.
+    closed: Condvar,
+}
+
+impl Connections {
+    /// Registers a connection unless `cap` are already open.
+    fn admit(&self, id: u64, stream: &Arc<TcpStream>, cap: usize) -> bool {
+        let mut open = self.open.lock().expect(REGISTRY_LOCK);
+        if open.len() >= cap {
+            return false;
+        }
+        open.insert(id, Arc::clone(stream));
+        true
+    }
+
+    fn remove(&self, id: u64) {
+        self.open.lock().expect(REGISTRY_LOCK).remove(&id);
+        self.closed.notify_all();
+    }
+
+    /// The shutdown drain: shutting the read half of every connection
+    /// wakes idle threads with EOF while a thread that owes a reply can
+    /// still write it. Connections still open at the deadline (a client
+    /// that stopped reading) are cut off, then every thread is joined.
+    fn drain(&self, threads: Vec<thread::JoinHandle<()>>) {
+        let open = self.open.lock().expect(REGISTRY_LOCK);
+        for stream in open.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        let deadline = WIND_DOWN_GRACE + Duration::from_secs(5);
+        let (open, _) = self
+            .closed
+            .wait_timeout_while(open, deadline, |open| !open.is_empty())
+            .expect(REGISTRY_LOCK);
+        for stream in open.values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        drop(open);
+        for t in threads {
+            let _ = t.join();
+        }
     }
 }
 
-/// Dispatches to the configured connection front end. Off Linux, epoll
-/// is unavailable ([`IoModel::from_str`] rejects it), so every model
-/// runs the portable thread-per-connection front end.
-#[cfg(not(target_os = "linux"))]
+/// The front end: accept, spawn a connection thread, repeat until
+/// shutdown (which wakes the blocking accept with a self-connection),
+/// then drain the open connections.
 fn run_front_end(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<()> {
-    run_thread_model(shared, listener)
-}
-
-/// The thread-per-connection front end: accept, spawn, repeat until
-/// shutdown (which wakes the blocking accept with a self-connection).
-fn run_thread_model(shared: &Arc<Shared>, listener: TcpListener) -> io::Result<()> {
-    for stream in listener.incoming() {
+    let conns = Arc::new(Connections::default());
+    let mut threads: Vec<thread::JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
+    let result = loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => Arc::new(stream),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted
+                        | io::ErrorKind::WouldBlock
+                        | io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                ) =>
+            {
+                continue
+            }
+            Err(e) => break Err(e),
+        };
         if shared.shutdown.load(Ordering::SeqCst) {
-            break;
+            break Ok(());
         }
-        match stream {
-            Ok(stream) => {
-                let stats = &shared.stats;
-                stats.connections_total.fetch_add(1, Ordering::Relaxed);
-                stats.connections_open.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                thread::spawn(move || {
-                    handle_connection(&shared, stream);
+        let id = next_id;
+        next_id += 1;
+        if !conns.admit(id, &stream, shared.config.max_connections.max(1)) {
+            continue; // over the cap: dropped, so the client sees EOF
+        }
+        threads.retain(|t| !t.is_finished());
+        let stats = &shared.stats;
+        stats.connections_total.fetch_add(1, Ordering::Relaxed);
+        stats.connections_open.fetch_add(1, Ordering::Relaxed);
+        let spawned = {
+            let shared = Arc::clone(shared);
+            let conns = Arc::clone(&conns);
+            thread::Builder::new()
+                .name("factd-conn".into())
+                .spawn(move || {
+                    // Even a panicking connection must leave the
+                    // registry, or the shutdown drain waits on it.
+                    let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(&shared, &stream)));
                     shared
                         .stats
                         .connections_open
                         .fetch_sub(1, Ordering::Relaxed);
-                });
+                    conns.remove(id);
+                })
+        };
+        match spawned {
+            Ok(t) => threads.push(t),
+            Err(e) => {
+                // The failed spawn dropped its closure's handle on the
+                // stream; removing the registry's closes the socket.
+                stats.connections_open.fetch_sub(1, Ordering::Relaxed);
+                conns.remove(id);
+                if shared.config.log {
+                    log_stderr!("factd: connection thread spawn failed ({e}); closed");
+                }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
-            Err(e) => return Err(e),
         }
-    }
-    Ok(())
+    };
+    conns.drain(threads);
+    result
 }
 
 fn worker_loop(shared: &Shared) {
     while let Some(job) = shared.queue.pop() {
         if shared.shutdown.load(Ordering::SeqCst) {
             // Queued but never started; tell the waiting connection.
-            job.reply.send(Err(JobError {
+            let _ = job.reply.send(Err(JobError {
                 code: "shutdown",
                 message: "server shutting down".into(),
                 retry_after_ms: None,
@@ -572,11 +574,11 @@ fn worker_loop(shared: &Shared) {
                 shared
                     .stats
                     .record_latency_ms(job.submitted.elapsed().as_millis() as u64);
-                job.reply.send(Ok(reply));
+                let _ = job.reply.send(Ok(reply));
             }
             Ok(Err(e)) => {
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                job.reply.send(Err(e));
+                let _ = job.reply.send(Err(e));
             }
             Err(_) => {
                 // The evaluation panicked (a bug or an injected fault).
@@ -584,7 +586,7 @@ fn worker_loop(shared: &Shared) {
                 // documented `internal` error and the worker lives on.
                 shared.stats.jobs_panicked.fetch_add(1, Ordering::Relaxed);
                 shared.stats.failed.fetch_add(1, Ordering::Relaxed);
-                job.reply.send(Err(JobError {
+                let _ = job.reply.send(Err(JobError {
                     code: "internal",
                     message: "candidate evaluation panicked; job aborted".into(),
                     retry_after_ms: None,
@@ -709,23 +711,70 @@ fn logger_loop(shared: &Shared) {
     }
 }
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
-        Err(_) => return,
-    };
+fn handle_connection(shared: &Shared, stream: &TcpStream) {
+    let timeout = (shared.config.idle_timeout_s > 0)
+        .then(|| Duration::from_secs(shared.config.idle_timeout_s));
+    if stream.set_read_timeout(timeout).is_err() || stream.set_write_timeout(timeout).is_err() {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
     // The reply path goes through the fault plan's writer wrapper: with
     // `io` faults armed it produces Interrupted errors and short writes,
     // which `write_all` absorbs — proving the reply path survives
     // everything a real socket can throw at it.
     let mut writer = FaultyWriter::new(stream, &shared.faults);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let read = (&mut reader)
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut line);
+        match read {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                if is_timeout(&e) {
+                    shared
+                        .stats
+                        .idle_disconnects
+                        .fetch_add(1, Ordering::Relaxed);
+                    if shared.config.log {
+                        log_stderr!(
+                            "factd: closing idle connection after {}s",
+                            shared.config.idle_timeout_s
+                        );
+                    }
+                }
+                break;
+            }
+        }
+        if line.last() != Some(&b'\n') {
+            // EOF mid-line, or an unterminated flood past the cap, after
+            // which there is no way to resynchronize.
+            if line.len() > MAX_LINE_BYTES {
+                let reply = error_reply(
+                    "",
+                    "request",
+                    &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                );
+                let _ = write_line(&mut writer, &reply);
+            }
+            break;
+        }
+        // Invalid UTF-8 is replaced rather than dropped, so the parser
+        // reports it as a `parse` error instead of a silent disconnect.
+        let text = String::from_utf8_lossy(&line);
+        if text.trim().is_empty() {
             continue;
         }
-        let (reply, shutdown_after) = handle_line(shared, &line);
-        if write_line(&mut writer, &reply).is_err() {
+        let (reply, shutdown_after) = handle_line(shared, &text);
+        if let Err(e) = write_line(&mut writer, &reply) {
+            if is_timeout(&e) {
+                shared
+                    .stats
+                    .slow_client_disconnects
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             break;
         }
         if shutdown_after {
@@ -737,6 +786,15 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
+/// Whether a socket error is an expired read/write timeout (`WouldBlock`
+/// on Unix, `TimedOut` on Windows).
+fn is_timeout(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 fn write_line(writer: &mut impl Write, reply: &Value) -> io::Result<()> {
     let mut line = reply.to_json();
     line.push('\n');
@@ -744,79 +802,40 @@ fn write_line(writer: &mut impl Write, reply: &Value) -> io::Result<()> {
     writer.flush()
 }
 
-/// What one request line asks the front end to do — the I/O-model-free
-/// half of request handling, shared by the event loop and the
-/// thread-per-connection path.
-pub(crate) enum LineOutcome {
-    /// An immediate reply (ping, stats, or a parse/decode error).
-    Reply(Value),
-    /// Write the reply, then begin graceful shutdown.
-    ReplyThenShutdown(Value),
-    /// An optimize/pareto job to admit.
-    Submit {
-        /// The decoded job request.
-        req: Box<OptimizeRequest>,
-        /// `true` for the Pareto-frontier pipeline.
-        pareto: bool,
-    },
-}
-
-/// Parses and classifies one request line.
-pub(crate) fn classify_line(shared: &Shared, line: &str) -> LineOutcome {
+/// Executes one request line; the bool asks the caller to begin
+/// shutdown after writing the reply.
+fn handle_line(shared: &Shared, line: &str) -> (Value, bool) {
     let value = match parse(line) {
         Ok(v) => v,
-        Err(e) => return LineOutcome::Reply(error_reply("", "parse", &e.to_string())),
+        Err(e) => return (error_reply("", "parse", &e.to_string()), false),
     };
     let request = match decode_request(&value) {
         Ok(r) => r,
         Err(e) => {
             let id = value.get("id").and_then(Value::as_str).unwrap_or("");
-            return LineOutcome::Reply(error_reply(id, "request", &e.0));
+            return (error_reply(id, "request", &e.0), false);
         }
     };
-    match request {
-        Request::Ping => LineOutcome::Reply(Value::object([("type", Value::Str("pong".into()))])),
-        Request::Stats => LineOutcome::Reply(shared.stats.snapshot(&shared.cache)),
-        Request::Shutdown => {
-            LineOutcome::ReplyThenShutdown(Value::object([("type", Value::Str("ok".into()))]))
-        }
-        Request::Optimize(req) => LineOutcome::Submit { req, pareto: false },
-        Request::Pareto(req) => LineOutcome::Submit { req, pareto: true },
-    }
+    let reply = match request {
+        Request::Ping => Value::object([("type", Value::Str("pong".into()))]),
+        Request::Stats => shared.stats.snapshot(&shared.cache),
+        Request::Shutdown => return (Value::object([("type", Value::Str("ok".into()))]), true),
+        Request::Optimize(req) => handle_optimize(shared, *req, false),
+        Request::Pareto(req) => handle_optimize(shared, *req, true),
+    };
+    (reply, false)
 }
 
-/// The job's deadline budget, from its request or the server default.
-pub(crate) fn job_timeout(shared: &Shared, req: &OptimizeRequest) -> Duration {
-    Duration::from_millis(
+/// Admits one job — deadline-aware busy rejection, then
+/// [`JobQueue::push_or_shed`] with priority eviction — and waits for its
+/// reply under the job's deadline.
+fn handle_optimize(shared: &Shared, req: OptimizeRequest, pareto: bool) -> Value {
+    let id = req.id.clone();
+    let timeout = Duration::from_millis(
         req.timeout_ms
             .unwrap_or(shared.config.default_timeout_ms)
             .max(1),
-    )
-}
-
-/// Executes one request line; the bool asks the caller to begin
-/// shutdown after writing the reply.
-fn handle_line(shared: &Shared, line: &str) -> (Value, bool) {
-    match classify_line(shared, line) {
-        LineOutcome::Reply(v) => (v, false),
-        LineOutcome::ReplyThenShutdown(v) => (v, true),
-        LineOutcome::Submit { req, pareto } => (handle_optimize(shared, *req, pareto), false),
-    }
-}
-
-/// The admission path both front ends share: deadline-aware busy
-/// rejection, then [`JobQueue::push_or_shed`] with priority eviction.
-/// `Ok` carries the admitted job's cancellation flag; `Err` carries the
-/// reply to send right now (`busy`, `shed` victims are notified
-/// internally, `shutdown`).
-pub(crate) fn admit_job(
-    shared: &Shared,
-    req: OptimizeRequest,
-    pareto: bool,
-    timeout: Duration,
-    reply: ReplyTo,
-) -> Result<Arc<AtomicBool>, Value> {
-    let id = req.id.clone();
+    );
 
     // Deadline-aware admission: if the expected queue wait (service-time
     // EWMA × depth ÷ workers) already exceeds this job's whole budget,
@@ -827,7 +846,7 @@ pub(crate) fn admit_job(
     let est_wait_ms = avg_ms * depth / shared.config.workers.max(1) as u64;
     if est_wait_ms > timeout.as_millis() as u64 {
         shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-        return Err(error_reply_with_retry(
+        return error_reply_with_retry(
             &id,
             "busy",
             &format!(
@@ -835,16 +854,17 @@ pub(crate) fn admit_job(
                 timeout.as_millis()
             ),
             Some(shared.retry_hint_ms()),
-        ));
+        );
     }
 
+    let (tx, rx) = mpsc::channel();
     let cancel = Arc::new(AtomicBool::new(false));
     let job = Job {
         req,
         pareto,
         cancel: Arc::clone(&cancel),
         submitted: Instant::now(),
-        reply,
+        reply: tx,
     };
     match shared.queue.push_or_shed(job, |j| j.req.priority) {
         PushOutcome::Admitted => {}
@@ -852,7 +872,7 @@ pub(crate) fn admit_job(
             // This job displaced the lowest-priority queued job; the
             // victim's waiting connection gets `shed` + a backoff hint.
             shared.stats.jobs_shed.fetch_add(1, Ordering::Relaxed);
-            victim.reply.send(Err(JobError {
+            let _ = victim.reply.send(Err(JobError {
                 code: "shed",
                 message: "shed from a full queue by a higher-priority job; retry later".into(),
                 retry_after_ms: Some(shared.retry_hint_ms()),
@@ -860,7 +880,7 @@ pub(crate) fn admit_job(
         }
         PushOutcome::Full => {
             shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(error_reply_with_retry(
+            return error_reply_with_retry(
                 &id,
                 "busy",
                 &format!(
@@ -868,24 +888,11 @@ pub(crate) fn admit_job(
                     shared.config.queue_capacity
                 ),
                 Some(shared.retry_hint_ms()),
-            ));
+            );
         }
-        PushOutcome::Closed => {
-            return Err(error_reply(&id, "shutdown", "server shutting down"));
-        }
+        PushOutcome::Closed => return error_reply(&id, "shutdown", "server shutting down"),
     }
     shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-    Ok(cancel)
-}
-
-fn handle_optimize(shared: &Shared, req: OptimizeRequest, pareto: bool) -> Value {
-    let id = req.id.clone();
-    let timeout = job_timeout(shared, &req);
-    let (tx, rx) = mpsc::channel();
-    let cancel = match admit_job(shared, req, pareto, timeout, ReplyTo::Thread(tx)) {
-        Ok(cancel) => cancel,
-        Err(reply) => return reply,
-    };
 
     match rx.recv_timeout(timeout) {
         Ok(outcome) => finish(&id, outcome),
@@ -918,7 +925,7 @@ fn handle_optimize(shared: &Shared, req: OptimizeRequest, pareto: bool) -> Value
 }
 
 /// Converts a worker outcome into the wire reply.
-pub(crate) fn finish(id: &str, outcome: Result<Value, JobError>) -> Value {
+fn finish(id: &str, outcome: Result<Value, JobError>) -> Value {
     match outcome {
         Ok(reply) => reply,
         Err(e) => error_reply_with_retry(id, e.code, &e.message, e.retry_after_ms),

@@ -40,14 +40,12 @@ pub struct ServerStats {
     pub connections_open: AtomicU64,
     /// Client connections accepted over the server's lifetime.
     pub connections_total: AtomicU64,
-    /// Connections reaped by the idle timeout (event-loop front end).
+    /// Connections closed after waiting out the idle timeout for their
+    /// next request.
     pub idle_disconnects: AtomicU64,
-    /// Connections dropped because their outbox exceeded its cap while
-    /// the client stopped reading (event-loop front end).
+    /// Connections dropped because the client stopped reading and a
+    /// reply write waited out the idle timeout.
     pub slow_client_disconnects: AtomicU64,
-    /// Event-loop `epoll_wait` returns — a coarse measure of front-end
-    /// activity (0 under the thread-per-connection model).
-    pub loop_wakeups: AtomicU64,
     /// Entries warm-loaded from the cache snapshot at startup.
     pub cache_warm_entries: AtomicU64,
     /// Completed (or timed-out) single-objective `optimize` jobs.
@@ -143,7 +141,6 @@ impl ServerStats {
             connections_total: AtomicU64::new(0),
             idle_disconnects: AtomicU64::new(0),
             slow_client_disconnects: AtomicU64::new(0),
-            loop_wakeups: AtomicU64::new(0),
             cache_warm_entries: AtomicU64::new(0),
             optimize_jobs: AtomicU64::new(0),
             pareto_jobs: AtomicU64::new(0),
@@ -277,7 +274,6 @@ impl ServerStats {
                 "slow_client_disconnects",
                 counter(&self.slow_client_disconnects),
             ),
-            ("loop_wakeups", counter(&self.loop_wakeups)),
             ("optimize_jobs", counter(&self.optimize_jobs)),
             ("pareto_jobs", counter(&self.pareto_jobs)),
             ("pareto_points", counter(&self.pareto_points)),
@@ -333,7 +329,7 @@ impl ServerStats {
         format!(
             "factd stats: up={}s jobs={}/{} ok={} err={} timeout={} busy={} shed={} \
              panics={} respawns={} \
-             conns={}/{} idle_dc={} slow_dc={} wakeups={} \
+             conns={}/{} idle_dc={} slow_dc={} \
              kinds=opt:{}/pareto:{} pareto_pts={} \
              evals={} inherited={} proved={} derived={} unproved={} profiled={} \
              resched full={} spliced={} \
@@ -357,7 +353,6 @@ impl ServerStats {
             self.connections_total.load(Ordering::Relaxed),
             self.idle_disconnects.load(Ordering::Relaxed),
             self.slow_client_disconnects.load(Ordering::Relaxed),
-            self.loop_wakeups.load(Ordering::Relaxed),
             self.optimize_jobs.load(Ordering::Relaxed),
             self.pareto_jobs.load(Ordering::Relaxed),
             self.pareto_points.load(Ordering::Relaxed),
@@ -456,7 +451,6 @@ mod tests {
         s.connections_total.fetch_add(11, Ordering::Relaxed);
         s.idle_disconnects.fetch_add(2, Ordering::Relaxed);
         s.slow_client_disconnects.fetch_add(1, Ordering::Relaxed);
-        s.loop_wakeups.fetch_add(99, Ordering::Relaxed);
         let cache = EvalCache::default();
         let v = s.snapshot(&cache);
         assert_eq!(v.get("jobs_submitted").unwrap().as_i64(), Some(3));
@@ -497,10 +491,10 @@ mod tests {
         assert_eq!(v.get("connections_total").unwrap().as_i64(), Some(11));
         assert_eq!(v.get("idle_disconnects").unwrap().as_i64(), Some(2));
         assert_eq!(v.get("slow_client_disconnects").unwrap().as_i64(), Some(1));
-        assert_eq!(v.get("loop_wakeups").unwrap().as_i64(), Some(99));
+        assert!(v.get("loop_wakeups").is_none());
         let line = s.log_line(&cache);
         assert!(line.contains("ok=2"));
-        assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 wakeups=99"));
+        assert!(line.contains("conns=4/11 idle_dc=2 slow_dc=1 kinds="));
         assert!(line.contains("resched full=7 spliced=5"));
         assert!(line.contains("inherited=33 proved=21 derived=6 unproved=16 profiled=1 resched"));
         assert!(line.contains("sim=640v ("));

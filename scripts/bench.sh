@@ -9,7 +9,7 @@
 #            hypervolume proxy, evals/sec); writes
 #            crates/bench/BENCH_pareto.json (also with --smoke).
 #   serve  — factd front-end load (requests/sec, p50/p99 latency under
-#            hundreds of held connections, epoll vs threads); writes
+#            hundreds of held connections); writes
 #            crates/bench/BENCH_serve.json.
 #
 # Usage:

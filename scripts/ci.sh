@@ -196,31 +196,23 @@ for p in d["passes"]:
     assert p["errors"] == 0, f"smoke traffic errors: {p}"
     assert p["p99_ms"] < p["timeout_budget_ms"], f"p99 over budget: {p}"
     assert p["jobs_per_sec"] >= FLOOR, f"front end stalling: {p}"
-line = " ".join(f"{p['io_model']}:{p['jobs_per_sec']:.0f}/s" for p in d["passes"])
+line = " ".join(f"{p['jobs_per_sec']:.0f}/s" for p in d["passes"])
 print(f"serve smoke ok: {line}")
 
-# The committed full run is the recorded trajectory: it must carry the
-# high-concurrency measurement (>= 500 held connections for epoll,
-# >= 256 for the threads pass) and the event loop must not have lost
-# to the thread-per-connection fallback it replaced.
+# The committed full run is the recorded trajectory: its one pass must
+# carry the high-concurrency measurement (>= 500 held connections),
+# error-free, within the latency budget, at a plausible throughput.
 with open("crates/bench/BENCH_serve.json") as f:
     d = json.load(f)
 assert d["bench"] == "serve", d
-passes = {p["io_model"]: p for p in d["passes"]}
-epoll, threads = passes["epoll"], passes["threads"]
-assert epoll["held_connections"] >= 500, f"epoll pass under 500 held: {epoll}"
-assert threads["held_connections"] >= 256, f"threads pass under 256 held: {threads}"
-for p in (epoll, threads):
-    assert p["errors"] == 0, f"recorded run had traffic errors: {p}"
-    assert p["p99_ms"] < p["timeout_budget_ms"], f"recorded p99 over budget: {p}"
-    assert p["jobs_per_sec"] >= 25.0, f"recorded throughput implausibly low: {p}"
-assert epoll["jobs_per_sec"] >= threads["jobs_per_sec"], (
-    f"epoll lost to threads: {epoll['jobs_per_sec']} < {threads['jobs_per_sec']}"
-)
+(p,) = d["passes"]
+assert p["held_connections"] >= 500, f"recorded pass under 500 held: {p}"
+assert p["errors"] == 0, f"recorded run had traffic errors: {p}"
+assert p["p99_ms"] < p["timeout_budget_ms"], f"recorded p99 over budget: {p}"
+assert p["jobs_per_sec"] >= 25.0, f"recorded throughput implausibly low: {p}"
 print(
-    f"BENCH_serve.json ok: epoll {epoll['jobs_per_sec']}/s @{epoll['held_connections']} held "
-    f"(p99 {epoll['p99_ms']}ms) vs threads {threads['jobs_per_sec']}/s "
-    f"(x{epoll['jobs_per_sec']/threads['jobs_per_sec']:.2f})"
+    f"BENCH_serve.json ok: {p['jobs_per_sec']}/s @{p['held_connections']} held "
+    f"(p99 {p['p99_ms']}ms)"
 )
 EOF
 

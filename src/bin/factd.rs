@@ -10,7 +10,7 @@
 //! $ factd --addr 127.0.0.1:7348 --workers 4 --timeout-ms 60000
 //! ```
 
-use fact_serve::{install_signal_flag, FaultSpec, IoModel, Server, ServerConfig};
+use fact_serve::{install_signal_flag, FaultSpec, Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
@@ -42,19 +42,11 @@ OPTIONS:
                           testing, e.g. `seed=42,panic=0.1,kill=0.05:2`
                           (keys: seed, panic, kill, slow, slow_ms, io,
                           corrupt; also read from FACTD_FAULTS)
-    --io-model <MODEL>    connection front end: `epoll` (single event
-                          loop multiplexing all sockets; Linux default)
-                          or `threads` (thread per connection; portable
-                          fallback and the default off Linux)
-    --max-conns <N>       max simultaneously open connections under the
-                          event loop; excess accepts are closed (default
-                          4096)
-    --idle-timeout <SECS> close event-loop connections idle this long;
-                          0 disables (default 300)
-    --max-outbox-bytes <N>
-                          per-connection reply backlog cap under the
-                          event loop; a client that stops reading past it
-                          is disconnected (default 1048576)
+    --max-conns <N>       max simultaneously open connections; excess
+                          accepts are closed (default 4096)
+    --idle-timeout <SECS> close a connection that sends no request, or
+                          reads no reply, for this long; 0 disables
+                          (default 300)
     --quiet               suppress log lines on stderr
     -h, --help            print this help
 
@@ -95,16 +87,11 @@ fn parse_args(argv: &[String]) -> Result<ServerConfig, String> {
                     num("--cache-snapshot-every", grab("--cache-snapshot-every")?)?
             }
             "--faults" => config.faults = FaultSpec::parse(&grab("--faults")?)?,
-            "--io-model" => config.io_model = grab("--io-model")?.parse::<IoModel>()?,
             "--max-conns" => {
                 config.max_connections = num("--max-conns", grab("--max-conns")?)?.max(1) as usize
             }
             "--idle-timeout" => {
                 config.idle_timeout_s = num("--idle-timeout", grab("--idle-timeout")?)?
-            }
-            "--max-outbox-bytes" => {
-                config.max_outbox_bytes =
-                    num("--max-outbox-bytes", grab("--max-outbox-bytes")?)?.max(1) as usize
             }
             "--quiet" => config.log = false,
             other => return Err(format!("unknown argument `{other}`")),
@@ -195,14 +182,10 @@ mod tests {
             "15",
             "--faults",
             "seed=9,panic=0.5:2",
-            "--io-model",
-            "threads",
             "--max-conns",
             "100",
             "--idle-timeout",
             "7",
-            "--max-outbox-bytes",
-            "4096",
             "--quiet",
         ])
         .unwrap();
@@ -216,10 +199,8 @@ mod tests {
         assert_eq!(c.cache_snapshot_every_s, 15);
         assert!(c.faults.is_armed());
         assert_eq!(c.faults.seed, 9);
-        assert_eq!(c.io_model, IoModel::Threads);
         assert_eq!(c.max_connections, 100);
         assert_eq!(c.idle_timeout_s, 7);
-        assert_eq!(c.max_outbox_bytes, 4096);
         assert!(!c.log);
     }
 
@@ -229,8 +210,9 @@ mod tests {
         assert!(parse(&["--workers", "many"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--faults", "panic=2.0"]).is_err());
-        assert!(parse(&["--io-model"]).is_err());
-        assert!(parse(&["--io-model", "fibers"]).is_err());
+        // Retired front-end flags are unknown arguments now.
+        assert!(parse(&["--io-model", "threads"]).is_err());
+        assert!(parse(&["--max-outbox-bytes", "4096"]).is_err());
         assert!(parse(&["--max-conns", "lots"]).is_err());
         assert_eq!(parse(&["--help"]).unwrap_err(), "");
     }

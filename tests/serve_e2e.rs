@@ -370,7 +370,7 @@ fn bad_jobs_get_error_replies_not_disconnects() {
 
 /// A request dribbled in one byte (then seven bytes) at a time must be
 /// reassembled exactly as if it arrived in one segment: the framing
-/// layer buffers until the newline, whichever front end is running.
+/// layer buffers until the newline.
 #[test]
 fn fragmented_requests_are_reassembled() {
     let (addr, handle, join) = start_server(1);
@@ -441,10 +441,41 @@ fn pipelined_requests_in_one_segment_reply_in_order() {
     join.join().unwrap();
 }
 
-/// Event-loop lifecycle policy: connection counters in STATS, idle
-/// reaping, slow-client disconnects, and the max-connections cap. These
-/// behaviors are specific to the epoll front end, hence Linux-only.
-#[cfg(target_os = "linux")]
+/// A request nested far past the parser's depth cap (about 1 MB of `[`)
+/// is a `parse` error on a live connection, not a stack overflow that
+/// takes the daemon down with it.
+#[test]
+fn deeply_nested_requests_are_parse_errors() {
+    let (addr, handle, join) = start_server(1);
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut ask = |line: &str| -> Value {
+        stream.write_all(line.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        parse(reply.trim()).unwrap()
+    };
+    let nested = ask(&"[".repeat(1 << 20));
+    assert_eq!(
+        nested.get("error").and_then(Value::as_str),
+        Some("parse"),
+        "reply: {}",
+        nested.to_json()
+    );
+    assert_eq!(
+        ask(r#"{"type":"ping"}"#)
+            .get("type")
+            .and_then(Value::as_str),
+        Some("pong")
+    );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// Connection lifecycle policy: connection counters in STATS, idle
+/// reaping, slow-client disconnects, the max-connections cap, the
+/// request-line cap, and the shutdown drain.
 mod event_loop_lifecycle {
     use super::*;
     use std::io::Read;
@@ -485,7 +516,6 @@ mod event_loop_lifecycle {
         let stats = roundtrip(addr, r#"{"type":"stats"}"#);
         assert!(counter(&stats, "connections_total") >= 2);
         assert!(counter(&stats, "connections_open") >= 1);
-        assert!(counter(&stats, "loop_wakeups") >= 1);
         assert_eq!(counter(&stats, "idle_disconnects"), 0);
         assert_eq!(counter(&stats, "slow_client_disconnects"), 0);
 
@@ -525,13 +555,13 @@ mod event_loop_lifecycle {
 
     #[test]
     fn slow_clients_are_disconnected_when_the_outbox_overflows() {
-        let (addr, handle, join) = start_server_with(|c| c.max_outbox_bytes = 4096);
+        let (addr, handle, join) = start_server_with(|c| c.idle_timeout_s = 1);
         // Pipeline tens of thousands of stats requests and never read a
-        // byte: replies (~15 MB total — beyond anything the kernel will
-        // buffer for us) blow the backlog past the outbox cap and the
-        // server cuts the connection loose. The disconnect may land while
-        // we are still writing, so write errors here are success, not
-        // failure.
+        // byte: the replies (tens of MB — beyond anything the kernel
+        // will buffer for us) fill the socket buffers, a reply write
+        // waits out the 1 s timeout, and the server cuts the connection
+        // loose. The disconnect may land while we are still writing, so
+        // write errors here are success, not failure.
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut batch = String::new();
         for _ in 0..20_000 {
@@ -604,5 +634,92 @@ mod event_loop_lifecycle {
         drop(second);
         handle.shutdown();
         join.join().unwrap();
+    }
+
+    /// A request line past the 8 MiB cap, with no newline in sight, gets
+    /// a `request` error and then EOF: there is no way to resynchronize
+    /// mid-line.
+    #[test]
+    fn oversized_lines_get_a_request_error_then_eof() {
+        let (addr, handle, join) = start_server(1);
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        // Exactly one byte over the cap, so the server has read all of
+        // it when it hangs up (unread bytes would turn the close into a
+        // reset that can discard the reply).
+        stream.write_all(&vec![b'x'; (8 << 20) + 1]).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        let reply = parse(reply.trim()).unwrap();
+        assert_eq!(
+            reply.get("error").and_then(Value::as_str),
+            Some("request"),
+            "reply: {}",
+            reply.to_json()
+        );
+        let mut rest = Vec::new();
+        assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "expected EOF");
+
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    /// Shutdown drains: a job in flight writes its reply before
+    /// `Server::run` returns, and an idle held connection is woken with
+    /// EOF rather than waited on.
+    #[test]
+    fn shutdown_delivers_inflight_replies_and_closes_idle_connections() {
+        // The injected 2 s evaluation delay keeps the job in flight
+        // until after the shutdown below.
+        let (addr, handle, join) = start_server_with(|c| {
+            c.faults = fact_serve::FaultSpec::parse("seed=1,slow=1,slow_ms=2000").unwrap();
+        });
+        let mut idle = TcpStream::connect(addr).unwrap();
+        idle.write_all(b"{\"type\":\"ping\"}\n").unwrap();
+        let mut idle = BufReader::new(idle);
+        let mut reply = String::new();
+        idle.read_line(&mut reply).unwrap();
+        assert_eq!(reply.trim(), r#"{"type":"pong"}"#);
+
+        let mut busy = TcpStream::connect(addr).unwrap();
+        busy.write_all(job_line("drain", FACTORABLE, ALLOC, &[]).as_bytes())
+            .unwrap();
+        busy.write_all(b"\n").unwrap();
+        thread::sleep(Duration::from_millis(500));
+        let started = Instant::now();
+        handle.shutdown();
+        join.join().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "drain took {:?}",
+            started.elapsed()
+        );
+
+        // `run` has returned, so the reply must already be waiting in
+        // our socket buffer: the job's best-so-far, or a `shutdown` error
+        // if the worker had not picked it up yet.
+        busy.set_nonblocking(true).unwrap();
+        let mut reader = BufReader::new(busy);
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .expect("reply written before run returned");
+        let reply = parse(reply.trim()).unwrap();
+        assert_eq!(reply.get("id").and_then(Value::as_str), Some("drain"));
+        assert!(
+            reply.get("type").and_then(Value::as_str) == Some("result")
+                || reply.get("error").and_then(Value::as_str) == Some("shutdown"),
+            "reply: {}",
+            reply.to_json()
+        );
+
+        idle.get_ref()
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut rest = Vec::new();
+        assert_eq!(idle.read_to_end(&mut rest).unwrap(), 0, "expected EOF");
     }
 }
